@@ -11,6 +11,9 @@
  * programs). The probe is also the process exit gate: if the fabric
  * hot path ever regresses into allocating, this binary fails.
  *
+ * Host readout section: BM_ReadCounters times the word-parallel JC
+ * readback (block transpose + digit-field lookup) per counter.
+ *
  * Tracing overhead section: probeTracingOverhead() bounds the cost
  * of obs/ instrumentation when tracing is compiled in but no
  * recorder is installed (the default). It is the second exit gate:
@@ -34,6 +37,7 @@
 #include "dram/scheduler.hpp"
 #include "jc/layout.hpp"
 #include "obs/trace.hpp"
+#include "reliability/mirror.hpp"
 #include "uprog/codegen_ambit.hpp"
 
 using namespace c2m;
@@ -314,7 +318,8 @@ BM_FunctionalTra(benchmark::State &state)
         benchmark::DoNotOptimize(sub.peekT(0));
     }
     state.counters["bits/s"] = benchmark::Counter(
-        static_cast<double>(cols), benchmark::Counter::kIsRate);
+        static_cast<double>(cols),
+        benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_FunctionalTra)->Arg(512)->Arg(8192)->Arg(65536);
 
@@ -414,6 +419,52 @@ BM_BackendKaryIncrementReplay(benchmark::State &state)
 }
 BENCHMARK(BM_BackendKaryIncrementReplay)->Arg(512)->Arg(8192);
 
+/**
+ * Host readout: Ambit readCounters over every column, the path under
+ * each snapshot. The counters hold random canonical values written
+ * through a RowMirror image; "time/counter" is host time per counter.
+ * Args: columns, radix, capacity bits.
+ */
+static void
+BM_ReadCounters(benchmark::State &state)
+{
+    core::EngineConfig cfg;
+    cfg.numCounters = static_cast<size_t>(state.range(0));
+    cfg.radix = static_cast<unsigned>(state.range(1));
+    cfg.capacityBits = static_cast<unsigned>(state.range(2));
+    cfg.maxMaskRows = 1;
+    core::EngineStats stats;
+    core::AmbitBackend backend(cfg, 1, stats);
+    const jc::CounterLayout &layout = backend.layout(0);
+    Rng rng(9);
+    const unsigned span_bits = cfg.capacityBits - 1;
+    std::vector<int64_t> values(cfg.numCounters);
+    for (auto &v : values)
+        v = static_cast<int64_t>(rng.next() >> (64 - span_bits)) -
+            (int64_t{1} << (span_bits - 1));
+    reliability::RowMirror image(layout, cfg.numCounters);
+    image.encodeValues(values);
+    for (size_t r = 0; r < image.numRows(); ++r)
+        backend.scrubWriteRow(image.fabricRow(layout, r),
+                              image.dataBits(r));
+    if (backend.readCounters(0) != values)
+        state.SkipWithError("readout does not match the written values");
+    for (auto _ : state) {
+        auto out = backend.readCounters(0);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["time/counter"] = benchmark::Counter(
+        static_cast<double>(cfg.numCounters),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ReadCounters)
+    ->Args({16384, 4, 32})
+    ->Args({65536, 4, 32})
+    ->Args({16384, 10, 64})
+    ->Args({65536, 10, 64})
+    ->Unit(benchmark::kMicrosecond);
+
 static void
 BM_IarmStreamCost(benchmark::State &state)
 {
@@ -427,7 +478,7 @@ BM_IarmStreamCost(benchmark::State &state)
         benchmark::DoNotOptimize(cost);
     }
     state.counters["inputs/s"] = benchmark::Counter(
-        1024.0, benchmark::Counter::kIsRate);
+        1024.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_IarmStreamCost);
 
@@ -441,7 +492,7 @@ BM_SchedulerEventDriven(benchmark::State &state)
         benchmark::DoNotOptimize(s.finishNs());
     }
     state.counters["cmds/s"] = benchmark::Counter(
-        10000.0, benchmark::Counter::kIsRate);
+        10000.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_SchedulerEventDriven);
 

@@ -42,6 +42,73 @@ BitVector::set(size_t i, bool v)
         words_[i >> 6] &= ~mask;
 }
 
+uint64_t
+BitVector::getBits(size_t pos, unsigned len) const
+{
+    C2M_ASSERT(len >= 1 && len <= 64 && pos + len <= numBits_,
+               "bit range [", pos, ", +", len, ") out of range ",
+               numBits_);
+    const size_t w = pos >> 6;
+    const unsigned off = pos & 63;
+    uint64_t v = words_[w] >> off;
+    if (off + len > 64)
+        v |= words_[w + 1] << (64 - off);
+    return len == 64 ? v : v & ((1ULL << len) - 1);
+}
+
+void
+BitVector::setBits(size_t pos, unsigned len, uint64_t v)
+{
+    C2M_ASSERT(len >= 1 && len <= 64 && pos + len <= numBits_,
+               "bit range [", pos, ", +", len, ") out of range ",
+               numBits_);
+    const uint64_t mask = len == 64 ? ~0ULL : (1ULL << len) - 1;
+    v &= mask;
+    const size_t w = pos >> 6;
+    const unsigned off = pos & 63;
+    words_[w] = (words_[w] & ~(mask << off)) | (v << off);
+    if (off + len > 64) {
+        const unsigned lo = 64 - off;
+        words_[w + 1] =
+            (words_[w + 1] & ~(mask >> lo)) | (v >> lo);
+    }
+}
+
+namespace {
+
+/**
+ * One transpose round: in every 2J x 2J tile, the high J bits of row
+ * i trade places with the low J bits of row i + J (the tile's
+ * off-diagonal J x J blocks, LSB-first columns). @p Mask selects the
+ * low J bits of each 2J-bit lane. Constant J lets the compiler unroll
+ * and vectorize the round.
+ */
+template <unsigned J, uint64_t Mask>
+inline void
+swapBlocks(std::span<uint64_t, 64> m)
+{
+    for (unsigned k = 0; k < 64; k += 2 * J) {
+        for (unsigned i = k; i < k + J; ++i) {
+            const uint64_t t = ((m[i] >> J) ^ m[i + J]) & Mask;
+            m[i] ^= t << J;
+            m[i + J] ^= t;
+        }
+    }
+}
+
+} // namespace
+
+void
+transpose64(std::span<uint64_t, 64> m)
+{
+    swapBlocks<32, 0x00000000FFFFFFFFULL>(m);
+    swapBlocks<16, 0x0000FFFF0000FFFFULL>(m);
+    swapBlocks<8, 0x00FF00FF00FF00FFULL>(m);
+    swapBlocks<4, 0x0F0F0F0F0F0F0F0FULL>(m);
+    swapBlocks<2, 0x3333333333333333ULL>(m);
+    swapBlocks<1, 0x5555555555555555ULL>(m);
+}
+
 void
 BitVector::fill(bool v)
 {

@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,12 @@ class BitVector
 
     bool get(size_t i) const;
     void set(size_t i, bool v);
+
+    /** Bits [pos, pos + len) as an LSB-first word; 1 <= len <= 64. */
+    uint64_t getBits(size_t pos, unsigned len) const;
+
+    /** Overwrite bits [pos, pos + len) with the low @p len bits of @p v. */
+    void setBits(size_t pos, unsigned len, uint64_t v);
 
     /** Set all bits to @p v. */
     void fill(bool v);
@@ -87,6 +94,15 @@ class BitVector
     size_t numBits_ = 0;
     std::vector<uint64_t> words_;
 };
+
+/**
+ * Transpose a 64x64 bit matrix in place: on return, bit c of m[r] is
+ * bit r of the input's m[c]. Moving between row images and column
+ * values one 64-column word block at a time (gather word w of 64
+ * rows, transpose, read 64 column words) replaces 64 x 64 single-bit
+ * accesses with six rounds of word-wide block swaps.
+ */
+void transpose64(std::span<uint64_t, 64> m);
 
 } // namespace c2m
 

@@ -6,10 +6,10 @@
  * Shared Johnson-counter readout for row-organized backends.
  *
  * Ambit and NVM fabrics store the same JC row layout, so both decode
- * counters identically: per digit, gather the n bit rows plus Onext,
- * decode each column's JC pattern (nearest-state on faulted
- * patterns), weight by radix^digit, and subtract the modulus where
- * Osign is set. Parameterized over a row-read callable so each
+ * counters identically through jc::ColumnCodec: per digit the n bit
+ * rows plus Onext, each column's JC pattern decoded (nearest-state on
+ * faulted patterns) and weighted by radix^digit, minus the modulus
+ * where Osign is set. Parameterized over a row-read callable so each
  * backend plugs in its own simulator access.
  */
 
@@ -18,7 +18,7 @@
 
 #include "common/bitvec.hpp"
 #include "core/config.hpp"
-#include "jc/johnson.hpp"
+#include "jc/colcodec.hpp"
 #include "jc/layout.hpp"
 
 namespace c2m {
@@ -38,54 +38,29 @@ buildJcLayouts(unsigned radix, unsigned capacity_bits,
     return layouts;
 }
 
-/** @p read: callable unsigned row -> const BitVector &. */
+/**
+ * Read the group's rows once each, in field order (per digit the n
+ * bit rows then Onext, then Osign), and decode them word-parallel.
+ * @p read: callable unsigned row -> const BitVector &.
+ */
 template <typename ReadRow>
 std::vector<int64_t>
 decodeJcCounters(const jc::CounterLayout &l, size_t num_cols,
                  EngineStats &stats, ReadRow &&read)
 {
     const unsigned n = l.bitsPerDigit();
-    const unsigned D = l.numDigits();
-    const unsigned R = l.radix();
-
-    // Snapshot all rows once.
-    std::vector<const BitVector *> bit_rows(D * n);
-    std::vector<const BitVector *> onext_rows(D);
-    for (unsigned dd = 0; dd < D; ++dd) {
+    std::vector<const BitVector *> rows;
+    rows.reserve(size_t{l.numDigits()} * (n + 1) + 1);
+    for (unsigned dd = 0; dd < l.numDigits(); ++dd) {
         for (unsigned i = 0; i < n; ++i)
-            bit_rows[dd * n + i] = &read(l.bitRow(dd, i));
-        onext_rows[dd] = &read(l.onextRow(dd));
+            rows.push_back(&read(l.bitRow(dd, i)));
+        rows.push_back(&read(l.onextRow(dd)));
     }
-    const BitVector &osign = read(l.osignRow());
-
-    __int128 modulus = 1;
-    for (unsigned dd = 0; dd < D; ++dd)
-        modulus *= R;
+    rows.push_back(&read(l.osignRow()));
 
     std::vector<int64_t> out(num_cols);
-    for (size_t col = 0; col < num_cols; ++col) {
-        __int128 value = 0;
-        __int128 weight = 1;
-        for (unsigned dd = 0; dd < D; ++dd) {
-            uint64_t bits = 0;
-            for (unsigned i = 0; i < n; ++i)
-                if (bit_rows[dd * n + i]->get(col))
-                    bits |= 1ULL << i;
-            int v = jc::decode(n, bits);
-            if (v < 0) {
-                ++stats.invalidStates;
-                v = static_cast<int>(jc::decodeNearest(n, bits));
-            }
-            __int128 digit_val = v;
-            if (onext_rows[dd]->get(col))
-                digit_val += R;
-            value += digit_val * weight;
-            weight *= R;
-        }
-        if (osign.get(col))
-            value -= modulus;
-        out[col] = static_cast<int64_t>(value);
-    }
+    stats.invalidStates +=
+        jc::ColumnCodec(l.radix(), l.numDigits()).decode(rows, out);
     return out;
 }
 
@@ -96,24 +71,15 @@ decodeJcDigit(const jc::CounterLayout &l, unsigned digit,
               size_t num_cols, EngineStats &stats, ReadRow &&read)
 {
     const unsigned n = l.bitsPerDigit();
-    std::vector<const BitVector *> rows(n);
+    // A one-digit group whose Onext and Osign rows read as zero.
+    std::vector<const BitVector *> rows(n + 2, nullptr);
     for (unsigned i = 0; i < n; ++i)
         rows[i] = &read(l.bitRow(digit, i));
 
-    std::vector<unsigned> out(num_cols);
-    for (size_t col = 0; col < num_cols; ++col) {
-        uint64_t bits = 0;
-        for (unsigned i = 0; i < n; ++i)
-            if (rows[i]->get(col))
-                bits |= 1ULL << i;
-        int v = jc::decode(n, bits);
-        if (v < 0) {
-            ++stats.invalidStates;
-            v = static_cast<int>(jc::decodeNearest(n, bits));
-        }
-        out[col] = static_cast<unsigned>(v);
-    }
-    return out;
+    std::vector<int64_t> values(num_cols);
+    stats.invalidStates +=
+        jc::ColumnCodec(l.radix(), 1).decode(rows, values);
+    return std::vector<unsigned>(values.begin(), values.end());
 }
 
 } // namespace core

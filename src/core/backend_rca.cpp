@@ -166,10 +166,10 @@ RcaBackend::foldTopBorrowIntoSign(unsigned)
 std::vector<uint64_t>
 RcaBackend::readRaw(unsigned phys)
 {
-    std::vector<BitVector> rows;
+    std::vector<const BitVector *> rows;
     rows.reserve(width_);
     for (unsigned b = 0; b < width_; ++b)
-        rows.push_back(sub_.hostReadRow(layouts_[phys].bitRow(b)));
+        rows.push_back(&sub_.hostReadRow(layouts_[phys].bitRow(b)));
     return dram::transposeFromRows(rows, numCounters_);
 }
 

@@ -139,10 +139,10 @@ SimdramEngine::accumulateSigned(int64_t value, unsigned mask_handle)
 std::vector<uint64_t>
 SimdramEngine::read()
 {
-    std::vector<BitVector> rows;
+    std::vector<const BitVector *> rows;
     rows.reserve(cfg_.accBits);
     for (unsigned b = 0; b < cfg_.accBits; ++b)
-        rows.push_back(sub_.hostReadRow(layouts_[0].bitRow(b)));
+        rows.push_back(&sub_.hostReadRow(layouts_[0].bitRow(b)));
     return dram::transposeFromRows(rows, cfg_.numElements);
 }
 

@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -24,17 +25,18 @@ namespace dram {
 /**
  * Transpose values into @p num_bits rows of @p cols columns.
  * Element j contributes bit b of its value to rows[b] at column j.
- * Values must fit in num_bits; extra columns are zero.
+ * Values must fit in num_bits; extra columns are zero. Works one
+ * 64-column block at a time through transpose64.
  */
 std::vector<BitVector> transposeToRows(const std::vector<uint64_t> &values,
                                        unsigned num_bits, size_t cols);
 
 /**
  * Inverse of transposeToRows: collect column j's bits (row b = bit b)
- * into values[j]. Reads @p count columns.
+ * into values[j]. Reads @p count columns of the rows in place.
  */
-std::vector<uint64_t> transposeFromRows(const std::vector<BitVector> &rows,
-                                        size_t count);
+std::vector<uint64_t>
+transposeFromRows(std::span<const BitVector *const> rows, size_t count);
 
 /** Build a mask row: bit j = mask[j] (padded with zeros to cols). */
 BitVector maskRow(const std::vector<uint8_t> &mask, size_t cols);

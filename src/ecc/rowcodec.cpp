@@ -13,41 +13,39 @@ RowCodec::RowCodec(size_t data_bits)
 }
 
 uint64_t
+RowCodec::dataMask(size_t w) const
+{
+    // Data occupies bit positions [0, dataBits): every word is a
+    // storage word, the last one possibly shared with parity lanes.
+    const size_t rem = dataBits_ - w * 64;
+    return rem >= 64 ? ~0ULL : (1ULL << rem) - 1;
+}
+
+uint64_t
 RowCodec::dataWord(const BitVector &row, size_t w) const
 {
     C2M_ASSERT(w < numWords_, "word index out of range");
     C2M_ASSERT(row.size() >= dataBits_, "row lacks data columns");
-    // Data occupies bit positions [0, dataBits); when dataBits is a
-    // multiple of 64 this is exactly the storage word.
-    uint64_t v = 0;
-    const size_t base = w * 64;
-    for (size_t b = 0; b < 64; ++b) {
-        const size_t pos = base + b;
-        if (pos >= dataBits_)
-            break;
-        if (row.get(pos))
-            v |= 1ULL << b;
-    }
-    return v;
+    return row.word(w) & dataMask(w);
+}
+
+void
+RowCodec::setDataWord(BitVector &row, size_t w, uint64_t v) const
+{
+    const uint64_t mask = dataMask(w);
+    row.word(w) = (row.word(w) & ~mask) | (v & mask);
 }
 
 uint8_t
 RowCodec::parityOf(const BitVector &row, size_t w) const
 {
-    const size_t base = dataBits_ + w * 8;
-    uint8_t p = 0;
-    for (size_t b = 0; b < 8; ++b)
-        if (row.get(base + b))
-            p |= static_cast<uint8_t>(1u << b);
-    return p;
+    return static_cast<uint8_t>(row.getBits(dataBits_ + w * 8, 8));
 }
 
 void
 RowCodec::setParity(BitVector &row, size_t w, uint8_t parity) const
 {
-    const size_t base = dataBits_ + w * 8;
-    for (size_t b = 0; b < 8; ++b)
-        row.set(base + b, (parity >> b) & 1);
+    row.setBits(dataBits_ + w * 8, 8, parity);
 }
 
 void
@@ -80,9 +78,7 @@ RowCodec::correctRow(BitVector &row) const
             break;
           case Hamming72::Result::Corrected: {
             ++res.corrected;
-            const size_t base = w * 64;
-            for (size_t b = 0; b < 64 && base + b < dataBits_; ++b)
-                row.set(base + b, (dec.data >> b) & 1);
+            setDataWord(row, w, dec.data);
             setParity(row, w, dec.parity);
             break;
           }
@@ -139,9 +135,7 @@ RowCodec::scrubRow(BitVector &data, const BitVector &encoded) const
             ++res.uncorrectable;
             fixed = want;
         }
-        const size_t base = w * 64;
-        for (size_t b = 0; b < 64 && base + b < dataBits_; ++b)
-            data.set(base + b, (fixed >> b) & 1);
+        setDataWord(data, w, fixed);
     }
     return res;
 }

@@ -77,6 +77,9 @@ class RowCodec
                            const BitVector &encoded) const;
 
   private:
+    /** Data columns of storage word @p w. */
+    uint64_t dataMask(size_t w) const;
+    void setDataWord(BitVector &row, size_t w, uint64_t v) const;
     uint8_t parityOf(const BitVector &row, size_t w) const;
     void setParity(BitVector &row, size_t w, uint8_t parity) const;
 

@@ -1,22 +1,37 @@
 #include "reliability/mirror.hpp"
 
 #include "common/logging.hpp"
-#include "jc/johnson.hpp"
 
 namespace c2m {
 namespace reliability {
 
 RowMirror::RowMirror(const jc::CounterLayout &layout, size_t cols)
-    : radix_(layout.radix()),
-      bits_(layout.bitsPerDigit()),
+    : bits_(layout.bitsPerDigit()),
       digits_(layout.numDigits()),
       cols_(cols),
-      codec_(cols)
+      codec_(cols),
+      jc_(layout.radix(), layout.numDigits())
 {
     C2M_ASSERT(cols >= 1, "mirror needs at least one column");
     rows_.assign(digits_ * bits_ + digits_ + 1,
                  BitVector(codec_.totalBits()));
     encodeValues(std::vector<int64_t>(cols, 0));
+}
+
+std::vector<BitVector *>
+RowMirror::fieldRows(bool with_onext)
+{
+    // Mirror order (bit rows, Onext rows, Osign) -> codec field order.
+    const size_t nbits = size_t{digits_} * bits_;
+    std::vector<BitVector *> rows;
+    rows.reserve(jc_.numRows());
+    for (unsigned d = 0; d < digits_; ++d) {
+        for (unsigned i = 0; i < bits_; ++i)
+            rows.push_back(&rows_[size_t{d} * bits_ + i]);
+        rows.push_back(with_onext ? &rows_[nbits + d] : nullptr);
+    }
+    rows.push_back(&rows_[nbits + digits_]);
+    return rows;
 }
 
 unsigned
@@ -36,32 +51,9 @@ void
 RowMirror::encodeValues(std::span<const int64_t> values)
 {
     C2M_ASSERT(values.size() == cols_, "value count != mirror width");
-    for (auto &row : rows_)
-        row.fill(false);
-
-    __int128 modulus = 1;
-    for (unsigned d = 0; d < digits_; ++d)
-        modulus *= radix_;
-
-    BitVector &osign = rows_[size_t{digits_} * bits_ + digits_];
-    for (size_t c = 0; c < cols_; ++c) {
-        __int128 m = values[c];
-        const bool neg = m < 0;
-        if (neg) {
-            m += modulus;
-            osign.set(c, true);
-        }
-        C2M_ASSERT(m >= 0 && m < modulus,
-                   "counter value exceeds JC modulus");
-        for (unsigned d = 0; d < digits_; ++d) {
-            const unsigned digit = static_cast<unsigned>(m % radix_);
-            m /= radix_;
-            const uint64_t bits = jc::encode(bits_, digit);
-            for (unsigned i = 0; i < bits_; ++i)
-                if ((bits >> i) & 1)
-                    rows_[size_t{d} * bits_ + i].set(c, true);
-        }
-    }
+    // Every data column is rewritten (Onext rows to zero); the parity
+    // lanes past cols_ are recomputed below.
+    jc_.encode(values, fieldRows(true));
     codec_.encodeRows(rows_);
 }
 
@@ -72,30 +64,10 @@ RowMirror::decodeValues(ecc::RowCodec::CorrectResult *store_scrub)
     if (store_scrub)
         *store_scrub = res;
 
-    __int128 modulus = 1;
-    for (unsigned d = 0; d < digits_; ++d)
-        modulus *= radix_;
-
-    const BitVector &osign = rows_[size_t{digits_} * bits_ + digits_];
+    // Canonical images carry no pending carries: Onext rows are not
+    // read, so decay there cannot perturb the values.
     std::vector<int64_t> values(cols_);
-    for (size_t c = 0; c < cols_; ++c) {
-        __int128 value = 0;
-        __int128 weight = 1;
-        for (unsigned d = 0; d < digits_; ++d) {
-            uint64_t bits = 0;
-            for (unsigned i = 0; i < bits_; ++i)
-                if (rows_[size_t{d} * bits_ + i].get(c))
-                    bits |= 1ULL << i;
-            int v = jc::decode(bits_, bits);
-            if (v < 0)
-                v = static_cast<int>(jc::decodeNearest(bits_, bits));
-            value += static_cast<__int128>(v) * weight;
-            weight *= radix_;
-        }
-        if (osign.get(c))
-            value -= modulus;
-        values[c] = static_cast<int64_t>(value);
-    }
+    jc_.decode(fieldRows(false), values);
     return values;
 }
 

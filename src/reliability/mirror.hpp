@@ -30,6 +30,7 @@
 
 #include "common/bitvec.hpp"
 #include "ecc/rowcodec.hpp"
+#include "jc/colcodec.hpp"
 #include "jc/layout.hpp"
 
 namespace c2m {
@@ -81,11 +82,14 @@ class RowMirror
     void dataBitsInto(size_t r, BitVector &out) const;
 
   private:
-    unsigned radix_;
+    /** Row pointers in jc::ColumnCodec field order; Onext optional. */
+    std::vector<BitVector *> fieldRows(bool with_onext);
+
     unsigned bits_;    ///< bits per digit (n)
     unsigned digits_;  ///< digit count (D)
     size_t cols_;
     ecc::RowCodec codec_;
+    jc::ColumnCodec jc_;
     std::vector<BitVector> rows_;
 };
 

@@ -454,11 +454,14 @@ VirtualCounterSpace::spillFrame(int32_t f,
                     row.copyFrom(
                         eng.backend().scrubReadRow(fabric_row));
                     bool any = false;
-                    for (unsigned i = 0; i < cfg_.groupSize; ++i)
-                        if (row.get(fr.startLocal + i)) {
-                            row.set(fr.startLocal + i, false);
+                    for (unsigned i = 0; i < cfg_.groupSize; i += 64) {
+                        const unsigned len =
+                            std::min(64u, cfg_.groupSize - i);
+                        if (row.getBits(fr.startLocal + i, len)) {
+                            row.setBits(fr.startLocal + i, len, 0);
                             any = true;
                         }
+                    }
                     if (any)
                         eng.backend().scrubWriteRow(fabric_row, row);
                 }
@@ -496,7 +499,6 @@ VirtualCounterSpace::restoreImage(uint32_t gi,
             cim::AttrScope attr(eng.backend().opStatsRef(),
                                 cim::FabricCat::VirtRestore);
             BitVector row(engine_.shardWidth(fr.shard));
-            BitVector bits(cfg_.groupSize);
             for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
                 const auto &lay = eng.backend().layout(
                     eng.physicalGroup(virtGroup_, rep));
@@ -505,9 +507,14 @@ VirtualCounterSpace::restoreImage(uint32_t gi,
                         g.image->fabricRow(lay, r);
                     row.copyFrom(
                         eng.backend().scrubReadRow(fabric_row));
-                    g.image->dataBitsInto(r, bits);
-                    for (unsigned i = 0; i < cfg_.groupSize; ++i)
-                        row.set(fr.startLocal + i, bits.get(i));
+                    // The image's data prefix is the frame's columns.
+                    const BitVector &img = g.image->row(r);
+                    for (unsigned i = 0; i < cfg_.groupSize; i += 64) {
+                        const unsigned len =
+                            std::min(64u, cfg_.groupSize - i);
+                        row.setBits(fr.startLocal + i, len,
+                                    img.getBits(i, len));
+                    }
                     eng.backend().scrubWriteRow(fabric_row, row);
                 }
             }

@@ -5,16 +5,20 @@
  * readouts on unprotected configs, capability flags gate protection
  * and tensor support, and the per-backend program cache replays
  * bit-identical programs with hit/miss counts surfaced in
- * EngineStats.
+ * EngineStats. The word-parallel JC readout is held to the per-bit
+ * reference decoder on random, faulted and wide counter states.
  */
 
 #include <gtest/gtest.h>
 
 #include <iterator>
 
+#include "common/rng.hpp"
+#include "core/backend_jc.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "core/sharded.hpp"
+#include "perbit_oracle.hpp"
 #include "workloads/dna.hpp"
 #include "workloads/sparsity.hpp"
 
@@ -223,6 +227,129 @@ TEST(BackendReadDigit, NegativeCountersAgreeAtNonPowerOfTwoRadix)
             << "backend " << core::backendName(kAllBackends[b])
             << " digit readout diverges from ambit";
 }
+
+// ---------------------------------------------------------------------
+// Word-parallel JC readout vs the per-bit reference decoder
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Rows of one counter group @p cols wide plus 37 garbage columns:
+ * random digits, Onext and Osign bits, and for n >= 3 some random
+ * (mostly invalid) JC patterns. Non-state rows hold noise too.
+ */
+std::vector<BitVector>
+randomJcRows(const jc::CounterLayout &l, size_t cols, Rng &rng)
+{
+    std::vector<BitVector> rows(l.endRow(), BitVector(cols + 37));
+    for (auto &row : rows)
+        row.randomize(rng);
+    const unsigned n = l.bitsPerDigit();
+    for (size_t c = 0; c < cols; ++c) {
+        for (unsigned d = 0; d < l.numDigits(); ++d) {
+            uint64_t bits = jc::encode(
+                n, static_cast<unsigned>(rng.nextBounded(l.radix())));
+            if (n >= 3 && rng.nextBool(0.2))
+                bits = rng.next() & ((uint64_t{1} << n) - 1);
+            for (unsigned i = 0; i < n; ++i)
+                rows[l.bitRow(d, i)].set(c, (bits >> i) & 1);
+            rows[l.onextRow(d)].set(c, rng.nextBool(0.25));
+        }
+        rows[l.osignRow()].set(c, rng.nextBool(0.5));
+    }
+    return rows;
+}
+
+const size_t kReadoutCols[] = {1, 63, 64, 65, 130, 1000};
+
+} // namespace
+
+class JcReadout
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(JcReadout, MatchesPerBitOracle)
+{
+    const auto [radix, capacity] = GetParam();
+    const jc::CounterLayout l(radix, capacity, 3);
+    Rng rng(131 * radix + capacity);
+    for (size_t cols : kReadoutCols) {
+        const auto rows = randomJcRows(l, cols, rng);
+        std::vector<unsigned> order, want_order;
+        core::EngineStats stats;
+        const auto got = core::decodeJcCounters(
+            l, cols, stats, [&](unsigned r) -> const BitVector & {
+                order.push_back(r);
+                return rows[r];
+            });
+        uint64_t want_invalid = 0;
+        const auto want = oracle::decodeJcCounters(
+            l, cols, want_invalid, [&](unsigned r) -> const BitVector & {
+                want_order.push_back(r);
+                return rows[r];
+            });
+        EXPECT_EQ(got, want) << "cols " << cols;
+        EXPECT_EQ(stats.invalidStates, want_invalid) << "cols " << cols;
+        EXPECT_EQ(order, want_order) << "row reads differ, cols " << cols;
+
+        for (unsigned d = 0; d < l.numDigits(); ++d) {
+            core::EngineStats digit_stats;
+            uint64_t digit_invalid = 0;
+            const auto read = [&](unsigned r) -> const BitVector & {
+                return rows[r];
+            };
+            EXPECT_EQ(core::decodeJcDigit(l, d, cols, digit_stats, read),
+                      oracle::decodeJcDigit(l, d, cols, digit_invalid,
+                                            read))
+                << "cols " << cols << " digit " << d;
+            EXPECT_EQ(digit_stats.invalidStates, digit_invalid);
+        }
+    }
+}
+
+TEST_P(JcReadout, AmbitAndNvmReadTheOracleValues)
+{
+    const auto [radix, capacity] = GetParam();
+    for (BackendKind kind : {BackendKind::Ambit, BackendKind::NvmMagic}) {
+        EngineConfig cfg = baseConfig(kind, radix);
+        cfg.capacityBits = capacity;
+        cfg.numCounters = 130;
+        core::EngineStats stats;
+        const auto backend = core::makeBackend(cfg, 1, stats);
+        const jc::CounterLayout &l = backend->layout(0);
+        Rng rng(7 * radix + capacity);
+        auto rows = randomJcRows(l, cfg.numCounters, rng);
+        for (unsigned r = 0; r < l.osignRow() + 1; ++r) {
+            BitVector row(cfg.numCounters);
+            for (size_t c = 0; c < cfg.numCounters; ++c)
+                row.set(c, rows[r].get(c));
+            backend->scrubWriteRow(r, row);
+        }
+        uint64_t want_invalid = 0;
+        const auto want = oracle::decodeJcCounters(
+            l, cfg.numCounters, want_invalid,
+            [&](unsigned r) -> const BitVector & { return rows[r]; });
+        const uint64_t reads0 = backend->opStats().rowReads;
+        const double ns0 = backend->opStats().fabricNs;
+        EXPECT_EQ(backend->readCounters(0), want)
+            << core::backendName(kind);
+        EXPECT_EQ(stats.invalidStates, want_invalid)
+            << core::backendName(kind);
+        if (kind == BackendKind::Ambit) {
+            // One charged host read per state row, as before.
+            EXPECT_EQ(backend->opStats().rowReads - reads0,
+                      l.osignRow() + 1);
+            EXPECT_GT(backend->opStats().fabricNs, ns0);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RadixByCapacity, JcReadout,
+    ::testing::Combine(::testing::Values(2u, 4u, 6u, 10u, 16u, 20u),
+                       ::testing::Values(8u, 32u, 64u)));
 
 TEST(BackendCaps, AdvertiseExpectedFeatures)
 {

@@ -134,6 +134,50 @@ TEST(BitVector, FaultInjectionRateIsCalibrated)
     EXPECT_NEAR(measured, p, p * 0.15);
 }
 
+TEST(BitVector, BitRangesMatchPerBitAccess)
+{
+    Rng rng(12);
+    BitVector v(300);
+    v.randomize(rng);
+    for (int trial = 0; trial < 500; ++trial) {
+        const unsigned len = 1 + static_cast<unsigned>(rng.nextBounded(64));
+        const size_t pos = rng.nextBounded(v.size() - len + 1);
+        uint64_t want = 0;
+        for (unsigned b = 0; b < len; ++b)
+            want |= static_cast<uint64_t>(v.get(pos + b)) << b;
+        ASSERT_EQ(v.getBits(pos, len), want)
+            << "pos " << pos << " len " << len;
+
+        BitVector w = v;
+        const uint64_t x = rng.next();
+        w.setBits(pos, len, x);
+        for (size_t i = 0; i < v.size(); ++i) {
+            const bool in = i >= pos && i < pos + len;
+            ASSERT_EQ(w.get(i), in ? ((x >> (i - pos)) & 1) != 0 : v.get(i))
+                << "pos " << pos << " len " << len << " bit " << i;
+        }
+    }
+}
+
+TEST(BitTranspose, MatchesNaiveAndIsAnInvolution)
+{
+    Rng rng(13);
+    for (int trial = 0; trial < 20; ++trial) {
+        uint64_t m[64];
+        uint64_t orig[64];
+        for (size_t r = 0; r < 64; ++r)
+            orig[r] = m[r] = trial == 0 ? uint64_t{1} << r : rng.next();
+        transpose64(m);
+        for (size_t r = 0; r < 64; ++r)
+            for (size_t c = 0; c < 64; ++c)
+                ASSERT_EQ((m[c] >> r) & 1, (orig[r] >> c) & 1)
+                    << "row " << r << " col " << c;
+        transpose64(m);
+        for (size_t r = 0; r < 64; ++r)
+            ASSERT_EQ(m[r], orig[r]);
+    }
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(42), b(42);

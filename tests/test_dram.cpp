@@ -13,6 +13,7 @@
 #include "dram/scheduler.hpp"
 #include "dram/subarray.hpp"
 #include "dram/timing.hpp"
+#include "perbit_oracle.hpp"
 
 using namespace c2m;
 
@@ -146,17 +147,49 @@ TEST(Energy, AapEnergyAcrossRank)
 
 TEST(VerticalLayout, TransposeRoundTrip)
 {
+    // Every width 1-64, against the per-bit reference transposes.
     Rng rng(3);
-    std::vector<uint64_t> vals(100);
-    for (auto &v : vals)
-        v = rng.nextBounded(1ULL << 20);
-    const auto rows = dram::transposeToRows(vals, 20, 128);
-    EXPECT_EQ(rows.size(), 20u);
-    EXPECT_EQ(dram::transposeFromRows(rows, 100), vals);
+    for (unsigned bits = 1; bits <= 64; ++bits) {
+        for (size_t cols : {1, 64, 65, 200}) {
+            const size_t count = cols - rng.nextBounded(cols);
+            std::vector<uint64_t> vals(count);
+            for (auto &v : vals)
+                v = bits == 64 ? rng.next()
+                               : rng.next() & ((1ULL << bits) - 1);
+            const auto rows = dram::transposeToRows(vals, bits, cols);
+            ASSERT_EQ(rows, oracle::transposeToRows(vals, bits, cols))
+                << "bits " << bits << " cols " << cols;
+            std::vector<const BitVector *> ptrs;
+            for (const auto &r : rows)
+                ptrs.push_back(&r);
+            EXPECT_EQ(dram::transposeFromRows(ptrs, count), vals);
+
+            // Reading fewer columns than a noisy row holds.
+            std::vector<BitVector> noisy(bits, BitVector(cols));
+            for (auto &r : noisy)
+                r.randomize(rng);
+            ptrs.clear();
+            for (const auto &r : noisy)
+                ptrs.push_back(&r);
+            EXPECT_EQ(dram::transposeFromRows(ptrs, count),
+                      oracle::transposeFromRows(noisy, count));
+        }
+    }
 }
 
 TEST(VerticalLayout, MaskRowPadsWithZeros)
 {
     const auto row = dram::maskRow({1, 0, 1}, 8);
     EXPECT_EQ(row.toString(), "10100000");
+
+    Rng rng(5);
+    for (size_t len : {0, 1, 63, 64, 65, 300}) {
+        std::vector<uint8_t> mask(len);
+        for (auto &m : mask)
+            m = static_cast<uint8_t>(rng.nextBounded(3));
+        BitVector want(len + 7);
+        for (size_t j = 0; j < len; ++j)
+            want.set(j, mask[j] != 0);
+        EXPECT_EQ(dram::maskRow(mask, len + 7), want) << "len " << len;
+    }
 }

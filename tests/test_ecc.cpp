@@ -14,6 +14,7 @@
 #include "ecc/gf2m.hpp"
 #include "ecc/hamming.hpp"
 #include "ecc/rowcodec.hpp"
+#include "perbit_oracle.hpp"
 
 using namespace c2m;
 
@@ -259,6 +260,65 @@ TEST(RowCodec, LanesFollowXorHomomorphism)
     BitVector x(codec.totalBits());
     x.assignXor(a, b);
     EXPECT_TRUE(codec.checkRow(x));
+}
+
+TEST(RowCodec, WordLanesMatchPerBitOracle)
+{
+    // Widths put the 8-bit parity lanes at every offset class: sharing
+    // the last data word, word-aligned, and straddling two words.
+    Rng rng(10);
+    for (size_t data_bits : {1, 63, 64, 65, 100, 130}) {
+        const ecc::RowCodec codec(data_bits);
+        const oracle::RowCodec ref(data_bits);
+        ASSERT_EQ(codec.totalBits(), ref.totalBits());
+        for (int trial = 0; trial < 24; ++trial) {
+            // Random data and stale lanes: encodeRow must overwrite them.
+            BitVector row(codec.totalBits());
+            row.randomize(rng);
+            BitVector want = row;
+            codec.encodeRow(row);
+            ref.encodeRow(want);
+            ASSERT_EQ(row, want) << "encode, data_bits " << data_bits;
+            for (size_t w = 0; w < codec.numWords(); ++w)
+                EXPECT_EQ(codec.dataWord(row, w), ref.dataWord(want, w));
+
+            // One or two flips anywhere, lanes included.
+            const unsigned flips = 1 + trial % 2;
+            BitVector got = row;
+            BitVector exp = want;
+            for (unsigned f = 0; f < flips; ++f) {
+                const size_t pos = rng.nextBounded(codec.totalBits());
+                got.set(pos, !got.get(pos));
+                exp.set(pos, !exp.get(pos));
+            }
+            EXPECT_EQ(codec.checkRow(got), ref.checkRow(exp));
+            const auto res = codec.correctRow(got);
+            const auto want_res = ref.correctRow(exp);
+            EXPECT_EQ(res.corrected, want_res.corrected);
+            EXPECT_EQ(res.uncorrectable, want_res.uncorrectable);
+            EXPECT_EQ(got, exp) << "correct, data_bits " << data_bits;
+
+            // scrubRow: a fabric row (exact width, or wider with
+            // columns the codec must not touch) against the image.
+            for (size_t extra : {size_t{0}, size_t{9}}) {
+                BitVector fabric(data_bits + extra);
+                fabric.randomize(rng);
+                for (size_t i = 0; i < data_bits; ++i)
+                    fabric.set(i, row.get(i));
+                for (unsigned f = 0; f < flips; ++f) {
+                    const size_t pos = rng.nextBounded(data_bits);
+                    fabric.set(pos, !fabric.get(pos));
+                }
+                BitVector fabric_ref = fabric;
+                const auto sres = codec.scrubRow(fabric, row);
+                const auto sref = ref.scrubRow(fabric_ref, want);
+                EXPECT_EQ(sres.corrected, sref.corrected);
+                EXPECT_EQ(sres.uncorrectable, sref.uncorrectable);
+                EXPECT_EQ(fabric, fabric_ref)
+                    << "scrub, data_bits " << data_bits;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

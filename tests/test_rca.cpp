@@ -44,9 +44,9 @@ struct RcaHarness
     std::vector<uint64_t>
     readAcc(size_t count)
     {
-        std::vector<BitVector> rows;
+        std::vector<const BitVector *> rows;
         for (unsigned b = 0; b < layout.width; ++b)
-            rows.push_back(sub.peekRow(layout.bitRow(b)));
+            rows.push_back(&sub.peekRow(layout.bitRow(b)));
         return dram::transposeFromRows(rows, count);
     }
 

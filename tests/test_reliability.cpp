@@ -1,7 +1,8 @@
 /**
  * @file
  * Reliability-subsystem tests: canonical-image encoding against the
- * live fabric, RowCodec round trips at random geometry, scrub-under-
+ * live fabric and, bit for bit, against the per-bit reference
+ * encoder, RowCodec round trips at random geometry, scrub-under-
  * concurrent-ingest exactness (the subsystem's acceptance property:
  * scrubbed runs end bit-identical to fault-free serial replay while
  * unscrubbed runs at the same fault rate do not), standalone and
@@ -22,6 +23,7 @@
 #include "reliability/mirror.hpp"
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
+#include "perbit_oracle.hpp"
 
 using namespace c2m;
 using namespace c2m::core;
@@ -127,6 +129,93 @@ INSTANTIATE_TEST_SUITE_P(
     Radixes, CanonicalEncode,
     ::testing::Combine(::testing::Values(4u, 6u, 10u, 16u),
                        ::testing::Bool()));
+
+class CanonicalImage
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(CanonicalImage, MatchesPerBitOracle)
+{
+    const auto [radix, capacity] = GetParam();
+    const jc::CounterLayout l(radix, capacity);
+    // Largest magnitude the ring holds: R^D - 1, clipped to int64.
+    unsigned __int128 reach = 1;
+    for (unsigned d = 0; d < l.numDigits(); ++d)
+        reach *= radix;
+    const int64_t top = reach - 1 > INT64_MAX
+                            ? INT64_MAX
+                            : static_cast<int64_t>(reach - 1);
+    Rng rng(17 * radix + capacity);
+    for (size_t cols : {1, 63, 64, 65, 130, 1000}) {
+        std::vector<int64_t> values(cols);
+        for (auto &v : values) {
+            switch (rng.nextBounded(4)) {
+              case 0:
+                v = static_cast<int64_t>(rng.nextBounded(64)) - 32;
+                break;
+              case 1:
+                // Both ends of [-R^D, R^D), clipped to int64.
+                v = rng.nextBool(0.5) ? top
+                                      : -top - (top < INT64_MAX ? 1 : 0);
+                break;
+              default:
+                v = static_cast<int64_t>(
+                        rng.nextBounded(static_cast<uint64_t>(top))) *
+                    (rng.nextBool(0.5) ? 1 : -1);
+            }
+        }
+        if (top == INT64_MAX)
+            values[0] = INT64_MIN; // R^D > 2^63 holds -2^63 too
+
+        RowMirror mirror(l, cols);
+        mirror.encodeValues(values);
+        auto want = oracle::mirrorEncode(l, values);
+        ASSERT_EQ(mirror.numRows(), want.size());
+        for (size_t r = 0; r < want.size(); ++r)
+            ASSERT_EQ(mirror.row(r), want[r])
+                << "cols " << cols << " image row " << r;
+
+        // Decay both stores identically: single and double flips per
+        // row (parity lanes included), some in the Onext rows.
+        for (size_t r = 0; r < want.size(); ++r) {
+            const unsigned flips =
+                static_cast<unsigned>(rng.nextBounded(3));
+            for (unsigned f = 0; f < flips; ++f) {
+                const size_t pos = rng.nextBounded(want[r].size());
+                want[r].set(pos, !want[r].get(pos));
+                mirror.row(r).set(pos, !mirror.row(r).get(pos));
+            }
+        }
+        ecc::RowCodec::CorrectResult got_res, want_res;
+        const auto got_values = mirror.decodeValues(&got_res);
+        EXPECT_EQ(got_values, oracle::mirrorDecode(l, cols, want, want_res))
+            << "cols " << cols;
+        EXPECT_EQ(got_res.corrected, want_res.corrected);
+        EXPECT_EQ(got_res.uncorrectable, want_res.uncorrectable);
+        for (size_t r = 0; r < want.size(); ++r)
+            EXPECT_EQ(mirror.row(r), want[r]) << "corrected row " << r;
+    }
+}
+
+TEST(CanonicalImageRange, ValuesBeyondTheModulusPanic)
+{
+    // radix 4, 8-bit capacity: D = 5 digits, values [-4^5, 4^5).
+    const jc::CounterLayout l(4, 8);
+    RowMirror mirror(l, 3);
+    const std::vector<int64_t> edge = {1023, -1024, 0};
+    mirror.encodeValues(edge);
+    EXPECT_EQ(mirror.decodeValues(), edge);
+    EXPECT_DEATH(mirror.encodeValues(std::vector<int64_t>{0, 1024, 0}),
+                 "exceeds JC modulus");
+    EXPECT_DEATH(mirror.encodeValues(std::vector<int64_t>{-1025, 0, 0}),
+                 "exceeds JC modulus");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RadixByCapacity, CanonicalImage,
+    ::testing::Combine(::testing::Values(2u, 4u, 6u, 10u, 16u, 20u),
+                       ::testing::Values(8u, 32u, 64u)));
 
 // ---------------------------------------------------------------------
 // RowCodec batch + scrub path at random geometry

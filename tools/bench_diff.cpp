@@ -1,6 +1,6 @@
 // bench_diff: regression gate between two BENCH_*.json files.
 //
-// Usage: bench_diff [--default-rel R] [--metric NAME=R]... \
+// Usage: bench_diff [--default-rel R] [--metric NAME=R]...
 //                   baseline.json current.json
 //
 // Cells in the bench's "results"/"cells" array are matched by an
