@@ -20,48 +20,35 @@
  *  - the HealthMonitor's blind fault-rate estimate next to the
  *    injected truth.
  *
- * Emits BENCH_reliability.json. Exit status is the CI gate: 0 iff
- * every scrub-enabled cell at the paper's protected operating
- * points (fault rate <= 1e-3) ends with zero silent errors.
+ * A cell's window is its engine's lifetime, including the service
+ * snapshot the campaign checks: that read runs the protected read
+ * path under faults, so it is part of the cost being measured. The
+ * counter comparison itself is host-only. The host clock (wall time,
+ * overhead) starts once the engine, scrubber and service are built.
  *
- * Usage: fault_campaign [--trials=small|full] [--seed=N]
+ * Emits BENCH_reliability.json. Besides the gates every cell carries
+ * (bench/harness), each scrub-enabled cell at the paper's protected
+ * operating points (fault rate <= 1e-3) must end with zero silent
+ * errors.
+ *
+ * Usage: fault_campaign [--trials=small|full] [--seed=N] [--trace FILE]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
 
 namespace {
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
-}
 
 struct CampaignScale
 {
@@ -70,35 +57,6 @@ struct CampaignScale
     unsigned shards;
     unsigned producers;
     std::vector<double> rates;
-};
-
-struct Cell
-{
-    const char *backend;
-    const char *protection;
-    bool scrub;
-    double rate;
-
-    size_t silentErrors = 0;
-    int64_t maxAbsErr = 0;
-    double wallS = 0.0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
-    double sweepFabricNs = 0.0;
-    uint64_t fabricCommands = 0;
-    uint64_t retries = 0;
-    uint64_t uncorrectedBlocks = 0;
-    uint64_t sweeps = 0;
-    uint64_t faultyBits = 0;
-    uint64_t bitsCorrected = 0;
-    uint64_t wordsRecovered = 0;
-    uint64_t faultsInjected = 0;
-    double estRate = 0.0;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
-    double overhead = 1.0; ///< wall time vs backend's clean baseline
 };
 
 struct Scheme
@@ -146,17 +104,18 @@ makeStream(const CampaignScale &scale, uint64_t seed)
     return ops;
 }
 
-Cell
-runCell(core::BackendKind backend, const Scheme &scheme, double rate,
-        const CampaignScale &scale,
+/**
+ * Run one campaign cell and return its wall time; @p record adds it
+ * to @p h (the clean baseline runs are not cells).
+ */
+double
+runCell(bench::Harness &h, bool record, core::BackendKind backend,
+        const Scheme &scheme, double rate, const CampaignScale &scale,
         const std::vector<core::BatchOp> &ops,
-        const std::vector<int64_t> &expected, uint64_t seed)
+        const std::vector<int64_t> &expected, uint64_t seed,
+        double base_wall, TextTable &t)
 {
-    Cell cell{core::backendName(backend), scheme.name, scheme.scrub,
-              rate};
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
-
+    const bench::Window w = h.open();
     const auto cfg =
         cellConfig(backend, scheme, rate, scale.counters, seed);
     core::ShardedEngine eng(cfg, scale.shards);
@@ -168,44 +127,65 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
     service::IngestService svc(eng, {});
     if (scrub)
         svc.attachObserver(scrub.get());
+    // The host clock starts once the engine and service are built.
+    const bench::Window timed = h.open();
 
-    const auto t0 = Clock::now();
     service::submitConcurrent(svc, ops, scale.producers);
     const auto snap = svc.snapshot();
     svc.stop();
-    cell.wallS =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    const double wall = timed.seconds();
+    if (!record)
+        return wall;
 
+    size_t silent = 0;
+    int64_t max_abs_err = 0;
     for (size_t i = 0; i < expected.size(); ++i) {
         const int64_t err = snap.counters[i] - expected[i];
         if (err != 0) {
-            ++cell.silentErrors;
-            cell.maxAbsErr =
-                std::max<int64_t>(cell.maxAbsErr, std::abs(err));
+            ++silent;
+            max_abs_err = std::max<int64_t>(max_abs_err, std::abs(err));
         }
     }
-    const auto es = eng.stats();
-    cell.fabricCommands = es.fabric.commands();
-    cell.fabricNs = es.fabric.fabricNs;
-    cell.fabricNj = es.fabric.fabricNj;
-    for (unsigned a = 0; a < cim::kFabricCatCount; ++a)
-        cell.attrNs[a] = es.fabric.attrNs[a];
-    cell.ledgerExact = obs::FabricLedger::fromStats(es).exact();
-    cell.faultsInjected = es.fabric.faultsInjected;
-    cell.retries = es.retries;
-    cell.uncorrectedBlocks = es.uncorrectedBlocks;
-    if (scrub) {
-        const auto ss = scrub->stats();
-        cell.sweeps = ss.sweeps;
-        cell.faultyBits = ss.faultyBits;
-        cell.bitsCorrected = ss.bitsCorrected;
-        cell.wordsRecovered = ss.wordsRecovered;
-        cell.sweepFabricNs = ss.sweepFabricNs;
-        cell.estRate = scrub->health().estimatedFaultRate();
-    }
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
-    return cell;
+    bench::Cell &c =
+        h.cell(json::Value::object()
+                   .set("backend", core::backendName(backend))
+                   .set("protection", scheme.name)
+                   .set("scrub", scheme.scrub)
+                   .set("fault_rate", rate),
+               eng, w, wall, scale.ops);
+    const auto &es = c.window.total;
+    const auto ss = scrub ? scrub->stats() : reliability::ScrubStats{};
+    const double est_rate =
+        scrub ? scrub->health().estimatedFaultRate() : 0.0;
+    const double overhead = base_wall > 0.0 ? wall / base_wall : 1.0;
+    c.model.set("silent_errors", silent)
+        .set("max_abs_err", max_abs_err)
+        .set("fabric_commands", es.fabric.commands())
+        .set("retries", es.retries)
+        .set("uncorrected_blocks", es.uncorrectedBlocks)
+        .set("faults_injected", es.fabric.faultsInjected)
+        .set("sweeps", ss.sweeps)
+        .set("sweep_fabric_ns", ss.sweepFabricNs)
+        .set("faulty_bits", ss.faultyBits)
+        .set("bits_corrected", ss.bitsCorrected)
+        .set("words_recovered", ss.wordsRecovered)
+        .set("est_fault_rate", est_rate);
+    c.host.set("overhead", overhead);
+    if (scrub)
+        mergeCounters(c.counters, ss.toCounters());
+    // At the paper's protected operating points (rate <= 1e-3) a
+    // scrub-enabled run must end with zero silent errors.
+    if (scheme.scrub && rate <= 1e-3)
+        c.gate("silent_errors", static_cast<double>(silent), "==", 0.0);
+
+    t.addRow({core::backendName(backend), scheme.name,
+              TextTable::fmt(rate, 6), std::to_string(silent),
+              std::to_string(max_abs_err), std::to_string(ss.sweeps),
+              std::to_string(ss.bitsCorrected),
+              std::to_string(ss.wordsRecovered),
+              TextTable::fmt(est_rate, 6),
+              TextTable::fmt(overhead, 2)});
+    return wall;
 }
 
 } // namespace
@@ -213,33 +193,25 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
 int
 main(int argc, char **argv)
 {
-    bool small = false;
-    uint64_t seed = 12345;
-    const char *trace_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trials=small"))
-            small = true;
-        else if (!std::strcmp(argv[i], "--trials=full"))
-            small = false;
-        else if (!std::strncmp(argv[i], "--seed=", 7))
-            seed = std::strtoull(argv[i] + 7, nullptr, 10);
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else {
-            std::printf("usage: %s [--trials=small|full] [--seed=N] "
-                        "[--trace FILE]\n",
-                        argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
+    bench::Harness h("fault_campaign", "BENCH_reliability.json", argc,
+                     argv,
+                     {"--trials=small", "--trials=full", "--seed="});
+    const bool small = h.has("--trials=small");
+    const uint64_t seed =
+        h.has("--seed=") ? std::strtoull(h.value("--seed="), nullptr, 10)
+                         : 12345;
 
     const CampaignScale scale =
         small ? CampaignScale{96, 2000, 4, 2, {1e-4, 1e-3, 1e-2}}
               : CampaignScale{256, 8000, 4, 4,
                               {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}};
+    h.doc()
+        .id.set("trials", small ? "small" : "full")
+        .set("seed", seed)
+        .set("counters", scale.counters)
+        .set("ops", scale.ops)
+        .set("shards", scale.shards)
+        .set("producers", scale.producers);
 
     const auto ops = makeStream(scale, seed);
     std::vector<int64_t> expected(scale.counters, 0);
@@ -271,135 +243,20 @@ main(int argc, char **argv)
             {core::BackendKind::Rca, &rcaSchemes},
         };
 
-    std::vector<Cell> cells;
-    for (const auto &[backend, schemes] : backends) {
-        // Clean unprotected baseline for the overhead column.
-        const Scheme base{"none", core::Protection::None, false};
-        const double base_wall =
-            runCell(backend, base, 0.0, scale, ops, expected, seed)
-                .wallS;
-        for (double rate : scale.rates)
-            for (const auto &scheme : *schemes) {
-                cells.push_back(runCell(backend, scheme, rate, scale,
-                                        ops, expected, seed));
-                if (base_wall > 0.0)
-                    cells.back().overhead =
-                        cells.back().wallS / base_wall;
-            }
-    }
-
     TextTable t({"backend", "protection", "rate", "silent", "maxerr",
                  "sweeps", "sec-fix", "mirror-fix", "est-rate",
                  "overhead"});
-    for (const auto &c : cells)
-        t.addRow({c.backend, c.protection, TextTable::fmt(c.rate, 6),
-                  std::to_string(c.silentErrors),
-                  std::to_string(c.maxAbsErr),
-                  std::to_string(c.sweeps),
-                  std::to_string(c.bitsCorrected),
-                  std::to_string(c.wordsRecovered),
-                  TextTable::fmt(c.estRate, 6),
-                  TextTable::fmt(c.overhead, 2)});
+    for (const auto &[backend, schemes] : backends) {
+        // Clean unprotected baseline for the overhead column.
+        const Scheme base{"none", core::Protection::None, false};
+        const double base_wall = runCell(h, false, backend, base, 0.0,
+                                         scale, ops, expected, seed,
+                                         0.0, t);
+        for (double rate : scale.rates)
+            for (const auto &scheme : *schemes)
+                runCell(h, true, backend, scheme, rate, scale, ops,
+                        expected, seed, base_wall, t);
+    }
     std::printf("%s", t.render().c_str());
-
-    // CI gate: at the paper's protected operating points (rate <=
-    // 1e-3) a scrub-enabled run must end with zero silent errors.
-    size_t gate_checked = 0, gate_violations = 0;
-    for (const auto &c : cells) {
-        if (!c.scrub || c.rate > 1e-3)
-            continue;
-        ++gate_checked;
-        if (c.silentErrors != 0) {
-            ++gate_violations;
-            std::printf("GATE VIOLATION: %s/%s at %.0e: %zu silent "
-                        "errors\n",
-                        c.backend, c.protection, c.rate,
-                        c.silentErrors);
-        }
-    }
-    std::printf("gate: %zu scrub cells at protected operating "
-                "points, %zu violations\n",
-                gate_checked, gate_violations);
-
-    bool all_fabric = true;
-    for (const auto &c : cells)
-        all_fabric =
-            all_fabric && c.fabricNs > 0.0 && c.fabricNj > 0.0;
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-
-    if (std::FILE *f = std::fopen("BENCH_reliability.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"fault_campaign\",\n"
-                     "  \"trials\": \"%s\",\n  \"seed\": %llu,\n"
-                     "  \"counters\": %zu,\n  \"ops\": %zu,\n"
-                     "  \"shards\": %u,\n  \"producers\": %u,\n"
-                     "  \"gate_checked\": %zu,\n"
-                     "  \"gate_violations\": %zu,\n"
-                     "  \"cells\": [\n",
-                     small ? "small" : "full",
-                     static_cast<unsigned long long>(seed),
-                     scale.counters, scale.ops, scale.shards,
-                     scale.producers, gate_checked, gate_violations);
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"backend\": \"%s\", \"protection\": \"%s\", "
-                "\"scrub\": %s, \"fault_rate\": %.1e, "
-                "\"silent_errors\": %zu, \"max_abs_err\": %lld, "
-                "\"wall_s\": %.4f, \"overhead\": %.3f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"sweep_fabric_ns\": %.1f, "
-                "\"fabric_commands\": %llu, \"retries\": %llu, "
-                "\"uncorrected_blocks\": %llu, "
-                "\"faults_injected\": %llu, \"sweeps\": %llu, "
-                "\"faulty_bits\": %llu, \"bits_corrected\": %llu, "
-                "\"words_recovered\": %llu, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"est_fault_rate\": %.3e}%s\n",
-                c.backend, c.protection, c.scrub ? "true" : "false",
-                c.rate, c.silentErrors,
-                static_cast<long long>(c.maxAbsErr), c.wallS,
-                c.overhead, c.fabricNs, c.fabricNj,
-                c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(), c.sweepFabricNs,
-                static_cast<unsigned long long>(c.fabricCommands),
-                static_cast<unsigned long long>(c.retries),
-                static_cast<unsigned long long>(c.uncorrectedBlocks),
-                static_cast<unsigned long long>(c.faultsInjected),
-                static_cast<unsigned long long>(c.sweeps),
-                static_cast<unsigned long long>(c.faultyBits),
-                static_cast<unsigned long long>(c.bitsCorrected),
-                static_cast<unsigned long long>(c.wordsRecovered),
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.estRate, i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_reliability.json\n");
-    }
-
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-    }
-    return (gate_violations == 0 && all_fabric && all_ledger)
-               ? 0
-               : 1;
+    return h.finish();
 }

@@ -20,72 +20,49 @@
  *    (digit, k) plane instead of one program chain per counter.
  *  - bit-identity: every cell's final counters are compared against
  *    one blocking C2MEngine replaying the same stream serially.
- *  - fabric cost (EngineStats fabric ns/nj, docs/perf.md): every
- *    cell reports the modeled fabric time and energy of its stream.
+ *  - fabric cost (docs/perf.md): every cell reports the modeled
+ *    fabric time, energy and critical path of its stream.
  *  - plan-path program caching: an extra Zipf cell drains the same
  *    stream over a 16-epoch window; because digit planes live in
  *    persistent reserved mask rows, plan programs generated in the
  *    first epochs replay from the ProgramCache afterwards — the
  *    cell's hit rate must exceed 90%.
  *
- * Exit status: 0 iff the 4-producer / 4-shard Zipf cell coalesces
- * >= 2x, the planner cuts its fabric programs >= 5x, the multi-epoch
- * cell's cache hit rate is > 0.9, every cell reports nonzero fabric
- * ns and nj, and every cell matches the serial replay.
+ * A cell's window is its engine's lifetime: construction, the
+ * stream, and the service read-back whose counters the cell checks
+ * (that read is part of the timed ingest and stays in the window).
+ * The host clock starts after the engine and service are built.
+ * The anomaly watchdog evaluates each cell's counters; it must stay
+ * quiet. A final showcase drives a VirtualCounterSpace with an
+ * attached Scrubber through an IngestService so a `--trace` run also
+ * carries scrub.sweep spans and virt.spill / virt.restore events; the
+ * written trace is read back and gated on every event family.
+ * Gates and exit status: bench/harness.
  *
- * Observability (docs/observability.md): `--trace FILE` installs an
- * obs::TraceRecorder for the whole run and writes a Chrome/Perfetto
- * trace at exit; `--metrics FILE` appends one JSON line per cell
- * from an obs::MetricsRegistry snapshot of the cell's merged
- * service/engine counters. A final showcase cell drives a
- * VirtualCounterSpace with an attached Scrubber through an
- * IngestService so the trace also carries scrub.sweep spans and
- * virt.spill / virt.restore events.
- *
- * Usage: ingest_throughput [--trace FILE] [--metrics FILE]
+ * Usage: ingest_throughput [--trace FILE]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/gpu_model.hpp"
-#include "core/sharded.hpp"
+#include "harness.hpp"
 #include "obs/analyze.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
 #include "virt/virtspace.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
 
 namespace {
 
 constexpr size_t kNumCounters = 4096;
 constexpr size_t kNumOps = 4096;
-
-// --metrics plumbing: one registry for the run, one counter source
-// reading whatever the cell that just finished reported. The bench is
-// single-threaded between cells, so a plain global map suffices.
-obs::MetricsRegistry *g_metrics = nullptr;
-std::FILE *g_metricsFile = nullptr;
-CounterMap g_cellReport;
-// Anomaly watchdog over the per-cell snapshots (always runs; the
-// registry is snapshotted per cell even without --metrics).
-obs::Watchdog g_watchdog;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 core::EngineConfig
 engineConfig(bool planner = true)
@@ -97,22 +74,6 @@ engineConfig(bool planner = true)
     cfg.maxMaskRows = 1;
     cfg.drainPlanner = planner;
     return cfg;
-}
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
 }
 
 std::vector<core::BatchOp>
@@ -139,58 +100,21 @@ makeStream(bool zipf)
     return ops;
 }
 
-/** Blocking baseline: one engine, one point mask, op after op. */
-std::vector<int64_t>
-serialReplay(const std::vector<core::BatchOp> &ops, double *time_s)
+/** Evaluate the watchdog over one cell's own counters. */
+void
+watch(obs::Watchdog &wd, const CounterMap &counters)
 {
-    const auto t0 = Clock::now();
-    auto counters = core::replaySerial(engineConfig(), ops);
-    *time_s = secondsSince(t0);
-    return counters;
+    wd.evaluate({0, counters, counters});
 }
 
-struct Cell
-{
-    const char *dist;
-    unsigned shards;
-    unsigned producers;
-    bool coalesce;
-    bool planner;
-    double timeS = 0.0;
-    double opsPerS = 0.0;
-    uint64_t fabricInputs = 0;
-    uint64_t fabricIncrements = 0;
-    uint64_t coalesced = 0;
-    uint64_t epochs = 0;
-    uint64_t steals = 0;
-    uint64_t stalls = 0;
-    uint64_t plans = 0;
-    uint64_t planPrograms = 0;
-    uint64_t plannedOps = 0;
-    uint64_t planFallbackOps = 0;
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double fabricCriticalNs = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
-    size_t minDrainOps = kNumOps;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
-    bool match = false;
-};
-
-Cell
-runCell(const char *dist, const std::vector<core::BatchOp> &ops,
+bench::Cell &
+runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
+        const std::vector<core::BatchOp> &ops,
         const std::vector<int64_t> &reference, unsigned shards,
         unsigned producers, bool coalesce, bool planner,
         size_t min_drain_ops = kNumOps, size_t chunks = 1)
 {
-    Cell cell{dist, shards, producers, coalesce, planner};
-    cell.minDrainOps = min_drain_ops;
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const bench::Window w = h.open();
     core::ShardedEngine engine(engineConfig(planner), shards);
     service::IngestConfig icfg;
     icfg.coalesce = coalesce;
@@ -200,8 +124,9 @@ runCell(const char *dist, const std::vector<core::BatchOp> &ops,
     icfg.minDrainOps = min_drain_ops;
     icfg.queueCapacity = 2 * kNumOps;
     service::IngestService svc(engine, icfg);
+    // The host clock starts once the engine and service are built.
+    const bench::Window timed = h.open();
 
-    const auto t0 = Clock::now();
     if (chunks <= 1) {
         service::submitConcurrent(svc, ops, producers);
     } else {
@@ -219,57 +144,34 @@ runCell(const char *dist, const std::vector<core::BatchOp> &ops,
             svc.flushAndWait();
         }
     }
-    const auto counters = svc.readCounters();
-    cell.timeS = secondsSince(t0);
-    cell.opsPerS = static_cast<double>(kNumOps) / cell.timeS;
-    cell.match = counters == reference;
+    const bool match = svc.readCounters() == reference;
+    const double seconds = timed.seconds();
 
     const auto sst = svc.serviceStats();
-    const auto est = svc.engineStats();
-    cell.fabricInputs = est.inputsAccumulated;
-    cell.fabricIncrements = est.increments;
-    cell.coalesced = sst.coalesced;
-    cell.epochs = sst.epochs;
-    cell.steals = sst.steals;
-    cell.stalls = sst.stalls;
-    cell.plans = sst.plans;
-    cell.planPrograms = sst.planPrograms;
-    cell.plannedOps = sst.plannedOps;
-    cell.planFallbackOps = sst.planFallbackOps;
-    cell.cacheHits = est.programCacheHits;
-    cell.cacheMisses = est.programCacheMisses;
-    cell.fabricNs = est.fabric.fabricNs;
-    cell.fabricNj = est.fabric.fabricNj;
-    cell.fabricCriticalNs = est.fabricCriticalNs;
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-        cell.attrNs[c] = est.fabric.attrNs[c];
-    cell.ledgerExact = obs::FabricLedger::fromStats(est).exact();
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
-
-    if (g_metrics) {
-        g_metrics->histogram("cell_time_us")
-            .record(static_cast<uint64_t>(cell.timeS * 1e6));
-        g_cellReport = svc.report();
-        const auto snap = g_metrics->snapshot();
-        g_watchdog.evaluate(snap);
-        if (g_metricsFile) {
-            const std::string line = g_metrics->renderJsonLine(snap);
-            std::fwrite(line.data(), 1, line.size(), g_metricsFile);
-        }
-    }
-    return cell;
+    bench::Cell &c = h.cell(json::Value::object()
+                                .set("dist", dist)
+                                .set("shards", shards)
+                                .set("producers", producers)
+                                .set("coalesce", coalesce)
+                                .set("planner", planner)
+                                .set("min_drain_ops", min_drain_ops),
+                            engine, w, seconds, kNumOps);
+    const auto &est = c.window.total;
+    c.model.set("fabric_inputs", est.inputsAccumulated)
+        .set("fabric_increments", est.increments)
+        .set("coalesced", sst.coalesced)
+        .set("plans", sst.plans)
+        .set("plan_programs", sst.planPrograms)
+        .set("planned_ops", sst.plannedOps)
+        .set("plan_fallback_ops", sst.planFallbackOps);
+    c.host.set("epochs", sst.epochs)
+        .set("steals", sst.steals)
+        .set("stalls", sst.stalls);
+    c.counters = svc.report();
+    c.gate("match_serial_replay", match);
+    watch(wd, c.counters);
+    return c;
 }
-
-/** Summary of the virt + scrub observability showcase cell. */
-struct Showcase
-{
-    uint64_t promotions = 0;
-    uint64_t spills = 0;
-    uint64_t restores = 0;
-    uint64_t sweeps = 0;
-    uint64_t traceEvents = 0;
-};
 
 /**
  * Observability showcase: a VirtualCounterSpace (service mode) with
@@ -278,14 +180,11 @@ struct Showcase
  * promotions, spills and restores while the scrubber sweeps at
  * epoch boundaries. Exists so a `--trace` run captures virt.spill /
  * virt.restore spans and scrub.sweep spans alongside the ingest
- * epochs — it contributes nothing to the exit gates.
+ * epochs.
  */
-Showcase
-runObservabilityShowcase()
+void
+runObservabilityShowcase(bench::Record &doc, obs::Watchdog &wd)
 {
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
-
     core::EngineConfig cfg = engineConfig();
     cfg.numCounters = 128;
     cfg.protection = core::Protection::Ecc;
@@ -328,24 +227,58 @@ runObservabilityShowcase()
         tiny.accumulateBatch(one);
     }
 
-    Showcase sc;
     const auto st = space.stats();
-    sc.promotions = st.promotions;
-    sc.spills = st.spills;
-    sc.restores = st.restores;
-    sc.sweeps = scrub.stats().sweeps;
-    sc.traceEvents = tr ? tr->eventCount() - ev0 : 0;
+    const auto sweeps = scrub.stats().sweeps;
+    std::printf("showcase (virt+scrub over ingest): %llu promotions, "
+                "%llu spills, %llu restores, %llu sweeps\n",
+                static_cast<unsigned long long>(st.promotions),
+                static_cast<unsigned long long>(st.spills),
+                static_cast<unsigned long long>(st.restores),
+                static_cast<unsigned long long>(sweeps));
+    doc.model.set("showcase", json::Value::object()
+                                  .set("promotions", st.promotions)
+                                  .set("spills", st.spills)
+                                  .set("restores", st.restores)
+                                  .set("sweeps", sweeps));
+    watch(wd, space.report());
+}
 
-    if (g_metrics) {
-        g_cellReport = space.report();
-        const auto snap = g_metrics->snapshot();
-        g_watchdog.evaluate(snap);
-        if (g_metricsFile) {
-            const std::string line = g_metrics->renderJsonLine(snap);
-            std::fwrite(line.data(), 1, line.size(), g_metricsFile);
+/**
+ * Gates on the written trace: every event family the tracer knows,
+ * spans on the 4-shard grid's host-clock tracks (pid 1..4), fabric-
+ * clock mirror tracks (pid >= 1000), and counter events.
+ */
+void
+gateTrace(bench::Record &doc, const json::Value &trace)
+{
+    std::set<std::string> names;
+    std::map<int, uint64_t> spans;
+    uint64_t counters = 0;
+    if (const json::Value *events = trace.find("traceEvents"))
+        for (const auto &e : events->items) {
+            names.insert(e.stringOr("name", ""));
+            const std::string ph = e.stringOr("ph", "");
+            if (ph == "B")
+                ++spans[static_cast<int>(e.numberOr("pid", -1))];
+            else if (ph == "C")
+                ++counters;
         }
+    for (const char *required :
+         {"epoch", "shard.drain", "plan.commit", "plan.fallback",
+          "scrub.sweep", "virt.spill", "virt.restore",
+          "service.queued"})
+        doc.gate(std::string("trace_has_") + required,
+                 names.count(required) > 0);
+    double shard_tracks = 0.0, fabric_spans = 0.0;
+    for (const auto &[pid, n] : spans) {
+        shard_tracks += pid >= 1 && pid <= 4;
+        if (pid >= 1000)
+            fabric_spans += static_cast<double>(n);
     }
-    return sc;
+    doc.gate("trace_shard_tracks_1_to_4", shard_tracks, "==", 4.0);
+    doc.gate("trace_fabric_clock_spans", fabric_spans, ">", 0.0);
+    doc.gate("trace_counter_events", static_cast<double>(counters),
+             ">", 0.0);
 }
 
 } // namespace
@@ -353,53 +286,24 @@ runObservabilityShowcase()
 int
 main(int argc, char **argv)
 {
-    const char *trace_path = nullptr;
-    const char *metrics_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
-            metrics_path = argv[++i];
-        else {
-            std::printf(
-                "usage: %s [--trace FILE] [--metrics FILE]\n",
-                argv[0]);
-            return 2;
-        }
-    }
-
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
-    obs::MetricsRegistry registry;
-    g_metrics = &registry;
-    registry.addCounterSource("cell", [] { return g_cellReport; });
-    // The watchdog's own alert totals fold into the stream it
-    // watches, one snapshot behind.
-    registry.addCounterSource("watchdog",
-                              [] { return g_watchdog.counters(); });
-    if (metrics_path) {
-        g_metricsFile = std::fopen(metrics_path, "w");
-        if (!g_metricsFile) {
-            std::printf("cannot open %s\n", metrics_path);
-            return 2;
-        }
-    }
+    bench::Harness h("ingest_throughput", "BENCH_ingest.json", argc,
+                     argv);
+    obs::Watchdog watchdog;
 
     std::printf("async ingest throughput: %zu ops over %zu "
                 "counters, one-epoch coalescing window\n",
                 kNumOps, kNumCounters);
 
-    std::vector<Cell> cells;
-    bool all_match = true;
     double zipf_on = 0.0, zipf_off = 0.0;
     double zipf_prog_plan = 0.0, zipf_prog_noplan = 0.0;
     double cache_hit_rate = 0.0;
     for (const bool zipf : {false, true}) {
         const char *dist = zipf ? "zipf1.0" : "uniform";
         const auto ops = makeStream(zipf);
-        double replay_s = 0.0;
-        const auto reference = serialReplay(ops, &replay_s);
+        const bench::Window replay = h.open();
+        const auto reference =
+            core::replaySerial(engineConfig(), ops);
+        const double replay_s = replay.seconds();
         std::printf("%s: serial blocking replay %.3fs (%.0f ops/s)\n",
                     dist, replay_s,
                     static_cast<double>(kNumOps) / replay_s);
@@ -407,16 +311,17 @@ main(int argc, char **argv)
             for (const unsigned producers : {1u, 4u}) {
                 for (const bool coalesce : {false, true}) {
                     for (const bool planner : {false, true}) {
-                        const auto cell =
-                            runCell(dist, ops, reference, shards,
-                                    producers, coalesce, planner);
-                        all_match = all_match && cell.match;
+                        const auto &c =
+                            runCell(h, watchdog, dist, ops, reference,
+                                    shards, producers, coalesce,
+                                    planner);
+                        const auto &est = c.window.total;
                         if (zipf && shards == 4 && producers == 4 &&
                             !planner) {
                             // Coalescing reduction, planner held off.
                             (coalesce ? zipf_on : zipf_off) =
                                 static_cast<double>(
-                                    cell.fabricInputs);
+                                    est.inputsAccumulated);
                         }
                         if (zipf && shards == 4 && producers == 4 &&
                             coalesce) {
@@ -424,10 +329,8 @@ main(int argc, char **argv)
                             // cell: row-level programs executed.
                             (planner ? zipf_prog_plan
                                      : zipf_prog_noplan) =
-                                static_cast<double>(
-                                    cell.fabricIncrements);
+                                static_cast<double>(est.increments);
                         }
-                        cells.push_back(cell);
                     }
                 }
             }
@@ -438,87 +341,44 @@ main(int argc, char **argv)
             // persistent reserved mask rows, so the plan programs
             // generated in the first epochs replay from the
             // ProgramCache in every later one.
-            auto cell = runCell("zipf-16ep", ops, reference, 4, 4,
-                                true, true, kNumOps / 16, 16);
-            all_match = all_match && cell.match;
-            const uint64_t lookups =
-                cell.cacheHits + cell.cacheMisses;
             cache_hit_rate =
-                lookups ? static_cast<double>(cell.cacheHits) /
-                              static_cast<double>(lookups)
-                        : 0.0;
-            cells.push_back(cell);
+                runCell(h, watchdog, "zipf-16ep", ops, reference, 4,
+                        4, true, true, kNumOps / 16, 16)
+                    .window.cacheHitRate;
 
             // Heaviest contention cell: 16 producers racing into an
             // 8-shard engine with coalescing and the hierarchical
             // gang-issue drain both on — the configuration the
             // merged planner exists for.
-            auto hot = runCell(dist, ops, reference, 8, 16, true,
-                               true);
-            all_match = all_match && hot.match;
-            cells.push_back(hot);
+            runCell(h, watchdog, dist, ops, reference, 8, 16, true,
+                    true);
         }
     }
 
-    // Showcase cell after the gated grid: scrub sweeps and virt
+    // Showcase after the gated grid: scrub sweeps and virt
     // spill/restore activity on the same recorder, so a --trace run
     // shows every event family the tracer knows about.
-    const Showcase showcase = runObservabilityShowcase();
-    std::printf("showcase (virt+scrub over ingest): %llu promotions, "
-                "%llu spills, %llu restores, %llu sweeps\n",
-                static_cast<unsigned long long>(showcase.promotions),
-                static_cast<unsigned long long>(showcase.spills),
-                static_cast<unsigned long long>(showcase.restores),
-                static_cast<unsigned long long>(showcase.sweeps));
+    runObservabilityShowcase(h.doc(), watchdog);
 
     TextTable t({"dist", "shards", "prod", "coalesce", "plan",
                  "time_s", "ops/s", "fabric_in", "programs",
-                 "plan_progs", "fabric_us", "match"});
-    for (const auto &c : cells)
-        t.addRow({c.dist, std::to_string(c.shards),
-                  std::to_string(c.producers),
-                  c.coalesce ? "on" : "off",
-                  c.planner ? "on" : "off", TextTable::fmt(c.timeS, 3),
-                  TextTable::fmt(c.opsPerS, 0),
-                  std::to_string(c.fabricInputs),
-                  std::to_string(c.fabricIncrements),
-                  std::to_string(c.planPrograms),
-                  TextTable::fmt(c.fabricNs / 1e3, 1),
-                  c.match ? "yes" : "NO"});
+                 "plan_progs", "fabric_us", "crit_us"});
+    for (const auto &c : h.cells()) {
+        const auto &est = c.window.total;
+        t.addRow({c.id.stringOr("dist", ""),
+                  TextTable::fmt(c.id.numberOr("shards", 0), 0),
+                  TextTable::fmt(c.id.numberOr("producers", 0), 0),
+                  c.id.boolOr("coalesce", false) ? "on" : "off",
+                  c.id.boolOr("planner", false) ? "on" : "off",
+                  TextTable::fmt(c.host.numberOr("time_s", 0.0), 3),
+                  TextTable::fmt(c.host.numberOr("ops_per_s", 0.0), 0),
+                  std::to_string(est.inputsAccumulated),
+                  std::to_string(est.increments),
+                  std::to_string(est.planPrograms),
+                  TextTable::fmt(est.fabric.fabricNs / 1e3, 1),
+                  TextTable::fmt(c.window.criticalNs / 1e3, 1)});
+    }
     std::printf("%s", t.render().c_str());
-
-    bool all_fabric = true;
-    for (const auto &c : cells)
-        all_fabric = all_fabric && c.fabricNs > 0.0 &&
-                     c.fabricNj > 0.0 && c.fabricCriticalNs > 0.0;
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
-
-    const double reduction = zipf_on > 0.0 ? zipf_off / zipf_on : 0.0;
-    const double plan_reduction =
-        zipf_prog_plan > 0.0 ? zipf_prog_noplan / zipf_prog_plan
-                             : 0.0;
-    std::printf("zipf 4x4 fabric-op reduction from coalescing: "
-                "%.2fx (need >= 2x)\n",
-                reduction);
-    std::printf("zipf 4x4 fabric-program reduction from the drain "
-                "planner: %.2fx (need >= 5x)\n",
-                plan_reduction);
-    std::printf("multi-epoch plan-path cache hit rate: %.1f%% "
-                "(need > 90%%)\n",
-                100.0 * cache_hit_rate);
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-    std::printf("all cells bit-identical to serial replay: %s\n",
-                all_match ? "yes" : "NO");
-    const CounterMap wd = g_watchdog.counters();
-    std::printf("watchdog: %llu evaluations, %llu alerts\n",
-                static_cast<unsigned long long>(
-                    wd.at("evaluations")),
-                static_cast<unsigned long long>(wd.at("alerts")));
 
     // Analytical GPU baseline on the same cost axis (Fig. 14): a
     // bandwidth-bound scatter-add histogram of the same op stream,
@@ -529,120 +389,29 @@ main(int argc, char **argv)
                 "%.1f uJ\n",
                 gpu.ns / 1e3, gpu.nj / 1e3);
 
-    if (std::FILE *f = std::fopen("BENCH_ingest.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"ingest_throughput\",\n"
-                     "  \"num_ops\": %zu,\n"
-                     "  \"num_counters\": %zu,\n"
-                     "  \"zipf_4x4_fabric_reduction\": %.3f,\n"
-                     "  \"plan_reduction\": %.3f,\n"
-                     "  \"plan_cache_hit_rate\": %.4f,\n"
-                     "  \"all_match_serial_replay\": %s,\n"
-                     "  \"all_ledger_exact\": %s,\n"
-                     "  \"gpu_model\": {\"name\": \"rtx3090ti\", "
-                     "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f},\n"
-                     "  \"watchdog_evaluations\": %llu,\n"
-                     "  \"watchdog_alerts\": %llu,\n"
-                     "  \"showcase\": {\"promotions\": %llu, "
-                     "\"spills\": %llu, \"restores\": %llu, "
-                     "\"sweeps\": %llu, \"trace_events\": %llu},\n"
-                     "  \"cells\": [\n",
-                     kNumOps, kNumCounters, reduction, plan_reduction,
-                     cache_hit_rate, all_match ? "true" : "false",
-                     all_ledger ? "true" : "false",
-                     gpu.ns, gpu.nj,
-                     static_cast<unsigned long long>(
-                         wd.at("evaluations")),
-                     static_cast<unsigned long long>(wd.at("alerts")),
-                     static_cast<unsigned long long>(
-                         showcase.promotions),
-                     static_cast<unsigned long long>(showcase.spills),
-                     static_cast<unsigned long long>(
-                         showcase.restores),
-                     static_cast<unsigned long long>(showcase.sweeps),
-                     static_cast<unsigned long long>(
-                         showcase.traceEvents));
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"dist\": \"%s\", \"shards\": %u, "
-                "\"producers\": %u, \"coalesce\": %s, "
-                "\"planner\": %s, "
-                "\"time_s\": %.6f, \"ops_per_s\": %.1f, "
-                "\"fabric_inputs\": %llu, "
-                "\"fabric_increments\": %llu, "
-                "\"coalesced\": %llu, \"epochs\": %llu, "
-                "\"steals\": %llu, \"stalls\": %llu, "
-                "\"plans\": %llu, \"plan_programs\": %llu, "
-                "\"planned_ops\": %llu, "
-                "\"plan_fallback_ops\": %llu, "
-                "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                "\"min_drain_ops\": %zu, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"fabric_critical_ns\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"match_reference\": %s}%s\n",
-                c.dist, c.shards, c.producers,
-                c.coalesce ? "true" : "false",
-                c.planner ? "true" : "false", c.timeS, c.opsPerS,
-                static_cast<unsigned long long>(c.fabricInputs),
-                static_cast<unsigned long long>(c.fabricIncrements),
-                static_cast<unsigned long long>(c.coalesced),
-                static_cast<unsigned long long>(c.epochs),
-                static_cast<unsigned long long>(c.steals),
-                static_cast<unsigned long long>(c.stalls),
-                static_cast<unsigned long long>(c.plans),
-                static_cast<unsigned long long>(c.planPrograms),
-                static_cast<unsigned long long>(c.plannedOps),
-                static_cast<unsigned long long>(c.planFallbackOps),
-                static_cast<unsigned long long>(c.cacheHits),
-                static_cast<unsigned long long>(c.cacheMisses),
-                c.minDrainOps, c.fabricNs, c.fabricNj,
-                c.fabricCriticalNs, c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(),
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.match ? "true" : "false",
-                i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_ingest.json\n");
-    }
-
-    if (g_metricsFile) {
-        std::fclose(g_metricsFile);
-        g_metricsFile = nullptr;
-        g_metrics = nullptr;
-        std::printf("wrote %s (%llu snapshots)\n", metrics_path,
-                    static_cast<unsigned long long>(
-                        registry.snapshotCount()));
-    }
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-        // Per-epoch critical-path profile of the whole run — the
-        // same analysis tools/trace_analyze performs offline.
-        const auto prof = obs::profileFromRecorder(recorder);
-        std::printf("epoch critical-path profile:\n%s",
-                    obs::renderEpochProfiles(
-                        obs::buildEpochProfiles(prof))
-                        .c_str());
-    }
-
-    return (reduction >= 2.0 && plan_reduction >= 5.0 &&
-            cache_hit_rate > 0.9 && all_fabric && all_match &&
-            all_ledger)
-               ? 0
-               : 1;
+    const double reduction = zipf_on > 0.0 ? zipf_off / zipf_on : 0.0;
+    const double plan_reduction =
+        zipf_prog_plan > 0.0 ? zipf_prog_noplan / zipf_prog_plan
+                             : 0.0;
+    const CounterMap wd = watchdog.counters();
+    bench::Record &doc = h.doc();
+    doc.id.set("num_ops", kNumOps)
+        .set("num_counters", kNumCounters)
+        .set("gpu_model", "rtx3090ti");
+    doc.model.set("zipf_4x4_fabric_reduction", reduction)
+        .set("plan_reduction", plan_reduction)
+        .set("plan_cache_hit_rate", cache_hit_rate)
+        .set("gpu_model", json::Value::object()
+                              .set("fabric_ns", gpu.ns)
+                              .set("fabric_nj", gpu.nj));
+    doc.gate("zipf_4x4_fabric_reduction", reduction, ">=", 2.0);
+    doc.gate("plan_reduction", plan_reduction, ">=", 5.0);
+    doc.gate("plan_cache_hit_rate", cache_hit_rate, ">", 0.9);
+    doc.gate("watchdog_evaluations",
+             static_cast<double>(wd.at("evaluations")), ">", 0.0);
+    doc.gate("watchdog_alerts", static_cast<double>(wd.at("alerts")),
+             "==", 0.0);
+    if (const json::Value *trace = h.writeTrace())
+        gateTrace(doc, *trace);
+    return h.finish();
 }

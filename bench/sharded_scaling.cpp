@@ -13,76 +13,32 @@
  * count at all. Both planner settings must stay bit-identical to the
  * serial replay baseline.
  *
- * Every row also reports the modeled fabric cost (EngineStats fabric
- * ns/nj plus the tFAW/tRRD-floored critical path, docs/perf.md), and
- * the JSON carries an analytical GPU baseline (GpuModel::countingRun)
- * costed on the same axis for the Fig. 14-style comparison.
+ * Every cell is a window over the timed batch alone (bench/harness):
+ * modeled fabric ns/nJ and the windowed critical path
+ * (core::statsWindow, docs/perf.md). The serial-replay check reads the
+ * counters after the window closes. The JSON carries an analytical GPU
+ * baseline (GpuModel::countingRun) costed on the same axis for the
+ * Fig. 14-style comparison.
  *
- * `--trace FILE` installs an obs::TraceRecorder for the run and
- * writes a Chrome/Perfetto trace (per-shard drain spans, plan
- * commit/fallback instants); `--metrics FILE` appends one metrics
- * JSON line per row (docs/observability.md).
+ * Usage: sharded_scaling [--trace FILE]
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/gpu_model.hpp"
-#include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
-
-namespace {
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    const char *trace_path = nullptr;
-    const char *metrics_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
-            metrics_path = argv[++i];
-        else {
-            std::printf(
-                "usage: %s [--trace FILE] [--metrics FILE]\n",
-                argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
-    obs::MetricsRegistry registry;
-    CounterMap row_report;
-    std::FILE *metrics_file = nullptr;
-    if (metrics_path) {
-        metrics_file = std::fopen(metrics_path, "w");
-        if (!metrics_file) {
-            std::printf("cannot open %s\n", metrics_path);
-            return 2;
-        }
-        registry.addCounterSource("row",
-                                  [&] { return row_report; });
-    }
+    bench::Harness h("sharded_scaling", "BENCH_sharded.json", argc,
+                     argv);
 
     core::EngineConfig cfg;
     cfg.radix = 4;
@@ -105,33 +61,10 @@ main(int argc, char **argv)
     TextTable t({"planner", "shards", "time_s", "ops/s", "speedup",
                  "programs", "plan_progs", "cache_hit%",
                  "fabric_us", "crit_us", "skew", "eff"});
-    struct Row
-    {
-        bool planner;
-        unsigned shards;
-        double timeS;
-        double opsPerS;
-        double speedup;
-        uint64_t increments;
-        uint64_t planPrograms;
-        uint64_t planFallbackOps;
-        double cacheHitFrac;
-        double fabricNs;
-        double fabricNj;
-        double fabricCriticalNs;
-        double attrNs[cim::kFabricCatCount];
-        double fabricSkew;       ///< straggler / mean shard fabric ns
-        unsigned criticalShard;  ///< shard with the largest fabric ns
-        double parallelEff;      ///< (total/shards) / critical path
-        bool ledgerExact;        ///< attribution rows sum to fabric_ns
-        uint64_t traceEvents;
-        uint64_t rssKb;
-        bool match;
-    };
-    std::vector<Row> rows;
     const auto reference = core::replaySerial(cfg, ops);
-    bool four_shard_ok = false;
-    bool all_match = true;
+    double four_shard_speedup = 0.0;
+    double plan_attr_1 = 0.0, plan_attr_8 = 0.0;
+    double planner_speedup_8 = 0.0;
     for (const bool planner : {false, true}) {
         double base_ops_per_s = 0.0;
         for (unsigned shards : {1u, 2u, 4u, 8u}) {
@@ -152,155 +85,55 @@ main(int argc, char **argv)
             // cleared between runs.
             double best = std::numeric_limits<double>::infinity();
             for (int rep = 0; rep < 4; ++rep) {
-                const auto tr0 = Clock::now();
+                const bench::Window r = h.open();
                 eng.accumulateBatch(ops);
-                best = std::min(best, secondsSince(tr0));
+                best = std::min(best, r.seconds());
                 eng.clear();
             }
-            // Stats baseline after warm-up and timing reps: the
-            // reported numbers must attribute only the measured
-            // batch, not the per-op fallback activity before it.
-            const auto st0 = eng.stats();
-            std::vector<double> shard_fab0(shards);
-            for (unsigned s = 0; s < shards; ++s)
-                shard_fab0[s] = eng.shard(s).stats().fabric.fabricNs;
-            obs::TraceRecorder *tr = obs::tracer();
-            const uint64_t ev0 = tr ? tr->eventCount() : 0;
 
-            const auto t0 = Clock::now();
+            const bench::Window w = h.open(&eng);
             eng.accumulateBatch(ops);
-            const double dt = std::min(best, secondsSince(t0));
+            const double dt = std::min(best, w.seconds());
+            bench::Cell &c = h.cell(json::Value::object()
+                                        .set("planner", planner)
+                                        .set("shards", shards),
+                                    eng, w, dt, num_ops);
+            c.gate("match_serial_replay",
+                   eng.readAllCounters() == reference);
+
             const double rate = static_cast<double>(num_ops) / dt;
-            const bool match = eng.readAllCounters() == reference;
-            all_match = all_match && match;
             if (shards == 1)
                 base_ops_per_s = rate;
             const double speedup = rate / base_ops_per_s;
-            if (!planner && shards == 4 && speedup > 2.0)
-                four_shard_ok = true;
-            const auto st = eng.stats();
-            const uint64_t hits =
-                st.programCacheHits - st0.programCacheHits;
-            const uint64_t lookups =
-                hits + st.programCacheMisses - st0.programCacheMisses;
-            const double hit_frac =
-                lookups ? static_cast<double>(hits) /
-                              static_cast<double>(lookups)
-                        : 0.0;
-            // Per-shard modeled fabric time locates the straggler and
-            // quantifies skew without needing a host trace; the ledger
-            // gate checks the cumulative attribution rows still sum
-            // bit-exactly to the merged fabric_ns total.
-            double fab_max = 0.0, fab_sum = 0.0;
-            unsigned crit_shard = 0;
-            for (unsigned s = 0; s < shards; ++s) {
-                const double d =
-                    eng.shard(s).stats().fabric.fabricNs -
-                    shard_fab0[s];
-                fab_sum += d;
-                if (d > fab_max) {
-                    fab_max = d;
-                    crit_shard = s;
-                }
+            const auto &win = c.window;
+            const double plan =
+                win.total.fabric.attr(cim::FabricCat::Plan);
+            if (!planner && shards == 4)
+                four_shard_speedup = speedup;
+            if (planner && shards == 1)
+                plan_attr_1 = plan;
+            if (planner && shards == 8) {
+                plan_attr_8 = plan;
+                planner_speedup_8 = speedup;
             }
-            const double fab_mean =
-                fab_sum / static_cast<double>(shards);
-            const double skew =
-                fab_mean > 0.0 ? fab_max / fab_mean : 0.0;
-            const double eff = st.fabricCriticalNs > 0.0
-                                   ? fab_mean / st.fabricCriticalNs
-                                   : 0.0;
-            const auto ledger = obs::FabricLedger::fromStats(st);
-            Row row_v{planner, shards, dt, rate, speedup,
-                      st.increments - st0.increments,
-                      st.planPrograms - st0.planPrograms,
-                      st.planFallbackOps - st0.planFallbackOps,
-                      hit_frac,
-                      st.fabric.fabricNs - st0.fabric.fabricNs,
-                      st.fabric.fabricNj - st0.fabric.fabricNj,
-                      st.fabricCriticalNs,
-                      {},
-                      skew,
-                      crit_shard,
-                      eff,
-                      ledger.exact(),
-                      tr ? tr->eventCount() - ev0 : 0,
-                      obs::hostRssKb(), match};
-            for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-                row_v.attrNs[c] =
-                    st.fabric.attrNs[c] - st0.fabric.attrNs[c];
-            rows.push_back(row_v);
-            const auto &row = rows.back();
-            if (metrics_file) {
-                registry.histogram("row_time_us")
-                    .record(static_cast<uint64_t>(dt * 1e6));
-                row_report = st.toCounters();
-                const std::string line = registry.renderJsonLine(
-                    registry.snapshot());
-                std::fwrite(line.data(), 1, line.size(),
-                            metrics_file);
-            }
+            c.model.set("fabric_programs", win.total.increments)
+                .set("plan_programs", win.total.planPrograms)
+                .set("plan_fallback_ops", win.total.planFallbackOps)
+                .set("critical_shard", win.criticalShard);
+            c.host.set("speedup", speedup);
             t.addRow({planner ? "on" : "off", std::to_string(shards),
                       TextTable::fmt(dt, 3), TextTable::fmt(rate, 0),
                       TextTable::fmt(speedup, 2),
-                      std::to_string(row.increments),
-                      std::to_string(row.planPrograms),
-                      TextTable::fmt(100.0 * hit_frac, 1),
-                      TextTable::fmt(row.fabricNs / 1e3, 1),
-                      TextTable::fmt(row.fabricCriticalNs / 1e3, 1),
-                      TextTable::fmt(row.fabricSkew, 3),
-                      TextTable::fmt(row.parallelEff, 3)});
+                      std::to_string(win.total.increments),
+                      std::to_string(win.total.planPrograms),
+                      TextTable::fmt(100.0 * win.cacheHitRate, 1),
+                      TextTable::fmt(win.total.fabric.fabricNs / 1e3, 1),
+                      TextTable::fmt(win.criticalNs / 1e3, 1),
+                      TextTable::fmt(win.skew, 3),
+                      TextTable::fmt(win.parallelEfficiency, 3)});
         }
     }
     std::printf("%s", t.render().c_str());
-    std::printf("4-shard speedup > 2x (planner off): %s\n",
-                four_shard_ok ? "yes" : "NO");
-    std::printf("all cells bit-identical to serial replay: %s\n",
-                all_match ? "yes" : "NO");
-
-    bool all_fabric = true;
-    for (const auto &r : rows)
-        all_fabric = all_fabric && r.fabricNs > 0.0 &&
-                     r.fabricNj > 0.0 && r.fabricCriticalNs > 0.0;
-    std::printf("every row reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-
-    bool all_ledger = true;
-    for (const auto &r : rows)
-        all_ledger = all_ledger && r.ledgerExact;
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-
-    // Tentpole gates: the hierarchical drain plans once per group
-    // and gang-issues the slices, so plan attribution must stop
-    // scaling with the shard count (it was exactly Nx under the old
-    // per-shard replication) and the planner must no longer invert
-    // the 8-shard scaling curve.
-    double plan_attr_1 = 0.0, plan_attr_8 = 0.0;
-    double planner_speedup_8 = 0.0;
-    for (const auto &r : rows) {
-        if (!r.planner)
-            continue;
-        const double plan =
-            r.attrNs[static_cast<unsigned>(cim::FabricCat::Plan)];
-        if (r.shards == 1)
-            plan_attr_1 = plan;
-        if (r.shards == 8) {
-            plan_attr_8 = plan;
-            planner_speedup_8 = r.speedup;
-        }
-    }
-    const double plan_attr_ratio =
-        plan_attr_1 > 0.0 ? plan_attr_8 / plan_attr_1 : 0.0;
-    const bool plan_sublinear =
-        plan_attr_ratio > 0.0 && plan_attr_ratio < 4.0;
-    const bool planner_scales = planner_speedup_8 >= 1.0;
-    std::printf("8-shard plan attribution vs 1 shard: %.2fx "
-                "(need < 4x): %s\n",
-                plan_attr_ratio, plan_sublinear ? "yes" : "NO");
-    std::printf("8-shard planner-on speedup vs 1 shard: %.2fx "
-                "(need >= 1x): %s\n",
-                planner_speedup_8, planner_scales ? "yes" : "NO");
 
     // Analytical GPU baseline on the same cost axis (Fig. 14): a
     // bandwidth-bound scatter-add histogram of the same op stream.
@@ -310,99 +143,27 @@ main(int argc, char **argv)
                 "%.1f uJ\n",
                 gpu.ns / 1e3, gpu.nj / 1e3);
 
-    // Machine-readable trail for the perf trajectory (BENCH_sharded
-    // .json next to the working directory the bench runs in).
-    if (std::FILE *f = std::fopen("BENCH_sharded.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"sharded_scaling\",\n"
-                     "  \"backend\": \"%s\",\n"
-                     "  \"num_ops\": %zu,\n"
-                     "  \"num_counters\": %zu,\n"
-                     "  \"all_match_serial_replay\": %s,\n"
-                     "  \"plan_attr_ratio_8v1\": %.3f,\n"
-                     "  \"planner_speedup_8\": %.3f,\n"
-                     "  \"gpu_model\": {\"name\": \"rtx3090ti\", "
-                     "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f},\n"
-                     "  \"results\": [\n",
-                     core::backendName(cfg.backend), num_ops,
-                     cfg.numCounters, all_match ? "true" : "false",
-                     plan_attr_ratio, planner_speedup_8,
-                     gpu.ns, gpu.nj);
-        for (size_t i = 0; i < rows.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"planner\": %s, \"shards\": %u, "
-                "\"time_s\": %.6f, "
-                "\"ops_per_s\": %.1f, \"speedup\": %.3f, "
-                "\"fabric_programs\": %llu, "
-                "\"plan_programs\": %llu, "
-                "\"plan_fallback_ops\": %llu, "
-                "\"program_cache_hit_rate\": %.4f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"fabric_critical_ns\": %.1f, "
-                "\"fabric_skew\": %.4f, \"critical_shard\": %u, "
-                "\"parallel_efficiency\": %.4f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {",
-                rows[i].planner ? "true" : "false", rows[i].shards,
-                rows[i].timeS, rows[i].opsPerS, rows[i].speedup,
-                static_cast<unsigned long long>(rows[i].increments),
-                static_cast<unsigned long long>(
-                    rows[i].planPrograms),
-                static_cast<unsigned long long>(
-                    rows[i].planFallbackOps),
-                rows[i].cacheHitFrac, rows[i].fabricNs,
-                rows[i].fabricNj, rows[i].fabricCriticalNs,
-                rows[i].fabricSkew, rows[i].criticalShard,
-                rows[i].parallelEff,
-                rows[i].ledgerExact ? "true" : "false");
-            for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-                std::fprintf(
-                    f, "\"%s\": %.1f%s",
-                    cim::fabricCatName(
-                        static_cast<cim::FabricCat>(c)),
-                    rows[i].attrNs[c],
-                    c + 1 < cim::kFabricCatCount ? ", " : "");
-            std::fprintf(
-                f,
-                "}, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu}%s\n",
-                static_cast<unsigned long long>(
-                    rows[i].traceEvents),
-                static_cast<unsigned long long>(rows[i].rssKb),
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_sharded.json\n");
-    }
-
-    if (metrics_file) {
-        std::fclose(metrics_file);
-        std::printf("wrote %s (%llu snapshots)\n", metrics_path,
-                    static_cast<unsigned long long>(
-                        registry.snapshotCount()));
-    }
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-        // Critical-path report straight from the quiesced recorder —
-        // the same analysis tools/trace_analyze runs offline.
-        const auto prof = obs::profileFromRecorder(recorder);
-        std::printf("epoch critical-path profile:\n%s",
-                    obs::renderEpochProfiles(
-                        obs::buildEpochProfiles(prof))
-                        .c_str());
-    }
-    return (four_shard_ok && all_match && all_fabric && all_ledger &&
-            plan_sublinear && planner_scales)
-               ? 0
-               : 1;
+    bench::Record &doc = h.doc();
+    doc.id.set("backend", core::backendName(cfg.backend))
+        .set("num_ops", num_ops)
+        .set("num_counters", cfg.numCounters)
+        .set("gpu_model", "rtx3090ti");
+    const double plan_attr_ratio =
+        plan_attr_1 > 0.0 ? plan_attr_8 / plan_attr_1 : 0.0;
+    doc.model.set("plan_attr_ratio_8v1", plan_attr_ratio)
+        .set("gpu_model", json::Value::object()
+                              .set("fabric_ns", gpu.ns)
+                              .set("fabric_nj", gpu.nj));
+    doc.host.set("planner_speedup_8", planner_speedup_8);
+    doc.gate("four_shard_speedup_planner_off", four_shard_speedup, ">",
+             2.0);
+    // The hierarchical drain plans once per group and gang-issues the
+    // slices, so plan attribution must stop scaling with the shard
+    // count (it was exactly Nx under per-shard replication) and the
+    // planner must not invert the 8-shard scaling curve.
+    doc.gate("plan_attr_1_shard", plan_attr_1, ">", 0.0);
+    doc.gate("plan_attr_8_shard", plan_attr_8, ">", 0.0);
+    doc.gate("plan_attr_ratio_8v1", plan_attr_ratio, "<", 4.0);
+    doc.gate("planner_speedup_8", planner_speedup_8, ">=", 1.0);
+    return h.finish();
 }

@@ -27,17 +27,20 @@
  *  - cost: modeled fabric ns/nj (docs/perf.md) plus the spill/restore
  *    maintenance fabric time must be nonzero wherever spills happen.
  *
- * Exit status: 0 iff every cell is shadow-exact, the no-spill cell
- * is bit-identical to physical-op replay, the 1e6-key cell spills,
- * restores and promotes (> 1000 promotions), every checked cell has
- * >= 99% of tail samples within the bound, and every cell reports
- * nonzero fabric ns/nj. A fifth 1e7-key cell runs behind --big.
+ * Gates (bench/harness): every cell is shadow-exact, promotes, and
+ * has >= 99% of tail samples within the bound; the no-spill cell is
+ * bit-identical to physical-op replay; the 1e6-key cell serves >= 1e6
+ * keys and spills, restores and promotes (> 1000 promotions) with
+ * nonzero maintenance fabric time. A cell's window is its engine's
+ * lifetime up to the end of the stream (its host clock starts after
+ * setup, at the admission sweep); the exactness, accuracy and replay
+ * reads run after it closes. A fifth 1e7-key cell runs behind --big.
+ *
+ * Usage: virt_capacity [--big] [--trace FILE]
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -45,38 +48,12 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 #include "virt/virtspace.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
 
 namespace {
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
-}
 
 uint64_t
 hashKey(uint64_t v)
@@ -101,35 +78,7 @@ struct CellSpec
     uint64_t promoteThreshold;
     bool morrisCells;
     bool checkReplay;     ///< physical-op replay (needs no spills)
-};
-
-struct Cell
-{
-    CellSpec spec;
-    double timeS = 0.0;
-    double opsPerS = 0.0;
-    size_t numOps = 0;
-    uint64_t keysExact = 0;
-    uint64_t residentGroups = 0;
-    uint64_t spilledGroups = 0;
-    uint64_t sketchKeys = 0;
-    uint64_t promotions = 0;
-    uint64_t spills = 0;
-    uint64_t restores = 0;
-    uint64_t materializations = 0;
-    uint64_t sketchUpdates = 0;
-    double maintNs = 0.0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
-    double errBound = 0.0;
-    size_t tailSampled = 0;
-    double tailWithinFrac = 0.0;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
-    bool shadowMatch = false;
-    bool replayMatch = true; ///< only meaningful when checkReplay
+    bool headline;        ///< the gated 1e6-key capacity cell
 };
 
 /**
@@ -158,12 +107,10 @@ struct Shadow
     }
 };
 
-Cell
-runCell(const CellSpec &spec)
+void
+runCell(bench::Harness &h, const CellSpec &spec, TextTable &t)
 {
-    Cell cell{spec};
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const bench::Window w = h.open();
     core::EngineConfig cfg;
     cfg.numCounters = spec.physCounters;
     cfg.capacityBits = spec.capacityBits;
@@ -189,7 +136,8 @@ runCell(const CellSpec &spec)
 
     ZipfRng zipf(spec.distinctKeys, 1.1, 42);
     Shadow shadow;
-    const auto t0 = Clock::now();
+    // The host clock starts once the space and key stream are built.
+    const bench::Window timed = h.open();
     // Admission sweep: every distinct key enters the space once —
     // the sketch tier absorbs all of them immediately.
     for (size_t id = 0; id < spec.distinctKeys; ++id) {
@@ -205,40 +153,28 @@ runCell(const CellSpec &spec)
             ++truth[id];
     }
     space.flush();
-    cell.timeS = secondsSince(t0);
-    cell.numOps = spec.distinctKeys + spec.zipfOps;
-    cell.opsPerS = static_cast<double>(cell.numOps) / cell.timeS;
+    const double seconds = timed.seconds();
+    const size_t num_ops = spec.distinctKeys + spec.zipfOps;
 
     const auto st = space.stats();
-    cell.keysExact = st.keysExact;
-    cell.residentGroups = st.residentGroups;
-    cell.spilledGroups = st.spilledGroups;
-    cell.sketchKeys = st.sketchKeys;
-    cell.promotions = st.promotions;
-    cell.spills = st.spills;
-    cell.restores = st.restores;
-    cell.materializations = st.materializations;
-    cell.sketchUpdates = st.sketchUpdates;
-    cell.maintNs = st.maintenanceFabricNs;
-    cell.errBound = st.estErrorBound;
-    const auto est = engine.stats();
-    cell.fabricNs = est.fabric.fabricNs;
-    cell.fabricNj = est.fabric.fabricNj;
-    for (unsigned a = 0; a < cim::kFabricCatCount; ++a)
-        cell.attrNs[a] = est.fabric.attrNs[a];
-    cell.ledgerExact = obs::FabricLedger::fromStats(est).exact();
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
+    bench::Cell &c =
+        h.cell(json::Value::object()
+                   .set("cell", spec.name)
+                   .set("distinct_keys", spec.distinctKeys)
+                   .set("phys_counters", spec.physCounters)
+                   .set("shards", spec.shards)
+                   .set("morris", spec.morrisCells),
+               engine, w, seconds, num_ops);
+    mergeCounters(c.counters, space.report());
 
     // Exactness: every promoted key bit-identical to the serial
     // replay of its deltas.
     const auto entries = space.exactEntries();
-    cell.shadowMatch = entries.size() == shadow.expect.size();
+    bool shadow_match = entries.size() == shadow.expect.size();
     for (const auto &e : entries) {
         const auto it = shadow.expect.find(e.key);
-        cell.shadowMatch = cell.shadowMatch &&
-                           it != shadow.expect.end() &&
-                           it->second == e.value;
+        shadow_match = shadow_match && it != shadow.expect.end() &&
+                       it->second == e.value;
     }
 
     // Accuracy: sampled tail keys within the analytic point bound.
@@ -254,20 +190,60 @@ runCell(const CellSpec &spec)
         if (err <= space.errorBound(key))
             ++within;
     }
-    cell.tailSampled = sampled;
-    cell.tailWithinFrac =
+    const double tail_frac =
         sampled ? double(within) / double(sampled) : 1.0;
 
+    c.model.set("num_ops", num_ops)
+        .set("keys_exact", st.keysExact)
+        .set("resident_groups", st.residentGroups)
+        .set("spilled_groups", st.spilledGroups)
+        .set("sketch_keys", st.sketchKeys)
+        .set("promotions", st.promotions)
+        .set("spills", st.spills)
+        .set("restores", st.restores)
+        .set("materializations", st.materializations)
+        .set("sketch_updates", st.sketchUpdates)
+        .set("maintenance_fabric_ns", st.maintenanceFabricNs)
+        .set("est_error_bound", st.estErrorBound)
+        .set("tail_sampled", sampled)
+        .set("tail_within_bound_frac", tail_frac);
+    c.gate("shadow_exact", shadow_match);
+    c.gate("promotions", static_cast<double>(st.promotions), ">", 0.0);
+    c.gate("tail_within_bound_frac", tail_frac, ">=", 0.99);
     if (spec.checkReplay) {
         // With no spills the recorded physical op stream fully
         // determines the fabric: blocking serial replay must land on
         // bit-identical counter state.
         const auto replayed =
             core::replaySerial(cfg, space.physicalLog());
-        cell.replayMatch = st.spills == 0 &&
-                           engine.readAllCounters(0) == replayed;
+        c.gate("replay_match", st.spills == 0 &&
+                                   engine.readAllCounters(0) ==
+                                       replayed);
     }
-    return cell;
+    if (spec.headline) {
+        c.gate("distinct_keys", static_cast<double>(spec.distinctKeys),
+               ">=", 1e6);
+        c.gate("spills", static_cast<double>(st.spills), ">", 0.0);
+        c.gate("restores", static_cast<double>(st.restores), ">", 0.0);
+        c.gate("headline_promotions",
+               static_cast<double>(st.promotions), ">", 1000.0);
+        c.gate("maintenance_fabric_ns", st.maintenanceFabricNs, ">",
+               0.0);
+    }
+
+    t.addRow({spec.name, std::to_string(spec.distinctKeys),
+              std::to_string(spec.physCounters),
+              TextTable::fmt(static_cast<double>(num_ops) / seconds, 0),
+              std::to_string(st.keysExact),
+              std::to_string(st.promotions), std::to_string(st.spills),
+              std::to_string(st.restores),
+              TextTable::fmt(100.0 * tail_frac, 1),
+              TextTable::fmt(
+                  (c.window.total.fabric.fabricNs +
+                   st.maintenanceFabricNs) /
+                      1e3,
+                  1),
+              shadow_match ? "yes" : "NO"});
 }
 
 } // namespace
@@ -275,22 +251,10 @@ runCell(const CellSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bool big = false;
-    const char *trace_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--big"))
-            big = true;
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else {
-            std::printf("usage: %s [--big] [--trace FILE]\n",
-                        argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
+    bench::Harness h("virt_capacity", "BENCH_virt.json", argc, argv,
+                     {"--big"});
+    const bool big = h.has("--big");
+    h.doc().id.set("big", big);
 
     std::printf("virtualized counter capacity: Zipf(1.1) key spaces "
                 "over a 4-shard fleet\n");
@@ -299,156 +263,27 @@ main(int argc, char **argv)
         // No-spill cell: 64 frames, ~500 promoted keys -> every
         // group stays resident and the physical op log replays.
         {"zipf1.1-1e5", 100000, 100000, 4096, 4, 16, 1 << 14, 32,
-         false, true},
+         false, true, false},
         // Headline: 1e6 distinct keys over 1024 physical counters
         // (16 frames of 64); ~2k promotions force frame pressure.
         {"zipf1.1-1e6", 1000000, 1000000, 1024, 4, 20, 1 << 18, 32,
-         false, false},
+         false, false, true},
         // Morris-cell sketch tier: same fabric, wider error bound.
         {"zipf1.1-1e5-morris", 100000, 100000, 1024, 4, 16, 1 << 14,
-         32, true, false},
+         32, true, false, false},
     };
     if (big)
         specs.push_back({"zipf1.1-1e7", 10000000, 2000000, 16384, 4,
-                         20, 1 << 20, 64, false, false});
-
-    std::vector<Cell> cells;
-    for (const auto &s : specs) {
-        std::printf("%s: %zu keys over %zu counters...\n", s.name,
-                    s.distinctKeys, s.physCounters);
-        cells.push_back(runCell(s));
-    }
+                         20, 1 << 20, 64, false, false, false});
 
     TextTable t({"cell", "keys", "counters", "ops/s", "exact",
                  "promos", "spills", "restores", "tail_ok",
                  "fabric_us", "shadow"});
-    for (const auto &c : cells)
-        t.addRow({c.spec.name, std::to_string(c.spec.distinctKeys),
-                  std::to_string(c.spec.physCounters),
-                  TextTable::fmt(c.opsPerS, 0),
-                  std::to_string(c.keysExact),
-                  std::to_string(c.promotions),
-                  std::to_string(c.spills),
-                  std::to_string(c.restores),
-                  TextTable::fmt(100.0 * c.tailWithinFrac, 1),
-                  TextTable::fmt((c.fabricNs + c.maintNs) / 1e3, 1),
-                  c.shadowMatch ? "yes" : "NO"});
+    for (const auto &s : specs) {
+        std::printf("%s: %zu keys over %zu counters...\n", s.name,
+                    s.distinctKeys, s.physCounters);
+        runCell(h, s, t);
+    }
     std::printf("%s", t.render().c_str());
-
-    bool all_shadow = true, all_fabric = true, all_tail = true;
-    bool replay_ok = true;
-    for (const auto &c : cells) {
-        all_shadow = all_shadow && c.shadowMatch;
-        all_fabric =
-            all_fabric && c.fabricNs > 0.0 && c.fabricNj > 0.0;
-        all_tail = all_tail && c.tailWithinFrac >= 0.99;
-        replay_ok = replay_ok && c.replayMatch;
-    }
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
-    const Cell &headline = cells[1];
-    const bool pressure = headline.spills > 0 &&
-                          headline.restores > 0 &&
-                          headline.promotions > 1000 &&
-                          headline.maintNs > 0.0;
-
-    std::printf("all cells shadow-exact for promoted keys: %s\n",
-                all_shadow ? "yes" : "NO");
-    std::printf("no-spill cell bit-identical to physical replay: "
-                "%s\n",
-                replay_ok ? "yes" : "NO");
-    std::printf("1e6-key cell spills/restores/promotes under frame "
-                "pressure: %s (%llu/%llu/%llu)\n",
-                pressure ? "yes" : "NO",
-                static_cast<unsigned long long>(headline.spills),
-                static_cast<unsigned long long>(headline.restores),
-                static_cast<unsigned long long>(
-                    headline.promotions));
-    std::printf(">= 99%% of sampled tail keys within the count-min "
-                "bound: %s\n",
-                all_tail ? "yes" : "NO");
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-
-    if (std::FILE *f = std::fopen("BENCH_virt.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"virt_capacity\",\n"
-                     "  \"all_shadow_exact\": %s,\n"
-                     "  \"replay_match\": %s,\n"
-                     "  \"headline_pressure\": %s,\n"
-                     "  \"all_tail_within_bound\": %s,\n"
-                     "  \"cells\": [\n",
-                     all_shadow ? "true" : "false",
-                     replay_ok ? "true" : "false",
-                     pressure ? "true" : "false",
-                     all_tail ? "true" : "false");
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"cell\": \"%s\", \"distinct_keys\": %zu, "
-                "\"num_ops\": %zu, \"phys_counters\": %zu, "
-                "\"shards\": %u, \"morris\": %s, "
-                "\"time_s\": %.6f, \"ops_per_s\": %.1f, "
-                "\"keys_exact\": %llu, \"resident_groups\": %llu, "
-                "\"spilled_groups\": %llu, \"sketch_keys\": %llu, "
-                "\"promotions\": %llu, \"spills\": %llu, "
-                "\"restores\": %llu, \"materializations\": %llu, "
-                "\"sketch_updates\": %llu, "
-                "\"maintenance_fabric_ns\": %.1f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"est_error_bound\": %.3f, "
-                "\"tail_sampled\": %zu, "
-                "\"tail_within_bound_frac\": %.4f, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"shadow_match\": %s, \"replay_match\": %s}%s\n",
-                c.spec.name, c.spec.distinctKeys, c.numOps,
-                c.spec.physCounters, c.spec.shards,
-                c.spec.morrisCells ? "true" : "false", c.timeS,
-                c.opsPerS,
-                static_cast<unsigned long long>(c.keysExact),
-                static_cast<unsigned long long>(c.residentGroups),
-                static_cast<unsigned long long>(c.spilledGroups),
-                static_cast<unsigned long long>(c.sketchKeys),
-                static_cast<unsigned long long>(c.promotions),
-                static_cast<unsigned long long>(c.spills),
-                static_cast<unsigned long long>(c.restores),
-                static_cast<unsigned long long>(
-                    c.materializations),
-                static_cast<unsigned long long>(c.sketchUpdates),
-                c.maintNs, c.fabricNs, c.fabricNj,
-                c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(), c.errBound,
-                c.tailSampled, c.tailWithinFrac,
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.shadowMatch ? "true" : "false",
-                c.replayMatch ? "true" : "false",
-                i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_virt.json\n");
-    }
-
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-    }
-    return (all_shadow && replay_ok && pressure && all_tail &&
-            all_fabric && all_ledger)
-               ? 0
-               : 1;
+    return h.finish();
 }

@@ -84,11 +84,11 @@ fabricCatName(FabricCat c)
  *
  * Ledger invariant: fabricNs is never accumulated directly; charge()
  * adds to the active attrNs row and recomputes fabricNs as the fixed
- * left-to-right sum of all rows (as does operator+= after an
- * element-wise row merge). Because every path to fabricNs goes
- * through that one summation order, sum(attrNs) == fabricNs holds
- * bit-exactly — not merely within floating-point tolerance — at any
- * aggregation depth.
+ * left-to-right sum of all rows (as do operator+= and operator-=
+ * after an element-wise row merge). Because every path to fabricNs
+ * goes through that one summation order, sum(attrNs) == fabricNs
+ * holds bit-exactly — not merely within floating-point tolerance — at
+ * any aggregation depth.
  */
 struct OpStats
 {
@@ -104,8 +104,8 @@ struct OpStats
      * the plane program once and follower banks execute the same
      * command stream in its issue slots, so these commands do not
      * consume rank-window (tRRD/tFAW) issue bandwidth of their own.
-     * Always <= commands(); ShardedEngine subtracts them from the
-     * rank-floor term of the critical path.
+     * Always <= commands(); core::statsWindow subtracts them from
+     * the rank-floor term of the critical path.
      */
     uint64_t gangedCommands = 0;
     double fabricNs = 0.0;       ///< modeled serial fabric time
@@ -165,6 +165,24 @@ struct OpStats
         fabricNj += o.fabricNj;
         for (unsigned i = 0; i < kFabricCatCount; ++i)
             attrNs[i] += o.attrNs[i];
+        syncFabricTotal();
+        return *this;
+    }
+
+    /** Difference against an earlier snapshot @p o; ledger re-summed. */
+    OpStats &
+    operator-=(const OpStats &o)
+    {
+        aap -= o.aap;
+        ap -= o.ap;
+        tra -= o.tra;
+        faultsInjected -= o.faultsInjected;
+        rowReads -= o.rowReads;
+        rowWrites -= o.rowWrites;
+        gangedCommands -= o.gangedCommands;
+        fabricNj -= o.fabricNj;
+        for (unsigned i = 0; i < kFabricCatCount; ++i)
+            attrNs[i] -= o.attrNs[i];
         syncFabricTotal();
         return *this;
     }

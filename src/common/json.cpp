@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,6 +38,41 @@ Value::stringOr(std::string_view key, std::string fallback) const
 {
     const Value *v = find(key);
     return v && v->isString() ? v->string : fallback;
+}
+
+Value
+Value::object()
+{
+    Value v;
+    v.kind = Kind::Object;
+    return v;
+}
+
+Value
+Value::array()
+{
+    Value v;
+    v.kind = Kind::Array;
+    return v;
+}
+
+Value &
+Value::set(std::string_view key, Value v)
+{
+    for (auto &[k, m] : members)
+        if (k == key) {
+            m = std::move(v);
+            return *this;
+        }
+    members.emplace_back(std::string(key), std::move(v));
+    return *this;
+}
+
+Value &
+Value::push(Value v)
+{
+    items.push_back(std::move(v));
+    return *this;
 }
 
 namespace {
@@ -240,7 +276,86 @@ struct Parser
     }
 };
 
+void
+writeString(std::string &out, const std::string &s)
+{
+    out += '"';
+    for (const char c : s) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+}
+
+void
+writeValue(std::string &out, const Value &v, unsigned depth,
+           unsigned wrapDepth)
+{
+    switch (v.kind) {
+    case Value::Kind::Null: out += "null"; return;
+    case Value::Kind::Bool: out += v.boolean ? "true" : "false"; return;
+    case Value::Kind::Number: {
+        if (!std::isfinite(v.number)) {
+            out += "null";
+            return;
+        }
+        char buf[32];
+        const auto r = std::to_chars(buf, buf + sizeof(buf), v.number);
+        out.append(buf, r.ptr);
+        return;
+    }
+    case Value::Kind::String: writeString(out, v.string); return;
+    case Value::Kind::Array:
+    case Value::Kind::Object: break;
+    }
+    const bool object = v.isObject();
+    const size_t n = object ? v.members.size() : v.items.size();
+    const bool wrap = depth < wrapDepth && n > 0;
+    const std::string indent(2 * (depth + 1), ' ');
+    out += object ? '{' : '[';
+    for (size_t i = 0; i < n; ++i) {
+        out += i ? (wrap ? ",\n" : ", ") : (wrap ? "\n" : "");
+        if (wrap)
+            out += indent;
+        if (object) {
+            writeString(out, v.members[i].first);
+            out += ": ";
+        }
+        writeValue(out, object ? v.members[i].second : v.items[i],
+                   depth + 1, wrapDepth);
+    }
+    if (wrap) {
+        out += '\n';
+        out.append(2 * depth, ' ');
+    }
+    out += object ? '}' : ']';
+}
+
 } // namespace
+
+std::string
+write(const Value &v, unsigned wrapDepth)
+{
+    std::string out;
+    writeValue(out, v, 0, wrapDepth);
+    return out;
+}
 
 bool
 parse(std::string_view text, Value &out, std::string *error)

@@ -3,19 +3,20 @@
 
 /**
  * @file
- * Minimal recursive-descent JSON reader for the analysis tools.
+ * Minimal JSON document model: a recursive-descent reader for the
+ * analysis tools and a writer for the bench harness.
  *
- * The repo's emitters (BENCH_*.json, Chrome traces, metrics.jsonl)
- * write plain ASCII JSON; this reader covers that dialect — objects,
- * arrays, strings with the standard escapes, doubles, bools, null —
- * with positions preserved (object members keep file order) and no
- * external dependency. It is a *reader*, deliberately not a writer:
- * emission stays with the subsystem owning the format.
+ * The repo's files (BENCH_*.json, Chrome traces, metrics.jsonl) are
+ * plain ASCII JSON; this covers that dialect — objects, arrays,
+ * strings with the standard escapes, doubles, bools, null — with
+ * positions preserved (object members keep file order) and no
+ * external dependency.
  */
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,24 @@ class Value
     std::string string;
     std::vector<Value> items;                          // Array
     std::vector<std::pair<std::string, Value>> members; // Object
+
+    Value() = default;
+    Value(bool b) : kind(Kind::Bool), boolean(b) {}
+    template <typename T>
+        requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+    Value(T n) : kind(Kind::Number), number(static_cast<double>(n))
+    {
+    }
+    Value(std::string s) : kind(Kind::String), string(std::move(s)) {}
+    Value(const char *s) : Value(std::string(s)) {}
+
+    static Value object();
+    static Value array();
+
+    /** Set object member @p key (replacing it if present). */
+    Value &set(std::string_view key, Value v);
+    /** Append an array item. */
+    Value &push(Value v);
 
     bool isNull() const { return kind == Kind::Null; }
     bool isBool() const { return kind == Kind::Bool; }
@@ -70,6 +89,15 @@ bool parse(std::string_view text, Value &out,
 /** Read a whole file and parse it. */
 bool parseFile(const std::string &path, Value &out,
                std::string *error = nullptr);
+
+/**
+ * Serialize @p v. Numbers use the shortest form that reads back to
+ * the same double; NaN and infinities, which JSON cannot hold, are
+ * written as null. Arrays and objects nested less than @p wrapDepth
+ * deep put each item on its own indented line; deeper ones stay on
+ * one line.
+ */
+std::string write(const Value &v, unsigned wrapDepth = 0);
 
 } // namespace json
 } // namespace c2m

@@ -5,6 +5,31 @@
 namespace c2m {
 namespace core {
 
+EngineStats
+EngineStats::since(const EngineStats &b) const
+{
+    EngineStats d;
+    d.inputsAccumulated = inputsAccumulated - b.inputsAccumulated;
+    d.increments = increments - b.increments;
+    d.ripples = ripples - b.ripples;
+    d.checksRun = checksRun - b.checksRun;
+    d.faultsDetected = faultsDetected - b.faultsDetected;
+    d.retries = retries - b.retries;
+    d.uncorrectedBlocks = uncorrectedBlocks - b.uncorrectedBlocks;
+    d.invalidStates = invalidStates - b.invalidStates;
+    d.voteOps = voteOps - b.voteOps;
+    d.programCacheHits = programCacheHits - b.programCacheHits;
+    d.programCacheMisses = programCacheMisses - b.programCacheMisses;
+    d.plansExecuted = plansExecuted - b.plansExecuted;
+    d.planPrograms = planPrograms - b.planPrograms;
+    d.planLeadPrograms = planLeadPrograms - b.planLeadPrograms;
+    d.plannedOps = plannedOps - b.plannedOps;
+    d.planFallbackOps = planFallbackOps - b.planFallbackOps;
+    d.fabric = fabric;
+    d.fabric -= b.fabric;
+    return d;
+}
+
 CounterMap
 EngineStats::toCounters() const
 {
@@ -39,7 +64,6 @@ EngineStats::toCounters() const
         {"engine.fabric.ganged", fabric.gangedCommands},
         {"engine.fabric.ns", ns(fabric.fabricNs)},
         {"engine.fabric.nj", ns(fabric.fabricNj)},
-        {"engine.fabric.critical_ns", ns(fabricCriticalNs)},
         {"engine.fabric.attr.plan",
          ns(fabric.attr(cim::FabricCat::Plan))},
         {"engine.fabric.attr.fallback",

@@ -135,20 +135,10 @@ struct EngineStats
     cim::OpStats fabric;
 
     /**
-     * Bank-parallel critical-path fabric time: the modeled ns until
-     * the last shard finishes when shards execute as banks of one
-     * rank (bounded below by the tFAW/tRRD rank window,
-     * DramTimings::issueIntervalNs). For a single engine this equals
-     * fabric.fabricNs; ShardedEngine::stats() computes the real
-     * bound. Merged by max, not sum — parallel contributors overlap.
-     */
-    double fabricCriticalNs = 0.0;
-
-    /**
      * Field-wise sum, used to merge per-shard stats into one view.
-     * When adding a field above, extend this too — the
-     * EngineStatsMerge test pins sizeof(EngineStats) so a new field
-     * cannot be silently dropped from the merge.
+     * Every field is an additive counter. When adding a field above,
+     * extend this and since() too — the EngineStatsMerge tests pin
+     * sizeof(EngineStats) so a new field cannot be silently dropped.
      */
     EngineStats &operator+=(const EngineStats &o)
     {
@@ -169,10 +159,15 @@ struct EngineStats
         plannedOps += o.plannedOps;
         planFallbackOps += o.planFallbackOps;
         fabric += o.fabric;
-        if (o.fabricCriticalNs > fabricCriticalNs)
-            fabricCriticalNs = o.fabricCriticalNs;
         return *this;
     }
+
+    /**
+     * The window from @p before to this snapshot: field-wise
+     * difference, with fabric.fabricNs re-summed from the differenced
+     * ledger rows in canonical order so the window's ledger is exact.
+     */
+    EngineStats since(const EngineStats &before) const;
 
     /**
      * Named "engine.*" counters, for merging with other subsystems'

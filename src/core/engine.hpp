@@ -98,10 +98,6 @@ class C2MEngine
     {
         EngineStats s = stats_;
         s.fabric = backend_->opStats();
-        // One engine = one bank: its critical path is its serial
-        // fabric time. ShardedEngine recomputes the bank-parallel
-        // bound over all shards.
-        s.fabricCriticalNs = s.fabric.fabricNs;
         return s;
     }
 

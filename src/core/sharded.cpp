@@ -740,27 +740,58 @@ ShardedEngine::stats() const
     EngineStats merged;
     for (const auto &s : shards_)
         merged += s->stats();
-    // fabric.fabricNs summed across shards is total fabric work;
-    // the critical path is when the last shard finishes. operator+=
-    // max-merged the per-shard serial times; DRAM shards additionally
-    // share one rank, where tRRD/tFAW bound the aggregate command
-    // issue rate no matter how many banks run (Sec. 7.2.1) — take
-    // the tighter of the two bounds. NVM crossbars are independent
-    // arrays with no rank window, so the per-shard max stands.
-    // Ganged follower commands execute inside their leader's issue
-    // slots (one ACTIVATE broadcast drives every participating
-    // bank), so they do not occupy rank-window slots of their own
-    // and leave the floor.
-    if (cfg_.backend == BackendKind::Ambit ||
-        cfg_.backend == BackendKind::Rca) {
-        const double rank_floor =
-            static_cast<double>(merged.fabric.commands() -
-                                merged.fabric.gangedCommands) *
-            cfg_.dramTimings.issueIntervalNs(numShards());
-        if (rank_floor > merged.fabricCriticalNs)
-            merged.fabricCriticalNs = rank_floor;
-    }
     return merged;
+}
+
+std::vector<EngineStats>
+ShardedEngine::shardStats() const
+{
+    std::vector<EngineStats> out;
+    out.reserve(shards_.size());
+    for (const auto &s : shards_)
+        out.push_back(s->stats());
+    return out;
+}
+
+StatsWindow
+statsWindow(const ShardedEngine &engine,
+            std::span<const EngineStats> before)
+{
+    C2M_ASSERT(before.empty() || before.size() == engine.numShards(),
+               "one before snapshot per shard");
+    StatsWindow w;
+    const auto after = engine.shardStats();
+    for (size_t s = 0; s < after.size(); ++s) {
+        const EngineStats d =
+            after[s].since(before.empty() ? EngineStats{} : before[s]);
+        w.shardNs.push_back(d.fabric.fabricNs);
+        if (d.fabric.fabricNs > w.criticalNs) {
+            w.criticalNs = d.fabric.fabricNs;
+            w.criticalShard = static_cast<unsigned>(s);
+        }
+        w.total += d;
+    }
+    const EngineConfig &cfg = engine.config();
+    if (cfg.backend == BackendKind::Ambit ||
+        cfg.backend == BackendKind::Rca) {
+        const double rank_floor =
+            static_cast<double>(w.total.fabric.commands() -
+                                w.total.fabric.gangedCommands) *
+            cfg.dramTimings.issueIntervalNs(engine.numShards());
+        w.criticalNs = std::max(w.criticalNs, rank_floor);
+    }
+    const double mean =
+        w.total.fabric.fabricNs / static_cast<double>(after.size());
+    if (mean > 0.0) {
+        w.skew = w.shardNs[w.criticalShard] / mean;
+        w.parallelEfficiency = mean / w.criticalNs;
+    }
+    const uint64_t lookups =
+        w.total.programCacheHits + w.total.programCacheMisses;
+    if (lookups)
+        w.cacheHitRate = static_cast<double>(w.total.programCacheHits) /
+                         static_cast<double>(lookups);
+    return w;
 }
 
 Histogram

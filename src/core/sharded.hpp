@@ -67,9 +67,10 @@
  *      the merged plan.
  *
  * Ganged follower commands ride the leader's rank-window slots, so
- * stats() excludes them from the tFAW/tRRD rank floor: plan fabric
- * attribution becomes sublinear in shard count while the ledger
- * stays bit-exact (the fan-out cost is visible in its own row).
+ * statsWindow() excludes them from the tFAW/tRRD rank floor: plan
+ * fabric attribution becomes sublinear in shard count while the
+ * ledger stays bit-exact (the fan-out cost is visible in its own
+ * row).
  *
  * Results are bit-identical to a single C2MEngine over the full
  * counter space on the same op stream (columns are independent in the
@@ -219,6 +220,9 @@ class ShardedEngine
     /** Per-shard stats merged with EngineStats::operator+=. */
     EngineStats stats() const;
 
+    /** One stats snapshot per shard, in shard order. */
+    std::vector<EngineStats> shardStats() const;
+
   private:
     /** Internal mask handle reserved per shard for point updates. */
     static constexpr unsigned kPointMask = 0;
@@ -352,6 +356,39 @@ class ShardedEngine
     std::vector<double> planIncNs_;
     ThreadPool pool_;
 };
+
+/**
+ * A measurement window over a ShardedEngine: additive counters
+ * differenced per shard, plus what follows from them.
+ */
+struct StatsWindow
+{
+    EngineStats total;           ///< window counters, summed over shards
+    std::vector<double> shardNs; ///< per-shard window fabric ns
+    /**
+     * Bank-parallel critical path: the largest per-shard fabric ns
+     * (shards run as banks of one rank). On DRAM backends it is
+     * floored by the rank window — unganged commands x
+     * DramTimings::issueIntervalNs(shards) — since tRRD/tFAW bound
+     * the rank's command issue rate however many banks run
+     * (Sec. 7.2.1). Ganged follower commands execute in their
+     * leader's issue slots and stay out of the floor. NVM crossbars
+     * are independent arrays with no rank window.
+     */
+    double criticalNs = 0.0;
+    unsigned criticalShard = 0;     ///< shard with the largest ns
+    double skew = 0.0;              ///< largest / mean shard ns
+    double parallelEfficiency = 0.0; ///< mean shard ns / criticalNs
+    double cacheHitRate = 0.0;      ///< program-cache hits / lookups
+};
+
+/**
+ * The window from per-shard @p before snapshots (shardStats()) to the
+ * engine's current stats. An empty @p before opens the window at
+ * construction.
+ */
+StatsWindow statsWindow(const ShardedEngine &engine,
+                        std::span<const EngineStats> before = {});
 
 /**
  * Read group @p group of @p engine into a Histogram over [lo, hi]:

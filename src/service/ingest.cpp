@@ -41,13 +41,13 @@ void
 addPlanDelta(ServiceStats &es, const core::EngineStats &before,
              const core::EngineStats &after)
 {
-    es.plans += after.plansExecuted - before.plansExecuted;
-    es.planPrograms += after.planPrograms - before.planPrograms;
-    es.plannedOps += after.plannedOps - before.plannedOps;
-    es.planFallbackOps +=
-        after.planFallbackOps - before.planFallbackOps;
-    es.fabricNs += after.fabric.fabricNs - before.fabric.fabricNs;
-    es.fabricNj += after.fabric.fabricNj - before.fabric.fabricNj;
+    const core::EngineStats d = after.since(before);
+    es.plans += d.plansExecuted;
+    es.planPrograms += d.planPrograms;
+    es.plannedOps += d.plannedOps;
+    es.planFallbackOps += d.planFallbackOps;
+    es.fabricNs += d.fabric.fabricNs;
+    es.fabricNj += d.fabric.fabricNj;
 }
 
 } // namespace

@@ -154,11 +154,12 @@ TEST_P(CostBackends, NonzeroOpStreamHasNonzeroCost)
     EXPECT_GT(st.fabric.commands(), 0u);
     EXPECT_GT(st.fabric.fabricNs, 0.0);
     EXPECT_GT(st.fabric.fabricNj, 0.0);
-    EXPECT_GT(st.fabricCriticalNs, 0.0);
+    const auto w = core::statsWindow(eng);
+    EXPECT_GT(w.criticalNs, 0.0);
     // The critical path is a lower bound on the serial total, and
     // with the rank window floor it cannot be cheaper than issuing
     // every command back to back at the steady interval.
-    EXPECT_LE(st.fabricCriticalNs, st.fabric.fabricNs);
+    EXPECT_LE(w.criticalNs, st.fabric.fabricNs);
 }
 
 TEST_P(CostBackends, CommandCountsInvariantUnderProgramCache)
@@ -300,12 +301,13 @@ TEST(CostAttribution, ShardMergeCountsEveryShardOnce)
     EXPECT_DOUBLE_EQ(merged.fabric.fabricNj, sum_nj);
     // Critical path: at least the slowest shard, at least the rank
     // window floor, never more than the serial sum.
-    EXPECT_GE(merged.fabricCriticalNs, max_ns);
+    const auto w = core::statsWindow(eng);
+    EXPECT_GE(w.criticalNs, max_ns);
     const double rank_floor =
         static_cast<double>(merged.fabric.commands()) *
         cfg.dramTimings.issueIntervalNs(eng.numShards());
-    EXPECT_GE(merged.fabricCriticalNs, rank_floor);
-    EXPECT_LE(merged.fabricCriticalNs, merged.fabric.fabricNs);
+    EXPECT_GE(w.criticalNs, rank_floor);
+    EXPECT_LE(w.criticalNs, merged.fabric.fabricNs);
 }
 
 TEST(CostAttribution, ServiceAttributesEngineFabricExactlyOnce)

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -126,6 +128,59 @@ TEST(Json, ParsesUnicodeEscapes)
     ASSERT_TRUE(json::parse("[\"A\\u00e9\"]", v));
     ASSERT_EQ(v.items.size(), 1u);
     EXPECT_EQ(v.items[0].string, "A\xC3\xA9");
+}
+
+TEST(Json, WriterRoundTripsThroughTheReader)
+{
+    json::Value inner = json::Value::object();
+    inner.set("z", 0.1).set("a", -3e-300).set("n", uint64_t{1} << 52);
+    json::Value list = json::Value::array();
+    list.push(true).push(json::Value()).push("tab\there");
+    json::Value doc = json::Value::object();
+    doc.set("quote\"back\\slash", "ctl\x01\n\r\b\f")
+        .set("inner", inner)
+        .set("list", list)
+        .set("empty", json::Value::object());
+    doc.set("inner", inner); // replaces in place, keeps the order
+
+    for (const unsigned wrap : {0u, 1u, 3u}) {
+        const std::string text = json::write(doc, wrap);
+        json::Value back;
+        std::string err;
+        ASSERT_TRUE(json::parse(text, back, &err)) << err << text;
+        EXPECT_EQ(json::write(back, wrap), text);
+        ASSERT_EQ(back.members.size(), 4u);
+        EXPECT_EQ(back.members[0].first, "quote\"back\\slash");
+        EXPECT_EQ(back.members[0].second.string, "ctl\x01\n\r\b\f");
+        EXPECT_EQ(back.members[1].first, "inner");
+        const json::Value *in = back.find("inner");
+        ASSERT_TRUE(in && in->isObject());
+        ASSERT_EQ(in->members.size(), 3u);
+        EXPECT_EQ(in->members[0].first, "z");
+        EXPECT_EQ(in->numberOr("z", 0.0), 0.1);
+        EXPECT_EQ(in->numberOr("a", 0.0), -3e-300);
+        EXPECT_EQ(in->numberOr("n", 0.0), 4503599627370496.0);
+        const json::Value *l = back.find("list");
+        ASSERT_TRUE(l && l->isArray() && l->items.size() == 3u);
+        EXPECT_TRUE(l->items[0].boolean);
+        EXPECT_TRUE(l->items[1].isNull());
+        EXPECT_EQ(l->items[2].string, "tab\there");
+        EXPECT_TRUE(back.find("empty")->isObject());
+    }
+    EXPECT_EQ(json::write(inner), R"({"z": 0.1, "a": -3e-300, )"
+                                  R"("n": 4503599627370496})");
+    EXPECT_EQ(json::write(list, 1),
+              "[\n  true,\n  null,\n  \"tab\\there\"\n]");
+}
+
+TEST(Json, WriterEmitsNonFiniteNumbersAsNull)
+{
+    json::Value v = json::Value::array();
+    v.push(std::numeric_limits<double>::infinity())
+        .push(-std::numeric_limits<double>::infinity())
+        .push(std::nan(""))
+        .push(2.5);
+    EXPECT_EQ(json::write(v), "[null, null, null, 2.5]");
 }
 
 // ---------------------------------------------------------------------

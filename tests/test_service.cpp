@@ -488,16 +488,15 @@ TEST(ServiceStatsCounters, SumsAndCoversEveryField)
 
 TEST(EngineStatsCounters, CoversEveryField)
 {
-    static_assert(sizeof(EngineStats) == 36 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 35 * sizeof(uint64_t),
                   "EngineStats changed; update toCounters and this "
                   "test");
     const EngineStats s{1,  2,  3,  4,  5,  6,  7,  8,
                         9,  10, 11, 12, 13, 14, 15, 16,
                         {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
-                         {24.0}},
-                        26.0};
+                         {24.0}}};
     const auto m = s.toCounters();
-    EXPECT_EQ(m.size(), 35u);
+    EXPECT_EQ(m.size(), 34u);
     EXPECT_EQ(m.at("engine.inputs_accumulated"), 1u);
     EXPECT_EQ(m.at("engine.program_cache_misses"), 11u);
     EXPECT_EQ(m.at("engine.plans_executed"), 12u);
@@ -511,7 +510,6 @@ TEST(EngineStatsCounters, CoversEveryField)
     EXPECT_EQ(m.at("engine.fabric.ganged"), 23u);
     EXPECT_EQ(m.at("engine.fabric.ns"), 24u);
     EXPECT_EQ(m.at("engine.fabric.nj"), 25u);
-    EXPECT_EQ(m.at("engine.fabric.critical_ns"), 26u);
     EXPECT_EQ(m.at("engine.fabric.attr.plan"), 24u);
     EXPECT_EQ(m.at("engine.fabric.attr.fallback"), 0u);
     EXPECT_EQ(m.at("engine.fabric.attr.mask_write"), 0u);

@@ -278,7 +278,7 @@ TEST(EngineStatsMerge, SumsEveryField)
 {
     // A new EngineStats field changes this size and fails here:
     // extend operator+= and the checks below together.
-    static_assert(sizeof(EngineStats) == 36 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 35 * sizeof(uint64_t),
                   "EngineStats changed; update operator+= and this "
                   "test");
 
@@ -286,13 +286,11 @@ TEST(EngineStatsMerge, SumsEveryField)
     // fixtures put their whole 24.0/240.0 into the plan row.
     EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,
                   9,  10, 11, 12, 13, 14, 15, 16,
-                  {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0, {24.0}},
-                  26.0};
+                  {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0, {24.0}}};
     const EngineStats b{10,  20,  30,  40,  50,  60,  70,  80,
                         90,  100, 110, 120, 130, 140, 150, 160,
                         {170, 180, 190, 200, 210, 220, 230, 240.0,
-                         250.0, {240.0}},
-                        260.0};
+                         250.0, {240.0}}};
     a += b;
     EXPECT_EQ(a.inputsAccumulated, 11u);
     EXPECT_EQ(a.increments, 22u);
@@ -325,8 +323,180 @@ TEST(EngineStatsMerge, SumsEveryField)
     for (double row : a.fabric.attrNs)
         ledger += row;
     EXPECT_EQ(ledger, a.fabric.fabricNs);
-    // Critical path is a max over parallel contributors, not a sum.
-    EXPECT_DOUBLE_EQ(a.fabricCriticalNs, 260.0);
+}
+
+TEST(EngineStatsMerge, SinceCoversEveryField)
+{
+    // A new EngineStats field changes this size and fails here:
+    // extend since() and the checks below together.
+    static_assert(sizeof(EngineStats) == 35 * sizeof(uint64_t),
+                  "EngineStats changed; update since() and this test");
+
+    const EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,
+                        9,  10, 11, 12, 13, 14, 15, 16,
+                        {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
+                         {24.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                          0.0}}};
+    const EngineStats b{10,  20,  30,  40,  50,  60,  70,  80,
+                        90,  100, 110, 120, 130, 140, 150, 160,
+                        {170, 180, 190, 200, 210, 220, 230, 240.0,
+                         250.0,
+                         {240.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                          0.1}}};
+    const EngineStats d = b.since(a);
+    EXPECT_EQ(d.inputsAccumulated, 9u);
+    EXPECT_EQ(d.increments, 18u);
+    EXPECT_EQ(d.ripples, 27u);
+    EXPECT_EQ(d.checksRun, 36u);
+    EXPECT_EQ(d.faultsDetected, 45u);
+    EXPECT_EQ(d.retries, 54u);
+    EXPECT_EQ(d.uncorrectedBlocks, 63u);
+    EXPECT_EQ(d.invalidStates, 72u);
+    EXPECT_EQ(d.voteOps, 81u);
+    EXPECT_EQ(d.programCacheHits, 90u);
+    EXPECT_EQ(d.programCacheMisses, 99u);
+    EXPECT_EQ(d.plansExecuted, 108u);
+    EXPECT_EQ(d.planPrograms, 117u);
+    EXPECT_EQ(d.planLeadPrograms, 126u);
+    EXPECT_EQ(d.plannedOps, 135u);
+    EXPECT_EQ(d.planFallbackOps, 144u);
+    EXPECT_EQ(d.fabric.aap, 153u);
+    EXPECT_EQ(d.fabric.ap, 162u);
+    EXPECT_EQ(d.fabric.tra, 171u);
+    EXPECT_EQ(d.fabric.faultsInjected, 180u);
+    EXPECT_EQ(d.fabric.rowReads, 189u);
+    EXPECT_EQ(d.fabric.rowWrites, 198u);
+    EXPECT_EQ(d.fabric.gangedCommands, 207u);
+    EXPECT_DOUBLE_EQ(d.fabric.fabricNj, 225.0);
+    EXPECT_DOUBLE_EQ(d.fabric.attr(cim::FabricCat::Plan), 216.0);
+    EXPECT_DOUBLE_EQ(d.fabric.attr(cim::FabricCat::Other), 0.1);
+    // fabricNs is re-summed from the differenced rows (b's own
+    // fabricNs field was never synced to its 0.1 "other" row), so
+    // the window's ledger is exact.
+    double ledger = 0.0;
+    for (double row : d.fabric.attrNs)
+        ledger += row;
+    EXPECT_EQ(ledger, d.fabric.fabricNs);
+}
+
+namespace {
+
+/** 1..15-valued uniform point updates, as in bench/sharded_scaling. */
+std::vector<BatchOp>
+scalingOps(size_t n, size_t counters)
+{
+    Rng rng(99);
+    std::vector<BatchOp> ops;
+    for (size_t i = 0; i < n; ++i)
+        ops.push_back({rng.nextBounded(counters),
+                       static_cast<int64_t>(1 + rng.nextBounded(15)),
+                       0});
+    return ops;
+}
+
+EngineConfig
+scalingConfig(size_t counters, bool planner)
+{
+    EngineConfig cfg;
+    cfg.radix = 4;
+    cfg.capacityBits = 16;
+    cfg.numCounters = counters;
+    cfg.maxMaskRows = 1;
+    cfg.drainPlanner = planner;
+    return cfg;
+}
+
+bool
+ledgerExact(const EngineStats &st)
+{
+    double sum = 0.0;
+    for (double row : st.fabric.attrNs)
+        sum += row;
+    return sum == st.fabric.fabricNs;
+}
+
+class WarmedWindow
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
+{
+};
+
+} // namespace
+
+// The bench/sharded_scaling sequence: warm-up, clear(), four timing
+// reps, then a window over the measured batch alone. The window's
+// critical path must lie within [fabric_ns/shards, fabric_ns]; a
+// lifetime critical path would also count the warm-up and the reps.
+TEST_P(WarmedWindow, CriticalPathBoundsTheWindow)
+{
+    const auto [shards, planner] = GetParam();
+    const auto cfg = scalingConfig(2048, planner);
+    const auto ops = scalingOps(2048, cfg.numCounters);
+    ShardedEngine eng(cfg, shards);
+    std::vector<BatchOp> warm;
+    for (unsigned s = 0; s < shards; ++s)
+        warm.push_back({eng.shardStart(s), 1, 0});
+    eng.accumulateBatch(warm);
+    eng.clear();
+    for (int rep = 0; rep < 4; ++rep) {
+        eng.accumulateBatch(ops);
+        eng.clear();
+    }
+    const auto before = eng.shardStats();
+    eng.accumulateBatch(ops);
+    const auto w = core::statsWindow(eng, before);
+
+    const double ns = w.total.fabric.fabricNs;
+    EXPECT_GT(ns, 0.0);
+    EXPECT_GE(w.criticalNs * (1.0 + 1e-12), ns / shards);
+    EXPECT_LE(w.criticalNs, ns);
+    EXPECT_TRUE(ledgerExact(w.total));
+    EXPECT_EQ(w.shardNs.size(), shards);
+    if (shards == 1) {
+        EXPECT_EQ(w.criticalNs, ns);
+        EXPECT_EQ(w.parallelEfficiency, 1.0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, WarmedWindow,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Bool()));
+
+// At 32 banks the rank window (one command per max(tRRD, tFAW/4))
+// is tighter than a bank's period / 32, so the floor binds over a
+// per-op drain. A gang-issued plan's follower commands run in their
+// leader's issue slots: counted, they would bind the floor too.
+TEST(StatsWindow, RankFloorExcludesGangedFollowers)
+{
+    constexpr unsigned kShards = 32;
+    for (const bool planner : {false, true}) {
+        const auto cfg = scalingConfig(2048, planner);
+        ShardedEngine eng(cfg, kShards, 2);
+        const auto before = eng.shardStats();
+        eng.accumulateBatch(scalingOps(2048, cfg.numCounters));
+        const auto w = core::statsWindow(eng, before);
+
+        double slowest = 0.0;
+        for (double ns : w.shardNs)
+            slowest = std::max(slowest, ns);
+        const auto &fab = w.total.fabric;
+        const double interval =
+            cfg.dramTimings.issueIntervalNs(kShards);
+        const double floor =
+            static_cast<double>(fab.commands() - fab.gangedCommands) *
+            interval;
+        if (!planner) {
+            EXPECT_EQ(fab.gangedCommands, 0u);
+            EXPECT_GT(floor, slowest);
+            EXPECT_EQ(w.criticalNs, floor);
+        } else {
+            EXPECT_GT(fab.gangedCommands, 0u);
+            EXPECT_GT(static_cast<double>(fab.commands()) * interval,
+                      slowest);
+            EXPECT_EQ(w.criticalNs, slowest);
+        }
+        EXPECT_LE(w.criticalNs, fab.fabricNs);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,17 +1,18 @@
-// bench_diff: regression gate between two BENCH_*.json files.
+// bench_diff: regression gate between two BENCH_*.json files written
+// by the bench harness (bench/harness.hpp).
 //
 // Usage: bench_diff [--default-rel R] [--metric NAME=R]...
 //                   baseline.json current.json
 //
-// Cells in the bench's "results"/"cells" array are matched by an
-// identity tuple (string members, config booleans, and well-known
-// integer config keys such as shards/producers), then every modeled
-// numeric metric is compared with a relative threshold:
+// Cells are matched by their "id" object. Every number under the
+// document's and each cell's "model" (nested objects included, named
+// by dotted path) is compared with a relative threshold:
 //     rel = |cur - base| / max(|base|, |cur|, 1)
-// Host-dependent metrics (wall time, ops/s, speedup, RSS, trace event
-// counts) are skipped: they measure the machine, not the model.
-// Boolean correctness flags (match*, all_match*) must never regress
-// from true to false. Exit codes: 0 pass, 1 regressions, 2 bad input.
+// "host" and "counters" are skipped: they measure the machine, not
+// the model. A gate that passes in the baseline must pass in the
+// current file. Exit codes: 0 pass, 1 regressions, 2 bad input (an
+// unreadable file, documents of different runs, or a cell id that
+// appears twice in one file).
 
 #include <algorithm>
 #include <cmath>
@@ -29,74 +30,16 @@ namespace {
 
 using c2m::json::Value;
 
-// Integer members that name the cell rather than measure it.
-const char *const kIdentityKeys[] = {"shards",        "producers",
-                                     "threads",       "radix",
-                                     "min_drain_ops", "capacity_bits"};
+const Value kEmpty = Value::object();
 
-// Metrics of the host, not the model: never gated. This includes
-// pure scheduling counts (epochs drained, steals, queue stalls, and
-// the per-epoch watchdog evaluation count) that vary run to run even
-// on one machine.
-const char *const kHostMetrics[] = {
-    "time_s", "ops_per_s", "speedup",  "rss_kb",
-    "trace_events", "epochs", "steals", "stalls",
-    "watchdog_evaluations", "planner_speedup_8"};
-
-bool
-inList(const std::string &key, const char *const *list, size_t n)
+const Value &
+section(const Value &record, const char *name)
 {
-    for (size_t i = 0; i < n; ++i)
-        if (key == list[i])
-            return true;
-    return false;
+    const Value *v = record.find(name);
+    return v ? *v : kEmpty;
 }
 
-bool
-isCorrectnessFlag(const std::string &key)
-{
-    return key.compare(0, 5, "match") == 0 ||
-           key.compare(0, 9, "all_match") == 0 ||
-           key.compare(0, 6, "ledger") == 0;
-}
-
-std::string
-cellIdentity(const Value &cell)
-{
-    std::string id;
-    for (const auto &[k, v] : cell.members) {
-        if (v.isString())
-            id += k + "=" + v.string + " ";
-        else if (v.isBool() && !isCorrectnessFlag(k))
-            id += k + "=" + (v.boolean ? "on" : "off") + " ";
-        else if (v.isNumber() &&
-                 inList(k, kIdentityKeys,
-                        sizeof(kIdentityKeys) /
-                            sizeof(kIdentityKeys[0])))
-            id += k + "=" +
-                  std::to_string(
-                      static_cast<long long>(v.number)) +
-                  " ";
-    }
-    if (!id.empty())
-        id.pop_back();
-    return id;
-}
-
-const Value *
-findCellArray(const Value &doc)
-{
-    if (const Value *r = doc.find("results"); r && r->isArray())
-        return r;
-    if (const Value *c = doc.find("cells"); c && c->isArray())
-        return c;
-    for (const auto &[k, v] : doc.members)
-        if (v.isArray())
-            return &v;
-    return nullptr;
-}
-
-struct DiffState
+struct Diff
 {
     double defaultRel = 0.02;
     std::map<std::string, double> perMetric;
@@ -105,10 +48,11 @@ struct DiffState
     uint32_t checked = 0;
     uint32_t failed = 0;
 
-    double limitFor(const std::string &metric) const
+    void fail(const std::string &where, const std::string &what,
+              const std::string &base, const std::string &cur)
     {
-        const auto it = perMetric.find(metric);
-        return it == perMetric.end() ? defaultRel : it->second;
+        ++failed;
+        report.addRow({where, what, base, cur, "-", "-", "FAIL"});
     }
 
     void compareNumber(const std::string &where,
@@ -119,7 +63,9 @@ struct DiffState
         const double rel =
             std::fabs(cur - base) /
             std::max({std::fabs(base), std::fabs(cur), 1.0});
-        const double limit = limitFor(metric);
+        const auto it = perMetric.find(metric);
+        const double limit =
+            it == perMetric.end() ? defaultRel : it->second;
         const bool ok = rel <= limit;
         if (!ok)
             ++failed;
@@ -134,66 +80,70 @@ struct DiffState
                        ok ? "ok" : "FAIL"});
     }
 
-    void compareBool(const std::string &where,
-                     const std::string &metric, bool base, bool cur)
-    {
-        ++checked;
-        if (base && !cur) {
-            ++failed;
-            report.addRow({where, metric, "true", "false", "-", "-",
-                           "FAIL"});
-        } else if (base != cur) {
-            report.addRow({where, metric, base ? "true" : "false",
-                           cur ? "true" : "false", "-", "-", "ok"});
-        }
-    }
-
-    void missing(const std::string &where, const std::string &what)
-    {
-        ++checked;
-        ++failed;
-        report.addRow({where, what, "present", "missing", "-", "-",
-                       "FAIL"});
-    }
-
-    // Compare the non-identity members of two objects; recurses one
-    // level into nested objects (gpu_model, showcase, fabric_attr).
-    void compareObject(const std::string &where, const Value &base,
-                       const Value &cur, const std::string &prefix)
+    void compareModel(const std::string &where, const Value &base,
+                      const Value &cur, const std::string &prefix)
     {
         for (const auto &[k, bv] : base.members) {
-            const std::string metric = prefix.empty()
-                                           ? k
-                                           : prefix + "." + k;
+            const std::string metric = prefix + k;
+            const Value *cv = cur.find(k);
             if (bv.isNumber()) {
-                if (inList(k, kIdentityKeys,
-                           sizeof(kIdentityKeys) /
-                               sizeof(kIdentityKeys[0])) ||
-                    inList(k, kHostMetrics,
-                           sizeof(kHostMetrics) /
-                               sizeof(kHostMetrics[0])))
-                    continue;
-                const Value *cv = cur.find(k);
-                if (!cv || !cv->isNumber())
-                    missing(where, metric);
-                else
-                    compareNumber(where, metric, bv.number,
-                                  cv->number);
-            } else if (bv.isBool() && isCorrectnessFlag(k)) {
-                const Value *cv = cur.find(k);
-                if (!cv || !cv->isBool())
-                    missing(where, metric);
-                else
-                    compareBool(where, metric, bv.boolean,
-                                cv->boolean);
-            } else if (bv.isObject() && prefix.empty()) {
-                const Value *cv = cur.find(k);
-                if (cv && cv->isObject())
-                    compareObject(where, bv, *cv, k);
+                if (cv && cv->isNumber()) {
+                    compareNumber(where, metric, bv.number, cv->number);
+                } else {
+                    ++checked;
+                    fail(where, metric, "present", "missing");
+                }
+            } else if (bv.isObject()) {
+                compareModel(where, bv, cv ? *cv : kEmpty,
+                             metric + ".");
             }
         }
     }
+
+    void compareGates(const std::string &where, const Value &base,
+                      const Value &cur)
+    {
+        for (const Value &bg : base.items) {
+            const std::string name = bg.stringOr("name", "?");
+            if (!bg.boolOr("pass", false))
+                continue;
+            ++checked;
+            const Value *cg = nullptr;
+            for (const Value &g : cur.items)
+                if (g.stringOr("name", "") == name)
+                    cg = &g;
+            if (!cg)
+                fail(where, "gate " + name, "pass", "missing");
+            else if (!cg->boolOr("pass", false))
+                fail(where, "gate " + name, "pass", "fail");
+        }
+    }
+
+    void compareRecord(const std::string &where, const Value &base,
+                       const Value &cur)
+    {
+        compareModel(where, section(base, "model"),
+                     section(cur, "model"), "");
+        compareGates(where, section(base, "gates"),
+                     section(cur, "gates"));
+    }
 };
+
+/** Cells keyed by their serialized id; false on a repeated id. */
+bool
+indexCells(const Value &doc, const std::string &path,
+           std::map<std::string, const Value *> &out)
+{
+    for (const Value &c : section(doc, "cells").items) {
+        const std::string id = c2m::json::write(section(c, "id"));
+        if (!out.emplace(id, &c).second) {
+            std::fprintf(stderr, "bench_diff: %s: cell id %s repeats\n",
+                         path.c_str(), id.c_str());
+            return false;
+        }
+    }
+    return true;
+}
 
 void
 usage(const char *argv0)
@@ -209,7 +159,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    DiffState st;
+    Diff st;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--default-rel") == 0 &&
@@ -237,40 +187,34 @@ main(int argc, char **argv)
         return 2;
     }
 
-    Value base, cur;
-    std::string err;
-    if (!c2m::json::parseFile(paths[0], base, &err)) {
-        std::fprintf(stderr, "bench_diff: %s: %s\n",
-                     paths[0].c_str(), err.c_str());
-        return 2;
+    Value docs[2];
+    std::map<std::string, const Value *> cells[2];
+    for (int i = 0; i < 2; ++i) {
+        std::string err;
+        if (!c2m::json::parseFile(paths[i], docs[i], &err)) {
+            std::fprintf(stderr, "bench_diff: %s: %s\n",
+                         paths[i].c_str(), err.c_str());
+            return 2;
+        }
+        if (!indexCells(docs[i], paths[i], cells[i]))
+            return 2;
     }
-    if (!c2m::json::parseFile(paths[1], cur, &err)) {
-        std::fprintf(stderr, "bench_diff: %s: %s\n",
-                     paths[1].c_str(), err.c_str());
+    const std::string baseId = c2m::json::write(section(docs[0], "id"));
+    const std::string curId = c2m::json::write(section(docs[1], "id"));
+    if (baseId != curId) {
+        std::fprintf(stderr, "bench_diff: different runs: %s vs %s\n",
+                     baseId.c_str(), curId.c_str());
         return 2;
     }
 
-    // Top-level scalars (plus one level of nested objects).
-    st.compareObject("top-level", base, cur, "");
-
-    const Value *baseCells = findCellArray(base);
-    const Value *curCells = findCellArray(cur);
-    if (baseCells) {
-        std::map<std::string, const Value *> curById;
-        if (curCells)
-            for (const Value &c : curCells->items)
-                if (c.isObject())
-                    curById[cellIdentity(c)] = &c;
-        for (const Value &bc : baseCells->items) {
-            if (!bc.isObject())
-                continue;
-            const std::string id = cellIdentity(bc);
-            const auto it = curById.find(id);
-            if (it == curById.end()) {
-                st.missing(id, "(cell)");
-                continue;
-            }
-            st.compareObject(id, bc, *it->second, "");
+    st.compareRecord("document", docs[0], docs[1]);
+    for (const auto &[id, base] : cells[0]) {
+        const auto it = cells[1].find(id);
+        if (it == cells[1].end()) {
+            ++st.checked;
+            st.fail(id, "(cell)", "present", "missing");
+        } else {
+            st.compareRecord(id, *base, *it->second);
         }
     }
 
