@@ -1,13 +1,16 @@
 /**
  * @file
  * Async ingest throughput: producers x shards x coalescing x drain
- * planner over uniform and Zipf(1.0)-skewed key streams.
+ * planner over uniform and Zipf(1.0)-skewed key streams, plus a
+ * signed stream.
  *
- * Each cell pushes the same op stream through an IngestService
- * configured with a one-epoch coalescing window (minDrainOps =
- * stream length), so duplicate (counter, group) deltas merge before
- * touching the fabric and the drain planner sees the whole stream as
- * one bucket per shard. The headline numbers:
+ * Every cell is flush-driven: minDrainOps sits above any chunk, so
+ * only the cell's own flushAndWait() after each chunk cuts an epoch,
+ * and every cell gates epochs == chunks. A one-chunk cell drains the
+ * whole stream as one epoch, so duplicate (counter, group) deltas
+ * merge before touching the fabric and the drain planner sees the
+ * whole stream as one bucket per shard — however the producers
+ * interleave. The headline numbers:
  *
  *  - fabric inputs (EngineStats::inputsAccumulated): accumulate
  *    calls that actually reached the fabric. Coalescing on a skewed
@@ -23,10 +26,16 @@
  *  - fabric cost (docs/perf.md): every cell reports the modeled
  *    fabric time, energy and critical path of its stream.
  *  - plan-path program caching: an extra Zipf cell drains the same
- *    stream over a 16-epoch window; because digit planes live in
+ *    stream as 16 flushed chunks; because digit planes live in
  *    persistent reserved mask rows, plan programs generated in the
  *    first epochs replay from the ProgramCache afterwards — the
  *    cell's hit rate must exceed 90%.
+ *  - dual-rail plans: a uniform stream whose every other delta is
+ *    negative, at 4 shards with coalescing on, planner off and on.
+ *    The planner-on cell must drain entirely as increment and
+ *    decrement digit planes (no fallback ops, a zero fallback
+ *    ledger row), and planner-off fabric ns over planner-on must
+ *    stay above kSignedPlanGain.
  *
  * A cell's window is its engine's lifetime: construction, the
  * stream, and the service read-back whose counters the cell checks
@@ -63,6 +72,16 @@ namespace {
 
 constexpr size_t kNumCounters = 4096;
 constexpr size_t kNumOps = 4096;
+/**
+ * Above any chunk a cell submits, so the coalescing window never
+ * fills: only flushes cut epochs.
+ */
+constexpr size_t kMinDrainOps = kNumOps + 1;
+/**
+ * Floor on the signed stream's planner-off / planner-on fabric ns.
+ * Measured 112.7x; per-op replay of the signed cell would read 1x.
+ */
+constexpr double kSignedPlanGain = 50.0;
 
 core::EngineConfig
 engineConfig(bool planner = true)
@@ -76,13 +95,20 @@ engineConfig(bool planner = true)
     return cfg;
 }
 
+enum class Stream
+{
+    Uniform,
+    Zipf,
+    SignedUniform, ///< uniform keys, every other delta negative
+};
+
 std::vector<core::BatchOp>
-makeStream(bool zipf)
+makeStream(Stream kind)
 {
     std::vector<core::BatchOp> ops;
     ops.reserve(kNumOps);
     Rng val_rng(7);
-    if (zipf) {
+    if (kind == Stream::Zipf) {
         ZipfRng keys(kNumCounters, 1.0, 42);
         for (size_t i = 0; i < kNumOps; ++i)
             ops.push_back(
@@ -91,11 +117,12 @@ makeStream(bool zipf)
                  0});
     } else {
         Rng keys(42);
-        for (size_t i = 0; i < kNumOps; ++i)
-            ops.push_back(
-                {keys.nextBounded(kNumCounters),
-                 static_cast<int64_t>(1 + val_rng.nextBounded(7)),
-                 0});
+        for (size_t i = 0; i < kNumOps; ++i) {
+            auto v = static_cast<int64_t>(1 + val_rng.nextBounded(7));
+            if (kind == Stream::SignedUniform && i % 2)
+                v = -v;
+            ops.push_back({keys.nextBounded(kNumCounters), v, 0});
+        }
     }
     return ops;
 }
@@ -112,37 +139,27 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
         const std::vector<core::BatchOp> &ops,
         const std::vector<int64_t> &reference, unsigned shards,
         unsigned producers, bool coalesce, bool planner,
-        size_t min_drain_ops = kNumOps, size_t chunks = 1)
+        size_t chunks = 1)
 {
     const bench::Window w = h.open();
     core::ShardedEngine engine(engineConfig(planner), shards);
     service::IngestConfig icfg;
     icfg.coalesce = coalesce;
-    // Default: one-epoch coalescing window — drain only once the
-    // whole stream is queued (flush/stop still override), maximizing
-    // merges. Smaller windows split the stream into multiple epochs.
-    icfg.minDrainOps = min_drain_ops;
+    icfg.minDrainOps = kMinDrainOps;
     icfg.queueCapacity = 2 * kNumOps;
     service::IngestService svc(engine, icfg);
     // The host clock starts once the engine and service are built.
     const bench::Window timed = h.open();
 
-    if (chunks <= 1) {
-        service::submitConcurrent(svc, ops, producers);
-    } else {
-        // Deterministic multi-epoch drive: flush after each slice so
-        // every slice is its own epoch (a bare window would race the
-        // producers and drain everything at once).
-        const size_t per = (ops.size() + chunks - 1) / chunks;
-        for (size_t lo = 0; lo < ops.size(); lo += per) {
-            const size_t hi = std::min(ops.size(), lo + per);
-            service::submitConcurrent(
-                svc,
-                std::span<const core::BatchOp>(ops).subspan(
-                    lo, hi - lo),
-                producers);
-            svc.flushAndWait();
-        }
+    // One epoch per chunk: the flush cuts it once every producer
+    // has pushed the whole chunk.
+    const size_t per = (ops.size() + chunks - 1) / chunks;
+    for (size_t lo = 0; lo < ops.size(); lo += per) {
+        const size_t hi = std::min(ops.size(), lo + per);
+        service::submitConcurrent(
+            svc, std::span<const core::BatchOp>(ops).subspan(lo, hi - lo),
+            producers);
+        svc.flushAndWait();
     }
     const bool match = svc.readCounters() == reference;
     const double seconds = timed.seconds();
@@ -154,21 +171,22 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
                                 .set("producers", producers)
                                 .set("coalesce", coalesce)
                                 .set("planner", planner)
-                                .set("min_drain_ops", min_drain_ops),
+                                .set("chunks", chunks),
                             engine, w, seconds, kNumOps);
     const auto &est = c.window.total;
     c.model.set("fabric_inputs", est.inputsAccumulated)
         .set("fabric_increments", est.increments)
+        .set("epochs", sst.epochs)
         .set("coalesced", sst.coalesced)
         .set("plans", sst.plans)
         .set("plan_programs", sst.planPrograms)
         .set("planned_ops", sst.plannedOps)
         .set("plan_fallback_ops", sst.planFallbackOps);
-    c.host.set("epochs", sst.epochs)
-        .set("steals", sst.steals)
-        .set("stalls", sst.stalls);
+    c.host.set("steals", sst.steals).set("stalls", sst.stalls);
     c.counters = svc.report();
     c.gate("match_serial_replay", match);
+    c.gate("epochs_eq_chunks", static_cast<double>(sst.epochs), "==",
+           static_cast<double>(chunks));
     watch(wd, c.counters);
     return c;
 }
@@ -291,7 +309,7 @@ main(int argc, char **argv)
     obs::Watchdog watchdog;
 
     std::printf("async ingest throughput: %zu ops over %zu "
-                "counters, one-epoch coalescing window\n",
+                "counters, one flushed epoch per chunk\n",
                 kNumOps, kNumCounters);
 
     double zipf_on = 0.0, zipf_off = 0.0;
@@ -299,7 +317,8 @@ main(int argc, char **argv)
     double cache_hit_rate = 0.0;
     for (const bool zipf : {false, true}) {
         const char *dist = zipf ? "zipf1.0" : "uniform";
-        const auto ops = makeStream(zipf);
+        const auto ops =
+            makeStream(zipf ? Stream::Zipf : Stream::Uniform);
         const bench::Window replay = h.open();
         const auto reference =
             core::replaySerial(engineConfig(), ops);
@@ -337,13 +356,13 @@ main(int argc, char **argv)
         }
         if (zipf) {
             // Multi-epoch planner-cache cell: drain the same stream
-            // over a ~16-epoch window. Digit planes live in
-            // persistent reserved mask rows, so the plan programs
-            // generated in the first epochs replay from the
-            // ProgramCache in every later one.
+            // as 16 flushed epochs. Digit planes live in persistent
+            // reserved mask rows, so the plan programs generated in
+            // the first epochs replay from the ProgramCache in every
+            // later one.
             cache_hit_rate =
                 runCell(h, watchdog, "zipf-16ep", ops, reference, 4,
-                        4, true, true, kNumOps / 16, 16)
+                        4, true, true, 16)
                     .window.cacheHitRate;
 
             // Heaviest contention cell: 16 producers racing into an
@@ -354,6 +373,30 @@ main(int argc, char **argv)
                     true);
         }
     }
+
+    // Signed stream, planner off and on. One producer keeps the
+    // per-op replay order, and with it the planner-off cell's
+    // modeled numbers, fixed from run to run.
+    const auto signed_ops = makeStream(Stream::SignedUniform);
+    const auto signed_ref =
+        core::replaySerial(engineConfig(), signed_ops);
+    double signed_ns[2] = {0.0, 0.0};
+    for (const bool planner : {false, true}) {
+        auto &c = runCell(h, watchdog, "signed-uniform", signed_ops,
+                          signed_ref, 4, 1, true, planner);
+        const auto &fab = c.window.total.fabric;
+        signed_ns[planner] = fab.fabricNs;
+        if (planner) {
+            c.gate("plan_fallback_ops",
+                   static_cast<double>(
+                       c.window.total.planFallbackOps),
+                   "==", 0.0);
+            c.gate("fallback_attr_ns",
+                   fab.attr(cim::FabricCat::Fallback), "==", 0.0);
+        }
+    }
+    const double signed_gain =
+        signed_ns[1] > 0.0 ? signed_ns[0] / signed_ns[1] : 0.0;
 
     // Showcase after the gated grid: scrub sweeps and virt
     // spill/restore activity on the same recorder, so a --trace run
@@ -401,12 +444,14 @@ main(int argc, char **argv)
     doc.model.set("zipf_4x4_fabric_reduction", reduction)
         .set("plan_reduction", plan_reduction)
         .set("plan_cache_hit_rate", cache_hit_rate)
+        .set("signed_plan_gain", signed_gain)
         .set("gpu_model", json::Value::object()
                               .set("fabric_ns", gpu.ns)
                               .set("fabric_nj", gpu.nj));
     doc.gate("zipf_4x4_fabric_reduction", reduction, ">=", 2.0);
     doc.gate("plan_reduction", plan_reduction, ">=", 5.0);
     doc.gate("plan_cache_hit_rate", cache_hit_rate, ">", 0.9);
+    doc.gate("signed_plan_gain", signed_gain, ">=", kSignedPlanGain);
     doc.gate("watchdog_evaluations",
              static_cast<double>(wd.at("evaluations")), ">", 0.0);
     doc.gate("watchdog_alerts", static_cast<double>(wd.at("alerts")),

@@ -81,11 +81,12 @@ struct EngineConfig
      * Column-parallel drain planning for batched point updates
      * (ShardedEngine/IngestService): decompose each counter's epoch
      * delta into radix digits and issue ONE masked k-ary increment
-     * per populated (digit, k) plane, bounding fabric programs per
-     * bucket at O(D*(R-1)) per group instead of O(ops). Final counter
-     * values are bit-identical to per-op replay; signed-mode groups,
-     * Unit counting and buckets the plan cannot beat fall back to the
-     * per-op path automatically.
+     * (positive sums) or decrement (negative sums) per populated
+     * (rail, digit, k) plane, bounding fabric programs per bucket at
+     * O(D*(R-1)) per group instead of O(ops). Final counter values
+     * are bit-identical to per-op replay; Unit counting, sums
+     * reaching the guard digit and buckets the plan cannot beat fall
+     * back to the per-op path automatically.
      */
     bool drainPlanner = true;
     /**

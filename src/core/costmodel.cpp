@@ -31,8 +31,11 @@ C2mCostModel::C2mCostModel(unsigned radix, unsigned capacity_bits,
     // row index is needed only for addressing, not for counting.
     const unsigned mask_row = layout.endRow();
     opsByK_.assign(radix, 0);
-    for (unsigned k = 1; k < radix; ++k)
+    decOpsByK_.assign(radix, 0);
+    for (unsigned k = 1; k < radix; ++k) {
         opsByK_[k] = gen.karyIncrement(0, k, mask_row).totalOps();
+        decOpsByK_[k] = gen.karyDecrement(0, k, mask_row).totalOps();
+    }
     rippleOps_ = gen.carryRipple(0).totalOps();
 }
 
@@ -41,6 +44,13 @@ C2mCostModel::incrementOps(unsigned k) const
 {
     C2M_ASSERT(k >= 1 && k < radix_, "k out of range");
     return opsByK_[k];
+}
+
+uint64_t
+C2mCostModel::decrementOps(unsigned k) const
+{
+    C2M_ASSERT(k >= 1 && k < radix_, "k out of range");
+    return decOpsByK_[k];
 }
 
 C2mCostModel::StreamCost

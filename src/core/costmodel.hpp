@@ -35,6 +35,13 @@ class C2mCostModel
     /** AAP/AP commands of one masked k-ary increment (measured). */
     uint64_t incrementOps(unsigned k) const;
 
+    /**
+     * AAP/AP commands of one masked k-ary decrement (measured). The
+     * decrement's state shift is an increment by radix - k, but its
+     * borrow detect differs, so the counts differ from incrementOps.
+     */
+    uint64_t decrementOps(unsigned k) const;
+
     /** AAP/AP commands of one carry ripple (measured). */
     uint64_t rippleOps() const { return rippleOps_; }
 
@@ -67,6 +74,7 @@ class C2mCostModel
     CountMode counting_;
     RippleMode ripple_;
     std::vector<uint64_t> opsByK_; ///< measured per k in [1, radix)
+    std::vector<uint64_t> decOpsByK_; ///< decrements, same indexing
     uint64_t rippleOps_ = 0;
 };
 

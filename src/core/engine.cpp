@@ -235,8 +235,6 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
     C2M_ASSERT(cfg_.counting == CountMode::Kary,
                "drain plans require k-ary counting");
-    C2M_ASSERT(!groupHasDecrements_[group],
-               "drain plans require an unsigned-mode group");
     if (steps.empty())
         return; // every folded delta was zero
 
@@ -249,18 +247,28 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     // plan — merged plans change who issues a ripple, never whether
     // it happens.
     std::vector<unsigned> worst;
+    bool decrements = false;
     for (const auto &s : steps) {
         C2M_ASSERT(s.k >= 1 && s.k < cfg_.radix,
                    "plane step k out of range: ", s.k);
         C2M_ASSERT(s.mask != nullptr, "plane step without a mask");
+        C2M_ASSERT(s.decrement || !decrements,
+                   "increment plane after a decrement plane");
+        decrements = decrements || s.decrement;
         if (s.digit >= worst.size())
             worst.resize(s.digit + 1, 0);
         worst[s.digit] = std::max(worst[s.digit], s.k);
     }
     C2M_ASSERT(worst.size() < backend_->numDigits(),
                "planned delta exceeds counter capacity");
+    C2M_ASSERT(!decrements || backend_->caps().signedCounting,
+               backendName(cfg_.backend),
+               " backend does not support signed counting");
 
-    if (!backend_->caps().pendingFlags)
+    // Signed plans resolve every pending in place (executePlan), so
+    // there is no deferred carry for the scheduler to make room for.
+    if (!backend_->caps().pendingFlags || decrements ||
+        groupHasDecrements_[group])
         return;
     auto &sched = schedulers_[group];
     for (unsigned d : sched.prepareAdd(worst))
@@ -285,47 +293,71 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
 
     cim::OpStats &fab = backend_->opStatsRef();
     cim::AttrScope attr(fab, cim::FabricCat::Plan);
-    const auto gangRipple = [&](const PlanRipple &r) {
-        if (r.lead) {
-            ripple(group, r.digit);
+    // Follower work executes the identical command stream in the
+    // lead shard's issue slots. ECC retries inside the checked
+    // execution stay under the PlanFanout scope — a follower retry
+    // is modeled as re-running in later gang slots.
+    const auto gang = [&](bool lead, const auto &issue) {
+        if (lead) {
+            issue();
             return;
         }
         cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
         const uint64_t c0 = fab.commands();
-        ripple(group, r.digit);
+        issue();
         fab.gangedCommands += fab.commands() - c0;
     };
+    const auto runSteps = [&](std::span<const MaskedStep> rail) {
+        for (const auto &s : rail) {
+            {
+                // Mask rows hold per-shard plane slices, so the write
+                // is never ganged: MaskWrite stays honestly per shard.
+                cim::AttrScope mrow(fab, cim::FabricCat::MaskWrite);
+                backend_->writeMask(s.maskHandle, *s.mask);
+            }
+            const unsigned row = maskRowIndex(s.maskHandle);
+            gang(s.lead, [&] {
+                if (s.decrement)
+                    decrementDigit(group, s.digit, s.k, row);
+                else
+                    incrementDigit(group, s.digit, s.k, row);
+            });
+            if (s.lead)
+                ++stats_.planLeadPrograms;
+            ++stats_.planPrograms;
+        }
+    };
+
+    // Increment rail first, decrement rail after (planPrepare checks
+    // the order). A decrement puts the group in signed mode the way
+    // accumulateSigned's first decrement does.
+    const auto inc_end = static_cast<size_t>(
+        std::find_if(steps.begin(), steps.end(),
+                     [](const MaskedStep &s) { return s.decrement; }) -
+        steps.begin());
+    const auto inc = steps.first(inc_end);
+    const auto dec = steps.subspan(inc_end);
+    if (!dec.empty() && !groupHasDecrements_[group]) {
+        drain(group);
+        groupHasDecrements_[group] = true;
+    }
+    // Signed groups keep Onext fully resolved, one rail at a time:
+    // its flags mean carries after the increments and borrows after
+    // the decrements. Which columns ripple depends on this shard's
+    // values, so these ripples are issued per shard, never ganged.
+    const bool resolve =
+        groupHasDecrements_[group] && backend_->caps().pendingFlags;
 
     for (const auto &r : pre)
-        gangRipple(r);
-
-    for (const auto &s : steps) {
-        {
-            // Mask rows hold per-shard plane slices, so the write is
-            // never ganged: MaskWrite stays honestly per shard.
-            cim::AttrScope mrow(fab, cim::FabricCat::MaskWrite);
-            backend_->writeMask(s.maskHandle, *s.mask);
-        }
-        if (s.lead) {
-            incrementDigit(group, s.digit, s.k,
-                           maskRowIndex(s.maskHandle));
-            ++stats_.planLeadPrograms;
-        } else {
-            // Follower slice: the identical command stream executes
-            // in the lead shard's issue slots. ECC retries inside the
-            // checked execution stay under this scope — a follower
-            // retry is modeled as re-running in later gang slots.
-            cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
-            const uint64_t c0 = fab.commands();
-            incrementDigit(group, s.digit, s.k,
-                           maskRowIndex(s.maskHandle));
-            fab.gangedCommands += fab.commands() - c0;
-        }
-        ++stats_.planPrograms;
-    }
-
+        gang(r.lead, [&] { ripple(group, r.digit); });
+    runSteps(inc);
+    if (resolve && !inc.empty())
+        resolveAllPendings(group, /*borrows=*/false);
+    runSteps(dec);
+    if (resolve && !dec.empty())
+        resolveAllPendings(group, /*borrows=*/true);
     for (const auto &r : post)
-        gangRipple(r);
+        gang(r.lead, [&] { ripple(group, r.digit); });
 }
 
 void

@@ -41,14 +41,15 @@ namespace c2m {
 namespace core {
 
 /**
- * One column-parallel step of a drain plan: add @p k to digit
- * @p digit of every counter whose bit in mask row @p maskHandle is
- * set. The mask is borrowed, not owned — planners keep a reusable
- * pool of plane masks and hand out pointers for the duration of one
- * accumulatePlan call. Each step carries its own mask handle so
- * planes can live in persistent per-plane rows: plane (digit, k)
- * always lands in the same row index, keeping its cached increment
- * program's key stable across epochs.
+ * One column-parallel step of a drain plan: add @p k to (or, on the
+ * decrement rail, subtract it from) digit @p digit of every counter
+ * whose bit in mask row @p maskHandle is set. The mask is borrowed,
+ * not owned — planners keep a reusable pool of plane masks and hand
+ * out pointers for the duration of one accumulatePlan call. Each
+ * step carries its own mask handle so planes can live in persistent
+ * per-plane rows: plane (digit, k) of either rail always lands in
+ * the same row index, keeping its cached increment and decrement
+ * programs' keys stable across epochs.
  */
 struct MaskedStep
 {
@@ -66,6 +67,8 @@ struct MaskedStep
      * Single-shard plans are all-lead.
      */
     bool lead = true;
+    /** Decrement rail: a masked karyDecrement instead of an increment. */
+    bool decrement = false;
 };
 
 /**
@@ -148,22 +151,29 @@ class C2MEngine
 
     /**
      * Column-parallel masked accumulate (Fig. 15): apply a batch of
-     * digit-plane steps, each one masked k-ary increment covering
-     * every counter whose epoch delta has digit k at that position.
-     * This is the multi-counter entry point the drain planner
-     * schedules through — it skips the per-value digit loop entirely:
-     * IARM headroom is prepared ONCE for the whole plan using the
-     * per-digit worst case (max k over the steps of each digit), then
-     * each step writes its plane mask into @p mask_handle's row and
-     * issues a single karyIncrement.
+     * digit-plane steps, each one masked k-ary increment (or, on the
+     * decrement rail, decrement) covering every counter whose epoch
+     * delta has digit k at that position. This is the multi-counter
+     * entry point the drain planner schedules through — it skips the
+     * per-value digit loop entirely. Two shapes:
      *
-     * Requirements (planners fall back to per-op replay otherwise):
-     * Kary counting, group not in signed mode, each counter covered
-     * by at most one step per digit position. Each step writes its
-     * plane mask into its own MaskedStep::maskHandle row.
-     * @p folded_ops is the number of point updates the plan folds
-     * in; it feeds inputsAccumulated/plannedOps so batch accounting
-     * matches the per-op path.
+     *  - unsigned: an unsigned-mode group and increment steps only.
+     *    IARM headroom is prepared ONCE for the whole plan using the
+     *    per-digit worst case (max k over the steps of each digit),
+     *    then each step issues a single karyIncrement.
+     *  - signed: a signed-mode group, or any decrement step (which
+     *    puts the group in signed mode first, exactly like the first
+     *    decrement of accumulateSigned). The increment steps run,
+     *    then resolveAllPendings(carries); the decrement steps run,
+     *    then resolveAllPendings(borrows).
+     *
+     * Requirements: Kary counting; increment steps before decrement
+     * steps; each counter covered by at most one step per digit
+     * position, on one rail. Each step writes its plane mask into
+     * its own MaskedStep::maskHandle row. @p folded_ops is the
+     * number of point updates the plan folds in; it feeds
+     * inputsAccumulated/plannedOps so batch accounting matches the
+     * per-op path.
      */
     void accumulatePlan(std::span<const MaskedStep> steps,
                         unsigned group, uint64_t folded_ops);
@@ -171,14 +181,16 @@ class C2MEngine
     /**
      * Host-side bookkeeping half of accumulatePlan, split out so a
      * hierarchical planner can prepare every shard's slice of a
-     * merged plan before any fabric work runs. Validates @p steps,
-     * builds the per-digit worst-case profile, advances the group's
-     * IARM scheduler (prepareAdd/applyAdd) and appends the ripples
-     * the plan owes to @p pre — plus, in FullRipple mode, the
-     * unconditional post-pass to @p post. Touches no fabric state;
-     * the caller decides each ripple's gang role and then runs
-     * executePlan. planPrepare + executePlan with the same arguments
-     * is exactly accumulatePlan.
+     * merged plan before any fabric work runs. Validates @p steps;
+     * for an unsigned plan it builds the per-digit worst-case
+     * profile, advances the group's IARM scheduler
+     * (prepareAdd/applyAdd) and appends the ripples the plan owes to
+     * @p pre — plus, in FullRipple mode, the unconditional post-pass
+     * to @p post. A signed plan schedules no IARM ripples: it
+     * resolves its pendings in place during executePlan. Touches no
+     * fabric state; the caller decides each ripple's gang role and
+     * then runs executePlan. planPrepare + executePlan with the same
+     * arguments is exactly accumulatePlan.
      */
     void planPrepare(std::span<const MaskedStep> steps,
                      unsigned group, std::vector<PlanRipple> &pre,
@@ -187,12 +199,16 @@ class C2MEngine
     /**
      * Fabric half of a prepared plan: broadcast the @p pre ripples,
      * write each step's plane mask into its persistent row and issue
-     * the masked increments, then the @p post full-ripple pass.
+     * the masked increments, then the @p post full-ripple pass. A
+     * signed plan enters signed mode if needed and resolves each
+     * rail's pendings after its steps (see accumulatePlan).
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
-     * the lead shard's issue slots. @p folded_ops feeds
-     * plannedOps/inputsAccumulated exactly like accumulatePlan.
+     * the lead shard's issue slots. The signed-mode entry drain and
+     * resolve ripples depend on this shard's counter values, so they
+     * are never ganged: they charge Plan on every shard. @p folded_ops
+     * feeds plannedOps/inputsAccumulated exactly like accumulatePlan.
      */
     void executePlan(std::span<const MaskedStep> steps,
                      std::span<const PlanRipple> pre,
@@ -200,9 +216,9 @@ class C2MEngine
                      uint64_t folded_ops);
 
     /**
-     * True once the group has seen a decrement: pending flags are
-     * kept fully resolved and the drain planner must not defer
-     * carries (it falls back to per-op replay).
+     * True once the group has seen a decrement (a negative op, or a
+     * negative planned sum): pending flags are kept fully resolved
+     * after every op or plan rail, so no carry is ever deferred.
      */
     bool signedMode(unsigned group) const
     {

@@ -1,6 +1,7 @@
 #include "core/sharded.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -43,14 +44,15 @@ rcaModelWidth(unsigned radix, unsigned num_digits)
 }
 
 /**
- * Modeled ns of one masked k-ary increment per k, on this config's
- * substrate: analytic command counts (C2mCostModel for the JC
- * backends, RcaCostModel for the ripple-carry baseline — whose cost
- * is k-independent) priced at the per-command latency of the fabric
- * (DRAM bank period, or the NVM op latency).
+ * Modeled ns of one masked k-ary increment ([0][k]) and decrement
+ * ([1][k]) on this config's substrate: analytic command counts
+ * (C2mCostModel for the JC backends, RcaCostModel for the
+ * ripple-carry baseline — whose cost is k- and sign-independent)
+ * priced at the per-command latency of the fabric (DRAM bank period,
+ * or the NVM op latency).
  */
-std::vector<double>
-planIncrementNs(const EngineConfig &cfg)
+std::array<std::vector<double>, 2>
+planStepNs(const EngineConfig &cfg)
 {
     const unsigned digits =
         jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) + 1;
@@ -58,22 +60,26 @@ planIncrementNs(const EngineConfig &cfg)
                      cfg.backend == BackendKind::NvmMagic;
     const double cmd_ns =
         nvm ? cfg.nvmCost.opNs : cfg.dramTimings.bankPeriodNs();
-    std::vector<double> inc(cfg.radix, 0.0);
+    std::array<std::vector<double>, 2> ns;
+    ns.fill(std::vector<double>(cfg.radix, 0.0));
     if (cfg.backend == BackendKind::Rca) {
         const RcaCostModel model(
             rcaModelWidth(cfg.radix, digits),
             cfg.protection == Protection::Ecc);
-        for (unsigned k = 1; k < cfg.radix; ++k)
-            inc[k] =
-                static_cast<double>(model.accumulateOps()) * cmd_ns;
-        return inc;
+        for (auto &rail : ns)
+            for (unsigned k = 1; k < cfg.radix; ++k)
+                rail[k] =
+                    static_cast<double>(model.accumulateOps()) * cmd_ns;
+        return ns;
     }
     const C2mCostModel model(cfg.radix, cfg.capacityBits,
                              cfg.protection == Protection::Ecc,
                              cfg.frChecks, cfg.counting, cfg.ripple);
-    for (unsigned k = 1; k < cfg.radix; ++k)
-        inc[k] = static_cast<double>(model.incrementOps(k)) * cmd_ns;
-    return inc;
+    for (unsigned k = 1; k < cfg.radix; ++k) {
+        ns[0][k] = static_cast<double>(model.incrementOps(k)) * cmd_ns;
+        ns[1][k] = static_cast<double>(model.decrementOps(k)) * cmd_ns;
+    }
+    return ns;
 }
 
 } // namespace
@@ -100,9 +106,9 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
         const unsigned digits =
             jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) +
             1;
-        planePool_ = std::min<unsigned>(digits * (cfg.radix - 1),
-                                        kMaxPlaneRows);
-        planIncNs_ = planIncrementNs(cfg);
+        railPlanes_ = digits * (cfg.radix - 1);
+        planePool_ = std::min<unsigned>(railPlanes_, kMaxPlaneRows);
+        planStepNs_ = planStepNs(cfg);
     }
     reservedMasks_ = kPlaneBase + planePool_;
     // The reserved handles are ADDITIVE on top of the public budget
@@ -294,46 +300,44 @@ ShardedEngine::prepareShardParts(unsigned s,
 void
 ShardedEngine::analyzePart(unsigned s, PlanPart &part)
 {
-    C2MEngine &eng = *shards_[s];
     auto &sc = scratch_[s];
-    // Signed-mode groups keep pending flags fully resolved per op;
-    // a plan would defer them, so those parts replay per-op.
-    if (eng.signedMode(part.group))
-        return;
-
-    // Sum each counter's delta (first-occurrence order). A negative
-    // op means serial replay could enter signed mode mid-bucket —
-    // fall back so the op-for-op state machine stays bit-identical.
+    // Sum each counter's delta (first-occurrence order) in wrapping
+    // unsigned arithmetic; the sign of the sum picks its rail.
     sc.index.clear();
     sc.sums.clear();
     const size_t lo = starts_[s];
     for (const auto &op : part.ops) {
-        if (op.value < 0)
-            return;
-        const uint64_t col = op.counter - lo;
+        const size_t col = static_cast<size_t>(op.counter) - lo;
+        const auto delta = static_cast<uint64_t>(op.value);
         const auto [it, inserted] =
             sc.index.try_emplace(col, sc.sums.size());
         if (inserted)
-            sc.sums.emplace_back(static_cast<size_t>(col), op.value);
+            sc.sums.emplace_back(col, delta);
         else
-            sc.sums[it->second].second += op.value;
+            sc.sums[it->second].second += delta;
     }
 
-    // Build the digit planes: counter col joins plane (d, k) iff its
-    // summed delta has digit k at position d. The top digit is the
-    // guard per-value increments never touch (only ripples carry
-    // into it), so a summed delta reaching it cannot be planned —
-    // replay the raw ops instead, which stay per-value in range.
+    // Build the digit planes: counter col joins plane (rail, d, k)
+    // iff the magnitude of its summed delta has digit k at position
+    // d — increment rail for a positive sum, decrement rail for a
+    // negative one. The top digit is the guard per-value updates
+    // never touch (only ripples reach it), so a summed magnitude
+    // reaching it cannot be planned — replay the raw ops instead,
+    // which stay per-value in range.
     const unsigned R = cfg_.radix;
-    const unsigned D = eng.backend().numDigits();
+    const unsigned D = shards_[s]->backend().numDigits();
     if (part.planes.empty()) {
-        part.planes.assign(static_cast<size_t>(D) * (R - 1),
-                           BitVector(shardWidth(s)));
-        part.planeUsed.assign(part.planes.size(), 0);
+        // Empty until first populated: a part pays only for the
+        // planes its sums reach, so unsigned streams never allocate
+        // a decrement-rail mask.
+        part.planes.resize(2 * railPlanes_);
+        part.planeUsed.assign(2 * railPlanes_, 0);
     }
     bool over_capacity = false;
-    for (const auto &[col, delta] : sc.sums) {
-        uint64_t v = static_cast<uint64_t>(delta);
+    for (const auto &[col, sum] : sc.sums) {
+        const bool negative = static_cast<int64_t>(sum) < 0;
+        uint64_t v = negative ? 0 - sum : sum;
+        const size_t rail = negative ? railPlanes_ : 0;
         unsigned pos = 0;
         while (v != 0) {
             const unsigned k = static_cast<unsigned>(v % R);
@@ -344,10 +348,14 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
                     break;
                 }
                 const size_t idx =
-                    static_cast<size_t>(pos) * (R - 1) + (k - 1);
+                    rail + static_cast<size_t>(pos) * (R - 1) + (k - 1);
                 if (!part.planeUsed[idx]) {
                     part.planeUsed[idx] = 1;
-                    part.planes[idx].fill(false);
+                    BitVector &plane = part.planes[idx];
+                    if (plane.size() == 0)
+                        plane = BitVector(shardWidth(s));
+                    else
+                        plane.fill(false);
                     part.touched.push_back(
                         static_cast<uint32_t>(idx));
                 }
@@ -366,11 +374,12 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
     }
 
     // Price the per-op replay alternative over the RAW ops — one
-    // increment program per nonzero digit of each original value
-    // plus a point-mask rewrite per counter switch — so a hot key
-    // hit N times costs ~N program chains per-op but shares one
-    // plane set once summed. The merged stage-3 decision compares
-    // the sum of these against ONE global plan.
+    // increment or decrement program per nonzero digit of each
+    // original value's magnitude plus a point-mask rewrite per
+    // counter switch — so a hot key hit N times costs ~N program
+    // chains per-op but shares one plane set once summed. The merged
+    // stage-3 decision compares the sum of these against ONE global
+    // plan.
     size_t prev_col = std::numeric_limits<size_t>::max();
     for (const auto &op : part.ops) {
         const size_t col = static_cast<size_t>(op.counter) - lo;
@@ -378,10 +387,12 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
             part.fallbackNs += sc.maskWriteNs;
             prev_col = col;
         }
-        for (uint64_t v = static_cast<uint64_t>(op.value); v != 0;
-             v /= R)
+        const bool negative = op.value < 0;
+        const auto value = static_cast<uint64_t>(op.value);
+        const auto &step_ns = planStepNs_[negative];
+        for (uint64_t v = negative ? 0 - value : value; v != 0; v /= R)
             if (const unsigned k = static_cast<unsigned>(v % R))
-                part.fallbackNs += planIncNs_[k];
+                part.fallbackNs += step_ns[k];
     }
     part.planned = true;
 }
@@ -470,7 +481,8 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                                        union_planes.end()),
                            union_planes.end());
         for (const uint32_t idx : union_planes)
-            plan_ns += planIncNs_[idx % (R - 1) + 1];
+            plan_ns += planStepNs_[idx / railPlanes_]
+                                  [idx % railPlanes_ % (R - 1) + 1];
         // All-or-nothing commit on the merged prices. At one shard
         // this is exactly the classic per-shard comparison. The
         // priced ns that justified the decision ride along on the
@@ -491,20 +503,25 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                 "plan.commit", lead_shard,
                 static_cast<uint64_t>(std::llround(plan_ns)),
                 static_cast<uint64_t>(std::llround(fallback_ns)));
-        // Slice the merged plan back: deterministic plane order
-        // (ascending digit, k) per shard; each plane lands in its
-        // persistent mask row so its cached program key is stable
-        // across epochs. IARM preparation uses each shard's OWN
-        // worst profile, so scheduler state — and therefore every
-        // ripple — is bit-identical to independent per-shard plans.
+        // Slice the merged plan back: deterministic plane order per
+        // shard (increment rail, then decrement rail, each in
+        // ascending digit, k); plane (digit, k) of either rail lands
+        // in its persistent mask row so its cached program keys are
+        // stable across epochs. IARM preparation uses each shard's
+        // OWN worst profile, so scheduler state — and therefore
+        // every ripple — is bit-identical to independent per-shard
+        // plans.
         for (auto &[s, p] : cand) {
             std::sort(p->touched.begin(), p->touched.end());
-            for (const uint32_t idx : p->touched)
-                p->steps.push_back(
-                    {static_cast<unsigned>(idx / (R - 1)),
-                     static_cast<unsigned>(idx % (R - 1)) + 1,
-                     planeHandle(idx), &p->planes[idx],
-                     plane_lead[idx] == s});
+            for (const uint32_t idx : p->touched) {
+                const unsigned plane = idx % railPlanes_;
+                p->steps.push_back({plane / (R - 1),
+                                    plane % (R - 1) + 1,
+                                    planeHandle(plane),
+                                    &p->planes[idx],
+                                    plane_lead[idx] == s,
+                                    idx >= railPlanes_});
+            }
             shards_[s]->planPrepare(p->steps, g, p->pre, p->post);
         }
         // Gang the scheduled ripples per (digit, occurrence): the

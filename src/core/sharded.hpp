@@ -28,19 +28,22 @@
  *
  * Digit-plane drain planner (EngineConfig::drainPlanner, default on):
  * a shard bucket of point updates is not replayed one op at a time —
- * the planner sums each counter's delta, decomposes the sums into
- * radix-R digits, and for every populated (digit position d, digit
- * value k) builds ONE shared plane mask covering all counters whose
- * delta has digit k at position d. Each plane costs a single masked
- * karyIncrement, so a bucket of N ops executes in at most D*(R-1)
- * column-parallel fabric programs per group (Fig. 15) instead of N
- * whole-row program sequences. Each plane lives in a persistent
- * reserved mask row of its own, so cached increment programs keep
- * stable keys and replay across epochs. Signed-mode groups, buckets
- * containing negative deltas, Unit counting, and buckets whose
- * modeled fabric cost (C2mCostModel command counts priced by
- * DramTimings) does not beat per-op replay fall back to the serial
- * path; either path yields bit-identical counter values.
+ * the planner sums each counter's delta, splits the sums by sign into
+ * two rails, decomposes each magnitude into radix-R digits, and for
+ * every populated (rail, digit position d, digit value k) builds ONE
+ * shared plane mask covering all counters whose delta magnitude has
+ * digit k at position d. Each plane costs a single masked
+ * karyIncrement (increment rail) or karyDecrement (decrement rail),
+ * so a bucket of N ops executes in at most 2*D*(R-1) column-parallel
+ * fabric programs per group (Fig. 15) instead of N whole-row program
+ * sequences. Plane (d, k) of both rails lives in one persistent
+ * reserved mask row, so cached programs keep stable keys and replay
+ * across epochs. A negative sum puts its group in signed mode (Sec.
+ * 4.4), whose plans resolve each rail's carries/borrows in place.
+ * Unit counting, sums whose magnitude reaches the guard digit, and
+ * buckets whose modeled fabric cost (C2mCostModel command counts
+ * priced by DramTimings) does not beat per-op replay fall back to the
+ * serial path; either path yields bit-identical counter values.
  *
  * Hierarchical (global-then-sliced) planning — runEpoch(): draining
  * one bucket per shard through runShardOps replicates every plane
@@ -50,12 +53,12 @@
  *
  *   1. combine — per shard (parallel, host-only): partition the
  *      bucket by group and sum each counter's delta;
- *   2. count — per shard (same pass): decompose the sums into one
- *      per-(digit, k) plane histogram;
+ *   2. count — per shard (same pass): split the sums by sign and
+ *      decompose them into one per-(rail, digit, k) plane histogram;
  *   3. scan/offset — host-serial: merge the per-shard histograms
  *      into ONE global plan per group, price plan-vs-fallback on the
- *      merged plan, and slice it back: for every (digit, k) plane
- *      the lowest shard holding it becomes the gang LEADER that
+ *      merged plan, and slice it back: for every (rail, digit, k)
+ *      plane the lowest shard holding it becomes the gang LEADER that
  *      issues the plane program (FabricCat::Plan); the other shards
  *      execute the identical command stream in the leader's issue
  *      slots as FOLLOWERS (FabricCat::PlanFanout, commands counted
@@ -64,7 +67,10 @@
  *      would use, so scheduler state is bit-identical either way;
  *   4. execute — per shard (parallel): each shard writes its own
  *      plane-mask slices (never ganged) and executes its slice of
- *      the merged plan.
+ *      the merged plan. In a signed-mode group the carries/borrows
+ *      each rail leaves pending depend on the shard's own values, so
+ *      every shard issues its own resolve ripples (FabricCat::Plan,
+ *      never ganged).
  *
  * Ganged follower commands ride the leader's rank-window slots, so
  * statsWindow() excludes them from the tFAW/tRRD rank floor: plan
@@ -78,6 +84,7 @@
  * op order is fixed by the batch order, not by scheduling.
  */
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -241,8 +248,8 @@ class ShardedEngine
      * pipeline: stage 1/2 fill ops/sums-derived planes, stage 3
      * decides `planned` and fills steps/pre/post with gang roles,
      * stage 4 executes. Reused across epochs so the steady-state
-     * drain path performs no per-op allocation (plane masks are
-     * lazily sized once per part, D x (R-1) shard-width rows).
+     * drain path performs no per-op allocation (each plane mask is
+     * allocated, shard-width, the first time a sum populates it).
      */
     struct PlanPart
     {
@@ -254,7 +261,10 @@ class ShardedEngine
          */
         std::span<const BatchOp> ops;
         std::vector<BatchOp> own; ///< backing store (multi-group)
-        /** Plane masks, indexed digit * (R-1) + (k-1). */
+        /**
+         * Plane masks, indexed rail * D(R-1) + digit * (R-1) + (k-1)
+         * (rail 0 increments, rail 1 decrements).
+         */
         std::vector<BitVector> planes;
         std::vector<uint8_t> planeUsed; ///< build-pass dirty flags
         std::vector<uint32_t> touched;  ///< plane indices this plan
@@ -282,7 +292,7 @@ class ShardedEngine
         size_t pointCol;     ///< column currently set in pointMask
         /** Coalesced per-counter delta sums of the current part. */
         std::unordered_map<uint64_t, size_t> index;
-        std::vector<std::pair<size_t, int64_t>> sums;
+        std::vector<std::pair<size_t, uint64_t>> sums; ///< wrapping
         /** Group partition of this shard's bucket, parts[0..used). */
         std::vector<PlanPart> parts;
         size_t partsUsed = 0;
@@ -298,7 +308,10 @@ class ShardedEngine
      * single-writer guard.
      */
     void prepareShardParts(unsigned s, std::span<const BatchOp> ops);
-    /** Stage 2 for one part: delta sums, planes, fallback price. */
+    /**
+     * Stage 2 for one part: delta sums, planes of both sign rails,
+     * fallback price.
+     */
     void analyzePart(unsigned s, PlanPart &part);
     /**
      * Stage 3 (host-serial): for every distinct group across
@@ -328,7 +341,10 @@ class ShardedEngine
     /** Run @p fn(shard) on every shard in parallel, then drain. */
     template <typename Fn> void forEachShard(Fn &&fn);
 
-    /** Persistent mask-row handle of plane index @p idx. */
+    /**
+     * Persistent mask-row handle of plane @p idx within a rail
+     * (digit * (R-1) + k-1); both rails share it.
+     */
     unsigned planeHandle(size_t idx) const
     {
         return idx < planePool_
@@ -345,15 +361,18 @@ class ShardedEngine
     unsigned numMasks_ = 0;
     /** Shard-internal handles reserved below the public ones. */
     unsigned reservedMasks_ = 0;
+    /** Plane indices per sign rail, D*(R-1). */
+    unsigned railPlanes_ = 0;
     /** Persistent plane rows per shard (D*(R-1), capped). */
     unsigned planePool_ = 0;
     /**
-     * Modeled ns of one masked k-ary increment program, indexed by
-     * k (entry 0 unused): C2mCostModel command counts (RcaCostModel
-     * for the RCA backend) priced at the substrate's per-command ns.
-     * Drives the merged plan-vs-fallback decision in planParts.
+     * Modeled ns of one masked k-ary program, indexed [rail][k]
+     * (rail 0 increment, rail 1 decrement; k = 0 unused):
+     * C2mCostModel command counts (RcaCostModel for the RCA backend)
+     * priced at the substrate's per-command ns. Drives the merged
+     * plan-vs-fallback decision in planParts.
      */
-    std::vector<double> planIncNs_;
+    std::array<std::vector<double>, 2> planStepNs_;
     ThreadPool pool_;
 };
 

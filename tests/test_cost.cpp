@@ -17,6 +17,8 @@
 #include "core/fabriccost.hpp"
 #include "core/sharded.hpp"
 #include "dram/scheduler.hpp"
+#include "jc/layout.hpp"
+#include "uprog/codegen_ambit.hpp"
 #include "service/ingest.hpp"
 
 using namespace c2m;
@@ -256,6 +258,34 @@ INSTANTIATE_TEST_SUITE_P(
             return "rca";
         }
     });
+
+TEST(CostModel, DecrementOpsMatchGeneratedPrograms)
+{
+    // The planner prices decrement planes (and negative per-op
+    // replay) with decrementOps(k): it must be the size of the
+    // program the backend runs, at any digit. A decrement shifts the
+    // state like an increment by radix - k but detects the borrow
+    // differently, so it is not incrementOps(radix - k).
+    for (const unsigned radix : {4u, 6u, 10u, 16u}) {
+        const core::C2mCostModel model(radix, 16);
+        const jc::CounterLayout layout(radix, 16, 0);
+        const uprog::AmbitCodegen gen(layout, uprog::CodegenOptions{});
+        for (unsigned k = 1; k < radix; ++k) {
+            EXPECT_EQ(model.decrementOps(k),
+                      gen.karyDecrement(1, k, layout.endRow() + 3)
+                          .totalOps())
+                << "radix " << radix << " k " << k;
+            EXPECT_EQ(model.incrementOps(k),
+                      gen.karyIncrement(1, k, layout.endRow() + 3)
+                          .totalOps())
+                << "radix " << radix << " k " << k;
+        }
+    }
+    EXPECT_EQ(core::C2mCostModel(4, 16).incrementOps(2), 28u);
+    EXPECT_EQ(core::C2mCostModel(4, 16).decrementOps(2), 31u);
+    EXPECT_EQ(core::C2mCostModel(16, 16).incrementOps(1), 74u);
+    EXPECT_EQ(core::C2mCostModel(16, 16).decrementOps(1), 80u);
+}
 
 TEST(CostModelAgreement, StreamAapCountMatchesAmbitSimulation)
 {

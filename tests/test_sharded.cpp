@@ -3,7 +3,9 @@
  * Sharded batch engine tests: shard-vs-single-engine equivalence on
  * random point-update streams (unsigned, signed, ECC, TMR), sliced
  * broadcast masks, tensor-op fan-out, determinism across thread
- * counts, stats merging, and the batched workload histograms.
+ * counts, stats merging, the drain planner (including a seeded
+ * multi-epoch differential suite for dual-rail signed plans), and
+ * the batched workload histograms.
  */
 
 #include <gtest/gtest.h>
@@ -666,31 +668,43 @@ TEST(DrainPlanner, HotKeyDuplicatesPlanAgainstRawOpCost)
 
 TEST(DrainPlanner, SignedBucketsFallBackPerOp)
 {
+    // Mixed-sign buckets plan dual-rail: negative sums become
+    // decrement planes instead of sending the bucket to per-op replay.
     const auto cfg = baseConfig(64);
     const auto ops = randomOps(400, cfg.numCounters, 19, true);
     const auto ref = runSingle(cfg, ops);
 
     const auto [on, stats_on] = runPlanned(cfg, ops, true);
     EXPECT_EQ(on, ref);
-    EXPECT_GT(stats_on.planFallbackOps, 0u);
+    EXPECT_EQ(stats_on.planFallbackOps, 0u);
+    EXPECT_EQ(stats_on.plannedOps, ops.size());
+    EXPECT_GT(stats_on.plansExecuted, 0u);
+    EXPECT_DOUBLE_EQ(stats_on.fabric.attr(cim::FabricCat::Fallback),
+                     0.0);
 }
 
 TEST(DrainPlanner, SignedModeGroupNeverPlans)
 {
-    // Once a group saw a decrement, every later bucket must take the
-    // per-op path (pending flags stay fully resolved in signed mode).
+    // A group in signed mode keeps planning: a later all-positive
+    // bucket runs the increment rail and resolves its carries in
+    // place instead of replaying per op.
     const auto cfg = baseConfig(32);
     EngineConfig pcfg = cfg;
     pcfg.drainPlanner = true;
     ShardedEngine eng(pcfg, 1);
+    // A lone op: two decrement planes cannot beat one point-mask
+    // write, so it replays per op and enters signed mode there.
     std::vector<BatchOp> neg{{3, -5, 0}};
     eng.accumulateBatch(neg);
+    EXPECT_TRUE(eng.shard(0).signedMode(0));
     const auto pos = positiveOps(100, cfg.numCounters, 31);
     eng.accumulateBatch(pos);
 
     const auto st = eng.stats();
-    EXPECT_EQ(st.plansExecuted, 0u);
-    EXPECT_EQ(st.planFallbackOps, 1 + pos.size());
+    EXPECT_EQ(st.plansExecuted, 1u);
+    EXPECT_EQ(st.plannedOps, pos.size());
+    EXPECT_EQ(st.planFallbackOps, neg.size());
+    EXPECT_TRUE(eng.shard(0).signedMode(0));
 
     std::vector<BatchOp> all = neg;
     all.insert(all.end(), pos.begin(), pos.end());
@@ -836,6 +850,9 @@ TEST_P(EpochPipeline, UnsignedEpochMatchesSerialReplay)
 
 TEST_P(EpochPipeline, SignedEpochFallsBackAndMatches)
 {
+    // A signed epoch drains as one merged dual-rail plan per group:
+    // nothing replays per op, and the gang ledger stays exact with
+    // the per-shard resolve ripples charged to the plan row.
     const auto [backend, shards] = GetParam();
     auto cfg = baseConfig(64);
     cfg.backend = backend;
@@ -850,10 +867,11 @@ TEST_P(EpochPipeline, SignedEpochFallsBackAndMatches)
     EXPECT_EQ(eng.readAllCounters(), ref);
 
     const auto st = eng.stats();
-    EXPECT_GT(st.planFallbackOps, 0u);
+    EXPECT_EQ(st.planFallbackOps, 0u);
+    EXPECT_EQ(st.plannedOps, ops.size());
     expectGangInvariants(st, shards);
-    // Serial replay is never ganged: fallback ns stays per shard.
-    EXPECT_GT(st.fabric.attr(cim::FabricCat::Fallback), 0.0);
+    EXPECT_DOUBLE_EQ(st.fabric.attr(cim::FabricCat::Fallback), 0.0);
+    EXPECT_GT(st.fabric.attr(cim::FabricCat::Plan), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -969,6 +987,197 @@ TEST(DrainPlanner, ProtectedConfigsStayExact)
             EXPECT_GT(stats_on.voteOps, 0u);
     }
 }
+
+// ---------------------------------------------------------------------
+// Dual-rail plans: seeded differential suite against replaySerial
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A counting substrate of the sweep: backend plus protection. */
+struct Substrate
+{
+    core::BackendKind backend;
+    Protection protection;
+    const char *name;
+};
+
+/** Print a substrate by name, so test names stay the same per build. */
+void
+PrintTo(const Substrate &sub, std::ostream *os)
+{
+    *os << sub.name;
+}
+
+using DualRailParam = std::tuple<Substrate, core::RippleMode, unsigned>;
+
+/** Split @p delta over 1..3 ops on @p counter (an uncoalesced sum). */
+void
+pushSplit(std::vector<BatchOp> &ops, Rng &rng, uint64_t counter,
+          int64_t delta)
+{
+    const unsigned parts = 1 + static_cast<unsigned>(rng.nextBounded(3));
+    for (unsigned i = 1; i < parts; ++i) {
+        const int64_t piece =
+            static_cast<int64_t>(rng.nextBounded(41)) - 20;
+        ops.push_back({counter, piece, 0});
+        delta -= piece;
+    }
+    ops.push_back({counter, delta, 0});
+}
+
+} // namespace
+
+class DualRailDifferential
+    : public ::testing::TestWithParam<DualRailParam>
+{
+};
+
+// Multi-epoch mixed-sign streams through the planner; after every
+// epoch the counters must equal replaySerial over the whole stream so
+// far (and the host's exact sums). The epochs walk a group through
+// the dual-rail cases: unsigned plans with deferred IARM carries,
+// entering signed mode inside a planned epoch (with one rail and
+// with both), every counter crossing zero (borrow chains run through
+// the guard digit into Osign) and back, uncoalesced sums of zero,
+// and a negative sum whose magnitude reaches the guard digit, which
+// must replay per op.
+TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
+{
+    const auto [sub, ripple, shards] = GetParam();
+    auto cfg = baseConfig(64);
+    cfg.backend = sub.backend;
+    cfg.protection = sub.protection;
+    cfg.ripple = ripple;
+    cfg.capacityBits = 16; // D = 9 at radix 4: guard digit 4^8
+    cfg.drainPlanner = true;
+    ShardedEngine eng(cfg, shards);
+    Rng rng(0xd0a1ULL * 8 + shards);
+
+    std::vector<BatchOp> all;
+    std::vector<int64_t> expect(cfg.numCounters, 0);
+    const auto epoch = [&](const std::vector<BatchOp> &ops,
+                           const char *what) {
+        const auto before = eng.stats();
+        drainEpoch(eng, ops, /*stealing=*/all.size() % 2 == 0);
+        all.insert(all.end(), ops.begin(), ops.end());
+        for (const auto &op : ops)
+            expect[op.counter] += op.value;
+        const auto ref = core::replaySerial(cfg, all);
+        EXPECT_EQ(ref, expect) << what;
+        EXPECT_EQ(eng.readAllCounters(), ref) << what;
+        const auto d = eng.stats().since(before);
+        EXPECT_EQ(d.plannedOps + d.planFallbackOps, ops.size())
+            << what;
+        expectGangInvariants(eng.stats(), shards);
+        return d;
+    };
+    const auto hotOps = [&](size_t n, double negative) {
+        std::vector<BatchOp> ops;
+        for (size_t i = 0; i < n; ++i) {
+            auto v = static_cast<int64_t>(1 + rng.nextBounded(60));
+            if (rng.nextBool(negative))
+                v = -v;
+            ops.push_back({rng.nextBounded(cfg.numCounters), v, 0});
+        }
+        return ops;
+    };
+
+    // Unsigned plans: IARM defers carries into pending flags.
+    auto d = epoch(hotOps(400, 0.0), "unsigned");
+    EXPECT_EQ(d.planFallbackOps, 0u);
+
+    // Negative sums enter signed mode inside a planned epoch, on
+    // exactly the shards that hold one. Even shards see only
+    // negative sums (a decrement rail alone, over the carries IARM
+    // left pending), odd shards only positive ones.
+    std::vector<BatchOp> ops;
+    for (size_t c = 0; c < cfg.numCounters; ++c) {
+        const auto v = static_cast<int64_t>(1 + rng.nextBounded(500));
+        pushSplit(ops, rng, c, eng.shardOf(c) % 2 ? v : -v);
+    }
+    d = epoch(ops, "enter signed mode, one rail");
+    EXPECT_EQ(d.planFallbackOps, 0u);
+    for (unsigned s = 0; s < shards; ++s)
+        EXPECT_EQ(eng.shard(s).signedMode(0), s % 2 == 0)
+            << "shard " << s;
+
+    // Both rails at once, entering signed mode on the odd shards.
+    ops = hotOps(400, 0.45);
+    std::vector<int64_t> sums(cfg.numCounters, 0);
+    for (const auto &op : ops)
+        sums[op.counter] += op.value;
+    d = epoch(ops, "enter signed mode, both rails");
+    EXPECT_EQ(d.planFallbackOps, 0u);
+    EXPECT_DOUBLE_EQ(d.fabric.attr(cim::FabricCat::Fallback), 0.0);
+    for (unsigned s = 0; s < shards; ++s) {
+        bool negative = s % 2 == 0;
+        for (size_t c = eng.shardStart(s);
+             c < eng.shardStart(s) + eng.shardWidth(s); ++c)
+            negative = negative || sums[c] < 0;
+        EXPECT_EQ(eng.shard(s).signedMode(0), negative) << "shard " << s;
+    }
+
+    // Every counter crosses zero downward (0 - 1 borrows through
+    // every digit into Osign), then back up.
+    ops.clear();
+    for (size_t c = 0; c < cfg.numCounters; ++c)
+        pushSplit(ops, rng, c,
+                  -expect[c] - 1 -
+                      static_cast<int64_t>(c % 4 ? rng.nextBounded(300)
+                                                 : 0));
+    epoch(ops, "cross zero down");
+    ops.clear();
+    for (size_t c = 0; c < cfg.numCounters; ++c)
+        pushSplit(ops, rng, c,
+                  -expect[c] + static_cast<int64_t>(rng.nextBounded(90)));
+    epoch(ops, "cross zero up");
+
+    // Uncoalesced sums of zero: no planes, values untouched.
+    ops.clear();
+    for (size_t c = 0; c < cfg.numCounters; ++c)
+        pushSplit(ops, rng, c, 0);
+    d = epoch(ops, "zero sums");
+    EXPECT_EQ(d.planFallbackOps, 0u);
+    EXPECT_EQ(d.planPrograms, 0u);
+
+    // Negative twin of GuardDigitSumsFallBackInsteadOfPanicking: each
+    // op is in range, the summed magnitude 90000 >= 4^8 is not.
+    ops = hotOps(300, 0.45);
+    for (int i = 0; i < 3; ++i)
+        ops.push_back({0, -30000, 0});
+    d = epoch(ops, "guard digit");
+    EXPECT_GT(d.planFallbackOps, 0u);
+
+    // The signed-mode group keeps planning afterwards.
+    epoch(hotOps(400, 0.45), "signed steady state");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SubstrateRippleShards, DualRailDifferential,
+    ::testing::Combine(
+        ::testing::Values(
+            Substrate{core::BackendKind::Ambit, Protection::None,
+                      "ambit"},
+            Substrate{core::BackendKind::Ambit, Protection::Ecc,
+                      "ambit_ecc"},
+            Substrate{core::BackendKind::Ambit, Protection::Tmr,
+                      "ambit_tmr"},
+            Substrate{core::BackendKind::NvmPinatubo, Protection::None,
+                      "nvm_pinatubo"},
+            Substrate{core::BackendKind::NvmMagic, Protection::None,
+                      "nvm_magic"},
+            Substrate{core::BackendKind::Rca, Protection::None, "rca"}),
+        ::testing::Values(core::RippleMode::Iarm,
+                          core::RippleMode::FullRipple),
+        ::testing::Values(1u, 2u, 4u, 8u)),
+    [](const ::testing::TestParamInfo<DualRailParam> &info) {
+        std::string name = std::get<0>(info.param).name;
+        name += std::get<1>(info.param) == core::RippleMode::Iarm
+                    ? "_iarm"
+                    : "_full";
+        return name + "_x" + std::to_string(std::get<2>(info.param));
+    });
 
 TEST(ShardedWorkloads, DnaBatchedHistogramMatchesHost)
 {
