@@ -25,6 +25,9 @@
  *    one blocking C2MEngine replaying the same stream serially.
  *  - fabric cost (docs/perf.md): every cell reports the modeled
  *    fabric time, energy and critical path of its stream.
+ *  - signed resolve: every cell reports its ripples, Onext row reads
+ *    (pending_peeks) and Osign folds, and gates peeks <= steps +
+ *    ripples and folds <= ripples.
  *  - plan-path program caching: an extra Zipf cell drains the same
  *    stream as 16 flushed chunks; because digit planes live in
  *    persistent reserved mask rows, plan programs generated in the
@@ -79,7 +82,7 @@ constexpr size_t kNumOps = 4096;
 constexpr size_t kMinDrainOps = kNumOps + 1;
 /**
  * Floor on the signed stream's planner-off / planner-on fabric ns.
- * Measured 112.7x; per-op replay of the signed cell would read 1x.
+ * Measured 90.9x; per-op replay of the signed cell would read 1x.
  */
 constexpr double kSignedPlanGain = 50.0;
 
@@ -176,6 +179,9 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
     const auto &est = c.window.total;
     c.model.set("fabric_inputs", est.inputsAccumulated)
         .set("fabric_increments", est.increments)
+        .set("ripples", est.ripples)
+        .set("pending_peeks", est.pendingPeeks)
+        .set("sign_folds", est.signFolds)
         .set("epochs", sst.epochs)
         .set("coalesced", sst.coalesced)
         .set("plans", sst.plans)
@@ -187,6 +193,14 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
     c.gate("match_serial_replay", match);
     c.gate("epochs_eq_chunks", static_cast<double>(sst.epochs), "==",
            static_cast<double>(chunks));
+    // Signed resolve reads an Onext row only where a step or a ripple
+    // may have left a pending, and folds into Osign only after a
+    // ripple into the top digit; a full scan per pass fails both.
+    c.gate("peeks_le_steps_plus_ripples",
+           static_cast<double>(est.pendingPeeks), "<=",
+           static_cast<double>(est.increments + est.ripples));
+    c.gate("folds_le_ripples", static_cast<double>(est.signFolds),
+           "<=", static_cast<double>(est.ripples));
     watch(wd, c.counters);
     return c;
 }

@@ -125,7 +125,11 @@ class CountingBackend
     /** Borrow ripple (caps().signedCounting). */
     virtual void borrowRipple(unsigned phys, unsigned digit);
 
-    /** True iff any counter has a pending carry/borrow at @p digit. */
+    /**
+     * True iff any counter has a pending carry/borrow at @p digit.
+     * With caps().pendingFlags this is one charged host read of the
+     * digit's Onext row (counts a rowRead).
+     */
     virtual bool anyPending(unsigned phys, unsigned digit) = 0;
 
     /** Osign ^= Onext(top); Onext(top) <- 0 (signed-mode fold). */

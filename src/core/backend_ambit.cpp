@@ -139,8 +139,9 @@ AmbitBackend::borrowRipple(unsigned phys, unsigned digit)
 bool
 AmbitBackend::anyPending(unsigned phys, unsigned digit)
 {
-    return sub_.peekRow(layouts_[phys].onextRow(digit)).popcount() !=
-           0;
+    const BitVector &onext =
+        sub_.hostReadRow(layouts_[phys].onextRow(digit));
+    return onext.popcount() != 0;
 }
 
 void

@@ -114,7 +114,9 @@ NvmBackend::borrowRipple(unsigned phys, unsigned digit)
 bool
 NvmBackend::anyPending(unsigned phys, unsigned digit)
 {
-    return mach_.row(layouts_[phys].onextRow(digit)).popcount() != 0;
+    const BitVector &onext =
+        mach_.hostReadRow(layouts_[phys].onextRow(digit));
+    return onext.popcount() != 0;
 }
 
 void
@@ -128,7 +130,7 @@ NvmBackend::readCounters(unsigned phys)
 {
     return decodeJcCounters(layouts_[phys], numCounters_, stats_,
                             [&](unsigned row) -> const BitVector & {
-                                return mach_.row(row);
+                                return mach_.hostReadRow(row);
                             });
 }
 
@@ -137,7 +139,7 @@ NvmBackend::readDigit(unsigned phys, unsigned digit)
 {
     return decodeJcDigit(layouts_[phys], digit, numCounters_, stats_,
                          [&](unsigned row) -> const BitVector & {
-                             return mach_.row(row);
+                             return mach_.hostReadRow(row);
                          });
 }
 

@@ -25,6 +25,8 @@ EngineStats::since(const EngineStats &b) const
     d.planLeadPrograms = planLeadPrograms - b.planLeadPrograms;
     d.plannedOps = plannedOps - b.plannedOps;
     d.planFallbackOps = planFallbackOps - b.planFallbackOps;
+    d.pendingPeeks = pendingPeeks - b.pendingPeeks;
+    d.signFolds = signFolds - b.signFolds;
     d.fabric = fabric;
     d.fabric -= b.fabric;
     return d;
@@ -55,6 +57,8 @@ EngineStats::toCounters() const
         {"engine.plan_lead_programs", planLeadPrograms},
         {"engine.planned_ops", plannedOps},
         {"engine.plan_fallback_ops", planFallbackOps},
+        {"engine.pending_peeks", pendingPeeks},
+        {"engine.sign_folds", signFolds},
         {"engine.fabric.aap", fabric.aap},
         {"engine.fabric.ap", fabric.ap},
         {"engine.fabric.tra", fabric.tra},

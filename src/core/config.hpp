@@ -125,6 +125,13 @@ struct EngineStats
     uint64_t planLeadPrograms = 0;
     uint64_t plannedOps = 0;      ///< point updates folded into plans
     uint64_t planFallbackOps = 0; ///< ops that took the per-op path
+    /**
+     * Signed-mode resolve: Onext rows read to decide whether a digit
+     * ripples (one charged host row read each), and folds of the top
+     * digit's pendings into Osign.
+     */
+    uint64_t pendingPeeks = 0;
+    uint64_t signFolds = 0;
 
     /**
      * Fabric-level command and fault tallies (AAP/AP commands, triple
@@ -159,6 +166,8 @@ struct EngineStats
         planLeadPrograms += o.planLeadPrograms;
         plannedOps += o.plannedOps;
         planFallbackOps += o.planFallbackOps;
+        pendingPeeks += o.pendingPeeks;
+        signFolds += o.signFolds;
         fabric += o.fabric;
         return *this;
     }

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 #include "core/backend_ambit.hpp"
@@ -191,10 +192,12 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
         sched.applyAdd(digits);
     }
 
+    uint64_t stepped = 0;
     for (unsigned pos = 0; pos < digits.size(); ++pos) {
         const unsigned k = digits[pos];
         if (k == 0)
             continue;
+        stepped |= uint64_t{1} << pos;
         if (cfg_.counting == CountMode::Kary) {
             incrementDigit(group, pos, k, mask_row);
         } else {
@@ -208,7 +211,7 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
     } else if (signed_mode) {
         // Signed groups keep Onext fully resolved so the flag's
         // meaning (overflow vs borrow) can switch per input.
-        resolveAllPendings(group, /*borrows=*/false);
+        resolveAllPendings(group, /*borrows=*/false, stepped);
     } else if (cfg_.ripple == RippleMode::FullRipple) {
         // One unconditional ripple per digit boundary, highest first
         // so carries always land in a just-resolved digit.
@@ -307,8 +310,11 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
         issue();
         fab.gangedCommands += fab.commands() - c0;
     };
+    // Returns the rail's frontier: the digits its steps touched.
     const auto runSteps = [&](std::span<const MaskedStep> rail) {
+        uint64_t stepped = 0;
         for (const auto &s : rail) {
+            stepped |= uint64_t{1} << s.digit;
             {
                 // Mask rows hold per-shard plane slices, so the write
                 // is never ganged: MaskWrite stays honestly per shard.
@@ -326,6 +332,7 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
                 ++stats_.planLeadPrograms;
             ++stats_.planPrograms;
         }
+        return stepped;
     };
 
     // Increment rail first, decrement rail after (planPrepare checks
@@ -344,18 +351,19 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     // Signed groups keep Onext fully resolved, one rail at a time:
     // its flags mean carries after the increments and borrows after
     // the decrements. Which columns ripple depends on this shard's
-    // values, so these ripples are issued per shard, never ganged.
+    // values, so these peeks and ripples are issued per shard, never
+    // ganged.
     const bool resolve =
         groupHasDecrements_[group] && backend_->caps().pendingFlags;
 
     for (const auto &r : pre)
         gang(r.lead, [&] { ripple(group, r.digit); });
-    runSteps(inc);
-    if (resolve && !inc.empty())
-        resolveAllPendings(group, /*borrows=*/false);
-    runSteps(dec);
-    if (resolve && !dec.empty())
-        resolveAllPendings(group, /*borrows=*/true);
+    const uint64_t inc_frontier = runSteps(inc);
+    if (resolve)
+        resolveAllPendings(group, /*borrows=*/false, inc_frontier);
+    const uint64_t dec_frontier = runSteps(dec);
+    if (resolve)
+        resolveAllPendings(group, /*borrows=*/true, dec_frontier);
     for (const auto &r : post)
         gang(r.lead, [&] { ripple(group, r.digit); });
 }
@@ -385,40 +393,55 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
     C2M_ASSERT(digits.size() < backend_->numDigits(),
                "value exceeds counter capacity");
 
+    uint64_t stepped = 0;
     for (unsigned pos = 0; pos < digits.size(); ++pos) {
         if (digits[pos] == 0)
             continue;
+        stepped |= uint64_t{1} << pos;
         decrementDigit(group, pos, digits[pos], mask_row);
     }
     if (backend_->caps().pendingFlags)
-        resolveAllPendings(group, /*borrows=*/true);
+        resolveAllPendings(group, /*borrows=*/true, stepped);
     ++stats_.inputsAccumulated;
 }
 
 void
-C2MEngine::resolveAllPendings(unsigned group, bool borrows)
+C2MEngine::resolveAllPendings(unsigned group, bool borrows,
+                              uint64_t frontier)
 {
-    // Highest boundary first within a pass, so every carry/borrow
-    // lands in a just-cleared digit (no flag is ever double-set);
-    // each pass moves fresh pendings one digit up, so at most D
-    // passes fully drain them into Osign.
-    const unsigned D = backend_->numDigits();
+    // Only a step at digit d or a ripple at d - 1 sets Onext(d), so
+    // each pass peeks just the frontier digits, highest first: every
+    // carry/borrow then lands in a digit already cleared this pass,
+    // and the digits the ripples land in are the next pass's
+    // frontier. A ripple into the top digit leaves its pending for
+    // the Osign fold instead.
+    const unsigned top = backend_->numDigits() - 1;
     const unsigned phys0 = physIndex(group, 0);
-    for (unsigned pass = 0; pass < D; ++pass) {
-        bool any = false;
-        for (unsigned d = D - 1; d-- > 0;) {
+    while (frontier != 0) {
+        uint64_t next = 0;
+        bool fold = false;
+        while (frontier != 0) {
+            const unsigned d =
+                static_cast<unsigned>(std::bit_width(frontier)) - 1;
+            frontier &= ~(uint64_t{1} << d);
+            ++stats_.pendingPeeks;
             if (!backend_->anyPending(phys0, d))
                 continue;
-            any = true;
             if (borrows)
                 borrowRipple(group, d);
             else
                 ripple(group, d);
+            if (d + 1 == top)
+                fold = true;
+            else
+                next |= uint64_t{1} << (d + 1);
         }
-        for (unsigned r = 0; r < replicas(); ++r)
-            backend_->foldTopBorrowIntoSign(physIndex(group, r));
-        if (!any)
-            break;
+        if (fold) {
+            for (unsigned r = 0; r < replicas(); ++r)
+                backend_->foldTopBorrowIntoSign(physIndex(group, r));
+            ++stats_.signFolds;
+        }
+        frontier = next;
     }
 }
 

@@ -164,8 +164,9 @@ class C2MEngine
      *  - signed: a signed-mode group, or any decrement step (which
      *    puts the group in signed mode first, exactly like the first
      *    decrement of accumulateSigned). The increment steps run,
-     *    then resolveAllPendings(carries); the decrement steps run,
-     *    then resolveAllPendings(borrows).
+     *    then resolveAllPendings(carries) from the digits they
+     *    touched; the decrement steps run, then
+     *    resolveAllPendings(borrows) from theirs.
      *
      * Requirements: Kary counting; increment steps before decrement
      * steps; each counter covered by at most one step per digit
@@ -206,9 +207,10 @@ class C2MEngine
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
      * the lead shard's issue slots. The signed-mode entry drain and
-     * resolve ripples depend on this shard's counter values, so they
-     * are never ganged: they charge Plan on every shard. @p folded_ops
-     * feeds plannedOps/inputsAccumulated exactly like accumulatePlan.
+     * the resolve's Onext reads, ripples and Osign folds depend on
+     * this shard's counter values, so they are never ganged: they
+     * charge Plan on every shard. @p folded_ops feeds
+     * plannedOps/inputsAccumulated exactly like accumulatePlan.
      */
     void executePlan(std::span<const MaskedStep> steps,
                      std::span<const PlanRipple> pre,
@@ -275,12 +277,17 @@ class C2MEngine
     void borrowRipple(unsigned group, unsigned digit);
 
     /**
-     * Clear every pending flag by repeated highest-first passes
-     * (each pass moves fresh pendings one digit up; top pendings
-     * fold into Osign). Used in signed mode, where Onext must be
+     * Clear every pending flag by repeated highest-first passes over
+     * a host-tracked frontier (bit d: digit d may be pending). The
+     * caller passes the digits its steps touched; each pass reads
+     * the Onext row of every frontier digit (anyPending, charged),
+     * ripples the pending ones, and makes the digits they land in
+     * the next frontier. A pass whose ripples reach the top digit
+     * folds it into Osign. Used in signed mode, where Onext must be
      * unambiguous before the direction can change.
      */
-    void resolveAllPendings(unsigned group, bool borrows);
+    void resolveAllPendings(unsigned group, bool borrows,
+                            uint64_t frontier);
 
     unsigned maskRowIndex(unsigned handle) const;
 

@@ -3,69 +3,24 @@
 
 /**
  * @file
- * Fabric accounting spine: one value type for "what did this cost in
- * DRAM terms" that every layer produces, merges, and consumes.
+ * Per-command fabric costs of the DRAM substrates.
  *
  * The substrates charge cim::OpStats at each command issue point
- * (cim/cost.hpp); FabricCost is the roll-up the engines and the
- * service report: simulated nanoseconds (serial and bank-parallel
- * critical path), nanojoules, and the command counts the paper
- * states its headline results in (Fig. 8). `ns` sums across shards
- * (total fabric work); `criticalNs` is the wall-clock-equivalent
- * lower bound when shards are banks of one rank, honoring the
- * tFAW/tRRD model in dram/timing.hpp.
+ * (cim/cost.hpp); dramCommandCosts derives what an Ambit or RCA
+ * command costs from the DDR5 timing and energy parameter sets. The
+ * roll-ups built on those charges are EngineStats::fabric (additive,
+ * summed across shards) and core::StatsWindow, which derives the
+ * bank-parallel critical path of a measured window.
  */
 
 #include <cstdint>
 
 #include "cim/cost.hpp"
-#include "cim/fault.hpp"
 #include "dram/energy.hpp"
 #include "dram/timing.hpp"
 
 namespace c2m {
 namespace core {
-
-struct FabricCost
-{
-    double ns = 0.0;         ///< serial fabric time, summed
-    double criticalNs = 0.0; ///< bank-parallel critical path
-    double nj = 0.0;
-    uint64_t aap = 0;
-    uint64_t ap = 0;
-    uint64_t tra = 0;
-    uint64_t rowAccesses = 0;
-
-    uint64_t commands() const { return aap + ap; }
-
-    static FabricCost fromOpStats(const cim::OpStats &s)
-    {
-        FabricCost c;
-        c.ns = s.fabricNs;
-        c.criticalNs = s.fabricNs;
-        c.nj = s.fabricNj;
-        c.aap = s.aap;
-        c.ap = s.ap;
-        c.tra = s.tra;
-        c.rowAccesses = s.rowReads + s.rowWrites;
-        return c;
-    }
-
-    /** Merge a parallel contributor: sums, except the critical path
-     *  which is the max over contributors. */
-    FabricCost &operator+=(const FabricCost &o)
-    {
-        ns += o.ns;
-        nj += o.nj;
-        aap += o.aap;
-        ap += o.ap;
-        tra += o.tra;
-        rowAccesses += o.rowAccesses;
-        if (o.criticalNs > criticalNs)
-            criticalNs = o.criticalNs;
-        return *this;
-    }
-};
 
 /**
  * Per-command costs of a DRAM CIM substrate under the given timing

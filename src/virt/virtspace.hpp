@@ -33,10 +33,10 @@
  *
  * Eviction is cost-normalized LRU: when a restore needs a frame and
  * none is free, the resident group maximizing idle-time divided by
- * its measured spill cost (modeled fabric ns, core::FabricCost
- * spine) is spilled. Backends without caps().rowScrub cannot spill;
- * groups beyond the fabric capacity then simply stay journaled
- * host-side (still exact, never resident).
+ * its measured spill cost (modeled fabric ns from
+ * EngineStats::fabric) is spilled. Backends without caps().rowScrub
+ * cannot spill; groups beyond the fabric capacity then simply stay
+ * journaled host-side (still exact, never resident).
  *
  * Drive modes:
  *  - direct: construct from a ShardedEngine. Single-driver like the

@@ -337,12 +337,12 @@ TEST_P(JcReadout, AmbitAndNvmReadTheOracleValues)
             << core::backendName(kind);
         EXPECT_EQ(stats.invalidStates, want_invalid)
             << core::backendName(kind);
-        if (kind == BackendKind::Ambit) {
-            // One charged host read per state row, as before.
-            EXPECT_EQ(backend->opStats().rowReads - reads0,
-                      l.osignRow() + 1);
-            EXPECT_GT(backend->opStats().fabricNs, ns0);
-        }
+        // One charged host read per state row, on every JC fabric.
+        EXPECT_EQ(backend->opStats().rowReads - reads0,
+                  l.osignRow() + 1)
+            << core::backendName(kind);
+        EXPECT_GT(backend->opStats().fabricNs, ns0)
+            << core::backendName(kind);
     }
 }
 

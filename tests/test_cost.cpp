@@ -1,20 +1,18 @@
 /**
  * @file
  * Fabric-cost accounting tests: DramTimings/EnergyModel algebra
- * (incl. the tFAW/tRRD rank window vs per-bank period), FabricCost
- * merge semantics, cross-backend cost invariants (command counts
- * invariant under program caching and under a fallback-forced
- * planner; strictly monotone fabric time; nonzero cost for nonzero
- * op streams), cost-model-vs-simulator agreement on the fabric-time
- * axis, and no-double-count checks across the shard merge and the
- * service attribution.
+ * (incl. the tFAW/tRRD rank window vs per-bank period), cross-backend
+ * cost invariants (command counts invariant under program caching
+ * and under a fallback-forced planner; strictly monotone fabric
+ * time; nonzero cost for nonzero op streams), cost-model-vs-simulator
+ * agreement on the fabric-time axis, and no-double-count checks
+ * across the shard merge and the service attribution.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/costmodel.hpp"
-#include "core/fabriccost.hpp"
 #include "core/sharded.hpp"
 #include "dram/scheduler.hpp"
 #include "jc/layout.hpp"
@@ -24,7 +22,6 @@
 using namespace c2m;
 using core::BatchOp;
 using core::EngineConfig;
-using core::FabricCost;
 using core::ShardedEngine;
 
 namespace {
@@ -104,42 +101,6 @@ TEST(EnergyModel, PerCommandEnergies)
                      e.chipsPerRank *
                          (e.eActPerChipNj + e.ePrePerChipNj));
     EXPECT_GT(e.rowAccessEnergyNj(128), e.rowAccessEnergyNj(64));
-}
-
-TEST(FabricCost, MergeSumsExceptCriticalPath)
-{
-    FabricCost a{100.0, 100.0, 50.0, 10, 5, 3, 2};
-    const FabricCost b{40.0, 40.0, 20.0, 4, 2, 1, 1};
-    a += b;
-    EXPECT_DOUBLE_EQ(a.ns, 140.0);
-    EXPECT_DOUBLE_EQ(a.nj, 70.0);
-    EXPECT_EQ(a.aap, 14u);
-    EXPECT_EQ(a.ap, 7u);
-    EXPECT_EQ(a.tra, 4u);
-    EXPECT_EQ(a.rowAccesses, 3u);
-    EXPECT_EQ(a.commands(), 21u);
-    // Parallel contributors: the slower one bounds the critical path.
-    EXPECT_DOUBLE_EQ(a.criticalNs, 100.0);
-}
-
-TEST(FabricCost, FromOpStatsCarriesEveryAxis)
-{
-    cim::OpStats s;
-    s.aap = 7;
-    s.ap = 3;
-    s.tra = 5;
-    s.rowReads = 2;
-    s.rowWrites = 4;
-    s.fabricNs = 123.0;
-    s.fabricNj = 456.0;
-    const auto c = FabricCost::fromOpStats(s);
-    EXPECT_EQ(c.aap, 7u);
-    EXPECT_EQ(c.ap, 3u);
-    EXPECT_EQ(c.tra, 5u);
-    EXPECT_EQ(c.rowAccesses, 6u);
-    EXPECT_DOUBLE_EQ(c.ns, 123.0);
-    EXPECT_DOUBLE_EQ(c.criticalNs, 123.0);
-    EXPECT_DOUBLE_EQ(c.nj, 456.0);
 }
 
 class CostBackends

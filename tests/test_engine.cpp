@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
+#include "core/fabriccost.hpp"
 
 using namespace c2m;
 using core::C2MEngine;
@@ -252,6 +253,99 @@ TEST(Engine, DrainClearsPendingOverflows)
                   0u);
     for (auto v : eng.readCounters())
         EXPECT_EQ(v, 30);
+}
+
+// ---------------------------------------------------------------------
+// Signed resolve: the host tracks which digits can hold a pending,
+// reads only their Onext rows, and folds into Osign only after a
+// ripple reaches the top digit
+// ---------------------------------------------------------------------
+
+class SignedResolve : public ::testing::Test
+{
+  protected:
+    /** Radix 4 over 16 bits: D = 9, the top digit the guard. */
+    static EngineConfig config()
+    {
+        EngineConfig cfg = smallConfig(4);
+        cfg.capacityBits = 16;
+        return cfg;
+    }
+
+    /**
+     * The stats window @p op spans. No mask is written inside it, so
+     * every modeled ns is a command or a charged row read.
+     */
+    template <typename Op>
+    core::EngineStats window(Op op)
+    {
+        const core::EngineStats before = eng_.stats();
+        op();
+        const core::EngineStats d = eng_.stats().since(before);
+        const double want =
+            static_cast<double>(d.fabric.commands()) * costs_.aapNs +
+            static_cast<double>(d.fabric.rowReads) * costs_.rowReadNs;
+        EXPECT_NEAR(d.fabric.fabricNs, want, 1e-9 * want);
+        EXPECT_EQ(d.fabric.rowWrites, 0u);
+        return d;
+    }
+
+    /** Every counter reads @p value and no Onext row holds a flag. */
+    void expectResolved(int64_t value)
+    {
+        for (auto v : eng_.readCounters())
+            EXPECT_EQ(v, value);
+        const auto &l = eng_.layout();
+        for (unsigned d = 0; d < l.numDigits(); ++d)
+            EXPECT_EQ(eng_.subarray().peekRow(l.onextRow(d)).popcount(),
+                      0u)
+                << "digit " << d;
+    }
+
+    C2MEngine eng_{config()};
+    const unsigned mask_ = eng_.addMask(std::vector<uint8_t>(16, 1));
+    const cim::CommandCosts costs_ = core::dramCommandCosts(
+        eng_.config().dramTimings, eng_.config().dramEnergy,
+        eng_.config().numCounters);
+};
+
+TEST_F(SignedResolve, BorrowFromZeroRipplesThroughEveryDigit)
+{
+    ASSERT_EQ(eng_.layout().numDigits(), 9u);
+    // 0 - 1 wraps digit 0, and each borrow wraps the next digit up to
+    // the top one: one charged Onext read per ripple, one fold.
+    const auto d = window([&] { eng_.accumulateSigned(-1, mask_); });
+    EXPECT_EQ(d.ripples, 8u);
+    EXPECT_EQ(d.pendingPeeks, 8u);
+    EXPECT_EQ(d.fabric.rowReads, 8u);
+    EXPECT_EQ(d.signFolds, 1u);
+    expectResolved(-1);
+}
+
+TEST_F(SignedResolve, CarryBackAcrossZeroRipplesThroughEveryDigit)
+{
+    eng_.accumulateSigned(-1, mask_);
+    // -1 + 3 carries through every digit; the top digit's carry
+    // cancels Osign.
+    const auto d = window([&] { eng_.accumulate(3, mask_); });
+    EXPECT_EQ(d.ripples, 8u);
+    EXPECT_EQ(d.pendingPeeks, 8u);
+    EXPECT_EQ(d.fabric.rowReads, 8u);
+    EXPECT_EQ(d.signFolds, 1u);
+    expectResolved(2);
+}
+
+TEST_F(SignedResolve, DecrementWithinADigitPeeksOnce)
+{
+    eng_.accumulateSigned(-1, mask_);
+    eng_.accumulate(3, mask_);
+    // 2 - 1 stays inside digit 0: its Onext row reads empty.
+    const auto d = window([&] { eng_.accumulateSigned(-1, mask_); });
+    EXPECT_EQ(d.ripples, 0u);
+    EXPECT_EQ(d.pendingPeeks, 1u);
+    EXPECT_EQ(d.fabric.rowReads, 1u);
+    EXPECT_EQ(d.signFolds, 0u);
+    expectResolved(1);
 }
 
 // ---------------------------------------------------------------------
