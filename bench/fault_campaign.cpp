@@ -161,6 +161,8 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     c.model.set("silent_errors", silent)
         .set("max_abs_err", max_abs_err)
         .set("fabric_commands", es.fabric.commands())
+        .set("ripples", es.ripples)
+        .set("drain_peeks", es.drainPeeks)
         .set("retries", es.retries)
         .set("uncorrected_blocks", es.uncorrectedBlocks)
         .set("faults_injected", es.fabric.faultsInjected)

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace c2m {
@@ -106,9 +107,13 @@ panicImpl(const char *file, int line, const std::string &msg)
 [[noreturn]] void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::fflush(stderr);
-    std::exit(1);
+    std::string what = msg;
+    what += " (";
+    what += file;
+    what += ':';
+    what += std::to_string(line);
+    what += ')';
+    throw std::invalid_argument(what);
 }
 
 void

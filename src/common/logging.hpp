@@ -8,7 +8,8 @@
  * panic(): an internal invariant was violated (a bug in this library);
  *          aborts so a debugger/core dump sees the failure point.
  * fatal(): the simulation cannot continue because of a user error
- *          (bad configuration, invalid arguments); exits with code 1.
+ *          (bad configuration, invalid arguments); throws
+ *          std::invalid_argument so the caller decides what to do.
  * warn()/inform(): non-fatal status messages on stderr.
  */
 
@@ -88,7 +89,10 @@ void informImpl(const std::string &msg);
     ::c2m::detail::panicImpl(__FILE__, __LINE__, \
                              ::c2m::detail::concat(__VA_ARGS__))
 
-/** Exit(1) with a message: unusable user configuration or input. */
+/**
+ * Throw std::invalid_argument: unusable user configuration or input.
+ * The message ends with the raising site, "(file:line)".
+ */
 #define C2M_FATAL(...) \
     ::c2m::detail::fatalImpl(__FILE__, __LINE__, \
                              ::c2m::detail::concat(__VA_ARGS__))

@@ -27,6 +27,7 @@ EngineStats::since(const EngineStats &b) const
     d.planFallbackOps = planFallbackOps - b.planFallbackOps;
     d.pendingPeeks = pendingPeeks - b.pendingPeeks;
     d.signFolds = signFolds - b.signFolds;
+    d.drainPeeks = drainPeeks - b.drainPeeks;
     d.fabric = fabric;
     d.fabric -= b.fabric;
     return d;
@@ -59,6 +60,7 @@ EngineStats::toCounters() const
         {"engine.plan_fallback_ops", planFallbackOps},
         {"engine.pending_peeks", pendingPeeks},
         {"engine.sign_folds", signFolds},
+        {"engine.drain_peeks", drainPeeks},
         {"engine.fabric.aap", fabric.aap},
         {"engine.fabric.ap", fabric.ap},
         {"engine.fabric.tra", fabric.tra},

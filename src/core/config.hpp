@@ -105,6 +105,7 @@ struct EngineStats
 {
     uint64_t inputsAccumulated = 0;
     uint64_t increments = 0;
+    /** Carry/borrow ripples issued: IARM, drain and resolve alike. */
     uint64_t ripples = 0;
     uint64_t checksRun = 0;
     uint64_t faultsDetected = 0;
@@ -132,6 +133,11 @@ struct EngineStats
      */
     uint64_t pendingPeeks = 0;
     uint64_t signFolds = 0;
+    /**
+     * C2MEngine::drain: Onext rows read to decide whether a digit the
+     * IARM scheduler flagged ripples (one charged host row read each).
+     */
+    uint64_t drainPeeks = 0;
 
     /**
      * Fabric-level command and fault tallies (AAP/AP commands, triple
@@ -168,6 +174,7 @@ struct EngineStats
         planFallbackOps += o.planFallbackOps;
         pendingPeeks += o.pendingPeeks;
         signFolds += o.signFolds;
+        drainPeeks += o.drainPeeks;
         fabric += o.fabric;
         return *this;
     }

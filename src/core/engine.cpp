@@ -450,8 +450,14 @@ C2MEngine::drain(unsigned group)
 {
     if (!backend_->caps().pendingFlags)
         return;
-    for (unsigned d : schedulers_[group].drain())
-        ripple(group, d);
+    // Each row is read at its digit's turn, not up front: the ripple
+    // of digit d can wrap digit d + 1, which the scheduler flags next.
+    const unsigned phys0 = physIndex(group, 0);
+    for (unsigned d : schedulers_[group].drain()) {
+        ++stats_.drainPeeks;
+        if (backend_->anyPending(phys0, d))
+            ripple(group, d);
+    }
 }
 
 std::vector<int64_t>

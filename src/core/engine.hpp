@@ -255,7 +255,17 @@ class C2MEngine
     void shiftLeft(unsigned group, unsigned spare_group,
                    unsigned amount);
 
-    /** Resolve every pending overflow of a group (Sec. 4.4). */
+    /**
+     * Resolve every pending overflow of a group (Sec. 4.4). Walks the
+     * digits IarmScheduler::drain() returns, in its order; each one's
+     * Onext row is read first (anyPending on replica 0: one charged
+     * host row read, counted in EngineStats::drainPeeks) and the
+     * ripple is issued only if some column is pending. The scheduler's
+     * bounds advance as if every flagged digit rippled; a ripple over
+     * an empty Onext row would change no row. Scrub sweeps,
+     * Scrubber::rebaseShard, signed-mode entry and the tensor ops all
+     * drain through here.
+     */
     void drain(unsigned group);
 
   private:

@@ -56,8 +56,12 @@ class IarmScheduler
 
     /**
      * Ripples needed to clear every pending overflow (before a
-     * direction switch to decrements, Sec. 4.4). Readout does not
-     * require draining: Onext rows are readable and contribute R*R^d.
+     * direction switch to decrements, Sec. 4.4), in resolution order.
+     * The bounds are mask-oblivious, so each returned digit only
+     * *may* be pending; C2MEngine::drain reads its Onext row before
+     * rippling. Updates the bounds as if every ripple were issued.
+     * Readout does not require draining: Onext rows are readable and
+     * contribute R*R^d.
      */
     std::vector<unsigned> drain();
 

@@ -10,7 +10,10 @@
  * rows, Osign) it keeps the *canonical* image — the bit pattern a
  * fault-free engine holds right after drain(): Onext all zero, each
  * digit the Johnson encoding of the value's base-R digit, Osign set
- * exactly on negative columns. Images are widened with
+ * exactly on negative columns. drain() ripples only the digits whose
+ * Onext row it reads non-empty, and a ripple over an empty row
+ * changes nothing, so the image does not depend on how many digits
+ * the IARM bounds flagged. Images are widened with
  * ecc::RowCodec parity lanes, modelling spare ECC-protected rows
  * maintained through the reliable host RD/WR path; the store itself
  * is scrubbed (decode-correct-re-encode) on every sweep so it

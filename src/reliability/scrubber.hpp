@@ -16,7 +16,11 @@
  *      recovered;
  *   2. journaled deltas are applied, giving the expected values;
  *   3. the shard is drained, putting fault-free counter state into
- *      canonical form (a pure function of the values);
+ *      canonical form (a pure function of the values). The drain
+ *      reads the Onext row of each digit the IARM scheduler flags
+ *      and ripples only the ones with a pending column; a skipped
+ *      ripple would have changed nothing, and a flag a fault set
+ *      where no ripple runs is a deviation step 4 repairs;
  *   4. the expected canonical image is re-encoded, and every
  *      persistent counter row (digit bits, Onext, Osign, every TMR
  *      replica) is read back through the reliable host path and

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 #include "ecc/analysis.hpp"
 #include "ecc/bch.hpp"
@@ -109,6 +111,14 @@ TEST(GF2m, FieldAxiomsGF16)
             EXPECT_EQ(f.div(f.mul(a, b), b), a);
         }
     }
+}
+
+TEST(GF2m, DegreeWithoutADefaultPolynomialThrows)
+{
+    // m = 13 is a supported width, but no primitive polynomial is
+    // tabulated for it: a configuration error, not a library bug.
+    EXPECT_THROW(ecc::GF2m(13), std::invalid_argument);
+    EXPECT_NO_THROW(ecc::GF2m(13, 0x201b)); // x^13+x^4+x^3+x+1
 }
 
 TEST(GF2m, AlphaPowWraps)

@@ -2,13 +2,17 @@
  * @file
  * C2M engine integration tests: masked accumulation against plain
  * arithmetic across radices and scheduling modes, signed
- * accumulation, tensor ops (vector add, ReLU, shift-left), and the
- * protection schemes under injected faults.
+ * accumulation and its pending resolve, the peek-gated drain, tensor
+ * ops (vector add, ReLU, shift-left), and the protection schemes
+ * under injected faults.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
+#include "core/backend_nvm.hpp"
 #include "core/engine.hpp"
 #include "core/fabriccost.hpp"
 
@@ -117,6 +121,13 @@ TEST_P(EngineRadix, UnitCountingAgreesWithKary)
 INSTANTIATE_TEST_SUITE_P(Radices, EngineRadix,
                          ::testing::Values(2u, 4u, 6u, 8u, 10u, 16u,
                                            20u));
+
+TEST(Engine, OddRadixConfigThrowsToTheCaller)
+{
+    // A JC digit has 2n states: an odd radix is a configuration
+    // error the caller can catch, not a process exit.
+    EXPECT_THROW(C2MEngine(smallConfig(5)), std::invalid_argument);
+}
 
 TEST(Engine, ZeroInputsAreSkipped)
 {
@@ -347,6 +358,155 @@ TEST_F(SignedResolve, DecrementWithinADigitPeeksOnce)
     EXPECT_EQ(d.signFolds, 0u);
     expectResolved(1);
 }
+
+// ---------------------------------------------------------------------
+// Peek-gated drain: IARM's bounds are mask-oblivious, so drain() reads
+// the Onext row of each digit the scheduler flags and ripples only
+// where some column is pending
+// ---------------------------------------------------------------------
+
+class PeekGatedDrain : public ::testing::TestWithParam<core::BackendKind>
+{
+  protected:
+    /** Radix 4 over 64 columns; columns 0 and 1 each have a mask. */
+    static EngineConfig config()
+    {
+        EngineConfig cfg = smallConfig(4, 64);
+        cfg.backend = GetParam();
+        return cfg;
+    }
+
+    static unsigned oneColumnMask(C2MEngine &eng, size_t col)
+    {
+        std::vector<uint8_t> m(64, 0);
+        m[col] = 1;
+        return eng.addMask(m);
+    }
+
+    /**
+     * The stats window of one drain(0). No mask is written inside
+     * it, so every modeled ns is a command or a charged row read.
+     */
+    core::EngineStats drainWindow()
+    {
+        const core::EngineStats before = eng_.stats();
+        eng_.drain(0);
+        const core::EngineStats d = eng_.stats().since(before);
+        const double want =
+            static_cast<double>(d.fabric.commands()) * costs_.aapNs +
+            static_cast<double>(d.fabric.rowReads) * costs_.rowReadNs;
+        EXPECT_NEAR(d.fabric.fabricNs, want, 1e-9 * (want + 1.0));
+        EXPECT_EQ(d.fabric.rowReads, d.drainPeeks);
+        EXPECT_EQ(d.fabric.rowWrites, 0u);
+        EXPECT_EQ(d.pendingPeeks, 0u);
+        return d;
+    }
+
+    /** Uncharged view of an Onext row (white-box, either fabric). */
+    const BitVector &onext(unsigned digit)
+    {
+        const unsigned row = eng_.layout().onextRow(digit);
+        if (GetParam() == core::BackendKind::Ambit)
+            return eng_.subarray().peekRow(row);
+        return dynamic_cast<core::NvmBackend &>(eng_.backend())
+            .machine()
+            .row(row);
+    }
+
+    /** Columns 0 and 1 read @p a and @p b, every Onext row empty. */
+    void expectDrained(int64_t a, int64_t b)
+    {
+        const auto v = eng_.readCounters();
+        EXPECT_EQ(v[0], a);
+        EXPECT_EQ(v[1], b);
+        for (unsigned d = 0; d < eng_.layout().numDigits(); ++d)
+            EXPECT_EQ(onext(d).popcount(), 0u) << "digit " << d;
+    }
+
+    C2MEngine eng_{config()};
+    const unsigned a_ = oneColumnMask(eng_, 0);
+    const unsigned b_ = oneColumnMask(eng_, 1);
+    const cim::CommandCosts costs_ =
+        GetParam() == core::BackendKind::Ambit
+            ? core::dramCommandCosts(eng_.config().dramTimings,
+                                     eng_.config().dramEnergy,
+                                     eng_.config().numCounters)
+            : eng_.config().nvmCost.commandCosts();
+};
+
+TEST_P(PeekGatedDrain, IdleDigitReadsItsRowAndIssuesNothing)
+{
+    // 3 into each column: digit 0's bound is 6 >= R, yet neither
+    // column wrapped. A blind drain would ripple it.
+    eng_.accumulate(3, a_);
+    eng_.accumulate(3, b_);
+    ASSERT_EQ(onext(0).popcount(), 0u);
+    const auto d = drainWindow();
+    EXPECT_EQ(d.drainPeeks, 1u);
+    EXPECT_EQ(d.fabric.rowReads, 1u);
+    EXPECT_EQ(d.ripples, 0u);
+    EXPECT_EQ(d.fabric.commands(), 0u);
+    // One row read: 29.45 ns on Ambit at 64 columns, 120 ns on NVM.
+    EXPECT_NEAR(d.fabric.fabricNs, costs_.rowReadNs,
+                1e-9 * costs_.rowReadNs);
+    expectDrained(3, 3);
+}
+
+TEST_P(PeekGatedDrain, PendingDigitRipples)
+{
+    eng_.accumulate(3, a_);
+    eng_.accumulate(3, b_);
+    // Two more 3s into column 0: 9 = 2*4 + 1 leaves digit 0 pending.
+    eng_.accumulate(3, a_);
+    eng_.accumulate(3, a_);
+    ASSERT_EQ(onext(0).popcount(), 1u);
+    const auto d = drainWindow();
+    EXPECT_EQ(d.drainPeeks, 1u);
+    EXPECT_EQ(d.ripples, 1u);
+    EXPECT_GT(d.fabric.commands(), 0u);
+    expectDrained(9, 3);
+}
+
+TEST_P(PeekGatedDrain, IdleDigitBelowAPendingOne)
+{
+    // 15 then 12 into column 0, 3 into column 1: digit bounds (6, 6),
+    // digit 0 holds 3 in both columns, digit 1 of column 0 holds 6.
+    // The scheduler resolves digit 0 then digit 1.
+    eng_.accumulate(15, a_);
+    eng_.accumulate(12, a_);
+    eng_.accumulate(3, b_);
+    ASSERT_EQ(onext(0).popcount(), 0u);
+    ASSERT_EQ(onext(1).popcount(), 1u);
+    const auto d = drainWindow();
+    EXPECT_EQ(d.drainPeeks, 2u);
+    EXPECT_EQ(d.ripples, 1u);
+    expectDrained(27, 3);
+}
+
+TEST_P(PeekGatedDrain, RippleThatWrapsTheDigitAboveIsSeen)
+{
+    // 15 then 3 into column 0: digit 0 pending, digit 1 at 3. The
+    // digit-0 ripple wraps digit 1, so digit 1's row must be read
+    // after that ripple, not before it.
+    eng_.accumulate(15, a_);
+    eng_.accumulate(3, a_);
+    ASSERT_EQ(onext(0).popcount(), 1u);
+    ASSERT_EQ(onext(1).popcount(), 0u);
+    const auto d = drainWindow();
+    EXPECT_EQ(d.drainPeeks, 2u);
+    EXPECT_EQ(d.ripples, 2u);
+    expectDrained(18, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JcFabrics, PeekGatedDrain,
+    ::testing::Values(core::BackendKind::Ambit,
+                      core::BackendKind::NvmPinatubo),
+    [](const ::testing::TestParamInfo<core::BackendKind> &info) {
+        return info.param == core::BackendKind::Ambit
+                   ? std::string("ambit")
+                   : std::string("nvm");
+    });
 
 // ---------------------------------------------------------------------
 // Protection

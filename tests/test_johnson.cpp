@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "jc/johnson.hpp"
 
 using namespace c2m;
@@ -37,6 +40,20 @@ TEST(Johnson, BitsForRadix)
     EXPECT_EQ(jc::bitsForRadix(2), 1u);
     EXPECT_EQ(jc::bitsForRadix(10), 5u);
     EXPECT_EQ(jc::bitsForRadix(20), 10u);
+}
+
+TEST(Johnson, OddRadixThrowsToTheCaller)
+{
+    EXPECT_THROW(jc::bitsForRadix(5), std::invalid_argument);
+    EXPECT_THROW(jc::bitsForRadix(0), std::invalid_argument);
+    try {
+        jc::bitsForRadix(5);
+    } catch (const std::invalid_argument &e) {
+        // The message names the value and the raising site.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("got 5"), std::string::npos) << what;
+        EXPECT_NE(what.find("johnson.cpp:"), std::string::npos) << what;
+    }
 }
 
 TEST(Johnson, InvalidStateDecodesToMinusOne)

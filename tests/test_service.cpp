@@ -488,15 +488,15 @@ TEST(ServiceStatsCounters, SumsAndCoversEveryField)
 
 TEST(EngineStatsCounters, CoversEveryField)
 {
-    static_assert(sizeof(EngineStats) == 37 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
                   "EngineStats changed; update toCounters and this "
                   "test");
-    const EngineStats s{1,  2,  3,  4,  5,  6,  7,  8,  9,
-                        10, 11, 12, 13, 14, 15, 16, 26, 27,
+    const EngineStats s{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                        11, 12, 13, 14, 15, 16, 26, 27, 28,
                         {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
                          {24.0}}};
     const auto m = s.toCounters();
-    EXPECT_EQ(m.size(), 36u);
+    EXPECT_EQ(m.size(), 37u);
     EXPECT_EQ(m.at("engine.inputs_accumulated"), 1u);
     EXPECT_EQ(m.at("engine.program_cache_misses"), 11u);
     EXPECT_EQ(m.at("engine.plans_executed"), 12u);
@@ -506,6 +506,7 @@ TEST(EngineStatsCounters, CoversEveryField)
     EXPECT_EQ(m.at("engine.plan_fallback_ops"), 16u);
     EXPECT_EQ(m.at("engine.pending_peeks"), 26u);
     EXPECT_EQ(m.at("engine.sign_folds"), 27u);
+    EXPECT_EQ(m.at("engine.drain_peeks"), 28u);
     EXPECT_EQ(m.at("engine.fabric.aap"), 17u);
     EXPECT_EQ(m.at("engine.fabric.faults_injected"), 20u);
     EXPECT_EQ(m.at("engine.fabric.row_writes"), 22u);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "core/sharded.hpp"
@@ -157,6 +158,14 @@ TEST(Sharded, UnevenSplitCoversEveryCounter)
     EXPECT_EQ(run.readAllCounters(), runSingle(cfg, ops));
 }
 
+TEST(Sharded, OddRadixConfigThrowsAfterThePoolStarted)
+{
+    // The lane pool is running when the shards are built: the throw
+    // must unwind through it and join its threads, not terminate.
+    EXPECT_THROW(ShardedEngine(baseConfig(64, 5), 4),
+                 std::invalid_argument);
+}
+
 TEST(Sharded, DeterministicAcrossThreadCounts)
 {
     const auto cfg = baseConfig(64);
@@ -280,17 +289,18 @@ TEST(EngineStatsMerge, SumsEveryField)
 {
     // A new EngineStats field changes this size and fails here:
     // extend operator+= and the checks below together.
-    static_assert(sizeof(EngineStats) == 37 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
                   "EngineStats changed; update operator+= and this "
                   "test");
 
     // fabricNs must equal sum(attrNs) (the ledger invariant), so the
     // fixtures put their whole 24.0/240.0 into the plan row.
-    EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,
-                  10, 11, 12, 13, 14, 15, 16, 26, 27,
+    EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                  11, 12, 13, 14, 15, 16, 26, 27, 28,
                   {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0, {24.0}}};
-    const EngineStats b{10,  20,  30,  40,  50,  60,  70,  80,  90,
-                        100, 110, 120, 130, 140, 150, 160, 260, 270,
+    const EngineStats b{10,  20,  30,  40,  50,  60,  70,
+                        80,  90,  100, 110, 120, 130, 140,
+                        150, 160, 260, 270, 280,
                         {170, 180, 190, 200, 210, 220, 230, 240.0,
                          250.0, {240.0}}};
     a += b;
@@ -312,6 +322,7 @@ TEST(EngineStatsMerge, SumsEveryField)
     EXPECT_EQ(a.planFallbackOps, 176u);
     EXPECT_EQ(a.pendingPeeks, 286u);
     EXPECT_EQ(a.signFolds, 297u);
+    EXPECT_EQ(a.drainPeeks, 308u);
     EXPECT_EQ(a.fabric.aap, 187u);
     EXPECT_EQ(a.fabric.ap, 198u);
     EXPECT_EQ(a.fabric.tra, 209u);
@@ -333,16 +344,17 @@ TEST(EngineStatsMerge, SinceCoversEveryField)
 {
     // A new EngineStats field changes this size and fails here:
     // extend since() and the checks below together.
-    static_assert(sizeof(EngineStats) == 37 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
                   "EngineStats changed; update since() and this test");
 
-    const EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,
-                        10, 11, 12, 13, 14, 15, 16, 26, 27,
+    const EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                        11, 12, 13, 14, 15, 16, 26, 27, 28,
                         {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
                          {24.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           0.0}}};
-    const EngineStats b{10,  20,  30,  40,  50,  60,  70,  80,  90,
-                        100, 110, 120, 130, 140, 150, 160, 260, 270,
+    const EngineStats b{10,  20,  30,  40,  50,  60,  70,
+                        80,  90,  100, 110, 120, 130, 140,
+                        150, 160, 260, 270, 280,
                         {170, 180, 190, 200, 210, 220, 230, 240.0,
                          250.0,
                          {240.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -366,6 +378,7 @@ TEST(EngineStatsMerge, SinceCoversEveryField)
     EXPECT_EQ(d.planFallbackOps, 144u);
     EXPECT_EQ(d.pendingPeeks, 234u);
     EXPECT_EQ(d.signFolds, 243u);
+    EXPECT_EQ(d.drainPeeks, 252u);
     EXPECT_EQ(d.fabric.aap, 153u);
     EXPECT_EQ(d.fabric.ap, 162u);
     EXPECT_EQ(d.fabric.tra, 171u);
