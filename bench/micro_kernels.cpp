@@ -447,10 +447,10 @@ BM_ReadCounters(benchmark::State &state)
     for (size_t r = 0; r < image.numRows(); ++r)
         backend.scrubWriteRow(image.fabricRow(layout, r),
                               image.dataBits(r));
-    if (backend.readCounters(0) != values)
+    if (backend.readCounters(0, 0) != values)
         state.SkipWithError("readout does not match the written values");
     for (auto _ : state) {
-        auto out = backend.readCounters(0);
+        auto out = backend.readCounters(0, 0);
         benchmark::DoNotOptimize(out.data());
     }
     state.counters["time/counter"] = benchmark::Counter(

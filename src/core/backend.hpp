@@ -146,15 +146,18 @@ class CountingBackend
 
     /**
      * Per-column counter values of one physical group, pending
-     * carries (Onext) and sign included. Unreadable JC patterns count
-     * into EngineStats::invalidStates and decode to the nearest valid
-     * state.
+     * carries (Onext) and sign included, less the group's value
+     * offset @p offset (C2MEngine::valueOffset). Unreadable JC
+     * patterns count into EngineStats::invalidStates and decode to
+     * the nearest valid state.
      */
-    virtual std::vector<int64_t> readCounters(unsigned phys) = 0;
+    virtual std::vector<int64_t> readCounters(unsigned phys,
+                                              int64_t offset) = 0;
 
     /**
-     * Per-column value of one digit (0..radix-1), excluding pending
-     * flags; resolve pendings first for cross-backend comparisons.
+     * Per-column value of one digit (0..radix-1) of the stored value
+     * (value offset included), excluding pending flags; resolve
+     * pendings first for cross-backend comparisons.
      */
     virtual std::vector<unsigned> readDigit(unsigned phys,
                                             unsigned digit) = 0;

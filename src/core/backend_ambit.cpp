@@ -195,10 +195,10 @@ AmbitBackend::voteDigit(const std::array<unsigned, 3> &phys,
 }
 
 std::vector<int64_t>
-AmbitBackend::readCounters(unsigned phys)
+AmbitBackend::readCounters(unsigned phys, int64_t offset)
 {
     return decodeJcCounters(
-        layouts_[phys], numCounters_, stats_,
+        layouts_[phys], numCounters_, stats_, offset,
         [&](unsigned row) -> const BitVector & {
             return sub_.hostReadRow(row);
         });

@@ -48,7 +48,8 @@ class AmbitBackend final : public CountingBackend
     void voteDigit(const std::array<unsigned, 3> &phys,
                    unsigned digit) override;
 
-    std::vector<int64_t> readCounters(unsigned phys) override;
+    std::vector<int64_t> readCounters(unsigned phys,
+                                      int64_t offset) override;
     std::vector<unsigned> readDigit(unsigned phys,
                                     unsigned digit) override;
     void clearCounters() override;

@@ -9,8 +9,9 @@
  * counters identically through jc::ColumnCodec: per digit the n bit
  * rows plus Onext, each column's JC pattern decoded (nearest-state on
  * faulted patterns) and weighted by radix^digit, minus the modulus
- * where Osign is set. Parameterized over a row-read callable so each
- * backend plugs in its own simulator access.
+ * where Osign is set, less the group's value offset. Parameterized
+ * over a row-read callable so each backend plugs in its own
+ * simulator access.
  */
 
 #include <cstdint>
@@ -39,28 +40,39 @@ buildJcLayouts(unsigned radix, unsigned capacity_bits,
 }
 
 /**
- * Read the group's rows once each, in field order (per digit the n
- * bit rows then Onext, then Osign), and decode them word-parallel.
+ * Call @p fn(row) for each state row of the group in jc::ColumnCodec
+ * field order: per digit the n bit rows then Onext, then Osign.
+ */
+template <typename Fn>
+void
+forEachJcFieldRow(const jc::CounterLayout &l, Fn &&fn)
+{
+    for (unsigned dd = 0; dd < l.numDigits(); ++dd) {
+        for (unsigned i = 0; i < l.bitsPerDigit(); ++i)
+            fn(l.bitRow(dd, i));
+        fn(l.onextRow(dd));
+    }
+    fn(l.osignRow());
+}
+
+/**
+ * Read the group's rows once each, in field order, and decode them
+ * word-parallel, less @p offset (C2MEngine::valueOffset).
  * @p read: callable unsigned row -> const BitVector &.
  */
 template <typename ReadRow>
 std::vector<int64_t>
 decodeJcCounters(const jc::CounterLayout &l, size_t num_cols,
-                 EngineStats &stats, ReadRow &&read)
+                 EngineStats &stats, int64_t offset, ReadRow &&read)
 {
-    const unsigned n = l.bitsPerDigit();
     std::vector<const BitVector *> rows;
-    rows.reserve(size_t{l.numDigits()} * (n + 1) + 1);
-    for (unsigned dd = 0; dd < l.numDigits(); ++dd) {
-        for (unsigned i = 0; i < n; ++i)
-            rows.push_back(&read(l.bitRow(dd, i)));
-        rows.push_back(&read(l.onextRow(dd)));
-    }
-    rows.push_back(&read(l.osignRow()));
+    rows.reserve(size_t{l.numDigits()} * (l.bitsPerDigit() + 1) + 1);
+    forEachJcFieldRow(l, [&](unsigned r) { rows.push_back(&read(r)); });
 
     std::vector<int64_t> out(num_cols);
     stats.invalidStates +=
-        jc::ColumnCodec(l.radix(), l.numDigits()).decode(rows, out);
+        jc::ColumnCodec(l.radix(), l.numDigits())
+            .decode(rows, out, offset);
     return out;
 }
 

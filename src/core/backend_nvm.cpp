@@ -126,9 +126,10 @@ NvmBackend::foldTopBorrowIntoSign(unsigned phys)
 }
 
 std::vector<int64_t>
-NvmBackend::readCounters(unsigned phys)
+NvmBackend::readCounters(unsigned phys, int64_t offset)
 {
     return decodeJcCounters(layouts_[phys], numCounters_, stats_,
+                            offset,
                             [&](unsigned row) -> const BitVector & {
                                 return mach_.hostReadRow(row);
                             });

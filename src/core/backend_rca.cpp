@@ -174,7 +174,7 @@ RcaBackend::readRaw(unsigned phys)
 }
 
 std::vector<int64_t>
-RcaBackend::readCounters(unsigned phys)
+RcaBackend::readCounters(unsigned phys, int64_t offset)
 {
     const auto raw = readRaw(phys);
     std::vector<int64_t> out(raw.size());
@@ -182,7 +182,7 @@ RcaBackend::readCounters(unsigned phys)
         uint64_t v = raw[i];
         if (width_ < 64 && (v >> (width_ - 1)) & 1)
             v |= ~widthMask_; // sign-extend
-        out[i] = static_cast<int64_t>(v);
+        out[i] = static_cast<int64_t>(v - static_cast<uint64_t>(offset));
     }
     return out;
 }
@@ -200,7 +200,7 @@ RcaBackend::readDigit(unsigned phys, unsigned digit)
     // Reduce the signed value into the JC ring [0, radix^D) so digit
     // readouts of negative counters match the JC backends even when
     // radix^D does not divide 2^W (non-power-of-two radixes).
-    const auto values = readCounters(phys);
+    const auto values = readCounters(phys, 0);
     std::vector<unsigned> out(values.size());
     for (size_t i = 0; i < values.size(); ++i) {
         __int128 m = static_cast<__int128>(values[i]) %

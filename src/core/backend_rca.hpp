@@ -51,7 +51,8 @@ class RcaBackend final : public CountingBackend
     bool anyPending(unsigned phys, unsigned digit) override;
     void foldTopBorrowIntoSign(unsigned phys) override;
 
-    std::vector<int64_t> readCounters(unsigned phys) override;
+    std::vector<int64_t> readCounters(unsigned phys,
+                                      int64_t offset) override;
     std::vector<unsigned> readDigit(unsigned phys,
                                     unsigned digit) override;
     void clearCounters() override;

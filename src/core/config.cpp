@@ -2,8 +2,31 @@
 
 #include <cmath>
 
+#include "common/logging.hpp"
+#include "jc/johnson.hpp"
+
 namespace c2m {
 namespace core {
+
+std::string
+EngineConfig::validate() const
+{
+    using detail::concat;
+    if (numGroups < 1)
+        return "numGroups must be >= 1, got 0";
+    if (radix < 2 || radix % 2 != 0 || radix > 2 * jc::kMaxBits)
+        return concat("radix must be even and in 2..",
+                      2 * jc::kMaxBits, ", got ", radix);
+    if (capacityBits < 1 || capacityBits > 64)
+        return concat("capacityBits must be in 1..64, got ",
+                      capacityBits);
+    if (numCounters < 1)
+        return "numCounters must be >= 1, got 0";
+    if (protection == Protection::Ecc && (frChecks < 1 || frChecks > 3))
+        return concat("frChecks must be in 1..3 under ECC, got ",
+                      frChecks);
+    return {};
+}
 
 EngineStats
 EngineStats::since(const EngineStats &b) const

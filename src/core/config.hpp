@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "cim/cost.hpp"
 #include "cim/fault.hpp"
@@ -99,6 +100,16 @@ struct EngineConfig
     dram::DramTimings dramTimings = dram::DramTimings{};
     dram::EnergyModel dramEnergy = dram::EnergyModel{};
     cim::NvmCostParams nvmCost = cim::NvmCostParams{};
+
+    /**
+     * The first field that makes this configuration unusable, as a
+     * message naming it, or an empty string: numGroups >= 1, an even
+     * radix in 2..2 jc::kMaxBits, capacityBits in 1..64,
+     * numCounters >= 1, and frChecks in 1..3 under ECC. C2MEngine
+     * and ShardedEngine throw it as std::invalid_argument before
+     * they build anything.
+     */
+    std::string validate() const;
 };
 
 struct EngineStats

@@ -5,16 +5,31 @@
 
 #include "common/logging.hpp"
 #include "core/backend_ambit.hpp"
+#include "core/backend_jc.hpp"
 #include "core/backend_rca.hpp"
 #include "dram/subarray.hpp"
+#include "jc/colcodec.hpp"
 #include "jc/digits.hpp"
 #include "jc/johnson.hpp"
 
 namespace c2m {
 namespace core {
 
+namespace {
+
+/** @p cfg, or std::invalid_argument naming its first bad field. */
+const EngineConfig &
+validated(const EngineConfig &cfg)
+{
+    if (const std::string err = cfg.validate(); !err.empty())
+        C2M_FATAL(err);
+    return cfg;
+}
+
+} // namespace
+
 C2MEngine::C2MEngine(const EngineConfig &cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       bitsPerDigit_(jc::bitsForRadix(cfg.radix)),
       backend_(makeBackend(
           cfg,
@@ -22,22 +37,24 @@ C2MEngine::C2MEngine(const EngineConfig &cfg)
               (cfg.protection == Protection::Tmr ? 3u : 1u),
           stats_))
 {
-    C2M_ASSERT(cfg.numGroups >= 1, "need at least one counter group");
-    C2M_ASSERT(!(cfg.protection == Protection::Ecc) ||
-                   (cfg.frChecks >= 1 && cfg.frChecks <= 3),
-               "frChecks must be in 1..3");
-    C2M_ASSERT(cfg.protection != Protection::Ecc ||
-                   backend_->caps().eccChecks,
-               backendName(cfg.backend),
-               " backend does not support ECC protection");
-    C2M_ASSERT(cfg.protection != Protection::Tmr ||
-                   backend_->caps().tmrVoting,
-               backendName(cfg.backend),
-               " backend does not support TMR protection");
+    if (cfg.protection == Protection::Ecc && !backend_->caps().eccChecks)
+        C2M_FATAL(backendName(cfg.backend),
+                  " backend does not support ECC protection");
+    if (cfg.protection == Protection::Tmr && !backend_->caps().tmrVoting)
+        C2M_FATAL(backendName(cfg.backend),
+                  " backend does not support TMR protection");
 
     for (unsigned g = 0; g < cfg.numGroups; ++g)
         schedulers_.emplace_back(cfg.radix, backend_->numDigits());
-    groupHasDecrements_.assign(cfg.numGroups, false);
+    // B: c = R/2 - 1 in every digit below the top one (wrapping in
+    // layouts wider than 64 bits, where readout is exact mod 2^64).
+    if (backend_->caps().pendingFlags) {
+        const uint64_t c = cfg.radix / 2 - 1;
+        uint64_t b = 0;
+        for (unsigned d = 0; d + 1 < backend_->numDigits(); ++d)
+            b = b * cfg.radix + c;
+        signedOffset_ = static_cast<int64_t>(b);
+    }
 
     clear();
 }
@@ -114,6 +131,7 @@ C2MEngine::clear()
     for (auto &s : schedulers_)
         s = jc::IarmScheduler(cfg_.radix, backend_->numDigits());
     groupHasDecrements_.assign(cfg_.numGroups, false);
+    offsets_.assign(cfg_.numGroups, 0);
 }
 
 void
@@ -344,10 +362,8 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
         steps.begin());
     const auto inc = steps.first(inc_end);
     const auto dec = steps.subspan(inc_end);
-    if (!dec.empty() && !groupHasDecrements_[group]) {
-        drain(group);
-        groupHasDecrements_[group] = true;
-    }
+    if (!dec.empty())
+        enterSignedMode(group);
     // Signed groups keep Onext fully resolved, one rail at a time:
     // its flags mean carries after the increments and borrows after
     // the decrements. Which columns ripple depends on this shard's
@@ -379,13 +395,7 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
     C2M_ASSERT(backend_->caps().signedCounting,
                backendName(cfg_.backend),
                " backend does not support signed counting");
-
-    // First decrement on this group: resolve outstanding overflows
-    // (Sec. 4.4) and enter full-resolution signed mode.
-    if (!groupHasDecrements_[group]) {
-        drain(group);
-        groupHasDecrements_[group] = true;
-    }
+    enterSignedMode(group);
 
     const unsigned mask_row = maskRowIndex(mask_handle);
     const auto digits =
@@ -403,6 +413,54 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
     if (backend_->caps().pendingFlags)
         resolveAllPendings(group, /*borrows=*/true, stepped);
     ++stats_.inputsAccumulated;
+}
+
+void
+C2MEngine::enterSignedMode(unsigned group)
+{
+    if (groupHasDecrements_[group])
+        return;
+    drain(group);
+    groupHasDecrements_[group] = true;
+    setValueOffset(group, signedOffset_);
+}
+
+void
+C2MEngine::setValueOffset(unsigned group, int64_t offset)
+{
+    if (offsets_[group] == offset)
+        return;
+    const jc::ColumnCodec codec(cfg_.radix, backend_->numDigits());
+    std::vector<int64_t> values(cfg_.numCounters);
+    std::vector<BitVector> image(codec.numRows(),
+                                 BitVector(cfg_.numCounters));
+    std::vector<BitVector *> out;
+    for (BitVector &row : image)
+        out.push_back(&row);
+    std::vector<unsigned> index;
+    std::vector<const BitVector *> rows;
+    for (unsigned r = 0; r < replicas(); ++r) {
+        // One charged read per row; each reference stays valid until
+        // its row is written below.
+        index.clear();
+        rows.clear();
+        forEachJcFieldRow(backend_->layout(physIndex(group, r)),
+                          [&](unsigned row) {
+                              index.push_back(row);
+                              rows.push_back(&backend_->scrubReadRow(row));
+                          });
+        stats_.invalidStates +=
+            codec.decode(rows, values, offsets_[group]);
+        // A faulted group may decode anywhere in the codec's ring.
+        for (int64_t &v : values)
+            v = codec.reduce(static_cast<int64_t>(
+                static_cast<uint64_t>(v) + static_cast<uint64_t>(offset)));
+        codec.encode(values, out);
+        for (size_t i = 0; i < index.size(); ++i)
+            if (image[i] != *rows[i])
+                backend_->scrubWriteRow(index[i], image[i]);
+    }
+    offsets_[group] = offset;
 }
 
 void
@@ -463,7 +521,8 @@ C2MEngine::drain(unsigned group)
 std::vector<int64_t>
 C2MEngine::readCounters(unsigned group)
 {
-    return backend_->readCounters(physIndex(group, 0));
+    return backend_->readCounters(physIndex(group, 0),
+                                  offsets_[group]);
 }
 
 void
@@ -535,8 +594,11 @@ C2MEngine::relu(unsigned group)
     C2M_ASSERT(backend_->caps().tensorOps,
                backendName(cfg_.backend),
                " backend does not support tensor ops");
+    const int64_t offset = offsets_[group];
+    setValueOffset(group, 0);
     for (unsigned r = 0; r < replicas(); ++r)
         backend_->relu(physIndex(group, r));
+    setValueOffset(group, offset);
 }
 
 void

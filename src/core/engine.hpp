@@ -21,6 +21,12 @@
  *  - kernels needing signed results use two groups dual-rail
  *    (accumulate positive contributions in group 0, negative in
  *    group 1, subtract at readout);
+ *  - a group that sees a decrement enters signed mode (Sec. 4.4):
+ *    its pendings are resolved after every op, and on the
+ *    pending-flag substrates (Ambit, NVM) every counter is stored
+ *    excess-B, as v + valueOffset(group), so a counter crossing zero
+ *    changes one or two digits instead of borrowing through all of
+ *    them;
  *  - TMR replicates every group three times and votes after each
  *    digit update;
  *  - tensor ops (vector add, shift-left) operate across groups.
@@ -86,6 +92,11 @@ struct PlanRipple
 class C2MEngine
 {
   public:
+    /**
+     * @throws std::invalid_argument on an EngineConfig::validate
+     *         error (before anything is built) or a protection the
+     *         backend does not support.
+     */
     explicit C2MEngine(const EngineConfig &cfg);
     ~C2MEngine();
 
@@ -145,7 +156,10 @@ class C2MEngine
     void accumulate(uint64_t value, unsigned mask_handle,
                     unsigned group = 0);
 
-    /** Signed accumulation: negative values decrement (Sec. 4.4). */
+    /**
+     * Signed accumulation: negative values decrement (Sec. 4.4). The
+     * first one puts the group in signed mode (see valueOffset).
+     */
     void accumulateSigned(int64_t value, unsigned mask_handle,
                           unsigned group = 0);
 
@@ -162,10 +176,10 @@ class C2MEngine
      *    per-digit worst case (max k over the steps of each digit),
      *    then each step issues a single karyIncrement.
      *  - signed: a signed-mode group, or any decrement step (which
-     *    puts the group in signed mode first, exactly like the first
-     *    decrement of accumulateSigned). The increment steps run,
-     *    then resolveAllPendings(carries) from the digits they
-     *    touched; the decrement steps run, then
+     *    puts the group in signed mode first, through the same entry
+     *    as the first decrement of accumulateSigned). The increment
+     *    steps run, then resolveAllPendings(carries) from the digits
+     *    they touched; the decrement steps run, then
      *    resolveAllPendings(borrows) from theirs.
      *
      * Requirements: Kary counting; increment steps before decrement
@@ -206,11 +220,11 @@ class C2MEngine
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
-     * the lead shard's issue slots. The signed-mode entry drain and
-     * the resolve's Onext reads, ripples and Osign folds depend on
-     * this shard's counter values, so they are never ganged: they
-     * charge Plan on every shard. @p folded_ops feeds
-     * plannedOps/inputsAccumulated exactly like accumulatePlan.
+     * the lead shard's issue slots. The signed-mode entry (drain and
+     * host re-encode) and the resolve's Onext reads, ripples and
+     * Osign folds depend on this shard's counter values, so they are
+     * never ganged: they charge Plan on every shard. @p folded_ops
+     * feeds plannedOps/inputsAccumulated exactly like accumulatePlan.
      */
     void executePlan(std::span<const MaskedStep> steps,
                      std::span<const PlanRipple> pre,
@@ -227,16 +241,38 @@ class C2MEngine
         return groupHasDecrements_[group];
     }
 
+    /**
+     * What the group's rows hold above its counter values: they
+     * encode v + valueOffset(group). 0 until the group enters signed
+     * mode; then, on a pending-flag backend, the excess-B bias
+     *
+     *   B = c (R^(D-1) - 1) / (R - 1),  c = R/2 - 1,
+     *
+     * which puts c in every digit below the top one (radix 4 at 32
+     * bits: B = 0x5555'5555), so a carry or borrow of a small |v|
+     * stops at the first digit above the ones v uses. Values below
+     * -B still borrow to the top and fold into Osign. Always 0 on
+     * RCA (no pending flags) and at radix 2 (c = 0); taken modulo
+     * 2^64 in layouts wider than 64 bits. clear() resets it.
+     */
+    int64_t valueOffset(unsigned group) const
+    {
+        return offsets_[group];
+    }
+
     /** Planner bookkeeping: @p n ops bypassed plans (per-op path). */
     void notePlanFallback(uint64_t n)
     {
         stats_.planFallbackOps += n;
     }
 
-    /** Current counter values (Onext/Osign accounted, no draining). */
+    /**
+     * Current counter values (Onext/Osign accounted, no draining),
+     * valueOffset removed in the same decode pass.
+     */
     std::vector<int64_t> readCounters(unsigned group = 0);
 
-    /** Reset counters of all groups to zero. */
+    /** Reset counters of all groups to zero, unsigned, offset 0. */
     void clear();
 
     // ---- Tensor-style operations (Sec. 5.2.4) ----
@@ -245,7 +281,12 @@ class C2MEngine
     /** dst += src element-wise (JC vector addition, Alg. 2). */
     void addCounters(unsigned dst_group, unsigned src_group);
 
-    /** Zero all counters of @p group that are negative (Osign). */
+    /**
+     * Zero all counters of @p group that are negative (Osign). A
+     * biased group has its valueOffset removed first (so Osign marks
+     * exactly the negative values) and restored after, each through
+     * the same host re-encode as signed-mode entry.
+     */
     void relu(unsigned group);
 
     /**
@@ -287,6 +328,22 @@ class C2MEngine
     void borrowRipple(unsigned group, unsigned digit);
 
     /**
+     * First decrement on @p group (accumulateSigned, or a plan with a
+     * decrement rail): drain outstanding overflows (Sec. 4.4), enter
+     * signed mode and re-encode the group at the excess-B offset.
+     * No-op once the group is signed.
+     */
+    void enterSignedMode(unsigned group);
+
+    /**
+     * Re-encode every replica of @p group from its current
+     * valueOffset to @p offset through the reliable host path, each
+     * replica from its own values: one charged read per state row
+     * and one charged write per row whose image changes.
+     */
+    void setValueOffset(unsigned group, int64_t offset);
+
+    /**
      * Clear every pending flag by repeated highest-first passes over
      * a host-tracked frontier (bit d: digit d may be pending). The
      * caller passes the digits its steps touched; each pass reads
@@ -307,6 +364,8 @@ class C2MEngine
     std::unique_ptr<CountingBackend> backend_;
     std::vector<jc::IarmScheduler> schedulers_; ///< per logical group
     std::vector<bool> groupHasDecrements_;
+    std::vector<int64_t> offsets_; ///< valueOffset per logical group
+    int64_t signedOffset_ = 0;     ///< B, the signed-mode offset
     unsigned numMasks_ = 0;
 };
 

@@ -16,6 +16,21 @@ namespace core {
 
 namespace {
 
+/**
+ * @p cfg, or std::invalid_argument naming its first bad field or a
+ * shard count outside 1..numCounters — before the lane pool starts.
+ */
+const EngineConfig &
+validated(const EngineConfig &cfg, unsigned num_shards)
+{
+    if (const std::string err = cfg.validate(); !err.empty())
+        C2M_FATAL(err);
+    if (num_shards < 1 || num_shards > cfg.numCounters)
+        C2M_FATAL("shards must be in 1..numCounters (",
+                  cfg.numCounters, "), got ", num_shards);
+    return cfg;
+}
+
 /** Contiguous range boundaries: remainder spread over the first shards. */
 std::vector<size_t>
 splitRanges(size_t total, unsigned shards)
@@ -87,15 +102,10 @@ planStepNs(const EngineConfig &cfg)
 ShardedEngine::ShardedEngine(const EngineConfig &cfg,
                              unsigned num_shards,
                              unsigned num_threads)
-    : cfg_(cfg),
-      starts_(splitRanges(cfg.numCounters,
-                          num_shards ? num_shards : 1)),
+    : cfg_(validated(cfg, num_shards)),
+      starts_(splitRanges(cfg.numCounters, num_shards)),
       pool_(num_threads ? num_threads : num_shards)
 {
-    C2M_ASSERT(num_shards >= 1, "need at least one shard");
-    C2M_ASSERT(cfg.numCounters >= num_shards,
-               "fewer counters than shards");
-
     // Persistent plane-row pool: one spare mask row per (digit, k)
     // plane so plan programs keep stable (op, digit, k, mask row)
     // cache keys across epochs; deep-capacity overflow planes share

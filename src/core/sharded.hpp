@@ -118,6 +118,10 @@ class ShardedEngine
      *        from which per-shard streams are split.
      * @param num_shards shard count (>= 1, <= cfg.numCounters).
      * @param num_threads pool size; 0 means one thread per shard.
+     * @throws std::invalid_argument, before the lane pool starts, on
+     *         an EngineConfig::validate error or a shard count out of
+     *         range; later, from a shard, on a protection its backend
+     *         does not support.
      */
     ShardedEngine(const EngineConfig &cfg, unsigned num_shards,
                   unsigned num_threads = 0);

@@ -137,7 +137,7 @@ ColumnCodec::ColumnCodec(unsigned radix, unsigned digits)
 
 uint64_t
 ColumnCodec::decode(std::span<const BitVector *const> rows,
-                    std::span<int64_t> out) const
+                    std::span<int64_t> out, int64_t offset) const
 {
     C2M_ASSERT(rows.size() == numRows(), "decode takes ", numRows(),
                " rows, got ", rows.size());
@@ -197,14 +197,16 @@ ColumnCodec::decode(std::span<const BitVector *const> rows,
         }
         for (size_t c = 0; c < width; ++c)
             out[c0 + c] = static_cast<int64_t>(
-                value[c] - ((sign[c] >> sign_shift) & 1) * modulus_);
+                value[c] - ((sign[c] >> sign_shift) & 1) * modulus_ -
+                static_cast<uint64_t>(offset));
     }
     return invalid;
 }
 
 void
 ColumnCodec::encode(std::span<const int64_t> values,
-                    std::span<BitVector *const> rows) const
+                    std::span<BitVector *const> rows,
+                    int64_t offset) const
 {
     C2M_ASSERT(rows.size() == numRows(), "encode takes ", numRows(),
                " rows, got ", rows.size());
@@ -225,7 +227,9 @@ ColumnCodec::encode(std::span<const int64_t> values,
         for (size_t c = 0; c < width; ++c) {
             // A negative v is stored as R^D + v, whose digits are the
             // (R - 1)-complements of the digits of -v - 1 == ~v.
-            const int64_t v = values[c0 + c];
+            const int64_t v = static_cast<int64_t>(
+                static_cast<uint64_t>(values[c0 + c]) +
+                static_cast<uint64_t>(offset));
             neg[c] = v < 0;
             rest[c] = neg[c] ? ~static_cast<uint64_t>(v)
                              : static_cast<uint64_t>(v);
@@ -261,6 +265,19 @@ ColumnCodec::encode(std::span<const int64_t> values,
             }
         }
     }
+}
+
+int64_t
+ColumnCodec::reduce(int64_t x) const
+{
+    // At R^D >= 2^63 the ring covers every int64.
+    if (wide_ || modulus_ >= uint64_t{1} << 63)
+        return x;
+    const __int128 m = modulus_;
+    if (x >= -m && x < m)
+        return x;
+    const __int128 r = (x % (2 * m) + 2 * m) % (2 * m);
+    return static_cast<int64_t>(r >= m ? r - 2 * m : r);
 }
 
 } // namespace jc

@@ -26,6 +26,11 @@
  * jc::decodeNearest and are counted. Encoding is the inverse under
  * canonical form (Onext clear, Osign set on negatives).
  *
+ * Both directions take a value offset: the rows hold v + offset and
+ * the codec moves v. Signed-mode groups store every counter with an
+ * excess-B bias (core::C2MEngine::valueOffset), so readout removes it
+ * in the same pass that sums the digits.
+ *
  * Scratch is one 64-column block of bit strings; rows are read and
  * written in place, never copied whole. The lookup tables are built
  * once per digit width and shared by every codec of that width.
@@ -51,22 +56,33 @@ class ColumnCodec
 
     /**
      * Decode the first out.size() columns of @p rows (numRows()
-     * pointers in field order; nullptr reads as an all-zero row).
+     * pointers in field order; nullptr reads as an all-zero row),
+     * less @p offset.
      *
      * @return the number of digits whose JC bits were not a valid
      *         state (decoded nearest-state).
      */
     uint64_t decode(std::span<const BitVector *const> rows,
-                    std::span<int64_t> out) const;
+                    std::span<int64_t> out, int64_t offset = 0) const;
 
     /**
-     * Write the canonical encoding of @p values into the first
-     * values.size() columns of @p rows (numRows() pointers in field
-     * order; nullptr rows are skipped). Other columns are untouched.
-     * Panics if a value lies outside [-R^D, R^D).
+     * Write the canonical encoding of each value plus @p offset into
+     * the first values.size() columns of @p rows (numRows() pointers
+     * in field order; nullptr rows are skipped). Other columns are
+     * untouched. Panics if a value plus @p offset lies outside
+     * [-R^D, R^D).
      */
     void encode(std::span<const int64_t> values,
-                std::span<BitVector *const> rows) const;
+                std::span<BitVector *const> rows,
+                int64_t offset = 0) const;
+
+    /**
+     * @p x reduced into the ring [-R^D, R^D) the rows can hold, i.e.
+     * modulo 2 R^D (identity when R^D >= 2^63). A faulted group can
+     * decode to any value of that ring, so re-encoding it at another
+     * offset reduces first.
+     */
+    int64_t reduce(int64_t x) const;
 
   private:
     /** The digit fields one lookup covers, in a column bit string. */

@@ -48,13 +48,15 @@ RowMirror::fabricRow(const jc::CounterLayout &layout, size_t r) const
 }
 
 void
-RowMirror::encodeValues(std::span<const int64_t> values)
+RowMirror::encodeValues(std::span<const int64_t> values,
+                        int64_t offset)
 {
     C2M_ASSERT(values.size() == cols_, "value count != mirror width");
     // Every data column is rewritten (Onext rows to zero); the parity
     // lanes past cols_ are recomputed below.
-    jc_.encode(values, fieldRows(true));
+    jc_.encode(values, fieldRows(true), offset);
     codec_.encodeRows(rows_);
+    offset_ = offset;
 }
 
 std::vector<int64_t>
@@ -67,7 +69,7 @@ RowMirror::decodeValues(ecc::RowCodec::CorrectResult *store_scrub)
     // Canonical images carry no pending carries: Onext rows are not
     // read, so decay there cannot perturb the values.
     std::vector<int64_t> values(cols_);
-    jc_.decode(fieldRows(false), values);
+    jc_.decode(fieldRows(false), values, offset_);
     return values;
 }
 

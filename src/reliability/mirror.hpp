@@ -9,22 +9,26 @@
  * persistent counter-state row of a group (digit bit rows, Onext
  * rows, Osign) it keeps the *canonical* image — the bit pattern a
  * fault-free engine holds right after drain(): Onext all zero, each
- * digit the Johnson encoding of the value's base-R digit, Osign set
- * exactly on negative columns. drain() ripples only the digits whose
- * Onext row it reads non-empty, and a ripple over an empty row
- * changes nothing, so the image does not depend on how many digits
- * the IARM bounds flagged. Images are widened with
+ * digit the Johnson encoding of a base-R digit of v + offset (the
+ * group's core::C2MEngine::valueOffset), Osign set exactly on
+ * columns where v + offset is negative. drain() ripples only the
+ * digits whose Onext row it reads non-empty, and a ripple over an
+ * empty row changes nothing, so the image does not depend on how
+ * many digits the IARM bounds flagged. Images are widened with
  * ecc::RowCodec parity lanes, modelling spare ECC-protected rows
  * maintained through the reliable host RD/WR path; the store itself
  * is scrubbed (decode-correct-re-encode) on every sweep so it
  * tolerates its own bit decay.
  *
- * Canonical form is a pure function of the counter values, which is
- * what makes epoch-boundary scrubbing exact: expected values =
- * mirrored values + journaled deltas, and the fabric is drained
- * before comparison so any bit-level deviation from
- * encodeValues(expected) is a fault by construction (pinned by the
- * CanonicalEncode tests in test_reliability.cpp).
+ * Canonical form is a pure function of (counter values, offset),
+ * which is what makes epoch-boundary scrubbing exact: expected
+ * values = mirrored values + journaled deltas, and the fabric is
+ * drained before comparison so any bit-level deviation from
+ * encodeValues(expected, offset) is a fault by construction (pinned
+ * by the CanonicalEncode tests in test_reliability.cpp). The mirror
+ * remembers the offset of its image, so a group that enters signed
+ * mode between two sweeps decodes at the old offset and re-encodes
+ * at the new one.
  */
 
 #include <cstdint>
@@ -65,15 +69,21 @@ class RowMirror
     const BitVector &row(size_t r) const { return rows_[r]; }
     BitVector &row(size_t r) { return rows_[r]; }
 
-    /** Replace the store with the canonical encoding of @p values. */
-    void encodeValues(std::span<const int64_t> values);
+    /**
+     * Replace the store with the canonical encoding of @p values at
+     * value offset @p offset (the rows hold v + offset), and remember
+     * the offset.
+     */
+    void encodeValues(std::span<const int64_t> values,
+                      int64_t offset = 0);
 
     /**
      * SEC-DED pass over the store itself, then decode the mirrored
-     * counter values. Words the code cannot repair are decoded
-     * nearest-state (the affected counters lose exactness until the
-     * next encodeValues); the aggregate correction result is returned
-     * through @p store_scrub when non-null.
+     * counter values, less the offset the image was encoded with.
+     * Words the code cannot repair are decoded nearest-state (the
+     * affected counters lose exactness until the next encodeValues);
+     * the aggregate correction result is returned through
+     * @p store_scrub when non-null.
      */
     std::vector<int64_t>
     decodeValues(ecc::RowCodec::CorrectResult *store_scrub = nullptr);
@@ -94,6 +104,7 @@ class RowMirror
     ecc::RowCodec codec_;
     jc::ColumnCodec jc_;
     std::vector<BitVector> rows_;
+    int64_t offset_ = 0; ///< value offset of the current image
 };
 
 } // namespace reliability

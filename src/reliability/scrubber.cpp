@@ -260,7 +260,7 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     uint64_t words_swept = 0;
     for (unsigned g = 0; g < groups; ++g) {
         RowMirror &mirror = st.mirrors[g];
-        mirror.encodeValues(values[g]);
+        mirror.encodeValues(values[g], eng.valueOffset(g));
         const size_t cols = mirror.cols();
         BitVector got(cols);
         BitVector diff(cols);
@@ -378,7 +378,8 @@ Scrubber::rebaseShard(unsigned s)
             st.journal.clear();
             for (unsigned g = 0; g < groups; ++g) {
                 eng.drain(g);
-                st.mirrors[g].encodeValues(eng.readCounters(g));
+                st.mirrors[g].encodeValues(eng.readCounters(g),
+                                           eng.valueOffset(g));
             }
             st.lastTra = eng.backend().opStats().tra;
         });

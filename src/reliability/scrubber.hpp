@@ -16,7 +16,10 @@
  *      recovered;
  *   2. journaled deltas are applied, giving the expected values;
  *   3. the shard is drained, putting fault-free counter state into
- *      canonical form (a pure function of the values). The drain
+ *      canonical form (a pure function of the values and the
+ *      group's core::C2MEngine::valueOffset, which the mirror
+ *      remembers per image, so a group that turned signed since the
+ *      last sweep is re-encoded at its new offset). The drain
  *      reads the Onext row of each digit the IARM scheduler flags
  *      and ripples only the ones with a pending column; a skipped
  *      ripple would have changed nothing, and a flag a fault set

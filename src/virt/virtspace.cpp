@@ -436,7 +436,10 @@ VirtualCounterSpace::spillFrame(int32_t f,
                     cfg_.groupSize);
             // readCounters accounts Onext/Osign, so the captured
             // values are exact without draining; the cleared frame
-            // columns are canonical zero by construction.
+            // columns are canonical zero by construction (virt
+            // groups only count up, so they never carry an offset).
+            C2M_ASSERT(eng.valueOffset(virtGroup_) == 0,
+                       "virt group holds a value offset");
             const std::vector<int64_t> all =
                 eng.readCounters(virtGroup_);
             const auto first =
@@ -498,6 +501,9 @@ VirtualCounterSpace::restoreImage(uint32_t gi,
         fr.shard, [&](core::C2MEngine &eng, size_t) {
             cim::AttrScope attr(eng.backend().opStatsRef(),
                                 cim::FabricCat::VirtRestore);
+            // The image is encoded at offset 0, like the frame.
+            C2M_ASSERT(eng.valueOffset(virtGroup_) == 0,
+                       "virt group holds a value offset");
             BitVector row(engine_.shardWidth(fr.shard));
             for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
                 const auto &lay = eng.backend().layout(

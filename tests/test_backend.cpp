@@ -205,10 +205,12 @@ TEST(BackendEquivalence, AllBackendsAgreeBitForBit)
 
 TEST(BackendReadDigit, NegativeCountersAgreeAtNonPowerOfTwoRadix)
 {
-    // radix 6: 2^W is not divisible by 6^D, so the RCA backend must
-    // reduce into the JC ring before slicing digits of a negative
-    // counter (a plain mod-2^W digit read would diverge here).
-    std::vector<std::vector<unsigned>> per_backend;
+    // readDigit slices the stored value v + valueOffset, reduced
+    // into the JC ring [0, 6^D). radix 6: 2^W is not divisible by
+    // 6^D, so the RCA backend (offset 0) must reduce a negative
+    // counter into that ring before slicing digits (a plain mod-2^W
+    // digit read would diverge here); the JC backends store -7
+    // excess-B, a positive value.
     for (BackendKind kind : kAllBackends) {
         auto cfg = baseConfig(kind, /*radix=*/6);
         C2MEngine eng(cfg);
@@ -216,16 +218,18 @@ TEST(BackendReadDigit, NegativeCountersAgreeAtNonPowerOfTwoRadix)
         const unsigned h = eng.addMask(all);
         eng.accumulateSigned(5, h);
         eng.accumulateSigned(-12, h);
-        std::vector<unsigned> digits;
-        for (unsigned d = 0; d < eng.backend().numDigits(); ++d)
+        const unsigned digits = eng.backend().numDigits();
+        __int128 modulus = 1;
+        for (unsigned d = 0; d < digits; ++d)
+            modulus *= 6;
+        __int128 stored = (-7 + eng.valueOffset(0)) % modulus;
+        if (stored < 0)
+            stored += modulus;
+        for (unsigned d = 0; d < digits; ++d, stored /= 6)
             for (unsigned v : eng.backend().readDigit(0, d))
-                digits.push_back(v);
-        per_backend.push_back(std::move(digits));
+                ASSERT_EQ(v, static_cast<unsigned>(stored % 6))
+                    << core::backendName(kind) << " digit " << d;
     }
-    for (size_t b = 1; b < per_backend.size(); ++b)
-        EXPECT_EQ(per_backend[0], per_backend[b])
-            << "backend " << core::backendName(kAllBackends[b])
-            << " digit readout diverges from ambit";
 }
 
 // ---------------------------------------------------------------------
@@ -280,7 +284,7 @@ TEST_P(JcReadout, MatchesPerBitOracle)
         std::vector<unsigned> order, want_order;
         core::EngineStats stats;
         const auto got = core::decodeJcCounters(
-            l, cols, stats, [&](unsigned r) -> const BitVector & {
+            l, cols, stats, 0, [&](unsigned r) -> const BitVector & {
                 order.push_back(r);
                 return rows[r];
             });
@@ -293,6 +297,18 @@ TEST_P(JcReadout, MatchesPerBitOracle)
         EXPECT_EQ(got, want) << "cols " << cols;
         EXPECT_EQ(stats.invalidStates, want_invalid) << "cols " << cols;
         EXPECT_EQ(order, want_order) << "row reads differ, cols " << cols;
+
+        // A value offset comes off in the same pass, wrapping in
+        // uint64 like the digit sum.
+        const int64_t offset = 0x5555'5555'5555'5555;
+        const auto shifted = core::decodeJcCounters(
+            l, cols, stats, offset,
+            [&](unsigned r) -> const BitVector & { return rows[r]; });
+        for (size_t c = 0; c < cols; ++c)
+            EXPECT_EQ(static_cast<uint64_t>(shifted[c]),
+                      static_cast<uint64_t>(want[c]) -
+                          static_cast<uint64_t>(offset))
+                << "cols " << cols << " col " << c;
 
         for (unsigned d = 0; d < l.numDigits(); ++d) {
             core::EngineStats digit_stats;
@@ -333,7 +349,7 @@ TEST_P(JcReadout, AmbitAndNvmReadTheOracleValues)
             [&](unsigned r) -> const BitVector & { return rows[r]; });
         const uint64_t reads0 = backend->opStats().rowReads;
         const double ns0 = backend->opStats().fabricNs;
-        EXPECT_EQ(backend->readCounters(0), want)
+        EXPECT_EQ(backend->readCounters(0, 0), want)
             << core::backendName(kind);
         EXPECT_EQ(stats.invalidStates, want_invalid)
             << core::backendName(kind);

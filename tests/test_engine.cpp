@@ -129,6 +129,72 @@ TEST(Engine, OddRadixConfigThrowsToTheCaller)
     EXPECT_THROW(C2MEngine(smallConfig(5)), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------
+// Config errors reach the caller as std::invalid_argument
+// ---------------------------------------------------------------------
+
+TEST(EngineConfigValidate, DefaultConfigIsValid)
+{
+    EXPECT_EQ(EngineConfig{}.validate(), "");
+    EXPECT_EQ(smallConfig(20).validate(), "");
+}
+
+TEST(EngineConfigValidate, NoCounterGroupThrows)
+{
+    EngineConfig cfg = smallConfig(4);
+    cfg.numGroups = 0;
+    EXPECT_NE(cfg.validate().find("numGroups"), std::string::npos);
+    EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument);
+}
+
+TEST(EngineConfigValidate, RadixOutsideEvenTwoToSixtyFourThrows)
+{
+    for (unsigned radix : {0u, 1u, 3u, 66u}) {
+        EngineConfig cfg = smallConfig(radix);
+        EXPECT_NE(cfg.validate().find("radix"), std::string::npos)
+            << radix;
+        EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument) << radix;
+    }
+}
+
+TEST(EngineConfigValidate, CapacityBitsOutsideOneToSixtyFourThrows)
+{
+    for (unsigned bits : {0u, 65u}) {
+        EngineConfig cfg = smallConfig(4);
+        cfg.capacityBits = bits;
+        EXPECT_NE(cfg.validate().find("capacityBits"), std::string::npos);
+        EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument) << bits;
+    }
+}
+
+TEST(EngineConfigValidate, NoCountersThrows)
+{
+    EngineConfig cfg = smallConfig(4);
+    cfg.numCounters = 0;
+    EXPECT_NE(cfg.validate().find("numCounters"), std::string::npos);
+    EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument);
+}
+
+TEST(EngineConfigValidate, FrChecksOutsideOneToThreeThrowsUnderEcc)
+{
+    for (unsigned fr : {0u, 4u}) {
+        EngineConfig cfg = smallConfig(4);
+        cfg.frChecks = fr;
+        EXPECT_EQ(cfg.validate(), "") << "unprotected ignores frChecks";
+        cfg.protection = Protection::Ecc;
+        EXPECT_NE(cfg.validate().find("frChecks"), std::string::npos);
+        EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument) << fr;
+    }
+}
+
+TEST(EngineConfigValidate, UnsupportedProtectionThrows)
+{
+    EngineConfig cfg = smallConfig(4);
+    cfg.backend = core::BackendKind::NvmMagic;
+    cfg.protection = Protection::Tmr;
+    EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument);
+}
+
 TEST(Engine, ZeroInputsAreSkipped)
 {
     C2MEngine eng(smallConfig(4));
@@ -237,6 +303,36 @@ TEST(Engine, ReluZeroesNegativeCounters)
         EXPECT_EQ(v[j], j < 8 ? 0 : 10) << "col " << j;
 }
 
+TEST(Engine, ReluOnABiasedGroupKeepsItsOffset)
+{
+    // Stored excess-B, -15 has no Osign; relu drops the bias first,
+    // so Osign marks exactly the negative values, then restores it.
+    for (Protection p : {Protection::None, Protection::Tmr}) {
+        auto cfg = smallConfig(4);
+        cfg.protection = p;
+        C2MEngine eng(cfg);
+        std::vector<uint8_t> neg_mask(16, 0);
+        for (size_t j = 0; j < 8; ++j)
+            neg_mask[j] = 1;
+        const unsigned hn = eng.addMask(neg_mask);
+        const unsigned ha = eng.addMask(std::vector<uint8_t>(16, 1));
+        eng.accumulateSigned(10, ha);
+        eng.accumulateSigned(-25, hn);
+        const int64_t offset = eng.valueOffset(0);
+        ASSERT_NE(offset, 0);
+        eng.relu(0);
+        EXPECT_EQ(eng.valueOffset(0), offset);
+        eng.accumulateSigned(-3, ha); // counting goes on, biased
+        for (unsigned r = 0; r < eng.numReplicas(); ++r) {
+            const auto v = eng.backend().readCounters(
+                eng.physicalGroup(0, r), offset);
+            for (size_t j = 0; j < 16; ++j)
+                EXPECT_EQ(v[j], j < 8 ? -3 : 7)
+                    << "replica " << r << " col " << j;
+        }
+    }
+}
+
 TEST(Engine, ShiftLeftDoubles)
 {
     auto cfg = smallConfig(6);
@@ -269,7 +365,8 @@ TEST(Engine, DrainClearsPendingOverflows)
 // ---------------------------------------------------------------------
 // Signed resolve: the host tracks which digits can hold a pending,
 // reads only their Onext rows, and folds into Osign only after a
-// ripple reaches the top digit
+// ripple reaches the top digit. Signed groups hold v + B, so a small
+// value crossing zero stays in the low digits
 // ---------------------------------------------------------------------
 
 class SignedResolve : public ::testing::Test
@@ -283,8 +380,21 @@ class SignedResolve : public ::testing::Test
         return cfg;
     }
 
+    /** B = 1 in each of digits 0..7: (4^8 - 1) / 3. */
+    static constexpr int64_t kBias = 0x5555;
+
+    SignedResolve()
+    {
+        // A decrement that selects no counter enters signed mode (and
+        // re-encodes every counter at v + B) without changing a value,
+        // so the windows below see only the op under test.
+        eng_.accumulateSigned(-1, none_);
+        EXPECT_TRUE(eng_.signedMode(0));
+        EXPECT_EQ(eng_.valueOffset(0), kBias);
+    }
+
     /**
-     * The stats window @p op spans. No mask is written inside it, so
+     * The stats window @p op spans. No row is written inside it, so
      * every modeled ns is a command or a charged row read.
      */
     template <typename Op>
@@ -298,6 +408,7 @@ class SignedResolve : public ::testing::Test
             static_cast<double>(d.fabric.rowReads) * costs_.rowReadNs;
         EXPECT_NEAR(d.fabric.fabricNs, want, 1e-9 * want);
         EXPECT_EQ(d.fabric.rowWrites, 0u);
+        EXPECT_EQ(d.fabric.rowReads, d.pendingPeeks);
         return d;
     }
 
@@ -315,34 +426,34 @@ class SignedResolve : public ::testing::Test
 
     C2MEngine eng_{config()};
     const unsigned mask_ = eng_.addMask(std::vector<uint8_t>(16, 1));
+    const unsigned none_ = eng_.addMask(std::vector<uint8_t>(16, 0));
     const cim::CommandCosts costs_ = core::dramCommandCosts(
         eng_.config().dramTimings, eng_.config().dramEnergy,
         eng_.config().numCounters);
 };
 
-TEST_F(SignedResolve, BorrowFromZeroRipplesThroughEveryDigit)
+TEST_F(SignedResolve, BorrowFromZeroStaysInDigitZero)
 {
     ASSERT_EQ(eng_.layout().numDigits(), 9u);
-    // 0 - 1 wraps digit 0, and each borrow wraps the next digit up to
-    // the top one: one charged Onext read per ripple, one fold.
+    // B - 1 takes digit 0 from 1 to 0: no borrow, no fold. Stored in
+    // radix complement, 0 - 1 would wrap all 8 digits below the top.
     const auto d = window([&] { eng_.accumulateSigned(-1, mask_); });
-    EXPECT_EQ(d.ripples, 8u);
-    EXPECT_EQ(d.pendingPeeks, 8u);
-    EXPECT_EQ(d.fabric.rowReads, 8u);
-    EXPECT_EQ(d.signFolds, 1u);
+    EXPECT_EQ(d.ripples, 0u);
+    EXPECT_EQ(d.pendingPeeks, 1u);
+    EXPECT_EQ(d.fabric.rowReads, 1u);
+    EXPECT_EQ(d.signFolds, 0u);
     expectResolved(-1);
 }
 
-TEST_F(SignedResolve, CarryBackAcrossZeroRipplesThroughEveryDigit)
+TEST_F(SignedResolve, CarryBackAcrossZeroStaysInDigitZero)
 {
     eng_.accumulateSigned(-1, mask_);
-    // -1 + 3 carries through every digit; the top digit's carry
-    // cancels Osign.
+    // -1 + 3 takes digit 0 from 0 to 3: no carry, no fold.
     const auto d = window([&] { eng_.accumulate(3, mask_); });
-    EXPECT_EQ(d.ripples, 8u);
-    EXPECT_EQ(d.pendingPeeks, 8u);
-    EXPECT_EQ(d.fabric.rowReads, 8u);
-    EXPECT_EQ(d.signFolds, 1u);
+    EXPECT_EQ(d.ripples, 0u);
+    EXPECT_EQ(d.pendingPeeks, 1u);
+    EXPECT_EQ(d.fabric.rowReads, 1u);
+    EXPECT_EQ(d.signFolds, 0u);
     expectResolved(2);
 }
 
@@ -357,6 +468,257 @@ TEST_F(SignedResolve, DecrementWithinADigitPeeksOnce)
     EXPECT_EQ(d.fabric.rowReads, 1u);
     EXPECT_EQ(d.signFolds, 0u);
     expectResolved(1);
+}
+
+TEST_F(SignedResolve, TwoBelowZeroRipplesIntoDigitOne)
+{
+    // B - 2: digit 0 borrows (1 - 2 -> 3) and digit 1 absorbs it
+    // (1 -> 0), so the second pass reads digit 1's row and stops.
+    const auto d = window([&] { eng_.accumulateSigned(-2, mask_); });
+    EXPECT_EQ(d.ripples, 1u);
+    EXPECT_EQ(d.pendingPeeks, 2u);
+    EXPECT_EQ(d.signFolds, 0u);
+    expectResolved(-2);
+}
+
+TEST_F(SignedResolve, BelowMinusBStillBorrowsToTheTop)
+{
+    // B - (B + 1) = -1 stored: digit 0 borrows and every digit above
+    // wraps up to the top one, which folds into Osign. One pass
+    // peeks the 8 stepped digits, then 7 passes peek one digit each.
+    const auto d =
+        window([&] { eng_.accumulateSigned(-(kBias + 1), mask_); });
+    EXPECT_EQ(d.ripples, 8u);
+    EXPECT_EQ(d.pendingPeeks, 15u);
+    EXPECT_EQ(d.signFolds, 1u);
+    expectResolved(-(kBias + 1));
+    // And back: the carry chain cancels Osign.
+    const auto up = window([&] { eng_.accumulate(kBias + 4, mask_); });
+    EXPECT_EQ(up.ripples, 8u);
+    EXPECT_EQ(up.signFolds, 1u);
+    expectResolved(3);
+}
+
+// ---------------------------------------------------------------------
+// Signed-mode entry: drain, then re-encode every replica at v + B
+// through the reliable host path
+// ---------------------------------------------------------------------
+
+struct EntryCase
+{
+    const char *name;
+    core::BackendKind backend;
+    Protection protection;
+};
+
+class SignedEntry : public ::testing::TestWithParam<EntryCase>
+{
+  protected:
+    /** Radix 4 over 16 bits (D = 9, capacity 4^8 - 1), 64 columns. */
+    static EngineConfig config()
+    {
+        EngineConfig cfg = smallConfig(4, 64);
+        cfg.capacityBits = 16;
+        cfg.backend = GetParam().backend;
+        cfg.protection = GetParam().protection;
+        return cfg;
+    }
+
+    /** Uncharged view of a raw row (white-box, either fabric). */
+    const BitVector &peek(unsigned row)
+    {
+        if (GetParam().backend == core::BackendKind::Ambit)
+            return eng_.subarray().peekRow(row);
+        return dynamic_cast<core::NvmBackend &>(eng_.backend())
+            .machine()
+            .row(row);
+    }
+
+    bool anyOnext()
+    {
+        for (unsigned r = 0; r < eng_.numReplicas(); ++r) {
+            const auto &l = eng_.backend().layout(eng_.physicalGroup(0, r));
+            for (unsigned d = 0; d < l.numDigits(); ++d)
+                if (peek(l.onextRow(d)).popcount() != 0)
+                    return true;
+        }
+        return false;
+    }
+
+    C2MEngine eng_{config()};
+};
+
+namespace {
+
+/**
+ * Column 0 at capacity (4^8 - 1), columns 1..31 with IARM carries
+ * still pending, the rest with a multi-digit value; returns the
+ * values.
+ */
+std::vector<int64_t>
+loadUnsigned(C2MEngine &eng)
+{
+    std::vector<uint8_t> cap(64, 0), low(64, 0), rest(64, 0);
+    cap[0] = 1;
+    for (size_t c = 1; c < 64; ++c)
+        (c < 32 ? low : rest)[c] = 1;
+    eng.accumulate(65535, eng.addMask(cap));
+    const unsigned hlow = eng.addMask(low);
+    for (int i = 0; i < 10; ++i)
+        eng.accumulate(3, hlow);
+    eng.accumulate(12345, eng.addMask(rest));
+    std::vector<int64_t> want(64, 12345);
+    want[0] = 65535;
+    for (size_t c = 1; c < 32; ++c)
+        want[c] = 30;
+    return want;
+}
+
+} // namespace
+
+TEST_P(SignedEntry, KeepsEveryValueAtOneReadPerRow)
+{
+    std::vector<int64_t> want = loadUnsigned(eng_);
+    ASSERT_TRUE(anyOnext());
+    const unsigned hnone = eng_.addMask(std::vector<uint8_t>(64, 0));
+
+    // The entry's drain, measured on a twin: under ECC its ripples'
+    // checks read rows too.
+    C2MEngine twin(config());
+    loadUnsigned(twin);
+    const core::EngineStats t0 = twin.stats();
+    twin.drain(0);
+    const core::EngineStats drain = twin.stats().since(t0);
+
+    // The same empty-mask decrement, first entering signed mode and
+    // then on a signed group: the difference is the entry.
+    const auto window = [&] {
+        const core::EngineStats before = eng_.stats();
+        eng_.accumulateSigned(-1, hnone);
+        return eng_.stats().since(before);
+    };
+    const core::EngineStats entry = window();
+    const core::EngineStats op = window();
+    EXPECT_TRUE(eng_.signedMode(0));
+    EXPECT_EQ(eng_.valueOffset(0), 0x5555);
+    EXPECT_EQ(op.drainPeeks, 0u);
+    EXPECT_EQ(op.fabric.rowWrites, 0u);
+    EXPECT_EQ(entry.drainPeeks, drain.drainPeeks);
+    EXPECT_GT(drain.ripples, 0u);
+
+    // Beyond the drain: one charged read per state row per replica,
+    // at most one write per row.
+    const auto &l = eng_.layout();
+    const uint64_t rows = uint64_t{l.numDigits()} *
+                              (l.bitsPerDigit() + 1) + 1;
+    const uint64_t per_group = rows * eng_.numReplicas();
+    EXPECT_EQ(entry.fabric.rowReads - op.fabric.rowReads,
+              drain.fabric.rowReads + per_group);
+    EXPECT_GT(entry.fabric.rowWrites, 0u);
+    EXPECT_LE(entry.fabric.rowWrites, per_group);
+    EXPECT_FALSE(anyOnext());
+    EXPECT_EQ(eng_.readCounters(), want);
+
+    // Every replica holds the same canonical image of v + B.
+    for (unsigned r = 1; r < eng_.numReplicas(); ++r) {
+        const auto &lr = eng_.backend().layout(eng_.physicalGroup(0, r));
+        for (unsigned d = 0; d < l.numDigits(); ++d)
+            for (unsigned i = 0; i < l.bitsPerDigit(); ++i)
+                EXPECT_EQ(peek(lr.bitRow(d, i)), peek(l.bitRow(d, i)))
+                    << "replica " << r << " digit " << d;
+        EXPECT_EQ(peek(lr.osignRow()), peek(l.osignRow()));
+    }
+
+    // Signed counting carries on from the biased image.
+    const unsigned hall = eng_.addMask(std::vector<uint8_t>(64, 1));
+    eng_.accumulateSigned(-40, hall);
+    for (auto &w : want)
+        w -= 40;
+    EXPECT_EQ(eng_.readCounters(), want);
+    EXPECT_FALSE(anyOnext());
+}
+
+TEST_P(SignedEntry, ClearDropsTheOffset)
+{
+    const unsigned h = eng_.addMask(std::vector<uint8_t>(64, 1));
+    eng_.accumulateSigned(-9, h);
+    ASSERT_NE(eng_.valueOffset(0), 0);
+    eng_.clear();
+    EXPECT_FALSE(eng_.signedMode(0));
+    EXPECT_EQ(eng_.valueOffset(0), 0);
+    eng_.accumulate(6, h);
+    for (auto v : eng_.readCounters())
+        EXPECT_EQ(v, 6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, SignedEntry,
+    ::testing::Values(
+        EntryCase{"ambit", core::BackendKind::Ambit, Protection::None},
+        EntryCase{"nvm", core::BackendKind::NvmPinatubo,
+                  Protection::None},
+        EntryCase{"tmr", core::BackendKind::Ambit, Protection::Tmr},
+        EntryCase{"ecc", core::BackendKind::Ambit, Protection::Ecc}),
+    [](const ::testing::TestParamInfo<EntryCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(SignedOffset, ZeroWithoutPendingFlagsOrAtRadixTwo)
+{
+    // RCA resolves carries in place and radix 2 has c = R/2 - 1 = 0:
+    // both keep signed counters unbiased.
+    EngineConfig rca = smallConfig(4);
+    rca.backend = core::BackendKind::Rca;
+    for (const EngineConfig &cfg : {rca, smallConfig(2)}) {
+        C2MEngine eng(cfg);
+        const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+        eng.accumulateSigned(-5, h);
+        EXPECT_TRUE(eng.signedMode(0));
+        EXPECT_EQ(eng.valueOffset(0), 0);
+        for (auto v : eng.readCounters())
+            EXPECT_EQ(v, -5);
+    }
+}
+
+TEST(SignedOffset, WideLayoutsStayExact)
+{
+    // At 64 bits R^(D-1) passes 2^64, so B is taken modulo 2^64 (at
+    // radix 8 it reads negative as int64); readout is exact mod 2^64.
+    for (unsigned radix : {4u, 8u, 10u}) {
+        EngineConfig cfg = smallConfig(radix);
+        cfg.capacityBits = 64;
+        C2MEngine eng(cfg);
+        std::vector<uint8_t> mask(16);
+        Rng rng(radix);
+        for (auto &b : mask)
+            b = rng.nextBool(0.5);
+        const unsigned h = eng.addMask(mask);
+        std::vector<int64_t> want(16, 0);
+        for (int step = 0; step < 40; ++step) {
+            int64_t v = rng.nextRange(-40, 40);
+            if (step % 8 == 3)
+                v = rng.nextRange(-(int64_t{1} << 40), int64_t{1} << 40);
+            eng.accumulateSigned(v, h);
+            for (size_t j = 0; j < 16; ++j)
+                if (mask[j])
+                    want[j] += v;
+        }
+        EXPECT_NE(eng.valueOffset(0), 0) << radix;
+        EXPECT_EQ(eng.readCounters(), want) << "radix " << radix;
+    }
+}
+
+TEST(SignedOffset, IsCInEveryDigitBelowTheTop)
+{
+    // Radix 10 over 20 bits: D = 8 digits, so B = 4,444,444.
+    C2MEngine eng(smallConfig(10));
+    ASSERT_EQ(eng.backend().numDigits(), 8u);
+    const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+    eng.accumulateSigned(-1, h);
+    EXPECT_EQ(eng.valueOffset(0), 4444444);
+    for (unsigned d = 0; d + 1 < eng.backend().numDigits(); ++d)
+        for (unsigned v : eng.backend().readDigit(0, d))
+            EXPECT_EQ(v, d == 0 ? 3u : 4u) << "digit " << d;
 }
 
 // ---------------------------------------------------------------------

@@ -114,8 +114,10 @@ TEST_P(CanonicalEncode, MatchesDrainedFabricRows)
     }
     eng.drain(0);
 
+    // A signed group's rows hold every value excess-B.
+    EXPECT_EQ(eng.valueOffset(0) != 0, with_negatives);
     RowMirror mirror(eng.layout(0), cfg.numCounters);
-    mirror.encodeValues(expect);
+    mirror.encodeValues(expect, eng.valueOffset(0));
     for (size_t r = 0; r < mirror.numRows(); ++r) {
         const unsigned row = mirror.fabricRow(eng.layout(0), r);
         EXPECT_EQ(eng.backend().scrubReadRow(row), mirror.dataBits(r))
@@ -538,6 +540,71 @@ TEST(ScrubberProtection, NvmFabricIsScrubbable)
         scrub.noteBatch(part);
         scrub.boundary();
     }
+    EXPECT_EQ(eng.readAllCounters(0), ref);
+}
+
+TEST(ScrubberSigned, GroupTurningSignedBetweenSweepsHealsNothing)
+{
+    // The mirror decodes at the offset its image was encoded with
+    // (0) and re-encodes at the group's new excess-B offset, so the
+    // re-biased fabric rows are no deviation.
+    const auto cfg = faultyConfig(64, 0.0, 71);
+    const auto up = randomOps(300, cfg.numCounters, 73, false);
+    const auto mixed = randomOps(300, cfg.numCounters, 79, true);
+    std::vector<BatchOp> all = up;
+    all.insert(all.end(), mixed.begin(), mixed.end());
+
+    ShardedEngine eng(cfg, 2);
+    Scrubber scrub(eng, {});
+    eng.accumulateBatch(up);
+    scrub.noteBatch(up);
+    scrub.boundary();
+    for (unsigned s = 0; s < eng.numShards(); ++s)
+        ASSERT_EQ(eng.shard(s).valueOffset(0), 0);
+
+    eng.accumulateBatch(mixed);
+    scrub.noteBatch(mixed);
+    for (unsigned s = 0; s < eng.numShards(); ++s)
+        ASSERT_NE(eng.shard(s).valueOffset(0), 0) << "shard " << s;
+    const auto before = scrub.stats();
+    scrub.boundary();
+    const auto after = scrub.stats();
+    EXPECT_EQ(after.sweeps - before.sweeps, eng.numShards());
+    EXPECT_GT(after.rowsScrubbed, before.rowsScrubbed);
+    EXPECT_EQ(after.rowsRepaired, 0u);
+    EXPECT_EQ(after.faultyBits, 0u);
+    EXPECT_EQ(eng.readAllCounters(0), faultFreeReference(cfg, all));
+}
+
+TEST(ScrubberSigned, FlippedBitInABiasedGroupIsHealed)
+{
+    const auto cfg = faultyConfig(64, 0.0, 83);
+    const auto ops = randomOps(400, cfg.numCounters, 89, true);
+    const auto ref = faultFreeReference(cfg, ops);
+
+    ShardedEngine eng(cfg, 1);
+    Scrubber scrub(eng, {});
+    eng.accumulateBatch(ops);
+    scrub.noteBatch(ops);
+    scrub.boundary();
+    C2MEngine &shard = eng.shard(0);
+    ASSERT_NE(shard.valueOffset(0), 0);
+    ASSERT_EQ(eng.readAllCounters(0), ref);
+
+    // Flip one bit of digit 3 (every radix-4 pattern is a valid
+    // state, so the value moves), then sweep.
+    const unsigned row = shard.layout(0).bitRow(3, 0);
+    BitVector v(cfg.numCounters);
+    v.copyFrom(shard.backend().scrubReadRow(row));
+    v.set(5, !v.get(5));
+    shard.backend().scrubWriteRow(row, v);
+    ASSERT_NE(eng.readAllCounters(0), ref);
+
+    const auto before = scrub.stats();
+    scrub.scrubAll();
+    const auto after = scrub.stats();
+    EXPECT_EQ(after.rowsRepaired - before.rowsRepaired, 1u);
+    EXPECT_EQ(after.faultyBits - before.faultyBits, 1u);
     EXPECT_EQ(eng.readAllCounters(0), ref);
 }
 

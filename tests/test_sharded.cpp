@@ -158,12 +158,31 @@ TEST(Sharded, UnevenSplitCoversEveryCounter)
     EXPECT_EQ(run.readAllCounters(), runSingle(cfg, ops));
 }
 
-TEST(Sharded, OddRadixConfigThrowsAfterThePoolStarted)
+TEST(Sharded, OddRadixConfigThrowsBeforeThePoolStarts)
 {
-    // The lane pool is running when the shards are built: the throw
-    // must unwind through it and join its threads, not terminate.
+    // EngineConfig::validate runs before any member is built.
     EXPECT_THROW(ShardedEngine(baseConfig(64, 5), 4),
                  std::invalid_argument);
+}
+
+TEST(Sharded, ShardCountOutsideOneToCountersThrows)
+{
+    EXPECT_THROW(ShardedEngine(baseConfig(64), 0), std::invalid_argument);
+    EXPECT_THROW(ShardedEngine(baseConfig(64), 65),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(ShardedEngine(baseConfig(64), 64));
+}
+
+TEST(Sharded, UnsupportedProtectionThrowsAfterThePoolStarted)
+{
+    // Only the backend knows its capabilities, so this error comes
+    // from a shard's C2MEngine while the lane pool is running: the
+    // throw must unwind through it and join its threads, not
+    // terminate.
+    EngineConfig cfg = baseConfig(64);
+    cfg.backend = core::BackendKind::NvmPinatubo;
+    cfg.protection = Protection::Ecc;
+    EXPECT_THROW(ShardedEngine(cfg, 4), std::invalid_argument);
 }
 
 TEST(Sharded, DeterministicAcrossThreadCounts)
