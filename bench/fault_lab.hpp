@@ -5,9 +5,11 @@
  * @file
  * Shared harness for the fault-accuracy experiments (Fig. 4 and
  * Fig. 17): runs masked accumulation streams, the DNA pre-alignment
- * filter, and the BERT-proxy classifier on the functional JC (C2M)
- * and RCA (SIMDRAM) engines under None/TMR/ECC protection at a given
- * CIM fault rate.
+ * filter, and the BERT-proxy classifier through C2MEngine on the JC
+ * (C2M, Ambit) and RCA (SIMDRAM) backends under None/TMR/ECC
+ * protection at a given CIM fault rate. The RCA schemes run the
+ * radix-2 RcaBackend, which adds every input as one W-bit add with
+ * W = capacityBits + 2.
  */
 
 #include <string>
@@ -17,7 +19,6 @@
 #include "common/stats.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
-#include "core/simdram.hpp"
 #include "workloads/bertproxy.hpp"
 #include "workloads/dna.hpp"
 
@@ -61,42 +62,32 @@ isJc(Scheme s)
            s == Scheme::JcEcc;
 }
 
+/**
+ * Engine config of @p s: radix-10, 24-bit JC counters, or a 24-bit
+ * RCA accumulator (radix 2 with 22 capacity bits).
+ */
 inline core::EngineConfig
-jcConfig(Scheme s, double fault_rate, size_t counters,
-         unsigned mask_rows, uint64_t seed, unsigned groups = 1)
+schemeConfig(Scheme s, double fault_rate, size_t counters,
+             unsigned mask_rows, uint64_t seed, unsigned groups = 1)
 {
     core::EngineConfig cfg;
     cfg.radix = 10;
     cfg.capacityBits = 24;
+    if (!isJc(s)) {
+        cfg.backend = core::BackendKind::Rca;
+        cfg.radix = 2;
+        cfg.capacityBits = 22;
+    }
     cfg.numCounters = counters;
     cfg.maxMaskRows = mask_rows;
     cfg.numGroups = groups;
     cfg.faultRate = fault_rate;
     cfg.seed = seed;
-    if (s == Scheme::JcTmr)
+    if (s == Scheme::JcTmr || s == Scheme::RcaTmr)
         cfg.protection = core::Protection::Tmr;
-    if (s == Scheme::JcEcc) {
+    if (s == Scheme::JcEcc || s == Scheme::RcaEcc) {
         cfg.protection = core::Protection::Ecc;
         cfg.frChecks = 2; // Tab. 1's "4 FR checks" column + commit
-        cfg.maxRetries = 6;
-    }
-    return cfg;
-}
-
-inline core::SimdramConfig
-rcaConfig(Scheme s, double fault_rate, size_t elements,
-          unsigned mask_rows, uint64_t seed)
-{
-    core::SimdramConfig cfg;
-    cfg.accBits = 24;
-    cfg.numElements = elements;
-    cfg.maxMaskRows = mask_rows;
-    cfg.faultRate = fault_rate;
-    cfg.seed = seed;
-    if (s == Scheme::RcaTmr)
-        cfg.protection = core::RcaProtection::Tmr;
-    if (s == Scheme::RcaEcc) {
-        cfg.protection = core::RcaProtection::Ecc;
         cfg.maxRetries = 6;
     }
     return cfg;
@@ -122,27 +113,17 @@ accumulationRmse(Scheme scheme, double fault_rate, size_t counters,
     for (auto v : inputs)
         expected_on += static_cast<int64_t>(v);
 
-    std::vector<int64_t> expected(counters, 0), measured;
+    std::vector<int64_t> expected(counters, 0);
     for (size_t j = 0; j < counters; ++j)
         if (mask[j])
             expected[j] = expected_on;
 
-    if (isJc(scheme)) {
-        core::C2MEngine eng(
-            jcConfig(scheme, fault_rate, counters, 2, seed));
-        const unsigned h = eng.addMask(mask);
-        for (auto v : inputs)
-            eng.accumulate(v, h);
-        measured = eng.readCounters();
-    } else {
-        core::SimdramEngine eng(
-            rcaConfig(scheme, fault_rate, counters, 2, seed));
-        const unsigned h = eng.addMask(mask);
-        for (auto v : inputs)
-            eng.accumulate(v, h);
-        measured = eng.readSigned();
-    }
-    return rmse(measured, expected);
+    core::C2MEngine eng(
+        schemeConfig(scheme, fault_rate, counters, 2, seed));
+    const unsigned h = eng.addMask(mask);
+    for (auto v : inputs)
+        eng.accumulate(v, h);
+    return rmse(eng.readCounters(), expected);
 }
 
 /** Fig. 4b / Fig. 17a: DNA pre-alignment filtering F1. */
@@ -153,31 +134,16 @@ dnaFilterF1(Scheme scheme, double fault_rate,
     std::vector<std::vector<int64_t>> scores;
     const auto tokens = static_cast<unsigned>(dna.numTokens());
 
-    if (isJc(scheme)) {
-        core::C2MEngine eng(jcConfig(scheme, fault_rate,
+    core::C2MEngine eng(schemeConfig(scheme, fault_rate,
                                      dna.numBins(), tokens, seed));
-        std::vector<unsigned> handles;
-        for (unsigned t = 0; t < tokens; ++t)
-            handles.push_back(eng.addMask(dna.tokenMask(t)));
-        for (const auto &read : dna.reads()) {
-            eng.clear();
-            for (const auto &[tok, cnt] : dna.readTokens(read))
-                eng.accumulate(cnt, handles[tok]);
-            scores.push_back(eng.readCounters());
-        }
-    } else {
-        core::SimdramEngine eng(rcaConfig(scheme, fault_rate,
-                                          dna.numBins(), tokens,
-                                          seed));
-        std::vector<unsigned> handles;
-        for (unsigned t = 0; t < tokens; ++t)
-            handles.push_back(eng.addMask(dna.tokenMask(t)));
-        for (const auto &read : dna.reads()) {
-            eng.clear();
-            for (const auto &[tok, cnt] : dna.readTokens(read))
-                eng.accumulate(cnt, handles[tok]);
-            scores.push_back(eng.readSigned());
-        }
+    std::vector<unsigned> handles;
+    for (unsigned t = 0; t < tokens; ++t)
+        handles.push_back(eng.addMask(dna.tokenMask(t)));
+    for (const auto &read : dna.reads()) {
+        eng.clear();
+        for (const auto &[tok, cnt] : dna.readTokens(read))
+            eng.accumulate(cnt, handles[tok]);
+        scores.push_back(eng.readCounters());
     }
     return dna.evaluate(scores).f1();
 }
@@ -195,14 +161,14 @@ bertAccuracy(Scheme scheme, double fault_rate,
         const unsigned K = static_cast<unsigned>(W.size());
         const uint64_t sd = seed + 7919 * ++invocation;
         if (isJc(scheme)) {
-            auto cfg = jcConfig(scheme, fault_rate, N, 2 * K, sd, 2);
+            auto cfg = schemeConfig(scheme, fault_rate, N, 2 * K, sd, 2);
             cfg.capacityBits = 20;
             core::C2MEngine eng(cfg);
             return core::gemvIntTernary(eng, x, W);
         }
-        auto cfg = rcaConfig(scheme, fault_rate, N, 2 * K, sd);
-        cfg.accBits = 20;
-        core::SimdramEngine eng(cfg);
+        auto cfg = schemeConfig(scheme, fault_rate, N, 2 * K, sd);
+        cfg.capacityBits = 18; // W = 20
+        core::C2MEngine eng(cfg);
         return core::simdramGemvTernary(eng, x, W);
     };
     return proxy.accuracy(gemv);

@@ -58,6 +58,24 @@ runCheckedOnSubarray(cim::AmbitSubarray &sub,
     }
 }
 
+void
+voteRowsOnSubarray(cim::AmbitSubarray &sub,
+                   const std::array<unsigned, 3> &rows,
+                   EngineStats &stats)
+{
+    using cim::RowRef;
+    using cim::RowSet;
+    cim::AmbitProgram p;
+    p.aap(RowRef::data(rows[0]), RowRef::t(0));
+    p.aap(RowRef::data(rows[1]), RowRef::t(1));
+    p.aap(RowRef::data(rows[2]), RowRef::t(2));
+    p.aap(RowSet::b12(), RowSet{RowRef::data(rows[0]),
+                                RowRef::data(rows[1]),
+                                RowRef::data(rows[2])});
+    sub.run(p);
+    stats.voteOps += p.size();
+}
+
 const char *
 backendName(BackendKind kind)
 {
@@ -83,6 +101,13 @@ CountingBackend::karyDecrement(unsigned, unsigned, unsigned, unsigned)
 {
     C2M_PANIC(backendName(kind()),
               " backend does not support signed counting");
+}
+
+void
+CountingBackend::maskedAdd(unsigned, uint64_t, unsigned)
+{
+    C2M_PANIC(backendName(kind()),
+              " backend has no binary accumulator for whole-value adds");
 }
 
 void

@@ -18,16 +18,18 @@
  *  - NvmBackend: Pinatubo (non-stateful AND/OR/NOT) or MAGIC
  *    (stateful NOR-only) machines; Johnson counters, unprotected.
  *  - RcaBackend: the SIMDRAM-style bit-serial ripple-carry baseline;
- *    vertical W-bit binary accumulators where a k-ary digit update
- *    becomes a full-width masked add of k*radix^digit (two's
- *    complement for decrements), with duplicate-compute ECC.
+ *    vertical W-bit binary accumulators where every input is one
+ *    full-width masked add (maskedAdd) and a k-ary plane step is an
+ *    add of k*radix^digit (two's complement for decrements), with
+ *    duplicate-compute ECC and TMR voting over all W bit rows.
  *
  * Capability flags tell the engine which features a substrate
- * supports; the engine asserts them before use, so unsupported
- * configurations fail loudly at construction rather than silently
- * miscounting. Executed programs are replayed from a per-backend
- * ProgramCache keyed by (op, physical group, digit, k, mask row);
- * hit/miss counts surface in EngineStats.
+ * supports; the engine checks them before use, so an unsupported
+ * protection throws std::invalid_argument at construction rather
+ * than silently miscounting. Digit-step programs are replayed from a
+ * per-backend ProgramCache keyed by (op, physical group, digit, k,
+ * mask row); hit/miss counts surface in EngineStats. Whole-value
+ * adds (maskedAdd) are generated per call.
  */
 
 #include <array>
@@ -62,6 +64,16 @@ void runCheckedOnSubarray(cim::AmbitSubarray &sub,
                           size_t num_cols, unsigned max_retries,
                           EngineStats &stats);
 
+/**
+ * Majority-vote three replica rows of a DRAM fabric in place: copy
+ * each into a designated row, then one triple activation writes the
+ * majority back to all three. Adds its commands to
+ * EngineStats::voteOps — the vote shared by every DRAM-fabric backend.
+ */
+void voteRowsOnSubarray(cim::AmbitSubarray &sub,
+                        const std::array<unsigned, 3> &rows,
+                        EngineStats &stats);
+
 /** What a counting substrate can do; asserted by the engine. */
 struct BackendCaps
 {
@@ -72,7 +84,8 @@ struct BackendCaps
     /**
      * Deferred carries via per-digit pending (Onext) flags. False for
      * binary accumulators (RCA), where every update resolves its
-     * carries in-place and ripple calls are no-ops.
+     * carries in-place, ripple calls are no-ops, and the engine adds
+     * each input whole through maskedAdd.
      */
     bool pendingFlags = false;
     /**
@@ -119,6 +132,17 @@ class CountingBackend
     virtual void karyDecrement(unsigned phys, unsigned digit,
                                unsigned k, unsigned mask_row);
 
+    /**
+     * Masked full-width add of @p addend (mod 2^W; a negative value
+     * as its two's complement) into every counter of @p phys whose
+     * bit in @p mask_row is set, for binary accumulators
+     * (caps().pendingFlags == false). The program is generated per
+     * call: cached under its addend, the cache would grow with the
+     * number of distinct input values.
+     */
+    virtual void maskedAdd(unsigned phys, uint64_t addend,
+                           unsigned mask_row);
+
     /** Deferred carry ripple at digit boundary @p digit. */
     virtual void carryRipple(unsigned phys, unsigned digit) = 0;
 
@@ -137,7 +161,8 @@ class CountingBackend
 
     /**
      * Majority-vote digit @p digit across three physical replicas
-     * (caps().tmrVoting); adds to EngineStats::voteOps.
+     * (caps().tmrVoting); adds to EngineStats::voteOps. A binary
+     * accumulator votes all W bit rows, whatever the digit.
      */
     virtual void voteDigit(const std::array<unsigned, 3> &phys,
                            unsigned digit);

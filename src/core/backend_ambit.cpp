@@ -9,7 +9,6 @@ namespace c2m {
 namespace core {
 
 using cim::RowRef;
-using cim::RowSet;
 using uprog::ProgramKey;
 
 AmbitBackend::AmbitBackend(const EngineConfig &cfg,
@@ -164,33 +163,17 @@ AmbitBackend::foldTopBorrowIntoSign(unsigned phys)
 }
 
 void
-AmbitBackend::voteRows(const std::vector<unsigned> &rows)
-{
-    C2M_ASSERT(rows.size() == 3, "vote needs three replica rows");
-    cim::AmbitProgram p;
-    p.aap(RowRef::data(rows[0]), RowRef::t(0));
-    p.aap(RowRef::data(rows[1]), RowRef::t(1));
-    p.aap(RowRef::data(rows[2]), RowRef::t(2));
-    p.aap(RowSet::b12(), RowSet{RowRef::data(rows[0]),
-                                RowRef::data(rows[1]),
-                                RowRef::data(rows[2])});
-    sub_.run(p);
-    stats_.voteOps += p.size();
-}
-
-void
 AmbitBackend::voteDigit(const std::array<unsigned, 3> &phys,
                         unsigned digit)
 {
     const unsigned n = layouts_[0].bitsPerDigit();
     for (unsigned i = 0; i <= n; ++i) {
-        std::vector<unsigned> rows;
+        std::array<unsigned, 3> rows;
         for (unsigned r = 0; r < 3; ++r) {
             const auto &l = layouts_[phys[r]];
-            rows.push_back(i < n ? l.bitRow(digit, i)
-                                 : l.onextRow(digit));
+            rows[r] = i < n ? l.bitRow(digit, i) : l.onextRow(digit);
         }
-        voteRows(rows);
+        voteRowsOnSubarray(sub_, rows, stats_);
     }
 }
 

@@ -73,7 +73,6 @@ class AmbitBackend final : public CountingBackend
 
   private:
     void runChecked(const uprog::CheckedProgram &prog);
-    void voteRows(const std::vector<unsigned> &rows);
 
     size_t numCounters_;
     unsigned maxRetries_;

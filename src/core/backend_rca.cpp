@@ -12,28 +12,6 @@ using uprog::ProgramKey;
 
 namespace {
 
-/**
- * Accumulator width: the signed range must cover the JC modulus
- * radix^D so every value a JC backend can represent reads back
- * identically.
- */
-unsigned
-rcaWidth(unsigned radix, unsigned num_digits)
-{
-    unsigned __int128 modulus = 1;
-    for (unsigned d = 0; d < num_digits; ++d)
-        modulus *= radix;
-    unsigned width = 1;
-    while (width < 64 &&
-           (static_cast<unsigned __int128>(1) << (width - 1)) <
-               modulus)
-        ++width;
-    C2M_ASSERT((static_cast<unsigned __int128>(1) << (width - 1)) >=
-                   modulus,
-               "counter capacity exceeds the 64-bit RCA accumulator");
-    return width;
-}
-
 std::vector<uprog::RcaLayout>
 buildRcaLayouts(unsigned width, unsigned physical_groups)
 {
@@ -51,6 +29,23 @@ buildRcaLayouts(unsigned width, unsigned physical_groups)
 
 } // namespace
 
+unsigned
+RcaBackend::widthFor(unsigned radix, unsigned num_digits)
+{
+    unsigned __int128 modulus = 1;
+    for (unsigned d = 0; d < num_digits; ++d)
+        modulus *= radix;
+    unsigned width = 1;
+    while (width < 64 &&
+           (static_cast<unsigned __int128>(1) << (width - 1)) <
+               modulus)
+        ++width;
+    C2M_ASSERT((static_cast<unsigned __int128>(1) << (width - 1)) >=
+                   modulus,
+               "counter capacity exceeds the 64-bit RCA accumulator");
+    return width;
+}
+
 RcaBackend::RcaBackend(const EngineConfig &cfg,
                        unsigned physical_groups, EngineStats &stats)
     : CountingBackend(stats),
@@ -59,7 +54,7 @@ RcaBackend::RcaBackend(const EngineConfig &cfg,
       radix_(cfg.radix),
       numDigits_(
           jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) + 1),
-      width_(rcaWidth(radix_, numDigits_)),
+      width_(widthFor(radix_, numDigits_)),
       widthMask_(width_ == 64 ? ~0ULL : (1ULL << width_) - 1),
       layouts_(buildRcaLayouts(width_, physical_groups)),
       maskBase_(layouts_.back().endRow()),
@@ -69,6 +64,7 @@ RcaBackend::RcaBackend(const EngineConfig &cfg,
              stats.programCacheMisses)
 {
     caps_.eccChecks = true;
+    caps_.tmrVoting = true;
     caps_.signedCounting = true;
 
     sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
@@ -108,6 +104,14 @@ RcaBackend::runChecked(const uprog::CheckedProgram &prog)
 
 void
 RcaBackend::maskedAdd(unsigned phys, uint64_t addend,
+                      unsigned mask_row)
+{
+    runChecked(
+        codegen_[phys].maskedAccumulate(addend & widthMask_, mask_row));
+}
+
+void
+RcaBackend::cachedAdd(unsigned phys, uint64_t addend,
                       unsigned mask_row, ProgramKey key)
 {
     runChecked(cache_.get(key, [&] {
@@ -122,7 +126,7 @@ RcaBackend::karyIncrement(unsigned phys, unsigned digit, unsigned k,
 {
     C2M_ASSERT(digit < numDigits_ && k >= 1 && k < radix_,
                "digit/step out of range");
-    maskedAdd(phys, k * digitWeight_[digit], mask_row,
+    cachedAdd(phys, k * digitWeight_[digit], mask_row,
               ProgramKey{ProgramKey::Op::Increment, phys,
                          static_cast<uint16_t>(digit),
                          static_cast<uint16_t>(k), mask_row});
@@ -134,7 +138,7 @@ RcaBackend::karyDecrement(unsigned phys, unsigned digit, unsigned k,
 {
     C2M_ASSERT(digit < numDigits_ && k >= 1 && k < radix_,
                "digit/step out of range");
-    maskedAdd(phys, 0 - k * digitWeight_[digit], mask_row,
+    cachedAdd(phys, 0 - k * digitWeight_[digit], mask_row,
               ProgramKey{ProgramKey::Op::Decrement, phys,
                          static_cast<uint16_t>(digit),
                          static_cast<uint16_t>(k), mask_row});
@@ -161,6 +165,18 @@ void
 RcaBackend::foldTopBorrowIntoSign(unsigned)
 {
     // Two's complement carries the sign in the accumulator itself.
+}
+
+void
+RcaBackend::voteDigit(const std::array<unsigned, 3> &phys, unsigned)
+{
+    // Every add ripples through all W bits, so every bit row is voted.
+    for (unsigned b = 0; b < width_; ++b)
+        voteRowsOnSubarray(sub_,
+                           {layouts_[phys[0]].bitRow(b),
+                            layouts_[phys[1]].bitRow(b),
+                            layouts_[phys[2]].bitRow(b)},
+                           stats_);
 }
 
 std::vector<uint64_t>

@@ -4,20 +4,23 @@
 /**
  * @file
  * SIMDRAM-style ripple-carry implementation of the counting backend
- * (Sec. 3, Sec. 7.1).
+ * (Sec. 3, Sec. 7.1) — the repo's one executed SIMDRAM baseline.
  *
- * Counters are vertical W-bit two's-complement binary accumulators; a
- * masked k-ary update of digit d becomes a full-width masked add of
- * k * radix^d (its two's complement for decrements), rippling a
- * MAJ3 full adder through all W bit positions regardless of the
- * addend's magnitude — the cost the paper's high-radix counting
- * removes. Because every update resolves its carries in place there
- * are no pending flags: ripple requests are no-ops and the engine
- * skips IARM scheduling (caps().pendingFlags == false). W is sized so
- * the signed range covers the Johnson-counter modulus radix^D of an
+ * Counters are vertical W-bit two's-complement binary accumulators.
+ * The engine adds every input whole: one masked W-bit add per input
+ * (maskedAdd), zero included, its two's complement for a negative
+ * value, rippling a MAJ3 full adder through all W bit positions
+ * regardless of the addend's magnitude — the cost RcaCostModel
+ * charges and the paper's high-radix counting removes. A drain-plan
+ * step is one cached add of k * radix^d. Because every add resolves
+ * its carries in place there are no pending flags: ripple requests
+ * are no-ops and the engine skips IARM scheduling
+ * (caps().pendingFlags == false). W is sized by widthFor so the
+ * signed range covers the Johnson-counter modulus radix^D of an
  * equally-configured JC backend, making cross-backend readouts
  * bit-identical in range. Protection: duplicate-compute-and-compare
- * ECC per MAJ3 step (caps().eccChecks).
+ * ECC per MAJ3 step (caps().eccChecks) and TMR, which votes all W
+ * bit rows after every add (caps().tmrVoting).
  */
 
 #include "cim/ambit.hpp"
@@ -34,6 +37,13 @@ class RcaBackend final : public CountingBackend
     RcaBackend(const EngineConfig &cfg, unsigned physical_groups,
                EngineStats &stats);
 
+    /**
+     * Accumulator width W for @p num_digits digits of @p radix: the
+     * smallest whose signed range covers radix^num_digits (at radix
+     * 2, num_digits + 1). Panics past 64 bits.
+     */
+    static unsigned widthFor(unsigned radix, unsigned num_digits);
+
     BackendKind kind() const override { return BackendKind::Rca; }
     unsigned numDigits() const override { return numDigits_; }
     /** Accumulator width W in bits. */
@@ -46,10 +56,14 @@ class RcaBackend final : public CountingBackend
                        unsigned mask_row) override;
     void karyDecrement(unsigned phys, unsigned digit, unsigned k,
                        unsigned mask_row) override;
+    void maskedAdd(unsigned phys, uint64_t addend,
+                   unsigned mask_row) override;
     void carryRipple(unsigned phys, unsigned digit) override;
     void borrowRipple(unsigned phys, unsigned digit) override;
     bool anyPending(unsigned phys, unsigned digit) override;
     void foldTopBorrowIntoSign(unsigned phys) override;
+    void voteDigit(const std::array<unsigned, 3> &phys,
+                   unsigned digit) override;
 
     std::vector<int64_t> readCounters(unsigned phys,
                                       int64_t offset) override;
@@ -65,7 +79,8 @@ class RcaBackend final : public CountingBackend
 
   private:
     void runChecked(const uprog::CheckedProgram &prog);
-    void maskedAdd(unsigned phys, uint64_t addend, unsigned mask_row,
+    /** maskedAdd through the program cache under @p key. */
+    void cachedAdd(unsigned phys, uint64_t addend, unsigned mask_row,
                    uprog::ProgramKey key);
     std::vector<uint64_t> readRaw(unsigned phys);
 

@@ -187,10 +187,30 @@ C2MEngine::borrowRipple(unsigned group, unsigned digit)
 }
 
 void
+C2MEngine::addWhole(unsigned group, uint64_t magnitude,
+                    uint64_t addend, unsigned mask_handle)
+{
+    const unsigned mask_row = maskRowIndex(mask_handle);
+    C2M_ASSERT(jc::toDigits(magnitude, cfg_.radix).size() <
+                   backend_->numDigits(),
+               "value exceeds counter capacity");
+    for (unsigned r = 0; r < replicas(); ++r)
+        backend_->maskedAdd(physIndex(group, r), addend, mask_row);
+    if (cfg_.protection == Protection::Tmr)
+        voteDigit(group, 0);
+    ++stats_.increments;
+    ++stats_.inputsAccumulated;
+}
+
+void
 C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
                       unsigned group)
 {
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
+    if (!backend_->caps().pendingFlags) {
+        addWhole(group, value, value, mask_handle);
+        return;
+    }
     if (value == 0) {
         ++stats_.inputsAccumulated; // zero inputs are skipped entirely
         return;
@@ -200,11 +220,10 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
     C2M_ASSERT(digits.size() < backend_->numDigits(),
                "value exceeds counter capacity");
 
-    const bool pending = backend_->caps().pendingFlags;
     auto &sched = schedulers_[group];
     const bool signed_mode = groupHasDecrements_[group];
 
-    if (pending && !signed_mode) {
+    if (!signed_mode) {
         for (unsigned d : sched.prepareAdd(digits))
             ripple(group, d);
         sched.applyAdd(digits);
@@ -224,9 +243,7 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
         }
     }
 
-    if (!pending) {
-        // In-place carry substrates (RCA) resolve everything per add.
-    } else if (signed_mode) {
+    if (signed_mode) {
         // Signed groups keep Onext fully resolved so the flag's
         // meaning (overflow vs borrow) can switch per input.
         resolveAllPendings(group, /*borrows=*/false, stepped);
@@ -396,10 +413,15 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
                backendName(cfg_.backend),
                " backend does not support signed counting");
     enterSignedMode(group);
+    const uint64_t magnitude = 0 - static_cast<uint64_t>(value);
+    if (!backend_->caps().pendingFlags) {
+        addWhole(group, magnitude, static_cast<uint64_t>(value),
+                 mask_handle);
+        return;
+    }
 
     const unsigned mask_row = maskRowIndex(mask_handle);
-    const auto digits =
-        jc::toDigits(static_cast<uint64_t>(-value), cfg_.radix);
+    const auto digits = jc::toDigits(magnitude, cfg_.radix);
     C2M_ASSERT(digits.size() < backend_->numDigits(),
                "value exceeds counter capacity");
 
@@ -410,8 +432,7 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
         stepped |= uint64_t{1} << pos;
         decrementDigit(group, pos, digits[pos], mask_row);
     }
-    if (backend_->caps().pendingFlags)
-        resolveAllPendings(group, /*borrows=*/true, stepped);
+    resolveAllPendings(group, /*borrows=*/true, stepped);
     ++stats_.inputsAccumulated;
 }
 

@@ -8,14 +8,16 @@
  * One engine instance owns a counting backend (EngineConfig::backend:
  * Ambit DRAM, Pinatubo/MAGIC NVM, or the SIMDRAM-style RCA baseline)
  * holding one or more groups of column-parallel counters plus the
- * mask rows of the stationary operand Z. The host-side routine
- * converts each streamed input value into k-ary increment muPrograms
- * (digit unpacking, Sec. 5.1), schedules deferred carry rippling with
- * IARM (Sec. 4.5.2) on substrates with pending flags, and relies on
- * the backend's checked execution (check-and-retry, in-fabric voting)
- * when protection is enabled (Sec. 6). Which protection and tensor
- * features a substrate offers is advertised through BackendCaps and
- * asserted at configuration time.
+ * mask rows of the stationary operand Z. On the substrates with
+ * pending flags (Ambit, NVM) the host-side routine converts each
+ * streamed input value into k-ary increment muPrograms (digit
+ * unpacking, Sec. 5.1) and schedules deferred carry rippling with
+ * IARM (Sec. 4.5.2); the RCA baseline adds every input whole, one
+ * W-bit add per input (Sec. 3). Both rely on the backend's checked
+ * execution (check-and-retry, in-fabric voting) when protection is
+ * enabled (Sec. 6). Which protection and tensor features a substrate
+ * offers is advertised through BackendCaps and checked at
+ * construction.
  *
  * Counter groups:
  *  - kernels needing signed results use two groups dual-rail
@@ -28,7 +30,7 @@
  *    changes one or two digits instead of borrowing through all of
  *    them;
  *  - TMR replicates every group three times and votes after each
- *    digit update;
+ *    digit update (on RCA, all W bit rows after each add);
  *  - tensor ops (vector add, shift-left) operate across groups.
  */
 
@@ -151,14 +153,18 @@ class C2MEngine
 
     /**
      * Accumulate @p value into every counter of @p group whose bit in
-     * mask @p mask_handle is set (value >= 0).
+     * mask @p mask_handle is set (value >= 0). The JC backends step
+     * each nonzero digit and skip zero inputs; a backend without
+     * pending flags (RCA) issues one masked W-bit add per replica for
+     * every input, zero included, in any counting or ripple mode.
      */
     void accumulate(uint64_t value, unsigned mask_handle,
                     unsigned group = 0);
 
     /**
      * Signed accumulation: negative values decrement (Sec. 4.4). The
-     * first one puts the group in signed mode (see valueOffset).
+     * first one puts the group in signed mode (see valueOffset). On
+     * RCA a negative value is one add of its two's complement.
      */
     void accumulateSigned(int64_t value, unsigned mask_handle,
                           unsigned group = 0);
@@ -319,6 +325,15 @@ class C2MEngine
 
     /** Majority-vote the rows of digit @p digit across replicas. */
     void voteDigit(unsigned group, unsigned digit);
+
+    /**
+     * An input on a backend without pending flags (RCA): one masked
+     * W-bit add of @p addend per replica, then a TMR vote, whatever
+     * the value — the SIMDRAM baseline's cost, zero included.
+     * @p magnitude (|value|) is checked against the capacity.
+     */
+    void addWhole(unsigned group, uint64_t magnitude, uint64_t addend,
+                  unsigned mask_handle);
 
     void incrementDigit(unsigned group, unsigned digit, unsigned k,
                         unsigned mask_row);

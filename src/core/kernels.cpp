@@ -160,28 +160,20 @@ gemmIntTernary(C2MEngine &engine,
 }
 
 std::vector<int64_t>
-simdramGemvTernary(SimdramEngine &engine,
+simdramGemvTernary(C2MEngine &engine,
                    const std::vector<int64_t> &x,
                    const std::vector<std::vector<int8_t>> &Z)
 {
     C2M_ASSERT(x.size() == Z.size(), "x length must match rows of Z");
     std::vector<unsigned> plus, minus;
-    for (const auto &row : Z) {
-        std::vector<uint8_t> p(row.size()), m(row.size());
-        for (size_t j = 0; j < row.size(); ++j) {
-            p[j] = row[j] > 0;
-            m[j] = row[j] < 0;
-        }
-        plus.push_back(engine.addMask(p));
-        minus.push_back(engine.addMask(m));
-    }
+    addTernaryMasks(engine, Z, plus, minus);
     for (size_t i = 0; i < x.size(); ++i) {
         // The RCA baseline cannot skip zeros: both planes are added
         // for every input element.
         engine.accumulateSigned(x[i], plus[i]);
         engine.accumulateSigned(-x[i], minus[i]);
     }
-    return engine.readSigned();
+    return engine.readCounters(0);
 }
 
 } // namespace core

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/simdram.hpp"
 
 namespace c2m {
 namespace core {
@@ -74,9 +73,14 @@ std::vector<std::vector<int64_t>> gemmIntTernary(
 
 // ---- SIMDRAM baseline kernels ----
 
-/** Ternary GEMV on the RCA engine (two's-complement masked adds). */
+/**
+ * Ternary GEMV as the SIMDRAM baseline runs it: one signed
+ * (two's-complement) group, and both mask planes of row i get x_i
+ * or -x_i for every input, zeros included — on the RCA backend one
+ * full-width add each (engine needs maxMaskRows >= 2K).
+ */
 std::vector<int64_t> simdramGemvTernary(
-    SimdramEngine &engine, const std::vector<int64_t> &x,
+    C2MEngine &engine, const std::vector<int64_t> &x,
     const std::vector<std::vector<int8_t>> &Z);
 
 } // namespace core

@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/backend_rca.hpp"
 #include "core/costmodel.hpp"
 #include "jc/digits.hpp"
 #include "obs/trace.hpp"
@@ -43,21 +44,6 @@ splitRanges(size_t total, unsigned shards)
     return starts;
 }
 
-/** RCA accumulator width (mirrors backend_rca's sizing rule). */
-unsigned
-rcaModelWidth(unsigned radix, unsigned num_digits)
-{
-    unsigned __int128 modulus = 1;
-    for (unsigned d = 0; d < num_digits; ++d)
-        modulus *= radix;
-    unsigned width = 1;
-    while (width < 64 &&
-           (static_cast<unsigned __int128>(1) << (width - 1)) <
-               modulus)
-        ++width;
-    return width;
-}
-
 /**
  * Modeled ns of one masked k-ary increment ([0][k]) and decrement
  * ([1][k]) on this config's substrate: analytic command counts
@@ -79,7 +65,7 @@ planStepNs(const EngineConfig &cfg)
     ns.fill(std::vector<double>(cfg.radix, 0.0));
     if (cfg.backend == BackendKind::Rca) {
         const RcaCostModel model(
-            rcaModelWidth(cfg.radix, digits),
+            RcaBackend::widthFor(cfg.radix, digits),
             cfg.protection == Protection::Ecc);
         for (auto &rail : ns)
             for (unsigned k = 1; k < cfg.radix; ++k)
@@ -385,11 +371,13 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
 
     // Price the per-op replay alternative over the RAW ops — one
     // increment or decrement program per nonzero digit of each
-    // original value's magnitude plus a point-mask rewrite per
-    // counter switch — so a hot key hit N times costs ~N program
-    // chains per-op but shares one plane set once summed. The merged
-    // stage-3 decision compares the sum of these against ONE global
-    // plan.
+    // original value's magnitude (on RCA, one whole-value add per
+    // op, as C2MEngine::accumulate issues it) plus a point-mask
+    // rewrite per counter switch — so a hot key hit N times costs ~N
+    // program chains per-op but shares one plane set once summed.
+    // The merged stage-3 decision compares the sum of these against
+    // ONE global plan.
+    const bool whole_adds = cfg_.backend == BackendKind::Rca;
     size_t prev_col = std::numeric_limits<size_t>::max();
     for (const auto &op : part.ops) {
         const size_t col = static_cast<size_t>(op.counter) - lo;
@@ -400,6 +388,10 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
         const bool negative = op.value < 0;
         const auto value = static_cast<uint64_t>(op.value);
         const auto &step_ns = planStepNs_[negative];
+        if (whole_adds) {
+            part.fallbackNs += step_ns[1];
+            continue;
+        }
         for (uint64_t v = negative ? 0 - value : value; v != 0; v /= R)
             if (const unsigned k = static_cast<unsigned>(v % R))
                 part.fallbackNs += step_ns[k];

@@ -374,7 +374,8 @@ class ShardedEngine
      * (rail 0 increment, rail 1 decrement; k = 0 unused):
      * C2mCostModel command counts (RcaCostModel for the RCA backend)
      * priced at the substrate's per-command ns. Drives the merged
-     * plan-vs-fallback decision in planParts.
+     * plan-vs-fallback decision in planParts; on RCA, [rail][1] is
+     * also the price of one per-op whole-value add.
      */
     std::array<std::vector<double>, 2> planStepNs_;
     ThreadPool pool_;

@@ -111,29 +111,5 @@ IarmScheduler::drain()
     return out;
 }
 
-FullRippleScheduler::FullRippleScheduler(unsigned radix,
-                                         unsigned num_digits)
-    : numDigits_(num_digits)
-{
-    C2M_ASSERT(radix >= 2 && num_digits >= 1, "bad configuration");
-}
-
-std::vector<unsigned>
-FullRippleScheduler::prepareAdd(const std::vector<unsigned> &digits)
-{
-    (void)digits;
-    return {};
-}
-
-std::vector<unsigned>
-FullRippleScheduler::afterAdd()
-{
-    std::vector<unsigned> out;
-    for (unsigned pos = 0; pos + 1 < numDigits_; ++pos)
-        out.push_back(pos);
-    ripples_ += out.size();
-    return out;
-}
-
 } // namespace jc
 } // namespace c2m

@@ -89,29 +89,6 @@ class IarmScheduler
     uint64_t ripples_ = 0;
 };
 
-/**
- * Baseline scheduler without IARM ("k-ary only", Fig. 8b): one full
- * ascending ripple pass after every input, making the per-input cost
- * capacity-dependent.
- */
-class FullRippleScheduler
-{
-  public:
-    FullRippleScheduler(unsigned radix, unsigned num_digits);
-
-    /** No deferred state: nothing to do before an add. */
-    std::vector<unsigned> prepareAdd(const std::vector<unsigned> &digits);
-
-    /** Ripple pass to broadcast after the input's digit increments. */
-    std::vector<unsigned> afterAdd();
-
-    uint64_t ripplesIssued() const { return ripples_; }
-
-  private:
-    unsigned numDigits_;
-    uint64_t ripples_ = 0;
-};
-
 } // namespace jc
 } // namespace c2m
 

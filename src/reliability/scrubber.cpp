@@ -56,9 +56,11 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
       health_(cfg.health),
       liveInterval_(cfg.interval)
 {
-    C2M_ASSERT(cfg.interval >= 1, "scrub interval must be >= 1");
-    C2M_ASSERT(supports(engine),
-               "engine backend does not support row scrubbing");
+    if (cfg.interval < 1)
+        C2M_FATAL("ScrubConfig::interval must be >= 1");
+    if (!supports(engine))
+        C2M_FATAL(core::backendName(engine.config().backend),
+                  " backend does not support row scrubbing");
 
     const unsigned groups = engine.config().numGroups;
     shards_.resize(engine.numShards());

@@ -142,7 +142,9 @@ class Scrubber final : public service::EpochObserver
     /**
      * Attach to @p engine (which must outlive the scrubber). The
      * engine's counters must be in their cleared state — the initial
-     * mirrors assume zero. Requires a backend with caps().rowScrub.
+     * mirrors assume zero.
+     * @throws std::invalid_argument on interval 0 or a backend
+     *         without caps().rowScrub.
      */
     explicit Scrubber(core::ShardedEngine &engine,
                       const ScrubConfig &cfg = {});

@@ -56,8 +56,8 @@ IngestService::IngestService(core::ShardedEngine &engine,
                              const IngestConfig &cfg)
     : engine_(engine), cfg_(cfg)
 {
-    C2M_ASSERT(cfg_.queueCapacity >= 1,
-               "queueCapacity must be >= 1");
+    if (cfg_.queueCapacity < 1)
+        C2M_FATAL("IngestConfig::queueCapacity must be >= 1");
     dynamicMinDrainOps_.store(std::max<size_t>(1, cfg_.minDrainOps),
                               std::memory_order_relaxed);
     lastShardEpoch_.assign(engine_.numShards(), 0);

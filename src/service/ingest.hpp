@@ -191,6 +191,8 @@ class IngestService
     /**
      * Attach to @p engine and start the drainer. The engine must
      * outlive the service and not be driven directly while attached.
+     * @throws std::invalid_argument if queueCapacity is 0, before the
+     *         drainer starts.
      */
     explicit IngestService(core::ShardedEngine &engine,
                            const IngestConfig &cfg = {});

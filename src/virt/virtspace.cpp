@@ -63,9 +63,10 @@ VirtualCounterSpace::VirtualCounterSpace(core::ShardedEngine &engine,
       sketch_(cfg.sketch),
       distinct_(1 << 20, cfg.seed ^ 0xd157ULL)
 {
-    C2M_ASSERT(cfg.groupSize >= 1, "groupSize must be >= 1");
-    C2M_ASSERT(cfg.groupSize <= (1u << 16),
-               "groupSize must fit the journal's 16-bit slot ids");
+    if (cfg.groupSize < 1 || cfg.groupSize > (1u << 16))
+        C2M_FATAL("VirtConfig::groupSize must be in 1..65536 (the "
+                  "journal's 16-bit slot ids), got ",
+                  cfg.groupSize);
     for (unsigned s = 0; s < engine.numShards(); ++s) {
         const size_t nf = engine.shardWidth(s) / cfg.groupSize;
         for (size_t i = 0; i < nf; ++i)
@@ -73,8 +74,9 @@ VirtualCounterSpace::VirtualCounterSpace(core::ShardedEngine &engine,
                 Frame{s, i * cfg.groupSize,
                       engine.shardStart(s) + i * cfg.groupSize});
     }
-    C2M_ASSERT(!frames_.empty(),
-               "no shard is wide enough for one virtual group frame");
+    if (frames_.empty())
+        C2M_FATAL("VirtConfig::groupSize ", cfg.groupSize,
+                  " is wider than every shard: no virtual group frame");
     frameOwner_.assign(frames_.size(), -1);
     freeFrames_.reserve(frames_.size());
     for (size_t f = frames_.size(); f-- > 0;)

@@ -148,7 +148,11 @@ struct VirtStats
 class VirtualCounterSpace final : public service::EpochObserver
 {
   public:
-    /** Direct mode: single-driver over a quiescent engine. */
+    /**
+     * Direct mode: single-driver over a quiescent engine.
+     * @throws std::invalid_argument (both modes) on a groupSize
+     *         outside 1..65536 or wider than every shard.
+     */
     explicit VirtualCounterSpace(core::ShardedEngine &engine,
                                  const VirtConfig &cfg = {});
     /**

@@ -15,9 +15,12 @@
 
 #include "common/rng.hpp"
 #include "core/backend_jc.hpp"
+#include "core/backend_rca.hpp"
+#include "core/costmodel.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "core/sharded.hpp"
+#include "dram/subarray.hpp"
 #include "perbit_oracle.hpp"
 #include "workloads/dna.hpp"
 #include "workloads/sparsity.hpp"
@@ -164,13 +167,21 @@ TEST_P(BackendKindTest, CachedProgramsAreBitIdenticalToUncached)
         }
 
     EXPECT_EQ(cached.readCounters(), uncached.readCounters());
+    EXPECT_EQ(uncached.stats().programCacheHits, 0u);
+    EXPECT_EQ(uncached.stats().programCacheMisses, 0u);
+    if (GetParam() == BackendKind::Rca) {
+        // RCA adds each input whole, generated per call: the point
+        // path never looks a program up (RcaBaseline covers plans).
+        EXPECT_EQ(cached.stats().programCacheHits +
+                      cached.stats().programCacheMisses,
+                  0u);
+        return;
+    }
     EXPECT_GT(cached.stats().programCacheHits, 0u);
     EXPECT_GT(cached.stats().programCacheMisses, 0u);
     EXPECT_LT(cached.stats().programCacheMisses,
               cached.stats().programCacheHits +
                   cached.stats().programCacheMisses);
-    EXPECT_EQ(uncached.stats().programCacheHits, 0u);
-    EXPECT_EQ(uncached.stats().programCacheMisses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -388,7 +399,7 @@ TEST(BackendCaps, AdvertiseExpectedFeatures)
             break;
         case BackendKind::Rca:
             EXPECT_TRUE(caps.eccChecks);
-            EXPECT_FALSE(caps.tmrVoting);
+            EXPECT_TRUE(caps.tmrVoting);
             EXPECT_TRUE(caps.signedCounting);
             EXPECT_FALSE(caps.tensorOps);
             EXPECT_FALSE(caps.pendingFlags);
@@ -412,6 +423,99 @@ TEST(BackendProtection, EccRunsOnAmbitAndRca)
                   std::vector<int64_t>(cfg.numCounters, 30));
         EXPECT_GT(eng.stats().checksRun, 0u);
     }
+}
+
+// ---------------------------------------------------------------------
+// RCA: the one SIMDRAM baseline
+// ---------------------------------------------------------------------
+
+TEST(RcaBaseline, EveryInputCostsOneFullWidthAdd)
+{
+    // The SIMDRAM baseline pays one W-bit ripple-carry add per input,
+    // whatever its value: zero, one digit, several digits, negative.
+    for (const bool ecc : {false, true}) {
+        auto cfg = baseConfig(BackendKind::Rca); // radix 4, 16 bits
+        if (ecc)
+            cfg.protection = core::Protection::Ecc;
+        C2MEngine eng(cfg);
+        const auto &rca =
+            dynamic_cast<const core::RcaBackend &>(eng.backend());
+        ASSERT_EQ(rca.width(), 19u);
+        const uint64_t per_add =
+            core::RcaCostModel(rca.width(), ecc).accumulateOps();
+        if (!ecc) {
+            EXPECT_EQ(per_add, 210u);
+        }
+        const unsigned h = eng.addMask(altMask(cfg.numCounters, 0));
+        int64_t want = 0;
+        for (const int64_t v : {0, 1, 75, -5}) {
+            const auto c0 = eng.subarray().stats().commands();
+            eng.accumulateSigned(v, h);
+            EXPECT_EQ(eng.subarray().stats().commands() - c0, per_add)
+                << "input " << v << " ecc " << ecc;
+            want += v;
+        }
+        EXPECT_EQ(eng.stats().inputsAccumulated, 4u);
+        const auto mask = altMask(cfg.numCounters, 0);
+        const auto got = eng.readCounters();
+        for (size_t c = 0; c < got.size(); ++c)
+            EXPECT_EQ(got[c], mask[c] ? want : 0) << "col " << c;
+    }
+}
+
+TEST(RcaBaseline, TmrVoteRestoresAFlippedReplicaRow)
+{
+    auto cfg = baseConfig(BackendKind::Rca);
+    cfg.protection = core::Protection::Tmr;
+    C2MEngine eng(cfg);
+    const auto &rca =
+        dynamic_cast<const core::RcaBackend &>(eng.backend());
+    const unsigned W = rca.width();
+    const unsigned h =
+        eng.addMask(std::vector<uint8_t>(cfg.numCounters, 1));
+    eng.accumulate(9, h);
+    const uint64_t votes = eng.stats().voteOps;
+    EXPECT_EQ(votes, 4u * W);
+
+    // Flip bit 2 of every counter in replica 0, the one readout uses.
+    uprog::RcaLayout l0;
+    l0.width = W;
+    l0.baseRow = 0;
+    ASSERT_EQ(eng.physicalGroup(0, 0), 0u);
+    auto &sub = eng.subarray();
+    BitVector row(cfg.numCounters);
+    row.copyFrom(sub.peekRow(l0.bitRow(2)));
+    row.invert();
+    sub.hostWriteRow(l0.bitRow(2), row);
+    EXPECT_EQ(eng.readCounters(),
+              std::vector<int64_t>(cfg.numCounters, 9 ^ 4));
+
+    // The next add's vote outvotes the flipped replica on every bit.
+    eng.accumulateSigned(-3, h);
+    EXPECT_EQ(eng.readCounters(),
+              std::vector<int64_t>(cfg.numCounters, 6));
+    EXPECT_EQ(eng.stats().voteOps - votes, 4u * W);
+}
+
+TEST(RcaBaseline, PlanStepsHitTheProgramCache)
+{
+    // Point inputs are generated per call; drain-plan steps are
+    // (digit, k) programs and replay from the cache.
+    auto cfg = baseConfig(BackendKind::Rca);
+    C2MEngine eng(cfg);
+    const BitVector plane =
+        dram::maskRow(altMask(cfg.numCounters, 1), cfg.numCounters);
+    const unsigned h = eng.addMask(altMask(cfg.numCounters, 1));
+    const core::MaskedStep steps[] = {{0, 3, h, &plane},
+                                      {2, 1, h, &plane}};
+    for (int round = 0; round < 3; ++round)
+        eng.accumulatePlan(steps, 0, 1);
+    EXPECT_EQ(eng.stats().programCacheMisses, 2u);
+    EXPECT_EQ(eng.stats().programCacheHits, 4u);
+    const auto mask = altMask(cfg.numCounters, 1);
+    const auto got = eng.readCounters();
+    for (size_t c = 0; c < got.size(); ++c)
+        EXPECT_EQ(got[c], mask[c] ? 3 * (3 + 16) : 0) << "col " << c;
 }
 
 TEST(BackendProtection, FaultedEccRetriesAreCacheInvariant)

@@ -504,12 +504,23 @@ TEST_F(SignedResolve, BelowMinusBStillBorrowsToTheTop)
 // through the reliable host path
 // ---------------------------------------------------------------------
 
+namespace {
+
 struct EntryCase
 {
     const char *name;
     core::BackendKind backend;
     Protection protection;
 };
+
+/** Print a case by name, so test names stay the same per build. */
+void
+PrintTo(const EntryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+} // namespace
 
 class SignedEntry : public ::testing::TestWithParam<EntryCase>
 {

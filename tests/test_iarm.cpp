@@ -185,17 +185,20 @@ TEST_P(IarmRadix, FewerRipplesThanFullPropagation)
     const unsigned num_digits =
         jc::digitsForCapacity(radix, 200ULL * 255 + 1) + 1;
     jc::IarmScheduler iarm(radix, num_digits);
-    jc::FullRippleScheduler full(radix, num_digits);
+    // The engine's FullRipple mode: a full descending pass after
+    // every add.
+    jc::IarmScheduler full(radix, num_digits);
     Rng rng(7);
 
     for (int i = 0; i < 200; ++i) {
         const auto digits =
             jc::toDigits(1 + rng.nextBounded(255), radix);
-        for (unsigned d : iarm.prepareAdd(digits))
-            (void)d;
-        iarm.applyAdd(digits);
-        full.prepareAdd(digits);
-        full.afterAdd();
+        for (jc::IarmScheduler *s : {&iarm, &full}) {
+            for (unsigned d : s->prepareAdd(digits))
+                (void)d;
+            s->applyAdd(digits);
+        }
+        full.fullPassDescending();
     }
     EXPECT_LT(iarm.ripplesIssued(), full.ripplesIssued())
         << "radix=" << radix;

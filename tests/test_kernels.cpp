@@ -2,7 +2,8 @@
  * @file
  * Kernel tests (Sec. 5.2): integer-binary and integer-ternary
  * GEMV/GEMM, CSD bit-sliced integer-integer products, and the
- * SIMDRAM baseline kernels -- all verified against plain references.
+ * SIMDRAM baseline kernels on the RCA backend -- all verified
+ * against plain references.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,19 @@ kernelConfig(size_t n, unsigned mask_rows, unsigned groups = 1)
     cfg.numCounters = n;
     cfg.maxMaskRows = mask_rows;
     cfg.numGroups = groups;
+    return cfg;
+}
+
+/** The SIMDRAM baseline: one W-bit RCA accumulator per counter. */
+EngineConfig
+simdramConfig(size_t n, unsigned mask_rows, unsigned acc_bits)
+{
+    EngineConfig cfg;
+    cfg.backend = BackendKind::Rca;
+    cfg.radix = 2;
+    cfg.capacityBits = acc_bits - 2; // W = capacityBits + 2
+    cfg.numCounters = n;
+    cfg.maxMaskRows = mask_rows;
     return cfg;
 }
 
@@ -138,11 +152,7 @@ TEST(SimdramKernels, GemvTernaryMatchesReference)
     const auto Z = workloads::randomTernaryMatrix(K, N, 0.6, 13);
     const auto x = workloads::sparseSignedVector(K, 6, 0.1, 14);
 
-    SimdramConfig cfg;
-    cfg.accBits = 24;
-    cfg.numElements = N;
-    cfg.maxMaskRows = 2 * K;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(simdramConfig(N, 2 * K, 24));
     EXPECT_EQ(simdramGemvTernary(eng, x, Z), refGemvTernary(x, Z));
 }
 
@@ -152,11 +162,7 @@ TEST(SimdramKernels, CannotSkipZeros)
     const auto Z = workloads::randomTernaryMatrix(K, N, 0.5, 15);
     const std::vector<int64_t> zeros(K, 0);
 
-    SimdramConfig cfg;
-    cfg.accBits = 16;
-    cfg.numElements = N;
-    cfg.maxMaskRows = 2 * K;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(simdramConfig(N, 2 * K, 16));
     const auto before = eng.subarray().stats().commands();
     const auto y = simdramGemvTernary(eng, zeros, Z);
     // All-zero input still costs the full 2K ripples.
@@ -168,15 +174,11 @@ TEST(SimdramKernels, CannotSkipZeros)
 
 TEST(SimdramEngineTest, SignedAccumulateTwoComplement)
 {
-    SimdramConfig cfg;
-    cfg.accBits = 16;
-    cfg.numElements = 8;
-    cfg.maxMaskRows = 2;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(simdramConfig(8, 2, 16));
     const unsigned h = eng.addMask(std::vector<uint8_t>(8, 1));
     eng.accumulateSigned(5, h);
     eng.accumulateSigned(-12, h);
-    for (auto v : eng.readSigned())
+    for (auto v : eng.readCounters())
         EXPECT_EQ(v, -7);
 }
 
@@ -194,11 +196,7 @@ TEST(Kernels, C2mCheaperThanSimdramOnSameWork)
     gemvIntTernary(c2m_eng, x, Z);
     const auto c2m_cmds = c2m_eng.subarray().stats().commands();
 
-    SimdramConfig scfg;
-    scfg.accBits = 32;
-    scfg.numElements = N;
-    scfg.maxMaskRows = 2 * K;
-    SimdramEngine sd_eng(scfg);
+    C2MEngine sd_eng(simdramConfig(N, 2 * K, 32));
     simdramGemvTernary(sd_eng, x, Z);
     const auto sd_cmds = sd_eng.subarray().stats().commands();
 

@@ -616,6 +616,22 @@ TEST(ScrubberProtection, RcaFabricIsNotScrubbable)
     EXPECT_FALSE(Scrubber::supports(eng));
 }
 
+TEST(ScrubConfigErrors, ZeroIntervalThrows)
+{
+    ShardedEngine eng(faultyConfig(64, 0.0, 67), 2);
+    ScrubConfig scfg;
+    scfg.interval = 0;
+    EXPECT_THROW(Scrubber(eng, scfg), std::invalid_argument);
+}
+
+TEST(ScrubConfigErrors, BackendWithoutRowScrubThrows)
+{
+    auto cfg = faultyConfig(64, 0.0, 67);
+    cfg.backend = BackendKind::Rca;
+    ShardedEngine eng(cfg, 2);
+    EXPECT_THROW(Scrubber(eng, {}), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------
 // Health monitor and adaptive protection
 // ---------------------------------------------------------------------

@@ -242,6 +242,14 @@ TEST(Ingest, SnapshotNeverTearsAnAtomicSpan)
               static_cast<int64_t>(kSpan * kRounds));
 }
 
+TEST(IngestConfigErrors, ZeroQueueCapacityThrows)
+{
+    ShardedEngine engine(baseConfig(32), 2);
+    IngestConfig icfg;
+    icfg.queueCapacity = 0;
+    EXPECT_THROW(IngestService(engine, icfg), std::invalid_argument);
+}
+
 TEST(Ingest, BlockBackpressureStallsButLosesNothing)
 {
     const auto cfg = baseConfig(32);

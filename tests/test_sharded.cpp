@@ -702,6 +702,24 @@ TEST(DrainPlanner, HotKeyDuplicatesPlanAgainstRawOpCost)
     EXPECT_LT(stats_on.increments, 20u);
 }
 
+TEST(DrainPlanner, RcaPricesReplayAtOneAddPerOp)
+{
+    // On RCA per-op replay is one W-bit add per op, whatever its
+    // digits: 5 and 10 hitting one counter replay as 2 adds plus one
+    // point-mask write, which beats the plan's 2 planes (digits of
+    // 15) plus 2 plane-mask writes. Priced per nonzero digit, the
+    // replay would look like 4 adds and lose to the plan.
+    auto cfg = baseConfig(32);
+    cfg.backend = core::BackendKind::Rca;
+    const std::vector<BatchOp> ops = {{4, 5, 0}, {4, 10, 0}};
+    const auto [on, stats_on] = runPlanned(cfg, ops, true, 1);
+    EXPECT_EQ(on, core::replaySerial(cfg, ops));
+    EXPECT_EQ(on[4], 15);
+    EXPECT_EQ(stats_on.plansExecuted, 0u);
+    EXPECT_EQ(stats_on.planFallbackOps, ops.size());
+    EXPECT_EQ(stats_on.increments, ops.size());
+}
+
 TEST(DrainPlanner, SignedBucketsFallBackPerOp)
 {
     // Mixed-sign buckets plan dual-rail: negative sums become

@@ -322,6 +322,27 @@ TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
     EXPECT_LT(writes, rows * spills - 0.5);
 }
 
+TEST(VirtConfigErrors, GroupSizeOutOfRangeThrows)
+{
+    ShardedEngine engine(smallConfig(64), 2);
+    for (const unsigned size : {0u, (1u << 16) + 1}) {
+        VirtConfig vcfg;
+        vcfg.groupSize = size;
+        EXPECT_THROW(VirtualCounterSpace(engine, vcfg),
+                     std::invalid_argument)
+            << size;
+    }
+}
+
+TEST(VirtConfigErrors, GroupWiderThanEveryShardThrows)
+{
+    ShardedEngine engine(smallConfig(64), 2); // 32 columns per shard
+    VirtConfig vcfg;
+    vcfg.groupSize = 64;
+    EXPECT_THROW(VirtualCounterSpace(engine, vcfg),
+                 std::invalid_argument);
+}
+
 TEST(VirtSpill, NonScrubBackendStaysJournaledButExact)
 {
     // RCA has no row-scrub seam: groups beyond the fabric can never
