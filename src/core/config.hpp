@@ -83,8 +83,10 @@ struct EngineConfig
      * (ShardedEngine/IngestService): decompose each counter's epoch
      * delta into radix digits and issue ONE masked k-ary increment
      * (positive sums) or decrement (negative sums) per populated
-     * (rail, digit, k) plane, bounding fabric programs per bucket at
-     * O(D*(R-1)) per group instead of O(ops). Final counter values
+     * (rail, digit, k) plane, a dense digit folded into its
+     * binary-weighted planes (k = 1, 2, 4, ...) where that is
+     * cheaper, bounding fabric programs per bucket at
+     * O(D*log2(R)) per group instead of O(ops). Final counter values
      * are bit-identical to per-op replay; Unit counting, sums
      * reaching the guard digit and buckets the plan cannot beat fall
      * back to the per-op path automatically.

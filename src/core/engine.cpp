@@ -28,6 +28,14 @@ validated(const EngineConfig &cfg)
 
 } // namespace
 
+void
+checkMaskWidth(size_t width, size_t num_counters)
+{
+    if (width > num_counters)
+        C2M_FATAL("mask of ", width, " entries is wider than the ",
+                  num_counters, " counters");
+}
+
 C2MEngine::C2MEngine(const EngineConfig &cfg)
     : cfg_(validated(cfg)),
       bitsPerDigit_(jc::bitsForRadix(cfg.radix)),
@@ -96,8 +104,10 @@ C2MEngine::maskRowIndex(unsigned handle) const
 unsigned
 C2MEngine::addMask(const std::vector<uint8_t> &mask)
 {
-    C2M_ASSERT(numMasks_ < cfg_.maxMaskRows,
-               "mask rows exhausted; raise maxMaskRows");
+    if (numMasks_ >= cfg_.maxMaskRows)
+        C2M_FATAL("mask rows exhausted (maxMaskRows ",
+                  cfg_.maxMaskRows, "); raise maxMaskRows");
+    checkMaskWidth(mask.size(), cfg_.numCounters);
     const unsigned handle = numMasks_++;
     setMask(handle, mask);
     return handle;
@@ -107,6 +117,7 @@ void
 C2MEngine::setMask(unsigned handle, const std::vector<uint8_t> &mask)
 {
     C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
+    checkMaskWidth(mask.size(), cfg_.numCounters);
     cim::AttrScope attr(backend_->opStatsRef(),
                         cim::FabricCat::MaskWrite);
     backend_->writeMask(handle,
@@ -258,15 +269,17 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
 
 void
 C2MEngine::accumulatePlan(std::span<const MaskedStep> steps,
+                          std::span<const unsigned> headroom,
                           unsigned group, uint64_t folded_ops)
 {
     std::vector<PlanRipple> pre, post;
-    planPrepare(steps, group, pre, post);
+    planPrepare(steps, headroom, group, pre, post);
     executePlan(steps, pre, post, group, folded_ops);
 }
 
 void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
+                       std::span<const unsigned> headroom,
                        unsigned group, std::vector<PlanRipple> &pre,
                        std::vector<PlanRipple> &post)
 {
@@ -276,29 +289,28 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     if (steps.empty())
         return; // every folded delta was zero
 
-    // Worst-case digit profile: each counter receives at most one
-    // step per digit position (its own delta digit), so max k per
-    // position upper-bounds every real counter's addition and the
-    // scheduler headroom it prepares is sound for the whole plan.
-    // The profile is over THIS shard's planes only, so the scheduler
-    // advances exactly as it would under an independent per-shard
-    // plan — merged plans change who issues a ripple, never whether
-    // it happens.
-    std::vector<unsigned> worst;
+    // The headroom profile bounds what any one counter receives per
+    // digit, however many steps deliver it, so the scheduler
+    // headroom it prepares is sound for the whole plan. It is over
+    // THIS shard's sums only, so the scheduler advances exactly as it
+    // would under an independent per-shard plan — merged plans
+    // change who issues a ripple, never whether it happens.
+    C2M_ASSERT(headroom.size() < backend_->numDigits(),
+               "planned delta exceeds counter capacity");
+    for (const unsigned k : headroom)
+        C2M_ASSERT(k < cfg_.radix, "headroom ", k,
+                   " out of range for radix ", cfg_.radix);
     bool decrements = false;
     for (const auto &s : steps) {
-        C2M_ASSERT(s.k >= 1 && s.k < cfg_.radix,
-                   "plane step k out of range: ", s.k);
+        C2M_ASSERT(s.k >= 1 && s.digit < headroom.size() &&
+                       s.k <= headroom[s.digit],
+                   "plane step (", s.digit, ", ", s.k,
+                   ") outside the headroom profile");
         C2M_ASSERT(s.mask != nullptr, "plane step without a mask");
         C2M_ASSERT(s.decrement || !decrements,
                    "increment plane after a decrement plane");
         decrements = decrements || s.decrement;
-        if (s.digit >= worst.size())
-            worst.resize(s.digit + 1, 0);
-        worst[s.digit] = std::max(worst[s.digit], s.k);
     }
-    C2M_ASSERT(worst.size() < backend_->numDigits(),
-               "planned delta exceeds counter capacity");
     C2M_ASSERT(!decrements || backend_->caps().signedCounting,
                backendName(cfg_.backend),
                " backend does not support signed counting");
@@ -309,6 +321,7 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
         groupHasDecrements_[group])
         return;
     auto &sched = schedulers_[group];
+    const std::vector<unsigned> worst(headroom.begin(), headroom.end());
     for (unsigned d : sched.prepareAdd(worst))
         pre.push_back({d, true});
     sched.applyAdd(worst);

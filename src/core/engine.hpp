@@ -57,7 +57,9 @@ namespace core {
  * step carries its own mask handle so planes can live in persistent
  * per-plane rows: plane (digit, k) of either rail always lands in
  * the same row index, keeping its cached increment and decrement
- * programs' keys stable across epochs.
+ * programs' keys stable across epochs. A counter may sit in several
+ * steps of one digit (binary-weighted planes: a digit of 3 rides
+ * k = 1 and k = 2), as long as their k's add up to at most R-1.
  */
 struct MaskedStep
 {
@@ -90,6 +92,12 @@ struct PlanRipple
     unsigned digit;
     bool lead = true;
 };
+
+/**
+ * Throw std::invalid_argument if a mask of @p width entries is wider
+ * than the @p num_counters counters it would be written over.
+ */
+void checkMaskWidth(size_t width, size_t num_counters);
 
 class C2MEngine
 {
@@ -139,10 +147,20 @@ class C2MEngine
         return physIndex(group, replica);
     }
 
-    /** Store a binary mask (the next row of Z); returns its handle. */
+    /**
+     * Store a binary mask (the next row of Z); returns its handle. A
+     * mask shorter than numCounters is zero-padded.
+     * @throws std::invalid_argument if @p mask is longer than
+     *         numCounters or all EngineConfig::maxMaskRows rows are
+     *         taken; nothing is registered then.
+     */
     unsigned addMask(const std::vector<uint8_t> &mask);
     unsigned numMasks() const { return numMasks_; }
-    /** Overwrite an existing mask row. */
+    /**
+     * Overwrite an existing mask row, zero-padding a short @p mask.
+     * @throws std::invalid_argument if @p mask is longer than
+     *         numCounters; the row is left as it was.
+     */
     void setMask(unsigned handle, const std::vector<uint8_t> &mask);
     /**
      * In-place overwrite from a prebuilt packed row: no byte-vector
@@ -173,14 +191,14 @@ class C2MEngine
      * Column-parallel masked accumulate (Fig. 15): apply a batch of
      * digit-plane steps, each one masked k-ary increment (or, on the
      * decrement rail, decrement) covering every counter whose epoch
-     * delta has digit k at that position. This is the multi-counter
+     * delta has digit k at that position — or, on a binary-weighted
+     * digit, whose digit there has bit k set. This is the multi-counter
      * entry point the drain planner schedules through — it skips the
      * per-value digit loop entirely. Two shapes:
      *
      *  - unsigned: an unsigned-mode group and increment steps only.
-     *    IARM headroom is prepared ONCE for the whole plan using the
-     *    per-digit worst case (max k over the steps of each digit),
-     *    then each step issues a single karyIncrement.
+     *    IARM headroom is prepared ONCE for the whole plan from
+     *    @p headroom, then each step issues a single karyIncrement.
      *  - signed: a signed-mode group, or any decrement step (which
      *    puts the group in signed mode first, through the same entry
      *    as the first decrement of accumulateSigned). The increment
@@ -189,31 +207,42 @@ class C2MEngine
      *    resolveAllPendings(borrows) from theirs.
      *
      * Requirements: Kary counting; increment steps before decrement
-     * steps; each counter covered by at most one step per digit
-     * position, on one rail. Each step writes its plane mask into
-     * its own MaskedStep::maskHandle row. @p folded_ops is the
-     * number of point updates the plan folds in; it feeds
-     * inputsAccumulated/plannedOps so batch accounting matches the
-     * per-op path.
+     * steps; every counter on one rail. @p headroom[d] bounds the sum
+     * of the k's any one counter receives at digit d (the largest
+     * digit at position d among the summed magnitudes the plan
+     * encodes), so it is at most R-1: a digit then wraps at most once
+     * per rail, and both
+     * code generators OR each wrap into Onext, so a later step that
+     * does not wrap keeps the flag an earlier one set. Each step
+     * writes its plane mask into its own MaskedStep::maskHandle row.
+     * @p folded_ops is the number of point updates the plan folds in;
+     * it feeds inputsAccumulated/plannedOps so batch accounting
+     * matches the per-op path.
      */
     void accumulatePlan(std::span<const MaskedStep> steps,
+                        std::span<const unsigned> headroom,
                         unsigned group, uint64_t folded_ops);
 
     /**
      * Host-side bookkeeping half of accumulatePlan, split out so a
      * hierarchical planner can prepare every shard's slice of a
-     * merged plan before any fabric work runs. Validates @p steps;
-     * for an unsigned plan it builds the per-digit worst-case
-     * profile, advances the group's IARM scheduler
-     * (prepareAdd/applyAdd) and appends the ripples the plan owes to
-     * @p pre — plus, in FullRipple mode, the unconditional post-pass
-     * to @p post. A signed plan schedules no IARM ripples: it
-     * resolves its pendings in place during executePlan. Touches no
-     * fabric state; the caller decides each ripple's gang role and
-     * then runs executePlan. planPrepare + executePlan with the same
-     * arguments is exactly accumulatePlan.
+     * merged plan before any fabric work runs. Validates @p steps
+     * against @p headroom (every step's k within its digit's bound);
+     * for an unsigned plan it advances the group's IARM scheduler by
+     * @p headroom (prepareAdd/applyAdd) and appends the ripples the
+     * plan owes to @p pre — plus, in FullRipple mode, the
+     * unconditional post-pass to @p post. The profile is the caller's
+     * because the steps cannot give it: with several steps per digit
+     * their largest k is too small, and their sum can exceed R-1 (at
+     * radix 10, 1 + 2 + 4 + 8), which would schedule needless
+     * ripples. A signed plan schedules no IARM ripples: it resolves
+     * its pendings in place during executePlan. Touches no fabric
+     * state; the caller decides each ripple's gang role and then runs
+     * executePlan. planPrepare + executePlan with the same arguments
+     * is exactly accumulatePlan.
      */
     void planPrepare(std::span<const MaskedStep> steps,
+                     std::span<const unsigned> headroom,
                      unsigned group, std::vector<PlanRipple> &pre,
                      std::vector<PlanRipple> &post);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -30,6 +31,16 @@ validated(const EngineConfig &cfg, unsigned num_shards)
         C2M_FATAL("shards must be in 1..numCounters (",
                   cfg.numCounters, "), got ", num_shards);
     return cfg;
+}
+
+/** Empty @p plane at @p width bits, allocating it on first use. */
+void
+resetPlane(BitVector &plane, size_t width)
+{
+    if (plane.size() == 0)
+        plane = BitVector(width);
+    else
+        plane.fill(false);
 }
 
 /** Contiguous range boundaries: remainder spread over the first shards. */
@@ -164,8 +175,10 @@ ShardedEngine::shardOf(uint64_t counter) const
 unsigned
 ShardedEngine::addMask(const std::vector<uint8_t> &mask)
 {
-    C2M_ASSERT(numMasks_ < cfg_.maxMaskRows,
-               "mask rows exhausted; raise maxMaskRows");
+    if (numMasks_ >= cfg_.maxMaskRows)
+        C2M_FATAL("mask rows exhausted (maxMaskRows ",
+                  cfg_.maxMaskRows, "); raise maxMaskRows");
+    checkMaskWidth(mask.size(), cfg_.numCounters);
     const unsigned handle = numMasks_++;
     setMask(handle, mask);
     return handle;
@@ -176,6 +189,9 @@ ShardedEngine::setMask(unsigned handle,
                        const std::vector<uint8_t> &mask)
 {
     C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
+    // Checked here, on the caller's thread: a shard only ever sees
+    // its own slice.
+    checkMaskWidth(mask.size(), cfg_.numCounters);
     forEachShard([&](C2MEngine &eng, unsigned s) {
         std::vector<uint8_t> slice(shardWidth(s), 0);
         const size_t lo = starts_[s];
@@ -242,6 +258,7 @@ ShardedEngine::prepareShardParts(unsigned s,
         PlanPart &p = sc.parts[sc.partsUsed++];
         p.own.clear();
         p.touched.clear();
+        p.headroom.clear();
         p.steps.clear();
         p.pre.clear();
         p.post.clear();
@@ -347,11 +364,7 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
                     rail + static_cast<size_t>(pos) * (R - 1) + (k - 1);
                 if (!part.planeUsed[idx]) {
                     part.planeUsed[idx] = 1;
-                    BitVector &plane = part.planes[idx];
-                    if (plane.size() == 0)
-                        plane = BitVector(shardWidth(s));
-                    else
-                        plane.fill(false);
+                    resetPlane(part.planes[idx], shardWidth(s));
                     part.touched.push_back(
                         static_cast<uint32_t>(idx));
                 }
@@ -368,6 +381,25 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
         part.touched.clear();
         return;
     }
+
+    // The populated k's of each (rail, digit) slot; slot rail*D + d
+    // holds planes slot*(R-1) + k-1. The largest k per digit, over
+    // both rails, is the plan's IARM headroom: it bounds what any
+    // one counter receives at that digit, folded or not.
+    sc.slotKs.assign(2 * static_cast<size_t>(D), 0);
+    for (const uint32_t idx : part.touched)
+        sc.slotKs[idx / (R - 1)] |= uint64_t{1} << (idx % (R - 1) + 1);
+    for (size_t slot = 0; slot < sc.slotKs.size(); ++slot) {
+        if (sc.slotKs[slot] == 0)
+            continue;
+        const size_t d = slot % D;
+        if (d >= part.headroom.size())
+            part.headroom.resize(d + 1, 0);
+        part.headroom[d] = std::max(
+            part.headroom[d],
+            static_cast<unsigned>(std::bit_width(sc.slotKs[slot])) - 1);
+    }
+    foldBinaryPlanes(s, part);
 
     // Price the per-op replay alternative over the RAW ops — one
     // increment or decrement program per nonzero digit of each
@@ -397,6 +429,57 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
                 part.fallbackNs += step_ns[k];
     }
     part.planned = true;
+}
+
+void
+ShardedEngine::foldBinaryPlanes(unsigned s, PlanPart &part)
+{
+    auto &sc = scratch_[s];
+    const unsigned R = cfg_.radix;
+    const size_t D = sc.slotKs.size() / 2;
+    const auto price = [&](size_t rail, uint64_t ks) {
+        double ns = 0.0;
+        for (; ks != 0; ks &= ks - 1)
+            ns += planStepNs_[rail][std::countr_zero(ks)] +
+                  sc.maskWriteNs;
+        return ns;
+    };
+    bool folded = false;
+    for (size_t slot = 0; slot < 2 * D; ++slot) {
+        const uint64_t ks = sc.slotKs[slot];
+        uint64_t bits = 0; // OR of the populated k's
+        for (uint64_t m = ks; m != 0; m &= m - 1)
+            bits |= static_cast<uint64_t>(std::countr_zero(m));
+        uint64_t basis = 0; // the k-set {2^j : bit j of bits}
+        for (uint64_t m = bits; m != 0; m &= m - 1)
+            basis |= uint64_t{1} << (uint64_t{1} << std::countr_zero(m));
+        if (std::popcount(basis) >= std::popcount(ks) ||
+            price(slot / D, basis) >= price(slot / D, ks))
+            continue;
+        const auto plane = [&](uint64_t k) -> BitVector & {
+            return part.planes[slot * (R - 1) + k - 1];
+        };
+        for (uint64_t m = basis & ~ks; m != 0; m &= m - 1)
+            resetPlane(plane(std::countr_zero(m)), shardWidth(s));
+        // Composite k's are exactly the populated ones outside the
+        // basis: every populated power of two is in it.
+        for (uint64_t m = ks & ~basis; m != 0; m &= m - 1) {
+            const auto k = static_cast<uint64_t>(std::countr_zero(m));
+            for (uint64_t w = k; w != 0; w &= w - 1) {
+                BitVector &dst = plane(w & (0 - w));
+                dst.assignOr(dst, plane(k));
+            }
+        }
+        sc.slotKs[slot] = basis;
+        folded = true;
+    }
+    if (!folded)
+        return;
+    part.touched.clear();
+    for (size_t slot = 0; slot < 2 * D; ++slot)
+        for (uint64_t m = sc.slotKs[slot]; m != 0; m &= m - 1)
+            part.touched.push_back(static_cast<uint32_t>(
+                slot * (R - 1) + std::countr_zero(m) - 1));
 }
 
 void
@@ -524,7 +607,8 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                                     plane_lead[idx] == s,
                                     idx >= railPlanes_});
             }
-            shards_[s]->planPrepare(p->steps, g, p->pre, p->post);
+            shards_[s]->planPrepare(p->steps, p->headroom, g, p->pre,
+                                    p->post);
         }
         // Gang the scheduled ripples per (digit, occurrence): the
         // first shard needing the j-th ripple of digit d leads it,

@@ -32,14 +32,21 @@
  * two rails, decomposes each magnitude into radix-R digits, and for
  * every populated (rail, digit position d, digit value k) builds ONE
  * shared plane mask covering all counters whose delta magnitude has
- * digit k at position d. Each plane costs a single masked
+ * digit k at position d. A dense digit — one whose populated k's
+ * need more planes than their binary weights 1, 2, 4, ... — is then
+ * folded into binary-weighted planes when that is cheaper: each
+ * composite-k plane is ORed into the planes of its bits, so a digit
+ * of 3 rides planes 1 and 2 and the digit costs bit_width(R-1)
+ * programs instead of up to R-1. Each plane costs a single masked
  * karyIncrement (increment rail) or karyDecrement (decrement rail),
- * so a bucket of N ops executes in at most 2*D*(R-1) column-parallel
- * fabric programs per group (Fig. 15) instead of N whole-row program
- * sequences. Plane (d, k) of both rails lives in one persistent
- * reserved mask row, so cached programs keep stable keys and replay
- * across epochs. A negative sum puts its group in signed mode (Sec.
- * 4.4), whose plans resolve each rail's carries/borrows in place.
+ * so a bucket of N ops executes in at most 2*D*bit_width(R-1)
+ * column-parallel fabric programs per group at radix <= 16 (where a
+ * slot with more planes than its basis always folds; 2*D*(R-1) at
+ * any radix; Fig. 15) instead of N whole-row program sequences.
+ * Plane (d, k) of both rails lives in one persistent reserved mask
+ * row, so cached programs keep stable keys and replay across epochs.
+ * A negative sum puts its group in signed mode (Sec. 4.4), whose
+ * plans resolve each rail's carries/borrows in place.
  * Unit counting, sums whose magnitude reaches the guard digit, and
  * buckets whose modeled fabric cost (C2mCostModel command counts
  * priced by DramTimings) does not beat per-op replay fall back to the
@@ -53,8 +60,9 @@
  *
  *   1. combine — per shard (parallel, host-only): partition the
  *      bucket by group and sum each counter's delta;
- *   2. count — per shard (same pass): split the sums by sign and
- *      decompose them into one per-(rail, digit, k) plane histogram;
+ *   2. count — per shard (same pass): split the sums by sign,
+ *      decompose them into one per-(rail, digit, k) plane histogram
+ *      and fold its dense digits into binary-weighted planes;
  *   3. scan/offset — host-serial: merge the per-shard histograms
  *      into ONE global plan per group, price plan-vs-fallback on the
  *      merged plan, and slice it back: for every (rail, digit, k)
@@ -147,10 +155,20 @@ class ShardedEngine
     /**
      * Register a mask over the full logical counter space; each shard
      * receives its column slice. Returns a handle valid for the
-     * broadcast accumulate()/accumulateSigned() calls.
+     * broadcast accumulate()/accumulateSigned() calls. A mask shorter
+     * than numCounters is zero-padded.
+     * @throws std::invalid_argument if @p mask is longer than
+     *         numCounters or all EngineConfig::maxMaskRows rows are
+     *         taken; nothing is registered then.
      */
     unsigned addMask(const std::vector<uint8_t> &mask);
     unsigned numMasks() const { return numMasks_; }
+    /**
+     * Overwrite a registered mask on every shard, zero-padding a
+     * short @p mask.
+     * @throws std::invalid_argument if @p mask is longer than
+     *         numCounters; no shard is written then.
+     */
     void setMask(unsigned handle, const std::vector<uint8_t> &mask);
 
     /** Execute a batch of point updates; returns when all are done. */
@@ -272,6 +290,12 @@ class ShardedEngine
         std::vector<BitVector> planes;
         std::vector<uint8_t> planeUsed; ///< build-pass dirty flags
         std::vector<uint32_t> touched;  ///< plane indices this plan
+        /**
+         * Largest digit per position among the part's summed
+         * magnitudes: the IARM headroom the plan needs. Carried with
+         * the plan because a folded digit's steps cannot give it.
+         */
+        std::vector<unsigned> headroom;
         std::vector<MaskedStep> steps;  ///< stage-3 sliced program
         std::vector<PlanRipple> pre;    ///< scheduled IARM ripples
         std::vector<PlanRipple> post;   ///< FullRipple post-pass
@@ -300,6 +324,11 @@ class ShardedEngine
         /** Group partition of this shard's bucket, parts[0..used). */
         std::vector<PlanPart> parts;
         size_t partsUsed = 0;
+        /**
+         * Populated k's of the current part per (rail, digit) slot,
+         * bit k for plane k.
+         */
+        std::vector<uint64_t> slotKs;
         /** Modeled ns to rewrite one of this shard's mask rows. */
         double maskWriteNs = 0.0;
     };
@@ -314,9 +343,18 @@ class ShardedEngine
     void prepareShardParts(unsigned s, std::span<const BatchOp> ops);
     /**
      * Stage 2 for one part: delta sums, planes of both sign rails,
-     * fallback price.
+     * headroom profile, binary-weighted folds, fallback price.
      */
     void analyzePart(unsigned s, PlanPart &part);
+    /**
+     * Fold each (rail, digit) slot of @p part (k-sets in the shard's
+     * slotKs) whose binary basis {2^j : some populated k has bit j}
+     * needs fewer planes than its populated k's and is cheaper at
+     * planStepNs_ plus one mask write per plane: OR every
+     * composite-k plane into the planes of its bits and drop it from
+     * `touched`.
+     */
+    void foldBinaryPlanes(unsigned s, PlanPart &part);
     /**
      * Stage 3 (host-serial): for every distinct group across
      * @p shard_ids, price ONE merged plan (union of planes, leader

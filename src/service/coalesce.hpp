@@ -24,8 +24,9 @@
  *
  * Coalescing is the planner's feeder: the coalesced bucket is what
  * ShardedEngine's drain pipeline decomposes into shared (digit, k)
- * plane masks, turning the per-epoch op list into at most D*(R-1)
- * column-parallel fabric programs per group.
+ * plane masks, dense digits folded into binary-weighted planes,
+ * turning the per-epoch op list into about D*bit_width(R-1)
+ * column-parallel fabric programs per group and rail.
  *
  * Two entry points: the scratch-based overload is the epoch hot path
  * — a software write-combining buffer (dense open-addressing table

@@ -22,8 +22,10 @@
  *      With the engine's drain planner on
  *      (EngineConfig::drainPlanner, default), the epoch executes as
  *      ONE merged set of column-parallel digit planes, gang-issued
- *      across shards — at most D*(R-1) leader fabric programs per
- *      group per epoch instead of one replicated plan per shard;
+ *      across shards — about D*bit_width(R-1) leader fabric programs
+ *      per group and rail per epoch (dense digits fold into
+ *      binary-weighted planes) instead of one replicated plan per
+ *      shard;
  *      ServiceStats::plans* sample the per-epoch planner activity.
  *
  * Ordering and consistency:

@@ -508,8 +508,9 @@ TEST(RcaBaseline, PlanStepsHitTheProgramCache)
     const unsigned h = eng.addMask(altMask(cfg.numCounters, 1));
     const core::MaskedStep steps[] = {{0, 3, h, &plane},
                                       {2, 1, h, &plane}};
+    const unsigned headroom[] = {3, 0, 1};
     for (int round = 0; round < 3; ++round)
-        eng.accumulatePlan(steps, 0, 1);
+        eng.accumulatePlan(steps, headroom, 0, 1);
     EXPECT_EQ(eng.stats().programCacheMisses, 2u);
     EXPECT_EQ(eng.stats().programCacheHits, 4u);
     const auto mask = altMask(cfg.numCounters, 1);

@@ -195,6 +195,32 @@ TEST(EngineConfigValidate, UnsupportedProtectionThrows)
     EXPECT_THROW(C2MEngine{cfg}, std::invalid_argument);
 }
 
+TEST(EngineMaskErrors, MaskWiderThanTheCountersThrows)
+{
+    C2MEngine eng(smallConfig(4));
+    EXPECT_THROW(eng.addMask(std::vector<uint8_t>(17, 1)),
+                 std::invalid_argument);
+    EXPECT_EQ(eng.numMasks(), 0u);
+    // A short mask is zero-padded; a wide one leaves the row as it was.
+    const unsigned h = eng.addMask(std::vector<uint8_t>(3, 1));
+    EXPECT_THROW(eng.setMask(h, std::vector<uint8_t>(17, 0)),
+                 std::invalid_argument);
+    eng.accumulate(2, h);
+    const auto got = eng.readCounters();
+    for (size_t c = 0; c < got.size(); ++c)
+        EXPECT_EQ(got[c], c < 3 ? 2 : 0) << "col " << c;
+}
+
+TEST(EngineMaskErrors, AddMaskPastMaxMaskRowsThrows)
+{
+    C2MEngine eng(smallConfig(4));
+    for (unsigned i = 0; i < eng.config().maxMaskRows; ++i)
+        eng.addMask(std::vector<uint8_t>(16, 0));
+    EXPECT_THROW(eng.addMask(std::vector<uint8_t>(16, 0)),
+                 std::invalid_argument);
+    EXPECT_EQ(eng.numMasks(), eng.config().maxMaskRows);
+}
+
 TEST(Engine, ZeroInputsAreSkipped)
 {
     C2MEngine eng(smallConfig(4));
@@ -879,6 +905,108 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param == core::BackendKind::Ambit
                    ? std::string("ambit")
                    : std::string("nvm");
+    });
+
+// ---------------------------------------------------------------------
+// Binary-weighted plan digits: a counter whose digit 3 rides planes 1
+// and 2 takes two steps at one digit in one rail. Their k's add up to
+// at most R - 1, so the digit wraps at most once, and each wrap is
+// ORed into Onext, so the step that does not wrap keeps the flag.
+// ---------------------------------------------------------------------
+
+class DoubleStep : public ::testing::TestWithParam<EntryCase>
+{
+  protected:
+    /** Radix 4 over 16 bits, one counter per starting digit 0..3. */
+    static EngineConfig config()
+    {
+        EngineConfig cfg = smallConfig(4, 4);
+        cfg.capacityBits = 16;
+        cfg.backend = GetParam().backend;
+        cfg.protection = GetParam().protection;
+        return cfg;
+    }
+
+    unsigned column(size_t col)
+    {
+        std::vector<uint8_t> m(4, 0);
+        m[col] = 1;
+        return eng_.addMask(m);
+    }
+
+    /**
+     * Steps k = 1 then k = 2 at digit 0 over every counter, on the
+     * increment or the decrement rail; returns the plan's window.
+     */
+    core::EngineStats threeAsTwoSteps(bool decrement)
+    {
+        BitVector all(4);
+        all.fill(true);
+        const unsigned h = eng_.addMask(std::vector<uint8_t>(4, 0));
+        const core::MaskedStep steps[] = {
+            {0, 1, h, &all, true, decrement},
+            {0, 2, h, &all, true, decrement}};
+        const unsigned headroom[] = {3};
+        const core::EngineStats before = eng_.stats();
+        eng_.accumulatePlan(steps, headroom, 0, 2);
+        return eng_.stats().since(before);
+    }
+
+    /** Ripples a pending-flag backend issues; RCA adds in place. */
+    uint64_t ripples(uint64_t n) const
+    {
+        return GetParam().backend == core::BackendKind::Rca ? 0 : n;
+    }
+
+    C2MEngine eng_{config()};
+};
+
+TEST_P(DoubleStep, PlusThreeAsOneAndTwoCarriesOnce)
+{
+    // Column t holds digit t. From 3, +1 wraps and +2 must keep the
+    // flag; from 1 and 2, +2 wraps; from 0, neither step does.
+    for (unsigned t = 1; t < 4; ++t)
+        eng_.accumulate(t, column(t));
+    threeAsTwoSteps(false);
+    const std::vector<int64_t> want = {3, 4, 5, 6};
+    EXPECT_EQ(eng_.readCounters(), want); // Onext reads as R
+    const core::EngineStats before = eng_.stats();
+    eng_.drain(0);
+    EXPECT_EQ(eng_.stats().since(before).ripples, ripples(1));
+    EXPECT_EQ(eng_.readCounters(), want);
+}
+
+TEST_P(DoubleStep, MinusThreeAsOneAndTwoBorrowsOnce)
+{
+    // Signed mode stores v + B, and digit 0 of B is 1 at radix 4, so
+    // column t holds digit t at value t - 1. From 0, -1 borrows and
+    // -2 must keep the flag; from 1 and 2, -2 borrows; from 3,
+    // neither step does. The one borrow ripple lands in digit 1,
+    // which holds 1 and does not borrow again.
+    eng_.accumulateSigned(-1, eng_.addMask(std::vector<uint8_t>(4, 0)));
+    for (unsigned t = 0; t < 4; ++t)
+        if (t != 1)
+            eng_.accumulateSigned(static_cast<int64_t>(t) - 1,
+                                  column(t));
+    const core::EngineStats d = threeAsTwoSteps(true);
+    EXPECT_EQ(eng_.readCounters(), (std::vector<int64_t>{-4, -3, -2, -1}));
+    EXPECT_EQ(d.ripples, ripples(1));
+    EXPECT_EQ(d.signFolds, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, DoubleStep,
+    ::testing::Values(
+        EntryCase{"ambit", core::BackendKind::Ambit, Protection::None},
+        EntryCase{"ambit_ecc", core::BackendKind::Ambit, Protection::Ecc},
+        EntryCase{"ambit_tmr", core::BackendKind::Ambit, Protection::Tmr},
+        EntryCase{"nvm_pinatubo", core::BackendKind::NvmPinatubo,
+                  Protection::None},
+        EntryCase{"nvm_magic", core::BackendKind::NvmMagic,
+                  Protection::None},
+        EntryCase{"rca", core::BackendKind::Rca, Protection::None}),
+    [](const ::testing::TestParamInfo<EntryCase> &info) {
+        return std::string(info.param.name);
     });
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -171,6 +172,35 @@ TEST(Sharded, ShardCountOutsideOneToCountersThrows)
     EXPECT_THROW(ShardedEngine(baseConfig(64), 65),
                  std::invalid_argument);
     EXPECT_NO_THROW(ShardedEngine(baseConfig(64), 64));
+}
+
+TEST(ShardedMaskErrors, MaskWiderThanTheCountersThrows)
+{
+    // Checked on the caller's thread before any shard is written, not
+    // cut to the counter count.
+    ShardedEngine eng(baseConfig(64), 4);
+    EXPECT_THROW(eng.addMask(std::vector<uint8_t>(65, 1)),
+                 std::invalid_argument);
+    EXPECT_EQ(eng.numMasks(), 0u);
+    // A short mask is zero-padded; a wide one leaves every slice as
+    // it was.
+    const unsigned h = eng.addMask(std::vector<uint8_t>(40, 1));
+    EXPECT_THROW(eng.setMask(h, std::vector<uint8_t>(65, 0)),
+                 std::invalid_argument);
+    eng.accumulate(3, h);
+    const auto got = eng.readAllCounters();
+    for (size_t c = 0; c < got.size(); ++c)
+        EXPECT_EQ(got[c], c < 40 ? 3 : 0) << "col " << c;
+}
+
+TEST(ShardedMaskErrors, AddMaskPastMaxMaskRowsThrows)
+{
+    ShardedEngine eng(baseConfig(64), 4);
+    for (unsigned i = 0; i < eng.config().maxMaskRows; ++i)
+        eng.addMask(std::vector<uint8_t>(64, 0));
+    EXPECT_THROW(eng.addMask(std::vector<uint8_t>(64, 0)),
+                 std::invalid_argument);
+    EXPECT_EQ(eng.numMasks(), eng.config().maxMaskRows);
 }
 
 TEST(Sharded, UnsupportedProtectionThrowsAfterThePoolStarted)
@@ -654,10 +684,12 @@ TEST(DrainPlanner, PlanProgramsBoundedByDigitPlanes)
     eng.accumulateBatch(ops);
     const auto st = eng.stats();
     // One batch = at most one plan per (shard, group); each plan
-    // issues at most D*(R-1) plane programs.
+    // issues at most D*bit_width(R-1) plane programs: a dense digit
+    // folds into its binary-weighted planes.
     const unsigned D = eng.shard(0).backend().numDigits();
     const uint64_t bound = static_cast<uint64_t>(D) *
-                           (cfg.radix - 1) * eng.numShards();
+                           std::bit_width(cfg.radix - 1) *
+                           eng.numShards();
     EXPECT_LE(st.planPrograms, bound);
     EXPECT_LE(st.plansExecuted, eng.numShards());
     EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, ops));
@@ -820,6 +852,47 @@ INSTANTIATE_TEST_SUITE_P(
           default:
             return "rca";
         }
+    });
+
+class DenseDigit
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
+{
+};
+
+// Every shard holds one counter per digit value k = 1..R-1 at digit 0,
+// each reached by k unit ops (so replay costs far more than a plan):
+// the digit folds into its binary-weighted planes and issues
+// bit_width(R-1) programs per shard instead of R-1, on either rail.
+TEST_P(DenseDigit, FoldsIntoBitWidthPlanesPerShard)
+{
+    const auto [radix, decrement] = GetParam();
+    auto cfg = baseConfig(64, radix);
+    cfg.capacityBits = 16;
+    cfg.drainPlanner = true;
+    ShardedEngine eng(cfg, 2);
+    std::vector<BatchOp> ops;
+    for (unsigned s = 0; s < eng.numShards(); ++s)
+        for (unsigned k = 1; k < radix; ++k)
+            for (unsigned i = 0; i < k; ++i)
+                ops.push_back({eng.shardStart(s) + k, decrement ? -1 : 1,
+                               0});
+    eng.accumulateBatch(ops);
+
+    const auto st = eng.stats();
+    EXPECT_EQ(st.planFallbackOps, 0u);
+    EXPECT_EQ(st.planPrograms,
+              eng.numShards() * std::bit_width(radix - 1));
+    EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, ops));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RadixByRail, DenseDigit,
+    ::testing::Combine(::testing::Values(4u, 6u, 8u, 10u, 16u),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<unsigned, bool>>
+           &info) {
+        return "r" + std::to_string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_decrement" : "_increment");
     });
 
 // ---------------------------------------------------------------------
@@ -1025,6 +1098,30 @@ TEST(EpochPipeline, MergedPlanAttributionSublinearInShards)
     EXPECT_LT(eight, 4.0 * one);
 }
 
+TEST(DrainPlanner, FoldedZipfEpochsRippleAsUnfoldedPlans)
+{
+    // Folded digits prepare IARM headroom from the largest summed
+    // digit, exactly as unfolded plans did, so a multi-epoch unsigned
+    // Zipf stream schedules the same ripples as before folding
+    // (pinned). A headroom summed over a digit's steps would ripple
+    // more; one taken from its largest step, less (and unsoundly).
+    auto cfg = baseConfig(256);
+    cfg.capacityBits = 16;
+    cfg.drainPlanner = true;
+    ShardedEngine eng(cfg, 4);
+    std::vector<BatchOp> all;
+    for (uint64_t e = 0; e < 8; ++e) {
+        const auto ops = zipfOps(900, cfg.numCounters, 100 + e);
+        drainEpoch(eng, ops);
+        all.insert(all.end(), ops.begin(), ops.end());
+    }
+    const auto st = eng.stats();
+    EXPECT_EQ(st.planFallbackOps, 0u);
+    EXPECT_LT(st.planPrograms, 261u); // unfolded, the planes take 261
+    EXPECT_EQ(st.ripples, 68u);
+    EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, all));
+}
+
 TEST(DrainPlanner, ProtectedConfigsStayExact)
 {
     for (const auto prot : {Protection::Ecc, Protection::Tmr}) {
@@ -1063,7 +1160,9 @@ PrintTo(const Substrate &sub, std::ostream *os)
     *os << sub.name;
 }
 
-using DualRailParam = std::tuple<Substrate, core::RippleMode, unsigned>;
+/** Substrate, ripple mode, shard count, radix. */
+using DualRailParam =
+    std::tuple<Substrate, core::RippleMode, unsigned, unsigned>;
 
 /** Split @p delta over 1..3 ops on @p counter (an uncoalesced sum). */
 void
@@ -1111,11 +1210,12 @@ class DualRailDifferential
 // with both), every counter crossing zero (borrow chains run through
 // the guard digit into Osign) and back, uncoalesced sums of zero,
 // and a negative sum whose magnitude reaches the guard digit, which
-// must replay per op.
+// must replay per op. Radices 8 and 10 fold dense digits into planes
+// 1, 2, 4 (and 8), whose weights sum past R-1 at radix 10.
 TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
 {
-    const auto [sub, ripple, shards] = GetParam();
-    auto cfg = baseConfig(64);
+    const auto [sub, ripple, shards, radix] = GetParam();
+    auto cfg = baseConfig(64, radix);
     cfg.backend = sub.backend;
     cfg.protection = sub.protection;
     cfg.ripple = ripple;
@@ -1219,10 +1319,13 @@ TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
     EXPECT_EQ(d.planPrograms, 0u);
 
     // Negative twin of GuardDigitSumsFallBackInsteadOfPanicking: each
-    // op is in range, the summed magnitude 90000 >= 4^8 is not.
+    // op is in range, the summed magnitude 1.5 R^(D-1) is not.
+    uint64_t guard = 1;
+    for (unsigned d = 1; d < eng.shard(0).backend().numDigits(); ++d)
+        guard *= radix;
     ops = hotOps(300, 0.45);
     for (int i = 0; i < 3; ++i)
-        ops.push_back({0, -30000, 0});
+        ops.push_back({0, -static_cast<int64_t>(guard / 2), 0});
     d = epoch(ops, "guard digit");
     EXPECT_GT(d.planFallbackOps, 0u);
 
@@ -1247,13 +1350,18 @@ INSTANTIATE_TEST_SUITE_P(
             Substrate{core::BackendKind::Rca, Protection::None, "rca"}),
         ::testing::Values(core::RippleMode::Iarm,
                           core::RippleMode::FullRipple),
-        ::testing::Values(1u, 2u, 4u, 8u)),
+        ::testing::Values(1u, 2u, 4u, 8u),
+        ::testing::Values(4u, 8u, 10u)),
     [](const ::testing::TestParamInfo<DualRailParam> &info) {
         std::string name = std::get<0>(info.param).name;
         name += std::get<1>(info.param) == core::RippleMode::Iarm
                     ? "_iarm"
                     : "_full";
-        return name + "_x" + std::to_string(std::get<2>(info.param));
+        name += "_x" + std::to_string(std::get<2>(info.param));
+        // Radix 4 keeps the suite's original names.
+        if (const unsigned radix = std::get<3>(info.param); radix != 4)
+            name += "_r" + std::to_string(radix);
+        return name;
     });
 
 TEST(ShardedWorkloads, DnaBatchedHistogramMatchesHost)
