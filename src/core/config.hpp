@@ -33,18 +33,6 @@ enum class Protection : uint8_t
     Tmr,  ///< triple modular redundancy with majority vote
 };
 
-enum class RippleMode : uint8_t
-{
-    Iarm,       ///< input-aware rippling minimization (Sec. 4.5.2)
-    FullRipple, ///< full carry propagation after every input
-};
-
-enum class CountMode : uint8_t
-{
-    Kary, ///< one increment per non-zero digit (Sec. 4.5.1)
-    Unit, ///< d unit increments per digit value d (Sec. 4.4)
-};
-
 /** Counting substrate driven through core::CountingBackend. */
 enum class BackendKind : uint8_t
 {
@@ -67,8 +55,6 @@ struct EngineConfig
     Protection protection = Protection::None;
     unsigned frChecks = 1;   ///< FR computations per masking step
     unsigned maxRetries = 4; ///< re-executions before giving up
-    RippleMode ripple = RippleMode::Iarm;
-    CountMode counting = CountMode::Kary;
     double faultRate = 0.0;  ///< per-bit MAJ3 fault probability
     uint64_t seed = 1;
     BackendKind backend = BackendKind::Ambit;
@@ -87,9 +73,9 @@ struct EngineConfig
      * binary-weighted planes (k = 1, 2, 4, ...) where that is
      * cheaper, bounding fabric programs per bucket at
      * O(D*log2(R)) per group instead of O(ops). Final counter values
-     * are bit-identical to per-op replay; Unit counting, sums
-     * reaching the guard digit and buckets the plan cannot beat fall
-     * back to the per-op path automatically.
+     * are bit-identical to per-op replay; sums reaching the guard
+     * digit and buckets the plan cannot beat fall back to the per-op
+     * path automatically.
      */
     bool drainPlanner = true;
     /**

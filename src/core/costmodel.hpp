@@ -21,6 +21,23 @@
 namespace c2m {
 namespace core {
 
+/**
+ * Counting and rippling schemes of the analytic model. The engine
+ * executes only k-ary increments with IARM; unit counting and full
+ * rippling are the Fig. 8 baselines the model compares them with.
+ */
+enum class RippleMode : uint8_t
+{
+    Iarm,       ///< input-aware rippling minimization (Sec. 4.5.2)
+    FullRipple, ///< full carry propagation after every input
+};
+
+enum class CountMode : uint8_t
+{
+    Kary, ///< one increment per non-zero digit (Sec. 4.5.1)
+    Unit, ///< d unit increments per digit value d (Sec. 4.4)
+};
+
 class C2mCostModel
 {
   public:

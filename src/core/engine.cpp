@@ -36,6 +36,17 @@ checkMaskWidth(size_t width, size_t num_counters)
                   num_counters, " counters");
 }
 
+void
+checkHandle(unsigned handle, unsigned num_masks, unsigned group,
+            unsigned num_groups)
+{
+    if (handle >= num_masks)
+        C2M_FATAL("unknown mask handle ", handle);
+    if (group >= num_groups)
+        C2M_FATAL("counter group ", group, " outside numGroups ",
+                  num_groups);
+}
+
 C2MEngine::C2MEngine(const EngineConfig &cfg)
     : cfg_(validated(cfg)),
       bitsPerDigit_(jc::bitsForRadix(cfg.radix)),
@@ -116,7 +127,7 @@ C2MEngine::addMask(const std::vector<uint8_t> &mask)
 void
 C2MEngine::setMask(unsigned handle, const std::vector<uint8_t> &mask)
 {
-    C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
+    checkHandle(handle, numMasks_);
     checkMaskWidth(mask.size(), cfg_.numCounters);
     cim::AttrScope attr(backend_->opStatsRef(),
                         cim::FabricCat::MaskWrite);
@@ -127,7 +138,7 @@ C2MEngine::setMask(unsigned handle, const std::vector<uint8_t> &mask)
 void
 C2MEngine::setMask(unsigned handle, const BitVector &mask)
 {
-    C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
+    checkHandle(handle, numMasks_);
     C2M_ASSERT(mask.size() == cfg_.numCounters,
                "mask width mismatch");
     cim::AttrScope attr(backend_->opStatsRef(),
@@ -217,7 +228,7 @@ void
 C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
                       unsigned group)
 {
-    C2M_ASSERT(group < cfg_.numGroups, "group out of range");
+    checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     if (!backend_->caps().pendingFlags) {
         addWhole(group, value, value, mask_handle);
         return;
@@ -246,24 +257,13 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
         if (k == 0)
             continue;
         stepped |= uint64_t{1} << pos;
-        if (cfg_.counting == CountMode::Kary) {
-            incrementDigit(group, pos, k, mask_row);
-        } else {
-            for (unsigned u = 0; u < k; ++u)
-                incrementDigit(group, pos, 1, mask_row);
-        }
+        incrementDigit(group, pos, k, mask_row);
     }
 
-    if (signed_mode) {
-        // Signed groups keep Onext fully resolved so the flag's
-        // meaning (overflow vs borrow) can switch per input.
+    // Signed groups keep Onext fully resolved so the flag's meaning
+    // (overflow vs borrow) can switch per input.
+    if (signed_mode)
         resolveAllPendings(group, /*borrows=*/false, stepped);
-    } else if (cfg_.ripple == RippleMode::FullRipple) {
-        // One unconditional ripple per digit boundary, highest first
-        // so carries always land in a just-resolved digit.
-        for (unsigned d : sched.fullPassDescending())
-            ripple(group, d);
-    }
     ++stats_.inputsAccumulated;
 }
 
@@ -272,20 +272,17 @@ C2MEngine::accumulatePlan(std::span<const MaskedStep> steps,
                           std::span<const unsigned> headroom,
                           unsigned group, uint64_t folded_ops)
 {
-    std::vector<PlanRipple> pre, post;
-    planPrepare(steps, headroom, group, pre, post);
-    executePlan(steps, pre, post, group, folded_ops);
+    std::vector<PlanRipple> pre;
+    planPrepare(steps, headroom, group, pre);
+    executePlan(steps, pre, group, folded_ops);
 }
 
 void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
                        std::span<const unsigned> headroom,
-                       unsigned group, std::vector<PlanRipple> &pre,
-                       std::vector<PlanRipple> &post)
+                       unsigned group, std::vector<PlanRipple> &pre)
 {
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
-    C2M_ASSERT(cfg_.counting == CountMode::Kary,
-               "drain plans require k-ary counting");
     if (steps.empty())
         return; // every folded delta was zero
 
@@ -325,16 +322,12 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     for (unsigned d : sched.prepareAdd(worst))
         pre.push_back({d, true});
     sched.applyAdd(worst);
-    if (cfg_.ripple == RippleMode::FullRipple)
-        for (unsigned d : sched.fullPassDescending())
-            post.push_back({d, true});
 }
 
 void
 C2MEngine::executePlan(std::span<const MaskedStep> steps,
-                       std::span<const PlanRipple> pre,
-                       std::span<const PlanRipple> post,
-                       unsigned group, uint64_t folded_ops)
+                       std::span<const PlanRipple> pre, unsigned group,
+                       uint64_t folded_ops)
 {
     ++stats_.plansExecuted;
     stats_.plannedOps += folded_ops;
@@ -410,8 +403,6 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     const uint64_t dec_frontier = runSteps(dec);
     if (resolve)
         resolveAllPendings(group, /*borrows=*/true, dec_frontier);
-    for (const auto &r : post)
-        gang(r.lead, [&] { ripple(group, r.digit); });
 }
 
 void
@@ -422,6 +413,7 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
         accumulate(static_cast<uint64_t>(value), mask_handle, group);
         return;
     }
+    checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     C2M_ASSERT(backend_->caps().signedCounting,
                backendName(cfg_.backend),
                " backend does not support signed counting");

@@ -99,6 +99,13 @@ struct PlanRipple
  */
 void checkMaskWidth(size_t width, size_t num_counters);
 
+/**
+ * Throw std::invalid_argument unless mask @p handle is one of the
+ * @p num_masks registered and @p group < @p num_groups.
+ */
+void checkHandle(unsigned handle, unsigned num_masks,
+                 unsigned group = 0, unsigned num_groups = 1);
+
 class C2MEngine
 {
   public:
@@ -158,8 +165,8 @@ class C2MEngine
     unsigned numMasks() const { return numMasks_; }
     /**
      * Overwrite an existing mask row, zero-padding a short @p mask.
-     * @throws std::invalid_argument if @p mask is longer than
-     *         numCounters; the row is left as it was.
+     * @throws std::invalid_argument on an unknown @p handle or a
+     *         @p mask longer than numCounters; the row is left as is.
      */
     void setMask(unsigned handle, const std::vector<uint8_t> &mask);
     /**
@@ -171,10 +178,13 @@ class C2MEngine
 
     /**
      * Accumulate @p value into every counter of @p group whose bit in
-     * mask @p mask_handle is set (value >= 0). The JC backends step
-     * each nonzero digit and skip zero inputs; a backend without
-     * pending flags (RCA) issues one masked W-bit add per replica for
-     * every input, zero included, in any counting or ripple mode.
+     * mask @p mask_handle is set (value >= 0). The JC backends issue
+     * one k-ary increment per nonzero digit, defer carries with IARM
+     * and skip zero inputs; a backend without pending flags (RCA)
+     * issues one masked W-bit add per replica for every input, zero
+     * included.
+     * @throws std::invalid_argument on an unknown @p mask_handle or
+     *         @p group (zero inputs included), changing nothing.
      */
     void accumulate(uint64_t value, unsigned mask_handle,
                     unsigned group = 0);
@@ -183,6 +193,7 @@ class C2MEngine
      * Signed accumulation: negative values decrement (Sec. 4.4). The
      * first one puts the group in signed mode (see valueOffset). On
      * RCA a negative value is one add of its two's complement.
+     * @throws std::invalid_argument as accumulate does.
      */
     void accumulateSigned(int64_t value, unsigned mask_handle,
                           unsigned group = 0);
@@ -206,14 +217,13 @@ class C2MEngine
      *    they touched; the decrement steps run, then
      *    resolveAllPendings(borrows) from theirs.
      *
-     * Requirements: Kary counting; increment steps before decrement
-     * steps; every counter on one rail. @p headroom[d] bounds the sum
-     * of the k's any one counter receives at digit d (the largest
-     * digit at position d among the summed magnitudes the plan
-     * encodes), so it is at most R-1: a digit then wraps at most once
-     * per rail, and both
-     * code generators OR each wrap into Onext, so a later step that
-     * does not wrap keeps the flag an earlier one set. Each step
+     * Requirements: increment steps before decrement steps; every
+     * counter on one rail. @p headroom[d] bounds the sum of the k's
+     * any one counter receives at digit d (the largest digit at
+     * position d among the summed magnitudes the plan encodes), so it
+     * is at most R-1: a digit then wraps at most once per rail, and
+     * both code generators OR each wrap into Onext, so a later step
+     * that does not wrap keeps the flag an earlier one set. Each step
      * writes its plane mask into its own MaskedStep::maskHandle row.
      * @p folded_ops is the number of point updates the plan folds in;
      * it feeds inputsAccumulated/plannedOps so batch accounting
@@ -230,28 +240,26 @@ class C2MEngine
      * against @p headroom (every step's k within its digit's bound);
      * for an unsigned plan it advances the group's IARM scheduler by
      * @p headroom (prepareAdd/applyAdd) and appends the ripples the
-     * plan owes to @p pre — plus, in FullRipple mode, the
-     * unconditional post-pass to @p post. The profile is the caller's
-     * because the steps cannot give it: with several steps per digit
-     * their largest k is too small, and their sum can exceed R-1 (at
-     * radix 10, 1 + 2 + 4 + 8), which would schedule needless
-     * ripples. A signed plan schedules no IARM ripples: it resolves
-     * its pendings in place during executePlan. Touches no fabric
-     * state; the caller decides each ripple's gang role and then runs
+     * plan owes to @p pre. The profile is the caller's because the
+     * steps cannot give it: with several steps per digit their
+     * largest k is too small, and their sum can exceed R-1 (at radix
+     * 10, 1 + 2 + 4 + 8), which would schedule needless ripples. A
+     * signed plan schedules no IARM ripples: it resolves its pendings
+     * in place during executePlan. Touches no fabric state; the
+     * caller decides each ripple's gang role and then runs
      * executePlan. planPrepare + executePlan with the same arguments
      * is exactly accumulatePlan.
      */
     void planPrepare(std::span<const MaskedStep> steps,
                      std::span<const unsigned> headroom,
-                     unsigned group, std::vector<PlanRipple> &pre,
-                     std::vector<PlanRipple> &post);
+                     unsigned group, std::vector<PlanRipple> &pre);
 
     /**
      * Fabric half of a prepared plan: broadcast the @p pre ripples,
-     * write each step's plane mask into its persistent row and issue
-     * the masked increments, then the @p post full-ripple pass. A
-     * signed plan enters signed mode if needed and resolves each
-     * rail's pendings after its steps (see accumulatePlan).
+     * then write each step's plane mask into its persistent row and
+     * issue the masked increments. A signed plan enters signed mode
+     * if needed and resolves each rail's pendings after its steps
+     * (see accumulatePlan).
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
@@ -262,8 +270,7 @@ class C2MEngine
      * feeds plannedOps/inputsAccumulated exactly like accumulatePlan.
      */
     void executePlan(std::span<const MaskedStep> steps,
-                     std::span<const PlanRipple> pre,
-                     std::span<const PlanRipple> post, unsigned group,
+                     std::span<const PlanRipple> pre, unsigned group,
                      uint64_t folded_ops);
 
     /**

@@ -86,7 +86,7 @@ planStepNs(const EngineConfig &cfg)
     }
     const C2mCostModel model(cfg.radix, cfg.capacityBits,
                              cfg.protection == Protection::Ecc,
-                             cfg.frChecks, cfg.counting, cfg.ripple);
+                             cfg.frChecks);
     for (unsigned k = 1; k < cfg.radix; ++k) {
         ns[0][k] = static_cast<double>(model.incrementOps(k)) * cmd_ns;
         ns[1][k] = static_cast<double>(model.decrementOps(k)) * cmd_ns;
@@ -107,9 +107,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
     // plane so plan programs keep stable (op, digit, k, mask row)
     // cache keys across epochs; deep-capacity overflow planes share
     // kPlaneShared.
-    const bool planned =
-        cfg.drainPlanner && cfg.counting == CountMode::Kary;
-    if (planned) {
+    if (cfg.drainPlanner) {
         const unsigned digits =
             jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) +
             1;
@@ -125,7 +123,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
     // planner keeps its point/plane rows regardless of how small the
     // public budget is. Guard the plane pool so a refactor of the
     // reservation scheme cannot silently starve the plan path.
-    C2M_ASSERT(!planned || planePool_ > 0,
+    C2M_ASSERT(!cfg.drainPlanner || planePool_ > 0,
                "drain planner reserved no plane rows");
 
     const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
@@ -188,9 +186,9 @@ void
 ShardedEngine::setMask(unsigned handle,
                        const std::vector<uint8_t> &mask)
 {
-    C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
     // Checked here, on the caller's thread: a shard only ever sees
     // its own slice.
+    checkHandle(handle, numMasks_);
     checkMaskWidth(mask.size(), cfg_.numCounters);
     forEachShard([&](C2MEngine &eng, unsigned s) {
         std::vector<uint8_t> slice(shardWidth(s), 0);
@@ -261,17 +259,13 @@ ShardedEngine::prepareShardParts(unsigned s,
         p.headroom.clear();
         p.steps.clear();
         p.pre.clear();
-        p.post.clear();
         p.fallbackNs = 0.0;
         p.planned = false;
         return p;
     };
-    // Planner off, or Unit counting (no k-ary planes): the bucket
-    // stays one serial part in its original op order. With the
-    // planner on these ops still count as fallback at execution so
-    // the invariant plannedOps + planFallbackOps == batched ops
-    // holds for metric consumers.
-    if (!cfg_.drainPlanner || cfg_.counting != CountMode::Kary) {
+    // Planner off: the bucket stays one serial part in its original
+    // op order.
+    if (!cfg_.drainPlanner) {
         PlanPart &p = newPart();
         p.group = ops.front().group;
         p.ops = ops;
@@ -607,33 +601,24 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                                     plane_lead[idx] == s,
                                     idx >= railPlanes_});
             }
-            shards_[s]->planPrepare(p->steps, p->headroom, g, p->pre,
-                                    p->post);
+            shards_[s]->planPrepare(p->steps, p->headroom, g, p->pre);
         }
         // Gang the scheduled ripples per (digit, occurrence): the
         // first shard needing the j-th ripple of digit d leads it,
         // later shards' j-th occurrences ride its issue slot. Ripple
         // programs depend only on (group, digit), so the command
         // streams are identical across shards.
-        const auto gangRipples = [&](const bool post_pass) {
-            issued.clear();
-            for (auto &[s, p] : cand) {
-                (void)s;
-                occ.clear();
-                for (PlanRipple &r : post_pass ? p->post : p->pre) {
-                    const unsigned j = occ[r.digit]++;
-                    unsigned &lead = issued[r.digit];
-                    if (j < lead) {
-                        r.lead = false;
-                    } else {
-                        r.lead = true;
-                        lead = j + 1;
-                    }
-                }
+        issued.clear();
+        for (const auto &c : cand) {
+            occ.clear();
+            for (PlanRipple &r : c.second->pre) {
+                const unsigned j = occ[r.digit]++;
+                unsigned &lead = issued[r.digit];
+                r.lead = j >= lead;
+                if (r.lead)
+                    lead = j + 1;
             }
-        };
-        gangRipples(false);
-        gangRipples(true);
+        }
     }
 }
 
@@ -651,8 +636,7 @@ ShardedEngine::execShardParts(unsigned s)
     for (size_t i = 0; i < sc.partsUsed; ++i) {
         PlanPart &p = sc.parts[i];
         if (p.planned) {
-            eng.executePlan(p.steps, p.pre, p.post, p.group,
-                            p.ops.size());
+            eng.executePlan(p.steps, p.pre, p.group, p.ops.size());
         } else {
             // Demoted or ineligible parts replay per-op; with the
             // planner on they count as fallback so plannedOps +
@@ -668,19 +652,12 @@ ShardedEngine::execShardParts(unsigned s)
 
 void
 ShardedEngine::forEachBucket(
-    std::span<const EpochBucket> buckets, bool stealing,
-    uint64_t *steals_out,
+    std::span<const EpochBucket> buckets, uint64_t *steals_out,
     const std::function<void(const EpochBucket &)> &fn)
 {
     if (pool_.size() == 0) {
         for (const EpochBucket &b : buckets)
             fn(b);
-        return;
-    }
-    if (!stealing) {
-        for (const EpochBucket &b : buckets)
-            pool_.post(b.shard, [&fn, &b] { fn(b); });
-        pool_.drain();
         return;
     }
     // Work stealing: a claim loop on every lane pops whole buckets
@@ -712,22 +689,19 @@ ShardedEngine::forEachBucket(
 
 void
 ShardedEngine::runEpoch(std::span<const EpochBucket> buckets,
-                        bool stealing, uint64_t *steals_out)
+                        uint64_t *steals_out)
 {
     if (buckets.empty())
         return;
     // Stage 1+2 — combine + count (host-only, parallel): partition
     // each bucket by group, sum deltas, build plane histograms.
-    forEachBucket(buckets, stealing, nullptr,
-                  [this](const EpochBucket &b) {
-                      C2M_ASSERT(
-                          !shardBusy_[b.shard].exchange(
-                              true, std::memory_order_acquire),
-                          "concurrent writers on shard ", b.shard);
-                      prepareShardParts(b.shard, b.ops);
-                      shardBusy_[b.shard].store(
-                          false, std::memory_order_release);
-                  });
+    forEachBucket(buckets, nullptr, [this](const EpochBucket &b) {
+        C2M_ASSERT(!shardBusy_[b.shard].exchange(
+                       true, std::memory_order_acquire),
+                   "concurrent writers on shard ", b.shard);
+        prepareShardParts(b.shard, b.ops);
+        shardBusy_[b.shard].store(false, std::memory_order_release);
+    });
     // Stage 3 — merged scan/offset + gang leadership (host-serial;
     // no stage-1/4 task in flight, so scratch access is exclusive).
     std::vector<unsigned> ids;
@@ -737,16 +711,13 @@ ShardedEngine::runEpoch(std::span<const EpochBucket> buckets,
     planParts(ids);
     // Stage 4 — execute the plane slices (parallel). Only this stage
     // counts steals: it is the one doing fabric work.
-    forEachBucket(buckets, stealing, steals_out,
-                  [this](const EpochBucket &b) {
-                      C2M_ASSERT(
-                          !shardBusy_[b.shard].exchange(
-                              true, std::memory_order_acquire),
-                          "concurrent writers on shard ", b.shard);
-                      execShardParts(b.shard);
-                      shardBusy_[b.shard].store(
-                          false, std::memory_order_release);
-                  });
+    forEachBucket(buckets, steals_out, [this](const EpochBucket &b) {
+        C2M_ASSERT(!shardBusy_[b.shard].exchange(
+                       true, std::memory_order_acquire),
+                   "concurrent writers on shard ", b.shard);
+        execShardParts(b.shard);
+        shardBusy_[b.shard].store(false, std::memory_order_release);
+    });
 }
 
 void
@@ -762,15 +733,15 @@ ShardedEngine::accumulateBatch(std::span<const BatchOp> ops)
     for (unsigned s = 0; s < numShards(); ++s)
         if (!buckets[s].empty())
             eb.push_back({s, buckets[s]});
-    runEpoch(eb, /*stealing=*/true);
+    runEpoch(eb);
 }
 
 void
 ShardedEngine::accumulate(uint64_t value, unsigned mask_handle,
                           unsigned group)
 {
-    C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
-               mask_handle);
+    // Checked here, on the caller's thread, before any shard runs.
+    checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     forEachShard([&](C2MEngine &eng, unsigned) {
         eng.accumulate(value, mask_handle + reservedMasks_, group);
     });
@@ -780,8 +751,7 @@ void
 ShardedEngine::accumulateSigned(int64_t value, unsigned mask_handle,
                                 unsigned group)
 {
-    C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
-               mask_handle);
+    checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     forEachShard([&](C2MEngine &eng, unsigned) {
         eng.accumulateSigned(value, mask_handle + reservedMasks_,
                              group);

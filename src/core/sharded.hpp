@@ -46,11 +46,11 @@
  * Plane (d, k) of both rails lives in one persistent reserved mask
  * row, so cached programs keep stable keys and replay across epochs.
  * A negative sum puts its group in signed mode (Sec. 4.4), whose
- * plans resolve each rail's carries/borrows in place.
- * Unit counting, sums whose magnitude reaches the guard digit, and
- * buckets whose modeled fabric cost (C2mCostModel command counts
- * priced by DramTimings) does not beat per-op replay fall back to the
- * serial path; either path yields bit-identical counter values.
+ * plans resolve each rail's carries/borrows in place. Sums whose
+ * magnitude reaches the guard digit and buckets whose modeled fabric
+ * cost (C2mCostModel command counts priced by DramTimings) does not
+ * beat per-op replay fall back to the serial path; either path
+ * yields bit-identical counter values.
  *
  * Hierarchical (global-then-sliced) planning — runEpoch(): draining
  * one bucket per shard through runShardOps replicates every plane
@@ -166,8 +166,8 @@ class ShardedEngine
     /**
      * Overwrite a registered mask on every shard, zero-padding a
      * short @p mask.
-     * @throws std::invalid_argument if @p mask is longer than
-     *         numCounters; no shard is written then.
+     * @throws std::invalid_argument on an unknown @p handle or a
+     *         @p mask longer than numCounters; no shard is written.
      */
     void setMask(unsigned handle, const std::vector<uint8_t> &mask);
 
@@ -190,14 +190,14 @@ class ShardedEngine
      * pipeline (see the file comment): parallel combine/count per
      * bucket, one merged scan/offset plan per group priced globally
      * and sliced back with gang-issue roles, then parallel sliced
-     * execution. @p stealing selects the claim loop (any lane may
-     * run any bucket's stage task) over pinned lanes; stolen
-     * execute-stage tasks are added to @p steals_out when non-null.
-     * Counter results are bit-identical to draining each bucket
-     * through runShardOps, and to replaySerial on the concatenated
-     * op stream.
+     * execution. Both parallel stages run as a claim loop: any lane
+     * may run any bucket's stage task. Execute-stage tasks run off
+     * their home lane (steals) are added to @p steals_out when
+     * non-null. Counter results are bit-identical to draining each
+     * bucket through runShardOps, and to replaySerial on the
+     * concatenated op stream.
      */
-    void runEpoch(std::span<const EpochBucket> buckets, bool stealing,
+    void runEpoch(std::span<const EpochBucket> buckets,
                   uint64_t *steals_out = nullptr);
 
     /**
@@ -225,7 +225,11 @@ class ShardedEngine
     /** The lane pool shard work is scheduled on (lane s = shard s). */
     ThreadPool &pool() { return pool_; }
 
-    /** Broadcast @p value to masked counters on every shard. */
+    /**
+     * Broadcast @p value to masked counters on every shard.
+     * @throws std::invalid_argument on an unknown @p mask_handle or
+     *         @p group, before any shard runs.
+     */
     void accumulate(uint64_t value, unsigned mask_handle,
                     unsigned group = 0);
     void accumulateSigned(int64_t value, unsigned mask_handle,
@@ -268,7 +272,7 @@ class ShardedEngine
     /**
      * One group's slice of a shard bucket, carried through the epoch
      * pipeline: stage 1/2 fill ops/sums-derived planes, stage 3
-     * decides `planned` and fills steps/pre/post with gang roles,
+     * decides `planned` and fills steps/pre with gang roles,
      * stage 4 executes. Reused across epochs so the steady-state
      * drain path performs no per-op allocation (each plane mask is
      * allocated, shard-width, the first time a sum populates it).
@@ -298,7 +302,6 @@ class ShardedEngine
         std::vector<unsigned> headroom;
         std::vector<MaskedStep> steps;  ///< stage-3 sliced program
         std::vector<PlanRipple> pre;    ///< scheduled IARM ripples
-        std::vector<PlanRipple> post;   ///< FullRipple post-pass
         /** Modeled ns of replaying this part's RAW ops per-op. */
         double fallbackNs = 0.0;
         /** Plan candidate after stage 2; final verdict after 3. */
@@ -373,12 +376,11 @@ class ShardedEngine
     /** Per-op replay of @p ops through the shard's point mask. */
     void runShardSerial(unsigned s, std::span<const BatchOp> ops);
     /**
-     * Run @p fn once per bucket on the pool and drain: pinned to each
-     * bucket's home lane, or through a work-stealing claim loop.
+     * Run @p fn once per bucket through a work-stealing claim loop on
+     * the pool, and drain.
      */
     void forEachBucket(
-        std::span<const EpochBucket> buckets, bool stealing,
-        uint64_t *steals_out,
+        std::span<const EpochBucket> buckets, uint64_t *steals_out,
         const std::function<void(const EpochBucket &)> &fn);
     /** Run @p fn(shard) on every shard in parallel, then drain. */
     template <typename Fn> void forEachShard(Fn &&fn);

@@ -124,9 +124,9 @@ Scrubber::onEpochApplied(uint64_t)
 void
 Scrubber::onStop(uint64_t)
 {
-    // Cadence and budget no longer apply: whatever journal entries
-    // the interval spacing deferred must reconcile now, so reads
-    // after the service stops see exact counters.
+    // Cadence no longer applies: whatever journal entries the
+    // interval spacing deferred must reconcile now, so reads after the
+    // service stops see exact counters.
     beginBoundary();
     scrubAll();
 }
@@ -172,32 +172,11 @@ Scrubber::sweepDue()
     }
 
     std::vector<unsigned> due;
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned s = (rotate_ + i) % n;
+    for (unsigned s = 0; s < n; ++s)
         if (boundary_ - shards_[s].lastSweepBoundary >= interval)
             due.push_back(s);
-    }
-    if (cfg_.maxShardsPerBoundary &&
-        due.size() > cfg_.maxShardsPerBoundary)
-        due.resize(cfg_.maxShardsPerBoundary);
-    if (cfg_.maxSweepNsPerBoundary > 0.0 && due.size() > 1) {
-        // Fabric-time budget: admit shards while the predicted cost
-        // (each shard's last measured sweep ns; 0 before the first
-        // sweep) fits. The first due shard always sweeps.
-        double predicted = 0.0;
-        size_t keep = 0;
-        for (const unsigned s : due) {
-            predicted += shards_[s].lastSweepCostNs;
-            if (keep > 0 && predicted > cfg_.maxSweepNsPerBoundary)
-                break;
-            ++keep;
-        }
-        due.resize(keep);
-    }
-    if (due.empty())
-        return;
-    rotate_ = (due.back() + 1) % n;
-    runSweeps(due);
+    if (!due.empty())
+        runSweeps(due);
 }
 
 void
@@ -210,7 +189,7 @@ Scrubber::runSweeps(const std::vector<unsigned> &due)
             });
     };
     core::ThreadPool &pool = engine_.pool();
-    if (!cfg_.parallel || pool.size() == 0 || due.size() == 1) {
+    if (pool.size() == 0 || due.size() == 1) {
         for (unsigned s : due)
             sweep(s);
         return;
@@ -303,7 +282,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
         std::max<uint64_t>(1, boundary - st.lastSweepBoundary);
     st.lastSweepBoundary = boundary;
     d.sweepFabricNs = eng.backend().opStats().fabricNs - ns0;
-    st.lastSweepCostNs = d.sweepFabricNs;
     if (tr)
         tr->spanEnd("scrub.sweep", track,
                     eng.backend().opStats().fabricNs);

@@ -76,21 +76,11 @@ namespace reliability {
 
 struct ScrubConfig
 {
-    /** Epoch boundaries between sweeps of one shard. */
-    unsigned interval = 1;
-    /** Budget: at most this many shard sweeps per boundary
-     *  (0 = unlimited). Overdue shards rotate fairly. */
-    unsigned maxShardsPerBoundary = 0;
     /**
-     * Fabric-time budget: skip further due sweeps once the predicted
-     * cost of this boundary's sweeps (each shard's last measured
-     * fabric ns, see docs/perf.md) exceeds this (0 = unlimited). At
-     * least one due shard always sweeps, so overdue shards cannot
-     * starve; composes with maxShardsPerBoundary (tighter wins).
+     * Epoch boundaries between sweeps of one shard. Every due shard
+     * sweeps at its boundary, in parallel on the engine's lane pool.
      */
-    double maxSweepNsPerBoundary = 0.0;
-    /** Run due sweeps in parallel on the engine's lane pool. */
-    bool parallel = true;
+    unsigned interval = 1;
     /** Let the HealthMonitor retune interval and FR checks. */
     bool adaptive = false;
     /** Per-bit decay injected into the mirror store per boundary
@@ -160,7 +150,7 @@ class Scrubber final : public service::EpochObserver
     void onShardOps(unsigned shard,
                     std::span<const core::BatchOp> ops) override;
     void onEpochApplied(uint64_t epoch) override;
-    /** Full sweep: deferred (budgeted/interval) work must finish. */
+    /** Full sweep: work the interval deferred must finish. */
     void onStop(uint64_t epoch) override;
     CounterMap counters() const override;
 
@@ -169,14 +159,14 @@ class Scrubber final : public service::EpochObserver
     /** Journal a batch applied via accumulateBatch/runShardOps. */
     void noteBatch(std::span<const core::BatchOp> ops);
 
-    /** Advance one boundary: sweep due shards per cadence/budget. */
+    /** Advance one boundary: sweep the shards the cadence makes due. */
     void boundary();
 
     /** Sweep every shard now, regardless of cadence. */
     void scrubAll();
 
     /**
-     * Sweep shard @p s now, regardless of cadence or budget. This is
+     * Sweep shard @p s now, regardless of cadence. This is
      * the virtualization layer's pre-write hook: before rewriting a
      * shard's counter rows (spill/restore) it heals the shard and
      * applies the pending journal, so the subsequent rebaseShard()
@@ -212,9 +202,6 @@ class Scrubber final : public service::EpochObserver
         std::unordered_map<uint64_t, int64_t> journal;
         uint64_t lastSweepBoundary = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
-        /** Measured fabric ns of this shard's last sweep — the
-         *  predictor for the maxSweepNsPerBoundary budget. */
-        double lastSweepCostNs = 0.0;
         ScrubStats stats;
         Rng decayRng{1};
     };
@@ -222,7 +209,7 @@ class Scrubber final : public service::EpochObserver
     /** Shared boundary prologue: advance cadence, decay the store. */
     void beginBoundary();
     void sweepDue();
-    /** Sweep @p due shards, on the lane pool when cfg().parallel. */
+    /** Sweep @p due shards, on the lane pool when there are several. */
     void runSweeps(const std::vector<unsigned> &due);
     /** Sweep one shard (single-writer guard held by runShardTask). */
     void sweepShard(core::C2MEngine &eng, ShardState &st,
@@ -234,7 +221,6 @@ class Scrubber final : public service::EpochObserver
     ScrubConfig cfg_;
     std::vector<ShardState> shards_;
     uint64_t boundary_ = 0; ///< boundaries seen (drainer/driver only)
-    unsigned rotate_ = 0;   ///< budget fairness cursor
     unsigned appliedFrChecks_ = 0; ///< last live FR-check retune
 
     /**

@@ -86,14 +86,5 @@ coalesceOps(std::span<const core::BatchOp> ops,
     out.ops.resize(kept);
 }
 
-CoalesceResult
-coalesceOps(std::span<const core::BatchOp> ops)
-{
-    CoalesceScratch sc;
-    CoalesceResult r;
-    coalesceOps(ops, sc, r);
-    return r;
-}
-
 } // namespace service
 } // namespace c2m

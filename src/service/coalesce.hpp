@@ -28,11 +28,9 @@
  * turning the per-epoch op list into about D*bit_width(R-1)
  * column-parallel fabric programs per group and rail.
  *
- * Two entry points: the scratch-based overload is the epoch hot path
- * — a software write-combining buffer (dense open-addressing table
- * with epoch stamps) that allocates nothing in steady state; the
- * convenience overload owns a throwaway scratch for one-shot callers
- * (stop()-time stragglers, tests).
+ * One entry point: a software write-combining buffer (dense
+ * open-addressing table with epoch stamps) the caller keeps across
+ * calls, so the epoch hot path allocates nothing in steady state.
  */
 
 #include <cstdint>
@@ -72,15 +70,12 @@ struct CoalesceScratch
 
 /**
  * Write-combining coalesce of @p ops into @p out (cleared first),
- * reusing @p scratch across calls. Identical contract to the
- * convenience overload: surviving ops keep first-occurrence order,
- * zero-sum counters are elided, out.merged counts eliminated input
- * ops.
+ * reusing @p scratch across calls: surviving ops keep
+ * first-occurrence order, zero-sum counters are elided, out.merged
+ * counts eliminated input ops.
  */
 void coalesceOps(std::span<const core::BatchOp> ops,
                  CoalesceScratch &scratch, CoalesceResult &out);
-
-CoalesceResult coalesceOps(std::span<const core::BatchOp> ops);
 
 } // namespace service
 } // namespace c2m

@@ -54,12 +54,11 @@ addPlanDelta(ServiceStats &es, const core::EngineStats &before,
 
 IngestService::IngestService(core::ShardedEngine &engine,
                              const IngestConfig &cfg)
-    : engine_(engine), cfg_(cfg)
+    : engine_(engine), cfg_(cfg),
+      drainWindow_(std::max<size_t>(1, cfg.minDrainOps))
 {
     if (cfg_.queueCapacity < 1)
         C2M_FATAL("IngestConfig::queueCapacity must be >= 1");
-    dynamicMinDrainOps_.store(std::max<size_t>(1, cfg_.minDrainOps),
-                              std::memory_order_relaxed);
     lastShardEpoch_.assign(engine_.numShards(), 0);
     coalesceScratch_.resize(engine_.numShards());
     for (unsigned s = 0; s < engine_.numShards(); ++s)
@@ -123,8 +122,8 @@ IngestService::submit(std::span<const core::BatchOp> ops)
     if (accepted < ops.size())
         queuedOps_.fetch_sub(ops.size() - accepted,
                              std::memory_order_relaxed);
-    if (accepted > 0 && queuedOps_.load(std::memory_order_relaxed) >=
-                            effectiveMinDrainOps()) {
+    if (accepted > 0 &&
+        queuedOps_.load(std::memory_order_relaxed) >= drainWindow_) {
         std::lock_guard<std::mutex> lk(m_);
         drainCv_.notify_one();
     }
@@ -235,7 +234,9 @@ IngestService::stop()
         queuedOps_.fetch_sub(ops.size(), std::memory_order_relaxed);
         ServiceStats es;
         if (cfg_.coalesce) {
-            auto r = coalesceOps(ops);
+            // The drainer has joined, so its per-shard tables are free.
+            CoalesceResult r;
+            coalesceOps(ops, coalesceScratch_[s], r);
             es.coalesced = r.merged;
             ops = std::move(r.ops);
         }
@@ -250,7 +251,7 @@ IngestService::stop()
         stats_ += es;
     }
     // Final observer turn: an attached scrubber must reconcile
-    // everything it deferred (budgeted or interval-spaced sweeps),
+    // everything it deferred (interval-spaced sweeps),
     // stragglers included, before the engine is read post-stop.
     // Epoch labels are not advanced here — straggler application is
     // outside the epoch protocol whether or not an observer is
@@ -333,7 +334,7 @@ IngestService::drainerLoop()
                 return stop_ || forceDrain_ ||
                        flushTarget_ > cutEpoch_ ||
                        queuedOps_.load(std::memory_order_relaxed) >=
-                           effectiveMinDrainOps();
+                           drainWindow_;
             });
             const bool work_left =
                 flushTarget_ > cutEpoch_ ||
@@ -426,30 +427,6 @@ IngestService::runEpoch(uint64_t epoch)
         std::lock_guard<std::mutex> lk(m_);
         appliedEpoch_ = epoch;
         stats_ += es;
-        if (cfg_.targetEpochFabricNs > 0.0 && es.flushedOps > 0 &&
-            es.fabricNs > 0.0) {
-            // Fabric-time epoch sizing: fold this epoch's modeled
-            // per-op cost into the EWMA and retarget the coalescing
-            // window so the next epoch drains ~targetEpochFabricNs
-            // of fabric time. Capped at one queue's capacity so the
-            // window can always fill without producer stalls forcing
-            // the cut.
-            const double op_ns =
-                es.fabricNs / static_cast<double>(es.flushedOps);
-            ewmaOpNs_ = ewmaOpNs_ > 0.0
-                            ? 0.75 * ewmaOpNs_ + 0.25 * op_ns
-                            : op_ns;
-            double window = cfg_.targetEpochFabricNs / ewmaOpNs_;
-            if (window < 1.0)
-                window = 1.0;
-            const double cap =
-                static_cast<double>(cfg_.queueCapacity);
-            if (window > cap)
-                window = cap;
-            dynamicMinDrainOps_.store(
-                static_cast<size_t>(window),
-                std::memory_order_relaxed);
-        }
         recordDrainLatency(static_cast<uint64_t>(us));
         epochCv_.notify_all();
     }
@@ -490,16 +467,14 @@ IngestService::executeEpoch(uint64_t epoch,
     }
     // One call per epoch into the engine's hierarchical drain
     // pipeline: per-shard combine/count stages run on the lane pool
-    // (pinned or stolen per cfg_.workStealing), the merged
-    // scan/offset plan is priced globally, and cross-shard plane
-    // programs gang-issue instead of replicating per shard.
+    // (any free lane claims a bucket), the merged scan/offset plan is
+    // priced globally, and cross-shard plane programs gang-issue
+    // instead of replicating per shard.
     std::vector<core::ShardedEngine::EpochBucket> eb;
     eb.reserve(buckets.size());
     for (const auto &b : buckets)
         eb.push_back({b.shard, b.ops});
-    uint64_t steals = 0;
-    engine_.runEpoch(eb, cfg_.workStealing, &steals);
-    epoch_stats.steals += steals;
+    engine_.runEpoch(eb, &epoch_stats.steals);
 }
 
 size_t

@@ -16,9 +16,8 @@
  *      hot counter costs one fabric update per epoch;
  *   3. execute: the epoch's buckets run through the engine's
  *      hierarchical drain pipeline (ShardedEngine::runEpoch) on the
- *      lane pool — stage tasks either pinned to their home lane, or
- *      (workStealing) claimed by whichever lane is free, so one
- *      skewed shard cannot serialize the epoch behind busy lanes.
+ *      lane pool — stage tasks claimed by whichever lane is free, so
+ *      one skewed shard cannot serialize the epoch behind busy lanes.
  *      With the engine's drain planner on
  *      (EngineConfig::drainPlanner, default), the epoch executes as
  *      ONE merged set of column-parallel digit planes, gang-issued
@@ -80,18 +79,7 @@ struct IngestConfig
      */
     size_t minDrainOps = 1;
     bool coalesce = true;
-    bool workStealing = true;
     Backpressure backpressure = Backpressure::Block;
-    /**
-     * Fabric-time epoch sizing: when > 0, the drainer adapts its
-     * coalescing window so one epoch executes about this much modeled
-     * fabric time (EngineStats fabric ns, see docs/perf.md). An EWMA
-     * of the observed per-op fabric cost converts the target into an
-     * op-count window after each epoch; minDrainOps seeds the window
-     * until the first sample lands. flush(), stop() and full queues
-     * still cut immediately.
-     */
-    double targetEpochFabricNs = 0.0;
 };
 
 struct ServiceStats
@@ -168,7 +156,7 @@ class EpochObserver
     /**
      * Service shutting down after the last ops were applied; the
      * engine stays quiescent from here on. Observers that defer work
-     * across boundaries (budgeted/interval scrubbing) must finish it
+     * across boundaries (interval-spaced scrubbing) must finish it
      * now so post-stop engine reads see fully reconciled state.
      */
     virtual void onStop(uint64_t epoch) { onEpochApplied(epoch); }
@@ -264,14 +252,6 @@ class IngestService
     void stop();
 
     ServiceStats serviceStats() const;
-    /**
-     * Current coalescing window in ops: minDrainOps, or the adapted
-     * window when targetEpochFabricNs is set.
-     */
-    size_t effectiveMinDrainOps() const
-    {
-        return dynamicMinDrainOps_.load(std::memory_order_relaxed);
-    }
     /** Engine stats, read race-free against the drainer. */
     core::EngineStats engineStats() const;
     /**
@@ -326,10 +306,8 @@ class IngestService
     bool stop_ = false;         ///< guarded by m_
     bool stopFinalized_ = false; ///< stop() ran once (guarded by m_)
     ServiceStats stats_;        ///< epoch-side sums (guarded by m_)
-    /** Coalescing window in ops; adapted by fabric-time sizing. */
-    std::atomic<size_t> dynamicMinDrainOps_{1};
-    /** EWMA of modeled fabric ns per flushed op (guarded by m_). */
-    double ewmaOpNs_ = 0.0;
+    /** Coalescing window in ops: max(1, minDrainOps). */
+    const size_t drainWindow_;
 
     /**
      * Per-epoch drain latency distribution in us: a log-bucketed

@@ -324,21 +324,3 @@ TEST(CostAttribution, ServiceAttributesEngineFabricExactlyOnce)
                      svc.engineStats().fabric.fabricNj -
                          base.fabricNj);
 }
-
-TEST(CostAttribution, FabricEpochSizingAdaptsTheWindow)
-{
-    const auto cfg = baseConfig();
-    ShardedEngine eng(cfg, 2);
-    service::IngestConfig icfg;
-    icfg.minDrainOps = 1;
-    // Target roughly the fabric time of a handful of ops: after the
-    // first epoch's cost sample the window must move off its seed.
-    icfg.targetEpochFabricNs = 1e6;
-    service::IngestService svc(eng, icfg);
-    EXPECT_EQ(svc.effectiveMinDrainOps(), 1u);
-    const auto ops = randomOps(60, cfg.numCounters, 19);
-    svc.submit(std::span<const BatchOp>(ops));
-    svc.flushAndWait();
-    EXPECT_GT(svc.effectiveMinDrainOps(), 1u);
-    svc.stop();
-}

@@ -1,7 +1,8 @@
 /**
  * @file
  * C2M engine integration tests: masked accumulation against plain
- * arithmetic across radices and scheduling modes, signed
+ * arithmetic across radices, IARM ripples and k-ary increments
+ * against the analytic full-ripple and unit-counting baselines, signed
  * accumulation and its pending resolve, the peek-gated drain, tensor
  * ops (vector add, ReLU, shift-left), and the protection schemes
  * under injected faults.
@@ -13,11 +14,13 @@
 
 #include "common/rng.hpp"
 #include "core/backend_nvm.hpp"
+#include "core/costmodel.hpp"
 #include "core/engine.hpp"
 #include "core/fabriccost.hpp"
 
 using namespace c2m;
 using core::C2MEngine;
+using core::C2mCostModel;
 using core::CountMode;
 using core::EngineConfig;
 using core::Protection;
@@ -72,50 +75,63 @@ TEST_P(EngineRadix, MaskedAccumulationMatchesArithmetic)
     EXPECT_EQ(eng.stats().invalidStates, 0u);
 }
 
+namespace {
+
+/**
+ * Broadcast @p values over an all-ones mask into an engine at
+ * @p radix and return its stats; the counters must read back the
+ * host sum.
+ */
+core::EngineStats
+accumulateAllOnes(unsigned radix, const std::vector<uint64_t> &values)
+{
+    C2MEngine eng(smallConfig(radix));
+    const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+    int64_t sum = 0;
+    for (const uint64_t v : values) {
+        eng.accumulate(v, h);
+        sum += static_cast<int64_t>(v);
+    }
+    EXPECT_EQ(eng.readCounters(), std::vector<int64_t>(16, sum));
+    return eng.stats();
+}
+
+std::vector<uint64_t>
+boundedValues(uint64_t seed, size_t n, uint64_t bound)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> values(n);
+    for (auto &v : values)
+        v = rng.nextBounded(bound);
+    return values;
+}
+
+} // namespace
+
+// The engine runs only k-ary increments with IARM; full rippling and
+// unit counting exist only as the analytic Fig. 8 baselines, so the
+// engine's executed counts are held against the model's.
 TEST_P(EngineRadix, FullRippleModeAgreesWithIarm)
 {
     const unsigned radix = GetParam();
-    auto cfg = smallConfig(radix);
-    C2MEngine iarm(cfg);
-    cfg.ripple = RippleMode::FullRipple;
-    C2MEngine full(cfg);
-
-    std::vector<uint8_t> mask(16, 1);
-    const unsigned hi = iarm.addMask(mask);
-    const unsigned hf = full.addMask(mask);
-
-    Rng rng(17);
-    for (int step = 0; step < 40; ++step) {
-        const uint64_t v = rng.nextBounded(512);
-        iarm.accumulate(v, hi);
-        full.accumulate(v, hf);
-    }
-    EXPECT_EQ(iarm.readCounters(), full.readCounters());
+    const auto values = boundedValues(17, 40, 512);
+    const auto st = accumulateAllOnes(radix, values);
+    const C2mCostModel full(radix, smallConfig(radix).capacityBits,
+                            false, 1, CountMode::Kary,
+                            RippleMode::FullRipple);
     // IARM must issue (strictly) fewer ripples.
-    EXPECT_LT(iarm.stats().ripples, full.stats().ripples);
+    EXPECT_LT(st.ripples, full.accumulateStream(values).ripples);
 }
 
 TEST_P(EngineRadix, UnitCountingAgreesWithKary)
 {
     const unsigned radix = GetParam();
-    auto cfg = smallConfig(radix);
-    C2MEngine kary(cfg);
-    cfg.counting = CountMode::Unit;
-    C2MEngine unit(cfg);
-
-    std::vector<uint8_t> mask(16, 1);
-    const unsigned hk = kary.addMask(mask);
-    const unsigned hu = unit.addMask(mask);
-
-    Rng rng(23);
-    for (int step = 0; step < 15; ++step) {
-        const uint64_t v = rng.nextBounded(200);
-        kary.accumulate(v, hk);
-        unit.accumulate(v, hu);
-    }
-    EXPECT_EQ(kary.readCounters(), unit.readCounters());
+    const auto values = boundedValues(23, 15, 200);
+    const auto st = accumulateAllOnes(radix, values);
+    const C2mCostModel unit(radix, smallConfig(radix).capacityBits,
+                            false, 1, CountMode::Unit);
     // k-ary needs fewer increment muPrograms.
-    EXPECT_LE(kary.stats().increments, unit.stats().increments);
+    EXPECT_LE(st.increments, unit.accumulateStream(values).increments);
 }
 
 INSTANTIATE_TEST_SUITE_P(Radices, EngineRadix,
@@ -209,6 +225,29 @@ TEST(EngineMaskErrors, MaskWiderThanTheCountersThrows)
     const auto got = eng.readCounters();
     for (size_t c = 0; c < got.size(); ++c)
         EXPECT_EQ(got[c], c < 3 ? 2 : 0) << "col " << c;
+}
+
+TEST(EngineMaskErrors, UnknownHandleOrGroupThrowsBeforeAnyChange)
+{
+    auto cfg = smallConfig(4);
+    cfg.numGroups = 2;
+    C2MEngine eng(cfg);
+    const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+    // Zero inputs are checked too, and a bad group is caught before
+    // a decrement could put it in signed mode.
+    EXPECT_THROW(eng.accumulate(0, h + 1), std::invalid_argument);
+    EXPECT_THROW(eng.accumulate(3, h + 1), std::invalid_argument);
+    EXPECT_THROW(eng.accumulate(3, h, 2), std::invalid_argument);
+    EXPECT_THROW(eng.accumulateSigned(-1, h + 1), std::invalid_argument);
+    EXPECT_THROW(eng.accumulateSigned(-1, h, 2), std::invalid_argument);
+    EXPECT_THROW(eng.setMask(h + 1, std::vector<uint8_t>(16, 0)),
+                 std::invalid_argument);
+    EXPECT_THROW(eng.setMask(h + 1, BitVector(16)),
+                 std::invalid_argument);
+    EXPECT_FALSE(eng.signedMode(0));
+    EXPECT_EQ(eng.stats().inputsAccumulated, 0u);
+    eng.accumulate(2, h);
+    EXPECT_EQ(eng.readCounters(), std::vector<int64_t>(16, 2));
 }
 
 TEST(EngineMaskErrors, AddMaskPastMaxMaskRowsThrows)

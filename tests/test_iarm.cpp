@@ -185,8 +185,8 @@ TEST_P(IarmRadix, FewerRipplesThanFullPropagation)
     const unsigned num_digits =
         jc::digitsForCapacity(radix, 200ULL * 255 + 1) + 1;
     jc::IarmScheduler iarm(radix, num_digits);
-    // The engine's FullRipple mode: a full descending pass after
-    // every add.
+    // The cost model's FullRipple baseline: a full descending pass
+    // after every add.
     jc::IarmScheduler full(radix, num_digits);
     Rng rng(7);
 

@@ -6,7 +6,7 @@
  * concurrent-ingest exactness (the subsystem's acceptance property:
  * scrubbed runs end bit-identical to fault-free serial replay while
  * unscrubbed runs at the same fault rate do not), standalone and
- * budgeted sweeps, mirror-store decay, TMR replicas, NVM fabrics,
+ * interval-spaced sweeps, mirror-store decay, TMR replicas, NVM fabrics,
  * and the health monitor's estimator/retuning behavior.
  */
 
@@ -462,7 +462,7 @@ TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
 
     ShardedEngine eng(cfg, 4);
     ScrubConfig scfg;
-    scfg.maxShardsPerBoundary = 1; // sweep one shard per boundary
+    scfg.interval = 4; // sweep every fourth boundary
     Scrubber scrub(eng, scfg);
     const size_t chunk = 200;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
@@ -472,12 +472,12 @@ TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
         scrub.noteBatch(part);
         scrub.boundary();
     }
-    // Budgeted sweeps leave unswept shards behind; a full sweep
-    // restores exactness.
+    // Deferred sweeps leave the last boundaries' faults and journal
+    // behind; a full sweep restores exactness.
     scrub.scrubAll();
     EXPECT_EQ(eng.readAllCounters(0), ref);
-    // The budget really limited per-boundary work: sweeps < what
-    // interval=1 without a budget would have run.
+    // The interval really limited per-boundary work: sweeps < what
+    // interval 1 would have run.
     EXPECT_LT(scrub.stats().sweeps,
               (ops.size() / chunk) * eng.numShards() + 4);
 }

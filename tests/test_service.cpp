@@ -69,7 +69,9 @@ TEST(Coalesce, MergesDuplicatesKeepsFirstOccurrenceOrder)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {3, 1, 0}, {5, -1, 0}, {7, 4, 0}, {3, -1, 0}};
-    const auto r = service::coalesceOps(ops);
+    service::CoalesceScratch sc;
+    service::CoalesceResult r;
+    service::coalesceOps(ops, sc, r);
     ASSERT_EQ(r.ops.size(), 2u);
     // Counter 3 cancels to zero and is elided; 5 and 7 keep the
     // order they first appeared in.
@@ -84,7 +86,9 @@ TEST(Coalesce, GroupsStaySeparate)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {5, 3, 1}, {5, 1, 0}};
-    const auto r = service::coalesceOps(ops);
+    service::CoalesceScratch sc;
+    service::CoalesceResult r;
+    service::coalesceOps(ops, sc, r);
     ASSERT_EQ(r.ops.size(), 2u);
     EXPECT_EQ(r.ops[0].group, 0u);
     EXPECT_EQ(r.ops[0].value, 3);
@@ -301,25 +305,17 @@ TEST(Ingest, WorkStealingOnFullySkewedBatch)
 {
     const auto cfg = baseConfig(64);
     // Every op lands on shard 0 (counters 0..15 of 64 over 4
-    // shards): with stealing, any idle lane may claim the bucket.
+    // shards): any idle lane may claim the bucket.
     Rng rng(17);
     std::vector<BatchOp> ops;
     for (size_t i = 0; i < 300; ++i)
         ops.push_back({rng.nextBounded(16),
                        static_cast<int64_t>(rng.nextBounded(30)),
                        0});
-    const auto reference = core::replaySerial(cfg, ops);
-
-    for (const bool stealing : {true, false}) {
-        ShardedEngine engine(cfg, 4);
-        IngestConfig icfg;
-        icfg.workStealing = stealing;
-        IngestService svc(engine, icfg);
-        EXPECT_EQ(service::submitConcurrent(svc, ops, 4),
-                  ops.size());
-        EXPECT_EQ(svc.readCounters(), reference)
-            << "stealing=" << stealing;
-    }
+    ShardedEngine engine(cfg, 4);
+    IngestService svc(engine);
+    EXPECT_EQ(service::submitConcurrent(svc, ops, 4), ops.size());
+    EXPECT_EQ(svc.readCounters(), core::replaySerial(cfg, ops));
 }
 
 TEST(Ingest, SixteenProducersEightShardsBitExact)

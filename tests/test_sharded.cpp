@@ -193,6 +193,24 @@ TEST(ShardedMaskErrors, MaskWiderThanTheCountersThrows)
         EXPECT_EQ(got[c], c < 40 ? 3 : 0) << "col " << c;
 }
 
+TEST(ShardedMaskErrors, UnknownHandleOrGroupThrowsBeforeFanOut)
+{
+    // Checked on the caller's thread before any shard runs.
+    auto cfg = baseConfig(64);
+    cfg.numGroups = 2;
+    ShardedEngine eng(cfg, 4);
+    const unsigned h = eng.addMask(std::vector<uint8_t>(64, 1));
+    EXPECT_THROW(eng.accumulate(0, h + 1), std::invalid_argument);
+    EXPECT_THROW(eng.accumulate(3, h, 2), std::invalid_argument);
+    EXPECT_THROW(eng.accumulateSigned(-1, h + 1), std::invalid_argument);
+    EXPECT_THROW(eng.accumulateSigned(-1, h, 2), std::invalid_argument);
+    EXPECT_THROW(eng.setMask(h + 1, std::vector<uint8_t>(64, 0)),
+                 std::invalid_argument);
+    EXPECT_EQ(eng.stats().inputsAccumulated, 0u);
+    eng.accumulate(2, h);
+    EXPECT_EQ(eng.readAllCounters(), std::vector<int64_t>(64, 2));
+}
+
 TEST(ShardedMaskErrors, AddMaskPastMaxMaskRowsThrows)
 {
     ShardedEngine eng(baseConfig(64), 4);
@@ -904,8 +922,7 @@ namespace {
 /** Route @p ops into per-shard epoch buckets and drain them through
     the hierarchical pipeline in one runEpoch call. */
 void
-drainEpoch(ShardedEngine &eng, const std::vector<BatchOp> &ops,
-           bool stealing = true)
+drainEpoch(ShardedEngine &eng, const std::vector<BatchOp> &ops)
 {
     std::vector<std::vector<BatchOp>> buckets(eng.numShards());
     for (const auto &op : ops)
@@ -914,7 +931,7 @@ drainEpoch(ShardedEngine &eng, const std::vector<BatchOp> &ops,
     for (unsigned s = 0; s < eng.numShards(); ++s)
         if (!buckets[s].empty())
             eb.push_back({s, buckets[s]});
-    eng.runEpoch(eb, stealing);
+    eng.runEpoch(eb);
 }
 
 /** Gang-issue ledger invariants every drained engine must satisfy. */
@@ -1044,7 +1061,7 @@ TEST(EpochPipeline, RepeatedEpochsReuseScratchAndStayExact)
     const auto e2 = zipfOps(700, cfg.numCounters, 6);
     const auto e3 = distinctDeltaOps(cfg.numCounters);
     drainEpoch(eng, e1);
-    drainEpoch(eng, e2, /*stealing=*/false);
+    drainEpoch(eng, e2);
     drainEpoch(eng, e3);
 
     std::vector<BatchOp> all = e1;
@@ -1160,9 +1177,11 @@ PrintTo(const Substrate &sub, std::ostream *os)
     *os << sub.name;
 }
 
-/** Substrate, ripple mode, shard count, radix. */
-using DualRailParam =
-    std::tuple<Substrate, core::RippleMode, unsigned, unsigned>;
+/**
+ * Substrate, full drain after every epoch (else IARM carries stay
+ * deferred across epochs), shard count, radix.
+ */
+using DualRailParam = std::tuple<Substrate, bool, unsigned, unsigned>;
 
 /** Split @p delta over 1..3 ops on @p counter (an uncoalesced sum). */
 void
@@ -1211,14 +1230,17 @@ class DualRailDifferential
 // the guard digit into Osign) and back, uncoalesced sums of zero,
 // and a negative sum whose magnitude reaches the guard digit, which
 // must replay per op. Radices 8 and 10 fold dense digits into planes
-// 1, 2, 4 (and 8), whose weights sum past R-1 at radix 10.
+// 1, 2, 4 (and 8), whose weights sum past R-1 at radix 10. The _full
+// cases drain every shard after each epoch, as a scrub sweep does,
+// so each plan starts from fully rippled counters and no Onext row
+// may keep a pending; the _iarm cases leave IARM's deferred carries
+// in place across epochs.
 TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
 {
-    const auto [sub, ripple, shards, radix] = GetParam();
+    const auto [sub, full_drain, shards, radix] = GetParam();
     auto cfg = baseConfig(64, radix);
     cfg.backend = sub.backend;
     cfg.protection = sub.protection;
-    cfg.ripple = ripple;
     cfg.capacityBits = 16; // D = 9 at radix 4: guard digit 4^8
     cfg.drainPlanner = true;
     ShardedEngine eng(cfg, shards);
@@ -1229,7 +1251,9 @@ TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
     const auto epoch = [&](const std::vector<BatchOp> &ops,
                            const char *what) {
         const auto before = eng.stats();
-        drainEpoch(eng, ops, /*stealing=*/all.size() % 2 == 0);
+        drainEpoch(eng, ops);
+        if (full_drain)
+            eng.drain(0);
         all.insert(all.end(), ops.begin(), ops.end());
         for (const auto &op : ops)
             expect[op.counter] += op.value;
@@ -1241,7 +1265,7 @@ TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)
         // show a pending the resolve missed.
         if (sub.backend == core::BackendKind::Ambit)
             for (unsigned s = 0; s < shards; ++s)
-                if (eng.shard(s).signedMode(0))
+                if (full_drain || eng.shard(s).signedMode(0))
                     expectNoPending(eng.shard(s), what);
         const auto d = eng.stats().since(before);
         EXPECT_EQ(d.plannedOps + d.planFallbackOps, ops.size())
@@ -1348,15 +1372,12 @@ INSTANTIATE_TEST_SUITE_P(
             Substrate{core::BackendKind::NvmMagic, Protection::None,
                       "nvm_magic"},
             Substrate{core::BackendKind::Rca, Protection::None, "rca"}),
-        ::testing::Values(core::RippleMode::Iarm,
-                          core::RippleMode::FullRipple),
+        ::testing::Bool(),
         ::testing::Values(1u, 2u, 4u, 8u),
         ::testing::Values(4u, 8u, 10u)),
     [](const ::testing::TestParamInfo<DualRailParam> &info) {
         std::string name = std::get<0>(info.param).name;
-        name += std::get<1>(info.param) == core::RippleMode::Iarm
-                    ? "_iarm"
-                    : "_full";
+        name += std::get<1>(info.param) ? "_full" : "_iarm";
         name += "_x" + std::to_string(std::get<2>(info.param));
         // Radix 4 keeps the suite's original names.
         if (const unsigned radix = std::get<3>(info.param); radix != 4)
