@@ -28,6 +28,9 @@
  *  - signed resolve: every cell reports its ripples, Onext row reads
  *    (pending_peeks) and Osign folds, and gates peeks <= steps +
  *    ripples and folds <= ripples.
+ *  - absorbed carries: every planner-on cell of an unsigned stream
+ *    gates ripples == 0 — its plans read due Onext rows into their
+ *    planes (absorb_peeks) instead of rippling them.
  *  - plan-path program caching: an extra Zipf cell drains the same
  *    stream as 16 flushed chunks; because digit planes live in
  *    persistent reserved mask rows, plan programs generated in the
@@ -54,6 +57,7 @@
  * Usage: ingest_throughput [--trace FILE]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -184,6 +188,7 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
         .set("fabric_increments", est.increments)
         .set("ripples", est.ripples)
         .set("pending_peeks", est.pendingPeeks)
+        .set("absorb_peeks", est.absorbPeeks)
         .set("sign_folds", est.signFolds)
         .set("epochs", sst.epochs)
         .set("coalesced", sst.coalesced)
@@ -204,6 +209,14 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
            static_cast<double>(est.increments + est.ripples));
     c.gate("folds_le_ripples", static_cast<double>(est.signFolds),
            "<=", static_cast<double>(est.ripples));
+    // Unsigned plans take IARM's due carries into their planes
+    // (absorbed Onext rows) instead of rippling them.
+    if (planner && std::all_of(ops.begin(), ops.end(),
+                               [](const core::BatchOp &op) {
+                                   return op.value >= 0;
+                               }))
+        c.gate("planned_ripples", static_cast<double>(est.ripples),
+               "==", 0.0);
     watch(wd, c.counters);
     return c;
 }

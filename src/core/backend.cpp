@@ -117,6 +117,18 @@ CountingBackend::borrowRipple(unsigned, unsigned)
               " backend does not support signed counting");
 }
 
+const BitVector &
+CountingBackend::pendingRow(unsigned, unsigned)
+{
+    C2M_PANIC(backendName(kind()), " backend has no pending flags");
+}
+
+void
+CountingBackend::clearPending(unsigned, unsigned)
+{
+    C2M_PANIC(backendName(kind()), " backend has no pending flags");
+}
+
 void
 CountingBackend::foldTopBorrowIntoSign(unsigned)
 {

@@ -150,11 +150,19 @@ class CountingBackend
     virtual void borrowRipple(unsigned phys, unsigned digit);
 
     /**
-     * True iff any counter has a pending carry/borrow at @p digit.
-     * With caps().pendingFlags this is one charged host read of the
-     * digit's Onext row (counts a rowRead).
+     * The Onext row of @p digit: bit c set iff counter c has a
+     * pending carry/borrow there (caps().pendingFlags). One charged
+     * host read of the row (counts a rowRead); the reference stays
+     * valid until the row is next written.
      */
-    virtual bool anyPending(unsigned phys, unsigned digit) = 0;
+    virtual const BitVector &pendingRow(unsigned phys, unsigned digit);
+
+    /**
+     * Onext(@p digit) <- 0 in every column (caps().pendingFlags): the
+     * carries were taken into a drain plan's delta instead of being
+     * rippled. One unchecked row clear, as a ripple ends with.
+     */
+    virtual void clearPending(unsigned phys, unsigned digit);
 
     /** Osign ^= Onext(top); Onext(top) <- 0 (signed-mode fold). */
     virtual void foldTopBorrowIntoSign(unsigned phys);

@@ -135,12 +135,16 @@ AmbitBackend::borrowRipple(unsigned phys, unsigned digit)
         key, [&] { return codegen_[phys].borrowRipple(digit); }));
 }
 
-bool
-AmbitBackend::anyPending(unsigned phys, unsigned digit)
+const BitVector &
+AmbitBackend::pendingRow(unsigned phys, unsigned digit)
 {
-    const BitVector &onext =
-        sub_.hostReadRow(layouts_[phys].onextRow(digit));
-    return onext.popcount() != 0;
+    return sub_.hostReadRow(layouts_[phys].onextRow(digit));
+}
+
+void
+AmbitBackend::clearPending(unsigned phys, unsigned digit)
+{
+    rowClear(layouts_[phys].onextRow(digit));
 }
 
 void

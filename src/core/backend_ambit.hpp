@@ -43,7 +43,9 @@ class AmbitBackend final : public CountingBackend
                        unsigned mask_row) override;
     void carryRipple(unsigned phys, unsigned digit) override;
     void borrowRipple(unsigned phys, unsigned digit) override;
-    bool anyPending(unsigned phys, unsigned digit) override;
+    const BitVector &pendingRow(unsigned phys,
+                                unsigned digit) override;
+    void clearPending(unsigned phys, unsigned digit) override;
     void foldTopBorrowIntoSign(unsigned phys) override;
     void voteDigit(const std::array<unsigned, 3> &phys,
                    unsigned digit) override;

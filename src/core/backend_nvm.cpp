@@ -111,12 +111,16 @@ NvmBackend::borrowRipple(unsigned phys, unsigned digit)
         key, [&] { return codegen_[phys].borrowRipple(digit); }));
 }
 
-bool
-NvmBackend::anyPending(unsigned phys, unsigned digit)
+const BitVector &
+NvmBackend::pendingRow(unsigned phys, unsigned digit)
 {
-    const BitVector &onext =
-        mach_.hostReadRow(layouts_[phys].onextRow(digit));
-    return onext.popcount() != 0;
+    return mach_.hostReadRow(layouts_[phys].onextRow(digit));
+}
+
+void
+NvmBackend::clearPending(unsigned phys, unsigned digit)
+{
+    mach_.run(codegen_[phys].clearPending(digit));
 }
 
 void

@@ -48,7 +48,9 @@ class NvmBackend final : public CountingBackend
                        unsigned mask_row) override;
     void carryRipple(unsigned phys, unsigned digit) override;
     void borrowRipple(unsigned phys, unsigned digit) override;
-    bool anyPending(unsigned phys, unsigned digit) override;
+    const BitVector &pendingRow(unsigned phys,
+                                unsigned digit) override;
+    void clearPending(unsigned phys, unsigned digit) override;
     void foldTopBorrowIntoSign(unsigned phys) override;
 
     std::vector<int64_t> readCounters(unsigned phys,

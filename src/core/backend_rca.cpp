@@ -155,12 +155,6 @@ RcaBackend::borrowRipple(unsigned, unsigned)
 {
 }
 
-bool
-RcaBackend::anyPending(unsigned, unsigned)
-{
-    return false;
-}
-
 void
 RcaBackend::foldTopBorrowIntoSign(unsigned)
 {

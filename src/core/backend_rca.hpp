@@ -60,7 +60,6 @@ class RcaBackend final : public CountingBackend
                    unsigned mask_row) override;
     void carryRipple(unsigned phys, unsigned digit) override;
     void borrowRipple(unsigned phys, unsigned digit) override;
-    bool anyPending(unsigned phys, unsigned digit) override;
     void foldTopBorrowIntoSign(unsigned phys) override;
     void voteDigit(const std::array<unsigned, 3> &phys,
                    unsigned digit) override;

@@ -51,6 +51,7 @@ EngineStats::since(const EngineStats &b) const
     d.pendingPeeks = pendingPeeks - b.pendingPeeks;
     d.signFolds = signFolds - b.signFolds;
     d.drainPeeks = drainPeeks - b.drainPeeks;
+    d.absorbPeeks = absorbPeeks - b.absorbPeeks;
     d.fabric = fabric;
     d.fabric -= b.fabric;
     return d;
@@ -84,6 +85,7 @@ EngineStats::toCounters() const
         {"engine.pending_peeks", pendingPeeks},
         {"engine.sign_folds", signFolds},
         {"engine.drain_peeks", drainPeeks},
+        {"engine.absorb_peeks", absorbPeeks},
         {"engine.fabric.aap", fabric.aap},
         {"engine.fabric.ap", fabric.ap},
         {"engine.fabric.tra", fabric.tra},

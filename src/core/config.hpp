@@ -104,7 +104,11 @@ struct EngineStats
 {
     uint64_t inputsAccumulated = 0;
     uint64_t increments = 0;
-    /** Carry/borrow ripples issued: IARM, drain and resolve alike. */
+    /**
+     * Carry/borrow ripples issued: IARM on the per-op path, drain and
+     * signed resolve alike. An unsigned drain plan issues none: it
+     * absorbs the carries IARM would ripple (absorbPeeks).
+     */
     uint64_t ripples = 0;
     uint64_t checksRun = 0;
     uint64_t faultsDetected = 0;
@@ -137,6 +141,12 @@ struct EngineStats
      * IARM scheduler flagged ripples (one charged host row read each).
      */
     uint64_t drainPeeks = 0;
+    /**
+     * Carry-absorbing drain plans: digits whose Onext row the planner
+     * read into a plan's delta instead of rippling it (one charged
+     * host row read per replica; C2MEngine::absorbPeek).
+     */
+    uint64_t absorbPeeks = 0;
 
     /**
      * Fabric-level command and fault tallies (AAP/AP commands, triple
@@ -174,6 +184,7 @@ struct EngineStats
         pendingPeeks += o.pendingPeeks;
         signFolds += o.signFolds;
         drainPeeks += o.drainPeeks;
+        absorbPeeks += o.absorbPeeks;
         fabric += o.fabric;
         return *this;
     }

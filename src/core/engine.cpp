@@ -272,26 +272,30 @@ C2MEngine::accumulatePlan(std::span<const MaskedStep> steps,
                           std::span<const unsigned> headroom,
                           unsigned group, uint64_t folded_ops)
 {
-    std::vector<PlanRipple> pre;
-    planPrepare(steps, headroom, group, pre);
-    executePlan(steps, pre, group, folded_ops);
+    drain(group);
+    planPrepare(steps, headroom, group, 0);
+    executePlan(steps, 0, group, folded_ops);
 }
 
 void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
                        std::span<const unsigned> headroom,
-                       unsigned group, std::vector<PlanRipple> &pre)
+                       unsigned group, uint64_t absorbed)
 {
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
-    if (steps.empty())
-        return; // every folded delta was zero
+    if (steps.empty()) {
+        // Every folded delta was zero; an absorbed carry is not.
+        C2M_ASSERT(absorbed == 0, "absorbed carries with no plane");
+        return;
+    }
 
     // The headroom profile bounds what any one counter receives per
-    // digit, however many steps deliver it, so the scheduler
-    // headroom it prepares is sound for the whole plan. It is over
-    // THIS shard's sums only, so the scheduler advances exactly as it
-    // would under an independent per-shard plan — merged plans
-    // change who issues a ripple, never whether it happens.
+    // digit, however many steps deliver it, absorbed carries
+    // included, so the scheduler headroom it accounts is sound for
+    // the whole plan. It is over THIS shard's sums only, so the
+    // scheduler advances exactly as it would under an independent
+    // per-shard plan — merged plans change who issues a step, never
+    // what a shard absorbs.
     C2M_ASSERT(headroom.size() < backend_->numDigits(),
                "planned delta exceeds counter capacity");
     for (const unsigned k : headroom)
@@ -315,42 +319,44 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     // Signed plans resolve every pending in place (executePlan), so
     // there is no deferred carry for the scheduler to make room for.
     if (!backend_->caps().pendingFlags || decrements ||
-        groupHasDecrements_[group])
+        groupHasDecrements_[group]) {
+        C2M_ASSERT(absorbed == 0, "a signed plan absorbs no carries");
         return;
+    }
+    // Each absorbed digit leaves the plan with every real digit at
+    // most R-1; the caller absorbed wherever IARM would ripple.
     auto &sched = schedulers_[group];
+    for (uint64_t m = absorbed; m != 0; m &= m - 1)
+        sched.absorb(static_cast<unsigned>(std::countr_zero(m)));
     const std::vector<unsigned> worst(headroom.begin(), headroom.end());
-    for (unsigned d : sched.prepareAdd(worst))
-        pre.push_back({d, true});
+    const std::vector<unsigned> owed = sched.prepareAdd(worst);
+    C2M_ASSERT(owed.empty(), "drain plan owes a ripple at digit ",
+               owed.front(), " that its planner did not absorb");
     sched.applyAdd(worst);
 }
 
 void
 C2MEngine::executePlan(std::span<const MaskedStep> steps,
-                       std::span<const PlanRipple> pre, unsigned group,
+                       uint64_t clears, unsigned group,
                        uint64_t folded_ops)
 {
     ++stats_.plansExecuted;
     stats_.plannedOps += folded_ops;
     stats_.inputsAccumulated += folded_ops;
     if (steps.empty())
-        return;
+        return; // nothing absorbed either (planPrepare)
 
     cim::OpStats &fab = backend_->opStatsRef();
     cim::AttrScope attr(fab, cim::FabricCat::Plan);
-    // Follower work executes the identical command stream in the
-    // lead shard's issue slots. ECC retries inside the checked
-    // execution stay under the PlanFanout scope — a follower retry
-    // is modeled as re-running in later gang slots.
-    const auto gang = [&](bool lead, const auto &issue) {
-        if (lead) {
-            issue();
-            return;
-        }
-        cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
-        const uint64_t c0 = fab.commands();
-        issue();
-        fab.gangedCommands += fab.commands() - c0;
-    };
+    // The absorbed carries ride the steps' deltas: their Onext rows
+    // are cleared first, before a step can flag a new wrap there.
+    // Which rows hold carries is this shard's own state, so the
+    // clears are never ganged.
+    for (uint64_t m = clears; m != 0; m &= m - 1)
+        for (unsigned r = 0; r < replicas(); ++r)
+            backend_->clearPending(
+                physIndex(group, r),
+                static_cast<unsigned>(std::countr_zero(m)));
     // Returns the rail's frontier: the digits its steps touched.
     const auto runSteps = [&](std::span<const MaskedStep> rail) {
         uint64_t stepped = 0;
@@ -363,14 +369,26 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
                 backend_->writeMask(s.maskHandle, *s.mask);
             }
             const unsigned row = maskRowIndex(s.maskHandle);
-            gang(s.lead, [&] {
+            const auto issue = [&] {
                 if (s.decrement)
                     decrementDigit(group, s.digit, s.k, row);
                 else
                     incrementDigit(group, s.digit, s.k, row);
-            });
-            if (s.lead)
+            };
+            if (s.lead) {
+                issue();
                 ++stats_.planLeadPrograms;
+            } else {
+                // A follower executes the identical command stream in
+                // the lead shard's issue slots. ECC retries inside the
+                // checked execution stay under the PlanFanout scope —
+                // a follower retry is modeled as re-running in later
+                // gang slots.
+                cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
+                const uint64_t c0 = fab.commands();
+                issue();
+                fab.gangedCommands += fab.commands() - c0;
+            }
             ++stats_.planPrograms;
         }
         return stepped;
@@ -395,8 +413,6 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     const bool resolve =
         groupHasDecrements_[group] && backend_->caps().pendingFlags;
 
-    for (const auto &r : pre)
-        gang(r.lead, [&] { ripple(group, r.digit); });
     const uint64_t inc_frontier = runSteps(inc);
     if (resolve)
         resolveAllPendings(group, /*borrows=*/false, inc_frontier);
@@ -509,7 +525,7 @@ C2MEngine::resolveAllPendings(unsigned group, bool borrows,
                 static_cast<unsigned>(std::bit_width(frontier)) - 1;
             frontier &= ~(uint64_t{1} << d);
             ++stats_.pendingPeeks;
-            if (!backend_->anyPending(phys0, d))
+            if (backend_->pendingRow(phys0, d).popcount() == 0)
                 continue;
             if (borrows)
                 borrowRipple(group, d);
@@ -539,9 +555,31 @@ C2MEngine::drain(unsigned group)
     const unsigned phys0 = physIndex(group, 0);
     for (unsigned d : schedulers_[group].drain()) {
         ++stats_.drainPeeks;
-        if (backend_->anyPending(phys0, d))
+        if (backend_->pendingRow(phys0, d).popcount() != 0)
             ripple(group, d);
     }
+}
+
+const BitVector &
+C2MEngine::absorbPeek(unsigned group, unsigned digit)
+{
+    C2M_ASSERT(backend_->caps().pendingFlags &&
+                   !groupHasDecrements_[group],
+               "only unsigned groups with pending flags absorb");
+    cim::AttrScope attr(backend_->opStatsRef(), cim::FabricCat::Plan);
+    ++stats_.absorbPeeks;
+    const BitVector &row0 =
+        backend_->pendingRow(physIndex(group, 0), digit);
+    if (replicas() == 1)
+        return row0;
+    // Every replica executes the plan, so the carries it takes must be
+    // the vote of all three, as a ripple's vote would make them.
+    if (peekMajority_.size() != cfg_.numCounters)
+        peekMajority_ = BitVector(cfg_.numCounters);
+    peekMajority_.assignMaj3(
+        row0, backend_->pendingRow(physIndex(group, 1), digit),
+        backend_->pendingRow(physIndex(group, 2), digit));
+    return peekMajority_;
 }
 
 std::vector<int64_t>

@@ -59,7 +59,10 @@ namespace core {
  * the same row index, keeping its cached increment and decrement
  * programs' keys stable across epochs. A counter may sit in several
  * steps of one digit (binary-weighted planes: a digit of 3 rides
- * k = 1 and k = 2), as long as their k's add up to at most R-1.
+ * k = 1 and k = 2), as long as their k's add up to at most R-1. The
+ * deltas the steps encode may carry pending carries the planner
+ * absorbed from Onext rows (planPrepare), so a step can cover a
+ * counter no point update of the epoch touched.
  */
 struct MaskedStep
 {
@@ -79,18 +82,6 @@ struct MaskedStep
     bool lead = true;
     /** Decrement rail: a masked karyDecrement instead of an increment. */
     bool decrement = false;
-};
-
-/**
- * One scheduled carry ripple of a drain plan, with the same
- * gang-issue role as MaskedStep: per (digit, occurrence) across the
- * shards of a merged plan, the first shard needing the ripple leads
- * and the rest follow in lockstep.
- */
-struct PlanRipple
-{
-    unsigned digit;
-    bool lead = true;
 };
 
 /**
@@ -227,51 +218,74 @@ class C2MEngine
      * writes its plane mask into its own MaskedStep::maskHandle row.
      * @p folded_ops is the number of point updates the plan folds in;
      * it feeds inputsAccumulated/plannedOps so batch accounting
-     * matches the per-op path.
+     * matches the per-op path. The group is drained first (drain()),
+     * so an unsigned plan finds IARM headroom without ripples:
+     * accumulatePlan is drain + planPrepare with nothing absorbed +
+     * executePlan with nothing to clear.
      */
     void accumulatePlan(std::span<const MaskedStep> steps,
                         std::span<const unsigned> headroom,
                         unsigned group, uint64_t folded_ops);
 
     /**
-     * Host-side bookkeeping half of accumulatePlan, split out so a
+     * Host-side bookkeeping half of a plan, split out so a
      * hierarchical planner can prepare every shard's slice of a
      * merged plan before any fabric work runs. Validates @p steps
-     * against @p headroom (every step's k within its digit's bound);
-     * for an unsigned plan it advances the group's IARM scheduler by
-     * @p headroom (prepareAdd/applyAdd) and appends the ripples the
-     * plan owes to @p pre. The profile is the caller's because the
-     * steps cannot give it: with several steps per digit their
-     * largest k is too small, and their sum can exceed R-1 (at radix
-     * 10, 1 + 2 + 4 + 8), which would schedule needless ripples. A
-     * signed plan schedules no IARM ripples: it resolves its pendings
-     * in place during executePlan. Touches no fabric state; the
-     * caller decides each ripple's gang role and then runs
-     * executePlan. planPrepare + executePlan with the same arguments
-     * is exactly accumulatePlan.
+     * against @p headroom (every step's k within its digit's bound).
+     * For an unsigned plan it lowers the IARM bound of every digit in
+     * @p absorbed (bit d: the caller read Onext(d) through
+     * absorbPeek and folded R^(d+1) into the delta of every set
+     * column; IarmScheduler::absorb), then advances the scheduler by
+     * @p headroom (applyAdd). The caller absorbs exactly the digits
+     * where bound + headroom would exceed 2R-1, so the plan owes no
+     * ripple; planPrepare asserts that. The profile is the caller's
+     * because the steps cannot give it: with several steps per digit
+     * their largest k is too small, and their sum can exceed R-1 (at
+     * radix 10, 1 + 2 + 4 + 8), which would ask for needless
+     * absorption. A signed plan absorbs nothing: it resolves its
+     * pendings in place during executePlan. Touches no fabric state.
      */
     void planPrepare(std::span<const MaskedStep> steps,
                      std::span<const unsigned> headroom,
-                     unsigned group, std::vector<PlanRipple> &pre);
+                     unsigned group, uint64_t absorbed);
 
     /**
-     * Fabric half of a prepared plan: broadcast the @p pre ripples,
-     * then write each step's plane mask into its persistent row and
-     * issue the masked increments. A signed plan enters signed mode
-     * if needed and resolves each rail's pendings after its steps
-     * (see accumulatePlan).
-     * Lead ripples/steps charge FabricCat::Plan (mask writes
-     * MaskWrite as usual); follower ones charge PlanFanout and count
-     * their AAP/AP commands as ganged — executed in lockstep under
-     * the lead shard's issue slots. The signed-mode entry (drain and
-     * host re-encode) and the resolve's Onext reads, ripples and
-     * Osign folds depend on this shard's counter values, so they are
-     * never ganged: they charge Plan on every shard. @p folded_ops
-     * feeds plannedOps/inputsAccumulated exactly like accumulatePlan.
+     * Fabric half of a prepared plan: clear the Onext row of every
+     * digit in @p clears (the absorbed digits whose row had a set
+     * bit, on every replica), then write each step's plane mask into
+     * its persistent row and issue the masked increments. A signed
+     * plan enters signed mode if needed and resolves each rail's
+     * pendings after its steps (see accumulatePlan).
+     * Lead steps charge FabricCat::Plan (mask writes MaskWrite as
+     * usual); follower ones charge PlanFanout and count their AAP/AP
+     * commands as ganged — executed in lockstep under the lead
+     * shard's issue slots. The row clears, the signed-mode entry
+     * (drain and host re-encode) and the resolve's Onext reads,
+     * ripples and Osign folds depend on this shard's counter values,
+     * so they are never ganged: they charge Plan on every shard.
+     * @p folded_ops feeds plannedOps/inputsAccumulated exactly like
+     * accumulatePlan.
      */
-    void executePlan(std::span<const MaskedStep> steps,
-                     std::span<const PlanRipple> pre, unsigned group,
-                     uint64_t folded_ops);
+    void executePlan(std::span<const MaskedStep> steps, uint64_t clears,
+                     unsigned group, uint64_t folded_ops);
+
+    /**
+     * The columns of @p group with a pending carry at @p digit, for a
+     * carry-absorbing drain plan: one charged host read of the Onext
+     * row, or under TMR of all three replicas' rows and their bitwise
+     * majority (so a fault in one replica stays out of the plan that
+     * all three execute). Charged to FabricCat::Plan on this shard,
+     * never ganged, and counted in EngineStats::absorbPeeks. The
+     * reference stays valid until the row is written or the next
+     * call.
+     */
+    const BitVector &absorbPeek(unsigned group, unsigned digit);
+
+    /** The IARM virtual bound per digit of an unsigned group. */
+    const std::vector<unsigned> &iarmBounds(unsigned group) const
+    {
+        return schedulers_[group].bounds();
+    }
 
     /**
      * True once the group has seen a decrement (a negative op, or a
@@ -341,7 +355,7 @@ class C2MEngine
     /**
      * Resolve every pending overflow of a group (Sec. 4.4). Walks the
      * digits IarmScheduler::drain() returns, in its order; each one's
-     * Onext row is read first (anyPending on replica 0: one charged
+     * Onext row is read first (pendingRow on replica 0: one charged
      * host row read, counted in EngineStats::drainPeeks) and the
      * ripple is issued only if some column is pending. The scheduler's
      * bounds advance as if every flagged digit rippled; a ripple over
@@ -398,7 +412,7 @@ class C2MEngine
      * Clear every pending flag by repeated highest-first passes over
      * a host-tracked frontier (bit d: digit d may be pending). The
      * caller passes the digits its steps touched; each pass reads
-     * the Onext row of every frontier digit (anyPending, charged),
+     * the Onext row of every frontier digit (pendingRow, charged),
      * ripples the pending ones, and makes the digits they land in
      * the next frontier. A pass whose ripples reach the top digit
      * folds it into Osign. Used in signed mode, where Onext must be
@@ -418,6 +432,7 @@ class C2MEngine
     std::vector<int64_t> offsets_; ///< valueOffset per logical group
     int64_t signedOffset_ = 0;     ///< B, the signed-mode offset
     unsigned numMasks_ = 0;
+    BitVector peekMajority_; ///< absorbPeek's TMR vote of three rows
 };
 
 } // namespace core

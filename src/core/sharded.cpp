@@ -145,6 +145,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
             shards_.back()->addMask(
                 std::vector<uint8_t>(shardWidth(s), 0));
         scratch_[s].pointMask = BitVector(shardWidth(s));
+        scratch_[s].cols = BitVector(shardWidth(s));
         scratch_[s].pointCol = std::numeric_limits<size_t>::max();
         scratch_[s].maskWriteNs =
             nvm ? cfg.nvmCost.rowAccessNs
@@ -258,7 +259,8 @@ ShardedEngine::prepareShardParts(unsigned s,
         p.touched.clear();
         p.headroom.clear();
         p.steps.clear();
-        p.pre.clear();
+        p.absorbed = 0;
+        p.carried = 0;
         p.fallbackNs = 0.0;
         p.planned = false;
         return p;
@@ -332,17 +334,20 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
     // reaching it cannot be planned — replay the raw ops instead,
     // which stay per-value in range.
     const unsigned R = cfg_.radix;
-    const unsigned D = shards_[s]->backend().numDigits();
+    C2MEngine &eng = *shards_[s];
+    const unsigned D = eng.backend().numDigits();
     if (part.planes.empty()) {
         // Empty until first populated: a part pays only for the
         // planes its sums reach, so unsigned streams never allocate
         // a decrement-rail mask.
         part.planes.resize(2 * railPlanes_);
-        part.planeUsed.assign(2 * railPlanes_, 0);
+        part.planeCount.assign(2 * railPlanes_, 0);
     }
     bool over_capacity = false;
+    bool negative_sum = false;
     for (const auto &[col, sum] : sc.sums) {
         const bool negative = static_cast<int64_t>(sum) < 0;
+        negative_sum = negative_sum || negative;
         uint64_t v = negative ? 0 - sum : sum;
         const size_t rail = negative ? railPlanes_ : 0;
         unsigned pos = 0;
@@ -356,23 +361,26 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
                 }
                 const size_t idx =
                     rail + static_cast<size_t>(pos) * (R - 1) + (k - 1);
-                if (!part.planeUsed[idx]) {
-                    part.planeUsed[idx] = 1;
-                    resetPlane(part.planes[idx], shardWidth(s));
-                    part.touched.push_back(
-                        static_cast<uint32_t>(idx));
-                }
-                part.planes[idx].set(col, true);
+                openPlane(s, part, idx).set(col, true);
+                ++part.planeCount[idx];
             }
             ++pos;
         }
         if (over_capacity)
             break;
     }
+    // An unsigned part takes in the carries IARM would ripple before
+    // it (a signed one resolves in place and has no deferred carry).
+    if (!over_capacity && !negative_sum &&
+        eng.backend().caps().pendingFlags && !eng.signedMode(part.group))
+        over_capacity = !absorbCarries(s, part);
     for (const uint32_t idx : part.touched)
-        part.planeUsed[idx] = 0;
+        part.planeCount[idx] = 0;
     if (over_capacity) {
+        // Replayed per op: nothing absorbed, Onext left as it was.
         part.touched.clear();
+        part.absorbed = 0;
+        part.carried = 0;
         return;
     }
 
@@ -423,6 +431,116 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
                 part.fallbackNs += step_ns[k];
     }
     part.planned = true;
+}
+
+BitVector &
+ShardedEngine::openPlane(unsigned s, PlanPart &part, size_t idx)
+{
+    if (part.planeCount[idx] == 0) {
+        resetPlane(part.planes[idx], shardWidth(s));
+        part.touched.push_back(static_cast<uint32_t>(idx));
+    }
+    return part.planes[idx];
+}
+
+bool
+ShardedEngine::absorbCarries(unsigned s, PlanPart &part)
+{
+    auto &sc = scratch_[s];
+    C2MEngine &eng = *shards_[s];
+    const unsigned R = cfg_.radix;
+    const unsigned D = eng.backend().numDigits();
+    const std::vector<unsigned> &bound = eng.iarmBounds(part.group);
+    const auto plane = [R](unsigned pos, unsigned k) {
+        return static_cast<size_t>(pos) * (R - 1) + (k - 1);
+    };
+    // Highest digit any delta reaches: nothing above it can wrap.
+    unsigned top = 0;
+    for (const uint32_t idx : part.touched)
+        top = std::max(top, idx / (R - 1));
+    bool marked = false;  // sc.cols holds the part's columns
+    bool emptied = false; // a plane lost its last column
+    bool fits = true;
+    uint64_t weight = 1; // R^(d+1)
+    for (unsigned d = 0; fits && d <= top && d + 1 < D; ++d) {
+        weight *= R;
+        // The merged sums' largest digit here is final: absorbing
+        // digit d only changes digits above it.
+        unsigned h = R - 1;
+        while (h > 0 && part.planeCount[plane(d, h)] == 0)
+            --h;
+        if (h == 0 || bound[d] + h <= 2 * R - 1)
+            continue; // IARM would not ripple d before this plan
+        const BitVector &row = eng.absorbPeek(part.group, d);
+        part.absorbed |= uint64_t{1} << d;
+        for (size_t w = 0; fits && w < row.numWords(); ++w) {
+            const uint64_t carry = row.word(w);
+            if (carry == 0)
+                continue;
+            if (d + 2 == D) {
+                fits = false; // a carry into the guard digit
+                break;
+            }
+            if (!marked) {
+                for (const auto &[col, sum] : sc.sums)
+                    sc.cols.set(col, true);
+                marked = true;
+            }
+            part.carried |= uint64_t{1} << d;
+            top = std::max(top, d + 1);
+            // A column the epoch did not touch gets exactly R^(d+1):
+            // digit 1 at d + 1 (each digit it absorbs sets another).
+            if (const uint64_t fresh = carry & ~sc.cols.word(w)) {
+                const size_t idx = plane(d + 1, 1);
+                openPlane(s, part, idx).word(w) |= fresh;
+                part.planeCount[idx] +=
+                    static_cast<uint32_t>(std::popcount(fresh));
+            }
+            // A summed column moves between the planes of every digit
+            // the carry changes.
+            for (uint64_t m = carry & sc.cols.word(w); m != 0;
+                 m &= m - 1) {
+                const size_t col =
+                    w * 64 + static_cast<size_t>(std::countr_zero(m));
+                uint64_t &sum = sc.sums[sc.index.find(col)->second].second;
+                uint64_t o = sum / weight;
+                uint64_t n = o + 1;
+                for (unsigned pos = d + 1; o != n;
+                     ++pos, o /= R, n /= R) {
+                    const auto ko = static_cast<unsigned>(o % R);
+                    const auto kn = static_cast<unsigned>(n % R);
+                    if (ko != 0) {
+                        part.planes[plane(pos, ko)].set(col, false);
+                        emptied |= --part.planeCount[plane(pos, ko)] == 0;
+                    }
+                    if (kn != 0) {
+                        if (pos + 1 >= D) {
+                            fits = false;
+                            break;
+                        }
+                        openPlane(s, part, plane(pos, kn)).set(col, true);
+                        ++part.planeCount[plane(pos, kn)];
+                        top = std::max(top, pos);
+                    }
+                }
+                sum += weight;
+            }
+        }
+    }
+    if (marked)
+        for (const auto &[col, sum] : sc.sums)
+            sc.cols.set(col, false);
+    if (emptied) {
+        // A plane emptied and reopened is listed twice.
+        std::sort(part.touched.begin(), part.touched.end());
+        part.touched.erase(
+            std::unique(part.touched.begin(), part.touched.end()),
+            part.touched.end());
+        std::erase_if(part.touched, [&](uint32_t idx) {
+            return part.planeCount[idx] == 0;
+        });
+    }
+    return fits;
 }
 
 void
@@ -526,7 +644,6 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
     std::vector<std::pair<unsigned, PlanPart *>> cand;
     std::vector<uint32_t> union_planes;
     std::unordered_map<uint32_t, unsigned> plane_lead;
-    std::unordered_map<unsigned, unsigned> issued, occ;
     for (const uint32_t g : groups) {
         // Gather this group's plan candidates across all shards.
         // Every plane in the union is issued ONCE, by the lowest
@@ -587,9 +704,8 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
         // ascending digit, k); plane (digit, k) of either rail lands
         // in its persistent mask row so its cached program keys are
         // stable across epochs. IARM preparation uses each shard's
-        // OWN worst profile, so scheduler state — and therefore
-        // every ripple — is bit-identical to independent per-shard
-        // plans.
+        // OWN headroom profile and absorbed digits, so scheduler
+        // state is bit-identical to independent per-shard plans.
         for (auto &[s, p] : cand) {
             std::sort(p->touched.begin(), p->touched.end());
             for (const uint32_t idx : p->touched) {
@@ -601,23 +717,8 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                                     plane_lead[idx] == s,
                                     idx >= railPlanes_});
             }
-            shards_[s]->planPrepare(p->steps, p->headroom, g, p->pre);
-        }
-        // Gang the scheduled ripples per (digit, occurrence): the
-        // first shard needing the j-th ripple of digit d leads it,
-        // later shards' j-th occurrences ride its issue slot. Ripple
-        // programs depend only on (group, digit), so the command
-        // streams are identical across shards.
-        issued.clear();
-        for (const auto &c : cand) {
-            occ.clear();
-            for (PlanRipple &r : c.second->pre) {
-                const unsigned j = occ[r.digit]++;
-                unsigned &lead = issued[r.digit];
-                r.lead = j >= lead;
-                if (r.lead)
-                    lead = j + 1;
-            }
+            shards_[s]->planPrepare(p->steps, p->headroom, g,
+                                    p->absorbed);
         }
     }
 }
@@ -636,7 +737,7 @@ ShardedEngine::execShardParts(unsigned s)
     for (size_t i = 0; i < sc.partsUsed; ++i) {
         PlanPart &p = sc.parts[i];
         if (p.planned) {
-            eng.executePlan(p.steps, p.pre, p.group, p.ops.size());
+            eng.executePlan(p.steps, p.carried, p.group, p.ops.size());
         } else {
             // Demoted or ineligible parts replay per-op; with the
             // planner on they count as fallback so plannedOps +
@@ -655,11 +756,6 @@ ShardedEngine::forEachBucket(
     std::span<const EpochBucket> buckets, uint64_t *steals_out,
     const std::function<void(const EpochBucket &)> &fn)
 {
-    if (pool_.size() == 0) {
-        for (const EpochBucket &b : buckets)
-            fn(b);
-        return;
-    }
     // Work stealing: a claim loop on every lane pops whole buckets
     // off a shared index, so an idle lane picks up a busy lane's
     // next shard instead of waiting behind it. Per-shard order stays
@@ -721,8 +817,22 @@ ShardedEngine::runEpoch(std::span<const EpochBucket> buckets,
 }
 
 void
+ShardedEngine::checkOps(std::span<const BatchOp> ops) const
+{
+    for (const BatchOp &op : ops) {
+        if (op.counter >= cfg_.numCounters)
+            C2M_FATAL("batch op counter ", op.counter,
+                      " outside numCounters ", cfg_.numCounters);
+        if (op.group >= cfg_.numGroups)
+            C2M_FATAL("batch op group ", op.group, " outside numGroups ",
+                      cfg_.numGroups);
+    }
+}
+
+void
 ShardedEngine::accumulateBatch(std::span<const BatchOp> ops)
 {
+    checkOps(ops);
     std::vector<std::vector<BatchOp>> buckets(numShards());
     for (const auto &op : ops)
         buckets[shardOf(op.counter)].push_back(op);

@@ -62,7 +62,14 @@
  *      bucket by group and sum each counter's delta;
  *   2. count — per shard (same pass): split the sums by sign,
  *      decompose them into one per-(rail, digit, k) plane histogram
- *      and fold its dense digits into binary-weighted planes;
+ *      and fold its dense digits into binary-weighted planes. An
+ *      unsigned part first absorbs the carries IARM would ripple
+ *      before it: wherever a digit's bound plus the sums' largest
+ *      digit there would pass 2R-1, the planner reads that digit's
+ *      Onext row (one charged host read, FabricCat::Plan) and adds
+ *      R^(d+1) to the delta of every set column, touched by the
+ *      epoch or not. The plan then clears those rows instead of
+ *      rippling them, so planned epochs issue no IARM ripple;
  *   3. scan/offset — host-serial: merge the per-shard histograms
  *      into ONE global plan per group, price plan-vs-fallback on the
  *      merged plan, and slice it back: for every (rail, digit, k)
@@ -71,14 +78,16 @@
  *      execute the identical command stream in the leader's issue
  *      slots as FOLLOWERS (FabricCat::PlanFanout, commands counted
  *      as ganged). Per-shard IARM preparation runs here, host-side,
- *      with the same per-shard worst profiles independent plans
- *      would use, so scheduler state is bit-identical either way;
- *   4. execute — per shard (parallel): each shard writes its own
- *      plane-mask slices (never ganged) and executes its slice of
- *      the merged plan. In a signed-mode group the carries/borrows
- *      each rail leaves pending depend on the shard's own values, so
- *      every shard issues its own resolve ripples (FabricCat::Plan,
- *      never ganged).
+ *      with the same per-shard headroom profiles and absorbed digits
+ *      independent plans would use, so scheduler state is
+ *      bit-identical either way;
+ *   4. execute — per shard (parallel): each shard clears its
+ *      absorbed Onext rows and writes its own plane-mask slices
+ *      (never ganged), then executes its slice of the merged plan.
+ *      In a signed-mode group the carries/borrows each rail leaves
+ *      pending depend on the shard's own values, so every shard
+ *      issues its own resolve ripples (FabricCat::Plan, never
+ *      ganged).
  *
  * Ganged follower commands ride the leader's rank-window slots, so
  * statsWindow() excludes them from the tFAW/tRRD rank floor: plan
@@ -171,8 +180,18 @@ class ShardedEngine
      */
     void setMask(unsigned handle, const std::vector<uint8_t> &mask);
 
-    /** Execute a batch of point updates; returns when all are done. */
+    /**
+     * Execute a batch of point updates; returns when all are done.
+     * @throws std::invalid_argument as checkOps does, before any op
+     *         runs.
+     */
     void accumulateBatch(std::span<const BatchOp> ops);
+
+    /**
+     * Throw std::invalid_argument naming the first op whose counter
+     * is outside numCounters or whose group is outside numGroups.
+     */
+    void checkOps(std::span<const BatchOp> ops) const;
 
     /**
      * One shard's coalesced ops for an epoch drain: at most one
@@ -271,11 +290,12 @@ class ShardedEngine
 
     /**
      * One group's slice of a shard bucket, carried through the epoch
-     * pipeline: stage 1/2 fill ops/sums-derived planes, stage 3
-     * decides `planned` and fills steps/pre with gang roles,
-     * stage 4 executes. Reused across epochs so the steady-state
-     * drain path performs no per-op allocation (each plane mask is
-     * allocated, shard-width, the first time a sum populates it).
+     * pipeline: stage 1/2 fill ops/sums-derived planes and absorb
+     * due carries, stage 3 decides `planned` and fills steps with
+     * gang roles, stage 4 executes. Reused across epochs so the
+     * steady-state drain path performs no per-op allocation (each
+     * plane mask is allocated, shard-width, the first time a sum
+     * populates it).
      */
     struct PlanPart
     {
@@ -292,7 +312,8 @@ class ShardedEngine
          * (rail 0 increments, rail 1 decrements).
          */
         std::vector<BitVector> planes;
-        std::vector<uint8_t> planeUsed; ///< build-pass dirty flags
+        /** Columns per plane during stage 2 (0: plane not listed). */
+        std::vector<uint32_t> planeCount;
         std::vector<uint32_t> touched;  ///< plane indices this plan
         /**
          * Largest digit per position among the part's summed
@@ -301,7 +322,13 @@ class ShardedEngine
          */
         std::vector<unsigned> headroom;
         std::vector<MaskedStep> steps;  ///< stage-3 sliced program
-        std::vector<PlanRipple> pre;    ///< scheduled IARM ripples
+        /**
+         * Digits whose Onext row stage 2 read into the sums (bit d),
+         * and the subset whose row had a set bit, which the plan
+         * clears before its steps.
+         */
+        uint64_t absorbed = 0;
+        uint64_t carried = 0;
         /** Modeled ns of replaying this part's RAW ops per-op. */
         double fallbackNs = 0.0;
         /** Plan candidate after stage 2; final verdict after 3. */
@@ -324,6 +351,8 @@ class ShardedEngine
         /** Coalesced per-counter delta sums of the current part. */
         std::unordered_map<uint64_t, size_t> index;
         std::vector<std::pair<size_t, uint64_t>> sums; ///< wrapping
+        /** Columns of the part's sums while it absorbs carries. */
+        BitVector cols;
         /** Group partition of this shard's bucket, parts[0..used). */
         std::vector<PlanPart> parts;
         size_t partsUsed = 0;
@@ -346,9 +375,28 @@ class ShardedEngine
     void prepareShardParts(unsigned s, std::span<const BatchOp> ops);
     /**
      * Stage 2 for one part: delta sums, planes of both sign rails,
-     * headroom profile, binary-weighted folds, fallback price.
+     * absorbed carries, headroom profile, binary-weighted folds,
+     * fallback price.
      */
     void analyzePart(unsigned s, PlanPart &part);
+    /**
+     * Plane @p idx of @p part, emptied and listed in `touched` when
+     * its column count is zero (the caller then counts its column).
+     */
+    BitVector &openPlane(unsigned s, PlanPart &part, size_t idx);
+    /**
+     * Carry-absorbing plan, for an unsigned part whose planes are
+     * built: walk the digits below the guard from low to high, and
+     * wherever IARM would ripple before this plan (bound + largest
+     * summed digit > 2R-1) read the digit's Onext row
+     * (C2MEngine::absorbPeek) and add R^(d+1) to the delta of every
+     * set column: columns the epoch did not touch join plane
+     * (d+1, 1) a word at a time, summed columns move between the
+     * planes of the digits the carry changes. Records the digits in
+     * part.absorbed / part.carried. Returns false if a carry reaches
+     * the guard digit (the part then replays per op).
+     */
+    bool absorbCarries(unsigned s, PlanPart &part);
     /**
      * Fold each (rail, digit) slot of @p part (k-sets in the shard's
      * slotKs) whose binary basis {2^j : some populated k has bit j}

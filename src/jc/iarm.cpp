@@ -72,6 +72,14 @@ IarmScheduler::applyAdd(const std::vector<unsigned> &digits)
     }
 }
 
+void
+IarmScheduler::absorb(unsigned digit)
+{
+    C2M_ASSERT(digit + 1 < bounds_.size(),
+               "absorbed a carry out of the top digit");
+    bounds_[digit] = std::min(bounds_[digit], radix_ - 1);
+}
+
 std::vector<unsigned>
 IarmScheduler::fullPassDescending()
 {

@@ -15,10 +15,14 @@
  * digit value of every real (masked) counter, and schedules a ripple
  * exactly when the next increment could push some counter past 2R-1.
  *
- * Soundness note (stated in DESIGN.md): after a broadcast ripple of
- * digit d, a real counter that was pending drops by R while one that
- * was not pending keeps any value up to R-1, so the sound bound update
- * is vbound[d] <- R-1 (not vbound[d] - R). With this update,
+ * Soundness note: after a broadcast ripple of digit d, a real counter
+ * that was pending drops by R while one that was not pending keeps any
+ * value up to R-1, so the sound bound update is vbound[d] <- R-1 (not
+ * vbound[d] - R). The same holds when a drain plan absorbs digit d
+ * instead (absorb()): the host reads Onext(d), adds R^(d+1) to the
+ * plan's delta of every set column and clears the row, so every real
+ * digit d is at most R-1 and the carry reaches digit d+1 through the
+ * plan's own headroom at d+1 (applyAdd). With these updates,
  * real_digit <= vbound holds inductively for every mask subset, which
  * the property tests verify.
  */
@@ -53,6 +57,15 @@ class IarmScheduler
 
     /** Account for the broadcast k-ary increments of @p digits. */
     void applyAdd(const std::vector<unsigned> &digits);
+
+    /**
+     * Digit @p digit's pending carries left the fabric: a drain plan
+     * read its Onext row into the plan's delta at digit + 1 and
+     * clears the row before its steps. Every real digit is then at
+     * most R-1, so the bound drops to R-1 with no ripple; the carries
+     * count at digit + 1 through the plan's headroom there.
+     */
+    void absorb(unsigned digit);
 
     /**
      * Ripples needed to clear every pending overflow (before a

@@ -188,12 +188,11 @@ Scrubber::runSweeps(const std::vector<unsigned> &due)
                 sweepShard(eng, shards_[s], boundary_);
             });
     };
-    core::ThreadPool &pool = engine_.pool();
-    if (pool.size() == 0 || due.size() == 1) {
-        for (unsigned s : due)
-            sweep(s);
+    if (due.size() == 1) {
+        sweep(due.front());
         return;
     }
+    core::ThreadPool &pool = engine_.pool();
     for (unsigned s : due)
         pool.post(s, [&sweep, s] { sweep(s); });
     pool.drain();

@@ -50,11 +50,13 @@
  * journal still records exactly the planned deltas — onShardOps
  * receives the same coalesced ops the planner folds, and the journal
  * keys per-counter *sums*, which plans preserve by construction
- * (digit decomposition of the summed delta). Plans also ripple
- * through the same IARM scheduler the sweep's drain() uses, so the
- * canonical expected image is unchanged and a scrubbed planner run
- * stays bit-identical to fault-free serial replay (pinned by
- * test_reliability.cpp).
+ * (digit decomposition of the summed delta). Plans also keep the
+ * IARM scheduler the sweep's drain() uses sound: an unsigned plan
+ * takes the carries IARM would ripple into its own delta (read from
+ * Onext, then cleared) and lowers those digits' bounds as a ripple
+ * would, so the canonical expected image is unchanged and a scrubbed
+ * planner run stays bit-identical to fault-free serial replay
+ * (pinned by test_reliability.cpp).
  */
 
 #include <cstdint>

@@ -96,6 +96,9 @@ IngestService::submit(std::span<const core::BatchOp> ops)
 {
     if (ops.empty())
         return 0;
+    // Checked on the caller's thread: a bad op must not reach the
+    // drainer, whose throw would end the process.
+    engine_.checkOps(ops);
     // Pre-charge the gauge so an op sitting in a queue is always
     // counted; rejected ops are refunded below. Overcounting between
     // the two points only wakes the drainer early.

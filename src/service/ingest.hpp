@@ -207,6 +207,9 @@ class IngestService
      * (all, under Block backpressure). Ops are routed to their
      * owning shard's queue; each shard's portion of the span is
      * enqueued contiguously.
+     * @throws std::invalid_argument on an op whose counter or group
+     *         is out of range (ShardedEngine::checkOps); nothing of
+     *         the span is queued then.
      */
     size_t submit(std::span<const core::BatchOp> ops);
     bool submit(const core::BatchOp &op);

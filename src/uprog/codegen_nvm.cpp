@@ -232,6 +232,14 @@ NvmCodegen::clearCounters() const
 }
 
 cim::NvmProgram
+NvmCodegen::clearPending(unsigned digit) const
+{
+    NvmProgram p;
+    emitClearRow(p, layout_.onextRow(digit));
+    return p;
+}
+
+cim::NvmProgram
 NvmCodegen::foldTopBorrowIntoSign() const
 {
     const unsigned top = layout_.numDigits() - 1;

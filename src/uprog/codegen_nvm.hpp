@@ -45,6 +45,9 @@ class NvmCodegen
     /** Zero every counter row (bits, Onext, Osign). */
     cim::NvmProgram clearCounters() const;
 
+    /** Onext(digit) <- 0: the clear a carry ripple ends with. */
+    cim::NvmProgram clearPending(unsigned digit) const;
+
     /** Osign ^= Onext(top); Onext(top) <- 0 (signed-mode fold). */
     cim::NvmProgram foldTopBorrowIntoSign() const;
 

@@ -1,11 +1,14 @@
 /**
  * @file
  * IARM scheduler tests (Sec. 4.5.2): the Fig. 9 walkthrough, the
- * per-digit bound invariant against arbitrary mask subsets, and the
- * ripple-count advantage over full rippling.
+ * per-digit bound invariant against arbitrary mask subsets and
+ * against carry-absorbing drain plans, and the ripple-count advantage
+ * over full rippling.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "jc/digits.hpp"
@@ -175,6 +178,83 @@ TEST_P(IarmRadix, BoundInvariantOverRandomMasks)
                     << "radix=" << radix << " step=" << step;
     }
 
+    for (size_t j = 0; j < counters; ++j)
+        EXPECT_EQ(mock.value(j), expected[j]) << "counter " << j;
+}
+
+TEST_P(IarmRadix, AbsorbKeepsBoundsOverRandomPlans)
+{
+    // Drain plans: every counter gets its own delta, with headroom
+    // the largest digit per position. Wherever bound + headroom would
+    // pass 2R-1 the plan absorbs the digit instead of rippling it:
+    // each pending counter drops by R there and adds R^(d+1) to its
+    // delta, which may raise the headroom above. Afterwards IARM owes
+    // no ripple, and every real digit stays at or below its bound.
+    const unsigned radix = GetParam();
+    // Size for the worst-case total (200 plans of < R^3) + guard.
+    const uint64_t max_total =
+        200ULL * (static_cast<uint64_t>(radix) * radix * radix - 1);
+    const unsigned num_digits =
+        jc::digitsForCapacity(radix, max_total + 1) + 1;
+    const size_t counters = 16;
+    jc::IarmScheduler sched(radix, num_digits);
+    MockCounters mock(radix, num_digits, counters);
+    Rng rng(2000 + radix);
+    std::vector<uint64_t> expected(counters, 0);
+
+    const auto digitsOf = [&](uint64_t v) {
+        std::vector<unsigned> ds(num_digits, 0);
+        for (unsigned pos = 0; v != 0; ++pos, v /= radix)
+            ds[pos] = static_cast<unsigned>(v % radix);
+        return ds;
+    };
+    uint64_t absorbed_digits = 0;
+    for (int step = 0; step < 200; ++step) {
+        // Deltas of up to three digits on a random subset.
+        std::vector<uint64_t> delta(counters, 0);
+        for (size_t j = 0; j < counters; ++j)
+            if (rng.nextBool(0.6))
+                delta[j] = rng.nextBounded(
+                    static_cast<uint64_t>(radix) * radix * radix);
+        for (size_t j = 0; j < counters; ++j)
+            expected[j] += delta[j];
+        uint64_t weight = 1;
+        for (unsigned d = 0; d + 1 < num_digits; ++d) {
+            weight *= radix;
+            unsigned h = 0;
+            for (size_t j = 0; j < counters; ++j)
+                h = std::max(h, digitsOf(delta[j])[d]);
+            if (h == 0 || sched.bounds()[d] + h <= 2 * radix - 1)
+                continue;
+            for (size_t j = 0; j < counters; ++j)
+                if (mock.digits[j][d] >= radix) {
+                    mock.digits[j][d] -= radix;
+                    delta[j] += weight;
+                }
+            sched.absorb(d);
+            ++absorbed_digits;
+        }
+        std::vector<unsigned> headroom(num_digits, 0);
+        for (size_t j = 0; j < counters; ++j) {
+            const auto ds = digitsOf(delta[j]);
+            for (unsigned pos = 0; pos < num_digits; ++pos)
+                headroom[pos] = std::max(headroom[pos], ds[pos]);
+        }
+        ASSERT_TRUE(sched.prepareAdd(headroom).empty())
+            << "radix=" << radix << " step=" << step;
+        sched.applyAdd(headroom);
+        for (size_t j = 0; j < counters; ++j) {
+            std::vector<bool> only(counters, false);
+            only[j] = true;
+            mock.add(digitsOf(delta[j]), only);
+        }
+        for (size_t j = 0; j < counters; ++j)
+            for (unsigned pos = 0; pos < num_digits; ++pos)
+                ASSERT_LE(mock.digits[j][pos], sched.bounds()[pos])
+                    << "radix=" << radix << " step=" << step;
+    }
+    EXPECT_GT(absorbed_digits, 0u);
+    EXPECT_EQ(sched.ripplesIssued(), 0u);
     for (size_t j = 0; j < counters; ++j)
         EXPECT_EQ(mock.value(j), expected[j]) << "counter " << j;
 }

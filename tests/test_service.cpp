@@ -254,6 +254,41 @@ TEST(IngestConfigErrors, ZeroQueueCapacityThrows)
     EXPECT_THROW(IngestService(engine, icfg), std::invalid_argument);
 }
 
+TEST(IngestErrors, OutOfRangeOpThrowsOnTheCallersThread)
+{
+    // A bad counter or group must throw from submit(), before the
+    // queue gauge moves or any op of the span is queued: thrown on
+    // the drainer thread, it would end the process.
+    for (const unsigned shards : {1u, 4u}) {
+        auto cfg = baseConfig(64);
+        cfg.numGroups = 2;
+        ShardedEngine engine(cfg, shards);
+        IngestService svc(engine);
+        const std::vector<BatchOp> bad_counter = {
+            {1, 5, 0}, {40, 2, 1}, {64, 1, 0}};
+        const std::vector<BatchOp> bad_group = {
+            {1, 5, 0}, {40, 2, 1}, {3, 1, 2}};
+        EXPECT_THROW(svc.submit(bad_counter), std::invalid_argument);
+        EXPECT_THROW(svc.submit(bad_group), std::invalid_argument);
+        EXPECT_THROW(svc.submit(bad_counter.back()),
+                     std::invalid_argument);
+        svc.flushAndWait();
+        auto st = svc.serviceStats();
+        EXPECT_EQ(st.submitted, 0u);
+        EXPECT_EQ(st.queued, 0u);
+        EXPECT_EQ(st.flushedOps, 0u);
+        EXPECT_EQ(engine.stats().inputsAccumulated, 0u);
+
+        // The service keeps running.
+        EXPECT_EQ(svc.submit(std::span(bad_counter).first(2)), 2u);
+        EXPECT_EQ(svc.readCounters(0)[1], 5);
+        EXPECT_EQ(svc.readCounters(1)[40], 2);
+        st = svc.serviceStats();
+        EXPECT_EQ(st.submitted, 2u);
+        EXPECT_EQ(st.queued, 0u);
+    }
+}
+
 TEST(Ingest, BlockBackpressureStallsButLosesNothing)
 {
     const auto cfg = baseConfig(32);
@@ -492,15 +527,15 @@ TEST(ServiceStatsCounters, SumsAndCoversEveryField)
 
 TEST(EngineStatsCounters, CoversEveryField)
 {
-    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 39 * sizeof(uint64_t),
                   "EngineStats changed; update toCounters and this "
                   "test");
     const EngineStats s{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
-                        11, 12, 13, 14, 15, 16, 26, 27, 28,
+                        11, 12, 13, 14, 15, 16, 26, 27, 28, 29,
                         {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
                          {24.0}}};
     const auto m = s.toCounters();
-    EXPECT_EQ(m.size(), 37u);
+    EXPECT_EQ(m.size(), 38u);
     EXPECT_EQ(m.at("engine.inputs_accumulated"), 1u);
     EXPECT_EQ(m.at("engine.program_cache_misses"), 11u);
     EXPECT_EQ(m.at("engine.plans_executed"), 12u);
@@ -511,6 +546,7 @@ TEST(EngineStatsCounters, CoversEveryField)
     EXPECT_EQ(m.at("engine.pending_peeks"), 26u);
     EXPECT_EQ(m.at("engine.sign_folds"), 27u);
     EXPECT_EQ(m.at("engine.drain_peeks"), 28u);
+    EXPECT_EQ(m.at("engine.absorb_peeks"), 29u);
     EXPECT_EQ(m.at("engine.fabric.aap"), 17u);
     EXPECT_EQ(m.at("engine.fabric.faults_injected"), 20u);
     EXPECT_EQ(m.at("engine.fabric.row_writes"), 22u);

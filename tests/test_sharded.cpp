@@ -356,18 +356,18 @@ TEST(EngineStatsMerge, SumsEveryField)
 {
     // A new EngineStats field changes this size and fails here:
     // extend operator+= and the checks below together.
-    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 39 * sizeof(uint64_t),
                   "EngineStats changed; update operator+= and this "
                   "test");
 
     // fabricNs must equal sum(attrNs) (the ledger invariant), so the
     // fixtures put their whole 24.0/240.0 into the plan row.
     EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
-                  11, 12, 13, 14, 15, 16, 26, 27, 28,
+                  11, 12, 13, 14, 15, 16, 26, 27, 28, 29,
                   {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0, {24.0}}};
     const EngineStats b{10,  20,  30,  40,  50,  60,  70,
                         80,  90,  100, 110, 120, 130, 140,
-                        150, 160, 260, 270, 280,
+                        150, 160, 260, 270, 280, 290,
                         {170, 180, 190, 200, 210, 220, 230, 240.0,
                          250.0, {240.0}}};
     a += b;
@@ -390,6 +390,7 @@ TEST(EngineStatsMerge, SumsEveryField)
     EXPECT_EQ(a.pendingPeeks, 286u);
     EXPECT_EQ(a.signFolds, 297u);
     EXPECT_EQ(a.drainPeeks, 308u);
+    EXPECT_EQ(a.absorbPeeks, 319u);
     EXPECT_EQ(a.fabric.aap, 187u);
     EXPECT_EQ(a.fabric.ap, 198u);
     EXPECT_EQ(a.fabric.tra, 209u);
@@ -411,17 +412,17 @@ TEST(EngineStatsMerge, SinceCoversEveryField)
 {
     // A new EngineStats field changes this size and fails here:
     // extend since() and the checks below together.
-    static_assert(sizeof(EngineStats) == 38 * sizeof(uint64_t),
+    static_assert(sizeof(EngineStats) == 39 * sizeof(uint64_t),
                   "EngineStats changed; update since() and this test");
 
     const EngineStats a{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
-                        11, 12, 13, 14, 15, 16, 26, 27, 28,
+                        11, 12, 13, 14, 15, 16, 26, 27, 28, 29,
                         {17, 18, 19, 20, 21, 22, 23, 24.0, 25.0,
                          {24.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           0.0}}};
     const EngineStats b{10,  20,  30,  40,  50,  60,  70,
                         80,  90,  100, 110, 120, 130, 140,
-                        150, 160, 260, 270, 280,
+                        150, 160, 260, 270, 280, 290,
                         {170, 180, 190, 200, 210, 220, 230, 240.0,
                          250.0,
                          {240.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -446,6 +447,7 @@ TEST(EngineStatsMerge, SinceCoversEveryField)
     EXPECT_EQ(d.pendingPeeks, 234u);
     EXPECT_EQ(d.signFolds, 243u);
     EXPECT_EQ(d.drainPeeks, 252u);
+    EXPECT_EQ(d.absorbPeeks, 261u);
     EXPECT_EQ(d.fabric.aap, 153u);
     EXPECT_EQ(d.fabric.ap, 162u);
     EXPECT_EQ(d.fabric.tra, 171u);
@@ -1117,11 +1119,13 @@ TEST(EpochPipeline, MergedPlanAttributionSublinearInShards)
 
 TEST(DrainPlanner, FoldedZipfEpochsRippleAsUnfoldedPlans)
 {
-    // Folded digits prepare IARM headroom from the largest summed
-    // digit, exactly as unfolded plans did, so a multi-epoch unsigned
-    // Zipf stream schedules the same ripples as before folding
-    // (pinned). A headroom summed over a digit's steps would ripple
-    // more; one taken from its largest step, less (and unsoundly).
+    // Folded digits take IARM headroom from the largest summed digit,
+    // exactly as unfolded plans did, so a multi-epoch unsigned Zipf
+    // stream absorbs the carries of the same digits IARM would ripple
+    // and issues no ripple, folded or not (pinned: the absorbed rows
+    // and the plane programs, carries included). A headroom summed
+    // over a digit's steps would read more rows; one taken from its
+    // largest step, fewer (and unsoundly).
     auto cfg = baseConfig(256);
     cfg.capacityBits = 16;
     cfg.drainPlanner = true;
@@ -1134,8 +1138,9 @@ TEST(DrainPlanner, FoldedZipfEpochsRippleAsUnfoldedPlans)
     }
     const auto st = eng.stats();
     EXPECT_EQ(st.planFallbackOps, 0u);
-    EXPECT_LT(st.planPrograms, 261u); // unfolded, the planes take 261
-    EXPECT_EQ(st.ripples, 68u);
+    EXPECT_EQ(st.planPrograms, 210u);
+    EXPECT_EQ(st.ripples, 0u);
+    EXPECT_EQ(st.absorbPeeks, 64u);
     EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, all));
 }
 
@@ -1153,6 +1158,167 @@ TEST(DrainPlanner, ProtectedConfigsStayExact)
             EXPECT_GT(stats_on.checksRun, 0u);
         else
             EXPECT_GT(stats_on.voteOps, 0u);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Carry-absorbing plans: due Onext rows ride the epoch's planes
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A counting substrate with pending flags, by name. */
+struct PendingSubstrate
+{
+    core::BackendKind backend;
+    Protection protection;
+    const char *name;
+};
+
+void
+PrintTo(const PendingSubstrate &sub, std::ostream *os)
+{
+    *os << sub.name;
+}
+
+} // namespace
+
+class DrainPlannerAbsorb
+    : public ::testing::TestWithParam<PendingSubstrate>
+{
+};
+
+// Eight unsigned Zipf epochs on 4 shards: IARM bounds pass 2R-1 from
+// the second epoch on, so plans read due Onext rows into their sums
+// instead of rippling them. Values stay exact after every epoch and
+// Onext keeps meaning what readout says it means: draining at the
+// end moves carries without changing any value.
+TEST_P(DrainPlannerAbsorb, PlannedEpochsNeverRipple)
+{
+    auto cfg = baseConfig(256);
+    cfg.backend = GetParam().backend;
+    cfg.protection = GetParam().protection;
+    cfg.capacityBits = 16;
+    cfg.drainPlanner = true;
+    ShardedEngine eng(cfg, 4);
+    std::vector<BatchOp> all;
+    for (uint64_t e = 0; e < 8; ++e) {
+        const auto ops = zipfOps(900, cfg.numCounters, 100 + e);
+        const auto before = eng.stats();
+        drainEpoch(eng, ops);
+        const auto d = eng.stats().since(before);
+        all.insert(all.end(), ops.begin(), ops.end());
+        EXPECT_EQ(d.planFallbackOps, 0u) << "epoch " << e;
+        EXPECT_EQ(d.ripples, 0u) << "epoch " << e;
+        EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, all))
+            << "epoch " << e;
+    }
+    EXPECT_GT(eng.stats().absorbPeeks, 0u);
+    const auto values = eng.readAllCounters();
+    eng.drain(0);
+    EXPECT_EQ(eng.readAllCounters(), values);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, DrainPlannerAbsorb,
+    ::testing::Values(
+        PendingSubstrate{core::BackendKind::Ambit, Protection::None,
+                         "ambit"},
+        PendingSubstrate{core::BackendKind::Ambit, Protection::Ecc,
+                         "ambit_ecc"},
+        PendingSubstrate{core::BackendKind::Ambit, Protection::Tmr,
+                         "ambit_tmr"},
+        PendingSubstrate{core::BackendKind::NvmPinatubo,
+                         Protection::None, "nvm_pinatubo"},
+        PendingSubstrate{core::BackendKind::NvmMagic, Protection::None,
+                         "nvm_magic"}),
+    [](const ::testing::TestParamInfo<PendingSubstrate> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(DrainPlanner, TmrAbsorbsTheReplicaVoteOfEachPendingRow)
+{
+    // Counters 0..7 take +3 per epoch as three unit ops, so the third
+    // epoch's plan must absorb digit 0 (bound 6 + 3 > 2R - 1), where
+    // every counter holds 6 = 4 + 2: a carry in each column. A bit
+    // planted by hand in one replica's Onext(0) row is outvoted by
+    // the other two: no plan takes it in, and the clears remove it
+    // from every replica. (The plan's own +3 wraps digit 0 again, so
+    // the counters' carries are back in Onext(0) afterwards.)
+    auto cfg = baseConfig(64);
+    cfg.protection = Protection::Tmr;
+    cfg.capacityBits = 16;
+    cfg.drainPlanner = true;
+    ShardedEngine eng(cfg, 1);
+    std::vector<BatchOp> ops;
+    for (uint64_t c = 0; c < 8; ++c)
+        for (int i = 0; i < 3; ++i)
+            ops.push_back({c, 1, 0});
+    eng.accumulateBatch(ops);
+    eng.accumulateBatch(ops);
+
+    C2MEngine &shard = eng.shard(0);
+    const auto onext = [&](unsigned replica) {
+        return shard.backend()
+            .layout(shard.physicalGroup(0, replica))
+            .onextRow(0);
+    };
+    const auto plant = [&](unsigned replica, size_t col) {
+        BitVector row = shard.subarray().peekRow(onext(replica));
+        row.set(col, true);
+        shard.backend().scrubWriteRow(onext(replica), row);
+    };
+    plant(0, 20); // the replica readout decodes
+    plant(2, 30);
+    std::vector<int64_t> want(cfg.numCounters, 0);
+    for (size_t c = 0; c < 8; ++c)
+        want[c] = 6;
+    want[20] = 4; // Onext reads as R until the plan clears it
+    EXPECT_EQ(eng.readAllCounters(), want);
+
+    const auto before = eng.stats();
+    eng.accumulateBatch(ops);
+    const auto d = eng.stats().since(before);
+    EXPECT_EQ(d.plansExecuted, 1u);
+    EXPECT_EQ(d.absorbPeeks, 1u);
+    EXPECT_EQ(d.ripples, 0u);
+    for (size_t c = 0; c < 8; ++c)
+        want[c] = 9;
+    want[20] = 0;
+    EXPECT_EQ(eng.readAllCounters(), want);
+    const BitVector &row0 = shard.subarray().peekRow(onext(0));
+    EXPECT_EQ(row0.popcount(), 8u);
+    for (unsigned r = 1; r < 3; ++r)
+        EXPECT_EQ(shard.subarray().peekRow(onext(r)), row0)
+            << "replica " << r;
+}
+
+TEST(ShardedBatchErrors, OutOfRangeOpThrowsBeforeAnyShardRuns)
+{
+    // Checked on the caller's thread before any bucket runs, whatever
+    // the op's position in the batch.
+    for (const unsigned shards : {1u, 4u}) {
+        auto cfg = baseConfig(64);
+        cfg.numGroups = 2;
+        ShardedEngine eng(cfg, shards);
+        const std::vector<BatchOp> bad_counter = {
+            {1, 5, 0}, {40, 2, 1}, {64, 1, 0}};
+        const std::vector<BatchOp> bad_group = {
+            {1, 5, 0}, {40, 2, 1}, {3, 1, 2}};
+        const auto before = eng.stats();
+        EXPECT_THROW(eng.accumulateBatch(bad_counter),
+                     std::invalid_argument);
+        EXPECT_THROW(eng.accumulateBatch(bad_group),
+                     std::invalid_argument);
+        const auto d = eng.stats().since(before);
+        EXPECT_EQ(d.inputsAccumulated, 0u);
+        EXPECT_EQ(d.fabric.commands(), 0u);
+        EXPECT_EQ(d.fabric.rowWrites, 0u);
+        EXPECT_EQ(eng.readAllCounters(0), std::vector<int64_t>(64, 0));
+        EXPECT_EQ(eng.readAllCounters(1), std::vector<int64_t>(64, 0));
+        eng.accumulateBatch(std::span(bad_counter).first(2));
+        EXPECT_EQ(eng.readAllCounters(0)[1], 5);
+        EXPECT_EQ(eng.readAllCounters(1)[40], 2);
     }
 }
 
