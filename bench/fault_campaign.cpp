@@ -167,7 +167,7 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
         .set("uncorrected_blocks", es.uncorrectedBlocks)
         .set("faults_injected", es.fabric.faultsInjected)
         .set("sweeps", ss.sweeps)
-        .set("sweep_fabric_ns", ss.sweepFabricNs)
+        .set("sweep_fabric_ns", es.fabric.attr(cim::FabricCat::Scrub))
         .set("faulty_bits", ss.faultyBits)
         .set("bits_corrected", ss.bitsCorrected)
         .set("words_recovered", ss.wordsRecovered)

@@ -137,13 +137,6 @@ makeStream(Stream kind)
     return ops;
 }
 
-/** Evaluate the watchdog over one cell's own counters. */
-void
-watch(obs::Watchdog &wd, const CounterMap &counters)
-{
-    wd.evaluate({0, counters, counters});
-}
-
 bench::Cell &
 runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
         const std::vector<core::BatchOp> &ops,
@@ -192,10 +185,10 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
         .set("sign_folds", est.signFolds)
         .set("epochs", sst.epochs)
         .set("coalesced", sst.coalesced)
-        .set("plans", sst.plans)
-        .set("plan_programs", sst.planPrograms)
-        .set("planned_ops", sst.plannedOps)
-        .set("plan_fallback_ops", sst.planFallbackOps);
+        .set("plans", est.plansExecuted)
+        .set("plan_programs", est.planPrograms)
+        .set("planned_ops", est.plannedOps)
+        .set("plan_fallback_ops", est.planFallbackOps);
     c.host.set("steals", sst.steals).set("stalls", sst.stalls);
     c.counters = svc.report();
     c.gate("match_serial_replay", match);
@@ -217,7 +210,7 @@ runCell(bench::Harness &h, obs::Watchdog &wd, const char *dist,
                                }))
         c.gate("planned_ripples", static_cast<double>(est.ripples),
                "==", 0.0);
-    watch(wd, c.counters);
+    wd.evaluate(c.counters);
     return c;
 }
 
@@ -291,7 +284,7 @@ runObservabilityShowcase(bench::Record &doc, obs::Watchdog &wd)
                                   .set("spills", st.spills)
                                   .set("restores", st.restores)
                                   .set("sweeps", sweeps));
-    watch(wd, space.report());
+    wd.evaluate(space.report());
 }
 
 /**

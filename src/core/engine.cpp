@@ -268,16 +268,6 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
 }
 
 void
-C2MEngine::accumulatePlan(std::span<const MaskedStep> steps,
-                          std::span<const unsigned> headroom,
-                          unsigned group, uint64_t folded_ops)
-{
-    drain(group);
-    planPrepare(steps, headroom, group, 0);
-    executePlan(steps, 0, group, folded_ops);
-}
-
-void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
                        std::span<const unsigned> headroom,
                        unsigned group, uint64_t absorbed)

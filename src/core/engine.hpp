@@ -53,16 +53,16 @@ namespace core {
  * decrement rail, subtract it from) digit @p digit of every counter
  * whose bit in mask row @p maskHandle is set. The mask is borrowed,
  * not owned — planners keep a reusable pool of plane masks and hand
- * out pointers for the duration of one accumulatePlan call. Each
- * step carries its own mask handle so planes can live in persistent
- * per-plane rows: plane (digit, k) of either rail always lands in
- * the same row index, keeping its cached increment and decrement
- * programs' keys stable across epochs. A counter may sit in several
- * steps of one digit (binary-weighted planes: a digit of 3 rides
- * k = 1 and k = 2), as long as their k's add up to at most R-1. The
- * deltas the steps encode may carry pending carries the planner
- * absorbed from Onext rows (planPrepare), so a step can cover a
- * counter no point update of the epoch touched.
+ * out pointers for the duration of one plan (planPrepare, then
+ * executePlan). Each step carries its own mask handle so planes can
+ * live in persistent per-plane rows: plane (digit, k) of either rail
+ * always lands in the same row index, keeping its cached increment
+ * and decrement programs' keys stable across epochs. A counter may
+ * sit in several steps of one digit (binary-weighted planes: a digit
+ * of 3 rides k = 1 and k = 2), as long as their k's add up to at most
+ * R-1. The deltas the steps encode may carry pending carries the
+ * planner absorbed from Onext rows (planPrepare), so a step can cover
+ * a counter no point update of the epoch touched.
  */
 struct MaskedStep
 {
@@ -190,17 +190,19 @@ class C2MEngine
                           unsigned group = 0);
 
     /**
-     * Column-parallel masked accumulate (Fig. 15): apply a batch of
-     * digit-plane steps, each one masked k-ary increment (or, on the
-     * decrement rail, decrement) covering every counter whose epoch
-     * delta has digit k at that position — or, on a binary-weighted
-     * digit, whose digit there has bit k set. This is the multi-counter
-     * entry point the drain planner schedules through — it skips the
-     * per-value digit loop entirely. Two shapes:
+     * Column-parallel masked accumulate (Fig. 15), in two halves: a
+     * drain plan is a batch of digit-plane steps, each one masked
+     * k-ary increment (or, on the decrement rail, decrement) covering
+     * every counter whose epoch delta has digit k at that position —
+     * or, on a binary-weighted digit, whose digit there has bit k set.
+     * This is the multi-counter entry point the drain planner
+     * schedules through — it skips the per-value digit loop entirely.
+     * Two shapes:
      *
      *  - unsigned: an unsigned-mode group and increment steps only.
      *    IARM headroom is prepared ONCE for the whole plan from
-     *    @p headroom, then each step issues a single karyIncrement.
+     *    @p headroom (planPrepare), then each step issues a single
+     *    karyIncrement (executePlan).
      *  - signed: a signed-mode group, or any decrement step (which
      *    puts the group in signed mode first, through the same entry
      *    as the first decrement of accumulateSigned). The increment
@@ -214,36 +216,25 @@ class C2MEngine
      * position d among the summed magnitudes the plan encodes), so it
      * is at most R-1: a digit then wraps at most once per rail, and
      * both code generators OR each wrap into Onext, so a later step
-     * that does not wrap keeps the flag an earlier one set. Each step
-     * writes its plane mask into its own MaskedStep::maskHandle row.
-     * @p folded_ops is the number of point updates the plan folds in;
-     * it feeds inputsAccumulated/plannedOps so batch accounting
-     * matches the per-op path. The group is drained first (drain()),
-     * so an unsigned plan finds IARM headroom without ripples:
-     * accumulatePlan is drain + planPrepare with nothing absorbed +
-     * executePlan with nothing to clear.
-     */
-    void accumulatePlan(std::span<const MaskedStep> steps,
-                        std::span<const unsigned> headroom,
-                        unsigned group, uint64_t folded_ops);
-
-    /**
-     * Host-side bookkeeping half of a plan, split out so a
+     * that does not wrap keeps the flag an earlier one set.
+     *
+     * planPrepare is the host-side bookkeeping half, split out so a
      * hierarchical planner can prepare every shard's slice of a
-     * merged plan before any fabric work runs. Validates @p steps
+     * merged plan before any fabric work runs. It validates @p steps
      * against @p headroom (every step's k within its digit's bound).
      * For an unsigned plan it lowers the IARM bound of every digit in
      * @p absorbed (bit d: the caller read Onext(d) through
      * absorbPeek and folded R^(d+1) into the delta of every set
      * column; IarmScheduler::absorb), then advances the scheduler by
      * @p headroom (applyAdd). The caller absorbs exactly the digits
-     * where bound + headroom would exceed 2R-1, so the plan owes no
-     * ripple; planPrepare asserts that. The profile is the caller's
-     * because the steps cannot give it: with several steps per digit
-     * their largest k is too small, and their sum can exceed R-1 (at
-     * radix 10, 1 + 2 + 4 + 8), which would ask for needless
-     * absorption. A signed plan absorbs nothing: it resolves its
-     * pendings in place during executePlan. Touches no fabric state.
+     * where bound + headroom would exceed 2R-1 (none after drain()),
+     * so the plan owes no ripple; planPrepare asserts that. The
+     * profile is the caller's because the steps cannot give it: with
+     * several steps per digit their largest k is too small, and their
+     * sum can exceed R-1 (at radix 10, 1 + 2 + 4 + 8), which would ask
+     * for needless absorption. A signed plan absorbs nothing: it
+     * resolves its pendings in place during executePlan. Touches no
+     * fabric state.
      */
     void planPrepare(std::span<const MaskedStep> steps,
                      std::span<const unsigned> headroom,
@@ -253,9 +244,9 @@ class C2MEngine
      * Fabric half of a prepared plan: clear the Onext row of every
      * digit in @p clears (the absorbed digits whose row had a set
      * bit, on every replica), then write each step's plane mask into
-     * its persistent row and issue the masked increments. A signed
-     * plan enters signed mode if needed and resolves each rail's
-     * pendings after its steps (see accumulatePlan).
+     * its own MaskedStep::maskHandle row and issue the masked
+     * increments. A signed plan enters signed mode if needed and
+     * resolves each rail's pendings after its steps.
      * Lead steps charge FabricCat::Plan (mask writes MaskWrite as
      * usual); follower ones charge PlanFanout and count their AAP/AP
      * commands as ganged — executed in lockstep under the lead
@@ -263,8 +254,9 @@ class C2MEngine
      * (drain and host re-encode) and the resolve's Onext reads,
      * ripples and Osign folds depend on this shard's counter values,
      * so they are never ganged: they charge Plan on every shard.
-     * @p folded_ops feeds plannedOps/inputsAccumulated exactly like
-     * accumulatePlan.
+     * @p folded_ops is the number of point updates the plan folds in;
+     * it feeds inputsAccumulated/plannedOps so batch accounting
+     * matches the per-op path.
      */
     void executePlan(std::span<const MaskedStep> steps, uint64_t clears,
                      unsigned group, uint64_t folded_ops);

@@ -6,6 +6,7 @@
 
 #include "common/logging.hpp"
 #include "common/table.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace c2m::obs {
@@ -84,38 +85,25 @@ renderTrackLatency(const ProfileInput &in,
 
 namespace {
 
-/**
- * Sum every delta whose key equals @p suffix or ends in ".<suffix>".
- * Sources may be registered under a prefix name, so the watchdog
- * matches by suffix rather than assuming a fixed registration layout.
- */
+/** The counter named @p key, 0 when absent. */
 uint64_t
-sumBySuffix(const CounterMap &m, const std::string &suffix)
+counterOr0(const CounterMap &m, const char *key)
 {
-    const std::string dotted = "." + suffix;
-    uint64_t total = 0;
-    for (const auto &[k, v] : m) {
-        if (k == suffix ||
-            (k.size() > dotted.size() &&
-             k.compare(k.size() - dotted.size(), dotted.size(),
-                       dotted) == 0))
-            total += v;
-    }
-    return total;
+    const auto it = m.find(key);
+    return it == m.end() ? 0 : it->second;
 }
 
 } // namespace
 
 uint32_t
-Watchdog::evaluate(const MetricsRegistry::Snapshot &snap)
+Watchdog::evaluate(const CounterMap &d)
 {
     ++evaluations_;
     uint32_t fired = 0;
-    const CounterMap &d = snap.delta;
 
-    const uint64_t submitted = sumBySuffix(d, "service.submitted");
+    const uint64_t submitted = counterOr0(d, "service.submitted");
     if (submitted > 0) {
-        const uint64_t stalls = sumBySuffix(d, "service.stalls");
+        const uint64_t stalls = counterOr0(d, "service.stalls");
         const double stallRatio =
             static_cast<double>(stalls) /
             static_cast<double>(submitted);
@@ -127,7 +115,7 @@ Watchdog::evaluate(const MetricsRegistry::Snapshot &snap)
                      " stalls / ", submitted,
                      " submitted this interval)");
         }
-        const uint64_t dropped = sumBySuffix(d, "service.dropped");
+        const uint64_t dropped = counterOr0(d, "service.dropped");
         const double dropRatio =
             static_cast<double>(dropped) /
             static_cast<double>(submitted);
@@ -141,9 +129,9 @@ Watchdog::evaluate(const MetricsRegistry::Snapshot &snap)
         }
     }
 
-    const uint64_t hits = sumBySuffix(d, "engine.program_cache_hits");
+    const uint64_t hits = counterOr0(d, "engine.program_cache_hits");
     const uint64_t misses =
-        sumBySuffix(d, "engine.program_cache_misses");
+        counterOr0(d, "engine.program_cache_misses");
     const uint64_t lookups = hits + misses;
     if (lookups >= cfg_.cacheMinLookups) {
         const double hitRate = static_cast<double>(hits) /
@@ -160,7 +148,7 @@ Watchdog::evaluate(const MetricsRegistry::Snapshot &snap)
 
     if (cfg_.warnOnUncorrected) {
         const uint64_t bad =
-            sumBySuffix(d, "engine.uncorrected_blocks");
+            counterOr0(d, "engine.uncorrected_blocks");
         if (bad > 0) {
             ++uncorrected_;
             ++fired;

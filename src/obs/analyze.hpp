@@ -10,12 +10,12 @@
  * top-N span families by total host time, and per-track latency
  * distributions of the drain spans.
  *
- * The Watchdog is a rule engine over MetricsRegistry snapshot deltas:
- * each evaluate() checks a fixed set of health rules (queue stall and
- * drop ratios, program-cache hit-rate collapse, uncorrected scrub
- * blocks, trace ring drops) against the *interval* counters, fires a
- * C2M_WARN per violated rule, and counts firings in its own
- * watchdog.* counters so alert rates are themselves observable.
+ * The Watchdog is a rule engine over counter deltas: each evaluate()
+ * checks a fixed set of health rules (queue stall and drop ratios,
+ * program-cache hit-rate collapse, uncorrected scrub blocks, trace
+ * ring drops) against one interval's counters, fires a C2M_WARN per
+ * violated rule, and counts firings in its own watchdog.* counters
+ * so alert rates are themselves observable.
  */
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace c2m::obs {
@@ -77,21 +76,23 @@ struct WatchdogConfig
 };
 
 /**
- * Rule-based anomaly detector over snapshot deltas.
+ * Rule-based anomaly detector over counter deltas.
  *
- * Intended use: call registry.snapshot() periodically, hand each
- * snapshot to evaluate(). Each violated rule logs one C2M_WARN (the
- * logging layer rate-limits repeats) and bumps a per-rule counter.
- * Register counters() as a registry source (named "watchdog") to fold
- * alert totals back into the same snapshot stream being watched.
+ * Intended use: hand evaluate() the counters one interval added
+ * (a report() window, or a bench cell's own counters). Each violated
+ * rule logs one C2M_WARN (the logging layer rate-limits repeats) and
+ * bumps a per-rule counter that counters() reports.
  */
 class Watchdog
 {
   public:
     explicit Watchdog(WatchdogConfig cfg = {}) : cfg_(cfg) {}
 
-    /** Check all rules against one snapshot. Returns alerts fired. */
-    uint32_t evaluate(const MetricsRegistry::Snapshot &snap);
+    /**
+     * Check all rules against one interval's counters, keyed as
+     * report() names them (service.*, engine.*). Returns alerts fired.
+     */
+    uint32_t evaluate(const CounterMap &delta);
 
     /** watchdog.evaluations / .alerts / .alert.<rule> totals. */
     CounterMap counters() const;

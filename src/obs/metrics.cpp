@@ -120,196 +120,6 @@ LogHistogram::clear()
     min_.store(UINT64_MAX, std::memory_order_relaxed);
 }
 
-LogHistogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &slot = hists_[name];
-    if (!slot)
-        slot = std::make_unique<LogHistogram>();
-    return *slot;
-}
-
-void
-MetricsRegistry::addCounterSource(std::string name,
-                                  std::function<CounterMap()> source)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    sources_.emplace_back(std::move(name), std::move(source));
-}
-
-MetricsRegistry::Snapshot
-MetricsRegistry::snapshot()
-{
-    // Pull sources outside the registry lock: a source may itself take
-    // subsystem locks (e.g. IngestService::report), and holding m_
-    // across them invites lock-order cycles.
-    std::vector<std::pair<std::string, std::function<CounterMap()>>> srcs;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        srcs = sources_;
-    }
-    CounterMap total;
-    for (const auto &[name, fn] : srcs) {
-        CounterMap part = fn();
-        if (name.empty()) {
-            mergeCounters(total, part);
-        } else {
-            for (const auto &[k, v] : part)
-                total[name + "." + k] += v;
-        }
-    }
-
-    std::lock_guard<std::mutex> lock(m_);
-    Snapshot snap;
-    snap.seq = seq_++;
-    snap.total = total;
-    for (const auto &[k, v] : total) {
-        const auto it = prevTotal_.find(k);
-        const uint64_t prev = it == prevTotal_.end() ? 0 : it->second;
-        snap.delta[k] = v >= prev ? v - prev : v;
-    }
-    prevTotal_ = std::move(total);
-    return snap;
-}
-
-uint64_t
-MetricsRegistry::snapshotCount() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return seq_;
-}
-
-namespace {
-
-void
-appendJsonKey(std::string &out, const std::string &key)
-{
-    out += '"';
-    for (char c : key) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-}
-
-void
-appendCounterObject(std::string &out, const CounterMap &m)
-{
-    out += '{';
-    bool first = true;
-    for (const auto &[k, v] : m) {
-        if (!first)
-            out += ',';
-        first = false;
-        appendJsonKey(out, k);
-        out += ':';
-        out += std::to_string(v);
-    }
-    out += '}';
-}
-
-std::string
-sanitizeMetricName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out += ok ? c : '_';
-    }
-    if (out.empty() || (out[0] >= '0' && out[0] <= '9'))
-        out.insert(out.begin(), '_');
-    return out;
-}
-
-}  // namespace
-
-std::string
-MetricsRegistry::renderJsonLine(const Snapshot &snap) const
-{
-    std::string out = "{\"seq\":" + std::to_string(snap.seq);
-    out += ",\"counters\":";
-    appendCounterObject(out, snap.total);
-    out += ",\"deltas\":";
-    appendCounterObject(out, snap.delta);
-    out += ",\"histograms\":{";
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        bool first = true;
-        for (const auto &[name, h] : hists_) {
-            if (!first)
-                out += ',';
-            first = false;
-            appendJsonKey(out, name);
-            char buf[192];
-            std::snprintf(
-                buf, sizeof(buf),
-                ":{\"count\":%llu,\"mean\":%.3f,\"p50\":%llu,"
-                "\"p95\":%llu,\"p99\":%llu,\"max\":%llu}",
-                static_cast<unsigned long long>(h->count()),
-                h->meanValue(),
-                static_cast<unsigned long long>(h->percentile(0.50)),
-                static_cast<unsigned long long>(h->percentile(0.95)),
-                static_cast<unsigned long long>(h->percentile(0.99)),
-                static_cast<unsigned long long>(h->max()));
-            out += buf;
-        }
-    }
-    out += "}}\n";
-    return out;
-}
-
-std::string
-MetricsRegistry::renderPrometheus(const Snapshot &snap) const
-{
-    std::string out;
-    // Aggregate by sanitized name first: distinct dotted names may
-    // collapse to one metric name, and promtool rejects a family that
-    // appears under two # TYPE headers.  Counters follow the
-    // OpenMetrics convention of a _total suffix.
-    std::map<std::string, uint64_t> agg;
-    for (const auto &[k, v] : snap.total)
-        agg[sanitizeMetricName(k)] += v;
-    for (const auto &[k, v] : agg) {
-        const bool suffixed =
-            k.size() >= 6 && k.compare(k.size() - 6, 6, "_total") == 0;
-        const std::string name = suffixed ? k : k + "_total";
-        out += "# TYPE " + name + " counter\n";
-        out += name + " " + std::to_string(v) + "\n";
-    }
-    std::lock_guard<std::mutex> lock(m_);
-    for (const auto &[rawName, h] : hists_) {
-        const std::string name = sanitizeMetricName(rawName);
-        out += "# TYPE " + name + " histogram\n";
-        uint64_t cum = 0;
-        for (uint32_t i = 0; i < LogHistogram::kBucketCount; ++i) {
-            const uint64_t c = h->bucketCount(i);
-            if (c == 0)
-                continue;
-            cum += c;
-            out += name + "_bucket{le=\"" +
-                   std::to_string(LogHistogram::bucketHi(i)) + "\"} " +
-                   std::to_string(cum) + "\n";
-        }
-        out += name + "_bucket{le=\"+Inf\"} " +
-               std::to_string(h->count()) + "\n";
-        out += name + "_sum " + std::to_string(h->sum()) + "\n";
-        out += name + "_count " + std::to_string(h->count()) + "\n";
-        // Precomputed quantile estimates as a labeled gauge family —
-        // scrapers get p50/p95/p99 without replaying bucket math.
-        out += "# TYPE " + name + "_quantile gauge\n";
-        static constexpr struct { const char *label; double q; }
-        kQuantiles[] = {{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}};
-        for (const auto &[label, q] : kQuantiles)
-            out += name + "_quantile{quantile=\"" + label + "\"} " +
-                   std::to_string(h->percentile(q)) + "\n";
-    }
-    return out;
-}
-
 uint64_t
 hostRssKb()
 {

@@ -1,22 +1,13 @@
 #ifndef C2M_OBS_METRICS_HPP
 #define C2M_OBS_METRICS_HPP
 
-// Metrics registry: log-bucketed concurrent histograms plus periodic
-// CounterMap snapshot diffing, exported as JSON lines or
-// Prometheus-text.  LogHistogram replaces the bespoke DrainLatency
-// ring in service::IngestService with a general-purpose distribution
-// that any subsystem can feed.
+// Host-side distributions and process metrics: a log-bucketed
+// concurrent histogram (the ingest service's drain latencies, the
+// trace analyzer's per-track span latencies) and the process RSS
+// every bench cell records.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/stats.hpp"
 
 namespace c2m::obs {
 
@@ -28,7 +19,7 @@ namespace c2m::obs {
  * splits into 4 sub-buckets, so any bucket's width is at most 1/4 of
  * its lower bound (quantiles are accurate to ~25% relative error, and
  * exact below 4).  All 2^64 values map to one of kBucketCount buckets;
- * recording is two relaxed fetch_adds plus a CAS max.
+ * recording is three relaxed fetch_adds plus a CAS max and min.
  */
 class LogHistogram {
 public:
@@ -80,66 +71,6 @@ private:
     std::atomic<uint64_t> sum_{0};
     std::atomic<uint64_t> max_{0};
     std::atomic<uint64_t> min_{UINT64_MAX};
-};
-
-/**
- * Names histograms and counter sources, snapshots them on demand, and
- * renders the snapshots as JSON lines (one object per snapshot, for
- * metrics.jsonl files) or Prometheus text exposition.
- *
- * Counter sources are pull-based: register a callable returning the
- * subsystem's current CounterMap (e.g. [&]{ return svc.report(); });
- * snapshot() diffs against the previous snapshot so every emitted object
- * carries both running totals and per-interval deltas.
- */
-class MetricsRegistry {
-public:
-    MetricsRegistry() = default;
-    MetricsRegistry(const MetricsRegistry &) = delete;
-    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    /** Find-or-create a named histogram; the registry owns it. */
-    LogHistogram &histogram(const std::string &name);
-
-    /** Register a pull source merged into every snapshot. */
-    void addCounterSource(std::string name,
-                          std::function<CounterMap()> source);
-
-    struct Snapshot {
-        uint64_t seq = 0;
-        CounterMap total;   // merged counters from all sources
-        CounterMap delta;   // total minus previous snapshot's total
-    };
-
-    /** Pull all sources, diff against the previous snapshot. */
-    Snapshot snapshot();
-
-    /** Snapshots taken so far. */
-    uint64_t snapshotCount() const;
-
-    /**
-     * One JSON object (single line, newline-terminated) for a snapshot:
-     * {"seq":N,"counters":{...},"deltas":{...},"histograms":{name:
-     * {"count":..,"mean":..,"p50":..,"p95":..,"p99":..,"max":..}}}.
-     * Key order is deterministic (CounterMap is sorted; histogram names
-     * are emitted sorted).
-     */
-    std::string renderJsonLine(const Snapshot &snap) const;
-
-    /**
-     * Prometheus text exposition of a snapshot: counters as counters,
-     * histograms as <name>_bucket{le="..."} / _sum / _count series.
-     * Metric names are sanitized to [a-zA-Z0-9_:].
-     */
-    std::string renderPrometheus(const Snapshot &snap) const;
-
-private:
-    mutable std::mutex m_;
-    std::map<std::string, std::unique_ptr<LogHistogram>> hists_;
-    std::vector<std::pair<std::string, std::function<CounterMap()>>>
-        sources_;
-    CounterMap prevTotal_;
-    uint64_t seq_ = 0;
 };
 
 /** Resident-set size of this process in KiB (0 if unavailable). */

@@ -1,7 +1,6 @@
 #include "reliability/scrubber.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -37,8 +36,6 @@ ScrubStats::toCounters() const
         {"reliability.mirror_words_lost", mirrorWordsLost},
         {"reliability.ops_journaled", opsJournaled},
         {"reliability.fr_retunes", frRetunes},
-        {"reliability.sweep_fabric_ns",
-         static_cast<uint64_t>(std::llround(sweepFabricNs))},
     };
 }
 
@@ -207,12 +204,12 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     d.sweeps = 1;
     cim::AttrScope attr(eng.backend().opStatsRef(),
                         cim::FabricCat::Scrub);
-    const double ns0 = eng.backend().opStats().fabricNs;
     const uint32_t track =
         static_cast<uint32_t>(&st - shards_.data());
     obs::TraceRecorder *tr = obs::tracer();
     if (tr)
-        tr->spanBegin("scrub.sweep", track, ns0);
+        tr->spanBegin("scrub.sweep", track,
+                      eng.backend().opStats().fabricNs);
 
     // Recover expected values: scrubbed mirror + journaled deltas;
     // then drain so fault-free state would be canonical.
@@ -280,7 +277,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     obs.boundaries =
         std::max<uint64_t>(1, boundary - st.lastSweepBoundary);
     st.lastSweepBoundary = boundary;
-    d.sweepFabricNs = eng.backend().opStats().fabricNs - ns0;
     if (tr)
         tr->spanEnd("scrub.sweep", track,
                     eng.backend().opStats().fabricNs);

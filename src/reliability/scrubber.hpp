@@ -104,8 +104,6 @@ struct ScrubStats
     uint64_t mirrorWordsLost = 0; ///< side-store words past SEC-DED
     uint64_t opsJournaled = 0;    ///< deltas recorded since attach
     uint64_t frRetunes = 0;       ///< live FR-check changes applied
-    /** Modeled fabric ns spent inside sweeps (drain + row scrub). */
-    double sweepFabricNs = 0.0;
 
     ScrubStats &operator+=(const ScrubStats &o)
     {
@@ -120,7 +118,6 @@ struct ScrubStats
         mirrorWordsLost += o.mirrorWordsLost;
         opsJournaled += o.opsJournaled;
         frRetunes += o.frRetunes;
-        sweepFabricNs += o.sweepFabricNs;
         return *this;
     }
 

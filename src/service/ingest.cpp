@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -23,34 +22,8 @@ ServiceStats::toCounters() const
         {"service.flushed_ops", flushedOps},
         {"service.epochs", epochs},
         {"service.steals", steals},
-        {"service.plans", plans},
-        {"service.plan_programs", planPrograms},
-        {"service.planned_ops", plannedOps},
-        {"service.plan_fallback_ops", planFallbackOps},
-        {"service.fabric_ns",
-         static_cast<uint64_t>(std::llround(fabricNs))},
-        {"service.fabric_nj",
-         static_cast<uint64_t>(std::llround(fabricNj))},
     };
 }
-
-namespace {
-
-/** Attribute a drain's planner and fabric activity to this epoch. */
-void
-addPlanDelta(ServiceStats &es, const core::EngineStats &before,
-             const core::EngineStats &after)
-{
-    const core::EngineStats d = after.since(before);
-    es.plans += d.plansExecuted;
-    es.planPrograms += d.planPrograms;
-    es.plannedOps += d.plannedOps;
-    es.planFallbackOps += d.planFallbackOps;
-    es.fabricNs += d.fabric.fabricNs;
-    es.fabricNj += d.fabric.fabricNj;
-}
-
-} // namespace
 
 IngestService::IngestService(core::ShardedEngine &engine,
                              const IngestConfig &cfg)
@@ -245,9 +218,7 @@ IngestService::stop()
         }
         es.flushedOps = ops.size();
         std::lock_guard<std::mutex> ek(engineMutex_);
-        const auto before = engine_.stats();
         engine_.runShardOps(s, ops);
-        addPlanDelta(es, before, engine_.stats());
         if (observer)
             observer->onShardOps(s, ops);
         std::lock_guard<std::mutex> lk(m_);
@@ -301,11 +272,10 @@ IngestService::report() const
 {
     CounterMap merged = serviceStats().toCounters();
     mergeCounters(merged, engineStats().toCounters());
-    const auto lat = drainLatency();
-    merged["service.drain_p50_us"] = lat.p50;
-    merged["service.drain_p95_us"] = lat.p95;
-    merged["service.drain_p99_us"] = lat.p99;
-    merged["service.drain_max_us"] = lat.max;
+    merged["service.drain_p50_us"] = drainHist_.percentile(0.50);
+    merged["service.drain_p95_us"] = drainHist_.percentile(0.95);
+    merged["service.drain_p99_us"] = drainHist_.percentile(0.99);
+    merged["service.drain_max_us"] = drainHist_.max();
     EpochObserver *observer;
     {
         // Snapshot under m_: attachObserver() writes under the same
@@ -392,19 +362,21 @@ IngestService::runEpoch(uint64_t epoch)
     const auto t0 = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> ek(engineMutex_);
-        const auto before = engine_.stats();
+        // The engine-wide stats merge only feeds the tracer: the
+        // execute span's fabric stamps and the program-cache counters.
+        obs::TraceRecorder *const tr = obs::tracer();
         {
-            obs::ScopedSpan x_span("epoch.execute", obs::kServiceTrack,
-                                   before.fabric.fabricNs);
+            obs::ScopedSpan x_span(
+                "epoch.execute", obs::kServiceTrack,
+                tr ? engine_.stats().fabric.fabricNs : 0.0);
             executeEpoch(epoch, buckets, es);
-            if (x_span.active())
+            if (tr)
                 x_span.setFabricEnd(engine_.stats().fabric.fabricNs);
         }
-        const auto after = engine_.stats();
-        addPlanDelta(es, before, after);
-        if (auto *tr = obs::tracer()) {
+        if (tr) {
             // Program-cache hit/miss bursts, sampled per epoch: the
             // counter track's slope shows cache-busting epochs.
+            const auto after = engine_.stats();
             tr->counter("progcache.hits", obs::kServiceTrack,
                         after.programCacheHits);
             tr->counter("progcache.misses", obs::kServiceTrack,
@@ -430,30 +402,10 @@ IngestService::runEpoch(uint64_t epoch)
         std::lock_guard<std::mutex> lk(m_);
         appliedEpoch_ = epoch;
         stats_ += es;
-        recordDrainLatency(static_cast<uint64_t>(us));
+        drainHist_.record(static_cast<uint64_t>(us));
         epochCv_.notify_all();
     }
     return cut_total;
-}
-
-void
-IngestService::recordDrainLatency(uint64_t us)
-{
-    drainHist_.record(us);
-}
-
-DrainLatency
-IngestService::drainLatency() const
-{
-    DrainLatency out;
-    out.samples = drainHist_.count();
-    if (out.samples == 0)
-        return out;
-    out.p50 = drainHist_.percentile(0.50);
-    out.p95 = drainHist_.percentile(0.95);
-    out.p99 = drainHist_.percentile(0.99);
-    out.max = drainHist_.max();
-    return out;
 }
 
 void

@@ -24,8 +24,7 @@
  *      across shards — about D*bit_width(R-1) leader fabric programs
  *      per group and rail per epoch (dense digits fold into
  *      binary-weighted planes) instead of one replicated plan per
- *      shard;
- *      ServiceStats::plans* sample the per-epoch planner activity.
+ *      shard.
  *
  * Ordering and consistency:
  *  - Per (producer, shard), ops apply in submission order; a
@@ -92,20 +91,6 @@ struct ServiceStats
     uint64_t flushedOps = 0; ///< ops actually executed on the fabric
     uint64_t epochs = 0;     ///< drain epochs applied
     uint64_t steals = 0;     ///< buckets executed off their home lane
-    // Drain-planner activity, sampled per epoch from the engine
-    // stats delta while the drainer holds the engine, so the numbers
-    // attribute column-parallel execution to ingest epochs even when
-    // other drivers (scrubber, tensor ops) share the engine.
-    uint64_t plans = 0;        ///< column-parallel plans executed
-    uint64_t planPrograms = 0; ///< masked plane increments issued
-    uint64_t plannedOps = 0;   ///< ops folded into plans
-    uint64_t planFallbackOps = 0; ///< ops replayed per-op instead
-    // Modeled fabric cost attributed to ingest epochs, sampled from
-    // the same per-epoch engine-stats delta as the plan counters —
-    // engine.fabric.* remains the engine-lifetime total, service
-    // fabric is the slice this service's epochs executed.
-    double fabricNs = 0.0; ///< simulated fabric time drained
-    double fabricNj = 0.0; ///< simulated fabric energy drained
 
     ServiceStats &operator+=(const ServiceStats &o)
     {
@@ -117,12 +102,6 @@ struct ServiceStats
         flushedOps += o.flushedOps;
         epochs += o.epochs;
         steals += o.steals;
-        plans += o.plans;
-        planPrograms += o.planPrograms;
-        plannedOps += o.plannedOps;
-        planFallbackOps += o.planFallbackOps;
-        fabricNs += o.fabricNs;
-        fabricNj += o.fabricNj;
         return *this;
     }
 
@@ -163,16 +142,6 @@ class EpochObserver
 
     /** Named counters merged into IngestService::report(). */
     virtual CounterMap counters() const { return {}; }
-};
-
-/** Drain-latency distribution over recent epochs (microseconds). */
-struct DrainLatency
-{
-    uint64_t samples = 0; ///< epochs timed (window-limited)
-    uint64_t p50 = 0;
-    uint64_t p95 = 0;
-    uint64_t p99 = 0;
-    uint64_t max = 0;
 };
 
 class IngestService
@@ -254,24 +223,26 @@ class IngestService
      */
     void stop();
 
+    /** What the service counts itself; engine work is engineStats(). */
     ServiceStats serviceStats() const;
-    /** Engine stats, read race-free against the drainer. */
+    /**
+     * Engine stats, read race-free against the drainer: the planner,
+     * program-cache and fabric counters of every driver of the
+     * engine, this service's epochs included.
+     */
     core::EngineStats engineStats() const;
     /**
      * Merged service.* + engine.* (+ observer) counters plus the
-     * drain-latency percentiles, renderCounters-ready.
+     * drain-latency percentiles service.drain_{p50,p95,p99,max}_us,
+     * renderCounters-ready.
      */
     CounterMap report() const;
 
     /**
-     * p50/p95/p99/max of the per-epoch drain latency (cut through
-     * observer hooks) over the service lifetime. Quantiles come from
-     * a log-bucketed histogram: exact below 4 us, within one bucket
-     * width (<= 25% relative) above.
+     * Per-epoch drain latency in us (cut through observer hooks) over
+     * the service lifetime. Quantiles are exact below 4 us and within
+     * one bucket width (<= 25% relative) above.
      */
-    DrainLatency drainLatency() const;
-
-    /** The underlying drain-latency histogram (for MetricsRegistry). */
     const obs::LogHistogram &drainHistogram() const { return drainHist_; }
 
   private:
@@ -288,9 +259,6 @@ class IngestService
                       ServiceStats &epoch_stats);
     /** Producer-side: force a drain now (full queue, flush). */
     void kick();
-
-    /** Record one epoch's drain time (thread-safe). */
-    void recordDrainLatency(uint64_t us);
 
     core::ShardedEngine &engine_;
     const IngestConfig cfg_;
@@ -312,11 +280,7 @@ class IngestService
     /** Coalescing window in ops: max(1, minDrainOps). */
     const size_t drainWindow_;
 
-    /**
-     * Per-epoch drain latency distribution in us: a log-bucketed
-     * concurrent histogram (obs::) instead of the old exact-sample
-     * ring — unbounded history, fixed footprint, lock-free record.
-     */
+    /** Per-epoch drain latency in us; lock-free record. */
     obs::LogHistogram drainHist_;
 
     /** Serializes epoch execution against snapshot reads. */

@@ -11,7 +11,8 @@ namespace virt {
 
 MorrisCounter::MorrisCounter(double a) : a_(a)
 {
-    C2M_ASSERT(a > 0.0, "Morris growth parameter must be > 0");
+    if (!(a > 0.0))
+        C2M_FATAL("Morris growth parameter must be > 0, got ", a);
 }
 
 void
@@ -42,8 +43,14 @@ MorrisCounter::sigma(double a, double n)
 CountMinSketch::CountMinSketch(const SketchConfig &cfg)
     : cfg_(cfg), rng_(cfg.seed)
 {
-    C2M_ASSERT(cfg.width >= 2, "sketch width must be >= 2");
-    C2M_ASSERT(cfg.depth >= 1, "sketch depth must be >= 1");
+    if (cfg.width < 2)
+        C2M_FATAL("SketchConfig::width must be >= 2, got ", cfg.width);
+    if (cfg.depth < 1)
+        C2M_FATAL("SketchConfig::depth must be >= 1, got ", cfg.depth);
+    if (cfg.cells == SketchCells::Morris && !(cfg.morrisA > 0.0))
+        C2M_FATAL("SketchConfig::morrisA must be > 0 for Morris cells, "
+                  "got ",
+                  cfg.morrisA);
     uint64_t sm = cfg.seed ^ 0xc0de57a7ULL;
     rowSeeds_.resize(cfg.depth);
     for (auto &s : rowSeeds_)

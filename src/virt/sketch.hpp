@@ -56,6 +56,7 @@ enum class SketchCells : uint8_t
 class MorrisCounter
 {
   public:
+    /** @throws std::invalid_argument unless @p a > 0. */
     explicit MorrisCounter(double a = 1.0 / 16.0);
 
     /** Add @p delta unit increments (each a Bernoulli trial). */
@@ -85,6 +86,10 @@ struct SketchConfig
 class CountMinSketch
 {
   public:
+    /**
+     * @throws std::invalid_argument on a width below 2, a depth of 0,
+     *         or Morris cells with morrisA <= 0.
+     */
     explicit CountMinSketch(const SketchConfig &cfg = {});
 
     const SketchConfig &config() const { return cfg_; }

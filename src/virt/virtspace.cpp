@@ -104,10 +104,23 @@ VirtualCounterSpace::physOf(uint32_t slot) const
     return fr.startGlobal + slot % cfg_.groupSize;
 }
 
+namespace {
+
+/** Throw unless @p value is a delta the tiers can count (> 0). */
+void
+checkDelta(uint64_t key, int64_t value)
+{
+    if (value <= 0)
+        C2M_FATAL("virtual counter deltas must be > 0, got ", value,
+                  " for key ", key);
+}
+
+} // namespace
+
 AddResult
 VirtualCounterSpace::add(uint64_t key, int64_t value)
 {
-    C2M_ASSERT(value > 0, "virtual counter deltas must be > 0");
+    checkDelta(key, value);
     std::unique_lock<std::mutex> lk(m_);
     const uint32_t slot = dir_.find(key);
     if (slot != KeyDirectory::kNotFound) {
@@ -155,6 +168,9 @@ VirtualCounterSpace::add(uint64_t key, int64_t value)
 void
 VirtualCounterSpace::addBatch(std::span<const VirtOp> ops)
 {
+    // Every op is checked before any applies.
+    for (const auto &op : ops)
+        checkDelta(op.key, op.value);
     for (const auto &op : ops)
         add(op.key, op.value);
 }

@@ -151,14 +151,16 @@ class VirtualCounterSpace final : public service::EpochObserver
     /**
      * Direct mode: single-driver over a quiescent engine.
      * @throws std::invalid_argument (both modes) on a groupSize
-     *         outside 1..65536 or wider than every shard.
+     *         outside 1..65536 or wider than every shard, or a bad
+     *         sketch (CountMinSketch), before anything is attached.
      */
     explicit VirtualCounterSpace(core::ShardedEngine &engine,
                                  const VirtConfig &cfg = {});
     /**
      * Service mode: thread-safe adds through @p svc. Installs itself
      * as the service's epoch observer (call before any traffic); the
-     * service must outlive the space.
+     * service must outlive the space. A config the direct-mode
+     * constructor rejects throws here before the space attaches.
      */
     explicit VirtualCounterSpace(service::IngestService &svc,
                                  const VirtConfig &cfg = {});
@@ -187,8 +189,17 @@ class VirtualCounterSpace final : public service::EpochObserver
      */
     void attachScrubber(reliability::Scrubber *scrub);
 
-    /** Absorb one delta (value > 0) for @p key. */
+    /**
+     * Absorb one delta (value > 0) for @p key.
+     * @throws std::invalid_argument on value <= 0, on the caller's
+     *         thread and before anything changes.
+     */
     AddResult add(uint64_t key, int64_t value);
+    /**
+     * add() each op in order.
+     * @throws std::invalid_argument if any op's value is <= 0; no op
+     *         of the span is applied then.
+     */
     void addBatch(std::span<const VirtOp> ops);
 
     /**

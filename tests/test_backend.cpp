@@ -509,8 +509,11 @@ TEST(RcaBaseline, PlanStepsHitTheProgramCache)
     const core::MaskedStep steps[] = {{0, 3, h, &plane},
                                       {2, 1, h, &plane}};
     const unsigned headroom[] = {3, 0, 1};
-    for (int round = 0; round < 3; ++round)
-        eng.accumulatePlan(steps, headroom, 0, 1);
+    for (int round = 0; round < 3; ++round) {
+        eng.drain(0);
+        eng.planPrepare(steps, headroom, 0, 0);
+        eng.executePlan(steps, 0, 0, 1);
+    }
     EXPECT_EQ(eng.stats().programCacheMisses, 2u);
     EXPECT_EQ(eng.stats().programCacheHits, 4u);
     const auto mask = altMask(cfg.numCounters, 1);

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "core/costmodel.hpp"
 #include "core/sharded.hpp"
@@ -306,21 +308,25 @@ TEST(CostAttribution, ServiceAttributesEngineFabricExactlyOnce)
     const auto cfg = baseConfig();
     ShardedEngine eng(cfg, 2);
     // Construction (counter clearing, reserved mask rows) is engine
-    // cost the service never drove; attribution starts here.
+    // cost the service never drove; its epochs add to it.
     const auto base = eng.stats().fabric;
     service::IngestService svc(eng);
     const auto ops = randomOps(50, cfg.numCounters, 17);
     svc.submit(std::span<const BatchOp>(ops));
     svc.flushAndWait();
     svc.stop();
-    // The service was the engine's only driver after construction,
-    // so the per-epoch deltas it sampled must sum to exactly the
-    // engine-total delta — no double count across the shard merge
-    // and the service report.
-    EXPECT_DOUBLE_EQ(svc.serviceStats().fabricNs,
-                     svc.engineStats().fabric.fabricNs -
-                         base.fabricNs);
-    EXPECT_DOUBLE_EQ(svc.serviceStats().fabricNj,
-                     svc.engineStats().fabric.fabricNj -
-                         base.fabricNj);
+    // The report carries fabric time once, as the engine's merged
+    // total; the service keeps no copy of its epochs' slice.
+    const auto fab = svc.engineStats().fabric;
+    EXPECT_GT(fab.fabricNs, base.fabricNs);
+    const auto report = svc.report();
+    EXPECT_EQ(report.at("engine.fabric.ns"),
+              static_cast<uint64_t>(std::llround(fab.fabricNs)));
+    EXPECT_EQ(report.at("engine.fabric.nj"),
+              static_cast<uint64_t>(std::llround(fab.fabricNj)));
+    size_t fabric_ns_keys = 0;
+    for (const auto &kv : report)
+        fabric_ns_keys += kv.first.ends_with("fabric.ns") ||
+                          kv.first.ends_with("fabric_ns");
+    EXPECT_EQ(fabric_ns_keys, 1u);
 }

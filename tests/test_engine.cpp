@@ -987,7 +987,9 @@ class DoubleStep : public ::testing::TestWithParam<EntryCase>
             {0, 2, h, &all, true, decrement}};
         const unsigned headroom[] = {3};
         const core::EngineStats before = eng_.stats();
-        eng_.accumulatePlan(steps, headroom, 0, 2);
+        eng_.drain(0);
+        eng_.planPrepare(steps, headroom, 0, 0);
+        eng_.executePlan(steps, 0, 0, 2);
         return eng_.stats().since(before);
     }
 

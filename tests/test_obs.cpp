@@ -4,8 +4,8 @@
  * (empty, single sample, top-octave saturation, concurrent writers,
  * percentile agreement with exact order statistics), trace recorder
  * ring semantics, Chrome-trace export sanitization and clock-domain
- * tracks, pluggable log sink capture + warning rate limiting, metrics
- * registry snapshot diffing / exporters, and counter-render
+ * tracks, pluggable log sink capture + warning rate limiting, the
+ * ingest service's drain-latency histogram, and counter-render
  * determinism. Suites are named Obs* so the TSan CI job picks them up.
  */
 
@@ -29,7 +29,6 @@ using namespace c2m;
 using core::EngineConfig;
 using obs::EventKind;
 using obs::LogHistogram;
-using obs::MetricsRegistry;
 using obs::TraceConfig;
 using obs::TraceEvent;
 using obs::TraceRecorder;
@@ -477,106 +476,7 @@ TEST(ObsLogSink, WarningsBecomeTraceInstants)
 }
 
 // ---------------------------------------------------------------------
-// MetricsRegistry
-
-TEST(ObsMetricsRegistry, SnapshotDiffsCountersAcrossPulls)
-{
-    MetricsRegistry reg;
-    uint64_t epochs = 5;
-    reg.addCounterSource("", [&] {
-        return CounterMap{{"service.epochs", epochs},
-                          {"service.flushed_ops", epochs * 100}};
-    });
-    auto s0 = reg.snapshot();
-    EXPECT_EQ(s0.seq, 0u);
-    EXPECT_EQ(s0.total.at("service.epochs"), 5u);
-    EXPECT_EQ(s0.delta.at("service.epochs"), 5u);
-
-    epochs = 12;
-    auto s1 = reg.snapshot();
-    EXPECT_EQ(s1.seq, 1u);
-    EXPECT_EQ(s1.total.at("service.epochs"), 12u);
-    EXPECT_EQ(s1.delta.at("service.epochs"), 7u);
-    EXPECT_EQ(s1.delta.at("service.flushed_ops"), 700u);
-    EXPECT_EQ(reg.snapshotCount(), 2u);
-}
-
-TEST(ObsMetricsRegistry, NamedSourcesArePrefixed)
-{
-    MetricsRegistry reg;
-    reg.addCounterSource("svcA",
-                         [] { return CounterMap{{"epochs", 3}}; });
-    reg.addCounterSource("svcB",
-                         [] { return CounterMap{{"epochs", 4}}; });
-    auto s = reg.snapshot();
-    EXPECT_EQ(s.total.at("svcA.epochs"), 3u);
-    EXPECT_EQ(s.total.at("svcB.epochs"), 4u);
-}
-
-TEST(ObsMetricsRegistry, JsonLineIsParseableShape)
-{
-    MetricsRegistry reg;
-    reg.addCounterSource(
-        "", [] { return CounterMap{{"x.count", 9}}; });
-    reg.histogram("drain_us").record(50);
-    reg.histogram("drain_us").record(5000);
-    const auto line = reg.renderJsonLine(reg.snapshot());
-
-    EXPECT_EQ(line.back(), '\n');
-    EXPECT_EQ(countOccurrences(line, "\n"), 1u); // single line
-    EXPECT_NE(line.find("\"seq\":0"), std::string::npos);
-    EXPECT_NE(line.find("\"x.count\":9"), std::string::npos);
-    EXPECT_NE(line.find("\"drain_us\""), std::string::npos);
-    EXPECT_NE(line.find("\"count\":2"), std::string::npos);
-    EXPECT_NE(line.find("\"max\":5000"), std::string::npos);
-}
-
-TEST(ObsMetricsRegistry, PrometheusExportShape)
-{
-    MetricsRegistry reg;
-    reg.addCounterSource(
-        "", [] { return CounterMap{{"service.drain p99", 7}}; });
-    auto &h = reg.histogram("drain-us");
-    h.record(10);
-    h.record(20);
-    const auto text = reg.renderPrometheus(reg.snapshot());
-
-    // Names sanitized to [a-zA-Z0-9_:]; counters carry the
-    // OpenMetrics _total suffix.
-    EXPECT_NE(text.find("# TYPE service_drain_p99_total counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("service_drain_p99_total 7"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE drain_us histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("drain_us_bucket{le=\"+Inf\"} 2"),
-              std::string::npos);
-    EXPECT_NE(text.find("drain_us_sum 30"), std::string::npos);
-    EXPECT_NE(text.find("drain_us_count 2"), std::string::npos);
-    // Quantile estimates ride along as a labeled gauge family.
-    EXPECT_NE(text.find("# TYPE drain_us_quantile gauge"),
-              std::string::npos);
-    EXPECT_NE(text.find("drain_us_quantile{quantile=\"0.99\"} "),
-              std::string::npos);
-    // Each family appears under exactly one # TYPE header.
-    EXPECT_EQ(countOccurrences(text, "# TYPE drain_us "), 1u);
-}
-
-TEST(ObsMetricsRegistry, PrometheusCollidingNamesAggregate)
-{
-    // Distinct dotted names that sanitize to one metric name must not
-    // produce duplicate # TYPE headers (promtool rejects that).
-    MetricsRegistry reg;
-    reg.addCounterSource("", [] {
-        return CounterMap{{"svc.drain.ns", 3}, {"svc.drain_ns", 4}};
-    });
-    const auto text = reg.renderPrometheus(reg.snapshot());
-    EXPECT_EQ(countOccurrences(text, "# TYPE svc_drain_ns_total"), 1u);
-    EXPECT_NE(text.find("svc_drain_ns_total 7"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Drain-latency histogram inside the service (replacement parity)
+// Drain-latency histogram inside the service: report() reads it
 
 TEST(ObsServiceDrainHistogram, ExposesHistogramMatchingDrainLatency)
 {
@@ -589,14 +489,16 @@ TEST(ObsServiceDrainHistogram, ExposesHistogramMatchingDrainLatency)
         svc.flushAndWait();
     }
     svc.stop();
-    const auto lat = svc.drainLatency();
     const auto &h = svc.drainHistogram();
-    EXPECT_EQ(lat.samples, h.count());
-    EXPECT_EQ(lat.max, h.max());
-    EXPECT_EQ(lat.p50, h.percentile(0.50));
-    EXPECT_LE(lat.p50, lat.p95);
-    EXPECT_LE(lat.p95, lat.p99);
-    EXPECT_LE(lat.p99, lat.max);
+    const auto report = svc.report();
+    EXPECT_EQ(h.count(), svc.serviceStats().epochs);
+    EXPECT_EQ(report.at("service.drain_max_us"), h.max());
+    EXPECT_EQ(report.at("service.drain_p50_us"), h.percentile(0.50));
+    EXPECT_EQ(report.at("service.drain_p95_us"), h.percentile(0.95));
+    EXPECT_EQ(report.at("service.drain_p99_us"), h.percentile(0.99));
+    EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
+    EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
+    EXPECT_LE(h.percentile(0.99), h.max());
 }
 
 // ---------------------------------------------------------------------

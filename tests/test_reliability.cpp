@@ -482,6 +482,53 @@ TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
               (ops.size() / chunk) * eng.numShards() + 4);
 }
 
+TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
+{
+    // Unsigned Zipf epochs between interval-spaced sweeps: the drain
+    // planner reads due Onext rows into its planes (absorbed carries)
+    // on a fabric with live CIM faults, and a full sweep still
+    // restores the fault-free values.
+    for (const Protection prot : {Protection::Ecc, Protection::Tmr}) {
+        SCOPED_TRACE(prot == Protection::Ecc ? "ecc" : "tmr");
+        auto cfg = faultyConfig(128, 1e-3, 53);
+        cfg.protection = prot;
+        ZipfRng keys(cfg.numCounters, 1.0, 59);
+        Rng vals(61);
+        std::vector<BatchOp> ops;
+        for (size_t i = 0; i < 4096; ++i)
+            ops.push_back({keys.next(),
+                           1 + static_cast<int64_t>(vals.nextBounded(7)),
+                           0});
+        const auto ref = faultFreeReference(cfg, ops);
+
+        ShardedEngine eng(cfg, 4);
+        ScrubConfig scfg;
+        scfg.interval = 4;
+        Scrubber scrub(eng, scfg);
+        const size_t chunk = 256;
+        uint64_t quiet_windows = 0, quiet_absorbing = 0;
+        for (size_t lo = 0; lo < ops.size(); lo += chunk) {
+            const auto part = std::span<const BatchOp>(ops).subspan(
+                lo, std::min(chunk, ops.size() - lo));
+            const uint64_t sweeps = scrub.stats().sweeps;
+            const EngineStats before = eng.stats();
+            eng.accumulateBatch(part);
+            scrub.noteBatch(part);
+            scrub.boundary();
+            if (scrub.stats().sweeps != sweeps)
+                continue;
+            ++quiet_windows;
+            quiet_absorbing +=
+                eng.stats().since(before).absorbPeeks > 0;
+        }
+        EXPECT_GT(quiet_windows, 0u);
+        EXPECT_GT(quiet_absorbing, 0u);
+        EXPECT_GT(eng.stats().fabric.faultsInjected, 0u);
+        scrub.scrubAll();
+        EXPECT_EQ(eng.readAllCounters(0), ref);
+    }
+}
+
 TEST(ScrubberStandalone, MirrorStoreDecayIsSelfHealed)
 {
     const auto cfg = faultyConfig(72, 1e-3, 41);

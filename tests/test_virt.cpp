@@ -7,7 +7,8 @@
  * spill/restore under frame pressure, promotion invariants, service
  * mode vs direct mode, concurrent producers, and scrubbed
  * virtualized ingest under CIM fault injection ending bit-identical
- * for every exact-tier key.
+ * for every exact-tier key, and bad deltas or sketch configs throwing
+ * before anything changes.
  */
 
 #include <gtest/gtest.h>
@@ -341,6 +342,122 @@ TEST(VirtConfigErrors, GroupWiderThanEveryShardThrows)
     vcfg.groupSize = 64;
     EXPECT_THROW(VirtualCounterSpace(engine, vcfg),
                  std::invalid_argument);
+}
+
+TEST(VirtInputErrors, NonPositiveDeltaThrowsAndChangesNothing)
+{
+    ShardedEngine engine(smallConfig(64), 2);
+    VirtConfig vcfg;
+    vcfg.groupSize = 8;
+    vcfg.promoteThreshold = 2;
+    VirtualCounterSpace space(engine, vcfg);
+    space.add(hashKey(1), 5); // promoted: an exact key
+    space.add(hashKey(2), 1); // stays in the sketch
+    space.flush();
+    const auto before = space.stats();
+    for (const int64_t bad : {int64_t{0}, int64_t{-3}, INT64_MIN})
+        for (const uint64_t key : {hashKey(1), hashKey(2), hashKey(3)})
+            EXPECT_THROW(space.add(key, bad), std::invalid_argument)
+                << bad << " for key " << key;
+    space.flush();
+    const auto after = space.stats();
+    EXPECT_EQ(after.sketchUpdates, before.sketchUpdates);
+    EXPECT_EQ(after.promotions, before.promotions);
+    EXPECT_EQ(after.keysExact, before.keysExact);
+    EXPECT_EQ(space.read(hashKey(1)), 5);
+    EXPECT_EQ(space.approxEstimate(hashKey(2)), 1u);
+    EXPECT_EQ(space.approxEstimate(hashKey(3)), 0u);
+}
+
+TEST(VirtInputErrors, BatchWithABadOpAppliesNone)
+{
+    ShardedEngine engine(smallConfig(64), 2);
+    VirtConfig vcfg;
+    vcfg.groupSize = 8;
+    vcfg.promoteThreshold = 2;
+    VirtualCounterSpace space(engine, vcfg);
+    // The bad op comes last, after ops that would promote a key.
+    const std::vector<VirtOp> ops = {
+        {hashKey(1), 3}, {hashKey(2), 1}, {hashKey(1), 4},
+        {hashKey(3), -1}};
+    EXPECT_THROW(space.addBatch(ops), std::invalid_argument);
+    space.flush();
+    EXPECT_EQ(space.stats().sketchUpdates, 0u);
+    EXPECT_EQ(space.stats().promotions, 0u);
+    EXPECT_FALSE(space.isExact(hashKey(1)));
+    EXPECT_EQ(space.approxEstimate(hashKey(1)), 0u);
+
+    // The same ops without the bad one apply as usual.
+    space.addBatch(std::span<const VirtOp>(ops).first(3));
+    space.flush();
+    EXPECT_TRUE(space.isExact(hashKey(1)));
+    EXPECT_EQ(space.read(hashKey(1)), 7);
+}
+
+TEST(VirtInputErrors, BadSketchConfigThrows)
+{
+    ShardedEngine engine(smallConfig(64), 2);
+    const auto bad = [](auto edit) {
+        VirtConfig vcfg;
+        vcfg.groupSize = 8;
+        edit(vcfg.sketch);
+        return vcfg;
+    };
+    const std::vector<VirtConfig> configs = {
+        bad([](SketchConfig &s) { s.width = 1; }),
+        bad([](SketchConfig &s) { s.width = 0; }),
+        bad([](SketchConfig &s) { s.depth = 0; }),
+        bad([](SketchConfig &s) {
+            s.cells = SketchCells::Morris;
+            s.morrisA = 0.0;
+        }),
+        bad([](SketchConfig &s) {
+            s.cells = SketchCells::Morris;
+            s.morrisA = -0.5;
+        }),
+        bad([](SketchConfig &s) {
+            s.cells = SketchCells::Morris;
+            s.morrisA = std::nan("");
+        }),
+    };
+    for (size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_THROW(VirtualCounterSpace(engine, configs[i]),
+                     std::invalid_argument)
+            << "config " << i;
+        EXPECT_THROW(CountMinSketch(configs[i].sketch),
+                     std::invalid_argument)
+            << "config " << i;
+    }
+    EXPECT_THROW(MorrisCounter(0.0), std::invalid_argument);
+    EXPECT_THROW(MorrisCounter(-1.0), std::invalid_argument);
+    // Exact cells never use morrisA.
+    SketchConfig exact;
+    exact.morrisA = 0.0;
+    EXPECT_NO_THROW(CountMinSketch{exact});
+}
+
+TEST(VirtInputErrors, ServiceModeThrowsBeforeAttaching)
+{
+    ShardedEngine engine(smallConfig(64), 2);
+    service::IngestService svc(engine);
+    VirtConfig bad;
+    bad.groupSize = 8;
+    bad.sketch.depth = 0;
+    EXPECT_THROW(VirtualCounterSpace(svc, bad), std::invalid_argument);
+    // No observer was left behind: the service reports none, and a
+    // valid space can still attach and count.
+    EXPECT_EQ(svc.report().count("virt.promotions"), 0u);
+    VirtConfig vcfg;
+    vcfg.groupSize = 8;
+    vcfg.promoteThreshold = 2;
+    VirtualCounterSpace space(svc, vcfg);
+    space.add(hashKey(1), 5);
+    EXPECT_THROW(space.add(hashKey(1), 0), std::invalid_argument);
+    space.add(hashKey(1), 2);
+    space.flush();
+    EXPECT_EQ(space.read(hashKey(1)), 7);
+    EXPECT_EQ(svc.report().at("virt.promotions"), 1u);
+    svc.stop();
 }
 
 TEST(VirtSpill, NonScrubBackendStaysJournaledButExact)
