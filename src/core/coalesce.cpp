@@ -1,10 +1,10 @@
-#include "service/coalesce.hpp"
+#include "core/coalesce.hpp"
 
 #include <algorithm>
 #include <cstring>
 
 namespace c2m {
-namespace service {
+namespace core {
 
 namespace {
 
@@ -24,8 +24,8 @@ mixKey(uint64_t counter, uint32_t group)
 } // namespace
 
 void
-coalesceOps(std::span<const core::BatchOp> ops,
-            CoalesceScratch &sc, CoalesceResult &out)
+coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &sc,
+            CoalesceResult &out)
 {
     out.ops.clear();
     out.merged = 0;
@@ -67,7 +67,11 @@ coalesceOps(std::span<const core::BatchOp> ops,
             }
             if (sc.counters[i] == op.counter &&
                 sc.groups[i] == op.group) {
-                out.ops[sc.slots[i]].value += op.value;
+                // Wrapping sum: the drain planner reads it as the
+                // two's-complement delta whatever the summands.
+                int64_t &sum = out.ops[sc.slots[i]].value;
+                sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                                           static_cast<uint64_t>(op.value));
                 ++out.merged;
                 break;
             }
@@ -86,5 +90,5 @@ coalesceOps(std::span<const core::BatchOp> ops,
     out.ops.resize(kept);
 }
 
-} // namespace service
+} // namespace core
 } // namespace c2m

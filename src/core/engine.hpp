@@ -54,10 +54,10 @@ namespace core {
  * whose bit in mask row @p maskHandle is set. The mask is borrowed,
  * not owned — planners keep a reusable pool of plane masks and hand
  * out pointers for the duration of one plan (planPrepare, then
- * executePlan). Each step carries its own mask handle so planes can
- * live in persistent per-plane rows: plane (digit, k) of either rail
- * always lands in the same row index, keeping its cached increment
- * and decrement programs' keys stable across epochs. A counter may
+ * executePlan). executePlan writes each step's mask into the row of
+ * its maskHandle right before the step's program, so every plane of
+ * a plan may share one row: the program cache keys on (op, group,
+ * digit, k, row), which stays stable across epochs. A counter may
  * sit in several steps of one digit (binary-weighted planes: a digit
  * of 3 rides k = 1 and k = 2), as long as their k's add up to at most
  * R-1. The deltas the steps encode may carry pending carries the

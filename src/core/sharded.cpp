@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -103,29 +104,13 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
       starts_(splitRanges(cfg.numCounters, num_shards)),
       pool_(num_threads ? num_threads : num_shards)
 {
-    // Persistent plane-row pool: one spare mask row per (digit, k)
-    // plane so plan programs keep stable (op, digit, k, mask row)
-    // cache keys across epochs; deep-capacity overflow planes share
-    // kPlaneShared.
     if (cfg.drainPlanner) {
         const unsigned digits =
             jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) +
             1;
         railPlanes_ = digits * (cfg.radix - 1);
-        planePool_ = std::min<unsigned>(railPlanes_, kMaxPlaneRows);
         planStepNs_ = planStepNs(cfg);
     }
-    reservedMasks_ = kPlaneBase + planePool_;
-    // The reserved handles are ADDITIVE on top of the public budget
-    // (each shard is configured with cfg.maxMaskRows + reservedMasks_
-    // rows below): a workload config with maxMaskRows as low as 1
-    // (dna, sparsity) still gets its full public row count, and the
-    // planner keeps its point/plane rows regardless of how small the
-    // public budget is. Guard the plane pool so a refactor of the
-    // reservation scheme cannot silently starve the plan path.
-    C2M_ASSERT(!cfg.drainPlanner || planePool_ > 0,
-               "drain planner reserved no plane rows");
-
     const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
                      cfg.backend == BackendKind::NvmMagic;
 
@@ -136,12 +121,13 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
         EngineConfig scfg = cfg;
         scfg.numCounters = shardWidth(s);
         scfg.seed = splitMix64(seed_state);
-        // Handles [0, reservedMasks_) are internal: the routed point
-        // mask, the shared overflow plane row, and the persistent
-        // per-plane pool.
-        scfg.maxMaskRows = cfg.maxMaskRows + reservedMasks_;
+        // Handles [0, kReservedMasks) are internal — the routed
+        // point mask and the plane row — and ADDITIVE on top of the
+        // public budget: a workload config with maxMaskRows as low
+        // as 1 (dna, sparsity) still gets its full public row count.
+        scfg.maxMaskRows = cfg.maxMaskRows + kReservedMasks;
         shards_.push_back(std::make_unique<C2MEngine>(scfg));
-        for (unsigned h = 0; h < reservedMasks_; ++h)
+        for (unsigned h = 0; h < kReservedMasks; ++h)
             shards_.back()->addMask(
                 std::vector<uint8_t>(shardWidth(s), 0));
         scratch_[s].pointMask = BitVector(shardWidth(s));
@@ -197,34 +183,14 @@ ShardedEngine::setMask(unsigned handle,
         for (size_t c = 0; c < slice.size() && lo + c < mask.size();
              ++c)
             slice[c] = mask[lo + c];
-        // Shard handles 0..reservedMasks_-1 are internal (point and
+        // Shard handles 0..kReservedMasks-1 are internal (point and
         // plane masks), so logical handle h lives at shard handle
-        // h + reservedMasks_.
-        if (handle + reservedMasks_ < eng.numMasks())
-            eng.setMask(handle + reservedMasks_, slice);
+        // h + kReservedMasks.
+        if (handle + kReservedMasks < eng.numMasks())
+            eng.setMask(handle + kReservedMasks, slice);
         else
             eng.addMask(slice);
     });
-}
-
-void
-ShardedEngine::runShardOps(unsigned s, std::span<const BatchOp> ops)
-{
-    C2M_ASSERT(s < numShards(), "shard index out of range: ", s);
-    // Whole-bucket stealing keeps shards single-writer; two threads
-    // inside one shard means a scheduler bug above this layer.
-    C2M_ASSERT(!shardBusy_[s].exchange(true,
-                                       std::memory_order_acquire),
-               "concurrent writers on shard ", s);
-    // One-bucket degenerate case of the epoch pipeline: the merged
-    // stage-3 decision over a single shard reduces exactly to the
-    // classic per-shard plan-vs-fallback comparison, so this path is
-    // bit- and stats-identical to planning the bucket in isolation.
-    prepareShardParts(s, ops);
-    const unsigned self[1] = {s};
-    planParts(self);
-    execShardParts(s);
-    shardBusy_[s].store(false, std::memory_order_release);
 }
 
 void
@@ -310,21 +276,11 @@ void
 ShardedEngine::analyzePart(unsigned s, PlanPart &part)
 {
     auto &sc = scratch_[s];
-    // Sum each counter's delta (first-occurrence order) in wrapping
-    // unsigned arithmetic; the sign of the sum picks its rail.
-    sc.index.clear();
-    sc.sums.clear();
+    // Sum each counter's delta through the shard's write-combining
+    // table (wrapping, zero sums elided: they join no plane); the
+    // sign of the sum picks its rail.
+    coalesceOps(part.ops, sc.table, sc.sums);
     const size_t lo = starts_[s];
-    for (const auto &op : part.ops) {
-        const size_t col = static_cast<size_t>(op.counter) - lo;
-        const auto delta = static_cast<uint64_t>(op.value);
-        const auto [it, inserted] =
-            sc.index.try_emplace(col, sc.sums.size());
-        if (inserted)
-            sc.sums.emplace_back(col, delta);
-        else
-            sc.sums[it->second].second += delta;
-    }
 
     // Build the digit planes: counter col joins plane (rail, d, k)
     // iff the magnitude of its summed delta has digit k at position
@@ -345,8 +301,10 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
     }
     bool over_capacity = false;
     bool negative_sum = false;
-    for (const auto &[col, sum] : sc.sums) {
-        const bool negative = static_cast<int64_t>(sum) < 0;
+    for (const BatchOp &op : sc.sums.ops) {
+        const size_t col = static_cast<size_t>(op.counter) - lo;
+        const auto sum = static_cast<uint64_t>(op.value);
+        const bool negative = op.value < 0;
         negative_sum = negative_sum || negative;
         uint64_t v = negative ? 0 - sum : sum;
         const size_t rail = negative ? railPlanes_ : 0;
@@ -450,6 +408,7 @@ ShardedEngine::absorbCarries(unsigned s, PlanPart &part)
     C2MEngine &eng = *shards_[s];
     const unsigned R = cfg_.radix;
     const unsigned D = eng.backend().numDigits();
+    const size_t lo = starts_[s];
     const std::vector<unsigned> &bound = eng.iarmBounds(part.group);
     const auto plane = [R](unsigned pos, unsigned k) {
         return static_cast<size_t>(pos) * (R - 1) + (k - 1);
@@ -473,63 +432,65 @@ ShardedEngine::absorbCarries(unsigned s, PlanPart &part)
             continue; // IARM would not ripple d before this plan
         const BitVector &row = eng.absorbPeek(part.group, d);
         part.absorbed |= uint64_t{1} << d;
-        for (size_t w = 0; fits && w < row.numWords(); ++w) {
-            const uint64_t carry = row.word(w);
-            if (carry == 0)
-                continue;
-            if (d + 2 == D) {
-                fits = false; // a carry into the guard digit
-                break;
-            }
-            if (!marked) {
-                for (const auto &[col, sum] : sc.sums)
-                    sc.cols.set(col, true);
-                marked = true;
-            }
-            part.carried |= uint64_t{1} << d;
-            top = std::max(top, d + 1);
-            // A column the epoch did not touch gets exactly R^(d+1):
-            // digit 1 at d + 1 (each digit it absorbs sets another).
-            if (const uint64_t fresh = carry & ~sc.cols.word(w)) {
-                const size_t idx = plane(d + 1, 1);
-                openPlane(s, part, idx).word(w) |= fresh;
-                part.planeCount[idx] +=
+        uint64_t any = 0;
+        for (size_t w = 0; any == 0 && w < row.numWords(); ++w)
+            any = row.word(w);
+        if (any == 0)
+            continue;
+        if (d + 2 == D) {
+            fits = false; // a carry into the guard digit
+            break;
+        }
+        if (!marked) {
+            for (const BatchOp &op : sc.sums.ops)
+                sc.cols.set(static_cast<size_t>(op.counter) - lo, true);
+            marked = true;
+        }
+        part.carried |= uint64_t{1} << d;
+        top = std::max(top, d + 1);
+        // A column the epoch did not touch gets exactly R^(d+1):
+        // digit 1 at d + 1 (each digit it absorbs sets another).
+        const size_t first = plane(d + 1, 1);
+        for (size_t w = 0; w < row.numWords(); ++w)
+            if (const uint64_t fresh = row.word(w) & ~sc.cols.word(w)) {
+                openPlane(s, part, first).word(w) |= fresh;
+                part.planeCount[first] +=
                     static_cast<uint32_t>(std::popcount(fresh));
             }
-            // A summed column moves between the planes of every digit
-            // the carry changes.
-            for (uint64_t m = carry & sc.cols.word(w); m != 0;
-                 m &= m - 1) {
-                const size_t col =
-                    w * 64 + static_cast<size_t>(std::countr_zero(m));
-                uint64_t &sum = sc.sums[sc.index.find(col)->second].second;
-                uint64_t o = sum / weight;
-                uint64_t n = o + 1;
-                for (unsigned pos = d + 1; o != n;
-                     ++pos, o /= R, n /= R) {
-                    const auto ko = static_cast<unsigned>(o % R);
-                    const auto kn = static_cast<unsigned>(n % R);
-                    if (ko != 0) {
-                        part.planes[plane(pos, ko)].set(col, false);
-                        emptied |= --part.planeCount[plane(pos, ko)] == 0;
-                    }
-                    if (kn != 0) {
-                        if (pos + 1 >= D) {
-                            fits = false;
-                            break;
-                        }
-                        openPlane(s, part, plane(pos, kn)).set(col, true);
-                        ++part.planeCount[plane(pos, kn)];
-                        top = std::max(top, pos);
-                    }
+        // A summed column moves between the planes of every digit
+        // the carry changes.
+        for (BatchOp &op : sc.sums.ops) {
+            const size_t col = static_cast<size_t>(op.counter) - lo;
+            if (!row.get(col))
+                continue;
+            const auto sum = static_cast<uint64_t>(op.value);
+            uint64_t o = sum / weight;
+            uint64_t n = o + 1;
+            for (unsigned pos = d + 1; o != n; ++pos, o /= R, n /= R) {
+                const auto ko = static_cast<unsigned>(o % R);
+                const auto kn = static_cast<unsigned>(n % R);
+                if (ko != 0) {
+                    part.planes[plane(pos, ko)].set(col, false);
+                    emptied |= --part.planeCount[plane(pos, ko)] == 0;
                 }
-                sum += weight;
+                if (kn != 0) {
+                    if (pos + 1 >= D) {
+                        fits = false;
+                        break;
+                    }
+                    openPlane(s, part, plane(pos, kn)).set(col, true);
+                    ++part.planeCount[plane(pos, kn)];
+                    top = std::max(top, pos);
+                }
             }
+            if (!fits)
+                break;
+            op.value = static_cast<int64_t>(sum + weight);
         }
     }
     if (marked)
-        for (const auto &[col, sum] : sc.sums)
-            sc.cols.set(col, false);
+        for (const BatchOp &op : sc.sums.ops)
+            sc.cols.set(static_cast<size_t>(op.counter) - lo, false);
     if (emptied) {
         // A plane emptied and reopened is listed twice.
         std::sort(part.touched.begin(), part.touched.end());
@@ -701,18 +662,19 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                 static_cast<uint64_t>(std::llround(fallback_ns)));
         // Slice the merged plan back: deterministic plane order per
         // shard (increment rail, then decrement rail, each in
-        // ascending digit, k); plane (digit, k) of either rail lands
-        // in its persistent mask row so its cached program keys are
-        // stable across epochs. IARM preparation uses each shard's
-        // OWN headroom profile and absorbed digits, so scheduler
-        // state is bit-identical to independent per-shard plans.
+        // ascending digit, k); every plane is written into the
+        // shard's one plane row, whose (op, digit, k, row) program
+        // keys stay stable across epochs. IARM preparation uses each
+        // shard's OWN headroom profile and absorbed digits, so
+        // scheduler state is bit-identical to independent per-shard
+        // plans.
         for (auto &[s, p] : cand) {
             std::sort(p->touched.begin(), p->touched.end());
             for (const uint32_t idx : p->touched) {
                 const unsigned plane = idx % railPlanes_;
                 p->steps.push_back({plane / (R - 1),
                                     plane % (R - 1) + 1,
-                                    planeHandle(plane),
+                                    kPlaneMask,
                                     &p->planes[idx],
                                     plane_lead[idx] == s,
                                     idx >= railPlanes_});
@@ -853,7 +815,7 @@ ShardedEngine::accumulate(uint64_t value, unsigned mask_handle,
     // Checked here, on the caller's thread, before any shard runs.
     checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     forEachShard([&](C2MEngine &eng, unsigned) {
-        eng.accumulate(value, mask_handle + reservedMasks_, group);
+        eng.accumulate(value, mask_handle + kReservedMasks, group);
     });
 }
 
@@ -863,7 +825,7 @@ ShardedEngine::accumulateSigned(int64_t value, unsigned mask_handle,
 {
     checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
     forEachShard([&](C2MEngine &eng, unsigned) {
-        eng.accumulateSigned(value, mask_handle + reservedMasks_,
+        eng.accumulateSigned(value, mask_handle + kReservedMasks,
                              group);
     });
 }

@@ -43,8 +43,10 @@
  * column-parallel fabric programs per group at radix <= 16 (where a
  * slot with more planes than its basis always folds; 2*D*(R-1) at
  * any radix; Fig. 15) instead of N whole-row program sequences.
- * Plane (d, k) of both rails lives in one persistent reserved mask
- * row, so cached programs keep stable keys and replay across epochs.
+ * Every plane is written into the shard's one reserved plane row
+ * before its program runs; the program cache keys on (op, group,
+ * digit, k, row), so each plane's cached program replays across
+ * epochs.
  * A negative sum puts its group in signed mode (Sec. 4.4), whose
  * plans resolve each rail's carries/borrows in place. Sums whose
  * magnitude reaches the guard digit and buckets whose modeled fabric
@@ -52,14 +54,15 @@
  * beat per-op replay fall back to the serial path; either path
  * yields bit-identical counter values.
  *
- * Hierarchical (global-then-sliced) planning — runEpoch(): draining
- * one bucket per shard through runShardOps replicates every plane
- * program N times, which makes plan fabric time exactly linear in
- * shard count. runEpoch instead runs the classic radix-count stage
- * split over ALL buckets of an epoch:
+ * Hierarchical (global-then-sliced) planning — runEpoch(), the one
+ * entry point of the drain path: planning each shard's bucket on its
+ * own would replicate every plane program N times, which makes plan
+ * fabric time exactly linear in shard count. runEpoch instead runs
+ * the classic radix-count stage split over ALL buckets of an epoch:
  *
  *   1. combine — per shard (parallel, host-only): partition the
- *      bucket by group and sum each counter's delta;
+ *      bucket by group and sum each counter's delta through the
+ *      shard's write-combining table (core/coalesce.hpp);
  *   2. count — per shard (same pass): split the sums by sign,
  *      decompose them into one per-(rail, digit, k) plane histogram
  *      and fold its dense digits into binary-weighted planes. An
@@ -107,24 +110,16 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/stats.hpp"
+#include "core/coalesce.hpp"
 #include "core/engine.hpp"
 #include "core/threadpool.hpp"
 
 namespace c2m {
 namespace core {
-
-/** One histogram-style update, routed to the shard owning @p counter. */
-struct BatchOp
-{
-    uint64_t counter;   ///< logical counter index in [0, numCounters)
-    int64_t value;      ///< negative values take the signed path
-    uint32_t group = 0; ///< counter group, as in C2MEngine
-};
 
 class ShardedEngine
 {
@@ -210,28 +205,21 @@ class ShardedEngine
      * bucket, one merged scan/offset plan per group priced globally
      * and sliced back with gang-issue roles, then parallel sliced
      * execution. Both parallel stages run as a claim loop: any lane
-     * may run any bucket's stage task. Execute-stage tasks run off
-     * their home lane (steals) are added to @p steals_out when
-     * non-null. Counter results are bit-identical to draining each
-     * bucket through runShardOps, and to replaySerial on the
-     * concatenated op stream.
+     * may run any bucket's stage task, but shards are strictly
+     * single-writer — two stage tasks inside one shard panic.
+     * Execute-stage tasks run off their home lane (steals) are added
+     * to @p steals_out when non-null. Counter results are
+     * bit-identical to replaySerial on the concatenated op stream,
+     * whatever the lane count. This is the drain path's one entry:
+     * accumulateBatch, the ingest drainer and virt materializations
+     * all run through it.
      */
     void runEpoch(std::span<const EpochBucket> buckets,
                   uint64_t *steals_out = nullptr);
 
     /**
-     * Execute a ready bucket of point updates, all owned by shard
-     * @p s, on the calling thread in bucket order. This is the seam
-     * the async ingest drainer schedules through: any thread may run
-     * any shard's bucket (work stealing), but shards are strictly
-     * single-writer — concurrent callers on one shard panic, and
-     * per-shard op order is whatever order the buckets are run in.
-     */
-    void runShardOps(unsigned s, std::span<const BatchOp> ops);
-
-    /**
      * Run an arbitrary task against shard @p s on the calling thread
-     * under the same single-writer guard as runShardOps. This is the
+     * under the same single-writer guard as runEpoch. This is the
      * scrub entry point: a reliability sweep may run on any lane (or
      * the drainer thread) while other shards keep executing, but two
      * writers inside one shard panic. @p fn receives the shard engine
@@ -278,15 +266,13 @@ class ShardedEngine
   private:
     /** Internal mask handle reserved per shard for point updates. */
     static constexpr unsigned kPointMask = 0;
+    /** Internal mask handle every digit plane is written into. */
+    static constexpr unsigned kPlaneMask = 1;
     /**
-     * Shared overflow row for digit planes beyond the persistent
-     * pool (deep-capacity configs only).
+     * Shard-internal handles reserved below the public ones, on top
+     * of EngineConfig::maxMaskRows.
      */
-    static constexpr unsigned kPlaneShared = 1;
-    /** First handle of the persistent per-plane mask rows. */
-    static constexpr unsigned kPlaneBase = 2;
-    /** Upper bound on the persistent plane-row pool per shard. */
-    static constexpr unsigned kMaxPlaneRows = 64;
+    static constexpr unsigned kReservedMasks = 2;
 
     /**
      * One group's slice of a shard bucket, carried through the epoch
@@ -338,19 +324,23 @@ class ShardedEngine
     /**
      * Per-shard planner workspace. Reused across buckets so the
      * steady-state drain path performs no per-op allocation: the
-     * point mask is updated two bits at a time, the delta accumulator
-     * map and the part list keep their capacity between epochs.
-     * Guarded by the shard's single-writer discipline like the
-     * engine itself — except stage 3, which runs host-serial across
-     * all shards of an epoch with no stage-1/4 task in flight.
+     * point mask is updated two bits at a time, and the
+     * write-combining table, its sums and the part list keep their
+     * capacity between epochs. Guarded by the shard's single-writer
+     * discipline like the engine itself — except stage 3, which runs
+     * host-serial across all shards of an epoch with no stage-1/4
+     * task in flight.
      */
     struct PlannerScratch
     {
         BitVector pointMask; ///< reusable single-bit point mask
         size_t pointCol;     ///< column currently set in pointMask
-        /** Coalesced per-counter delta sums of the current part. */
-        std::unordered_map<uint64_t, size_t> index;
-        std::vector<std::pair<size_t, uint64_t>> sums; ///< wrapping
+        CoalesceScratch table; ///< write-combining table of the part
+        /**
+         * Per-counter delta sums of the current part (wrapping,
+         * zero sums elided), first-occurrence order.
+         */
+        CoalesceResult sums;
         /** Columns of the part's sums while it absorbs carries. */
         BitVector cols;
         /** Group partition of this shard's bucket, parts[0..used). */
@@ -433,17 +423,6 @@ class ShardedEngine
     /** Run @p fn(shard) on every shard in parallel, then drain. */
     template <typename Fn> void forEachShard(Fn &&fn);
 
-    /**
-     * Persistent mask-row handle of plane @p idx within a rail
-     * (digit * (R-1) + k-1); both rails share it.
-     */
-    unsigned planeHandle(size_t idx) const
-    {
-        return idx < planePool_
-                   ? kPlaneBase + static_cast<unsigned>(idx)
-                   : kPlaneShared;
-    }
-
     EngineConfig cfg_;
     std::vector<size_t> starts_; ///< numShards+1 range boundaries
     std::vector<std::unique_ptr<C2MEngine>> shards_;
@@ -451,12 +430,8 @@ class ShardedEngine
     /** Single-writer guard per shard for the stealing path. */
     std::unique_ptr<std::atomic<bool>[]> shardBusy_;
     unsigned numMasks_ = 0;
-    /** Shard-internal handles reserved below the public ones. */
-    unsigned reservedMasks_ = 0;
     /** Plane indices per sign rail, D*(R-1). */
     unsigned railPlanes_ = 0;
-    /** Persistent plane rows per shard (D*(R-1), capped). */
-    unsigned planePool_ = 0;
     /**
      * Modeled ns of one masked k-ary program, indexed [rail][k]
      * (rail 0 increment, rail 1 decrement; k = 0 unused):

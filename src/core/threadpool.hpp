@@ -22,7 +22,7 @@
  * fixed by the claim order, never by lane scheduling. Stealers can
  * identify their worker via currentLane() and the sharded engine
  * asserts single-threaded shard access underneath (see
- * ShardedEngine::runShardOps).
+ * ShardedEngine::runEpoch).
  *
  * Locks are taken only at enqueue/dequeue; the tasks themselves (the
  * hot path, whole per-shard batches) run without any shared mutable

@@ -12,7 +12,6 @@ LogHistogram::record(uint64_t value)
 {
     buckets_[bucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
     uint64_t seen = max_.load(std::memory_order_relaxed);
     while (value > seen &&
            !max_.compare_exchange_weak(seen, value,
@@ -23,14 +22,6 @@ LogHistogram::record(uint64_t value)
            !min_.compare_exchange_weak(lo, value,
                                        std::memory_order_relaxed)) {
     }
-}
-
-double
-LogHistogram::meanValue() const
-{
-    const uint64_t n = count();
-    return n == 0 ? 0.0
-                  : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
 uint32_t
@@ -107,17 +98,6 @@ LogHistogram::percentile(double q) const
         }
     }
     return max();
-}
-
-void
-LogHistogram::clear()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-    min_.store(UINT64_MAX, std::memory_order_relaxed);
 }
 
 uint64_t

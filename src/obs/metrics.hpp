@@ -19,7 +19,7 @@ namespace c2m::obs {
  * splits into 4 sub-buckets, so any bucket's width is at most 1/4 of
  * its lower bound (quantiles are accurate to ~25% relative error, and
  * exact below 4).  All 2^64 values map to one of kBucketCount buckets;
- * recording is three relaxed fetch_adds plus a CAS max and min.
+ * recording is two relaxed fetch_adds plus a CAS max and min.
  */
 class LogHistogram {
 public:
@@ -33,14 +33,12 @@ public:
     void record(uint64_t value);
 
     uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-    uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
     uint64_t max() const { return max_.load(std::memory_order_relaxed); }
     /** Smallest recorded sample (0 when empty). */
     uint64_t min() const {
         const uint64_t v = min_.load(std::memory_order_relaxed);
         return v == UINT64_MAX ? 0 : v;
     }
-    double meanValue() const;
 
     /**
      * Quantile estimate, q in [0, 1].  Uses the same rank convention as
@@ -52,9 +50,6 @@ public:
      * so the estimate is always within one bucket width of it.
      */
     uint64_t percentile(double q) const;
-
-    // Reset every cell to zero (not atomic with concurrent writers).
-    void clear();
 
     static uint32_t bucketIndex(uint64_t value);
     // Inclusive lower / exclusive upper value edges of bucket i.
@@ -68,7 +63,6 @@ public:
 private:
     std::atomic<uint64_t> buckets_[kBucketCount] = {};
     std::atomic<uint64_t> count_{0};
-    std::atomic<uint64_t> sum_{0};
     std::atomic<uint64_t> max_{0};
     std::atomic<uint64_t> min_{UINT64_MAX};
 };

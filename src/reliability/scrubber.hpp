@@ -155,7 +155,7 @@ class Scrubber final : public service::EpochObserver
 
     // ---- Standalone mode (bare ShardedEngine, single driver) ----
 
-    /** Journal a batch applied via accumulateBatch/runShardOps. */
+    /** Journal a batch applied via accumulateBatch/runEpoch. */
     void noteBatch(std::span<const core::BatchOp> ops);
 
     /** Advance one boundary: sweep the shards the cadence makes due. */

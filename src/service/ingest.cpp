@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
-#include "service/coalesce.hpp"
 
 namespace c2m {
 namespace service {
@@ -36,8 +35,7 @@ IngestService::IngestService(core::ShardedEngine &engine,
     coalesceScratch_.resize(engine_.numShards());
     for (unsigned s = 0; s < engine_.numShards(); ++s)
         queues_.push_back(std::make_unique<BoundedOpQueue>(
-            cfg_.queueCapacity, cfg_.backpressure,
-            [this] { kick(); }, s));
+            cfg_.queueCapacity, [this] { kick(); }, s));
     drainer_ = std::thread([this] { drainerLoop(); });
 }
 
@@ -180,6 +178,13 @@ IngestService::readCounters(unsigned group)
 void
 IngestService::stop()
 {
+    // Close the queues before the drainer may exit: a producer
+    // charges queuedOps_ before its push, and the push shares the
+    // queue mutex with close(), so every op accepted before the close
+    // is counted when the drainer sees stop_, and the drainer only
+    // exits once it has applied them all in normal epochs.
+    for (auto &q : queues_)
+        q->close();
     {
         std::lock_guard<std::mutex> lk(m_);
         stop_ = true;
@@ -189,9 +194,9 @@ IngestService::stop()
         drainer_.join();
     EpochObserver *observer;
     {
-        // The straggler + observer shutdown turn runs exactly once;
-        // a second stop() (typically the destructor's) must not call
-        // back into an observer the caller may have destroyed. The
+        // The observer shutdown turn runs exactly once; a second
+        // stop() (typically the destructor's) must not call back
+        // into an observer the caller may have destroyed. The
         // observer pointer is snapshotted under m_ like report()'s.
         std::lock_guard<std::mutex> lk(m_);
         if (stopFinalized_)
@@ -199,38 +204,9 @@ IngestService::stop()
         stopFinalized_ = true;
         observer = observer_;
     }
-    for (auto &q : queues_)
-        q->close();
-    // Ops that slipped in between the drainer's last epoch and
-    // close() are applied inline so accepted work is never lost.
-    for (unsigned s = 0; s < engine_.numShards(); ++s) {
-        auto ops = queues_[s]->cut();
-        if (ops.empty())
-            continue;
-        queuedOps_.fetch_sub(ops.size(), std::memory_order_relaxed);
-        ServiceStats es;
-        if (cfg_.coalesce) {
-            // The drainer has joined, so its per-shard tables are free.
-            CoalesceResult r;
-            coalesceOps(ops, coalesceScratch_[s], r);
-            es.coalesced = r.merged;
-            ops = std::move(r.ops);
-        }
-        es.flushedOps = ops.size();
-        std::lock_guard<std::mutex> ek(engineMutex_);
-        engine_.runShardOps(s, ops);
-        if (observer)
-            observer->onShardOps(s, ops);
-        std::lock_guard<std::mutex> lk(m_);
-        stats_ += es;
-    }
     // Final observer turn: an attached scrubber must reconcile
-    // everything it deferred (interval-spaced sweeps),
-    // stragglers included, before the engine is read post-stop.
-    // Epoch labels are not advanced here — straggler application is
-    // outside the epoch protocol whether or not an observer is
-    // attached, and every pre-stop flush token was already satisfied
-    // by the drainer before it exited.
+    // everything it deferred (interval-spaced sweeps) before the
+    // engine is read post-stop.
     if (observer) {
         std::lock_guard<std::mutex> ek(engineMutex_);
         uint64_t final_epoch;
@@ -349,9 +325,9 @@ IngestService::runEpoch(uint64_t epoch)
         // Per-shard write-combining tables persist across epochs, so
         // the steady-state coalesce pass allocates only the output
         // vector it hands to the bucket.
-        CoalesceResult r;
+        core::CoalesceResult r;
         for (auto &b : buckets) {
-            coalesceOps(b.ops, coalesceScratch_[b.shard], r);
+            core::coalesceOps(b.ops, coalesceScratch_[b.shard], r);
             es.coalesced += r.merged;
             b.ops = std::move(r.ops);
         }

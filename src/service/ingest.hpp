@@ -12,8 +12,9 @@
  *   1. cut: every shard queue's pending ops are swapped out (each
  *      cut is a FIFO prefix of that shard's submissions);
  *   2. coalesce: per shard, duplicate (counter, group) deltas are
- *      summed through a per-shard write-combining scratch table so a
- *      hot counter costs one fabric update per epoch;
+ *      summed through a per-shard write-combining table
+ *      (core/coalesce.hpp) so a hot counter costs one fabric update
+ *      per epoch;
  *   3. execute: the epoch's buckets run through the engine's
  *      hierarchical drain pipeline (ShardedEngine::runEpoch) on the
  *      lane pool — stage tasks claimed by whichever lane is free, so
@@ -42,9 +43,8 @@
  *    (partially applied) epoch; the snapshot may be newer than the
  *    token, never older.
  *
- * Backpressure is per shard queue: Block stalls producers until the
- * drainer catches up, Drop rejects the overflow and counts it.
- * While a service is attached, drive the engine only through it
+ * A full shard queue stalls its producers until the drainer catches
+ * up. While a service is attached, drive the engine only through it
  * (direct accumulateBatch/readAllCounters calls would race the
  * drainer).
  */
@@ -59,9 +59,9 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "core/coalesce.hpp"
 #include "core/sharded.hpp"
 #include "obs/metrics.hpp"
-#include "service/coalesce.hpp"
 #include "service/queue.hpp"
 
 namespace c2m {
@@ -78,14 +78,13 @@ struct IngestConfig
      */
     size_t minDrainOps = 1;
     bool coalesce = true;
-    Backpressure backpressure = Backpressure::Block;
 };
 
 struct ServiceStats
 {
     uint64_t submitted = 0;  ///< ops accepted into shard queues
     uint64_t queued = 0;     ///< ops currently pending (gauge)
-    uint64_t dropped = 0;    ///< ops rejected by Drop backpressure
+    uint64_t dropped = 0;    ///< ops rejected once stop() began
     uint64_t stalls = 0;     ///< producer blocks on a full queue
     uint64_t coalesced = 0;  ///< ops merged away before the fabric
     uint64_t flushedOps = 0; ///< ops actually executed on the fabric
@@ -133,7 +132,8 @@ class EpochObserver
     virtual void onEpochApplied(uint64_t epoch) = 0;
 
     /**
-     * Service shutting down after the last ops were applied; the
+     * Service shutting down after the last epoch was applied (every
+     * accepted op went through onShardOps and onEpochApplied); the
      * engine stays quiescent from here on. Observers that defer work
      * across boundaries (interval-spaced scrubbing) must finish it
      * now so post-stop engine reads see fully reconciled state.
@@ -173,9 +173,9 @@ class IngestService
 
     /**
      * Submit ops from any thread; returns how many were accepted
-     * (all, under Block backpressure). Ops are routed to their
-     * owning shard's queue; each shard's portion of the span is
-     * enqueued contiguously.
+     * (all, until stop() begins). Ops are routed to their owning
+     * shard's queue; each shard's portion of the span is enqueued
+     * contiguously.
      * @throws std::invalid_argument on an op whose counter or group
      *         is out of range (ShardedEngine::checkOps); nothing of
      *         the span is queued then.
@@ -217,9 +217,12 @@ class IngestService
     std::vector<int64_t> readCounters(unsigned group = 0);
 
     /**
-     * Drain every queued op and join the drainer (idempotent; the
-     * destructor calls it). Stop producers first: ops submitted
-     * after stop() returns are rejected.
+     * Close every shard queue, let the drainer apply what they hold
+     * in normal epochs, join it, then give the observer its onStop
+     * turn (idempotent; the destructor calls it). Every op accepted
+     * before the close is applied; ops submitted once stop() begins
+     * are rejected and counted in ServiceStats::dropped, so stop
+     * producers first.
      */
     void stop();
 
@@ -288,7 +291,7 @@ class IngestService
     /** Drainer-only: last epoch executed per shard (FIFO assert). */
     std::vector<uint64_t> lastShardEpoch_;
     /** Drainer-only: per-shard write-combining coalesce tables. */
-    std::vector<CoalesceScratch> coalesceScratch_;
+    std::vector<core::CoalesceScratch> coalesceScratch_;
 
     std::thread drainer_;
 };

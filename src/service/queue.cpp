@@ -7,11 +7,10 @@
 namespace c2m {
 namespace service {
 
-BoundedOpQueue::BoundedOpQueue(size_t capacity, Backpressure policy,
+BoundedOpQueue::BoundedOpQueue(size_t capacity,
                                std::function<void()> kick,
                                uint32_t shard)
-    : capacity_(capacity), policy_(policy), kick_(std::move(kick)),
-      shard_(shard)
+    : capacity_(capacity), kick_(std::move(kick)), shard_(shard)
 {
     C2M_ASSERT(capacity_ >= 1, "queue capacity must be >= 1");
 }
@@ -32,13 +31,6 @@ BoundedOpQueue::push(std::span<const core::BatchOp> ops)
             std::min(ops.size() - accepted, capacity_);
         if (pending_.size() + chunk > capacity_) {
             kick_();
-            if (policy_ == Backpressure::Drop) {
-                if (auto *tr = obs::tracer())
-                    tr->instant("queue.drop", shard_,
-                                ops.size() - accepted);
-                stats_.dropped += ops.size() - accepted;
-                break;
-            }
             ++stats_.stalls;
             {
                 // The stall span shows exactly how long this producer

@@ -13,12 +13,9 @@
  * as they fit the capacity (larger groups are split into
  * capacity-sized chunks).
  *
- * Backpressure when a group does not fit:
- *  - Block: the producer kicks the drainer and sleeps until a cut
- *    frees space (counted in stalls);
- *  - Drop: the remainder of the group is rejected immediately
- *    (counted in dropped), the drainer is kicked so the backlog
- *    clears.
+ * When a group does not fit, the producer kicks the drainer and
+ * sleeps until a cut frees space (counted in stalls). A closed queue
+ * rejects whatever is left of the group (counted in dropped).
  */
 
 #include <condition_variable>
@@ -34,40 +31,31 @@
 namespace c2m {
 namespace service {
 
-/** What a producer experiences when a shard queue is full. */
-enum class Backpressure : uint8_t
-{
-    Block, ///< wait for the drainer to cut the queue
-    Drop,  ///< reject the ops and count them
-};
-
 class BoundedOpQueue
 {
   public:
     struct Stats
     {
         uint64_t submitted = 0; ///< ops accepted into the queue
-        uint64_t dropped = 0;   ///< ops rejected (Drop policy/close)
+        uint64_t dropped = 0;   ///< ops rejected by a closed queue
         uint64_t stalls = 0;    ///< producer blocks on a full queue
     };
 
     /**
      * @param capacity max pending ops (>= 1).
-     * @param policy what to do with producers when full.
      * @param kick called (with the queue mutex held) right before a
-     *        producer blocks or drops, so the owner can wake its
-     *        drainer; must not call back into this queue.
-     * @param shard trace track for stall/drop events (the owning
-     *        shard index; defaults to the service track).
+     *        producer blocks, so the owner can wake its drainer; must
+     *        not call back into this queue.
+     * @param shard trace track for stall events (the owning shard
+     *        index; defaults to the service track).
      */
-    BoundedOpQueue(size_t capacity, Backpressure policy,
-                   std::function<void()> kick,
+    BoundedOpQueue(size_t capacity, std::function<void()> kick,
                    uint32_t shard = obs::kServiceTrack);
 
     /**
-     * Append @p ops FIFO; returns how many were accepted. Blocks or
-     * drops per the policy when full; a closed queue accepts
-     * nothing.
+     * Append @p ops FIFO; returns how many were accepted. Blocks
+     * while full; a closed queue accepts nothing more, and a
+     * producer blocked at close() returns with what it had pushed.
      */
     size_t push(std::span<const core::BatchOp> ops);
 
@@ -85,7 +73,6 @@ class BoundedOpQueue
 
   private:
     const size_t capacity_;
-    const Backpressure policy_;
     const std::function<void()> kick_;
     const uint32_t shard_;
 

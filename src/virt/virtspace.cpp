@@ -354,14 +354,17 @@ VirtualCounterSpace::maintain()
                 physLog_.insert(physLog_.end(), matOps_.begin(),
                                 matOps_.end());
             {
-                // runShardOps executes on this thread; the scope
-                // pins every materialization op's fabric charge —
-                // including the nested plan/fallback path — to the
-                // virt ledger row.
+                // A one-bucket epoch; the scope lives on the shard's
+                // own stats, so it pins every materialization op's
+                // fabric charge — including the nested plan/fallback
+                // path on whichever lane runs it — to the virt
+                // ledger row.
                 cim::AttrScope attr(
                     engine_.shard(fr.shard).backend().opStatsRef(),
                     cim::FabricCat::VirtMaterialize);
-                engine_.runShardOps(fr.shard, matOps_);
+                const core::ShardedEngine::EpochBucket bucket{fr.shard,
+                                                              matOps_};
+                engine_.runEpoch({&bucket, 1});
             }
             if (scrub_)
                 scrub_->noteBatch(matOps_);

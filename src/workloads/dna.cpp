@@ -140,9 +140,9 @@ DnaWorkload::repetitionHistogram(core::BackendKind backend,
     cfg.capacityBits = 24;
     // Counters index repetition counts, bounded by the read length.
     cfg.numCounters = cfg_.readLen + 1;
-    // One row covers the point mask; the drain planner's persistent
-    // plane rows are reserved ADDITIVELY on top of this (ShardedEngine
-    // asserts planePool_ > 0), so 1 never starves planned drains.
+    // Public mask rows only: ShardedEngine reserves its point and
+    // plane rows ADDITIVELY on top of this, so 1 never starves
+    // planned drains.
     cfg.maxMaskRows = 1;
     core::ShardedEngine engine(cfg, num_shards);
     return repetitionHistogram(engine);

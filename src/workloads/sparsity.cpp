@@ -62,9 +62,9 @@ engineForValues(const std::vector<uint64_t> &values,
     cfg.backend = backend;
     cfg.capacityBits = 24;
     cfg.numCounters = std::max<size_t>(max_v + 1, num_shards);
-    // One row covers the point mask; the drain planner's persistent
-    // plane rows are reserved ADDITIVELY on top of this (ShardedEngine
-    // asserts planePool_ > 0), so 1 never starves planned drains.
+    // Public mask rows only: ShardedEngine reserves its point and
+    // plane rows ADDITIVELY on top of this, so 1 never starves
+    // planned drains.
     cfg.maxMaskRows = 1;
     return core::ShardedEngine(cfg, num_shards);
 }

@@ -407,7 +407,8 @@ TEST(ReliabilityIngest, StragglersScrubbedOnStop)
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     svc.submit(ops);
-    svc.stop(); // applies queue stragglers inline + onStop full sweep
+    svc.stop(); // drains the queues in normal epochs, then onStop's
+                // full sweep
 
     EXPECT_EQ(eng.readAllCounters(0), ref);
     EXPECT_GT(scrub.stats().sweeps, 0u);

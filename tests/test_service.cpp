@@ -1,21 +1,26 @@
 /**
  * @file
  * Async ingest service tests: op coalescing, concurrent producers
- * vs. blocking serial replay, epoch snapshot consistency, block/drop
- * backpressure accounting, work stealing on skewed streams, merged
- * service/engine stats reporting, and the async workload overloads.
+ * vs. blocking serial replay, epoch snapshot consistency, blocking
+ * backpressure accounting, the stop path, work stealing on skewed
+ * streams, merged service/engine stats reporting, and the async
+ * workload overloads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "core/coalesce.hpp"
 #include "core/sharded.hpp"
 #include "reliability/scrubber.hpp"
-#include "service/coalesce.hpp"
 #include "service/ingest.hpp"
 #include "virt/virtspace.hpp"
 #include "workloads/dna.hpp"
@@ -26,7 +31,6 @@ using core::BatchOp;
 using core::EngineConfig;
 using core::EngineStats;
 using core::ShardedEngine;
-using service::Backpressure;
 using service::IngestConfig;
 using service::IngestService;
 using service::ServiceStats;
@@ -69,9 +73,9 @@ TEST(Coalesce, MergesDuplicatesKeepsFirstOccurrenceOrder)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {3, 1, 0}, {5, -1, 0}, {7, 4, 0}, {3, -1, 0}};
-    service::CoalesceScratch sc;
-    service::CoalesceResult r;
-    service::coalesceOps(ops, sc, r);
+    core::CoalesceScratch sc;
+    core::CoalesceResult r;
+    core::coalesceOps(ops, sc, r);
     ASSERT_EQ(r.ops.size(), 2u);
     // Counter 3 cancels to zero and is elided; 5 and 7 keep the
     // order they first appeared in.
@@ -86,15 +90,30 @@ TEST(Coalesce, GroupsStaySeparate)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {5, 3, 1}, {5, 1, 0}};
-    service::CoalesceScratch sc;
-    service::CoalesceResult r;
-    service::coalesceOps(ops, sc, r);
+    core::CoalesceScratch sc;
+    core::CoalesceResult r;
+    core::coalesceOps(ops, sc, r);
     ASSERT_EQ(r.ops.size(), 2u);
     EXPECT_EQ(r.ops[0].group, 0u);
     EXPECT_EQ(r.ops[0].value, 3);
     EXPECT_EQ(r.ops[1].group, 1u);
     EXPECT_EQ(r.ops[1].value, 3);
     EXPECT_EQ(r.merged, 1u);
+}
+
+TEST(Coalesce, SumsWrapInTwosComplement)
+{
+    // The drain planner reads each sum as a wrapping 64-bit delta;
+    // the table must produce it without signed overflow.
+    const std::vector<BatchOp> ops = {
+        {4, INT64_MAX, 0}, {4, 1, 0}, {9, INT64_MIN, 0}, {9, -1, 0}};
+    core::CoalesceScratch sc;
+    core::CoalesceResult r;
+    core::coalesceOps(ops, sc, r);
+    ASSERT_EQ(r.ops.size(), 2u);
+    EXPECT_EQ(r.ops[0].value, INT64_MIN);
+    EXPECT_EQ(r.ops[1].value, INT64_MAX);
+    EXPECT_EQ(r.merged, 2u);
 }
 
 TEST(Ingest, SingleProducerMatchesSerialReplay)
@@ -296,7 +315,6 @@ TEST(Ingest, BlockBackpressureStallsButLosesNothing)
     ShardedEngine engine(cfg, 4);
     IngestConfig icfg;
     icfg.queueCapacity = 2;
-    icfg.backpressure = Backpressure::Block;
     IngestService svc(engine, icfg);
 
     // All ops on one shard so the producer outruns the fabric.
@@ -312,29 +330,113 @@ TEST(Ingest, BlockBackpressureStallsButLosesNothing)
     EXPECT_GT(st.stalls, 0u);
 }
 
-TEST(Ingest, DropBackpressureCountsEveryReject)
+namespace {
+
+/**
+ * Observer that records the order of its calls: 'S' for onShardOps,
+ * 'E' for onEpochApplied, 'T' for onStop.
+ */
+class RecordingObserver : public service::EpochObserver
 {
-    const auto cfg = baseConfig(32);
+  public:
+    void onShardOps(unsigned, std::span<const BatchOp>) override
+    {
+        note('S');
+    }
+    void onEpochApplied(uint64_t) override { note('E'); }
+    void onStop(uint64_t) override { note('T'); }
+
+    std::string events() const
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        return events_;
+    }
+
+  private:
+    void note(char c)
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        events_ += c;
+    }
+
+    mutable std::mutex m_;
+    std::string events_;
+};
+
+} // namespace
+
+TEST(Ingest, StopAppliesEveryAcceptedOpInAnEpoch)
+{
+    const auto cfg = baseConfig(64);
     ShardedEngine engine(cfg, 4);
     IngestConfig icfg;
-    icfg.queueCapacity = 8;
-    icfg.backpressure = Backpressure::Drop;
-    icfg.coalesce = false;
+    icfg.queueCapacity = 64;
     IngestService svc(engine, icfg);
+    RecordingObserver observer;
+    svc.attachObserver(&observer);
 
-    size_t accepted = 0;
-    for (int i = 0; i < 400; ++i)
-        accepted += svc.submit(BatchOp{1, 1, 0}) ? 1 : 0;
+    // Four producers submit until the closed queues turn them away;
+    // the cap only bounds a producer that never meets stop().
+    constexpr unsigned kProducers = 4;
+    constexpr size_t kMaxAttempts = 200000;
+    std::atomic<size_t> accepted{0};
+    std::vector<std::vector<int64_t>> sums(
+        kProducers, std::vector<int64_t>(cfg.numCounters, 0));
+    std::vector<size_t> attempts(kProducers, 0);
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < kProducers; ++p)
+        producers.emplace_back([&, p] {
+            Rng rng(100 + p);
+            unsigned rejected = 0;
+            while (rejected < 16 && attempts[p] < kMaxAttempts) {
+                const BatchOp op{
+                    rng.nextBounded(cfg.numCounters),
+                    static_cast<int64_t>(1 + rng.nextBounded(3)), 0};
+                ++attempts[p];
+                if (svc.submit(op)) {
+                    sums[p][op.counter] += op.value;
+                    accepted.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    ++rejected;
+                }
+            }
+        });
+    // Stop while the producers are still submitting.
+    while (accepted.load(std::memory_order_relaxed) < 2000)
+        std::this_thread::yield();
+    svc.stop();
+    for (auto &t : producers)
+        t.join();
 
-    // Accepted ops are applied exactly once, rejects are counted,
-    // nothing else is lost.
-    EXPECT_EQ(svc.readCounters()[1],
-              static_cast<int64_t>(accepted));
+    std::vector<int64_t> expect(cfg.numCounters, 0);
+    size_t attempted = 0;
+    for (unsigned p = 0; p < kProducers; ++p) {
+        attempted += attempts[p];
+        for (size_t c = 0; c < expect.size(); ++c)
+            expect[c] += sums[p][c];
+    }
+    EXPECT_EQ(engine.readAllCounters(), expect);
     const auto st = svc.serviceStats();
-    EXPECT_EQ(st.submitted, accepted);
-    EXPECT_EQ(st.dropped, 400u - accepted);
+    EXPECT_EQ(st.submitted, accepted.load());
+    EXPECT_EQ(st.submitted + st.dropped, attempted);
+    EXPECT_EQ(st.queued, 0u);
+    // stop() turned the producers away instead of draining behind
+    // them until each reached its cap.
     EXPECT_GT(st.dropped, 0u);
-    EXPECT_EQ(st.stalls, 0u);
+
+    // Every onShardOps call is closed by its epoch's onEpochApplied
+    // before the one final onStop: no op is applied outside an epoch.
+    const std::string ev = observer.events();
+    ASSERT_FALSE(ev.empty());
+    EXPECT_EQ(ev.back(), 'T');
+    EXPECT_EQ(std::count(ev.begin(), ev.end(), 'T'), 1);
+    for (size_t i = 0; i + 1 < ev.size(); ++i) {
+        if (ev[i] == 'S') {
+            EXPECT_TRUE(ev[i + 1] == 'S' || ev[i + 1] == 'E')
+                << "onShardOps at event " << i << " is followed by '"
+                << ev[i + 1] << "'";
+        }
+    }
 }
 
 TEST(Ingest, WorkStealingOnFullySkewedBatch)

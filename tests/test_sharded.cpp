@@ -272,6 +272,12 @@ TEST(Sharded, BroadcastMaskedAccumulateMatches)
         hs.push_back(single.addMask(mask));
         hd.push_back(sharded.addMask(mask));
     }
+    // A planner-on shard holds two internal rows, the point mask and
+    // the one row every digit plane is written into, below the
+    // public ones.
+    ASSERT_TRUE(cfg.drainPlanner);
+    for (unsigned s = 0; s < sharded.numShards(); ++s)
+        EXPECT_EQ(sharded.shard(s).numMasks(), 2u + sharded.numMasks());
 
     for (int step = 0; step < 40; ++step) {
         const uint64_t v = rng.nextBounded(100);
