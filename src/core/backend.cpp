@@ -157,12 +157,6 @@ CountingBackend::scrubWriteRow(unsigned, const BitVector &)
               " backend does not support row scrubbing");
 }
 
-bool
-CountingBackend::setFrChecks(unsigned)
-{
-    return false;
-}
-
 const jc::CounterLayout &
 CountingBackend::layout(unsigned) const
 {

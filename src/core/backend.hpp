@@ -228,16 +228,6 @@ class CountingBackend
     /** Reliable overwrite of raw fabric row @p row (caps().rowScrub). */
     virtual void scrubWriteRow(unsigned row, const BitVector &v);
 
-    /**
-     * Retune the FR-check count of protected programs at run time
-     * (adaptive protection). Regenerates programs lazily: the program
-     * cache is dropped so later updates pick up the new check count.
-     * Returns false on substrates whose protection is not FR-based.
-     * Callers must hold the single-writer discipline of the owning
-     * shard — typically only at an epoch boundary.
-     */
-    virtual bool setFrChecks(unsigned fr_checks);
-
     // ---- Row-level logic for tensor ops (caps().tensorOps) ----
 
     /** JC row layout of a physical group (JC backends only). */

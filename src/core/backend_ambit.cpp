@@ -3,7 +3,6 @@
 #include "common/logging.hpp"
 #include "core/backend_jc.hpp"
 #include "core/fabriccost.hpp"
-#include "obs/trace.hpp"
 
 namespace c2m {
 namespace core {
@@ -35,10 +34,11 @@ AmbitBackend::AmbitBackend(const EngineConfig &cfg,
     sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
                                    cfg.numCounters));
 
-    copts_.protect = cfg.protection == Protection::Ecc;
-    copts_.frChecks = cfg.frChecks;
+    uprog::CodegenOptions copts;
+    copts.protect = cfg.protection == Protection::Ecc;
+    copts.frChecks = cfg.frChecks;
     for (const auto &l : layouts_)
-        codegen_.emplace_back(l, copts_);
+        codegen_.emplace_back(l, copts);
 }
 
 const BitVector &
@@ -51,27 +51,6 @@ void
 AmbitBackend::scrubWriteRow(unsigned row, const BitVector &v)
 {
     sub_.hostWriteRow(row, v);
-}
-
-bool
-AmbitBackend::setFrChecks(unsigned fr_checks)
-{
-    C2M_ASSERT(fr_checks >= 1 && fr_checks <= 3,
-               "frChecks must be in 1..3");
-    if (!copts_.protect)
-        return false;
-    if (copts_.frChecks == fr_checks)
-        return true;
-    copts_.frChecks = fr_checks;
-    codegen_.clear();
-    for (const auto &l : layouts_)
-        codegen_.emplace_back(l, copts_);
-    cache_.clear();
-    // An FR retune invalidates every memoized program: the next
-    // epoch's miss burst on the progcache.* counter track is this.
-    if (auto *tr = obs::tracer())
-        tr->instant("progcache.clear", obs::kServiceTrack, fr_checks);
-    return true;
 }
 
 unsigned

@@ -60,7 +60,6 @@ class AmbitBackend final : public CountingBackend
     cim::OpStats &opStatsRef() override { return sub_.stats(); }
     const BitVector &scrubReadRow(unsigned row) override;
     void scrubWriteRow(unsigned row, const BitVector &v) override;
-    bool setFrChecks(unsigned fr_checks) override;
 
     const jc::CounterLayout &layout(unsigned phys) const override;
     void rowCopy(unsigned src, unsigned dst) override;
@@ -79,7 +78,6 @@ class AmbitBackend final : public CountingBackend
     size_t numCounters_;
     unsigned maxRetries_;
     std::vector<jc::CounterLayout> layouts_;
-    uprog::CodegenOptions copts_;
     std::vector<uprog::AmbitCodegen> codegen_;
     unsigned maskBase_;
     cim::AmbitSubarray sub_;

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/logging.hpp"
@@ -37,14 +38,44 @@ checkMaskWidth(size_t width, size_t num_counters)
 }
 
 void
+checkGroup(unsigned group, unsigned num_groups)
+{
+    if (group >= num_groups)
+        C2M_FATAL("counter group ", group, " outside numGroups ",
+                  num_groups);
+}
+
+void
 checkHandle(unsigned handle, unsigned num_masks, unsigned group,
             unsigned num_groups)
 {
     if (handle >= num_masks)
         C2M_FATAL("unknown mask handle ", handle);
-    if (group >= num_groups)
-        C2M_FATAL("counter group ", group, " outside numGroups ",
-                  num_groups);
+    checkGroup(group, num_groups);
+}
+
+void
+checkTensorOp(const C2MEngine &eng, unsigned group)
+{
+    if (!eng.backend().caps().tensorOps)
+        C2M_FATAL(backendName(eng.config().backend),
+                  " backend does not support tensor ops");
+    checkGroup(group, eng.config().numGroups);
+}
+
+void
+checkTensorPair(const C2MEngine &eng, unsigned group, unsigned other)
+{
+    checkTensorOp(eng, group);
+    checkGroup(other, eng.config().numGroups);
+    if (group == other)
+        C2M_FATAL("tensor op on group ", group,
+                  " twice; it needs a second group");
+    for (const unsigned g : {group, other})
+        if (eng.signedMode(g))
+            C2M_FATAL("tensor op on group ", g,
+                      " in signed mode; vector addition needs unsigned "
+                      "groups");
 }
 
 C2MEngine::C2MEngine(const EngineConfig &cfg)
@@ -165,47 +196,42 @@ C2MEngine::voteDigit(unsigned group, unsigned digit)
 }
 
 void
-C2MEngine::incrementDigit(unsigned group, unsigned digit, unsigned k,
-                          unsigned mask_row)
+C2MEngine::step(unsigned group, unsigned digit, unsigned k,
+                unsigned row, bool decrement)
 {
-    for (unsigned r = 0; r < replicas(); ++r)
-        backend_->karyIncrement(physIndex(group, r), digit, k,
-                                mask_row);
+    for (unsigned r = 0; r < replicas(); ++r) {
+        if (decrement)
+            backend_->karyDecrement(physIndex(group, r), digit, k, row);
+        else
+            backend_->karyIncrement(physIndex(group, r), digit, k, row);
+    }
     if (cfg_.protection == Protection::Tmr)
         voteDigit(group, digit);
     ++stats_.increments;
 }
 
 void
-C2MEngine::decrementDigit(unsigned group, unsigned digit, unsigned k,
-                          unsigned mask_row)
+C2MEngine::ripple(unsigned group, unsigned digit, bool borrow)
 {
-    for (unsigned r = 0; r < replicas(); ++r)
-        backend_->karyDecrement(physIndex(group, r), digit, k,
-                                mask_row);
-    if (cfg_.protection == Protection::Tmr)
-        voteDigit(group, digit);
-    ++stats_.increments;
-}
-
-void
-C2MEngine::ripple(unsigned group, unsigned digit)
-{
-    for (unsigned r = 0; r < replicas(); ++r)
-        backend_->carryRipple(physIndex(group, r), digit);
+    for (unsigned r = 0; r < replicas(); ++r) {
+        if (borrow)
+            backend_->borrowRipple(physIndex(group, r), digit);
+        else
+            backend_->carryRipple(physIndex(group, r), digit);
+    }
     if (cfg_.protection == Protection::Tmr)
         voteDigit(group, digit + 1);
     ++stats_.ripples;
 }
 
 void
-C2MEngine::borrowRipple(unsigned group, unsigned digit)
+C2MEngine::makeIarmRoom(unsigned group,
+                        const std::vector<unsigned> &digits)
 {
-    for (unsigned r = 0; r < replicas(); ++r)
-        backend_->borrowRipple(physIndex(group, r), digit);
-    if (cfg_.protection == Protection::Tmr)
-        voteDigit(group, digit + 1);
-    ++stats_.ripples;
+    auto &sched = schedulers_[group];
+    for (unsigned d : sched.prepareAdd(digits))
+        ripple(group, d, /*borrow=*/false);
+    sched.applyAdd(digits);
 }
 
 void
@@ -228,42 +254,55 @@ void
 C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
                       unsigned group)
 {
+    addInput(value, /*decrement=*/false, mask_handle, group);
+}
+
+void
+C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
+                            unsigned group)
+{
+    if (value >= 0)
+        addInput(static_cast<uint64_t>(value), /*decrement=*/false,
+                 mask_handle, group);
+    else
+        addInput(0 - static_cast<uint64_t>(value), /*decrement=*/true,
+                 mask_handle, group);
+}
+
+void
+C2MEngine::addInput(uint64_t magnitude, bool decrement,
+                    unsigned mask_handle, unsigned group)
+{
     checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
+    if (decrement) {
+        C2M_ASSERT(backend_->caps().signedCounting,
+                   backendName(cfg_.backend),
+                   " backend does not support signed counting");
+        enterSignedMode(group);
+    }
     if (!backend_->caps().pendingFlags) {
-        addWhole(group, value, value, mask_handle);
+        addWhole(group, magnitude,
+                 decrement ? 0 - magnitude : magnitude, mask_handle);
         return;
     }
-    if (value == 0) {
+    if (magnitude == 0) {
         ++stats_.inputsAccumulated; // zero inputs are skipped entirely
         return;
     }
-    const unsigned mask_row = maskRowIndex(mask_handle);
-    const auto digits = jc::toDigits(value, cfg_.radix);
+    const auto digits = jc::toDigits(magnitude, cfg_.radix);
     C2M_ASSERT(digits.size() < backend_->numDigits(),
                "value exceeds counter capacity");
-
-    auto &sched = schedulers_[group];
-    const bool signed_mode = groupHasDecrements_[group];
-
-    if (!signed_mode) {
-        for (unsigned d : sched.prepareAdd(digits))
-            ripple(group, d);
-        sched.applyAdd(digits);
-    }
-
-    uint64_t stepped = 0;
-    for (unsigned pos = 0; pos < digits.size(); ++pos) {
-        const unsigned k = digits[pos];
-        if (k == 0)
-            continue;
-        stepped |= uint64_t{1} << pos;
-        incrementDigit(group, pos, k, mask_row);
-    }
-
-    // Signed groups keep Onext fully resolved so the flag's meaning
-    // (overflow vs borrow) can switch per input.
-    if (signed_mode)
-        resolveAllPendings(group, /*borrows=*/false, stepped);
+    // Signed groups resolve every pending in place (runSteps), so
+    // only an unsigned one defers carries.
+    if (!groupHasDecrements_[group])
+        makeIarmRoom(group, digits);
+    std::array<MaskedStep, 64> steps; // a uint64_t has <= 64 digits
+    size_t n = 0;
+    for (unsigned pos = 0; pos < digits.size(); ++pos)
+        if (digits[pos] != 0)
+            steps[n++] = {pos, digits[pos], mask_handle, nullptr,
+                          /*lead=*/true, decrement};
+    runSteps(group, std::span<const MaskedStep>(steps.data(), n));
     ++stats_.inputsAccumulated;
 }
 
@@ -336,8 +375,7 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     if (steps.empty())
         return; // nothing absorbed either (planPrepare)
 
-    cim::OpStats &fab = backend_->opStatsRef();
-    cim::AttrScope attr(fab, cim::FabricCat::Plan);
+    cim::AttrScope attr(backend_->opStatsRef(), cim::FabricCat::Plan);
     // The absorbed carries ride the steps' deltas: their Onext rows
     // are cleared first, before a step can flag a new wrap there.
     // Which rows hold carries is this shard's own state, so the
@@ -347,53 +385,24 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
             backend_->clearPending(
                 physIndex(group, r),
                 static_cast<unsigned>(std::countr_zero(m)));
-    // Returns the rail's frontier: the digits its steps touched.
-    const auto runSteps = [&](std::span<const MaskedStep> rail) {
-        uint64_t stepped = 0;
-        for (const auto &s : rail) {
-            stepped |= uint64_t{1} << s.digit;
-            {
-                // Mask rows hold per-shard plane slices, so the write
-                // is never ganged: MaskWrite stays honestly per shard.
-                cim::AttrScope mrow(fab, cim::FabricCat::MaskWrite);
-                backend_->writeMask(s.maskHandle, *s.mask);
-            }
-            const unsigned row = maskRowIndex(s.maskHandle);
-            const auto issue = [&] {
-                if (s.decrement)
-                    decrementDigit(group, s.digit, s.k, row);
-                else
-                    incrementDigit(group, s.digit, s.k, row);
-            };
-            if (s.lead) {
-                issue();
-                ++stats_.planLeadPrograms;
-            } else {
-                // A follower executes the identical command stream in
-                // the lead shard's issue slots. ECC retries inside the
-                // checked execution stay under the PlanFanout scope —
-                // a follower retry is modeled as re-running in later
-                // gang slots.
-                cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
-                const uint64_t c0 = fab.commands();
-                issue();
-                fab.gangedCommands += fab.commands() - c0;
-            }
-            ++stats_.planPrograms;
-        }
-        return stepped;
-    };
+    runSteps(group, steps);
+    stats_.planPrograms += steps.size();
+    stats_.planLeadPrograms += static_cast<uint64_t>(
+        std::count_if(steps.begin(), steps.end(),
+                      [](const MaskedStep &s) { return s.lead; }));
+}
 
+void
+C2MEngine::runSteps(unsigned group, std::span<const MaskedStep> steps)
+{
     // Increment rail first, decrement rail after (planPrepare checks
-    // the order). A decrement puts the group in signed mode the way
-    // accumulateSigned's first decrement does.
+    // a plan's order). A decrement puts the group in signed mode the
+    // way an input's first decrement does.
     const auto inc_end = static_cast<size_t>(
         std::find_if(steps.begin(), steps.end(),
                      [](const MaskedStep &s) { return s.decrement; }) -
         steps.begin());
-    const auto inc = steps.first(inc_end);
-    const auto dec = steps.subspan(inc_end);
-    if (!dec.empty())
+    if (inc_end < steps.size())
         enterSignedMode(group);
     // Signed groups keep Onext fully resolved, one rail at a time:
     // its flags mean carries after the increments and borrows after
@@ -402,49 +411,36 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     // ganged.
     const bool resolve =
         groupHasDecrements_[group] && backend_->caps().pendingFlags;
-
-    const uint64_t inc_frontier = runSteps(inc);
-    if (resolve)
-        resolveAllPendings(group, /*borrows=*/false, inc_frontier);
-    const uint64_t dec_frontier = runSteps(dec);
-    if (resolve)
-        resolveAllPendings(group, /*borrows=*/true, dec_frontier);
-}
-
-void
-C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
-                            unsigned group)
-{
-    if (value >= 0) {
-        accumulate(static_cast<uint64_t>(value), mask_handle, group);
-        return;
+    cim::OpStats &fab = backend_->opStatsRef();
+    for (const bool borrows : {false, true}) {
+        const auto rail = borrows ? steps.subspan(inc_end)
+                                  : steps.first(inc_end);
+        uint64_t frontier = 0; // the digits the rail's steps touch
+        for (const MaskedStep &s : rail) {
+            frontier |= uint64_t{1} << s.digit;
+            if (s.mask) {
+                // Mask rows hold per-shard plane slices, so the write
+                // is never ganged: MaskWrite stays honestly per shard.
+                cim::AttrScope mrow(fab, cim::FabricCat::MaskWrite);
+                backend_->writeMask(s.maskHandle, *s.mask);
+            }
+            const unsigned row = maskRowIndex(s.maskHandle);
+            if (s.lead) {
+                step(group, s.digit, s.k, row, s.decrement);
+                continue;
+            }
+            // A follower executes the identical command stream in the
+            // lead shard's issue slots. ECC retries inside the checked
+            // execution stay under the PlanFanout scope — a follower
+            // retry is modeled as re-running in later gang slots.
+            cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
+            const uint64_t c0 = fab.commands();
+            step(group, s.digit, s.k, row, s.decrement);
+            fab.gangedCommands += fab.commands() - c0;
+        }
+        if (resolve)
+            resolveAllPendings(group, borrows, frontier);
     }
-    checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
-    C2M_ASSERT(backend_->caps().signedCounting,
-               backendName(cfg_.backend),
-               " backend does not support signed counting");
-    enterSignedMode(group);
-    const uint64_t magnitude = 0 - static_cast<uint64_t>(value);
-    if (!backend_->caps().pendingFlags) {
-        addWhole(group, magnitude, static_cast<uint64_t>(value),
-                 mask_handle);
-        return;
-    }
-
-    const unsigned mask_row = maskRowIndex(mask_handle);
-    const auto digits = jc::toDigits(magnitude, cfg_.radix);
-    C2M_ASSERT(digits.size() < backend_->numDigits(),
-               "value exceeds counter capacity");
-
-    uint64_t stepped = 0;
-    for (unsigned pos = 0; pos < digits.size(); ++pos) {
-        if (digits[pos] == 0)
-            continue;
-        stepped |= uint64_t{1} << pos;
-        decrementDigit(group, pos, digits[pos], mask_row);
-    }
-    resolveAllPendings(group, /*borrows=*/true, stepped);
-    ++stats_.inputsAccumulated;
 }
 
 void
@@ -517,10 +513,7 @@ C2MEngine::resolveAllPendings(unsigned group, bool borrows,
             ++stats_.pendingPeeks;
             if (backend_->pendingRow(phys0, d).popcount() == 0)
                 continue;
-            if (borrows)
-                borrowRipple(group, d);
-            else
-                ripple(group, d);
+            ripple(group, d, borrows);
             if (d + 1 == top)
                 fold = true;
             else
@@ -538,6 +531,7 @@ C2MEngine::resolveAllPendings(unsigned group, bool borrows,
 void
 C2MEngine::drain(unsigned group)
 {
+    checkGroup(group, cfg_.numGroups);
     if (!backend_->caps().pendingFlags)
         return;
     // Each row is read at its digit's turn, not up front: the ripple
@@ -546,7 +540,7 @@ C2MEngine::drain(unsigned group)
     for (unsigned d : schedulers_[group].drain()) {
         ++stats_.drainPeeks;
         if (backend_->pendingRow(phys0, d).popcount() != 0)
-            ripple(group, d);
+            ripple(group, d, /*borrow=*/false);
     }
 }
 
@@ -575,6 +569,7 @@ C2MEngine::absorbPeek(unsigned group, unsigned digit)
 std::vector<int64_t>
 C2MEngine::readCounters(unsigned group)
 {
+    checkGroup(group, cfg_.numGroups);
     return backend_->readCounters(physIndex(group, 0),
                                   offsets_[group]);
 }
@@ -582,14 +577,7 @@ C2MEngine::readCounters(unsigned group)
 void
 C2MEngine::addCounters(unsigned dst_group, unsigned src_group)
 {
-    C2M_ASSERT(backend_->caps().tensorOps,
-               backendName(cfg_.backend),
-               " backend does not support tensor ops");
-    C2M_ASSERT(dst_group != src_group,
-               "in-place doubling needs shiftLeft with a spare group");
-    C2M_ASSERT(!groupHasDecrements_[src_group] &&
-                   !groupHasDecrements_[dst_group],
-               "vector addition requires unsigned-mode groups");
+    checkTensorPair(*this, dst_group, src_group);
     drain(src_group);
     drain(dst_group);
 
@@ -608,34 +596,22 @@ C2MEngine::addCounters(unsigned dst_group, unsigned src_group)
         // scheduler exactly like a broadcast add of R-1 would.
         std::vector<unsigned> worst(dd + 1, 0);
         worst[dd] = cfg_.radix - 1;
-        for (unsigned d : schedulers_[dst_group].prepareAdd(worst))
-            ripple(dst_group, d);
-        schedulers_[dst_group].applyAdd(worst);
+        makeIarmRoom(dst_group, worst);
         // Theta <- src MSB; first pass uses mask = bit OR Theta from
         // the MSB down, second pass mask = Theta AND NOT bit from the
-        // LSB up (Alg. 2 with Theta updated in both passes).
+        // LSB up (Alg. 2 with Theta updated in both passes). Each
+        // mask lands in a raw scratch row, not a registered handle.
         backend_->rowCopy(src.bitRow(dd, n - 1), theta);
 
         for (unsigned b = n; b-- > 0;) {
             backend_->rowOr(src.bitRow(dd, b), theta, mrow);
             backend_->rowCopy(mrow, theta);
-            // Use the raw mask row (it is not a registered handle).
-            for (unsigned r = 0; r < replicas(); ++r)
-                backend_->karyIncrement(physIndex(dst_group, r), dd,
-                                        1, mrow);
-            if (cfg_.protection == Protection::Tmr)
-                voteDigit(dst_group, dd);
-            ++stats_.increments;
+            step(dst_group, dd, 1, mrow, /*decrement=*/false);
         }
         for (unsigned b = 0; b < n; ++b) {
             backend_->rowAndNot(theta, src.bitRow(dd, b), mrow);
             backend_->rowCopy(mrow, theta);
-            for (unsigned r = 0; r < replicas(); ++r)
-                backend_->karyIncrement(physIndex(dst_group, r), dd,
-                                        1, mrow);
-            if (cfg_.protection == Protection::Tmr)
-                voteDigit(dst_group, dd);
-            ++stats_.increments;
+            step(dst_group, dd, 1, mrow, /*decrement=*/false);
         }
         // The source digit's pending-overflow flags were drained
         // above, so none remain by construction.
@@ -645,9 +621,7 @@ C2MEngine::addCounters(unsigned dst_group, unsigned src_group)
 void
 C2MEngine::relu(unsigned group)
 {
-    C2M_ASSERT(backend_->caps().tensorOps,
-               backendName(cfg_.backend),
-               " backend does not support tensor ops");
+    checkTensorOp(*this, group);
     const int64_t offset = offsets_[group];
     setValueOffset(group, 0);
     for (unsigned r = 0; r < replicas(); ++r)
@@ -659,11 +633,8 @@ void
 C2MEngine::shiftLeft(unsigned group, unsigned spare_group,
                      unsigned amount)
 {
-    C2M_ASSERT(backend_->caps().tensorOps,
-               backendName(cfg_.backend),
-               " backend does not support tensor ops");
-    C2M_ASSERT(spare_group != group, "spare must differ from group");
-    for (unsigned step = 0; step < amount; ++step) {
+    checkTensorPair(*this, group, spare_group);
+    for (unsigned s = 0; s < amount; ++s) {
         drain(group);
         // spare <- group (row copies), then group += spare.
         for (unsigned r = 0; r < replicas(); ++r)

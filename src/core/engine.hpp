@@ -49,18 +49,19 @@ namespace c2m {
 namespace core {
 
 /**
- * One column-parallel step of a drain plan: add @p k to (or, on the
+ * One column-parallel masked k-ary step: add @p k to (or, on the
  * decrement rail, subtract it from) digit @p digit of every counter
- * whose bit in mask row @p maskHandle is set. The mask is borrowed,
- * not owned — planners keep a reusable pool of plane masks and hand
- * out pointers for the duration of one plan (planPrepare, then
- * executePlan). executePlan writes each step's mask into the row of
- * its maskHandle right before the step's program, so every plane of
- * a plan may share one row: the program cache keys on (op, group,
- * digit, k, row), which stays stable across epochs. A counter may
- * sit in several steps of one digit (binary-weighted planes: a digit
- * of 3 rides k = 1 and k = 2), as long as their k's add up to at most
- * R-1. The deltas the steps encode may carry pending carries the
+ * whose bit in mask row @p maskHandle is set. Drain plans and inputs
+ * both run as lists of steps (C2MEngine::runSteps). A step with a
+ * @p mask writes it into its maskHandle row right before its
+ * program, so every plane of a plan may share one row: the program
+ * cache keys on (op, group, digit, k, row), which stays stable across
+ * epochs. The mask is borrowed for one plan (planPrepare, then
+ * executePlan). A null mask means the row already holds it: an
+ * input's steps run over its registered mask row. A counter may sit
+ * in several steps of one digit (binary-weighted planes: a digit of 3
+ * rides k = 1 and k = 2), as long as their k's add up to at most R-1.
+ * The deltas a plan's steps encode may carry pending carries the
  * planner absorbed from Onext rows (planPrepare), so a step can cover
  * a counter no point update of the epoch touched.
  */
@@ -89,6 +90,9 @@ struct MaskedStep
  * than the @p num_counters counters it would be written over.
  */
 void checkMaskWidth(size_t width, size_t num_counters);
+
+/** Throw std::invalid_argument unless @p group < @p num_groups. */
+void checkGroup(unsigned group, unsigned num_groups);
 
 /**
  * Throw std::invalid_argument unless mask @p handle is one of the
@@ -243,10 +247,11 @@ class C2MEngine
     /**
      * Fabric half of a prepared plan: clear the Onext row of every
      * digit in @p clears (the absorbed digits whose row had a set
-     * bit, on every replica), then write each step's plane mask into
-     * its own MaskedStep::maskHandle row and issue the masked
-     * increments. A signed plan enters signed mode if needed and
-     * resolves each rail's pendings after its steps.
+     * bit, on every replica), then issue the steps through runSteps:
+     * each step's plane mask is written into its own
+     * MaskedStep::maskHandle row before its masked increment. A
+     * signed plan enters signed mode if needed and resolves each
+     * rail's pendings after its steps.
      * Lead steps charge FabricCat::Plan (mask writes MaskWrite as
      * usual); follower ones charge PlanFanout and count their AAP/AP
      * commands as ganged — executed in lockstep under the lead
@@ -317,6 +322,7 @@ class C2MEngine
     /**
      * Current counter values (Onext/Osign accounted, no draining),
      * valueOffset removed in the same decode pass.
+     * @throws std::invalid_argument on a @p group past numGroups.
      */
     std::vector<int64_t> readCounters(unsigned group = 0);
 
@@ -324,9 +330,16 @@ class C2MEngine
     void clear();
 
     // ---- Tensor-style operations (Sec. 5.2.4) ----
-    // Require a backend with caps().tensorOps (Ambit).
+    // Require a backend with caps().tensorOps (Ambit). Each throws
+    // std::invalid_argument before it changes anything on a backend
+    // without them or a group past numGroups (checkTensorOp,
+    // checkTensorPair).
 
-    /** dst += src element-wise (JC vector addition, Alg. 2). */
+    /**
+     * dst += src element-wise (JC vector addition, Alg. 2).
+     * @throws std::invalid_argument also if @p dst_group is
+     *         @p src_group or either is in signed mode.
+     */
     void addCounters(unsigned dst_group, unsigned src_group);
 
     /**
@@ -340,6 +353,8 @@ class C2MEngine
     /**
      * counters <<= amount via repeated doubling; @p spare_group is
      * clobbered as scratch.
+     * @throws std::invalid_argument also if @p spare_group is
+     *         @p group or either is in signed mode.
      */
     void shiftLeft(unsigned group, unsigned spare_group,
                    unsigned amount);
@@ -354,6 +369,7 @@ class C2MEngine
      * an empty Onext row would change no row. Scrub sweeps,
      * Scrubber::rebaseShard, signed-mode entry and the tensor ops all
      * drain through here.
+     * @throws std::invalid_argument on a @p group past numGroups.
      */
     void drain(unsigned group);
 
@@ -377,12 +393,47 @@ class C2MEngine
     void addWhole(unsigned group, uint64_t magnitude, uint64_t addend,
                   unsigned mask_handle);
 
-    void incrementDigit(unsigned group, unsigned digit, unsigned k,
-                        unsigned mask_row);
-    void decrementDigit(unsigned group, unsigned digit, unsigned k,
-                        unsigned mask_row);
-    void ripple(unsigned group, unsigned digit);
-    void borrowRipple(unsigned group, unsigned digit);
+    /**
+     * accumulate and accumulateSigned: add @p magnitude to (with
+     * @p decrement, subtract it from) the masked counters of @p group
+     * as a one-input plan, one step per nonzero digit over the mask's
+     * own row; an unsigned group gets its IARM room first.
+     */
+    void addInput(uint64_t magnitude, bool decrement,
+                  unsigned mask_handle, unsigned group);
+
+    /**
+     * IARM room for an add of at most @p digits[d] at each digit d of
+     * an unsigned group: the ripples prepareAdd owes, then applyAdd.
+     */
+    void makeIarmRoom(unsigned group,
+                      const std::vector<unsigned> &digits);
+
+    /**
+     * Issue @p steps, increment rail first, decrement rail after: the
+     * one loop over a step list. A decrement rail puts the group in
+     * signed mode first. A step with a mask writes it into its row
+     * (under MaskWrite) before its program. Lead steps issue in their
+     * own slots; followers issue under PlanFanout with their commands
+     * counted as ganged. In signed mode each rail's pendings are
+     * resolved from the digits its steps touched.
+     */
+    void runSteps(unsigned group, std::span<const MaskedStep> steps);
+
+    /**
+     * One masked k-ary increment (with @p decrement, decrement) of
+     * @p digit over raw mask row @p row on every replica of @p group,
+     * then the TMR vote of the digit; counted in increments.
+     */
+    void step(unsigned group, unsigned digit, unsigned k, unsigned row,
+              bool decrement);
+
+    /**
+     * Carry (with @p borrow, borrow) ripple out of @p digit on every
+     * replica of @p group, then the TMR vote of digit + 1; counted in
+     * ripples.
+     */
+    void ripple(unsigned group, unsigned digit, bool borrow);
 
     /**
      * First decrement on @p group (accumulateSigned, or a plan with a
@@ -426,6 +477,19 @@ class C2MEngine
     unsigned numMasks_ = 0;
     BitVector peekMajority_; ///< absorbPeek's TMR vote of three rows
 };
+
+/**
+ * Throw std::invalid_argument unless @p eng's backend has tensor ops
+ * and @p group < numGroups: relu's checks.
+ */
+void checkTensorOp(const C2MEngine &eng, unsigned group);
+
+/**
+ * checkTensorOp for @p group and @p other, which must differ and
+ * neither be in signed mode: the checks of addCounters and shiftLeft.
+ */
+void checkTensorPair(const C2MEngine &eng, unsigned group,
+                     unsigned other);
 
 } // namespace core
 } // namespace c2m

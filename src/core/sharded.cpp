@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -110,6 +109,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
             1;
         railPlanes_ = digits * (cfg.radix - 1);
         planStepNs_ = planStepNs(cfg);
+        planeLead_.assign(2 * railPlanes_, kNoLead);
     }
     const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
                      cfg.backend == BackendKind::NvmMagic;
@@ -604,15 +604,13 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
     }
     std::vector<std::pair<unsigned, PlanPart *>> cand;
     std::vector<uint32_t> union_planes;
-    std::unordered_map<uint32_t, unsigned> plane_lead;
     for (const uint32_t g : groups) {
         // Gather this group's plan candidates across all shards.
-        // Every plane in the union is issued ONCE, by the lowest
-        // shard holding it (the gang leader); each candidate shard
-        // still pays its own mask-row slice writes.
+        // Every plane in the union is issued ONCE, by the first shard
+        // in @p shard_ids holding it (the gang leader); each
+        // candidate shard still pays its own mask-row slice writes.
         cand.clear();
         union_planes.clear();
-        plane_lead.clear();
         double fallback_ns = 0.0;
         double plan_ns = 0.0;
         for (const unsigned s : shard_ids) {
@@ -626,7 +624,8 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                 plan_ns += static_cast<double>(p.touched.size()) *
                            sc.maskWriteNs;
                 for (const uint32_t idx : p.touched) {
-                    plane_lead.try_emplace(idx, s);
+                    if (planeLead_[idx] == kNoLead)
+                        planeLead_[idx] = s;
                     union_planes.push_back(idx);
                 }
             }
@@ -644,22 +643,12 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
         // this is exactly the classic per-shard comparison. The
         // priced ns that justified the decision ride along on the
         // lead shard's track: arg = plan price, arg2 = replay price.
-        const unsigned lead_shard = cand.front().first;
-        if (plan_ns >= fallback_ns) {
-            if (auto *t = obs::tracer())
-                t->instant(
-                    "plan.fallback", lead_shard,
-                    static_cast<uint64_t>(std::llround(plan_ns)),
-                    static_cast<uint64_t>(std::llround(fallback_ns)));
-            for (auto &[s, p] : cand)
-                p->planned = false;
-            continue;
-        }
+        const bool commit = plan_ns < fallback_ns;
         if (auto *t = obs::tracer())
-            t->instant(
-                "plan.commit", lead_shard,
-                static_cast<uint64_t>(std::llround(plan_ns)),
-                static_cast<uint64_t>(std::llround(fallback_ns)));
+            t->instant(commit ? "plan.commit" : "plan.fallback",
+                       cand.front().first,
+                       static_cast<uint64_t>(std::llround(plan_ns)),
+                       static_cast<uint64_t>(std::llround(fallback_ns)));
         // Slice the merged plan back: deterministic plane order per
         // shard (increment rail, then decrement rail, each in
         // ascending digit, k); every plane is written into the
@@ -669,6 +658,9 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
         // scheduler state is bit-identical to independent per-shard
         // plans.
         for (auto &[s, p] : cand) {
+            p->planned = commit;
+            if (!commit)
+                continue;
             std::sort(p->touched.begin(), p->touched.end());
             for (const uint32_t idx : p->touched) {
                 const unsigned plane = idx % railPlanes_;
@@ -676,12 +668,14 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                                     plane % (R - 1) + 1,
                                     kPlaneMask,
                                     &p->planes[idx],
-                                    plane_lead[idx] == s,
+                                    planeLead_[idx] == s,
                                     idx >= railPlanes_});
             }
             shards_[s]->planPrepare(p->steps, p->headroom, g,
                                     p->absorbed);
         }
+        for (const uint32_t idx : union_planes)
+            planeLead_[idx] = kNoLead;
     }
 }
 
@@ -833,6 +827,7 @@ ShardedEngine::accumulateSigned(int64_t value, unsigned mask_handle,
 std::vector<int64_t>
 ShardedEngine::readAllCounters(unsigned group)
 {
+    checkGroup(group, cfg_.numGroups);
     std::vector<int64_t> out(cfg_.numCounters);
     forEachShard([&](C2MEngine &eng, unsigned s) {
         const auto part = eng.readCounters(group);
@@ -845,6 +840,10 @@ ShardedEngine::readAllCounters(unsigned group)
 void
 ShardedEngine::addCounters(unsigned dst_group, unsigned src_group)
 {
+    // Checked here, on the caller's thread, before any shard runs;
+    // a group is signed if any shard saw a decrement.
+    for (const auto &eng : shards_)
+        checkTensorPair(*eng, dst_group, src_group);
     forEachShard([&](C2MEngine &eng, unsigned) {
         eng.addCounters(dst_group, src_group);
     });
@@ -853,6 +852,7 @@ ShardedEngine::addCounters(unsigned dst_group, unsigned src_group)
 void
 ShardedEngine::relu(unsigned group)
 {
+    checkTensorOp(*shards_.front(), group);
     forEachShard(
         [&](C2MEngine &eng, unsigned) { eng.relu(group); });
 }
@@ -861,6 +861,8 @@ void
 ShardedEngine::shiftLeft(unsigned group, unsigned spare_group,
                          unsigned amount)
 {
+    for (const auto &eng : shards_)
+        checkTensorPair(*eng, group, spare_group);
     forEachShard([&](C2MEngine &eng, unsigned) {
         eng.shiftLeft(group, spare_group, amount);
     });
@@ -869,6 +871,7 @@ ShardedEngine::shiftLeft(unsigned group, unsigned spare_group,
 void
 ShardedEngine::drain(unsigned group)
 {
+    checkGroup(group, cfg_.numGroups);
     forEachShard(
         [&](C2MEngine &eng, unsigned) { eng.drain(group); });
 }

@@ -242,10 +242,16 @@ class ShardedEngine
     void accumulateSigned(int64_t value, unsigned mask_handle,
                           unsigned group = 0);
 
-    /** Counter values over the full logical space, in logical order. */
+    /**
+     * Counter values over the full logical space, in logical order.
+     * @throws std::invalid_argument on a @p group past numGroups.
+     */
     std::vector<int64_t> readAllCounters(unsigned group = 0);
 
     // ---- Tensor-style fan-out (each runs on all shards) ----
+    // Each throws std::invalid_argument as its C2MEngine op does, on
+    // the caller's thread before any shard runs; a group is in
+    // signed mode if it is on any shard.
     void addCounters(unsigned dst_group, unsigned src_group);
     void relu(unsigned group);
     /**
@@ -432,6 +438,15 @@ class ShardedEngine
     unsigned numMasks_ = 0;
     /** Plane indices per sign rail, D*(R-1). */
     unsigned railPlanes_ = 0;
+    /** planeLead_ entry of a plane no candidate of the group holds. */
+    static constexpr unsigned kNoLead = ~0u;
+    /**
+     * Gang leader per plane index of the group planParts is slicing
+     * (2*railPlanes_ entries, kNoLead outside its union planes; reset
+     * through them after each group). Stage 3 is host-serial, so one
+     * table serves every epoch.
+     */
+    std::vector<unsigned> planeLead_;
     /**
      * Modeled ns of one masked k-ary program, indexed [rail][k]
      * (rail 0 increment, rail 1 decrement; k = 0 unused):

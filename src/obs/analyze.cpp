@@ -115,18 +115,6 @@ Watchdog::evaluate(const CounterMap &d)
                      " stalls / ", submitted,
                      " submitted this interval)");
         }
-        const uint64_t dropped = counterOr0(d, "service.dropped");
-        const double dropRatio =
-            static_cast<double>(dropped) /
-            static_cast<double>(submitted);
-        if (dropRatio > cfg_.dropRatioMax) {
-            ++queueDrop_;
-            ++fired;
-            C2M_WARN("watchdog: ingest drop ratio ", dropRatio,
-                     " exceeds ", cfg_.dropRatioMax, " (", dropped,
-                     " dropped / ", submitted,
-                     " submitted this interval)");
-        }
     }
 
     const uint64_t hits = counterOr0(d, "engine.program_cache_hits");
@@ -185,7 +173,6 @@ Watchdog::counters() const
         {"evaluations", evaluations_},
         {"alerts", alerts_},
         {"alert.queue_stall", queueStall_},
-        {"alert.queue_drop", queueDrop_},
         {"alert.cache_collapse", cacheCollapse_},
         {"alert.uncorrected", uncorrected_},
         {"alert.trace_drops", traceDrops_},

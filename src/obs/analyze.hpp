@@ -63,8 +63,6 @@ struct WatchdogConfig
 {
     /** service.stalls / service.submitted above this trips. */
     double stallRatioMax = 0.5;
-    /** service.dropped / service.submitted above this trips. */
-    double dropRatioMax = 0.01;
     /** Cache hit rate below this trips (given enough lookups). */
     double cacheHitRateMin = 0.5;
     /** Minimum interval lookups before the hit-rate rule applies. */
@@ -104,7 +102,6 @@ class Watchdog
     uint64_t evaluations_ = 0;
     uint64_t alerts_ = 0;
     uint64_t queueStall_ = 0;
-    uint64_t queueDrop_ = 0;
     uint64_t cacheCollapse_ = 0;
     uint64_t uncorrected_ = 0;
     uint64_t traceDrops_ = 0;

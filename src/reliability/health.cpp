@@ -1,22 +1,16 @@
 #include "reliability/health.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/logging.hpp"
-#include "ecc/analysis.hpp"
 
 namespace c2m {
 namespace reliability {
 
-HealthMonitor::HealthMonitor(const HealthConfig &cfg) : cfg_(cfg)
-{
-    C2M_ASSERT(cfg.ewmaAlpha > 0.0 && cfg.ewmaAlpha <= 1.0,
-               "ewmaAlpha must be in (0, 1]");
-    C2M_ASSERT(cfg.minInterval >= 1 &&
-                   cfg.minInterval <= cfg.maxInterval,
-               "interval clamp must satisfy 1 <= min <= max");
-}
+namespace {
+
+/** EWMA weight of the latest sweep's sample. */
+constexpr double kEwmaAlpha = 0.25;
+
+} // namespace
 
 void
 HealthMonitor::observe(const ScrubObservation &o)
@@ -39,39 +33,10 @@ HealthMonitor::observe(const ScrubObservation &o)
         pEwma_ = p;
         fEwma_ = f;
     } else {
-        pEwma_ += cfg_.ewmaAlpha * (p - pEwma_);
-        fEwma_ += cfg_.ewmaAlpha * (f - fEwma_);
+        pEwma_ += kEwmaAlpha * (p - pEwma_);
+        fEwma_ += kEwmaAlpha * (f - fEwma_);
     }
     ++samples_;
-}
-
-double
-HealthMonitor::projectedUndetectedRate(unsigned fr_checks) const
-{
-    return ecc::ProtectionModel::undetectedErrorRate(pEwma_,
-                                                     2 * fr_checks);
-}
-
-unsigned
-HealthMonitor::recommendedFrChecks() const
-{
-    for (unsigned c = 1; c <= 3; ++c)
-        if (projectedUndetectedRate(c) <= cfg_.targetUndetectedRate)
-            return c;
-    return 3;
-}
-
-unsigned
-HealthMonitor::recommendedInterval() const
-{
-    if (fEwma_ <= 0.0)
-        return cfg_.maxInterval;
-    const double bound =
-        std::sqrt(2.0 * cfg_.targetWordDoubleFlip) / fEwma_;
-    const double clamped = std::clamp(
-        bound, static_cast<double>(cfg_.minInterval),
-        static_cast<double>(cfg_.maxInterval));
-    return static_cast<unsigned>(clamped);
 }
 
 CounterMap
@@ -85,8 +50,6 @@ HealthMonitor::toCounters() const
         {"health.samples", samples_},
         {"health.fault_rate_ppt", ppt(pEwma_)},
         {"health.flips_per_word_ppt", ppt(fEwma_)},
-        {"health.recommended_fr_checks", recommendedFrChecks()},
-        {"health.recommended_interval", recommendedInterval()},
     };
 }
 

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Live fault-rate estimation and adaptive protection targets.
+ * Live fault-rate estimation from scrub outcomes.
  *
  * The HealthMonitor turns scrub outcomes into an online estimate of
  * the per-bit multi-row-activation fault rate: every sweep reports
@@ -15,20 +15,11 @@
  * the two). Persisted flips undercount total flips by a structural
  * factor (faults landing in transient scratch rows are overwritten
  * before any sweep can see them), so the estimate is a lower bound
- * of the same order as the injected rate.
- *
- * From the estimate the monitor derives two recommendations checked
- * against ecc::ProtectionModel targets:
- *
- *  - FR checks: the smallest count in 1..3 whose projected
- *    undetected-error rate stays under the configured floor
- *    (Tab. 1's error-rate column);
- *  - scrub interval: the largest boundary count for which the
- *    expected double-flip probability per 64-column SEC-DED word —
- *    the scrubber's own uncorrectable event — stays under its
- *    target: with f persisted flips per word per boundary,
- *    P(>=2) ~ (f*interval)^2 / 2 <= target, i.e.
- *    interval <= sqrt(2*target) / f.
+ * of the same order as the injected rate. The monitor also tracks
+ * persisted flips per 64-column SEC-DED word per boundary, the input
+ * to the scrub-cadence math in docs/reliability.md. It only reports:
+ * the FR-check count and the scrub interval are fixed by the engine
+ * and scrubber configurations.
  */
 
 #include <cstdint>
@@ -37,18 +28,6 @@
 
 namespace c2m {
 namespace reliability {
-
-struct HealthConfig
-{
-    /** Ceiling on the projected undetected-error rate per step. */
-    double targetUndetectedRate = 1e-12;
-    /** Ceiling on P(2+ flips per ECC word between sweeps). */
-    double targetWordDoubleFlip = 1e-6;
-    /** EWMA smoothing of per-sweep samples (1 = latest only). */
-    double ewmaAlpha = 0.25;
-    unsigned minInterval = 1;   ///< scrub-cadence clamp (boundaries)
-    unsigned maxInterval = 256; ///< scrub-cadence clamp (boundaries)
-};
 
 /** One scrub sweep's evidence, reported by the Scrubber. */
 struct ScrubObservation
@@ -63,10 +42,6 @@ struct ScrubObservation
 class HealthMonitor
 {
   public:
-    explicit HealthMonitor(const HealthConfig &cfg = {});
-
-    const HealthConfig &config() const { return cfg_; }
-
     void observe(const ScrubObservation &o);
 
     uint64_t samples() const { return samples_; }
@@ -77,20 +52,10 @@ class HealthMonitor
     /** EWMA persisted flips per ECC word per boundary. */
     double flipsPerWordPerBoundary() const { return fEwma_; }
 
-    /** Projected undetected-error rate at @p fr_checks (Tab. 1). */
-    double projectedUndetectedRate(unsigned fr_checks) const;
-
-    /** Smallest FR-check count in 1..3 meeting the target floor. */
-    unsigned recommendedFrChecks() const;
-
-    /** Scrub interval (boundaries) meeting the double-flip target. */
-    unsigned recommendedInterval() const;
-
     /** Named "health.*" gauges (rates scaled to parts-per-1e12). */
     CounterMap toCounters() const;
 
   private:
-    HealthConfig cfg_;
     uint64_t samples_ = 0;
     double pEwma_ = 0.0;
     double fEwma_ = 0.0;

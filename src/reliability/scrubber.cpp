@@ -35,7 +35,6 @@ ScrubStats::toCounters() const
         {"reliability.mirror_bits_corrected", mirrorBitsCorrected},
         {"reliability.mirror_words_lost", mirrorWordsLost},
         {"reliability.ops_journaled", opsJournaled},
-        {"reliability.fr_retunes", frRetunes},
     };
 }
 
@@ -47,11 +46,7 @@ Scrubber::supports(core::ShardedEngine &engine)
 
 Scrubber::Scrubber(core::ShardedEngine &engine,
                    const ScrubConfig &cfg)
-    : engine_(engine),
-      cfg_(cfg),
-      appliedFrChecks_(engine.config().frChecks),
-      health_(cfg.health),
-      liveInterval_(cfg.interval)
+    : engine_(engine), cfg_(cfg)
 {
     if (cfg.interval < 1)
         C2M_FATAL("ScrubConfig::interval must be >= 1");
@@ -73,13 +68,6 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
         st.decayRng = Rng(engine.config().seed ^
                           (0x9e3779b97f4a7c15ULL * (s + 1)));
     }
-}
-
-unsigned
-Scrubber::interval() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return liveInterval_;
 }
 
 void
@@ -133,7 +121,6 @@ Scrubber::boundary()
 {
     beginBoundary();
     sweepDue();
-    applyAdaptive();
 }
 
 void
@@ -161,16 +148,9 @@ Scrubber::injectStoreDecay()
 void
 Scrubber::sweepDue()
 {
-    const unsigned n = engine_.numShards();
-    unsigned interval;
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        interval = liveInterval_;
-    }
-
     std::vector<unsigned> due;
-    for (unsigned s = 0; s < n; ++s)
-        if (boundary_ - shards_[s].lastSweepBoundary >= interval)
+    for (unsigned s = 0; s < engine_.numShards(); ++s)
+        if (boundary_ - shards_[s].lastSweepBoundary >= cfg_.interval)
             due.push_back(s);
     if (!due.empty())
         runSweeps(due);
@@ -284,35 +264,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     std::lock_guard<std::mutex> lk(m_);
     st.stats += d;
     health_.observe(obs);
-}
-
-void
-Scrubber::applyAdaptive()
-{
-    if (!cfg_.adaptive)
-        return;
-    unsigned fr;
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        if (health_.samples() == 0)
-            return;
-        liveInterval_ = health_.recommendedInterval();
-        fr = health_.recommendedFrChecks();
-    }
-    if (engine_.config().protection != core::Protection::Ecc ||
-        fr == appliedFrChecks_)
-        return;
-    bool any = false;
-    for (unsigned s = 0; s < engine_.numShards(); ++s)
-        engine_.runShardTask(
-            s, [&any, fr](core::C2MEngine &eng, size_t) {
-                any |= eng.backend().setFrChecks(fr);
-            });
-    appliedFrChecks_ = fr;
-    if (any) {
-        std::lock_guard<std::mutex> lk(m_);
-        ++aggregate_.frRetunes;
-    }
 }
 
 void

@@ -36,9 +36,9 @@
  * the true sums, a swept run ends bit-identical to a fault-free
  * serial replay whatever the injected CIM fault rate — the property
  * pinned by test_reliability.cpp. Sweep outcomes feed the
- * HealthMonitor, which (with ScrubConfig::adaptive) retunes the
- * sweep cadence and the live FR-check count of ECC-protected
- * backends against ecc::ProtectionModel targets.
+ * HealthMonitor's live fault-rate estimate (the health.* counters);
+ * the sweep cadence and the backends' FR-check count stay as
+ * configured for the scrubber's and the engine's lifetime.
  *
  * Coverage contract: the scrubber sees point updates only (epoch
  * buckets or noteBatch). Broadcast accumulates and tensor ops bypass
@@ -83,12 +83,9 @@ struct ScrubConfig
      * sweeps at its boundary, in parallel on the engine's lane pool.
      */
     unsigned interval = 1;
-    /** Let the HealthMonitor retune interval and FR checks. */
-    bool adaptive = false;
     /** Per-bit decay injected into the mirror store per boundary
-     *  (campaigns; exercises the side store's own SEC-DED). */
+     *  (exercises the side store's own SEC-DED). */
     double storeFaultRate = 0.0;
-    HealthConfig health;
 };
 
 struct ScrubStats
@@ -103,7 +100,6 @@ struct ScrubStats
     uint64_t mirrorBitsCorrected = 0; ///< side-store flips corrected
     uint64_t mirrorWordsLost = 0; ///< side-store words past SEC-DED
     uint64_t opsJournaled = 0;    ///< deltas recorded since attach
-    uint64_t frRetunes = 0;       ///< live FR-check changes applied
 
     ScrubStats &operator+=(const ScrubStats &o)
     {
@@ -117,7 +113,6 @@ struct ScrubStats
         mirrorBitsCorrected += o.mirrorBitsCorrected;
         mirrorWordsLost += o.mirrorWordsLost;
         opsJournaled += o.opsJournaled;
-        frRetunes += o.frRetunes;
         return *this;
     }
 
@@ -142,8 +137,6 @@ class Scrubber final : public service::EpochObserver
     static bool supports(core::ShardedEngine &engine);
 
     const ScrubConfig &config() const { return cfg_; }
-    /** Live sweep cadence (cfg.interval unless adaptive retuned). */
-    unsigned interval() const;
 
     // ---- service::EpochObserver (drainer thread) ----
     void onShardOps(unsigned shard,
@@ -214,25 +207,22 @@ class Scrubber final : public service::EpochObserver
     void sweepShard(core::C2MEngine &eng, ShardState &st,
                     uint64_t boundary);
     void injectStoreDecay();
-    void applyAdaptive();
 
     core::ShardedEngine &engine_;
     ScrubConfig cfg_;
     std::vector<ShardState> shards_;
     uint64_t boundary_ = 0; ///< boundaries seen (drainer/driver only)
-    unsigned appliedFrChecks_ = 0; ///< last live FR-check retune
 
     /**
-     * Guards aggregate_, health_, liveInterval_ and every
-     * ShardState::stats block: sweeps (pool lanes) append their
-     * deltas under it, readers (counters()/stats() from reporting
-     * threads) sum under it. Mirrors and journals need no lock — they
-     * are touched only with the owning shard quiescent.
+     * Guards aggregate_, health_ and every ShardState::stats block:
+     * sweeps (pool lanes) append their deltas under it, readers
+     * (counters()/stats() from reporting threads) sum under it.
+     * Mirrors and journals need no lock — they are touched only with
+     * the owning shard quiescent.
      */
     mutable std::mutex m_;
-    ScrubStats aggregate_; ///< boundary/journal/retune counters
+    ScrubStats aggregate_; ///< boundary/journal counters
     HealthMonitor health_;
-    unsigned liveInterval_; ///< adaptive cadence (cfg.interval seed)
 };
 
 } // namespace reliability

@@ -13,7 +13,10 @@
  * replays (the point-update path rewrites its mask row constantly).
  *
  * The cache is bounded by construction: the key space is
- * |ops| x groups x digits x radix x mask rows.
+ * |ops| x groups x digits x radix x mask rows. Nothing is ever
+ * evicted: a backend's code generators (layout, protection, FR-check
+ * count) are fixed at construction, so a key fixes its program for
+ * the backend's lifetime.
  *
  * The drain planner leans on the mask-row indirection: every digit
  * plane of every epoch writes its (constantly changing) mask into
@@ -114,12 +117,6 @@ template <typename Program> class ProgramCache
 
     bool enabled() const { return enabled_; }
     size_t size() const { return map_.size(); }
-
-    /**
-     * Drop every cached program (e.g. after the generator's options
-     * changed); later lookups regenerate and count as misses.
-     */
-    void clear() { map_.clear(); }
 
   private:
     bool enabled_;

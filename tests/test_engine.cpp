@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -17,14 +18,19 @@
 #include "core/costmodel.hpp"
 #include "core/engine.hpp"
 #include "core/fabriccost.hpp"
+#include "core/sharded.hpp"
 
 using namespace c2m;
+using core::BackendKind;
+using core::BatchOp;
 using core::C2MEngine;
 using core::C2mCostModel;
 using core::CountMode;
 using core::EngineConfig;
+using core::EngineStats;
 using core::Protection;
 using core::RippleMode;
+using core::ShardedEngine;
 
 namespace {
 
@@ -1214,4 +1220,393 @@ TEST(Engine, ClearResetsCountersButKeepsMasks)
     eng.accumulate(5, h); // mask still valid
     for (auto v : eng.readCounters())
         EXPECT_EQ(v, 5);
+}
+
+// ---------------------------------------------------------------------
+// Step paths: every tally of the per-input path (unsigned, signed and
+// tensor ops) and of the plan path (an unsigned and a mixed-sign
+// epoch over two shards), pinned per substrate and protection. No
+// golden or bench cell covers signed inputs under ECC or TMR, the
+// tensor ops, or signed two-rail plans under TMR.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every integer field of @p s, the fabric tallies included. */
+std::vector<uint64_t>
+integerTallies(const EngineStats &s)
+{
+    const cim::OpStats &f = s.fabric;
+    return {s.inputsAccumulated, s.increments,      s.ripples,
+            s.checksRun,         s.faultsDetected,  s.retries,
+            s.uncorrectedBlocks, s.invalidStates,   s.voteOps,
+            s.programCacheHits,  s.programCacheMisses,
+            s.plansExecuted,     s.planPrograms,    s.planLeadPrograms,
+            s.plannedOps,        s.planFallbackOps, s.pendingPeeks,
+            s.signFolds,         s.drainPeeks,      s.absorbPeeks,
+            f.aap,               f.ap,              f.tra,
+            f.faultsInjected,    f.rowReads,        f.rowWrites,
+            f.gangedCommands};
+}
+
+/** FNV-1a over every counter value of every group, in order. */
+uint64_t
+counterDigest(const std::vector<std::vector<int64_t>> &groups)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &values : groups)
+        for (const int64_t v : values)
+            h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ULL;
+    return h;
+}
+
+struct StepPathCase
+{
+    const char *name;
+    BackendKind backend;
+    Protection protection;
+    double faultRate;
+    /** integerTallies after the per-input script. */
+    std::vector<uint64_t> inputs;
+    /** Per-shard integerTallies after the plan script. */
+    std::vector<uint64_t> plan0;
+    std::vector<uint64_t> plan1;
+    /**
+     * counterDigest of the per-input and the plan script's counters:
+     * the faulty case cannot match the host sums, so its counters are
+     * pinned this way.
+     */
+    uint64_t inputDigest;
+    uint64_t planDigest;
+};
+
+EngineConfig
+stepPathConfig(const StepPathCase &c)
+{
+    EngineConfig cfg;
+    cfg.radix = 4;
+    cfg.numCounters = 64;
+    cfg.numGroups = 3;
+    cfg.maxMaskRows = 8;
+    cfg.backend = c.backend;
+    cfg.protection = c.protection;
+    cfg.faultRate = c.faultRate;
+    cfg.seed = 29;
+    return cfg;
+}
+
+/**
+ * 40 unsigned inputs into group 0 and 40 signed ones in [-300, 300]
+ * into group 1 over four registered masks; on Ambit, unsigned inputs
+ * into group 2, then addCounters(0, 2), shiftLeft(0, 2, 1), relu(1).
+ * Returns the host sums per group.
+ */
+std::vector<std::vector<int64_t>>
+runInputScript(C2MEngine &eng)
+{
+    const size_t n = eng.config().numCounters;
+    Rng rng(31);
+    std::vector<std::vector<uint8_t>> masks(4,
+                                            std::vector<uint8_t>(n));
+    std::vector<unsigned> handles;
+    for (auto &m : masks) {
+        for (auto &b : m)
+            b = rng.nextBool(0.5);
+        handles.push_back(eng.addMask(m));
+    }
+    std::vector<std::vector<int64_t>> sums(
+        3, std::vector<int64_t>(n, 0));
+    const auto add = [&](unsigned group, int64_t v) {
+        const size_t m = rng.nextBounded(masks.size());
+        eng.accumulateSigned(v, handles[m], group);
+        for (size_t c = 0; c < n; ++c)
+            sums[group][c] += masks[m][c] ? v : 0;
+    };
+    for (int i = 0; i < 40; ++i)
+        add(0, static_cast<int64_t>(rng.nextBounded(1000)));
+    for (int i = 0; i < 40; ++i)
+        add(1, rng.nextRange(-300, 300));
+    if (eng.backend().caps().tensorOps) {
+        for (int i = 0; i < 20; ++i)
+            add(2, static_cast<int64_t>(rng.nextBounded(1000)));
+        eng.addCounters(0, 2);
+        for (size_t c = 0; c < n; ++c)
+            sums[0][c] += sums[2][c];
+        eng.shiftLeft(0, 2, 1);
+        for (size_t c = 0; c < n; ++c) {
+            sums[2][c] = sums[0][c]; // the spare keeps the operand
+            sums[0][c] *= 2;
+            sums[1][c] = std::max<int64_t>(sums[1][c], 0);
+        }
+        eng.relu(1);
+    }
+    return sums;
+}
+
+/**
+ * One unsigned Zipf(1.0) epoch into group 0, then one mixed-sign
+ * epoch over groups 0 and 1. Returns the host sums per group.
+ */
+std::vector<std::vector<int64_t>>
+runPlanScript(ShardedEngine &eng)
+{
+    const size_t n = eng.numCounters();
+    std::vector<std::vector<int64_t>> sums(
+        3, std::vector<int64_t>(n, 0));
+    ZipfRng zipf(n, 1.0, 37);
+    Rng rng(41);
+    std::vector<BatchOp> ops;
+    for (int i = 0; i < 400; ++i)
+        ops.push_back({zipf.next(),
+                       static_cast<int64_t>(1 + rng.nextBounded(30)),
+                       0});
+    for (const BatchOp &op : ops)
+        sums[op.group][op.counter] += op.value;
+    eng.accumulateBatch(ops);
+    ops.clear();
+    for (int i = 0; i < 400; ++i)
+        ops.push_back({rng.nextBounded(n), rng.nextRange(-40, 40),
+                       static_cast<uint32_t>(i % 2)});
+    for (const BatchOp &op : ops)
+        sums[op.group][op.counter] += op.value;
+    eng.accumulateBatch(ops);
+    return sums;
+}
+
+} // namespace
+
+TEST(EngineStepPaths, CountsMatchTheParent)
+{
+    // The tallies fields, in integerTallies order: inputs, increments,
+    // ripples, checks, faults detected, retries, uncorrected, invalid
+    // states, vote ops, cache hits, misses, plans, plan programs, lead
+    // programs, planned ops, fallback ops, pending peeks, sign folds,
+    // drain peeks, absorb peeks; then AAP, AP, TRA, faults injected,
+    // row reads, row writes, ganged commands.
+    const std::vector<StepPathCase> cases = {
+        {"ambit", BackendKind::Ambit, Protection::None, 0.0,
+         {100, 482, 378, 0, 0, 0, 0, 0, 0, 648, 212, 0, 0, 0,
+          0, 0, 321, 0, 33, 0, 21785, 2726, 7205, 0, 510, 75, 0},
+         {561, 39, 25, 0, 0, 0, 0, 0, 0, 16, 48, 3, 39, 39,
+          561, 0, 41, 0, 0, 0, 1699, 198, 518, 0, 145, 79, 0},
+         {239, 33, 18, 0, 0, 0, 0, 0, 0, 13, 38, 3, 33, 0,
+          239, 0, 33, 0, 0, 0, 1389, 159, 414, 0, 137, 71, 906},
+         712920018148354016ULL, 9820645000774082639ULL},
+        {"ambit_ecc", BackendKind::Ambit, Protection::Ecc, 1e-3,
+         {100, 482, 450, 4417, 689, 689, 0, 0, 0, 713, 219, 0, 0, 0,
+          0, 0, 391, 0, 33, 0, 68811, 1078, 17304, 1003, 13831, 80, 0},
+         {561, 39, 25, 277, 21, 21, 0, 0, 0, 16, 48, 3, 39, 39,
+          561, 0, 41, 0, 0, 0, 4477, 70, 1093, 28, 976, 80, 0},
+         {239, 33, 20, 227, 15, 15, 0, 0, 0, 14, 39, 3, 33, 0,
+          239, 0, 35, 0, 0, 0, 3707, 59, 899, 26, 820, 73, 2238},
+         16845428621004355222ULL, 3997259512444682966ULL},
+        {"ambit_tmr", BackendKind::Ambit, Protection::Tmr, 0.0,
+         {100, 482, 378, 0, 0, 0, 0, 0, 10320, 1944, 636, 0, 0, 0,
+          0, 0, 321, 0, 33, 0, 74331, 8178, 23939, 0, 822, 217, 0},
+         {561, 39, 25, 0, 0, 0, 0, 0, 768, 48, 144, 3, 39, 39,
+          561, 0, 41, 0, 0, 0, 5865, 594, 1746, 0, 353, 155, 0},
+         {239, 33, 18, 0, 0, 0, 0, 0, 612, 39, 114, 3, 33, 0,
+          239, 0, 33, 0, 0, 0, 4779, 477, 1395, 0, 345, 143, 3114},
+         712920018148354016ULL, 9820645000774082639ULL},
+        {"nvm_pinatubo", BackendKind::NvmPinatubo, Protection::None, 0.0,
+         {80, 276, 308, 0, 0, 0, 0, 0, 0, 438, 146, 0, 0, 0,
+          0, 0, 321, 0, 0, 0, 5840, 0, 5256, 0, 373, 20, 0},
+         {561, 39, 25, 0, 0, 0, 0, 0, 0, 16, 48, 3, 39, 39,
+          561, 0, 41, 0, 0, 0, 763, 0, 699, 0, 145, 79, 0},
+         {239, 33, 18, 0, 0, 0, 0, 0, 0, 13, 38, 3, 33, 0,
+          239, 0, 33, 0, 0, 0, 639, 0, 588, 0, 137, 71, 303},
+         16257338858552327844ULL, 9820645000774082639ULL},
+        {"rca_ecc", BackendKind::Rca, Protection::Ecc, 0.0,
+         {80, 80, 0, 8400, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+          0, 0, 0, 0, 0, 0, 70191, 0, 16800, 0, 16800, 4, 0},
+         {561, 39, 0, 4095, 0, 0, 0, 0, 0, 7, 32, 3, 39, 39,
+          561, 0, 0, 0, 0, 0, 34275, 0, 8190, 0, 8190, 41, 0},
+         {239, 33, 0, 3465, 0, 0, 0, 0, 0, 6, 27, 3, 33, 0,
+          239, 0, 0, 0, 0, 0, 29019, 0, 6930, 0, 6930, 35, 28908},
+         16257338858552327844ULL, 9820645000774082639ULL},
+        {"rca_tmr", BackendKind::Rca, Protection::Tmr, 0.0,
+         {80, 80, 0, 0, 0, 0, 0, 0, 11200, 0, 0, 0, 0, 0,
+          0, 0, 0, 0, 0, 0, 104173, 0, 28000, 0, 0, 4, 0},
+         {561, 39, 0, 0, 0, 0, 0, 0, 5460, 21, 96, 3, 39, 39,
+          561, 0, 0, 0, 0, 0, 50955, 0, 13650, 0, 0, 41, 0},
+         {239, 33, 0, 0, 0, 0, 0, 0, 4620, 18, 81, 3, 33, 0,
+          239, 0, 0, 0, 0, 0, 43167, 0, 11550, 0, 0, 35, 42834},
+         16257338858552327844ULL, 9820645000774082639ULL},
+    };
+    for (const StepPathCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        const EngineConfig cfg = stepPathConfig(c);
+        {
+            C2MEngine eng(cfg);
+            const auto sums = runInputScript(eng);
+            EXPECT_EQ(integerTallies(eng.stats()), c.inputs);
+            std::vector<std::vector<int64_t>> got;
+            for (unsigned g = 0; g < cfg.numGroups; ++g)
+                got.push_back(eng.readCounters(g));
+            EXPECT_EQ(counterDigest(got), c.inputDigest);
+            if (c.faultRate == 0.0) {
+                EXPECT_EQ(got, sums);
+            }
+        }
+        {
+            ShardedEngine eng(cfg, 2);
+            const auto sums = runPlanScript(eng);
+            const auto shards = eng.shardStats();
+            EXPECT_EQ(integerTallies(shards[0]), c.plan0);
+            EXPECT_EQ(integerTallies(shards[1]), c.plan1);
+            std::vector<std::vector<int64_t>> got;
+            for (unsigned g = 0; g < cfg.numGroups; ++g)
+                got.push_back(eng.readAllCounters(g));
+            EXPECT_EQ(counterDigest(got), c.planDigest);
+            if (c.faultRate == 0.0) {
+                EXPECT_EQ(got, sums);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Tensor-op caller errors: refused before anything changes
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::vector<uint64_t>>
+shardTallies(const C2MEngine &eng)
+{
+    return {integerTallies(eng.stats())};
+}
+
+std::vector<std::vector<uint64_t>>
+shardTallies(const ShardedEngine &eng)
+{
+    std::vector<std::vector<uint64_t>> out;
+    for (const EngineStats &s : eng.shardStats())
+        out.push_back(integerTallies(s));
+    return out;
+}
+
+std::vector<int64_t>
+groupValues(C2MEngine &eng, unsigned group)
+{
+    return eng.readCounters(group);
+}
+
+std::vector<int64_t>
+groupValues(ShardedEngine &eng, unsigned group)
+{
+    return eng.readAllCounters(group);
+}
+
+/**
+ * @p bad must throw std::invalid_argument and leave every tally of
+ * every shard and then every group's counters as they were (@p values;
+ * read after the tallies, since reads are charged).
+ */
+template <typename Engine>
+void
+expectRefused(Engine &eng,
+              const std::vector<std::vector<int64_t>> &values,
+              const char *what, const std::function<void()> &bad)
+{
+    SCOPED_TRACE(what);
+    const auto before = shardTallies(eng);
+    EXPECT_THROW(bad(), std::invalid_argument);
+    EXPECT_EQ(shardTallies(eng), before);
+    for (unsigned g = 0; g < values.size(); ++g)
+        EXPECT_EQ(groupValues(eng, g), values[g]) << "group " << g;
+}
+
+/** Every bad tensor-op, drain and read argument against @p eng. */
+template <typename Engine>
+void
+expectBadArgumentsRefused(Engine &eng,
+                          const std::vector<std::vector<int64_t>> &values)
+{
+    expectRefused(eng, values, "addCounters(0, 0)",
+                  [&] { eng.addCounters(0, 0); });
+    expectRefused(eng, values, "addCounters(0, 3)",
+                  [&] { eng.addCounters(0, 3); });
+    expectRefused(eng, values, "addCounters(3, 0)",
+                  [&] { eng.addCounters(3, 0); });
+    expectRefused(eng, values, "addCounters(0, signed 1)",
+                  [&] { eng.addCounters(0, 1); });
+    expectRefused(eng, values, "addCounters(signed 1, 2)",
+                  [&] { eng.addCounters(1, 2); });
+    expectRefused(eng, values, "relu(3)", [&] { eng.relu(3); });
+    expectRefused(eng, values, "shiftLeft(0, 0, 1)",
+                  [&] { eng.shiftLeft(0, 0, 1); });
+    expectRefused(eng, values, "shiftLeft(0, 3, 1)",
+                  [&] { eng.shiftLeft(0, 3, 1); });
+    expectRefused(eng, values, "shiftLeft(3, 0, 1)",
+                  [&] { eng.shiftLeft(3, 0, 1); });
+    expectRefused(eng, values, "shiftLeft(signed 1, 2, 1)",
+                  [&] { eng.shiftLeft(1, 2, 1); });
+    expectRefused(eng, values, "drain(3)", [&] { eng.drain(3); });
+    expectRefused(eng, values, "read group 3",
+                  [&] { groupValues(eng, 3); });
+}
+
+/** Tensor ops on a backend without them (NVM Magic). */
+template <typename Engine>
+void
+expectNoTensorOps(Engine &eng,
+                  const std::vector<std::vector<int64_t>> &values)
+{
+    expectRefused(eng, values, "addCounters without tensor ops",
+                  [&] { eng.addCounters(0, 2); });
+    expectRefused(eng, values, "relu without tensor ops",
+                  [&] { eng.relu(0); });
+    expectRefused(eng, values, "shiftLeft without tensor ops",
+                  [&] { eng.shiftLeft(0, 2, 1); });
+}
+
+} // namespace
+
+TEST(EngineTensorErrors, BadArgumentsThrowBeforeAnyChange)
+{
+    auto cfg = smallConfig(4);
+    cfg.numGroups = 3;
+    // Group 0 holds 5, group 1 is signed at -2 (on the sharded engine
+    // only in counter 12, so only shard 1 is signed), group 2 holds 3.
+    for (BackendKind kind : {BackendKind::Ambit, BackendKind::NvmMagic}) {
+        SCOPED_TRACE(core::backendName(kind));
+        cfg.backend = kind;
+        const bool tensor = kind == BackendKind::Ambit;
+        {
+            C2MEngine eng(cfg);
+            const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+            eng.accumulate(5, h, 0);
+            eng.accumulateSigned(-2, h, 1);
+            eng.accumulate(3, h, 2);
+            const std::vector<std::vector<int64_t>> values = {
+                std::vector<int64_t>(16, 5),
+                std::vector<int64_t>(16, -2),
+                std::vector<int64_t>(16, 3)};
+            if (tensor)
+                expectBadArgumentsRefused(eng, values);
+            else
+                expectNoTensorOps(eng, values);
+        }
+        {
+            ShardedEngine eng(cfg, 2);
+            std::vector<BatchOp> ops;
+            for (uint64_t c = 0; c < 16; ++c) {
+                ops.push_back({c, 5, 0});
+                ops.push_back({c, 3, 2});
+            }
+            ops.push_back({12, -2, 1});
+            eng.accumulateBatch(ops);
+            ASSERT_FALSE(eng.shard(0).signedMode(1));
+            ASSERT_TRUE(eng.shard(1).signedMode(1));
+            std::vector<std::vector<int64_t>> values = {
+                std::vector<int64_t>(16, 5), std::vector<int64_t>(16, 0),
+                std::vector<int64_t>(16, 3)};
+            values[1][12] = -2;
+            if (tensor)
+                expectBadArgumentsRefused(eng, values);
+            else
+                expectNoTensorOps(eng, values);
+        }
+    }
 }
