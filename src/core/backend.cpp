@@ -97,24 +97,10 @@ backendName(BackendKind kind)
 // checks caps() up front, so reaching one of these is a library bug.
 
 void
-CountingBackend::karyDecrement(unsigned, unsigned, unsigned, unsigned)
-{
-    C2M_PANIC(backendName(kind()),
-              " backend does not support signed counting");
-}
-
-void
 CountingBackend::maskedAdd(unsigned, uint64_t, unsigned)
 {
     C2M_PANIC(backendName(kind()),
               " backend has no binary accumulator for whole-value adds");
-}
-
-void
-CountingBackend::borrowRipple(unsigned, unsigned)
-{
-    C2M_PANIC(backendName(kind()),
-              " backend does not support signed counting");
 }
 
 const BitVector &
@@ -127,13 +113,6 @@ void
 CountingBackend::clearPending(unsigned, unsigned)
 {
     C2M_PANIC(backendName(kind()), " backend has no pending flags");
-}
-
-void
-CountingBackend::foldTopBorrowIntoSign(unsigned)
-{
-    C2M_PANIC(backendName(kind()),
-              " backend does not support signed counting");
 }
 
 void

@@ -79,7 +79,6 @@ struct BackendCaps
 {
     bool eccChecks = false;      ///< FR-checked programs with retry
     bool tmrVoting = false;      ///< in-fabric replica majority vote
-    bool signedCounting = false; ///< karyDecrement / borrowRipple
     bool tensorOps = false;      ///< row logic + layouts for vector ops
     /**
      * Deferred carries via per-digit pending (Onext) flags. False for
@@ -128,9 +127,9 @@ class CountingBackend
     virtual void karyIncrement(unsigned phys, unsigned digit,
                                unsigned k, unsigned mask_row) = 0;
 
-    /** Masked k-ary decrement (caps().signedCounting). */
+    /** Masked k-ary decrement. */
     virtual void karyDecrement(unsigned phys, unsigned digit,
-                               unsigned k, unsigned mask_row);
+                               unsigned k, unsigned mask_row) = 0;
 
     /**
      * Masked full-width add of @p addend (mod 2^W; a negative value
@@ -146,8 +145,8 @@ class CountingBackend
     /** Deferred carry ripple at digit boundary @p digit. */
     virtual void carryRipple(unsigned phys, unsigned digit) = 0;
 
-    /** Borrow ripple (caps().signedCounting). */
-    virtual void borrowRipple(unsigned phys, unsigned digit);
+    /** Borrow ripple at digit boundary @p digit. */
+    virtual void borrowRipple(unsigned phys, unsigned digit) = 0;
 
     /**
      * The Onext row of @p digit: bit c set iff counter c has a
@@ -165,7 +164,7 @@ class CountingBackend
     virtual void clearPending(unsigned phys, unsigned digit);
 
     /** Osign ^= Onext(top); Onext(top) <- 0 (signed-mode fold). */
-    virtual void foldTopBorrowIntoSign(unsigned phys);
+    virtual void foldTopBorrowIntoSign(unsigned phys) = 0;
 
     /**
      * Majority-vote digit @p digit across three physical replicas

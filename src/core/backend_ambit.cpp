@@ -26,7 +26,6 @@ AmbitBackend::AmbitBackend(const EngineConfig &cfg,
 {
     caps_.eccChecks = true;
     caps_.tmrVoting = true;
-    caps_.signedCounting = true;
     caps_.tensorOps = true;
     caps_.pendingFlags = true;
     caps_.rowScrub = true;

@@ -35,7 +35,6 @@ NvmBackend::NvmBackend(const EngineConfig &cfg,
       cache_(cfg.programCache, stats.programCacheHits,
              stats.programCacheMisses)
 {
-    caps_.signedCounting = true;
     caps_.pendingFlags = true;
     caps_.rowScrub = true;
 

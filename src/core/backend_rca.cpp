@@ -65,7 +65,6 @@ RcaBackend::RcaBackend(const EngineConfig &cfg,
 {
     caps_.eccChecks = true;
     caps_.tmrVoting = true;
-    caps_.signedCounting = true;
 
     sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
                                    cfg.numCounters));

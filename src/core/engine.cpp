@@ -274,12 +274,8 @@ C2MEngine::addInput(uint64_t magnitude, bool decrement,
                     unsigned mask_handle, unsigned group)
 {
     checkHandle(mask_handle, numMasks_, group, cfg_.numGroups);
-    if (decrement) {
-        C2M_ASSERT(backend_->caps().signedCounting,
-                   backendName(cfg_.backend),
-                   " backend does not support signed counting");
+    if (decrement)
         enterSignedMode(group);
-    }
     if (!backend_->caps().pendingFlags) {
         addWhole(group, magnitude,
                  decrement ? 0 - magnitude : magnitude, mask_handle);
@@ -341,10 +337,6 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
                    "increment plane after a decrement plane");
         decrements = decrements || s.decrement;
     }
-    C2M_ASSERT(!decrements || backend_->caps().signedCounting,
-               backendName(cfg_.backend),
-               " backend does not support signed counting");
-
     // Signed plans resolve every pending in place (executePlan), so
     // there is no deferred carry for the scheduler to make room for.
     if (!backend_->caps().pendingFlags || decrements ||

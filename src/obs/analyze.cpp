@@ -93,6 +93,13 @@ counterOr0(const CounterMap &m, const char *key)
     return it == m.end() ? 0 : it->second;
 }
 
+/** service.stalls / service.submitted above this trips. */
+constexpr double kStallRatioMax = 0.5;
+/** Program-cache hit rate below this trips... */
+constexpr double kCacheHitRateMin = 0.5;
+/** ...once an interval has made this many lookups. */
+constexpr uint64_t kCacheMinLookups = 256;
+
 } // namespace
 
 uint32_t
@@ -107,11 +114,11 @@ Watchdog::evaluate(const CounterMap &d)
         const double stallRatio =
             static_cast<double>(stalls) /
             static_cast<double>(submitted);
-        if (stallRatio > cfg_.stallRatioMax) {
+        if (stallRatio > kStallRatioMax) {
             ++queueStall_;
             ++fired;
             C2M_WARN("watchdog: ingest stall ratio ", stallRatio,
-                     " exceeds ", cfg_.stallRatioMax, " (", stalls,
+                     " exceeds ", kStallRatioMax, " (", stalls,
                      " stalls / ", submitted,
                      " submitted this interval)");
         }
@@ -121,45 +128,40 @@ Watchdog::evaluate(const CounterMap &d)
     const uint64_t misses =
         counterOr0(d, "engine.program_cache_misses");
     const uint64_t lookups = hits + misses;
-    if (lookups >= cfg_.cacheMinLookups) {
+    if (lookups >= kCacheMinLookups) {
         const double hitRate = static_cast<double>(hits) /
                                static_cast<double>(lookups);
-        if (hitRate < cfg_.cacheHitRateMin) {
+        if (hitRate < kCacheHitRateMin) {
             ++cacheCollapse_;
             ++fired;
             C2M_WARN("watchdog: program cache hit rate ", hitRate,
-                     " below ", cfg_.cacheHitRateMin, " (", hits,
+                     " below ", kCacheHitRateMin, " (", hits,
                      " hits / ", lookups,
                      " lookups this interval)");
         }
     }
 
-    if (cfg_.warnOnUncorrected) {
-        const uint64_t bad =
-            counterOr0(d, "engine.uncorrected_blocks");
-        if (bad > 0) {
-            ++uncorrected_;
-            ++fired;
-            C2M_WARN("watchdog: ", bad,
-                     " uncorrected block(s) this interval -- "
-                     "counters may be silently corrupt; raise scrub "
-                     "rate or strengthen ECC");
-        }
+    const uint64_t bad = counterOr0(d, "engine.uncorrected_blocks");
+    if (bad > 0) {
+        ++uncorrected_;
+        ++fired;
+        C2M_WARN("watchdog: ", bad,
+                 " uncorrected block(s) this interval -- "
+                 "counters may be silently corrupt; attach a "
+                 "scrubber or strengthen ECC");
     }
 
-    if (cfg_.warnOnTraceDrops) {
-        if (const TraceRecorder *tr = tracer()) {
-            const uint64_t dropped = tr->droppedEvents();
-            if (dropped > prevTraceDropped_) {
-                ++traceDrops_;
-                ++fired;
-                C2M_WARN("watchdog: trace ring dropped ",
-                         dropped - prevTraceDropped_,
-                         " event(s) this interval (", dropped,
-                         " total); exports are truncated");
-            }
-            prevTraceDropped_ = dropped;
+    if (const TraceRecorder *tr = tracer()) {
+        const uint64_t dropped = tr->droppedEvents();
+        if (dropped > prevTraceDropped_) {
+            ++traceDrops_;
+            ++fired;
+            C2M_WARN("watchdog: trace ring dropped ",
+                     dropped - prevTraceDropped_,
+                     " event(s) this interval (", dropped,
+                     " total); exports are truncated");
         }
+        prevTraceDropped_ = dropped;
     }
 
     alerts_ += fired;

@@ -11,8 +11,8 @@
  * distributions of the drain spans.
  *
  * The Watchdog is a rule engine over counter deltas: each evaluate()
- * checks a fixed set of health rules (queue stall and drop ratios,
- * program-cache hit-rate collapse, uncorrected scrub blocks, trace
+ * checks a fixed set of health rules (queue stall ratio,
+ * program-cache hit-rate collapse, uncorrected ECC blocks, trace
  * ring drops) against one interval's counters, fires a C2M_WARN per
  * violated rule, and counts firings in its own watchdog.* counters
  * so alert rates are themselves observable.
@@ -58,21 +58,6 @@ std::string renderSpanFamilies(const std::vector<SpanFamily> &fams);
 std::string renderTrackLatency(const ProfileInput &in,
                                const std::string &spanName);
 
-/** Thresholds for the anomaly rules; defaults match docs. */
-struct WatchdogConfig
-{
-    /** service.stalls / service.submitted above this trips. */
-    double stallRatioMax = 0.5;
-    /** Cache hit rate below this trips (given enough lookups). */
-    double cacheHitRateMin = 0.5;
-    /** Minimum interval lookups before the hit-rate rule applies. */
-    uint64_t cacheMinLookups = 256;
-    /** Any interval engine.uncorrected_blocks trips. */
-    bool warnOnUncorrected = true;
-    /** Any growth of the tracer's droppedEvents trips. */
-    bool warnOnTraceDrops = true;
-};
-
 /**
  * Rule-based anomaly detector over counter deltas.
  *
@@ -84,8 +69,6 @@ struct WatchdogConfig
 class Watchdog
 {
   public:
-    explicit Watchdog(WatchdogConfig cfg = {}) : cfg_(cfg) {}
-
     /**
      * Check all rules against one interval's counters, keyed as
      * report() names them (service.*, engine.*). Returns alerts fired.
@@ -95,10 +78,7 @@ class Watchdog
     /** watchdog.evaluations / .alerts / .alert.<rule> totals. */
     CounterMap counters() const;
 
-    const WatchdogConfig &config() const { return cfg_; }
-
   private:
-    WatchdogConfig cfg_;
     uint64_t evaluations_ = 0;
     uint64_t alerts_ = 0;
     uint64_t queueStall_ = 0;

@@ -23,12 +23,9 @@ HealthMonitor::observe(const ScrubObservation &o)
                      static_cast<double>(trials)
                : 0.0;
     const double f =
-        o.wordsSwept
-            ? static_cast<double>(o.faultyBits) /
-                  (static_cast<double>(o.wordsSwept) *
-                   static_cast<double>(std::max<uint64_t>(
-                       o.boundaries, 1)))
-            : 0.0;
+        o.wordsSwept ? static_cast<double>(o.faultyBits) /
+                           static_cast<double>(o.wordsSwept)
+                     : 0.0;
     if (samples_ == 0) {
         pEwma_ = p;
         fEwma_ = f;

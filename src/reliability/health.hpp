@@ -16,10 +16,10 @@
  * factor (faults landing in transient scratch rows are overwritten
  * before any sweep can see them), so the estimate is a lower bound
  * of the same order as the injected rate. The monitor also tracks
- * persisted flips per 64-column SEC-DED word per boundary, the input
- * to the scrub-cadence math in docs/reliability.md. It only reports:
- * the FR-check count and the scrub interval are fixed by the engine
- * and scrubber configurations.
+ * persisted flips per 64-column SEC-DED word per sweep (a sweep
+ * covers exactly the work since that shard's previous sweep). It
+ * only reports: the FR-check count is fixed by the engine
+ * configuration.
  */
 
 #include <cstdint>
@@ -36,7 +36,6 @@ struct ScrubObservation
     uint64_t traDelta = 0;    ///< triple activations since last sweep
     uint64_t rowBits = 0;     ///< fabric row width (fault trials/TRA)
     uint64_t wordsSwept = 0;  ///< 64-column ECC words examined
-    uint64_t boundaries = 1;  ///< epoch boundaries covered
 };
 
 class HealthMonitor
@@ -49,16 +48,13 @@ class HealthMonitor
     /** EWMA per-bit per-TRA fault-rate estimate (0 until evidence). */
     double estimatedFaultRate() const { return pEwma_; }
 
-    /** EWMA persisted flips per ECC word per boundary. */
-    double flipsPerWordPerBoundary() const { return fEwma_; }
-
     /** Named "health.*" gauges (rates scaled to parts-per-1e12). */
     CounterMap toCounters() const;
 
   private:
     uint64_t samples_ = 0;
     double pEwma_ = 0.0;
-    double fEwma_ = 0.0;
+    double fEwma_ = 0.0; ///< persisted flips per ECC word per sweep
 };
 
 } // namespace reliability

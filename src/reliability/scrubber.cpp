@@ -1,25 +1,10 @@
 #include "reliability/scrubber.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
 namespace c2m {
 namespace reliability {
-
-namespace {
-
-/** Journal key packing: logical group in the high bits. */
-constexpr uint64_t
-journalKey(uint32_t group, uint64_t local_col)
-{
-    return (static_cast<uint64_t>(group) << 40) | local_col;
-}
-
-constexpr uint64_t kColMask = (uint64_t{1} << 40) - 1;
-
-} // namespace
 
 CounterMap
 ScrubStats::toCounters() const
@@ -48,8 +33,6 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
                    const ScrubConfig &cfg)
     : engine_(engine), cfg_(cfg)
 {
-    if (cfg.interval < 1)
-        C2M_FATAL("ScrubConfig::interval must be >= 1");
     if (!supports(engine))
         C2M_FATAL(core::backendName(engine.config().backend),
                   " backend does not support row scrubbing");
@@ -64,6 +47,7 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
             st.mirrors.emplace_back(
                 eng.backend().layout(eng.physicalGroup(g, 0)),
                 engine.shardWidth(s));
+        st.sweptCommands = eng.backend().opStats().commands();
         st.lastTra = eng.backend().opStats().tra;
         st.decayRng = Rng(engine.config().seed ^
                           (0x9e3779b97f4a7c15ULL * (s + 1)));
@@ -76,13 +60,10 @@ Scrubber::onShardOps(unsigned shard,
 {
     // These are the planned deltas: the drainer reports the exact
     // coalesced bucket the drain planner folds into digit planes, so
-    // the journal's per-counter sums equal what the fabric received
+    // the sweep's per-counter sums equal what the fabric received
     // whether the bucket executed column-parallel or per-op.
-    auto &st = shards_[shard];
-    const size_t start = engine_.shardStart(shard);
-    for (const auto &op : ops)
-        st.journal[journalKey(op.group, op.counter - start)] +=
-            op.value;
+    auto &journal = shards_[shard].journal;
+    journal.insert(journal.end(), ops.begin(), ops.end());
     std::lock_guard<std::mutex> lk(m_);
     aggregate_.opsJournaled += ops.size();
 }
@@ -90,12 +71,8 @@ Scrubber::onShardOps(unsigned shard,
 void
 Scrubber::noteBatch(std::span<const core::BatchOp> ops)
 {
-    for (const auto &op : ops) {
-        const unsigned s = engine_.shardOf(op.counter);
-        shards_[s].journal[journalKey(
-            op.group, op.counter - engine_.shardStart(s))] +=
-            op.value;
-    }
+    for (const auto &op : ops)
+        shards_[engine_.shardOf(op.counter)].journal.push_back(op);
     std::lock_guard<std::mutex> lk(m_);
     aggregate_.opsJournaled += ops.size();
 }
@@ -107,53 +84,41 @@ Scrubber::onEpochApplied(uint64_t)
 }
 
 void
-Scrubber::onStop(uint64_t)
-{
-    // Cadence no longer applies: whatever journal entries the
-    // interval spacing deferred must reconcile now, so reads after the
-    // service stops see exact counters.
-    beginBoundary();
-    scrubAll();
-}
-
-void
 Scrubber::boundary()
 {
-    beginBoundary();
-    sweepDue();
-}
-
-void
-Scrubber::beginBoundary()
-{
-    ++boundary_;
     {
         std::lock_guard<std::mutex> lk(m_);
         ++aggregate_.boundaries;
     }
     if (cfg_.storeFaultRate > 0.0)
         injectStoreDecay();
+    std::vector<unsigned> due;
+    for (unsigned s = 0; s < shards_.size(); ++s)
+        if (dirty(s))
+            due.push_back(s);
+    if (!due.empty())
+        runSweeps(due);
+}
+
+bool
+Scrubber::dirty(unsigned s) const
+{
+    const ShardState &st = shards_[s];
+    return !st.journal.empty() || st.decayed ||
+           engine_.shard(s).backend().opStats().commands() !=
+               st.sweptCommands;
 }
 
 void
 Scrubber::injectStoreDecay()
 {
-    for (auto &st : shards_)
+    for (auto &st : shards_) {
         for (auto &mirror : st.mirrors)
             for (size_t r = 0; r < mirror.numRows(); ++r)
                 mirror.row(r).injectFaults(st.decayRng,
                                            cfg_.storeFaultRate);
-}
-
-void
-Scrubber::sweepDue()
-{
-    std::vector<unsigned> due;
-    for (unsigned s = 0; s < engine_.numShards(); ++s)
-        if (boundary_ - shards_[s].lastSweepBoundary >= cfg_.interval)
-            due.push_back(s);
-    if (!due.empty())
-        runSweeps(due);
+        st.decayed = true;
+    }
 }
 
 void
@@ -162,7 +127,7 @@ Scrubber::runSweeps(const std::vector<unsigned> &due)
     const auto sweep = [this](unsigned s) {
         engine_.runShardTask(
             s, [this, s](core::C2MEngine &eng, size_t) {
-                sweepShard(eng, shards_[s], boundary_);
+                sweepShard(eng, s);
             });
     };
     if (due.size() == 1) {
@@ -176,19 +141,17 @@ Scrubber::runSweeps(const std::vector<unsigned> &due)
 }
 
 void
-Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
-                     uint64_t boundary)
+Scrubber::sweepShard(core::C2MEngine &eng, unsigned s)
 {
+    ShardState &st = shards_[s];
     const unsigned groups = engine_.config().numGroups;
     ScrubStats d;
     d.sweeps = 1;
     cim::AttrScope attr(eng.backend().opStatsRef(),
                         cim::FabricCat::Scrub);
-    const uint32_t track =
-        static_cast<uint32_t>(&st - shards_.data());
     obs::TraceRecorder *tr = obs::tracer();
     if (tr)
-        tr->spanBegin("scrub.sweep", track,
+        tr->spanBegin("scrub.sweep", s,
                       eng.backend().opStats().fabricNs);
 
     // Recover expected values: scrubbed mirror + journaled deltas;
@@ -201,12 +164,14 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
         d.mirrorWordsLost += mres.uncorrectable;
         eng.drain(g);
     }
-    for (const auto &[key, delta] : st.journal) {
-        C2M_ASSERT((key >> 40) < groups,
-                   "journaled op targets unknown group ", key >> 40);
-        values[key >> 40][key & kColMask] += delta;
+    const size_t start = engine_.shardStart(s);
+    for (const core::BatchOp &op : st.journal) {
+        C2M_ASSERT(op.group < groups,
+                   "journaled op targets unknown group ", op.group);
+        values[op.group][op.counter - start] += op.value;
     }
     st.journal.clear();
+    st.decayed = false;
 
     const uint64_t tra_now = eng.backend().opStats().tra;
     const uint64_t tra_delta = tra_now - st.lastTra;
@@ -244,7 +209,7 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
                 eng.backend().scrubWriteRow(row, got);
                 // arg = flipped bits found, arg2 = fabric row healed.
                 if (tr)
-                    tr->instant("scrub.heal", track, flips, row);
+                    tr->instant("scrub.heal", s, flips, row);
             }
         }
     }
@@ -254,11 +219,9 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     obs.traDelta = tra_delta;
     obs.rowBits = st.mirrors.empty() ? 0 : st.mirrors[0].cols();
     obs.wordsSwept = words_swept;
-    obs.boundaries =
-        std::max<uint64_t>(1, boundary - st.lastSweepBoundary);
-    st.lastSweepBoundary = boundary;
+    st.sweptCommands = eng.backend().opStats().commands();
     if (tr)
-        tr->spanEnd("scrub.sweep", track,
+        tr->spanEnd("scrub.sweep", s,
                     eng.backend().opStats().fabricNs);
 
     std::lock_guard<std::mutex> lk(m_);
@@ -279,8 +242,10 @@ void
 Scrubber::sweepNow(unsigned s)
 {
     C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
+    if (!dirty(s))
+        return;
     engine_.runShardTask(s, [this, s](core::C2MEngine &eng, size_t) {
-        sweepShard(eng, shards_[s], boundary_);
+        sweepShard(eng, s);
     });
 }
 
@@ -307,6 +272,8 @@ Scrubber::rebaseShard(unsigned s)
                 st.mirrors[g].encodeValues(eng.readCounters(g),
                                            eng.valueOffset(g));
             }
+            st.decayed = false;
+            st.sweptCommands = eng.backend().opStats().commands();
             st.lastTra = eng.backend().opStats().tra;
         });
 }

@@ -7,14 +7,22 @@
  *
  * The Scrubber keeps, per shard and logical counter group, an
  * ECC-encoded RowMirror (the trusted side store) plus a journal of
- * the point-update deltas applied since the group's last sweep. At
+ * the point-update deltas applied since the shard's last sweep. At
  * an epoch boundary — hooked through service::EpochObserver, or
- * driven explicitly in standalone mode — due shards are swept:
+ * driven explicitly in standalone mode — every dirty shard is swept.
+ * A shard is dirty when its journal holds an op, when its backend
+ * issued a fabric command (AAP/AP) since its last sweep or rebase, or
+ * when the mirror store decayed since its last sweep. CIM faults
+ * enter only through fabric commands, so a clean shard has nothing a
+ * sweep could find; scrubAll() is the forced full sweep for changes
+ * no command made (a row written through the host path).
+ *
+ * A sweep:
  *
  *   1. the mirror itself is SEC-DED decode-corrected (it models
  *      spare DRAM rows and may decay) and its counter values are
  *      recovered;
- *   2. journaled deltas are applied, giving the expected values;
+ *   2. journaled deltas are added, giving the expected values;
  *   3. the shard is drained, putting fault-free counter state into
  *      canonical form (a pure function of the values and the
  *      group's core::C2MEngine::valueOffset, which the mirror
@@ -37,8 +45,8 @@
  * serial replay whatever the injected CIM fault rate — the property
  * pinned by test_reliability.cpp. Sweep outcomes feed the
  * HealthMonitor's live fault-rate estimate (the health.* counters);
- * the sweep cadence and the backends' FR-check count stay as
- * configured for the scrubber's and the engine's lifetime.
+ * the backends' FR-check count stays as configured for the engine's
+ * lifetime.
  *
  * Coverage contract: the scrubber sees point updates only (epoch
  * buckets or noteBatch). Broadcast accumulates and tensor ops bypass
@@ -48,22 +56,21 @@
  * Drain-planner interplay: when the engine executes a bucket as
  * column-parallel digit planes (EngineConfig::drainPlanner), the
  * journal still records exactly the planned deltas — onShardOps
- * receives the same coalesced ops the planner folds, and the journal
- * keys per-counter *sums*, which plans preserve by construction
- * (digit decomposition of the summed delta). Plans also keep the
- * IARM scheduler the sweep's drain() uses sound: an unsigned plan
- * takes the carries IARM would ripple into its own delta (read from
- * Onext, then cleared) and lowers those digits' bounds as a ripple
- * would, so the canonical expected image is unchanged and a scrubbed
- * planner run stays bit-identical to fault-free serial replay
- * (pinned by test_reliability.cpp).
+ * receives the same coalesced ops the planner folds, and the sweep
+ * adds them into per-counter *sums*, which plans preserve by
+ * construction (digit decomposition of the summed delta). Plans also
+ * keep the IARM scheduler the sweep's drain() uses sound: an
+ * unsigned plan takes the carries IARM would ripple into its own
+ * delta (read from Onext, then cleared) and lowers those digits'
+ * bounds as a ripple would, so the canonical expected image is
+ * unchanged and a scrubbed planner run stays bit-identical to
+ * fault-free serial replay (pinned by test_reliability.cpp).
  */
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,11 +85,6 @@ namespace reliability {
 
 struct ScrubConfig
 {
-    /**
-     * Epoch boundaries between sweeps of one shard. Every due shard
-     * sweeps at its boundary, in parallel on the engine's lane pool.
-     */
-    unsigned interval = 1;
     /** Per-bit decay injected into the mirror store per boundary
      *  (exercises the side store's own SEC-DED). */
     double storeFaultRate = 0.0;
@@ -127,8 +129,8 @@ class Scrubber final : public service::EpochObserver
      * Attach to @p engine (which must outlive the scrubber). The
      * engine's counters must be in their cleared state — the initial
      * mirrors assume zero.
-     * @throws std::invalid_argument on interval 0 or a backend
-     *         without caps().rowScrub.
+     * @throws std::invalid_argument on a backend without
+     *         caps().rowScrub.
      */
     explicit Scrubber(core::ShardedEngine &engine,
                       const ScrubConfig &cfg = {});
@@ -142,8 +144,6 @@ class Scrubber final : public service::EpochObserver
     void onShardOps(unsigned shard,
                     std::span<const core::BatchOp> ops) override;
     void onEpochApplied(uint64_t epoch) override;
-    /** Full sweep: work the interval deferred must finish. */
-    void onStop(uint64_t epoch) override;
     CounterMap counters() const override;
 
     // ---- Standalone mode (bare ShardedEngine, single driver) ----
@@ -151,15 +151,19 @@ class Scrubber final : public service::EpochObserver
     /** Journal a batch applied via accumulateBatch/runEpoch. */
     void noteBatch(std::span<const core::BatchOp> ops);
 
-    /** Advance one boundary: sweep the shards the cadence makes due. */
+    /**
+     * Advance one boundary: sweep every dirty shard, in parallel on
+     * the engine's lane pool when there are several.
+     */
     void boundary();
 
-    /** Sweep every shard now, regardless of cadence. */
+    /** Sweep every shard now, dirty or not. */
     void scrubAll();
 
     /**
-     * Sweep shard @p s now, regardless of cadence. This is
-     * the virtualization layer's pre-write hook: before rewriting a
+     * Sweep shard @p s now if it is dirty; a clean shard costs
+     * nothing, so repeated calls are free. This is the
+     * virtualization layer's pre-write hook: before rewriting a
      * shard's counter rows (spill/restore) it heals the shard and
      * applies the pending journal, so the subsequent rebaseShard()
      * cannot adopt faulty or stale state.
@@ -190,28 +194,27 @@ class Scrubber final : public service::EpochObserver
     struct ShardState
     {
         std::vector<RowMirror> mirrors; ///< per logical group
-        /** (group << 40 | local column) -> pending delta sum. */
-        std::unordered_map<uint64_t, int64_t> journal;
-        uint64_t lastSweepBoundary = 0;
+        /** Ops applied since the last sweep or rebase, in order. */
+        std::vector<core::BatchOp> journal;
+        /** Fabric AAP+AP count at the last sweep or rebase. */
+        uint64_t sweptCommands = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
+        bool decayed = false; ///< mirror store decayed since the sweep
         ScrubStats stats;
         Rng decayRng{1};
     };
 
-    /** Shared boundary prologue: advance cadence, decay the store. */
-    void beginBoundary();
-    void sweepDue();
+    /** True iff shard @p s has changed since its last sweep. */
+    bool dirty(unsigned s) const;
     /** Sweep @p due shards, on the lane pool when there are several. */
     void runSweeps(const std::vector<unsigned> &due);
-    /** Sweep one shard (single-writer guard held by runShardTask). */
-    void sweepShard(core::C2MEngine &eng, ShardState &st,
-                    uint64_t boundary);
+    /** Sweep shard @p s (single-writer guard held by runShardTask). */
+    void sweepShard(core::C2MEngine &eng, unsigned s);
     void injectStoreDecay();
 
     core::ShardedEngine &engine_;
     ScrubConfig cfg_;
     std::vector<ShardState> shards_;
-    uint64_t boundary_ = 0; ///< boundaries seen (drainer/driver only)
 
     /**
      * Guards aggregate_, health_ and every ShardState::stats block:

@@ -204,9 +204,9 @@ IngestService::stop()
         stopFinalized_ = true;
         observer = observer_;
     }
-    // Final observer turn: an attached scrubber must reconcile
-    // everything it deferred (interval-spaced sweeps) before the
-    // engine is read post-stop.
+    // Final observer turn: an observer that defers work across
+    // boundaries (a virtual space's pending restores) finishes it
+    // before the engine is read post-stop.
     if (observer) {
         std::lock_guard<std::mutex> ek(engineMutex_);
         uint64_t final_epoch;

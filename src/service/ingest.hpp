@@ -135,8 +135,9 @@ class EpochObserver
      * Service shutting down after the last epoch was applied (every
      * accepted op went through onShardOps and onEpochApplied); the
      * engine stays quiescent from here on. Observers that defer work
-     * across boundaries (interval-spaced scrubbing) must finish it
-     * now so post-stop engine reads see fully reconciled state.
+     * across boundaries (a virtual space's pending restores) must
+     * finish it now so post-stop engine reads see fully reconciled
+     * state. The default is one more boundary.
      */
     virtual void onStop(uint64_t epoch) { onEpochApplied(epoch); }
 

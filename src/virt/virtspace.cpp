@@ -276,24 +276,11 @@ VirtualCounterSpace::fabricNsNow() const
 }
 
 void
-VirtualCounterSpace::preSweep(unsigned shard,
-                              std::vector<uint8_t> &swept)
-{
-    if (!scrub_ || swept[shard])
-        return;
-    // Heal the shard and apply its pending journal before any row
-    // rewrite, so the post-write rebase cannot adopt faulty state.
-    scrub_->sweepNow(shard);
-    swept[shard] = 1;
-}
-
-void
 VirtualCounterSpace::maintain()
 {
     if (pendingRestore_.empty())
         return;
     const unsigned n = engine_.numShards();
-    std::vector<uint8_t> swept(n, 0);
     std::vector<uint8_t> dirty(n, 0);
     const uint64_t round_tick = tick_;
     bool moved = false;
@@ -310,7 +297,7 @@ VirtualCounterSpace::maintain()
         g.restoreQueued = false;
         if (g.frame >= 0)
             continue;
-        const int32_t f = acquireFrame(swept, dirty, round_tick);
+        const int32_t f = acquireFrame(dirty, round_tick);
         if (f < 0) {
             g.restoreQueued = true;
             deferred.push_back(gi);
@@ -322,7 +309,7 @@ VirtualCounterSpace::maintain()
             static_cast<int32_t>(gi);
         g.lastTouch = ++tick_; // > round_tick: pinned this round
         if (g.image)
-            restoreImage(gi, swept, dirty);
+            restoreImage(gi, dirty);
         else
             mats.push_back(gi);
     }
@@ -337,7 +324,9 @@ VirtualCounterSpace::maintain()
 
     // Phase 3: first materializations go through the normal fabric
     // op path (after the rebase, so injected CIM faults stay inside
-    // the scrub journal's coverage and the next sweep heals them).
+    // the scrub journal's coverage; in service mode the boundary
+    // sweep that follows maintenance heals them before the epoch is
+    // published).
     for (const uint32_t gi : mats) {
         Group &g = groups_[gi];
         const Frame &fr = frames_[static_cast<size_t>(g.frame)];
@@ -379,8 +368,7 @@ VirtualCounterSpace::maintain()
 }
 
 int32_t
-VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &swept,
-                                  std::vector<uint8_t> &dirty,
+VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &dirty,
                                   uint64_t round_tick)
 {
     if (!freeFrames_.empty()) {
@@ -424,7 +412,7 @@ VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &swept,
     }
     if (best < 0)
         return -1;
-    spillFrame(best, swept, dirty);
+    spillFrame(best, dirty);
     Group &victim =
         groups_[static_cast<size_t>(frameOwner_[best])];
     victim.frame = -1;
@@ -434,14 +422,15 @@ VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &swept,
 }
 
 void
-VirtualCounterSpace::spillFrame(int32_t f,
-                                std::vector<uint8_t> &swept,
-                                std::vector<uint8_t> &dirty)
+VirtualCounterSpace::spillFrame(int32_t f, std::vector<uint8_t> &dirty)
 {
     Group &g =
         groups_[static_cast<size_t>(frameOwner_[static_cast<size_t>(f)])];
     const Frame &fr = frames_[static_cast<size_t>(f)];
-    preSweep(fr.shard, swept);
+    // Heal the shard and apply its pending journal before any row
+    // rewrite, so the post-write rebase cannot adopt faulty state.
+    if (scrub_)
+        scrub_->sweepNow(fr.shard);
     const double ns0 = fabricNsNow();
     obs::TraceRecorder *traceRec = obs::tracer();
     if (traceRec)
@@ -502,12 +491,12 @@ VirtualCounterSpace::spillFrame(int32_t f,
 
 void
 VirtualCounterSpace::restoreImage(uint32_t gi,
-                                  std::vector<uint8_t> &swept,
                                   std::vector<uint8_t> &dirty)
 {
     Group &g = groups_[gi];
     const Frame &fr = frames_[static_cast<size_t>(g.frame)];
-    preSweep(fr.shard, swept);
+    if (scrub_)
+        scrub_->sweepNow(fr.shard); // heal before the rewrite
     std::vector<int64_t> values = g.image->decodeValues();
     for (const auto &[slot, delta] : g.journal)
         values[slot] += delta;
@@ -740,11 +729,15 @@ VirtualCounterSpace::onShardOps(unsigned shard,
 void
 VirtualCounterSpace::onEpochApplied(uint64_t epoch)
 {
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        ++boundary_;
+        maintain();
+    }
+    // Sweep after maintenance, so the faults its materializations
+    // inject are healed before the service publishes the epoch.
     if (scrub_)
         scrub_->onEpochApplied(epoch);
-    std::lock_guard<std::mutex> lk(m_);
-    ++boundary_;
-    maintain();
 }
 
 void
@@ -758,7 +751,7 @@ VirtualCounterSpace::onStop(uint64_t epoch)
         if (!pendingRestore_.empty())
             maintain();
     }
-    // The scrubber's full stop sweep runs last so it reconciles the
+    // The scrubber's stop sweep runs last so it reconciles the
     // materialization deltas noteBatch()ed above.
     if (scrub_)
         scrub_->onStop(epoch);

@@ -52,11 +52,15 @@
  *
  * Scrub integration: attachScrubber() chains a reliability::Scrubber
  * behind the space. Spill/restore row writes are invisible to the
- * scrubber's journal, so maintenance brackets them with a forced
- * sweep (healing the shard first) and a per-shard rebase (adopting
- * the new state); materialization deltas go through noteBatch. A
- * scrubbed virtualized run under CIM fault injection stays bit-exact
- * for exact-tier keys (pinned by test_virt.cpp).
+ * scrubber's journal, so maintenance brackets them with a sweep of
+ * the shard if it is dirty (healing it first) and a per-shard rebase
+ * (adopting the new state); materialization deltas go through
+ * noteBatch. In service mode each epoch boundary runs maintenance
+ * first and the scrubber's sweep second, so the faults a
+ * materialization injects are healed before the epoch is published
+ * and reads after a flush() are exact. A scrubbed virtualized run
+ * under CIM fault injection stays bit-exact for exact-tier keys at
+ * every flush (pinned by test_virt.cpp).
  */
 
 #include <cstdint>
@@ -182,10 +186,10 @@ class VirtualCounterSpace final : public service::EpochObserver
 
     /**
      * Chain a scrubber behind the space. In service mode the space
-     * forwards the epoch-boundary hooks (attach the scrubber here,
-     * not to the service); in both modes maintenance brackets its
-     * row writes with sweepNow/rebaseShard. Call before traffic; the
-     * scrubber must outlive the space.
+     * forwards the epoch-boundary hooks after its own maintenance
+     * (attach the scrubber here, not to the service); in both modes
+     * maintenance brackets its row writes with sweepNow/rebaseShard.
+     * Call before traffic; the scrubber must outlive the space.
      */
     void attachScrubber(reliability::Scrubber *scrub);
 
@@ -310,14 +314,12 @@ class VirtualCounterSpace final : public service::EpochObserver
 
     /** Spill/restore pass; engine must be quiescent (lock held). */
     void maintain();
-    int32_t acquireFrame(std::vector<uint8_t> &swept,
-                         std::vector<uint8_t> &dirty,
+    /** These mark each shard whose rows they rewrite in @p dirty;
+     *  maintain() rebases those shards. */
+    int32_t acquireFrame(std::vector<uint8_t> &dirty,
                          uint64_t round_tick);
-    void spillFrame(int32_t f, std::vector<uint8_t> &swept,
-                    std::vector<uint8_t> &dirty);
-    void restoreImage(uint32_t gi, std::vector<uint8_t> &swept,
-                      std::vector<uint8_t> &dirty);
-    void preSweep(unsigned shard, std::vector<uint8_t> &swept);
+    void spillFrame(int32_t f, std::vector<uint8_t> &dirty);
+    void restoreImage(uint32_t gi, std::vector<uint8_t> &dirty);
     double fabricNsNow() const;
 
     /** Full logical counter read, consistent with the directory

@@ -386,21 +386,18 @@ TEST(BackendCaps, AdvertiseExpectedFeatures)
         switch (kind) {
         case BackendKind::Ambit:
             EXPECT_TRUE(caps.eccChecks && caps.tmrVoting &&
-                        caps.signedCounting && caps.tensorOps &&
-                        caps.pendingFlags);
+                        caps.tensorOps && caps.pendingFlags);
             break;
         case BackendKind::NvmPinatubo:
         case BackendKind::NvmMagic:
             EXPECT_FALSE(caps.eccChecks);
             EXPECT_FALSE(caps.tmrVoting);
-            EXPECT_TRUE(caps.signedCounting);
             EXPECT_FALSE(caps.tensorOps);
             EXPECT_TRUE(caps.pendingFlags);
             break;
         case BackendKind::Rca:
             EXPECT_TRUE(caps.eccChecks);
             EXPECT_TRUE(caps.tmrVoting);
-            EXPECT_TRUE(caps.signedCounting);
             EXPECT_FALSE(caps.tensorOps);
             EXPECT_FALSE(caps.pendingFlags);
             break;

@@ -5,9 +5,10 @@
  * encoder, RowCodec round trips at random geometry, scrub-under-
  * concurrent-ingest exactness (the subsystem's acceptance property:
  * scrubbed runs end bit-identical to fault-free serial replay while
- * unscrubbed runs at the same fault rate do not), standalone and
- * interval-spaced sweeps, mirror-store decay, TMR replicas, NVM fabrics,
- * and the health monitor's fault-rate estimate.
+ * unscrubbed runs at the same fault rate do not), standalone sweeps
+ * (a boundary sweeps only the shards that changed), mirror-store
+ * decay, TMR replicas, NVM fabrics, and the health monitor's
+ * fault-rate estimate.
  */
 
 #include <gtest/gtest.h>
@@ -398,16 +399,12 @@ TEST(ReliabilityIngest, StragglersScrubbedOnStop)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 2);
-    // A sparse cadence defers most sweeps; stop() must reconcile
-    // everything the interval spacing left behind.
-    ScrubConfig scfg;
-    scfg.interval = 16;
-    Scrubber scrub(eng, scfg);
+    Scrubber scrub(eng, {});
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     svc.submit(ops);
     svc.stop(); // drains the queues in normal epochs, then onStop's
-                // full sweep
+                // boundary sweeps what they left dirty
 
     EXPECT_EQ(eng.readAllCounters(0), ref);
     EXPECT_GT(scrub.stats().sweeps, 0u);
@@ -454,6 +451,39 @@ TEST(ScrubberStandalone, BatchesNotedAndSweptExactly)
     EXPECT_GT(scrub.stats().sweeps, 0u);
 }
 
+TEST(ScrubberStandalone, IdleBoundarySweepsNothing)
+{
+    const auto cfg = faultyConfig(64, 1e-3, 19);
+    const auto ops = randomOps(400, cfg.numCounters, 21, false);
+
+    ShardedEngine eng(cfg, 4);
+    Scrubber scrub(eng, {});
+    eng.accumulateBatch(ops);
+    scrub.noteBatch(ops);
+    scrub.boundary();
+    const auto swept = scrub.stats();
+    ASSERT_EQ(swept.sweeps, eng.numShards());
+    const double scrubNs = eng.stats().fabric.attr(cim::FabricCat::Scrub);
+
+    // No command and no journaled delta since the sweep: the next
+    // boundary counts itself and touches no shard.
+    scrub.boundary();
+    const auto idle = scrub.stats();
+    EXPECT_EQ(idle.boundaries, swept.boundaries + 1);
+    EXPECT_EQ(idle.sweeps, swept.sweeps);
+    EXPECT_EQ(idle.rowsScrubbed, swept.rowsScrubbed);
+    EXPECT_EQ(eng.stats().fabric.attr(cim::FabricCat::Scrub), scrubNs);
+    for (unsigned s = 0; s < eng.numShards(); ++s) {
+        scrub.sweepNow(s); // clean: free
+        EXPECT_EQ(scrub.shardStats(s).sweeps, 1u) << "shard " << s;
+    }
+
+    // scrubAll() is the forced full sweep.
+    scrub.scrubAll();
+    EXPECT_EQ(scrub.stats().sweeps, swept.sweeps + eng.numShards());
+    EXPECT_EQ(eng.readAllCounters(0), faultFreeReference(cfg, ops));
+}
+
 TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
 {
     const auto cfg = faultyConfig(80, 2e-3, 29);
@@ -461,30 +491,30 @@ TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 4);
-    ScrubConfig scfg;
-    scfg.interval = 4; // sweep every fourth boundary
-    Scrubber scrub(eng, scfg);
+    Scrubber scrub(eng, {});
     const size_t chunk = 200;
+    size_t batches = 0;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
         const auto part = std::span<const BatchOp>(ops).subspan(
             lo, std::min(chunk, ops.size() - lo));
         eng.accumulateBatch(part);
         scrub.noteBatch(part);
-        scrub.boundary();
+        if (++batches % 4 == 0) // a boundary every fourth batch
+            scrub.boundary();
     }
-    // Deferred sweeps leave the last boundaries' faults and journal
+    // Deferred sweeps leave the last batches' faults and journal
     // behind; a full sweep restores exactness.
     scrub.scrubAll();
     EXPECT_EQ(eng.readAllCounters(0), ref);
-    // The interval really limited per-boundary work: sweeps < what
-    // interval 1 would have run.
+    // The spacing really limited the work: sweeps < what a boundary
+    // per batch would have run.
     EXPECT_LT(scrub.stats().sweeps,
               (ops.size() / chunk) * eng.numShards() + 4);
 }
 
 TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
 {
-    // Unsigned Zipf epochs between interval-spaced sweeps: the drain
+    // Unsigned Zipf epochs between spaced-out sweeps: the drain
     // planner reads due Onext rows into its planes (absorbed carries)
     // on a fabric with live CIM faults, and a full sweep still
     // restores the fault-free values.
@@ -502,10 +532,9 @@ TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
         const auto ref = faultFreeReference(cfg, ops);
 
         ShardedEngine eng(cfg, 4);
-        ScrubConfig scfg;
-        scfg.interval = 4;
-        Scrubber scrub(eng, scfg);
+        Scrubber scrub(eng, {});
         const size_t chunk = 256;
+        size_t batches = 0;
         uint64_t quiet_windows = 0, quiet_absorbing = 0;
         for (size_t lo = 0; lo < ops.size(); lo += chunk) {
             const auto part = std::span<const BatchOp>(ops).subspan(
@@ -514,7 +543,8 @@ TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
             const EngineStats before = eng.stats();
             eng.accumulateBatch(part);
             scrub.noteBatch(part);
-            scrub.boundary();
+            if (++batches % 4 == 0)
+                scrub.boundary();
             if (scrub.stats().sweeps != sweeps)
                 continue;
             ++quiet_windows;
@@ -687,14 +717,6 @@ TEST(ScrubberProtection, RcaFabricIsNotScrubbable)
     EXPECT_FALSE(Scrubber::supports(eng));
 }
 
-TEST(ScrubConfigErrors, ZeroIntervalThrows)
-{
-    ShardedEngine eng(faultyConfig(64, 0.0, 67), 2);
-    ScrubConfig scfg;
-    scfg.interval = 0;
-    EXPECT_THROW(Scrubber(eng, scfg), std::invalid_argument);
-}
-
 TEST(ScrubConfigErrors, BackendWithoutRowScrubThrows)
 {
     auto cfg = faultyConfig(64, 0.0, 67);
@@ -733,10 +755,8 @@ TEST(HealthMonitor, EstimateScalesWithObservedRate)
 {
     HealthMonitor quiet, noisy;
     quiet.observe({/*faultyBits=*/1, /*traDelta=*/1'000'000,
-                   /*rowBits=*/512, /*wordsSwept=*/100'000,
-                   /*boundaries=*/1});
+                   /*rowBits=*/512, /*wordsSwept=*/100'000});
     noisy.observe({/*faultyBits=*/50'000, /*traDelta=*/1'000'000,
-                   /*rowBits=*/512, /*wordsSwept=*/100'000,
-                   /*boundaries=*/1});
+                   /*rowBits=*/512, /*wordsSwept=*/100'000});
     EXPECT_LT(quiet.estimatedFaultRate(), noisy.estimatedFaultRate());
 }

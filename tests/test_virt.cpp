@@ -6,16 +6,18 @@
  * (vs serial replay of the recorded physical ops), bit-exact
  * spill/restore under frame pressure, promotion invariants, service
  * mode vs direct mode, concurrent producers, and scrubbed
- * virtualized ingest under CIM fault injection ending bit-identical
- * for every exact-tier key, and bad deltas or sketch configs throwing
- * before anything changes.
+ * virtualized ingest under CIM fault injection reading exact values
+ * after every flush and ending bit-identical for every exact-tier key,
+ * and bad deltas or sketch configs throwing before anything changes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -668,6 +670,57 @@ TEST(VirtScrubbed, FaultyIngestEndsBitIdenticalForExactKeys)
     const auto st = space.stats();
     EXPECT_GT(st.spills, 0u);
     EXPECT_GT(scrub.stats().sweeps, 0u);
+    expectExactMatchesShadow(space, shadow);
+}
+
+TEST(VirtScrubbed, ReadsAfterEveryFlushMatchTheShadow)
+{
+    // Maintenance runs before the boundary sweep, so the CIM faults
+    // a first materialization injects are healed before flush()
+    // returns: no read between epochs sees a value the next sweep
+    // would change.
+    EngineConfig cfg = smallConfig(128);
+    cfg.radix = 4;
+    cfg.protection = Protection::Ecc;
+    cfg.faultRate = 1e-3;
+    cfg.seed = 61;
+    ShardedEngine engine(cfg, 2);
+    service::IngestConfig icfg;
+    icfg.minDrainOps = size_t{1} << 40; // epochs only at flush()
+    service::IngestService svc(engine, icfg);
+    reliability::Scrubber scrub(engine);
+    VirtConfig vcfg;
+    vcfg.groupSize = 16;
+    vcfg.promoteThreshold = 2;
+    vcfg.restoreOpThreshold = 8;
+    VirtualCounterSpace space(svc, vcfg);
+    space.attachScrubber(&scrub);
+
+    Rng rng(61);
+    Shadow shadow;
+    size_t flushes = 0;
+    for (size_t i = 1; i <= 20000; ++i) {
+        const uint64_t key = hashKey(rng.nextBounded(300));
+        const int64_t v = 1 + int64_t(rng.nextBounded(3));
+        shadow.apply(key, v, space.add(key, v));
+        if (i % 200 != 0)
+            continue;
+        space.flush();
+        SCOPED_TRACE("flush " + std::to_string(++flushes));
+        expectExactMatchesShadow(space, shadow);
+        if (shadow.expect.empty())
+            continue;
+        auto it = shadow.expect.begin();
+        std::advance(it, static_cast<long>(flushes %
+                                           shadow.expect.size()));
+        EXPECT_EQ(space.read(it->first), it->second)
+            << "key " << it->first;
+    }
+    svc.stop();
+
+    EXPECT_GT(space.stats().spills, 0u);
+    EXPECT_GT(space.stats().materializations, 0u);
+    EXPECT_GT(engine.stats().fabric.faultsInjected, 0u);
     expectExactMatchesShadow(space, shadow);
 }
 
