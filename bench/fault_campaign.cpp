@@ -7,7 +7,13 @@
  *
  * Every cell streams the same op mix through an IngestService with
  * concurrent producers; an attached reliability::Scrubber sweeps
- * counter state at each epoch boundary when enabled. The final
+ * counter state at each epoch boundary when enabled. The mix is
+ * signed (30% negative deltas), so every group turns signed in its
+ * first epoch and no sweep meets a pending carry; two more scrub
+ * cells at 1e-3 (Ambit ECC, NVM unprotected) stream the same keys
+ * with every delta positive, in eight flush-separated chunks, so
+ * later epochs wrap digits earlier ones filled and the sweeps settle
+ * pending carries under faults (gated carry_rows > 0). The final
  * snapshot is compared counter-by-counter against the exact host
  * sums (bit-identical to a fault-free core::replaySerial by the
  * sharded-engine invariants), giving:
@@ -84,24 +90,38 @@ cellConfig(core::BackendKind backend, const Scheme &scheme,
     return cfg;
 }
 
-std::vector<core::BatchOp>
-makeStream(const CampaignScale &scale, uint64_t seed)
+/** One op stream and its exact host sums. */
+struct Stream
 {
-    // Half uniform, half Zipf-skewed keys; ~30% negative deltas so
-    // the signed path is under test too.
+    const char *name;
+    bool negatives;
+    /** Flush-separated parts the stream is submitted in. */
+    size_t chunks;
+    std::vector<core::BatchOp> ops;
+    std::vector<int64_t> expected;
+};
+
+Stream
+makeStream(const CampaignScale &scale, uint64_t seed, bool negatives,
+           size_t chunks)
+{
+    // Half uniform, half Zipf-skewed keys; with negatives, ~30% of
+    // the deltas are negative so the signed path is under test too.
+    Stream st{negatives ? "signed" : "unsigned", negatives, chunks, {},
+              std::vector<int64_t>(scale.counters, 0)};
     Rng rng(seed);
     ZipfRng zipf(scale.counters, 1.0, seed ^ 0xabcdefULL);
-    std::vector<core::BatchOp> ops;
-    ops.reserve(scale.ops);
+    st.ops.reserve(scale.ops);
     for (size_t i = 0; i < scale.ops; ++i) {
         const uint64_t c = (i % 2) ? zipf.next()
                                    : rng.nextBounded(scale.counters);
         int64_t v = 1 + static_cast<int64_t>(rng.nextBounded(40));
-        if (rng.nextBool(0.3))
+        if (rng.nextBool(0.3) && negatives)
             v = -v;
-        ops.push_back({c, v, 0});
+        st.ops.push_back({c, v, 0});
+        st.expected[c] += v;
     }
-    return ops;
+    return st;
 }
 
 /**
@@ -111,10 +131,11 @@ makeStream(const CampaignScale &scale, uint64_t seed)
 double
 runCell(bench::Harness &h, bool record, core::BackendKind backend,
         const Scheme &scheme, double rate, const CampaignScale &scale,
-        const std::vector<core::BatchOp> &ops,
-        const std::vector<int64_t> &expected, uint64_t seed,
-        double base_wall, TextTable &t)
+        const Stream &stream, uint64_t seed, double base_wall,
+        TextTable &t)
 {
+    const std::vector<core::BatchOp> &ops = stream.ops;
+    const std::vector<int64_t> &expected = stream.expected;
     const bench::Window w = h.open();
     const auto cfg =
         cellConfig(backend, scheme, rate, scale.counters, seed);
@@ -130,7 +151,16 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     // The host clock starts once the engine and service are built.
     const bench::Window timed = h.open();
 
-    service::submitConcurrent(svc, ops, scale.producers);
+    const size_t per = (ops.size() + stream.chunks - 1) / stream.chunks;
+    for (size_t lo = 0; lo < ops.size(); lo += per) {
+        service::submitConcurrent(
+            svc,
+            std::span<const core::BatchOp>(ops).subspan(
+                lo, std::min(per, ops.size() - lo)),
+            scale.producers);
+        if (stream.chunks > 1)
+            svc.flushAndWait();
+    }
     const auto snap = svc.snapshot();
     svc.stop();
     const double wall = timed.seconds();
@@ -151,6 +181,7 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
                    .set("backend", core::backendName(backend))
                    .set("protection", scheme.name)
                    .set("scrub", scheme.scrub)
+                   .set("stream", stream.name)
                    .set("fault_rate", rate),
                eng, w, wall, scale.ops);
     const auto &es = c.window.total;
@@ -169,6 +200,7 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
         .set("sweeps", ss.sweeps)
         .set("sweep_fabric_ns", es.fabric.attr(cim::FabricCat::Scrub))
         .set("faulty_bits", ss.faultyBits)
+        .set("carry_rows", ss.carryRows)
         .set("bits_corrected", ss.bitsCorrected)
         .set("words_recovered", ss.wordsRecovered)
         .set("est_fault_rate", est_rate);
@@ -179,8 +211,12 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     // scrub-enabled run must end with zero silent errors.
     if (scheme.scrub && rate <= 1e-3)
         c.gate("silent_errors", static_cast<double>(silent), "==", 0.0);
+    // An unsigned stream leaves carries pending at the sweeps, which
+    // settle them through the rows they read.
+    if (scheme.scrub && !stream.negatives)
+        c.gate("carry_rows", static_cast<double>(ss.carryRows), ">", 0.0);
 
-    t.addRow({core::backendName(backend), scheme.name,
+    t.addRow({core::backendName(backend), scheme.name, stream.name,
               TextTable::fmt(rate, 6), std::to_string(silent),
               std::to_string(max_abs_err), std::to_string(ss.sweeps),
               std::to_string(ss.bitsCorrected),
@@ -215,10 +251,11 @@ main(int argc, char **argv)
         .set("shards", scale.shards)
         .set("producers", scale.producers);
 
-    const auto ops = makeStream(scale, seed);
-    std::vector<int64_t> expected(scale.counters, 0);
-    for (const auto &op : ops)
-        expected[op.counter] += op.value;
+    const Stream mixed = makeStream(scale, seed, true, 1);
+    const Stream up = makeStream(scale, seed, false, 8);
+    // The unsigned-stream cells run at the paper's protected
+    // operating point.
+    constexpr double kUnsignedRate = 1e-3;
 
     // Protection levels per backend: scrubbing needs rowScrub
     // (Ambit, NVM); RCA runs its duplicate-compute ECC only.
@@ -237,27 +274,39 @@ main(int argc, char **argv)
         {"none", core::Protection::None, false},
         {"ecc", core::Protection::Ecc, false},
     };
-    const std::vector<
-        std::pair<core::BackendKind, const std::vector<Scheme> *>>
-        backends = {
-            {core::BackendKind::Ambit, &ambitSchemes},
-            {core::BackendKind::NvmPinatubo, &nvmSchemes},
-            {core::BackendKind::Rca, &rcaSchemes},
-        };
+    // One unsigned-stream scrub cell per scrubbable backend.
+    const Scheme ambitUnsigned{"ecc+scrub", core::Protection::Ecc, true};
+    const Scheme nvmUnsigned{"none+scrub", core::Protection::None, true};
+    struct BackendSchemes
+    {
+        core::BackendKind backend;
+        const std::vector<Scheme> *schemes;
+        const Scheme *unsignedScheme;
+    };
+    const std::vector<BackendSchemes> backends = {
+        {core::BackendKind::Ambit, &ambitSchemes, &ambitUnsigned},
+        {core::BackendKind::NvmPinatubo, &nvmSchemes, &nvmUnsigned},
+        {core::BackendKind::Rca, &rcaSchemes, nullptr},
+    };
 
-    TextTable t({"backend", "protection", "rate", "silent", "maxerr",
-                 "sweeps", "sec-fix", "mirror-fix", "est-rate",
-                 "overhead"});
-    for (const auto &[backend, schemes] : backends) {
-        // Clean unprotected baseline for the overhead column.
-        const Scheme base{"none", core::Protection::None, false};
+    TextTable t({"backend", "protection", "stream", "rate", "silent",
+                 "maxerr", "sweeps", "sec-fix", "mirror-fix",
+                 "est-rate", "overhead"});
+    // Clean unprotected baseline of a stream, for the overhead column.
+    const Scheme base{"none", core::Protection::None, false};
+    for (const auto &[backend, schemes, unsigned_scheme] : backends) {
         const double base_wall = runCell(h, false, backend, base, 0.0,
-                                         scale, ops, expected, seed,
-                                         0.0, t);
+                                         scale, mixed, seed, 0.0, t);
         for (double rate : scale.rates)
             for (const auto &scheme : *schemes)
-                runCell(h, true, backend, scheme, rate, scale, ops,
-                        expected, seed, base_wall, t);
+                runCell(h, true, backend, scheme, rate, scale, mixed,
+                        seed, base_wall, t);
+        if (!unsigned_scheme)
+            continue;
+        const double up_wall = runCell(h, false, backend, base, 0.0,
+                                       scale, up, seed, 0.0, t);
+        runCell(h, true, backend, *unsigned_scheme, kUnsignedRate, scale,
+                up, seed, up_wall, t);
     }
     std::printf("%s", t.render().c_str());
     return h.finish();

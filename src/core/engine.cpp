@@ -536,6 +536,15 @@ C2MEngine::drain(unsigned group)
     }
 }
 
+void
+C2MEngine::noteCanonical(unsigned group)
+{
+    checkGroup(group, cfg_.numGroups);
+    // The ripples drain() would issue are already settled in the rows.
+    if (backend_->caps().pendingFlags)
+        schedulers_[group].drain();
+}
+
 const BitVector &
 C2MEngine::absorbPeek(unsigned group, unsigned digit)
 {

@@ -320,6 +320,13 @@ class C2MEngine
     }
 
     /**
+     * Readout bookkeeping for a caller that decoded this engine's
+     * rows itself (a virt spill): @p n invalid JC digits, counted in
+     * EngineStats::invalidStates as readCounters counts them.
+     */
+    void noteInvalidStates(uint64_t n) { stats_.invalidStates += n; }
+
+    /**
      * Current counter values (Onext/Osign accounted, no draining),
      * valueOffset removed in the same decode pass.
      * @throws std::invalid_argument on a @p group past numGroups.
@@ -366,12 +373,21 @@ class C2MEngine
      * host row read, counted in EngineStats::drainPeeks) and the
      * ripple is issued only if some column is pending. The scheduler's
      * bounds advance as if every flagged digit rippled; a ripple over
-     * an empty Onext row would change no row. Scrub sweeps,
-     * Scrubber::rebaseShard, signed-mode entry and the tensor ops all
-     * drain through here.
+     * an empty Onext row would change no row. Scrubber::rebaseShard,
+     * signed-mode entry and the tensor ops drain through here.
      * @throws std::invalid_argument on a @p group past numGroups.
      */
     void drain(unsigned group);
+
+    /**
+     * Every state row of @p group was just rewritten to its canonical
+     * image (a scrub sweep settled the pending carries through the
+     * host row path): advance the IARM bounds exactly as drain()
+     * would, issuing no command. The bounds then equal drain()'s, so
+     * every later IARM ripple and plan absorption is drain()'s too.
+     * @throws std::invalid_argument on a @p group past numGroups.
+     */
+    void noteCanonical(unsigned group);
 
   private:
     /** Physical replica count per logical group (3 for TMR). */

@@ -137,13 +137,16 @@ ColumnCodec::ColumnCodec(unsigned radix, unsigned digits)
 
 uint64_t
 ColumnCodec::decode(std::span<const BitVector *const> rows,
-                    std::span<int64_t> out, int64_t offset) const
+                    std::span<int64_t> out, int64_t offset,
+                    BitVector *invalid_cols) const
 {
     C2M_ASSERT(rows.size() == numRows(), "decode takes ", numRows(),
                " rows, got ", rows.size());
     for (const BitVector *r : rows)
         C2M_ASSERT(!r || r->size() >= out.size(),
                    "row narrower than the decoded columns");
+    C2M_ASSERT(!invalid_cols || invalid_cols->size() >= out.size(),
+               "invalid-column mask narrower than the decoded columns");
     // Chunk-major block: word 64q + c holds column c's bits of rows
     // [64q, 64q + 64); the extra last chunk stays zero so a field
     // may straddle into it.
@@ -174,6 +177,7 @@ ColumnCodec::decode(std::span<const BitVector *const> rows,
         // Horner from the top group down, one group across all 64
         // columns at a time so the field position is loop-invariant.
         std::fill(std::begin(value), std::end(value), 0);
+        uint64_t bad = 0; // columns with an invalid field
         for (auto g = groups_.rbegin(); g != groups_.rend(); ++g) {
             const uint64_t *lo = &block[g->word * 64];
             const uint64_t *hi = lo + 64;
@@ -194,7 +198,14 @@ ColumnCodec::decode(std::span<const BitVector *const> rows,
                 value[c] = value[c] * radix + (entry[c] >> kInvalidBits);
                 invalid += entry[c] & ((1u << kInvalidBits) - 1);
             }
+            if (invalid_cols)
+                for (size_t c = 0; c < 64; ++c)
+                    bad |= uint64_t{(entry[c] &
+                                     ((1u << kInvalidBits) - 1)) != 0}
+                           << c;
         }
+        if (invalid_cols)
+            invalid_cols->word(w) = bad & cols;
         for (size_t c = 0; c < width; ++c)
             out[c0 + c] = static_cast<int64_t>(
                 value[c] - ((sign[c] >> sign_shift) & 1) * modulus_ -

@@ -57,13 +57,16 @@ class ColumnCodec
     /**
      * Decode the first out.size() columns of @p rows (numRows()
      * pointers in field order; nullptr reads as an all-zero row),
-     * less @p offset.
+     * less @p offset. With @p invalid_cols (at least out.size() wide),
+     * bit c of it is set iff a digit of column c was not a valid
+     * state; the words covering out.size() are overwritten.
      *
      * @return the number of digits whose JC bits were not a valid
      *         state (decoded nearest-state).
      */
     uint64_t decode(std::span<const BitVector *const> rows,
-                    std::span<int64_t> out, int64_t offset = 0) const;
+                    std::span<int64_t> out, int64_t offset = 0,
+                    BitVector *invalid_cols = nullptr) const;
 
     /**
      * Write the canonical encoding of each value plus @p offset into

@@ -18,20 +18,21 @@ RowMirror::RowMirror(const jc::CounterLayout &layout, size_t cols)
     encodeValues(std::vector<int64_t>(cols, 0));
 }
 
-std::vector<BitVector *>
-RowMirror::fieldRows(bool with_onext)
+template <typename Row>
+void
+RowMirror::fieldOrder(std::span<Row> rows, bool with_onext,
+                      std::vector<Row *> &out) const
 {
     // Mirror order (bit rows, Onext rows, Osign) -> codec field order.
+    C2M_ASSERT(rows.size() == numRows(), "need one row per mirror row");
     const size_t nbits = size_t{digits_} * bits_;
-    std::vector<BitVector *> rows;
-    rows.reserve(jc_.numRows());
+    out.clear();
     for (unsigned d = 0; d < digits_; ++d) {
         for (unsigned i = 0; i < bits_; ++i)
-            rows.push_back(&rows_[size_t{d} * bits_ + i]);
-        rows.push_back(with_onext ? &rows_[nbits + d] : nullptr);
+            out.push_back(&rows[size_t{d} * bits_ + i]);
+        out.push_back(with_onext ? &rows[nbits + d] : nullptr);
     }
-    rows.push_back(&rows_[nbits + digits_]);
-    return rows;
+    out.push_back(&rows[nbits + digits_]);
 }
 
 unsigned
@@ -54,7 +55,8 @@ RowMirror::encodeValues(std::span<const int64_t> values,
     C2M_ASSERT(values.size() == cols_, "value count != mirror width");
     // Every data column is rewritten (Onext rows to zero); the parity
     // lanes past cols_ are recomputed below.
-    jc_.encode(values, fieldRows(true), offset);
+    fieldOrder(std::span<BitVector>(rows_), true, encodeFields_);
+    jc_.encode(values, encodeFields_, offset);
     codec_.encodeRows(rows_);
     offset_ = offset;
 }
@@ -62,15 +64,34 @@ RowMirror::encodeValues(std::span<const int64_t> values,
 std::vector<int64_t>
 RowMirror::decodeValues(ecc::RowCodec::CorrectResult *store_scrub)
 {
+    std::vector<int64_t> values(cols_);
+    decodeValues(values, store_scrub);
+    return values;
+}
+
+void
+RowMirror::decodeValues(std::span<int64_t> out,
+                        ecc::RowCodec::CorrectResult *store_scrub)
+{
+    C2M_ASSERT(out.size() == cols_, "value count != mirror width");
     const auto res = codec_.correctRows(rows_);
     if (store_scrub)
         *store_scrub = res;
 
     // Canonical images carry no pending carries: Onext rows are not
     // read, so decay there cannot perturb the values.
-    std::vector<int64_t> values(cols_);
-    jc_.decode(fieldRows(false), values, offset_);
-    return values;
+    fieldOrder(std::span<const BitVector>(rows_), false, decodeFields_);
+    jc_.decode(decodeFields_, out, offset_);
+}
+
+uint64_t
+RowMirror::decodeRows(std::span<const BitVector> rows,
+                      std::span<int64_t> out, int64_t offset,
+                      BitVector *invalid_cols)
+{
+    C2M_ASSERT(out.size() == cols_, "value count != mirror width");
+    fieldOrder(rows, true, decodeFields_);
+    return jc_.decode(decodeFields_, out, offset, invalid_cols);
 }
 
 BitVector

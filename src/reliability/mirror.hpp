@@ -11,10 +11,7 @@
  * fault-free engine holds right after drain(): Onext all zero, each
  * digit the Johnson encoding of a base-R digit of v + offset (the
  * group's core::C2MEngine::valueOffset), Osign set exactly on
- * columns where v + offset is negative. drain() ripples only the
- * digits whose Onext row it reads non-empty, and a ripple over an
- * empty row changes nothing, so the image does not depend on how
- * many digits the IARM bounds flagged. Images are widened with
+ * columns where v + offset is negative. Images are widened with
  * ecc::RowCodec parity lanes, modelling spare ECC-protected rows
  * maintained through the reliable host RD/WR path; the store itself
  * is scrubbed (decode-correct-re-encode) on every sweep so it
@@ -22,13 +19,14 @@
  *
  * Canonical form is a pure function of (counter values, offset),
  * which is what makes epoch-boundary scrubbing exact: expected
- * values = mirrored values + journaled deltas, and the fabric is
- * drained before comparison so any bit-level deviation from
- * encodeValues(expected, offset) is a fault by construction (pinned
- * by the CanonicalEncode tests in test_reliability.cpp). The mirror
- * remembers the offset of its image, so a group that enters signed
- * mode between two sweeps decodes at the old offset and re-encodes
- * at the new one.
+ * values = mirrored values + journaled deltas, and every deviation
+ * of the fabric's rows from encodeValues(expected, offset) is either
+ * a pending carry (its column still decodes, through decodeRows, to
+ * the expected value) or a fault; rewriting the row from the image
+ * settles both (the CanonicalEncode tests in test_reliability.cpp
+ * pin the image against drained fabric rows). The mirror remembers
+ * the offset of its image, so a group that enters signed mode between
+ * two sweeps decodes at the old offset and re-encodes at the new one.
  */
 
 #include <cstdint>
@@ -88,6 +86,24 @@ class RowMirror
     std::vector<int64_t>
     decodeValues(ecc::RowCodec::CorrectResult *store_scrub = nullptr);
 
+    /** Variant decoding into @p out, which must be cols() long. */
+    void decodeValues(std::span<int64_t> out,
+                      ecc::RowCodec::CorrectResult *store_scrub = nullptr);
+
+    /**
+     * Decode the counter values that fabric rows hold: @p rows in
+     * mirror order (numRows() of them, each at least cols() wide),
+     * Onext rows included, less @p offset. These are the values
+     * readCounters reports for the same columns, pending carries and
+     * sign included, through the same jc::ColumnCodec decode; with
+     * @p invalid_cols, bit c is set iff a digit of column c held an
+     * invalid JC pattern. The store is not touched.
+     * @return the number of invalid digits (decoded nearest-state).
+     */
+    uint64_t decodeRows(std::span<const BitVector> rows,
+                        std::span<int64_t> out, int64_t offset = 0,
+                        BitVector *invalid_cols = nullptr);
+
     /** Copy the data prefix of mirror row @p r (fabric width). */
     BitVector dataBits(size_t r) const;
 
@@ -95,8 +111,13 @@ class RowMirror
     void dataBitsInto(size_t r, BitVector &out) const;
 
   private:
-    /** Row pointers in jc::ColumnCodec field order; Onext optional. */
-    std::vector<BitVector *> fieldRows(bool with_onext);
+    /**
+     * @p out <- pointers to @p rows (mirror order) in jc::ColumnCodec
+     * field order, Onext rows as nullptr unless @p with_onext.
+     */
+    template <typename Row>
+    void fieldOrder(std::span<Row> rows, bool with_onext,
+                    std::vector<Row *> &out) const;
 
     unsigned bits_;    ///< bits per digit (n)
     unsigned digits_;  ///< digit count (D)
@@ -104,6 +125,9 @@ class RowMirror
     ecc::RowCodec codec_;
     jc::ColumnCodec jc_;
     std::vector<BitVector> rows_;
+    /** Scratch: the rows being encoded / decoded, in field order. */
+    std::vector<BitVector *> encodeFields_;
+    std::vector<const BitVector *> decodeFields_;
     int64_t offset_ = 0; ///< value offset of the current image
 };
 

@@ -1,5 +1,7 @@
 #include "reliability/scrubber.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -14,6 +16,7 @@ ScrubStats::toCounters() const
         {"reliability.sweeps", sweeps},
         {"reliability.rows_scrubbed", rowsScrubbed},
         {"reliability.rows_repaired", rowsRepaired},
+        {"reliability.carry_rows", carryRows},
         {"reliability.faulty_bits", faultyBits},
         {"reliability.bits_corrected", bitsCorrected},
         {"reliability.words_recovered", wordsRecovered},
@@ -42,11 +45,18 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
     for (unsigned s = 0; s < engine.numShards(); ++s) {
         auto &eng = engine.shard(s);
         auto &st = shards_[s];
+        const size_t cols = engine.shardWidth(s);
         st.mirrors.reserve(groups);
         for (unsigned g = 0; g < groups; ++g)
             st.mirrors.emplace_back(
-                eng.backend().layout(eng.physicalGroup(g, 0)),
-                engine.shardWidth(s));
+                eng.backend().layout(eng.physicalGroup(g, 0)), cols);
+        // Every group shares the engine's layout geometry.
+        st.expected.assign(groups, std::vector<int64_t>(cols));
+        st.got.assign(st.mirrors[0].numRows(), BitVector(cols));
+        st.decoded.resize(cols);
+        for (BitVector *row : {&st.image, &st.diff, &st.carry, &st.clean,
+                               &st.invalid})
+            *row = BitVector(cols);
         st.sweptCommands = eng.backend().opStats().commands();
         st.lastTra = eng.backend().opStats().tra;
         st.decayRng = Rng(engine.config().seed ^
@@ -140,6 +150,28 @@ Scrubber::runSweeps(const std::vector<unsigned> &due)
     pool.drain();
 }
 
+namespace {
+
+/**
+ * @p clean <- the columns whose rows decoded to their expected value
+ * (@p got[c] == @p want[c]) with every digit a valid JC state.
+ */
+void
+markClean(BitVector &clean, std::span<const int64_t> got,
+          std::span<const int64_t> want, const BitVector &invalid)
+{
+    for (size_t w = 0; w < clean.numWords(); ++w) {
+        const size_t c0 = w * 64;
+        const size_t n = std::min<size_t>(64, want.size() - c0);
+        uint64_t bits = 0;
+        for (size_t c = 0; c < n; ++c)
+            bits |= uint64_t{got[c0 + c] == want[c0 + c]} << c;
+        clean.word(w) = bits & ~invalid.word(w);
+    }
+}
+
+} // namespace
+
 void
 Scrubber::sweepShard(core::C2MEngine &eng, unsigned s)
 {
@@ -154,21 +186,18 @@ Scrubber::sweepShard(core::C2MEngine &eng, unsigned s)
         tr->spanBegin("scrub.sweep", s,
                       eng.backend().opStats().fabricNs);
 
-    // Recover expected values: scrubbed mirror + journaled deltas;
-    // then drain so fault-free state would be canonical.
-    std::vector<std::vector<int64_t>> values(groups);
+    // Expected values: scrubbed mirror + journaled deltas.
     for (unsigned g = 0; g < groups; ++g) {
         ecc::RowCodec::CorrectResult mres;
-        values[g] = st.mirrors[g].decodeValues(&mres);
+        st.mirrors[g].decodeValues(st.expected[g], &mres);
         d.mirrorBitsCorrected += mres.corrected;
         d.mirrorWordsLost += mres.uncorrectable;
-        eng.drain(g);
     }
     const size_t start = engine_.shardStart(s);
     for (const core::BatchOp &op : st.journal) {
         C2M_ASSERT(op.group < groups,
                    "journaled op targets unknown group ", op.group);
-        values[op.group][op.counter - start] += op.value;
+        st.expected[op.group][op.counter - start] += op.value;
     }
     st.journal.clear();
     st.decayed = false;
@@ -178,40 +207,58 @@ Scrubber::sweepShard(core::C2MEngine &eng, unsigned s)
     st.lastTra = tra_now;
 
     // Verify-and-correct every persistent counter row of every
-    // replica against the canonical expected image.
+    // replica against the canonical expected image, pending carries
+    // and all: a column whose rows decode to its expected value is
+    // exact, so where it deviates from the image it holds pending
+    // carries, which the image's rewrite settles with no ripple.
+    // Deviations in any other column are faults.
     uint64_t words_swept = 0;
     for (unsigned g = 0; g < groups; ++g) {
         RowMirror &mirror = st.mirrors[g];
-        mirror.encodeValues(values[g], eng.valueOffset(g));
-        const size_t cols = mirror.cols();
-        BitVector got(cols);
-        BitVector diff(cols);
-        BitVector expected(cols);
+        const std::vector<int64_t> &want = st.expected[g];
+        const int64_t offset = eng.valueOffset(g);
+        mirror.encodeValues(want, offset);
         for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
             const auto &lay =
                 eng.backend().layout(eng.physicalGroup(g, rep));
+            for (size_t r = 0; r < mirror.numRows(); ++r)
+                st.got[r].copyFrom(eng.backend().scrubReadRow(
+                    mirror.fabricRow(lay, r)));
+            d.rowsScrubbed += mirror.numRows();
+            words_swept += mirror.numRows() * mirror.codec().numWords();
+            mirror.decodeRows(st.got, st.decoded, offset, &st.invalid);
+            markClean(st.clean, st.decoded, want, st.invalid);
             for (size_t r = 0; r < mirror.numRows(); ++r) {
-                const unsigned row = mirror.fabricRow(lay, r);
-                got.copyFrom(eng.backend().scrubReadRow(row));
-                mirror.dataBitsInto(r, expected);
-                diff.assignXor(got, expected);
-                ++d.rowsScrubbed;
-                words_swept += mirror.codec().numWords();
-                const size_t flips = diff.popcount();
-                if (flips == 0)
+                BitVector &got = st.got[r];
+                mirror.dataBitsInto(r, st.image);
+                st.diff.assignXor(got, st.image);
+                const size_t deviating = st.diff.popcount();
+                if (deviating == 0)
                     continue;
+                st.carry.assignAnd(st.diff, st.clean);
+                const size_t flips = deviating - st.carry.popcount();
+                const unsigned row = mirror.fabricRow(lay, r);
+                if (flips == 0) {
+                    ++d.carryRows;
+                    eng.backend().scrubWriteRow(row, st.image);
+                    continue;
+                }
                 ++d.rowsRepaired;
                 d.faultyBits += flips;
+                // Settle the carries first, so SEC-DED classifies
+                // the faults alone.
+                got.assignXor(got, st.carry);
                 const auto res =
                     mirror.codec().scrubRow(got, mirror.row(r));
                 d.bitsCorrected += res.corrected;
                 d.wordsRecovered += res.uncorrectable;
-                eng.backend().scrubWriteRow(row, got);
+                eng.backend().scrubWriteRow(row, st.image);
                 // arg = flipped bits found, arg2 = fabric row healed.
                 if (tr)
                     tr->instant("scrub.heal", s, flips, row);
             }
         }
+        eng.noteCanonical(g);
     }
 
     ScrubObservation obs;

@@ -17,36 +17,41 @@
  * sweep could find; scrubAll() is the forced full sweep for changes
  * no command made (a row written through the host path).
  *
- * A sweep:
+ * A sweep issues no fabric command (no AAP or AP):
  *
  *   1. the mirror itself is SEC-DED decode-corrected (it models
  *      spare DRAM rows and may decay) and its counter values are
  *      recovered;
  *   2. journaled deltas are added, giving the expected values;
- *   3. the shard is drained, putting fault-free counter state into
- *      canonical form (a pure function of the values and the
- *      group's core::C2MEngine::valueOffset, which the mirror
- *      remembers per image, so a group that turned signed since the
- *      last sweep is re-encoded at its new offset). The drain
- *      reads the Onext row of each digit the IARM scheduler flags
- *      and ripples only the ones with a pending column; a skipped
- *      ripple would have changed nothing, and a flag a fault set
- *      where no ripple runs is a deviation step 4 repairs;
- *   4. the expected canonical image is re-encoded, and every
- *      persistent counter row (digit bits, Onext, Osign, every TMR
- *      replica) is read back through the reliable host path and
- *      ECC-decoded against the expected parity lanes: single-flip
- *      words are corrected by the code, denser corruption is
- *      recovered from the image, and every event is accounted;
+ *   3. the expected values are encoded into their canonical image (a
+ *      pure function of the values and the group's
+ *      core::C2MEngine::valueOffset, which the mirror remembers per
+ *      image, so a group that turned signed since the last sweep is
+ *      re-encoded at its new offset): Onext clear, every digit below
+ *      R;
+ *   4. every persistent counter row (digit bits, Onext, Osign) of
+ *      each replica is read once through the reliable host path and
+ *      its columns are decoded with their Onext rows, as
+ *      readCounters decodes them. A column that decodes to its
+ *      expected value, every digit a valid JC state, is exact: its
+ *      deviations from the image are pending carries (counted in
+ *      carryRows). Deviations in any other column are faults: the
+ *      row is ECC-decoded against the image's parity lanes, so
+ *      single-flip words are corrected by the code, denser
+ *      corruption is recovered from the image, and every event is
+ *      accounted. Each deviating row is written once, from the
+ *      image. The group's IARM bounds then advance as a drain would
+ *      (core::C2MEngine::noteCanonical), with no ripple;
  *   5. the mirror adopts the expected image and the journal resets.
  *
  * Because step 4 forces the fabric onto the canonical encoding of
  * the true sums, a swept run ends bit-identical to a fault-free
  * serial replay whatever the injected CIM fault rate — the property
- * pinned by test_reliability.cpp. Sweep outcomes feed the
- * HealthMonitor's live fault-rate estimate (the health.* counters);
- * the backends' FR-check count stays as configured for the engine's
- * lifetime.
+ * pinned by test_reliability.cpp — and its rows and IARM bounds are
+ * those a drain followed by the same repair would leave. Sweep
+ * outcomes feed the HealthMonitor's live fault-rate estimate (the
+ * health.* counters); the backends' FR-check count stays as
+ * configured for the engine's lifetime.
  *
  * Coverage contract: the scrubber sees point updates only (epoch
  * buckets or noteBatch). Broadcast accumulates and tensor ops bypass
@@ -59,12 +64,12 @@
  * receives the same coalesced ops the planner folds, and the sweep
  * adds them into per-counter *sums*, which plans preserve by
  * construction (digit decomposition of the summed delta). Plans also
- * keep the IARM scheduler the sweep's drain() uses sound: an
- * unsigned plan takes the carries IARM would ripple into its own
- * delta (read from Onext, then cleared) and lowers those digits'
- * bounds as a ripple would, so the canonical expected image is
- * unchanged and a scrubbed planner run stays bit-identical to
- * fault-free serial replay (pinned by test_reliability.cpp).
+ * keep the IARM scheduler sound: an unsigned plan takes the carries
+ * IARM would ripple into its own delta (read from Onext, then
+ * cleared) and lowers those digits' bounds as a ripple would, so the
+ * canonical expected image is unchanged and a scrubbed planner run
+ * stays bit-identical to fault-free serial replay (pinned by
+ * test_reliability.cpp).
  */
 
 #include <cstdint>
@@ -95,8 +100,9 @@ struct ScrubStats
     uint64_t boundaries = 0;      ///< epoch boundaries observed
     uint64_t sweeps = 0;          ///< shard sweeps executed
     uint64_t rowsScrubbed = 0;    ///< fabric rows read and checked
-    uint64_t rowsRepaired = 0;    ///< rows with any deviation
-    uint64_t faultyBits = 0;      ///< deviating bits found (detected)
+    uint64_t rowsRepaired = 0;    ///< rows with a faulty bit
+    uint64_t carryRows = 0;       ///< rows rewritten for carries only
+    uint64_t faultyBits = 0;      ///< faulty bits found (detected)
     uint64_t bitsCorrected = 0;   ///< flips fixed by SEC-DED alone
     uint64_t wordsRecovered = 0;  ///< words recovered from the mirror
     uint64_t mirrorBitsCorrected = 0; ///< side-store flips corrected
@@ -109,6 +115,7 @@ struct ScrubStats
         sweeps += o.sweeps;
         rowsScrubbed += o.rowsScrubbed;
         rowsRepaired += o.rowsRepaired;
+        carryRows += o.carryRows;
         faultyBits += o.faultyBits;
         bitsCorrected += o.bitsCorrected;
         wordsRecovered += o.wordsRecovered;
@@ -202,6 +209,16 @@ class Scrubber final : public service::EpochObserver
         bool decayed = false; ///< mirror store decayed since the sweep
         ScrubStats stats;
         Rng decayRng{1};
+
+        // Sweep scratch, sized at attach.
+        std::vector<std::vector<int64_t>> expected; ///< per group
+        std::vector<BitVector> got; ///< one replica's rows, mirror order
+        std::vector<int64_t> decoded; ///< values the rows hold
+        BitVector image;   ///< canonical data bits of one row
+        BitVector diff;    ///< got ^ image
+        BitVector carry;   ///< deviations in exact columns
+        BitVector clean;   ///< exact columns
+        BitVector invalid; ///< columns with an invalid JC digit
     };
 
     /** True iff shard @p s has changed since its last sweep. */

@@ -444,20 +444,17 @@ VirtualCounterSpace::spillFrame(int32_t f, std::vector<uint8_t> &dirty)
                     eng.backend().layout(
                         eng.physicalGroup(virtGroup_, 0)),
                     cfg_.groupSize);
-            // readCounters accounts Onext/Osign, so the captured
-            // values are exact without draining; the cleared frame
-            // columns are canonical zero by construction (virt
-            // groups only count up, so they never carry an offset).
+            // The cleared frame columns are canonical zero by
+            // construction (virt groups only count up, so they never
+            // carry an offset).
             C2M_ASSERT(eng.valueOffset(virtGroup_) == 0,
                        "virt group holds a value offset");
-            const std::vector<int64_t> all =
-                eng.readCounters(virtGroup_);
-            const auto first =
-                all.begin() + static_cast<long>(fr.startLocal);
-            const std::vector<int64_t> slice(
-                first, first + cfg_.groupSize);
-            g.image->encodeValues(slice);
+            spillRows_.resize(g.image->numRows(),
+                              BitVector(cfg_.groupSize));
+            spillValues_.resize(cfg_.groupSize);
             BitVector row(engine_.shardWidth(fr.shard));
+            // One read per row: the clearing pass keeps replica 0's
+            // frame columns for the image.
             for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
                 const auto &lay = eng.backend().layout(
                     eng.physicalGroup(virtGroup_, rep));
@@ -470,7 +467,11 @@ VirtualCounterSpace::spillFrame(int32_t f, std::vector<uint8_t> &dirty)
                     for (unsigned i = 0; i < cfg_.groupSize; i += 64) {
                         const unsigned len =
                             std::min(64u, cfg_.groupSize - i);
-                        if (row.getBits(fr.startLocal + i, len)) {
+                        const uint64_t bits =
+                            row.getBits(fr.startLocal + i, len);
+                        if (rep == 0)
+                            spillRows_[r].setBits(i, len, bits);
+                        if (bits) {
                             row.setBits(fr.startLocal + i, len, 0);
                             any = true;
                         }
@@ -479,6 +480,12 @@ VirtualCounterSpace::spillFrame(int32_t f, std::vector<uint8_t> &dirty)
                         eng.backend().scrubWriteRow(fabric_row, row);
                 }
             }
+            // Decoded with their Onext and Osign rows, as
+            // readCounters decodes them, the values are exact
+            // without draining.
+            eng.noteInvalidStates(
+                g.image->decodeRows(spillRows_, spillValues_));
+            g.image->encodeValues(spillValues_);
         });
     const double cost = fabricNsNow() - ns0;
     if (traceRec)
@@ -675,6 +682,9 @@ VirtualCounterSpace::flush()
         // lets restores deferred for lack of a victim proceed.
         if (!pendingRestore_.empty())
             maintain();
+        // Sweep after maintenance, as each service-mode epoch does.
+        if (scrub_)
+            scrub_->boundary();
         return;
     }
     // Drain everything submitted so far, then force further epoch

@@ -55,10 +55,11 @@
  * scrubber's journal, so maintenance brackets them with a sweep of
  * the shard if it is dirty (healing it first) and a per-shard rebase
  * (adopting the new state); materialization deltas go through
- * noteBatch. In service mode each epoch boundary runs maintenance
- * first and the scrubber's sweep second, so the faults a
- * materialization injects are healed before the epoch is published
- * and reads after a flush() are exact. A scrubbed virtualized run
+ * noteBatch. Each epoch boundary (service mode) and each flush()
+ * (direct mode) runs maintenance first and the scrubber's boundary
+ * sweep second, so the faults a materialization injects are healed
+ * before the epoch is published or flush() returns, and reads after
+ * a flush() are exact. A scrubbed virtualized run
  * under CIM fault injection stays bit-exact for exact-tier keys at
  * every flush (pinned by test_virt.cpp).
  */
@@ -238,7 +239,8 @@ class VirtualCounterSpace final : public service::EpochObserver
     std::vector<ExactEntry> topK(size_t k);
 
     /**
-     * Direct mode: apply buffered deltas and run maintenance.
+     * Direct mode: apply buffered deltas, run maintenance, then give
+     * the attached scrubber its boundary.
      * Service mode: flush the service and drive epoch boundaries
      * until every pending restore has a frame (or nothing more can
      * move).
@@ -346,6 +348,9 @@ class VirtualCounterSpace final : public service::EpochObserver
     std::vector<core::BatchOp> directBuf_;
     std::vector<core::BatchOp> physLog_;
     std::vector<core::BatchOp> matOps_; ///< maintenance scratch
+    /** Spill scratch: a frame's rows (mirror order) and values. */
+    std::vector<BitVector> spillRows_;
+    std::vector<int64_t> spillValues_;
     uint64_t tick_ = 0;
     size_t directOps_ = 0; ///< adds since the last direct maintain
     uint64_t boundary_ = 0;    ///< service epochs observed

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/backend_jc.hpp"
 #include "core/engine.hpp"
 #include "core/sharded.hpp"
 #include "ecc/rowcodec.hpp"
@@ -71,6 +72,72 @@ faultFreeReference(const EngineConfig &cfg,
     clean.faultRate = 0.0;
     return replaySerial(clean, ops);
 }
+
+/** Unsigned Zipf(1.0) deltas in 1..7: epochs that leave carries pending. */
+std::vector<BatchOp>
+zipfOps(size_t count, size_t counters, uint64_t key_seed,
+        uint64_t value_seed)
+{
+    ZipfRng keys(counters, 1.0, key_seed);
+    Rng vals(value_seed);
+    std::vector<BatchOp> ops;
+    ops.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        ops.push_back({keys.next(),
+                       1 + static_cast<int64_t>(vals.nextBounded(7)), 0});
+    return ops;
+}
+
+/** Apply @p ops to @p eng in batches of @p chunk, journaling each. */
+void
+applyInBatches(ShardedEngine &eng, Scrubber &scrub,
+               std::span<const BatchOp> ops, size_t chunk)
+{
+    for (size_t lo = 0; lo < ops.size(); lo += chunk) {
+        const auto part = ops.subspan(lo, std::min(chunk, ops.size() - lo));
+        eng.accumulateBatch(part);
+        scrub.noteBatch(part);
+    }
+}
+
+/** Set pending (Onext) bits of group 0 on every Ambit shard. */
+size_t
+pendingBits(ShardedEngine &eng)
+{
+    size_t bits = 0;
+    for (unsigned s = 0; s < eng.numShards(); ++s) {
+        C2MEngine &shard = eng.shard(s);
+        const auto &lay = shard.layout(0);
+        for (unsigned d = 0; d < lay.numDigits(); ++d)
+            bits += shard.subarray().rawRow(lay.onextRow(d)).popcount();
+    }
+    return bits;
+}
+
+/**
+ * First column of group 0 on Ambit shard @p shard with no pending
+ * carry at any digit, or numCounters if every column has one.
+ */
+size_t
+carryFreeColumn(C2MEngine &shard)
+{
+    const auto &lay = shard.layout(0);
+    BitVector carried(shard.config().numCounters);
+    for (unsigned d = 0; d < lay.numDigits(); ++d)
+        carried.assignOr(carried,
+                         shard.subarray().rawRow(lay.onextRow(d)));
+    size_t col = 0;
+    while (col < carried.size() && carried.get(col))
+        ++col;
+    return col;
+}
+
+struct SweepCase
+{
+    const char *name;
+    BackendKind backend;
+    Protection protection;
+};
 
 } // namespace
 
@@ -522,13 +589,7 @@ TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
         SCOPED_TRACE(prot == Protection::Ecc ? "ecc" : "tmr");
         auto cfg = faultyConfig(128, 1e-3, 53);
         cfg.protection = prot;
-        ZipfRng keys(cfg.numCounters, 1.0, 59);
-        Rng vals(61);
-        std::vector<BatchOp> ops;
-        for (size_t i = 0; i < 4096; ++i)
-            ops.push_back({keys.next(),
-                           1 + static_cast<int64_t>(vals.nextBounded(7)),
-                           0});
+        const auto ops = zipfOps(4096, cfg.numCounters, 59, 61);
         const auto ref = faultFreeReference(cfg, ops);
 
         ShardedEngine eng(cfg, 4);
@@ -556,6 +617,192 @@ TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
         EXPECT_GT(eng.stats().fabric.faultsInjected, 0u);
         scrub.scrubAll();
         EXPECT_EQ(eng.readAllCounters(0), ref);
+    }
+}
+
+TEST(ScrubberStandalone, SweepOverPendingCarriesIssuesNoCommand)
+{
+    // Unsigned epochs leave carries pending in Onext rows. The sweep
+    // settles them by rewriting the rows it read: no ripple, no
+    // command, and none of it counted as a fault.
+    const auto cfg = faultyConfig(128, 0.0, 97);
+    const auto ops = zipfOps(2048, cfg.numCounters, 101, 102);
+    ShardedEngine eng(cfg, 2);
+    Scrubber scrub(eng, {});
+    applyInBatches(eng, scrub, ops, 256);
+    ASSERT_GT(pendingBits(eng), 0u);
+
+    const EngineStats before = eng.stats();
+    scrub.boundary();
+    const EngineStats sweep = eng.stats().since(before);
+    EXPECT_EQ(sweep.fabric.commands(), 0u);
+    EXPECT_EQ(sweep.ripples, 0u);
+    EXPECT_EQ(pendingBits(eng), 0u);
+
+    const auto st = scrub.stats();
+    EXPECT_EQ(st.sweeps, eng.numShards());
+    EXPECT_GT(st.carryRows, 0u);
+    EXPECT_EQ(st.rowsRepaired, 0u);
+    EXPECT_EQ(st.faultyBits, 0u);
+    EXPECT_EQ(eng.readAllCounters(0), faultFreeReference(cfg, ops));
+}
+
+TEST(ScrubberStandalone, SweepLeavesTheRowsAndBoundsOfADrain)
+{
+    // Fault-free twins: one engine swept at every boundary, one
+    // drained. Every counter row and IARM bound stays equal, so every
+    // later plan is the drained engine's plan too.
+    for (const SweepCase &c :
+         {SweepCase{"ambit", BackendKind::Ambit, Protection::None},
+          SweepCase{"nvm", BackendKind::NvmPinatubo, Protection::None},
+          SweepCase{"tmr", BackendKind::Ambit, Protection::Tmr}}) {
+        SCOPED_TRACE(c.name);
+        auto cfg = faultyConfig(96, 0.0, 103);
+        cfg.backend = c.backend;
+        cfg.protection = c.protection;
+        const auto ops = zipfOps(3072, cfg.numCounters, 107, 108);
+        ShardedEngine swept(cfg, 2);
+        ShardedEngine drained(cfg, 2);
+        Scrubber scrub(swept, {});
+        const size_t chunk = 256;
+        for (size_t lo = 0; lo < ops.size(); lo += chunk) {
+            const auto part = std::span<const BatchOp>(ops).subspan(
+                lo, std::min(chunk, ops.size() - lo));
+            swept.accumulateBatch(part);
+            scrub.noteBatch(part);
+            scrub.boundary();
+            drained.accumulateBatch(part);
+            for (unsigned s = 0; s < drained.numShards(); ++s) {
+                C2MEngine &a = swept.shard(s);
+                C2MEngine &b = drained.shard(s);
+                for (unsigned g = 0; g < cfg.numGroups; ++g) {
+                    b.drain(g);
+                    ASSERT_EQ(a.iarmBounds(g), b.iarmBounds(g))
+                        << "shard " << s << " group " << g;
+                    for (unsigned rep = 0; rep < a.numReplicas(); ++rep)
+                        forEachJcFieldRow(
+                            a.backend().layout(a.physicalGroup(g, rep)),
+                            [&](unsigned row) {
+                                ASSERT_EQ(a.backend().scrubReadRow(row),
+                                          b.backend().scrubReadRow(row))
+                                    << "shard " << s << " row " << row;
+                            });
+                }
+            }
+        }
+        EXPECT_GT(scrub.stats().carryRows, 0u);
+        EXPECT_EQ(scrub.stats().faultyBits, 0u);
+        EXPECT_EQ(swept.readAllCounters(0),
+                  faultFreeReference(cfg, ops));
+    }
+}
+
+TEST(ScrubberStandalone, FlipBesideCarriedColumnsIsTheOnlyFault)
+{
+    const auto cfg = faultyConfig(128, 0.0, 109);
+    const auto ops = zipfOps(2048, cfg.numCounters, 113, 114);
+    ShardedEngine eng(cfg, 1);
+    Scrubber scrub(eng, {});
+    applyInBatches(eng, scrub, ops, 256);
+
+    // Plant a pending flag in a column with no carry anywhere, in an
+    // Onext row that holds other columns' carries.
+    C2MEngine &shard = eng.shard(0);
+    const auto &lay = shard.layout(0);
+    int digit = -1;
+    for (unsigned d = 0; digit < 0 && d + 1 < lay.numDigits(); ++d)
+        if (shard.subarray().rawRow(lay.onextRow(d)).popcount() > 0)
+            digit = static_cast<int>(d);
+    ASSERT_GE(digit, 0);
+    const size_t col = carryFreeColumn(shard);
+    ASSERT_LT(col, cfg.numCounters);
+    shard.subarray()
+        .rawRow(lay.onextRow(static_cast<unsigned>(digit)))
+        .set(col, true);
+    ASSERT_NE(eng.readAllCounters(0), faultFreeReference(cfg, ops));
+
+    scrub.boundary();
+    const auto st = scrub.stats();
+    EXPECT_EQ(st.faultyBits, 1u);
+    EXPECT_EQ(st.rowsRepaired, 1u);
+    EXPECT_GT(st.carryRows, 0u);
+    EXPECT_EQ(eng.readAllCounters(0), faultFreeReference(cfg, ops));
+}
+
+TEST(ScrubberStandalone, InvalidDigitDecodingToItsValueIsAFault)
+{
+    // At radix 8 a flip inside a zero JC digit (0000 -> 0010) leaves
+    // no valid state, and the nearest one is 0 again: the column still
+    // decodes to its expected value. Its invalid digit keeps it a
+    // fault, not a carry.
+    auto cfg = faultyConfig(64, 0.0, 137);
+    cfg.radix = 8;
+    const auto ops = zipfOps(1024, cfg.numCounters, 139, 140);
+    const auto ref = faultFreeReference(cfg, ops);
+    ShardedEngine eng(cfg, 1);
+    Scrubber scrub(eng, {});
+    applyInBatches(eng, scrub, ops, 256);
+
+    C2MEngine &shard = eng.shard(0);
+    const auto &lay = shard.layout(0);
+    ASSERT_GT(pendingBits(eng), 0u);
+    const size_t col = carryFreeColumn(shard);
+    ASSERT_LT(col, cfg.numCounters);
+    const unsigned guard = lay.numDigits() - 1; // 0 in every column
+    shard.subarray().rawRow(lay.bitRow(guard, 1)).set(col, true);
+    const uint64_t invalid = eng.stats().invalidStates;
+    ASSERT_EQ(eng.readAllCounters(0), ref);
+    ASSERT_GT(eng.stats().invalidStates, invalid);
+
+    scrub.boundary();
+    const auto st = scrub.stats();
+    EXPECT_EQ(st.faultyBits, 1u);
+    EXPECT_EQ(st.rowsRepaired, 1u);
+    const uint64_t healed = eng.stats().invalidStates;
+    EXPECT_EQ(eng.readAllCounters(0), ref);
+    EXPECT_EQ(eng.stats().invalidStates, healed);
+}
+
+TEST(ScrubberStandalone, FaultyUnsignedEpochsSettleCarriesWithoutRipples)
+{
+    // A boundary after every unsigned Zipf epoch under live CIM
+    // faults: the sweep issues no ripple (nor any command) and the
+    // readout matches fault-free serial replay after every sweep.
+    for (const SweepCase &c :
+         {SweepCase{"ambit_ecc", BackendKind::Ambit, Protection::Ecc},
+          SweepCase{"ambit_tmr", BackendKind::Ambit, Protection::Tmr},
+          SweepCase{"nvm", BackendKind::NvmPinatubo, Protection::None}}) {
+        SCOPED_TRACE(c.name);
+        auto cfg = faultyConfig(128, 1e-3, 127);
+        cfg.backend = c.backend;
+        cfg.protection = c.protection;
+        const auto ops = zipfOps(4096, cfg.numCounters, 131, 132);
+        ShardedEngine eng(cfg, 4);
+        Scrubber scrub(eng, {});
+        const size_t chunk = 256;
+        for (size_t lo = 0; lo < ops.size(); lo += chunk) {
+            const size_t hi = std::min(lo + chunk, ops.size());
+            const auto part =
+                std::span<const BatchOp>(ops).subspan(lo, hi - lo);
+            eng.accumulateBatch(part);
+            scrub.noteBatch(part);
+            const EngineStats before = eng.stats();
+            scrub.boundary();
+            const EngineStats sweep = eng.stats().since(before);
+            EXPECT_EQ(sweep.ripples, 0u) << "epoch at op " << lo;
+            EXPECT_EQ(sweep.fabric.commands(), 0u) << "epoch at op " << lo;
+            ASSERT_EQ(eng.readAllCounters(0),
+                      faultFreeReference(
+                          cfg, std::span<const BatchOp>(ops).first(hi)))
+                << "epoch at op " << lo;
+        }
+        const auto st = scrub.stats();
+        EXPECT_GT(eng.stats().fabric.faultsInjected, 0u);
+        // TMR's in-fabric votes outvote these faults before a sweep.
+        if (c.protection != Protection::Tmr) {
+            EXPECT_GT(st.faultyBits, 0u);
+        }
+        EXPECT_GT(st.carryRows, 0u);
     }
 }
 

@@ -1403,8 +1403,9 @@ class DualRailDifferential
 // and a negative sum whose magnitude reaches the guard digit, which
 // must replay per op. Radices 8 and 10 fold dense digits into planes
 // 1, 2, 4 (and 8), whose weights sum past R-1 at radix 10. The _full
-// cases drain every shard after each epoch, as a scrub sweep does,
-// so each plan starts from fully rippled counters and no Onext row
+// cases drain every shard after each epoch, leaving the rows and
+// bounds a scrub sweep leaves, so each plan starts from fully
+// rippled counters and no Onext row
 // may keep a pending; the _iarm cases leave IARM's deferred carries
 // in place across epochs.
 TEST_P(DualRailDifferential, EveryEpochMatchesSerialReplay)

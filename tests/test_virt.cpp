@@ -307,10 +307,10 @@ TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
     EXPECT_GT(st.maintenanceFabricNs, 0.0);
     expectExactMatchesShadow(space, shadow);
 
-    // A spill reads the frame's state rows twice (readCounters, then
-    // the clearing pass) and writes back only rows where the frame
-    // had a set bit. Small counts leave the high digits' rows clear,
-    // so some rows must be skipped.
+    // A spill reads each of the frame's state rows once (the clearing
+    // pass, which also keeps them for the image) and writes back only
+    // rows where the frame had a set bit. Small counts leave the high
+    // digits' rows clear, so some rows must be skipped.
     const EngineConfig cfg = smallConfig(128);
     const jc::CounterLayout lay(cfg.radix, cfg.capacityBits);
     const double rows = lay.numDigits() * (lay.bitsPerDigit() + 1) + 1;
@@ -320,7 +320,7 @@ TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
     const double spills = static_cast<double>(st.spills);
     const double writes =
         engine.stats().fabric.attr(cim::FabricCat::VirtSpill) / row_ns -
-        2 * rows * spills;
+        rows * spills;
     EXPECT_GT(writes, 0.5);
     EXPECT_LT(writes, rows * spills - 0.5);
 }
@@ -673,31 +673,39 @@ TEST(VirtScrubbed, FaultyIngestEndsBitIdenticalForExactKeys)
     expectExactMatchesShadow(space, shadow);
 }
 
-TEST(VirtScrubbed, ReadsAfterEveryFlushMatchTheShadow)
+namespace {
+
+/** ECC at CIM fault rate 1e-3: the reads-after-flush engine. */
+EngineConfig
+faultyEccConfig()
 {
-    // Maintenance runs before the boundary sweep, so the CIM faults
-    // a first materialization injects are healed before flush()
-    // returns: no read between epochs sees a value the next sweep
-    // would change.
     EngineConfig cfg = smallConfig(128);
     cfg.radix = 4;
     cfg.protection = Protection::Ecc;
     cfg.faultRate = 1e-3;
     cfg.seed = 61;
-    ShardedEngine engine(cfg, 2);
-    service::IngestConfig icfg;
-    icfg.minDrainOps = size_t{1} << 40; // epochs only at flush()
-    service::IngestService svc(engine, icfg);
-    reliability::Scrubber scrub(engine);
+    return cfg;
+}
+
+VirtConfig
+flushVirtConfig()
+{
     VirtConfig vcfg;
     vcfg.groupSize = 16;
     vcfg.promoteThreshold = 2;
     vcfg.restoreOpThreshold = 8;
-    VirtualCounterSpace space(svc, vcfg);
-    space.attachScrubber(&scrub);
+    return vcfg;
+}
 
+/**
+ * 20000 adds over 300 keys with a flush() every 200, checking every
+ * exact key and one point read against @p shadow after each flush.
+ * @return the number of flushes.
+ */
+size_t
+checkReadsAfterEveryFlush(VirtualCounterSpace &space, Shadow &shadow)
+{
     Rng rng(61);
-    Shadow shadow;
     size_t flushes = 0;
     for (size_t i = 1; i <= 20000; ++i) {
         const uint64_t key = hashKey(rng.nextBounded(300));
@@ -716,12 +724,57 @@ TEST(VirtScrubbed, ReadsAfterEveryFlushMatchTheShadow)
         EXPECT_EQ(space.read(it->first), it->second)
             << "key " << it->first;
     }
+    return flushes;
+}
+
+} // namespace
+
+TEST(VirtScrubbed, ReadsAfterEveryFlushMatchTheShadow)
+{
+    // Maintenance runs before the boundary sweep, so the CIM faults
+    // a first materialization injects are healed before flush()
+    // returns: no read between epochs sees a value the next sweep
+    // would change.
+    const EngineConfig cfg = faultyEccConfig();
+    ShardedEngine engine(cfg, 2);
+    service::IngestConfig icfg;
+    icfg.minDrainOps = size_t{1} << 40; // epochs only at flush()
+    service::IngestService svc(engine, icfg);
+    reliability::Scrubber scrub(engine);
+    VirtualCounterSpace space(svc, flushVirtConfig());
+    space.attachScrubber(&scrub);
+
+    Shadow shadow;
+    checkReadsAfterEveryFlush(space, shadow);
     svc.stop();
 
     EXPECT_GT(space.stats().spills, 0u);
     EXPECT_GT(space.stats().materializations, 0u);
     EXPECT_GT(engine.stats().fabric.faultsInjected, 0u);
     expectExactMatchesShadow(space, shadow);
+}
+
+TEST(VirtScrubbed, DirectReadsAfterEveryFlushMatchTheShadow)
+{
+    // Direct mode on a bare engine: flush() applies the buffer, runs
+    // maintenance and then the scrubber's boundary, so the faults the
+    // applied ops and materializations inject are healed before it
+    // returns.
+    ShardedEngine engine(faultyEccConfig(), 2);
+    reliability::Scrubber scrub(engine);
+    VirtConfig vcfg = flushVirtConfig();
+    vcfg.directBatchOps = 64;
+    VirtualCounterSpace space(engine, vcfg);
+    space.attachScrubber(&scrub);
+
+    Shadow shadow;
+    const size_t flushes = checkReadsAfterEveryFlush(space, shadow);
+
+    EXPECT_EQ(flushes, 100u);
+    EXPECT_GT(space.stats().spills, 0u);
+    EXPECT_GT(space.stats().materializations, 0u);
+    EXPECT_GT(engine.stats().fabric.faultsInjected, 0u);
+    EXPECT_GE(scrub.stats().boundaries, flushes);
 }
 
 // ---------------------------------------------------------------------
