@@ -6,14 +6,15 @@
  * supports it) under live async ingest.
  *
  * Every cell streams the same op mix through an IngestService with
- * concurrent producers; an attached reliability::Scrubber sweeps
- * counter state at each epoch boundary when enabled. The mix is
- * signed (30% negative deltas), so every group turns signed in its
- * first epoch and no sweep meets a pending carry; two more scrub
- * cells at 1e-3 (Ambit ECC, NVM unprotected) stream the same keys
- * with every delta positive, in eight flush-separated chunks, so
- * later epochs wrap digits earlier ones filled and the sweeps settle
- * pending carries under faults (gated carry_rows > 0). The final
+ * concurrent producers, in eight flush-separated chunks, so each cell
+ * cuts at least eight epochs; an attached reliability::Scrubber
+ * sweeps counter state at each epoch boundary when enabled (gated
+ * sweeps >= 8). The mix is signed (30% negative deltas), so every
+ * group turns signed in its first epoch and no sweep meets a pending
+ * carry; two more scrub cells at 1e-3 (Ambit ECC, NVM unprotected)
+ * stream the same keys with every delta positive, so later epochs
+ * wrap digits earlier ones filled and the sweeps settle pending
+ * carries under faults (gated carry_rows > 0). The final
  * snapshot is compared counter-by-counter against the exact host
  * sums (bit-identical to a fault-free core::replaySerial by the
  * sharded-engine invariants), giving:
@@ -90,24 +91,24 @@ cellConfig(core::BackendKind backend, const Scheme &scheme,
     return cfg;
 }
 
+/** Flush-separated parts every stream is submitted in. */
+constexpr size_t kChunks = 8;
+
 /** One op stream and its exact host sums. */
 struct Stream
 {
     const char *name;
     bool negatives;
-    /** Flush-separated parts the stream is submitted in. */
-    size_t chunks;
     std::vector<core::BatchOp> ops;
     std::vector<int64_t> expected;
 };
 
 Stream
-makeStream(const CampaignScale &scale, uint64_t seed, bool negatives,
-           size_t chunks)
+makeStream(const CampaignScale &scale, uint64_t seed, bool negatives)
 {
     // Half uniform, half Zipf-skewed keys; with negatives, ~30% of
     // the deltas are negative so the signed path is under test too.
-    Stream st{negatives ? "signed" : "unsigned", negatives, chunks, {},
+    Stream st{negatives ? "signed" : "unsigned", negatives, {},
               std::vector<int64_t>(scale.counters, 0)};
     Rng rng(seed);
     ZipfRng zipf(scale.counters, 1.0, seed ^ 0xabcdefULL);
@@ -151,15 +152,14 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     // The host clock starts once the engine and service are built.
     const bench::Window timed = h.open();
 
-    const size_t per = (ops.size() + stream.chunks - 1) / stream.chunks;
+    const size_t per = (ops.size() + kChunks - 1) / kChunks;
     for (size_t lo = 0; lo < ops.size(); lo += per) {
         service::submitConcurrent(
             svc,
             std::span<const core::BatchOp>(ops).subspan(
                 lo, std::min(per, ops.size() - lo)),
             scale.producers);
-        if (stream.chunks > 1)
-            svc.flushAndWait();
+        svc.flushAndWait();
     }
     const auto snap = svc.snapshot();
     svc.stop();
@@ -211,6 +211,11 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     // scrub-enabled run must end with zero silent errors.
     if (scheme.scrub && rate <= 1e-3)
         c.gate("silent_errors", static_cast<double>(silent), "==", 0.0);
+    // Every chunk ends in an epoch boundary, and each one sweeps the
+    // shards the chunk touched.
+    if (scheme.scrub)
+        c.gate("sweeps", static_cast<double>(ss.sweeps), ">=",
+               static_cast<double>(kChunks));
     // An unsigned stream leaves carries pending at the sweeps, which
     // settle them through the rows they read.
     if (scheme.scrub && !stream.negatives)
@@ -251,8 +256,8 @@ main(int argc, char **argv)
         .set("shards", scale.shards)
         .set("producers", scale.producers);
 
-    const Stream mixed = makeStream(scale, seed, true, 1);
-    const Stream up = makeStream(scale, seed, false, 8);
+    const Stream mixed = makeStream(scale, seed, true);
+    const Stream up = makeStream(scale, seed, false);
     // The unsigned-stream cells run at the paper's protected
     // operating point.
     constexpr double kUnsignedRate = 1e-3;

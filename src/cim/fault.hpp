@@ -46,7 +46,7 @@ enum class FabricCat : uint8_t
     Plan = 0,        ///< planner digit-plane program execution
     Fallback,        ///< per-op serial replay (planner bail-out)
     MaskWrite,       ///< host mask-row programming
-    Scrub,           ///< reliability scrub sweeps & rebases
+    Scrub,           ///< reliability scrub sweeps
     VirtSpill,       ///< virt frame spill to backing store
     VirtRestore,     ///< virt frame restore from backing store
     VirtMaterialize, ///< virt region first-touch materialization

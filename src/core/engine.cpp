@@ -27,6 +27,36 @@ validated(const EngineConfig &cfg)
     return cfg;
 }
 
+/**
+ * Rewrite the group under @p l through @p b's reliable host path:
+ * read each state row once, let @p edit(rows, image) encode into
+ * copies in @p scratch (both in field order), and write back each
+ * copy that changed.
+ */
+template <typename Edit>
+void
+rewriteRows(CountingBackend &b, const jc::CounterLayout &l,
+            std::vector<BitVector> &scratch, Edit &&edit)
+{
+    // Each reference stays valid until its row is written below.
+    std::vector<unsigned> index;
+    std::vector<const BitVector *> rows;
+    forEachJcFieldRow(l, [&](unsigned row) {
+        index.push_back(row);
+        rows.push_back(&b.scrubReadRow(row));
+    });
+    scratch.resize(rows.size());
+    std::vector<BitVector *> image;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        scratch[i] = *rows[i];
+        image.push_back(&scratch[i]);
+    }
+    edit(rows, image);
+    for (size_t i = 0; i < rows.size(); ++i)
+        if (scratch[i] != *rows[i])
+            b.scrubWriteRow(index[i], scratch[i]);
+}
+
 } // namespace
 
 void
@@ -452,35 +482,61 @@ C2MEngine::setValueOffset(unsigned group, int64_t offset)
         return;
     const jc::ColumnCodec codec(cfg_.radix, backend_->numDigits());
     std::vector<int64_t> values(cfg_.numCounters);
-    std::vector<BitVector> image(codec.numRows(),
-                                 BitVector(cfg_.numCounters));
-    std::vector<BitVector *> out;
-    for (BitVector &row : image)
-        out.push_back(&row);
-    std::vector<unsigned> index;
-    std::vector<const BitVector *> rows;
-    for (unsigned r = 0; r < replicas(); ++r) {
-        // One charged read per row; each reference stays valid until
-        // its row is written below.
-        index.clear();
-        rows.clear();
-        forEachJcFieldRow(backend_->layout(physIndex(group, r)),
-                          [&](unsigned row) {
-                              index.push_back(row);
-                              rows.push_back(&backend_->scrubReadRow(row));
-                          });
-        stats_.invalidStates +=
-            codec.decode(rows, values, offsets_[group]);
+    const auto reencode = [&](const auto &rows, const auto &image) {
+        stats_.invalidStates += codec.decode(rows, values, offsets_[group]);
         // A faulted group may decode anywhere in the codec's ring.
         for (int64_t &v : values)
             v = codec.reduce(static_cast<int64_t>(
                 static_cast<uint64_t>(v) + static_cast<uint64_t>(offset)));
-        codec.encode(values, out);
-        for (size_t i = 0; i < index.size(); ++i)
-            if (image[i] != *rows[i])
-                backend_->scrubWriteRow(index[i], image[i]);
-    }
+        codec.encode(values, image);
+    };
+    for (unsigned r = 0; r < replicas(); ++r)
+        rewriteRows(*backend_, backend_->layout(physIndex(group, r)),
+                    rowImage_, reencode);
     offsets_[group] = offset;
+}
+
+void
+C2MEngine::rewriteCounters(unsigned group, size_t first,
+                           std::span<const int64_t> values,
+                           std::span<int64_t> old)
+{
+    if (!backend_->caps().rowScrub)
+        C2M_FATAL(backendName(cfg_.backend),
+                  " backend has no host row path to rewrite counters");
+    checkGroup(group, cfg_.numGroups);
+    const size_t n = values.size();
+    if (first > cfg_.numCounters || n > cfg_.numCounters - first ||
+        old.size() != n)
+        C2M_FATAL("rewrite of counters [", first, ", ", first + n,
+                  ") of ", cfg_.numCounters, " with room for ",
+                  old.size(), " old values");
+    const jc::ColumnCodec codec(cfg_.radix, backend_->numDigits());
+    const int64_t offset = offsets_[group];
+    for (unsigned r = 0; r < replicas(); ++r) {
+        const auto splice = [&](const auto &rows, const auto &image) {
+            if (r == 0)
+                stats_.invalidStates +=
+                    codec.decode(rows, old, offset, nullptr, first);
+            codec.encode(values, image, offset, first);
+        };
+        rewriteRows(*backend_, backend_->layout(physIndex(group, r)),
+                    rowImage_, splice);
+    }
+
+    // The largest canonical digit written at each position (R - 1
+    // bounds every digit of a negative x, stored as R^D + x).
+    std::vector<unsigned> top(backend_->numDigits(), 0);
+    for (const int64_t v : values) {
+        uint64_t x = static_cast<uint64_t>(v) + static_cast<uint64_t>(offset);
+        if (x >> 63) {
+            top.assign(top.size(), cfg_.radix - 1);
+            break;
+        }
+        for (unsigned d = 0; x != 0; ++d, x /= cfg_.radix)
+            top[d] = std::max(top[d], static_cast<unsigned>(x % cfg_.radix));
+    }
+    schedulers_[group].cover(top);
 }
 
 void

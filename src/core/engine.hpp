@@ -320,11 +320,20 @@ class C2MEngine
     }
 
     /**
-     * Readout bookkeeping for a caller that decoded this engine's
-     * rows itself (a virt spill): @p n invalid JC digits, counted in
-     * EngineStats::invalidStates as readCounters counts them.
+     * Rewrite counters [first, first + values.size()) of @p group to
+     * @p values through the reliable host path (a virt frame's spill,
+     * writing zeros, or restore): one charged read per state row, a
+     * charged write per row that changes. @p old gets what replica 0
+     * held, decoded as readCounters decodes (invalid digits counted).
+     * Each digit's IARM bound rises to the largest digit written
+     * there (IarmScheduler::cover). No fabric command is issued.
+     * @throws std::invalid_argument on a backend without
+     *         caps().rowScrub, a bad @p group or column range, or an
+     *         @p old of another length, before any row changes.
      */
-    void noteInvalidStates(uint64_t n) { stats_.invalidStates += n; }
+    void rewriteCounters(unsigned group, size_t first,
+                         std::span<const int64_t> values,
+                         std::span<int64_t> old);
 
     /**
      * Current counter values (Onext/Osign accounted, no draining),
@@ -373,8 +382,8 @@ class C2MEngine
      * host row read, counted in EngineStats::drainPeeks) and the
      * ripple is issued only if some column is pending. The scheduler's
      * bounds advance as if every flagged digit rippled; a ripple over
-     * an empty Onext row would change no row. Scrubber::rebaseShard,
-     * signed-mode entry and the tensor ops drain through here.
+     * an empty Onext row would change no row. Signed-mode entry and
+     * the tensor ops drain through here.
      * @throws std::invalid_argument on a @p group past numGroups.
      */
     void drain(unsigned group);
@@ -492,6 +501,7 @@ class C2MEngine
     int64_t signedOffset_ = 0;     ///< B, the signed-mode offset
     unsigned numMasks_ = 0;
     BitVector peekMajority_; ///< absorbPeek's TMR vote of three rows
+    std::vector<BitVector> rowImage_; ///< host row rewrite scratch
 };
 
 /**

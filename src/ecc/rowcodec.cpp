@@ -1,5 +1,7 @@
 #include "ecc/rowcodec.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "ecc/hamming.hpp"
 
@@ -49,10 +51,10 @@ RowCodec::setParity(BitVector &row, size_t w, uint8_t parity) const
 }
 
 void
-RowCodec::encodeRow(BitVector &row) const
+RowCodec::encodeRow(BitVector &row, size_t w0, size_t w1) const
 {
     C2M_ASSERT(row.size() >= totalBits(), "row lacks parity lanes");
-    for (size_t w = 0; w < numWords_; ++w)
+    for (size_t w = w0; w < std::min(w1, numWords_); ++w)
         setParity(row, w, Hamming72::encode(dataWord(row, w)));
 }
 
@@ -66,10 +68,10 @@ RowCodec::checkRow(const BitVector &row) const
 }
 
 RowCodec::CorrectResult
-RowCodec::correctRow(BitVector &row) const
+RowCodec::correctRow(BitVector &row, size_t w0, size_t w1) const
 {
     CorrectResult res;
-    for (size_t w = 0; w < numWords_; ++w) {
+    for (size_t w = w0; w < std::min(w1, numWords_); ++w) {
         const uint64_t data = dataWord(row, w);
         const uint8_t parity = parityOf(row, w);
         const auto dec = Hamming72::decode(data, parity);

@@ -33,8 +33,10 @@ class RowCodec
     /** Total row width: data columns followed by parity lanes. */
     size_t totalBits() const { return dataBits_ + parityBits(); }
 
-    /** Compute and store the parity lanes of @p row's data prefix. */
-    void encodeRow(BitVector &row) const;
+    /** Compute and store the parity lanes of @p row's data prefix
+     *  (of its storage words [@p w0, @p w1) only, when given). */
+    void encodeRow(BitVector &row, size_t w0 = 0,
+                   size_t w1 = SIZE_MAX) const;
 
     /** True iff every word's syndrome is clean. */
     bool checkRow(const BitVector &row) const;
@@ -46,8 +48,10 @@ class RowCodec
         bool clean() const { return corrected == 0 && uncorrectable == 0; }
     };
 
-    /** Correct single-bit errors per word in place. */
-    CorrectResult correctRow(BitVector &row) const;
+    /** Correct single-bit errors per word in place (in storage words
+     *  [@p w0, @p w1) only, when given). */
+    CorrectResult correctRow(BitVector &row, size_t w0 = 0,
+                             size_t w1 = SIZE_MAX) const;
 
     /** Extract word @p w of the data prefix. */
     uint64_t dataWord(const BitVector &row, size_t w) const;

@@ -138,12 +138,12 @@ ColumnCodec::ColumnCodec(unsigned radix, unsigned digits)
 uint64_t
 ColumnCodec::decode(std::span<const BitVector *const> rows,
                     std::span<int64_t> out, int64_t offset,
-                    BitVector *invalid_cols) const
+                    BitVector *invalid_cols, size_t first) const
 {
     C2M_ASSERT(rows.size() == numRows(), "decode takes ", numRows(),
                " rows, got ", rows.size());
     for (const BitVector *r : rows)
-        C2M_ASSERT(!r || r->size() >= out.size(),
+        C2M_ASSERT(!r || r->size() >= first + out.size(),
                    "row narrower than the decoded columns");
     C2M_ASSERT(!invalid_cols || invalid_cols->size() >= out.size(),
                "invalid-column mask narrower than the decoded columns");
@@ -161,16 +161,19 @@ ColumnCodec::decode(std::span<const BitVector *const> rows,
     uint32_t entry[64];
     for (size_t c0 = 0; c0 < out.size(); c0 += 64) {
         const size_t w = c0 / 64;
-        const size_t width = std::min<size_t>(64, out.size() - c0);
+        const auto width =
+            static_cast<unsigned>(std::min<size_t>(64, out.size() - c0));
         // Columns past out.size() read as zero: a valid all-zero digit.
         const uint64_t cols = width == 64 ? ~0ULL : (1ULL << width) - 1;
         for (size_t q = 0; q < chunks_; ++q) {
             const std::span<uint64_t, 64> m = chunk(block, q);
             for (size_t r = 0; r < 64; ++r) {
                 const size_t i = q * 64 + r;
-                m[r] = i < rows.size() && rows[i]
-                           ? rows[i]->word(w) & cols
-                           : 0;
+                const BitVector *row = i < rows.size() ? rows[i] : nullptr;
+                // Readout decodes from column 0: keep its word loads.
+                m[r] = !row        ? 0
+                       : first == 0 ? row->word(w) & cols
+                                    : row->getBits(first + c0, width);
             }
             transpose64(m);
         }
@@ -216,13 +219,13 @@ ColumnCodec::decode(std::span<const BitVector *const> rows,
 
 void
 ColumnCodec::encode(std::span<const int64_t> values,
-                    std::span<BitVector *const> rows,
-                    int64_t offset) const
+                    std::span<BitVector *const> rows, int64_t offset,
+                    size_t first) const
 {
     C2M_ASSERT(rows.size() == numRows(), "encode takes ", numRows(),
                " rows, got ", rows.size());
     for (const BitVector *r : rows)
-        C2M_ASSERT(!r || r->size() >= values.size(),
+        C2M_ASSERT(!r || r->size() >= first + values.size(),
                    "row narrower than the encoded columns");
     std::vector<uint64_t> block(64 * (chunks_ + 1));
     const uint64_t *pattern = pattern_->data();
@@ -232,7 +235,6 @@ ColumnCodec::encode(std::span<const int64_t> values,
     uint64_t rest[64];
     bool neg[64];
     for (size_t c0 = 0; c0 < values.size(); c0 += 64) {
-        const size_t w = c0 / 64;
         const size_t width = std::min<size_t>(64, values.size() - c0);
         std::fill(block.begin(), block.end(), 0);
         for (size_t c = 0; c < width; ++c) {
@@ -263,16 +265,14 @@ ColumnCodec::encode(std::span<const int64_t> values,
                 hi[c] |= (bits >> 1) >> down;
             }
         }
-        const uint64_t keep = width == 64 ? 0 : ~0ULL << width;
         for (size_t q = 0; q < chunks_; ++q) {
             const std::span<uint64_t, 64> m = chunk(block, q);
             transpose64(m);
             for (size_t r = 0; r < 64; ++r) {
                 const size_t i = q * 64 + r;
-                if (i < rows.size() && rows[i]) {
-                    uint64_t &dst = rows[i]->word(w);
-                    dst = (dst & keep) | m[r];
-                }
+                if (i < rows.size() && rows[i])
+                    rows[i]->setBits(first + c0,
+                                     static_cast<unsigned>(width), m[r]);
             }
         }
     }

@@ -55,29 +55,30 @@ class ColumnCodec
     size_t numRows() const { return osignBit_ + 1; }
 
     /**
-     * Decode the first out.size() columns of @p rows (numRows()
-     * pointers in field order; nullptr reads as an all-zero row),
-     * less @p offset. With @p invalid_cols (at least out.size() wide),
-     * bit c of it is set iff a digit of column c was not a valid
-     * state; the words covering out.size() are overwritten.
+     * Decode columns [first, first + out.size()) of @p rows (numRows()
+     * pointers in field order; nullptr reads as an all-zero row) into
+     * @p out, less @p offset. With @p invalid_cols (out.size() wide
+     * or more), bit c of it is set iff a digit of out[c] was not a
+     * valid state; the words covering out.size() are overwritten.
      *
      * @return the number of digits whose JC bits were not a valid
      *         state (decoded nearest-state).
      */
     uint64_t decode(std::span<const BitVector *const> rows,
                     std::span<int64_t> out, int64_t offset = 0,
-                    BitVector *invalid_cols = nullptr) const;
+                    BitVector *invalid_cols = nullptr,
+                    size_t first = 0) const;
 
     /**
      * Write the canonical encoding of each value plus @p offset into
-     * the first values.size() columns of @p rows (numRows() pointers
-     * in field order; nullptr rows are skipped). Other columns are
-     * untouched. Panics if a value plus @p offset lies outside
-     * [-R^D, R^D).
+     * columns [first, first + values.size()) of @p rows (numRows()
+     * pointers in field order; nullptr rows are skipped). Other
+     * columns are untouched. Panics if a value plus @p offset lies
+     * outside [-R^D, R^D).
      */
     void encode(std::span<const int64_t> values,
-                std::span<BitVector *const> rows,
-                int64_t offset = 0) const;
+                std::span<BitVector *const> rows, int64_t offset = 0,
+                size_t first = 0) const;
 
     /**
      * @p x reduced into the ring [-R^D, R^D) the rows can hold, i.e.

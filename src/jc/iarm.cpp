@@ -80,6 +80,14 @@ IarmScheduler::absorb(unsigned digit)
     bounds_[digit] = std::min(bounds_[digit], radix_ - 1);
 }
 
+void
+IarmScheduler::cover(const std::vector<unsigned> &digits)
+{
+    C2M_ASSERT(digits.size() <= bounds_.size(), "too many digits");
+    for (unsigned pos = 0; pos < digits.size(); ++pos)
+        bounds_[pos] = std::max(bounds_[pos], digits[pos]);
+}
+
 std::vector<unsigned>
 IarmScheduler::fullPassDescending()
 {

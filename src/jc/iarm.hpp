@@ -67,6 +67,11 @@ class IarmScheduler
      */
     void absorb(unsigned digit);
 
+    /** Some counters were rewritten to canonical digits of at most
+     *  @p digits[d] (each < R, Onext clear): raise each bound to
+     *  cover them. The others keep theirs, so no bound drops. */
+    void cover(const std::vector<unsigned> &digits);
+
     /**
      * Ripples needed to clear every pending overflow (before a
      * direction switch to decrements, Sec. 4.4), in resolution order.

@@ -61,6 +61,28 @@ RowMirror::encodeValues(std::span<const int64_t> values,
     offset_ = offset;
 }
 
+ecc::RowCodec::CorrectResult
+RowMirror::spliceValues(size_t first, std::span<const int64_t> values)
+{
+    C2M_ASSERT(first + values.size() <= cols_, "columns [", first, ", ",
+               first + values.size(), ") outside the mirror");
+    ecc::RowCodec::CorrectResult res;
+    if (values.empty())
+        return res;
+    const size_t w0 = first / 64;
+    const size_t w1 = (first + values.size() - 1) / 64 + 1;
+    for (BitVector &row : rows_) {
+        const auto fix = codec_.correctRow(row, w0, w1);
+        res.corrected += fix.corrected;
+        res.uncorrectable += fix.uncorrectable;
+    }
+    fieldOrder(std::span<BitVector>(rows_), true, encodeFields_);
+    jc_.encode(values, encodeFields_, offset_, first);
+    for (BitVector &row : rows_)
+        codec_.encodeRow(row, w0, w1);
+    return res;
+}
+
 std::vector<int64_t>
 RowMirror::decodeValues(ecc::RowCodec::CorrectResult *store_scrub)
 {

@@ -75,6 +75,14 @@ class RowMirror
     void encodeValues(std::span<const int64_t> values,
                       int64_t offset = 0);
 
+    /** Overwrite columns [first, first + values.size()) with the
+     *  canonical encoding of @p values at the image's offset. Only the
+     *  ECC words covering them are touched: SEC-DED corrected first
+     *  (so decay is not sealed under new parity), then re-encoded.
+     *  @return the corrections. */
+    ecc::RowCodec::CorrectResult
+    spliceValues(size_t first, std::span<const int64_t> values);
+
     /**
      * SEC-DED pass over the store itself, then decode the mirrored
      * counter values, less the offset the image was encoded with.

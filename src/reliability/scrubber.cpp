@@ -289,40 +289,21 @@ void
 Scrubber::sweepNow(unsigned s)
 {
     C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
-    if (!dirty(s))
-        return;
-    engine_.runShardTask(s, [this, s](core::C2MEngine &eng, size_t) {
-        sweepShard(eng, s);
-    });
+    if (dirty(s))
+        runSweeps({s});
 }
 
 void
-Scrubber::rebase()
+Scrubber::noteRewrite(unsigned s, unsigned group, size_t first,
+                      std::span<const int64_t> values)
 {
-    for (unsigned s = 0; s < engine_.numShards(); ++s)
-        rebaseShard(s);
-}
-
-void
-Scrubber::rebaseShard(unsigned s)
-{
-    C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
-    const unsigned groups = engine_.config().numGroups;
-    engine_.runShardTask(
-        s, [this, s, groups](core::C2MEngine &eng, size_t) {
-            auto &st = shards_[s];
-            cim::AttrScope attr(eng.backend().opStatsRef(),
-                                cim::FabricCat::Scrub);
-            st.journal.clear();
-            for (unsigned g = 0; g < groups; ++g) {
-                eng.drain(g);
-                st.mirrors[g].encodeValues(eng.readCounters(g),
-                                           eng.valueOffset(g));
-            }
-            st.decayed = false;
-            st.sweptCommands = eng.backend().opStats().commands();
-            st.lastTra = eng.backend().opStats().tra;
-        });
+    C2M_ASSERT(s < shards_.size() && group < shards_[s].mirrors.size(),
+               "rewrite of group ", group, " outside shard ", s);
+    ShardState &st = shards_[s];
+    const auto res = st.mirrors[group].spliceValues(first, values);
+    std::lock_guard<std::mutex> lk(m_);
+    st.stats.mirrorBitsCorrected += res.corrected;
+    st.stats.mirrorWordsLost += res.uncorrectable;
 }
 
 ScrubStats

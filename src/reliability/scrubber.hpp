@@ -11,11 +11,12 @@
  * an epoch boundary — hooked through service::EpochObserver, or
  * driven explicitly in standalone mode — every dirty shard is swept.
  * A shard is dirty when its journal holds an op, when its backend
- * issued a fabric command (AAP/AP) since its last sweep or rebase, or
- * when the mirror store decayed since its last sweep. CIM faults
- * enter only through fabric commands, so a clean shard has nothing a
- * sweep could find; scrubAll() is the forced full sweep for changes
- * no command made (a row written through the host path).
+ * issued a fabric command (AAP/AP) since its last sweep, or when the
+ * mirror store decayed since its last sweep. CIM faults enter only
+ * through fabric commands, so a clean shard has nothing a sweep could
+ * find; scrubAll() is the forced full sweep for changes no command
+ * made and no noteRewrite reported (a row written through the host
+ * path).
  *
  * A sweep issues no fabric command (no AAP or AP):
  *
@@ -53,10 +54,11 @@
  * health.* counters); the backends' FR-check count stays as
  * configured for the engine's lifetime.
  *
- * Coverage contract: the scrubber sees point updates only (epoch
- * buckets or noteBatch). Broadcast accumulates and tensor ops bypass
- * the journal; call rebase() after driving such ops, or the next
- * sweep would "correct" legitimate state away.
+ * Coverage contract: the scrubber sees point updates through the
+ * journal (epoch buckets or noteBatch) and frame rewrites through
+ * noteRewrite (core::C2MEngine::rewriteCounters, a virt spill or
+ * restore). Broadcast accumulates and tensor ops on a scrubbed engine
+ * are outside it: the next sweep would "correct" their state away.
  *
  * Drain-planner interplay: when the engine executes a bucket as
  * column-parallel digit planes (EngineConfig::drainPlanner), the
@@ -170,28 +172,22 @@ class Scrubber final : public service::EpochObserver
     /**
      * Sweep shard @p s now if it is dirty; a clean shard costs
      * nothing, so repeated calls are free. This is the
-     * virtualization layer's pre-write hook: before rewriting a
-     * shard's counter rows (spill/restore) it heals the shard and
-     * applies the pending journal, so the subsequent rebaseShard()
-     * cannot adopt faulty or stale state.
+     * virtualization layer's pre-spill hook: it heals the shard and
+     * applies the pending journal before a frame's values are read
+     * out, so the spilled image cannot adopt faulty state.
      */
     void sweepNow(unsigned s);
 
     /**
-     * Per-shard rebase(): re-mirror shard @p s from the engine's
-     * current counter values, trusting the fabric, and discard the
-     * shard's pending journal entries. Required after row-level
-     * writes the journal cannot see (counter-group spill/restore).
+     * Counters [first, first + values.size()) of @p group on shard
+     * @p s were rewritten to @p values (core::C2MEngine::
+     * rewriteCounters: a virt spill or restore), and the journal holds
+     * no op for them: splice the values into the mirror
+     * (RowMirror::spliceValues). No whole-mirror work; the shard's
+     * dirty state stays as it was.
      */
-    void rebaseShard(unsigned s);
-
-    /**
-     * Re-mirror from the engine's current counter values, trusting
-     * the fabric. Required after ops the journal cannot see
-     * (broadcast accumulates, tensor ops); discards pending journal
-     * entries.
-     */
-    void rebase();
+    void noteRewrite(unsigned s, unsigned group, size_t first,
+                     std::span<const int64_t> values);
 
     ScrubStats stats() const;
     ScrubStats shardStats(unsigned s) const;
@@ -201,9 +197,9 @@ class Scrubber final : public service::EpochObserver
     struct ShardState
     {
         std::vector<RowMirror> mirrors; ///< per logical group
-        /** Ops applied since the last sweep or rebase, in order. */
+        /** Ops applied since the last sweep, in order. */
         std::vector<core::BatchOp> journal;
-        /** Fabric AAP+AP count at the last sweep or rebase. */
+        /** Fabric AAP+AP count at the last sweep. */
         uint64_t sweptCommands = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
         bool decayed = false; ///< mirror store decayed since the sweep

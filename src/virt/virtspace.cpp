@@ -269,19 +269,11 @@ VirtualCounterSpace::applyDirectBuf()
     directBuf_.clear();
 }
 
-double
-VirtualCounterSpace::fabricNsNow() const
-{
-    return engine_.stats().fabric.fabricNs;
-}
-
 void
 VirtualCounterSpace::maintain()
 {
     if (pendingRestore_.empty())
         return;
-    const unsigned n = engine_.numShards();
-    std::vector<uint8_t> dirty(n, 0);
     const uint64_t round_tick = tick_;
     bool moved = false;
 
@@ -291,13 +283,14 @@ VirtualCounterSpace::maintain()
     todo.swap(pendingRestore_);
 
     // Phase 1: assign frames (spilling victims as needed) and write
-    // every image restore through the reliable row path.
+    // every image restore through the reliable row path; each rewrite
+    // patches the scrubber's mirror itself.
     for (const uint32_t gi : todo) {
         Group &g = groups_[gi];
         g.restoreQueued = false;
         if (g.frame >= 0)
             continue;
-        const int32_t f = acquireFrame(dirty, round_tick);
+        const int32_t f = acquireFrame(round_tick);
         if (f < 0) {
             g.restoreQueued = true;
             deferred.push_back(gi);
@@ -308,25 +301,24 @@ VirtualCounterSpace::maintain()
         frameOwner_[static_cast<size_t>(f)] =
             static_cast<int32_t>(gi);
         g.lastTouch = ++tick_; // > round_tick: pinned this round
-        if (g.image)
-            restoreImage(gi, dirty);
-        else
+        if (!g.image) {
             mats.push_back(gi);
+            continue;
+        }
+        const std::vector<int64_t> values = spilledValues(g);
+        g.journal.clear();
+        g.journaledOps = 0;
+        rewriteFrame(g, frames_[static_cast<size_t>(f)], values,
+                     cim::FabricCat::VirtRestore, "virt.restore");
+        ++counts_.restores;
     }
     pendingRestore_ = std::move(deferred);
 
-    // Phase 2: the journal cannot see row-level writes — re-mirror
-    // every touched shard from the now-exact fabric.
-    if (scrub_)
-        for (unsigned s = 0; s < n; ++s)
-            if (dirty[s])
-                scrub_->rebaseShard(s);
-
-    // Phase 3: first materializations go through the normal fabric
-    // op path (after the rebase, so injected CIM faults stay inside
-    // the scrub journal's coverage; in service mode the boundary
-    // sweep that follows maintenance heals them before the epoch is
-    // published).
+    // Phase 2: first materializations go through the normal fabric
+    // op path and the scrub journal, after every frame move, so their
+    // commands leave the shards dirty for the boundary sweep that
+    // follows maintenance (which heals the faults they inject before
+    // the epoch is published) rather than for this round's spills.
     for (const uint32_t gi : mats) {
         Group &g = groups_[gi];
         const Frame &fr = frames_[static_cast<size_t>(g.frame)];
@@ -337,7 +329,6 @@ VirtualCounterSpace::maintain()
                     fr.startGlobal + slot, delta, virtGroup_});
         g.journal.clear();
         g.journaledOps = 0;
-        g.everMaterialized = true;
         if (!matOps_.empty()) {
             if (cfg_.recordPhysicalOps)
                 physLog_.insert(physLog_.end(), matOps_.begin(),
@@ -368,8 +359,7 @@ VirtualCounterSpace::maintain()
 }
 
 int32_t
-VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &dirty,
-                                  uint64_t round_tick)
+VirtualCounterSpace::acquireFrame(uint64_t round_tick)
 {
     if (!freeFrames_.empty()) {
         const int32_t f = static_cast<int32_t>(freeFrames_.back());
@@ -412,144 +402,50 @@ VirtualCounterSpace::acquireFrame(std::vector<uint8_t> &dirty,
     }
     if (best < 0)
         return -1;
-    spillFrame(best, dirty);
-    Group &victim =
-        groups_[static_cast<size_t>(frameOwner_[best])];
+    // Spill: heal the shard and apply its pending journal before the
+    // values are read out, so the image cannot adopt faulty state.
+    Group &victim = groups_[static_cast<size_t>(frameOwner_[best])];
+    const Frame &fr = frames_[static_cast<size_t>(best)];
+    if (scrub_)
+        scrub_->sweepNow(fr.shard);
+    if (!victim.image)
+        victim.image = std::make_unique<reliability::RowMirror>(
+            engine_.shard(fr.shard).layout(virtGroup_), cfg_.groupSize);
+    // Decoded with their Onext and Osign rows, as readCounters
+    // decodes them, the values are exact without draining.
+    victim.image->encodeValues(
+        rewriteFrame(victim, fr, std::vector<int64_t>(cfg_.groupSize, 0),
+                     cim::FabricCat::VirtSpill, "virt.spill"));
     victim.frame = -1;
     frameOwner_[static_cast<size_t>(best)] = -1;
     ++counts_.spills;
     return best;
 }
 
-void
-VirtualCounterSpace::spillFrame(int32_t f, std::vector<uint8_t> &dirty)
+std::vector<int64_t>
+VirtualCounterSpace::rewriteFrame(Group &g, const Frame &fr,
+                                  std::span<const int64_t> values,
+                                  cim::FabricCat cat, const char *span)
 {
-    Group &g =
-        groups_[static_cast<size_t>(frameOwner_[static_cast<size_t>(f)])];
-    const Frame &fr = frames_[static_cast<size_t>(f)];
-    // Heal the shard and apply its pending journal before any row
-    // rewrite, so the post-write rebase cannot adopt faulty state.
-    if (scrub_)
-        scrub_->sweepNow(fr.shard);
-    const double ns0 = fabricNsNow();
+    std::vector<int64_t> old(values.size());
+    const double ns0 = engine_.stats().fabric.fabricNs;
     obs::TraceRecorder *traceRec = obs::tracer();
     if (traceRec)
-        traceRec->spanBegin("virt.spill", fr.shard, ns0);
+        traceRec->spanBegin(span, fr.shard, ns0);
     engine_.runShardTask(
         fr.shard, [&](core::C2MEngine &eng, size_t) {
-            cim::AttrScope attr(eng.backend().opStatsRef(),
-                                cim::FabricCat::VirtSpill);
-            if (!g.image)
-                g.image = std::make_unique<reliability::RowMirror>(
-                    eng.backend().layout(
-                        eng.physicalGroup(virtGroup_, 0)),
-                    cfg_.groupSize);
-            // The cleared frame columns are canonical zero by
-            // construction (virt groups only count up, so they never
-            // carry an offset).
-            C2M_ASSERT(eng.valueOffset(virtGroup_) == 0,
-                       "virt group holds a value offset");
-            spillRows_.resize(g.image->numRows(),
-                              BitVector(cfg_.groupSize));
-            spillValues_.resize(cfg_.groupSize);
-            BitVector row(engine_.shardWidth(fr.shard));
-            // One read per row: the clearing pass keeps replica 0's
-            // frame columns for the image.
-            for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
-                const auto &lay = eng.backend().layout(
-                    eng.physicalGroup(virtGroup_, rep));
-                for (size_t r = 0; r < g.image->numRows(); ++r) {
-                    const unsigned fabric_row =
-                        g.image->fabricRow(lay, r);
-                    row.copyFrom(
-                        eng.backend().scrubReadRow(fabric_row));
-                    bool any = false;
-                    for (unsigned i = 0; i < cfg_.groupSize; i += 64) {
-                        const unsigned len =
-                            std::min(64u, cfg_.groupSize - i);
-                        const uint64_t bits =
-                            row.getBits(fr.startLocal + i, len);
-                        if (rep == 0)
-                            spillRows_[r].setBits(i, len, bits);
-                        if (bits) {
-                            row.setBits(fr.startLocal + i, len, 0);
-                            any = true;
-                        }
-                    }
-                    if (any)
-                        eng.backend().scrubWriteRow(fabric_row, row);
-                }
-            }
-            // Decoded with their Onext and Osign rows, as
-            // readCounters decodes them, the values are exact
-            // without draining.
-            eng.noteInvalidStates(
-                g.image->decodeRows(spillRows_, spillValues_));
-            g.image->encodeValues(spillValues_);
+            cim::AttrScope attr(eng.backend().opStatsRef(), cat);
+            eng.rewriteCounters(virtGroup_, fr.startLocal, values, old);
         });
-    const double cost = fabricNsNow() - ns0;
+    if (scrub_)
+        scrub_->noteRewrite(fr.shard, virtGroup_, fr.startLocal, values);
+    const double cost = engine_.stats().fabric.fabricNs - ns0;
     if (traceRec)
-        traceRec->spanEnd("virt.spill", fr.shard, ns0 + cost);
+        traceRec->spanEnd(span, fr.shard, ns0 + cost);
     g.lastMaintNs =
         g.lastMaintNs > 0.0 ? 0.5 * (g.lastMaintNs + cost) : cost;
     counts_.maintenanceFabricNs += cost;
-    dirty[fr.shard] = 1;
-}
-
-void
-VirtualCounterSpace::restoreImage(uint32_t gi,
-                                  std::vector<uint8_t> &dirty)
-{
-    Group &g = groups_[gi];
-    const Frame &fr = frames_[static_cast<size_t>(g.frame)];
-    if (scrub_)
-        scrub_->sweepNow(fr.shard); // heal before the rewrite
-    std::vector<int64_t> values = g.image->decodeValues();
-    for (const auto &[slot, delta] : g.journal)
-        values[slot] += delta;
-    g.journal.clear();
-    g.journaledOps = 0;
-    g.image->encodeValues(values);
-    const double ns0 = fabricNsNow();
-    obs::TraceRecorder *traceRec = obs::tracer();
-    if (traceRec)
-        traceRec->spanBegin("virt.restore", fr.shard, ns0);
-    engine_.runShardTask(
-        fr.shard, [&](core::C2MEngine &eng, size_t) {
-            cim::AttrScope attr(eng.backend().opStatsRef(),
-                                cim::FabricCat::VirtRestore);
-            // The image is encoded at offset 0, like the frame.
-            C2M_ASSERT(eng.valueOffset(virtGroup_) == 0,
-                       "virt group holds a value offset");
-            BitVector row(engine_.shardWidth(fr.shard));
-            for (unsigned rep = 0; rep < eng.numReplicas(); ++rep) {
-                const auto &lay = eng.backend().layout(
-                    eng.physicalGroup(virtGroup_, rep));
-                for (size_t r = 0; r < g.image->numRows(); ++r) {
-                    const unsigned fabric_row =
-                        g.image->fabricRow(lay, r);
-                    row.copyFrom(
-                        eng.backend().scrubReadRow(fabric_row));
-                    // The image's data prefix is the frame's columns.
-                    const BitVector &img = g.image->row(r);
-                    for (unsigned i = 0; i < cfg_.groupSize; i += 64) {
-                        const unsigned len =
-                            std::min(64u, cfg_.groupSize - i);
-                        row.setBits(fr.startLocal + i, len,
-                                    img.getBits(i, len));
-                    }
-                    eng.backend().scrubWriteRow(fabric_row, row);
-                }
-            }
-        });
-    const double cost = fabricNsNow() - ns0;
-    if (traceRec)
-        traceRec->spanEnd("virt.restore", fr.shard, ns0 + cost);
-    g.lastMaintNs =
-        g.lastMaintNs > 0.0 ? 0.5 * (g.lastMaintNs + cost) : cost;
-    counts_.maintenanceFabricNs += cost;
-    dirty[fr.shard] = 1;
-    ++counts_.restores;
+    return old;
 }
 
 std::vector<int64_t>
@@ -568,15 +464,14 @@ VirtualCounterSpace::readFabricConsistent(
     }
 }
 
-int64_t
-VirtualCounterSpace::spilledValue(Group &g, uint16_t slot)
+std::vector<int64_t>
+VirtualCounterSpace::spilledValues(Group &g)
 {
-    int64_t v = 0;
-    if (g.image)
-        v = g.image->decodeValues()[slot];
-    const auto it = g.journal.find(slot);
-    if (it != g.journal.end())
-        v += it->second;
+    std::vector<int64_t> v =
+        g.image ? g.image->decodeValues()
+                : std::vector<int64_t>(cfg_.groupSize, 0);
+    for (const auto &[slot, delta] : g.journal)
+        v[slot] += delta;
     return v;
 }
 
@@ -592,8 +487,7 @@ VirtualCounterSpace::read(uint64_t key)
     for (;;) {
         Group &g = groups_[slot / cfg_.groupSize];
         if (g.frame < 0)
-            return spilledValue(
-                g, static_cast<uint16_t>(slot % cfg_.groupSize));
+            return spilledValues(g)[slot % cfg_.groupSize];
         const std::vector<int64_t> counters =
             readFabricConsistent(lk);
         const Group &g2 = groups_[slot / cfg_.groupSize];
@@ -637,8 +531,11 @@ VirtualCounterSpace::exactEntries()
     const std::vector<int64_t> counters = readFabricConsistent(lk);
     std::vector<ExactEntry> out;
     out.reserve(dir_.size());
+    std::vector<int64_t> spilled;
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
         Group &g = groups_[gi];
+        if (g.frame < 0)
+            spilled = spilledValues(g); // one image decode per group
         for (uint32_t i = 0; i < g.used; ++i) {
             const uint32_t slot = static_cast<uint32_t>(
                 gi * cfg_.groupSize + i);
@@ -647,10 +544,7 @@ VirtualCounterSpace::exactEntries()
             e.seed = g.slotSeeds[i];
             e.seedBound = g.slotSeedBounds[i];
             e.resident = g.frame >= 0;
-            e.value = e.resident
-                          ? counters[physOf(slot)]
-                          : spilledValue(
-                                g, static_cast<uint16_t>(i));
+            e.value = e.resident ? counters[physOf(slot)] : spilled[i];
             out.push_back(e);
         }
     }

@@ -20,9 +20,10 @@
  *    the same canonical row serialization the scrubber trusts — and
  *    the frame was reassigned. Deltas accumulate in a host-side
  *    journal; restore decodes the image, folds the journal in, and
- *    writes the canonical rows back through the reliable host path
- *    (backend scrubWriteRow), so a spill/restore round trip is
- *    bit-exact (pinned by test_virt.cpp).
+ *    writes the canonical values back through the reliable host path
+ *    (core::C2MEngine::rewriteCounters, as spill clears the frame),
+ *    so a spill/restore round trip is bit-exact (pinned by
+ *    test_virt.cpp).
  *  - approximate: keys the directory has never promoted are absorbed
  *    by a count-min front sketch (optionally with Morris-counter
  *    cells) with the analytic error bounds documented in
@@ -51,10 +52,10 @@
  *    known to have been applied (two-boundary rule, see docs/virt.md).
  *
  * Scrub integration: attachScrubber() chains a reliability::Scrubber
- * behind the space. Spill/restore row writes are invisible to the
- * scrubber's journal, so maintenance brackets them with a sweep of
- * the shard if it is dirty (healing it first) and a per-shard rebase
- * (adopting the new state); materialization deltas go through
+ * behind the space. A spill first sweeps its shard if it is dirty
+ * (healing it before the values are read out), and every frame
+ * rewrite hands the scrubber the values it wrote (noteRewrite, which
+ * splices them into its mirror); materialization deltas go through
  * noteBatch. Each epoch boundary (service mode) and each flush()
  * (direct mode) runs maintenance first and the scrubber's boundary
  * sweep second, so the faults a materialization injects are healed
@@ -182,14 +183,13 @@ class VirtualCounterSpace final : public service::EpochObserver
     static bool supportsSpill(core::ShardedEngine &engine);
 
     const VirtConfig &config() const { return cfg_; }
-    /** Physical frames (resident-group capacity). */
-    size_t numFrames() const { return frames_.size(); }
 
     /**
      * Chain a scrubber behind the space. In service mode the space
      * forwards the epoch-boundary hooks after its own maintenance
      * (attach the scrubber here, not to the service); in both modes
-     * maintenance brackets its row writes with sweepNow/rebaseShard.
+     * a spill sweeps its shard first (sweepNow) and every frame
+     * rewrite patches the scrubber's mirror (noteRewrite).
      * Call before traffic; the scrubber must outlive the space.
      */
     void attachScrubber(reliability::Scrubber *scrub);
@@ -277,7 +277,6 @@ class VirtualCounterSpace final : public service::EpochObserver
         uint32_t used = 0;  ///< allocated slots
         uint64_t lastTouch = 0;
         bool restoreQueued = false;
-        bool everMaterialized = false;
         /**
          * Spilled counter values as an ECC-encoded canonical row
          * image (null = group has never been materialized: all
@@ -316,19 +315,24 @@ class VirtualCounterSpace final : public service::EpochObserver
 
     /** Spill/restore pass; engine must be quiescent (lock held). */
     void maintain();
-    /** These mark each shard whose rows they rewrite in @p dirty;
-     *  maintain() rebases those shards. */
-    int32_t acquireFrame(std::vector<uint8_t> &dirty,
-                         uint64_t round_tick);
-    void spillFrame(int32_t f, std::vector<uint8_t> &dirty);
-    void restoreImage(uint32_t gi, std::vector<uint8_t> &dirty);
-    double fabricNsNow() const;
+    /** A free frame, or one a victim is spilled from; -1 if none. */
+    int32_t acquireFrame(uint64_t round_tick);
+    /**
+     * Rewrite frame @p fr to @p values (C2MEngine::rewriteCounters,
+     * charged to @p cat and traced as @p span), tell the scrubber and
+     * price the move into @p g. @return the values the frame held.
+     */
+    std::vector<int64_t> rewriteFrame(Group &g, const Frame &fr,
+                                      std::span<const int64_t> values,
+                                      cim::FabricCat cat,
+                                      const char *span);
 
     /** Full logical counter read, consistent with the directory
      *  (retries if maintenance moved groups mid-read). */
     std::vector<int64_t>
     readFabricConsistent(std::unique_lock<std::mutex> &lk);
-    int64_t spilledValue(Group &g, uint16_t slot);
+    /** A non-resident group's values: image plus journal. */
+    std::vector<int64_t> spilledValues(Group &g);
 
     core::ShardedEngine &engine_;
     service::IngestService *svc_;
@@ -348,9 +352,6 @@ class VirtualCounterSpace final : public service::EpochObserver
     std::vector<core::BatchOp> directBuf_;
     std::vector<core::BatchOp> physLog_;
     std::vector<core::BatchOp> matOps_; ///< maintenance scratch
-    /** Spill scratch: a frame's rows (mirror order) and values. */
-    std::vector<BitVector> spillRows_;
-    std::vector<int64_t> spillValues_;
     uint64_t tick_ = 0;
     size_t directOps_ = 0; ///< adds since the last direct maintain
     uint64_t boundary_ = 0;    ///< service epochs observed

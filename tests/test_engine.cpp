@@ -1610,3 +1610,60 @@ TEST(EngineTensorErrors, BadArgumentsThrowBeforeAnyChange)
         }
     }
 }
+
+TEST(EngineRewrite, SplicesColumnsAndReportsWhatTheyHeld)
+{
+    // Counters [5, 9) of an unsigned group and [0, 2) of a signed one
+    // are rewritten through the host path on every replica: the other
+    // counters keep their values, the old ones come back decoded, the
+    // signed group keeps its offset, and the IARM bounds cover the
+    // digits written. Bad arguments throw before any row changes.
+    for (const Protection prot : {Protection::None, Protection::Tmr}) {
+        SCOPED_TRACE(prot == Protection::Tmr ? "tmr" : "none");
+        auto cfg = smallConfig(4);
+        cfg.numGroups = 2;
+        cfg.protection = prot;
+        C2MEngine eng(cfg);
+        const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+        for (int i = 0; i < 9; ++i)
+            eng.accumulate(3, h, 0);
+        eng.accumulateSigned(-2, h, 1);
+        const int64_t offset = eng.valueOffset(1);
+
+        const std::vector<int64_t> values = {0, 1, 100, 70000};
+        std::vector<int64_t> old(4);
+        eng.rewriteCounters(0, 5, values, old);
+        EXPECT_EQ(old, std::vector<int64_t>(4, 27));
+        std::vector<int64_t> want(16, 27);
+        std::copy(values.begin(), values.end(), want.begin() + 5);
+        EXPECT_EQ(eng.readCounters(0), want);
+        EXPECT_GE(eng.iarmBounds(0)[8], 1u); // 70000 = 4^8 + ...
+
+        std::vector<int64_t> old1(2);
+        eng.rewriteCounters(1, 0, std::vector<int64_t>{-7, 5}, old1);
+        EXPECT_EQ(old1, std::vector<int64_t>(2, -2));
+        std::vector<int64_t> want1(16, -2);
+        want1[0] = -7;
+        want1[1] = 5;
+        EXPECT_EQ(eng.readCounters(1), want1);
+        EXPECT_EQ(eng.valueOffset(1), offset);
+
+        const auto rows0 = eng.stats().fabric;
+        std::vector<int64_t> short_old(3);
+        EXPECT_THROW(eng.rewriteCounters(2, 0, values, old),
+                     std::invalid_argument);
+        EXPECT_THROW(eng.rewriteCounters(0, 13, values, old),
+                     std::invalid_argument);
+        EXPECT_THROW(eng.rewriteCounters(0, 0, values, short_old),
+                     std::invalid_argument);
+        EXPECT_EQ(eng.stats().fabric.rowReads, rows0.rowReads);
+        EXPECT_EQ(eng.stats().fabric.rowWrites, rows0.rowWrites);
+        EXPECT_EQ(eng.readCounters(0), want);
+    }
+    auto cfg = smallConfig(4);
+    cfg.backend = BackendKind::Rca;
+    C2MEngine rca(cfg);
+    std::vector<int64_t> old(1);
+    EXPECT_THROW(rca.rewriteCounters(0, 0, std::vector<int64_t>{1}, old),
+                 std::invalid_argument);
+}

@@ -281,6 +281,37 @@ TEST(CanonicalImageRange, ValuesBeyondTheModulusPanic)
                  "exceeds JC modulus");
 }
 
+TEST(CanonicalImageSplice, MatchesAWholeEncodeAndCorrectsOnlyItsWords)
+{
+    // Splicing values into columns [70, 75) of a 200-column image at a
+    // signed offset gives the image a whole encode of the merged
+    // values gives. Decay in a word the splice touches is corrected
+    // first (not sealed under the new parity); decay in another word
+    // is left for the next decode to correct.
+    const jc::CounterLayout l(4, 16);
+    const int64_t offset = 0x5555;
+    std::vector<int64_t> values(200);
+    for (size_t c = 0; c < values.size(); ++c)
+        values[c] = static_cast<int64_t>(c * 37 % 1000) - 500;
+    RowMirror mirror(l, values.size());
+    mirror.encodeValues(values, offset);
+    mirror.row(0).set(64, !mirror.row(0).get(64));   // word 1: spliced
+    mirror.row(3).set(130, !mirror.row(3).get(130)); // word 2: not
+
+    const std::vector<int64_t> spliced = {9, -9, 0, 4000, -4000};
+    const auto res = mirror.spliceValues(70, spliced);
+    EXPECT_EQ(res.corrected, 1u);
+    EXPECT_EQ(res.uncorrectable, 0u);
+    std::copy(spliced.begin(), spliced.end(), values.begin() + 70);
+    ecc::RowCodec::CorrectResult store;
+    EXPECT_EQ(mirror.decodeValues(&store), values);
+    EXPECT_EQ(store.corrected, 1u);
+    RowMirror whole(l, values.size());
+    whole.encodeValues(values, offset);
+    for (size_t r = 0; r < whole.numRows(); ++r)
+        EXPECT_EQ(mirror.row(r), whole.row(r)) << "row " << r;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RadixByCapacity, CanonicalImage,
     ::testing::Combine(::testing::Values(2u, 4u, 6u, 10u, 16u, 20u),

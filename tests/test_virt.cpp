@@ -4,7 +4,9 @@
  * collision bound, Morris 3-sigma, linear distinct counting),
  * directory collision handling, resident exactness across backends
  * (vs serial replay of the recorded physical ops), bit-exact
- * spill/restore under frame pressure, promotion invariants, service
+ * spill/restore under frame pressure writing only the rows that
+ * change, restored digits the IARM bounds must learn, a scrub ledger
+ * row holding only the sweeps' rows, promotion invariants, service
  * mode vs direct mode, concurrent producers, and scrubbed
  * virtualized ingest under CIM fault injection reading exact values
  * after every flush and ending bit-identical for every exact-tier key,
@@ -19,6 +21,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -280,25 +283,50 @@ INSTANTIATE_TEST_SUITE_P(Backends, VirtResident,
 // Spill / restore
 // ---------------------------------------------------------------------
 
-TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
+namespace {
+
+/** 8 frames of 16 over two shards, maintained every 64 adds. */
+VirtConfig
+framePressureConfig()
 {
-    ShardedEngine engine(smallConfig(128), 2);
     VirtConfig vcfg;
     vcfg.groupSize = 16; // 8 frames
     vcfg.promoteThreshold = 2;
     vcfg.restoreOpThreshold = 4;
     vcfg.directBatchOps = 64; // frequent maintenance
-    VirtualCounterSpace space(engine, vcfg);
+    return vcfg;
+}
 
+/** 30000 adds over 400 keys (~25 groups over 8 frames), then flush. */
+void
+driveFramePressure(VirtualCounterSpace &space, Shadow &shadow)
+{
     Rng rng(31);
-    Shadow shadow;
-    const size_t distinct = 400; // ~25 groups over 8 frames
+    const size_t distinct = 400;
     for (size_t i = 0; i < 30000; ++i) {
         const uint64_t key = hashKey(rng.nextBounded(distinct));
         const int64_t v = 1 + int64_t(rng.nextBounded(3));
         shadow.apply(key, v, space.add(key, v));
     }
     space.flush();
+}
+
+/** Modeled ns of one host row access on a 64-counter shard. */
+double
+shardRowNs(const EngineConfig &cfg)
+{
+    return core::dramCommandCosts(cfg.dramTimings, cfg.dramEnergy, 64)
+        .rowWriteNs;
+}
+
+} // namespace
+
+TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
+{
+    ShardedEngine engine(smallConfig(128), 2);
+    VirtualCounterSpace space(engine, framePressureConfig());
+    Shadow shadow;
+    driveFramePressure(space, shadow);
 
     const auto st = space.stats();
     EXPECT_GT(st.promotions, 8u * 16u); // more keys than the fabric
@@ -307,22 +335,103 @@ TEST(VirtSpill, RoundTripsAreBitExactUnderFramePressure)
     EXPECT_GT(st.maintenanceFabricNs, 0.0);
     expectExactMatchesShadow(space, shadow);
 
-    // A spill reads each of the frame's state rows once (the clearing
-    // pass, which also keeps them for the image) and writes back only
-    // rows where the frame had a set bit. Small counts leave the high
-    // digits' rows clear, so some rows must be skipped.
+    // A frame rewrite reads each of its state rows once and writes
+    // back only the rows whose frame bits change. Small counts leave
+    // the high digits' rows clear, so some rows must be skipped, by
+    // the spills and by the restores alike.
     const EngineConfig cfg = smallConfig(128);
     const jc::CounterLayout lay(cfg.radix, cfg.capacityBits);
     const double rows = lay.numDigits() * (lay.bitsPerDigit() + 1) + 1;
-    const double row_ns = core::dramCommandCosts(cfg.dramTimings,
-                                                 cfg.dramEnergy, 64)
-                              .rowWriteNs;
-    const double spills = static_cast<double>(st.spills);
-    const double writes =
-        engine.stats().fabric.attr(cim::FabricCat::VirtSpill) / row_ns -
-        rows * spills;
-    EXPECT_GT(writes, 0.5);
-    EXPECT_LT(writes, rows * spills - 0.5);
+    const double row_ns = shardRowNs(cfg);
+    const auto fabric = engine.stats().fabric;
+    for (const auto &[cat, moves] :
+         {std::pair{cim::FabricCat::VirtSpill, st.spills},
+          std::pair{cim::FabricCat::VirtRestore, st.restores}}) {
+        const double reads = rows * static_cast<double>(moves);
+        const double writes = fabric.attr(cat) / row_ns - reads;
+        EXPECT_GT(writes, 0.5);
+        EXPECT_LT(writes, reads - 0.5);
+    }
+}
+
+namespace {
+
+EngineConfig
+restoreDigitConfig(bool planner)
+{
+    EngineConfig cfg = smallConfig(2);
+    cfg.capacityBits = 32;
+    cfg.drainPlanner = planner;
+    return cfg;
+}
+
+/** One counter per group, every add applied and maintained at once. */
+VirtConfig
+restoreDigitVirtConfig()
+{
+    VirtConfig vcfg;
+    vcfg.groupSize = 1;
+    vcfg.promoteThreshold = 1;
+    vcfg.restoreOpThreshold = 1;
+    vcfg.directBatchOps = 1;
+    return vcfg;
+}
+
+constexpr int64_t kDigit8 = int64_t{1} << 16; // 4^8
+
+/**
+ * Promote keys 1, 2 and 3 over two frames, so key 1 spills; add
+ * 3 * 4^8 to it while spilled, so its restore writes digit 8 = 3
+ * where no fabric op has reached; then add 4^8 five times, which
+ * carries out of digit 8 once. @return key 1's exact value and the
+ * IARM bound of digit 8 right after the restore.
+ */
+std::pair<int64_t, unsigned>
+restoreAboveTheBounds(ShardedEngine &engine, VirtualCounterSpace &space)
+{
+    int64_t expect = 0;
+    for (const uint64_t key : {1, 2, 3}) {
+        const AddResult r = space.add(key, 1);
+        EXPECT_EQ(r.route, Route::Promoted);
+        if (key == 1)
+            expect = static_cast<int64_t>(r.seed);
+    }
+    EXPECT_EQ(space.stats().spills, 1u);
+    EXPECT_EQ(space.add(1, 3 * kDigit8).route, Route::Journaled);
+    EXPECT_EQ(space.stats().restores, 1u);
+    const unsigned bound = engine.shard(0).iarmBounds(0)[8];
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(space.add(1, kDigit8).route, Route::Exact);
+    return {expect + 8 * kDigit8, bound};
+}
+
+} // namespace
+
+TEST(VirtSpill, RestoredDigitsAboveTheBoundsStayExact)
+{
+    // The restore writes digit 8 = 3 over an IARM bound of 0. Unless
+    // the bound learns it, IARM lets the fifth add wrap the digit
+    // while its first wrap is still pending, and a carry is lost.
+    for (const bool planner : {true, false}) {
+        SCOPED_TRACE(planner ? "planner on" : "planner off");
+        ShardedEngine engine(restoreDigitConfig(planner), 1);
+        VirtualCounterSpace space(engine, restoreDigitVirtConfig());
+        const auto [expect, bound] = restoreAboveTheBounds(engine, space);
+        EXPECT_EQ(expect, 524289);
+        EXPECT_GE(bound, 3u);
+        EXPECT_EQ(space.read(1), expect);
+    }
+    // Scrubbed at CIM fault rate 0, the sweeps find nothing to heal.
+    ShardedEngine engine(restoreDigitConfig(true), 1);
+    reliability::Scrubber scrub(engine);
+    VirtualCounterSpace space(engine, restoreDigitVirtConfig());
+    space.attachScrubber(&scrub);
+    const int64_t expect = restoreAboveTheBounds(engine, space).first;
+    space.flush();
+    EXPECT_EQ(space.read(1), expect);
+    EXPECT_GT(scrub.stats().sweeps, 0u);
+    EXPECT_EQ(scrub.stats().rowsRepaired, 0u);
+    EXPECT_EQ(scrub.stats().faultyBits, 0u);
 }
 
 TEST(VirtConfigErrors, GroupSizeOutOfRangeThrows)
@@ -671,6 +780,32 @@ TEST(VirtScrubbed, FaultyIngestEndsBitIdenticalForExactKeys)
     EXPECT_GT(st.spills, 0u);
     EXPECT_GT(scrub.stats().sweeps, 0u);
     expectExactMatchesShadow(space, shadow);
+}
+
+TEST(VirtScrubbed, ScrubLedgerHoldsOnlyTheSweepsRows)
+{
+    // Frame rewrites hand the scrubber what they wrote (noteRewrite),
+    // so nothing re-reads a shard after them: at CIM fault rate 0 the
+    // scrub ledger row is the sweeps' row reads and rewrites alone.
+    const EngineConfig cfg = smallConfig(128);
+    ShardedEngine engine(cfg, 2);
+    reliability::Scrubber scrub(engine);
+    VirtualCounterSpace space(engine, framePressureConfig());
+    space.attachScrubber(&scrub);
+    Shadow shadow;
+    driveFramePressure(space, shadow);
+
+    EXPECT_GT(space.stats().spills, 0u);
+    EXPECT_GT(space.stats().restores, 0u);
+    expectExactMatchesShadow(space, shadow);
+    const auto ss = scrub.stats();
+    EXPECT_GT(ss.sweeps, 0u);
+    EXPECT_EQ(ss.rowsRepaired, 0u);
+    EXPECT_NEAR(engine.stats().fabric.attr(cim::FabricCat::Scrub) /
+                    shardRowNs(cfg),
+                static_cast<double>(ss.rowsScrubbed + ss.rowsRepaired +
+                                    ss.carryRows),
+                0.5);
 }
 
 namespace {
