@@ -58,7 +58,7 @@ NvmMachine::row(size_t r) const
 }
 
 void
-NvmMachine::writeRow(size_t r, const BitVector &v)
+NvmMachine::hostWriteRow(size_t r, const BitVector &v)
 {
     C2M_ASSERT(r < rows_.size(), "row ", r, " out of range");
     C2M_ASSERT(v.size() == numCols_, "row width mismatch");

@@ -108,10 +108,12 @@ class NvmMachine
     NvmTech tech() const { return tech_; }
 
     const BitVector &row(size_t r) const;
-    void writeRow(size_t r, const BitVector &v);
 
     /** Read a row through the charged host path (counts a rowRead). */
     const BitVector &hostReadRow(size_t r);
+
+    /** Overwrite a row through the host path (counts a rowWrite). */
+    void hostWriteRow(size_t r, const BitVector &v);
 
     void execute(const NvmOp &op);
     void run(const NvmProgram &prog);

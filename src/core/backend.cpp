@@ -165,13 +165,6 @@ CountingBackend::rowAndNot(unsigned, unsigned, unsigned)
 }
 
 void
-CountingBackend::rowClear(unsigned)
-{
-    C2M_PANIC(backendName(kind()),
-              " backend does not support row-level tensor logic");
-}
-
-void
 CountingBackend::relu(unsigned)
 {
     C2M_PANIC(backendName(kind()),

@@ -23,6 +23,11 @@
  *    add of k*radix^digit (two's complement for decrements), with
  *    duplicate-compute ECC and TMR voting over all W bit rows.
  *
+ * AmbitBackend and NvmBackend are both JcBackend instantiations
+ * (core/backend_jc.hpp), which holds the Johnson-counter plumbing
+ * once: each adds only how its digit programs run and what its
+ * substrate alone does.
+ *
  * Capability flags tell the engine which features a substrate
  * supports; the engine checks them before use, so an unsupported
  * protection throws std::invalid_argument at construction rather
@@ -186,14 +191,6 @@ class CountingBackend
     virtual std::vector<int64_t> readCounters(unsigned phys,
                                               int64_t offset) = 0;
 
-    /**
-     * Per-column value of one digit (0..radix-1) of the stored value
-     * (value offset included), excluding pending flags; resolve
-     * pendings first for cross-backend comparisons.
-     */
-    virtual std::vector<unsigned> readDigit(unsigned phys,
-                                            unsigned digit) = 0;
-
     /** Zero every counter of every physical group. */
     virtual void clearCounters() = 0;
 
@@ -236,7 +233,6 @@ class CountingBackend
     virtual void rowOr(unsigned a, unsigned b, unsigned dst);
     /** dst = a AND NOT b. */
     virtual void rowAndNot(unsigned a, unsigned b, unsigned dst);
-    virtual void rowClear(unsigned row);
 
     /** Zero all counters of @p phys that are negative (Osign). */
     virtual void relu(unsigned phys);

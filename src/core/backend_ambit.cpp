@@ -1,122 +1,44 @@
 #include "core/backend_ambit.hpp"
 
-#include "common/logging.hpp"
-#include "core/backend_jc.hpp"
 #include "core/fabriccost.hpp"
 
 namespace c2m {
 namespace core {
 
 using cim::RowRef;
-using uprog::ProgramKey;
+
+namespace {
+
+uprog::CodegenOptions
+codegenOptions(const EngineConfig &cfg)
+{
+    uprog::CodegenOptions copts;
+    copts.protect = cfg.protection == Protection::Ecc;
+    copts.frChecks = cfg.frChecks;
+    return copts;
+}
+
+} // namespace
 
 AmbitBackend::AmbitBackend(const EngineConfig &cfg,
                            unsigned physical_groups,
                            EngineStats &stats)
-    : CountingBackend(stats),
-      numCounters_(cfg.numCounters),
-      maxRetries_(cfg.maxRetries),
-      layouts_(buildJcLayouts(cfg.radix, cfg.capacityBits,
-                              physical_groups)),
-      maskBase_(layouts_.back().endRow()),
-      sub_(maskBase_ + cfg.maxMaskRows, cfg.numCounters,
-           cim::FaultModel::cimRate(cfg.faultRate), cfg.seed),
-      cache_(cfg.programCache, stats.programCacheHits,
-             stats.programCacheMisses)
+    : JcBackend(cfg, physical_groups, stats, codegenOptions(cfg)),
+      maxRetries_(cfg.maxRetries)
 {
     caps_.eccChecks = true;
     caps_.tmrVoting = true;
     caps_.tensorOps = true;
-    caps_.pendingFlags = true;
-    caps_.rowScrub = true;
 
-    sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
-                                   cfg.numCounters));
-
-    uprog::CodegenOptions copts;
-    copts.protect = cfg.protection == Protection::Ecc;
-    copts.frChecks = cfg.frChecks;
-    for (const auto &l : layouts_)
-        codegen_.emplace_back(l, copts);
-}
-
-const BitVector &
-AmbitBackend::scrubReadRow(unsigned row)
-{
-    return sub_.hostReadRow(row);
+    fabric_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
+                                      cfg.numCounters));
 }
 
 void
-AmbitBackend::scrubWriteRow(unsigned row, const BitVector &v)
+AmbitBackend::runProgram(const uprog::CheckedProgram &prog)
 {
-    sub_.hostWriteRow(row, v);
-}
-
-unsigned
-AmbitBackend::maskRow(unsigned handle) const
-{
-    return maskBase_ + handle;
-}
-
-void
-AmbitBackend::writeMask(unsigned handle, const BitVector &row)
-{
-    sub_.hostWriteRow(maskRow(handle), row);
-}
-
-void
-AmbitBackend::runChecked(const uprog::CheckedProgram &prog)
-{
-    runCheckedOnSubarray(sub_, prog, numCounters_, maxRetries_,
+    runCheckedOnSubarray(fabric_, prog, numCounters_, maxRetries_,
                          stats_);
-}
-
-void
-AmbitBackend::karyIncrement(unsigned phys, unsigned digit, unsigned k,
-                            unsigned mask_row)
-{
-    const ProgramKey key{ProgramKey::Op::Increment, phys,
-                         static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
-    runChecked(cache_.get(key, [&] {
-        return codegen_[phys].karyIncrement(digit, k, mask_row);
-    }));
-}
-
-void
-AmbitBackend::karyDecrement(unsigned phys, unsigned digit, unsigned k,
-                            unsigned mask_row)
-{
-    const ProgramKey key{ProgramKey::Op::Decrement, phys,
-                         static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
-    runChecked(cache_.get(key, [&] {
-        return codegen_[phys].karyDecrement(digit, k, mask_row);
-    }));
-}
-
-void
-AmbitBackend::carryRipple(unsigned phys, unsigned digit)
-{
-    const ProgramKey key{ProgramKey::Op::CarryRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
-    runChecked(cache_.get(
-        key, [&] { return codegen_[phys].carryRipple(digit); }));
-}
-
-void
-AmbitBackend::borrowRipple(unsigned phys, unsigned digit)
-{
-    const ProgramKey key{ProgramKey::Op::BorrowRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
-    runChecked(cache_.get(
-        key, [&] { return codegen_[phys].borrowRipple(digit); }));
-}
-
-const BitVector &
-AmbitBackend::pendingRow(unsigned phys, unsigned digit)
-{
-    return sub_.hostReadRow(layouts_[phys].onextRow(digit));
 }
 
 void
@@ -141,7 +63,7 @@ AmbitBackend::foldTopBorrowIntoSign(unsigned phys)
                                     s1);
     uprog::AmbitCodegen::emitOr(p, s0, s1, l.osignRow());
     p.aap(RowRef::c0(), RowRef::data(l.onextRow(top)));
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -155,40 +77,8 @@ AmbitBackend::voteDigit(const std::array<unsigned, 3> &phys,
             const auto &l = layouts_[phys[r]];
             rows[r] = i < n ? l.bitRow(digit, i) : l.onextRow(digit);
         }
-        voteRowsOnSubarray(sub_, rows, stats_);
+        voteRowsOnSubarray(fabric_, rows, stats_);
     }
-}
-
-std::vector<int64_t>
-AmbitBackend::readCounters(unsigned phys, int64_t offset)
-{
-    return decodeJcCounters(
-        layouts_[phys], numCounters_, stats_, offset,
-        [&](unsigned row) -> const BitVector & {
-            return sub_.hostReadRow(row);
-        });
-}
-
-std::vector<unsigned>
-AmbitBackend::readDigit(unsigned phys, unsigned digit)
-{
-    return decodeJcDigit(layouts_[phys], digit, numCounters_, stats_,
-                         [&](unsigned row) -> const BitVector & {
-                             return sub_.hostReadRow(row);
-                         });
-}
-
-void
-AmbitBackend::clearCounters()
-{
-    for (unsigned p = 0; p < layouts_.size(); ++p)
-        sub_.run(codegen_[p].clearCounters());
-}
-
-const jc::CounterLayout &
-AmbitBackend::layout(unsigned phys) const
-{
-    return layouts_[phys];
 }
 
 void
@@ -196,7 +86,7 @@ AmbitBackend::rowCopy(unsigned src, unsigned dst)
 {
     cim::AmbitProgram p;
     uprog::AmbitCodegen::emitCopy(p, src, dst);
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -204,7 +94,7 @@ AmbitBackend::rowOr(unsigned a, unsigned b, unsigned dst)
 {
     cim::AmbitProgram p;
     uprog::AmbitCodegen::emitOr(p, a, b, dst);
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -212,7 +102,7 @@ AmbitBackend::rowAndNot(unsigned a, unsigned b, unsigned dst)
 {
     cim::AmbitProgram p;
     uprog::AmbitCodegen::emitAndNot(p, a, b, dst);
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -220,7 +110,7 @@ AmbitBackend::rowClear(unsigned row)
 {
     cim::AmbitProgram p;
     p.aap(RowRef::c0(), RowRef::data(row));
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -237,7 +127,7 @@ AmbitBackend::relu(unsigned phys)
                                         l.osignRow(), l.onextRow(dd));
     }
     p.aap(RowRef::c0(), RowRef::data(l.osignRow()));
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 void
@@ -254,7 +144,7 @@ AmbitBackend::copyCounters(unsigned from_phys, unsigned to_phys)
                                       to.onextRow(dd));
     }
     uprog::AmbitCodegen::emitCopy(p, from.osignRow(), to.osignRow());
-    sub_.run(p);
+    fabric_.run(p);
 }
 
 } // namespace core

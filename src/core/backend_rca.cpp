@@ -196,32 +196,6 @@ RcaBackend::readCounters(unsigned phys, int64_t offset)
     return out;
 }
 
-std::vector<unsigned>
-RcaBackend::readDigit(unsigned phys, unsigned digit)
-{
-    C2M_ASSERT(digit < numDigits_, "digit out of range");
-    unsigned __int128 modulus = 1;
-    for (unsigned d = 0; d < numDigits_; ++d)
-        modulus *= radix_;
-    unsigned __int128 weight = 1;
-    for (unsigned d = 0; d < digit; ++d)
-        weight *= radix_;
-    // Reduce the signed value into the JC ring [0, radix^D) so digit
-    // readouts of negative counters match the JC backends even when
-    // radix^D does not divide 2^W (non-power-of-two radixes).
-    const auto values = readCounters(phys, 0);
-    std::vector<unsigned> out(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-        __int128 m = static_cast<__int128>(values[i]) %
-                     static_cast<__int128>(modulus);
-        if (m < 0)
-            m += static_cast<__int128>(modulus);
-        out[i] = static_cast<unsigned>(
-            static_cast<unsigned __int128>(m) / weight % radix_);
-    }
-    return out;
-}
-
 void
 RcaBackend::clearCounters()
 {

@@ -66,8 +66,6 @@ class RcaBackend final : public CountingBackend
 
     std::vector<int64_t> readCounters(unsigned phys,
                                       int64_t offset) override;
-    std::vector<unsigned> readDigit(unsigned phys,
-                                    unsigned digit) override;
     void clearCounters() override;
 
     cim::OpStats opStats() const override { return sub_.stats(); }

@@ -15,6 +15,8 @@ thread_local unsigned tlLane = ThreadPool::kNoLane;
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {
+    if (num_threads == 0)
+        C2M_FATAL("ThreadPool num_threads must be >= 1, got 0");
     lanes_.reserve(num_threads);
     workers_.reserve(num_threads);
     for (unsigned i = 0; i < num_threads; ++i)
@@ -41,11 +43,6 @@ ThreadPool::post(unsigned lane, std::function<void()> fn)
     {
         std::lock_guard<std::mutex> lk(doneMutex_);
         ++pending_;
-    }
-    if (workers_.empty()) {
-        runTask(fn);
-        finishTask();
-        return;
     }
     Lane &l = *lanes_[lane % lanes_.size()];
     std::lock_guard<std::mutex> lk(l.m);

@@ -5,6 +5,9 @@
  * @file
  * Fixed-size thread pool with per-worker (lane) FIFO queues.
  *
+ * Every task runs on a worker, never on the posting thread: a pool
+ * has at least one worker (ThreadPool(0) throws).
+ *
  * Built for the sharded engine: work for shard s is always posted to
  * lane s % size(), so tasks touching the same shard are serialized in
  * post order on a single worker while different shards run on
@@ -46,9 +49,8 @@ class ThreadPool
 {
   public:
     /**
-     * @param num_threads worker count; 0 selects inline mode, where
-     *        post() runs the task on the calling thread immediately
-     *        (useful for debugging and for strictly serial baselines).
+     * @param num_threads worker count, one lane each.
+     * @throws std::invalid_argument if @p num_threads is 0.
      */
     explicit ThreadPool(unsigned num_threads);
     ~ThreadPool();
@@ -56,7 +58,7 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Worker count (0 in inline mode). */
+    /** Worker count (>= 1). */
     unsigned size() const
     {
         return static_cast<unsigned>(workers_.size());
@@ -74,7 +76,7 @@ class ThreadPool
 
     /**
      * Enqueue @p fn on lane @p lane % size(); tasks on one lane run
-     * FIFO. In inline mode the task runs before post() returns.
+     * FIFO.
      */
     void post(unsigned lane, std::function<void()> fn);
 

@@ -72,33 +72,6 @@ decodeJcCounters(const jc::CounterLayout &l, size_t num_cols,
     return out;
 }
 
-/** One digit per column, pending flags excluded. */
-template <typename ReadRow>
-std::vector<unsigned>
-decodeJcDigit(const jc::CounterLayout &l, unsigned digit,
-              size_t num_cols, uint64_t &invalid, ReadRow &&read)
-{
-    const unsigned n = l.bitsPerDigit();
-    std::vector<const BitVector *> rows(n);
-    for (unsigned i = 0; i < n; ++i)
-        rows[i] = &read(l.bitRow(digit, i));
-
-    std::vector<unsigned> out(num_cols);
-    for (size_t col = 0; col < num_cols; ++col) {
-        uint64_t bits = 0;
-        for (unsigned i = 0; i < n; ++i)
-            if (rows[i]->get(col))
-                bits |= 1ULL << i;
-        int v = jc::decode(n, bits);
-        if (v < 0) {
-            ++invalid;
-            v = static_cast<int>(jc::decodeNearest(n, bits));
-        }
-        out[col] = static_cast<unsigned>(v);
-    }
-    return out;
-}
-
 /** ecc::RowCodec with every lane moved one bit at a time. */
 class RowCodec
 {

@@ -798,9 +798,11 @@ TEST(SignedOffset, IsCInEveryDigitBelowTheTop)
     const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
     eng.accumulateSigned(-1, h);
     EXPECT_EQ(eng.valueOffset(0), 4444444);
-    for (unsigned d = 0; d + 1 < eng.backend().numDigits(); ++d)
-        for (unsigned v : eng.backend().readDigit(0, d))
-            EXPECT_EQ(v, d == 0 ? 3u : 4u) << "digit " << d;
+    EXPECT_EQ(eng.readCounters(), std::vector<int64_t>(16, -1));
+    // No pending carry: the rows hold B - 1 in canonical digits.
+    for (unsigned d = 0; d < eng.backend().numDigits(); ++d)
+        EXPECT_EQ(eng.backend().pendingRow(0, d).popcount(), 0u)
+            << "digit " << d;
 }
 
 // ---------------------------------------------------------------------
@@ -1415,6 +1417,14 @@ TEST(EngineStepPaths, CountsMatchTheParent)
           561, 0, 41, 0, 0, 0, 763, 0, 699, 0, 145, 79, 0},
          {239, 33, 18, 0, 0, 0, 0, 0, 0, 13, 38, 3, 33, 0,
           239, 0, 33, 0, 0, 0, 639, 0, 588, 0, 137, 71, 303},
+         16257338858552327844ULL, 9820645000774082639ULL},
+        {"nvm_magic", BackendKind::NvmMagic, Protection::None, 0.0,
+         {80, 276, 308, 0, 0, 0, 0, 0, 0, 438, 146, 0, 0, 0,
+          0, 0, 321, 0, 0, 0, 11463, 0, 11463, 0, 373, 20, 0},
+         {561, 39, 25, 0, 0, 0, 0, 0, 0, 16, 48, 3, 39, 39,
+          561, 0, 41, 0, 0, 0, 1503, 0, 1503, 0, 145, 79, 0},
+         {239, 33, 18, 0, 0, 0, 0, 0, 0, 13, 38, 3, 33, 0,
+          239, 0, 33, 0, 0, 0, 1257, 0, 1257, 0, 137, 71, 585},
          16257338858552327844ULL, 9820645000774082639ULL},
         {"rca_ecc", BackendKind::Rca, Protection::Ecc, 0.0,
          {80, 80, 0, 8400, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,

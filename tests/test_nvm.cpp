@@ -40,7 +40,7 @@ struct NvmHarness
         for (unsigned i = 0; i < n(); ++i) {
             BitVector row = mach.row(layout.bitRow(digit, i));
             row.set(col, (bits >> i) & 1);
-            mach.writeRow(layout.bitRow(digit, i), row);
+            mach.hostWriteRow(layout.bitRow(digit, i), row);
         }
     }
 
@@ -59,7 +59,7 @@ struct NvmHarness
     {
         BitVector row = mach.row(maskRow);
         row.set(col, v);
-        mach.writeRow(maskRow, row);
+        mach.hostWriteRow(maskRow, row);
     }
 
     bool
@@ -74,8 +74,8 @@ struct NvmHarness
 TEST(NvmMachine, PinatuboLogicOps)
 {
     cim::NvmMachine m(4, 8, cim::NvmTech::Pinatubo);
-    m.writeRow(0, BitVector::fromString("11001010"));
-    m.writeRow(1, BitVector::fromString("10100110"));
+    m.hostWriteRow(0, BitVector::fromString("11001010"));
+    m.hostWriteRow(1, BitVector::fromString("10100110"));
     cim::NvmProgram p;
     p.and_(2, cim::NvmRef::of(0), cim::NvmRef::of(1));
     p.or_(3, cim::NvmRef::of(0), cim::NvmRef::inv(1));
@@ -87,8 +87,8 @@ TEST(NvmMachine, PinatuboLogicOps)
 TEST(NvmMachine, MagicNorOnly)
 {
     cim::NvmMachine m(3, 4, cim::NvmTech::Magic);
-    m.writeRow(0, BitVector::fromString("1100"));
-    m.writeRow(1, BitVector::fromString("1010"));
+    m.hostWriteRow(0, BitVector::fromString("1100"));
+    m.hostWriteRow(1, BitVector::fromString("1010"));
     cim::NvmProgram p;
     p.nor(2, cim::NvmRef::of(0), cim::NvmRef::of(1));
     m.run(p);
@@ -134,7 +134,7 @@ TEST_P(NvmTechRadix, CarryRippleWorks)
     NvmHarness h(radix, tech, 2);
     BitVector on = h.mach.row(h.layout.onextRow(0));
     on.set(0, true);
-    h.mach.writeRow(h.layout.onextRow(0), on);
+    h.mach.hostWriteRow(h.layout.onextRow(0), on);
     const unsigned start = radix > 2 ? 1 : 0;
     h.setDigit(1, 0, start);
     h.mach.run(h.gen.carryRipple(0));
@@ -198,7 +198,7 @@ TEST(NvmMachine, FaultInjectionOnLogicOps)
     cim::FaultModel fm;
     fm.pMaj = 1.0;
     cim::NvmMachine m(3, 32, cim::NvmTech::Pinatubo, fm, 3);
-    m.writeRow(0, BitVector(32));
+    m.hostWriteRow(0, BitVector(32));
     cim::NvmProgram p;
     p.or_(2, cim::NvmRef::of(0), cim::NvmRef::of(0)); // 0 -> all flip
     m.run(p);

@@ -681,6 +681,11 @@ TEST(ThreadPoolLane, CurrentLaneIdentifiesWorkers)
     EXPECT_EQ(lane1.load(), 1u);
 }
 
+TEST(ThreadPoolLane, ZeroWorkersThrows)
+{
+    EXPECT_THROW(core::ThreadPool pool(0), std::invalid_argument);
+}
+
 TEST(ZipfRngTest, SkewsTowardsSmallKeys)
 {
     ZipfRng zipf(1024, 1.0, 99);
