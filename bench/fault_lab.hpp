@@ -9,7 +9,8 @@
  * (C2M, Ambit) and RCA (SIMDRAM) backends under None/TMR/ECC
  * protection at a given CIM fault rate. The RCA schemes run the
  * radix-2 RcaBackend, which adds every input as one W-bit add with
- * W = capacityBits + 2.
+ * W = capacityBits + 2. The helpers at the end evaluate the figures'
+ * shape checks over the cells they printed.
  */
 
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/table.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "workloads/bertproxy.hpp"
@@ -172,6 +174,59 @@ bertAccuracy(Scheme scheme, double fault_rate,
         return core::simdramGemvTernary(eng, x, W);
     };
     return proxy.accuracy(gemv);
+}
+
+// ---- Shape checks over the printed tables ----
+
+/** DNA filter F1 at or above which a scheme counts as usable. */
+inline constexpr double kUsableF1 = 0.8;
+
+/** A printed cell read back, so a check compares what was shown. */
+inline double
+shown(const std::string &cell)
+{
+    return std::stod(cell);
+}
+
+inline const char *
+verdict(bool ok)
+{
+    return ok ? "holds" : "does not hold";
+}
+
+/**
+ * Index of the highest fault rate up to which every F1 of @p f1 (one
+ * per rate, rates rising) is usable; -1 when the first is not.
+ */
+inline int
+usableUpTo(const std::vector<double> &f1)
+{
+    size_t i = 0;
+    while (i < f1.size() && f1[i] >= kUsableF1)
+        ++i;
+    return static_cast<int>(i) - 1;
+}
+
+/**
+ * "JC up to 1e-04 (0.873)": how far @p name stays usable. The rates
+ * step by 10x, so one row further is 10x the fault rate.
+ */
+inline std::string
+usableText(const std::string &name, const std::vector<double> &rates,
+           const std::vector<double> &f1)
+{
+    std::string out = name;
+    const int i = usableUpTo(f1);
+    if (i < 0) {
+        out += " at no rate";
+        return out;
+    }
+    out += " up to ";
+    out += TextTable::sci(rates[i], 0);
+    out += " (";
+    out += TextTable::fmt(f1[i], 3);
+    out += ")";
+    return out;
 }
 
 } // namespace bench

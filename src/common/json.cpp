@@ -77,6 +77,13 @@ Value::push(Value v)
 
 namespace {
 
+/**
+ * Deepest array/object nesting the reader accepts: it recurses once
+ * per level, so a cap keeps hostile input from exhausting the stack.
+ * The bench documents nest 6 deep.
+ */
+constexpr unsigned kMaxNesting = 256;
+
 struct Parser
 {
     std::string_view text;
@@ -178,12 +185,15 @@ struct Parser
         return fail("unterminated string");
     }
 
-    bool parseValue(Value &out)
+    /** @p depth counts the arrays and objects around @p out. */
+    bool parseValue(Value &out, unsigned depth = 0)
     {
         skipWs();
         if (pos >= text.size())
             return fail("unexpected end of input");
         const char c = text[pos];
+        if ((c == '{' || c == '[') && depth == kMaxNesting)
+            return fail("arrays and objects nested deeper than 256");
         if (c == '{') {
             ++pos;
             out.kind = Value::Kind::Object;
@@ -199,7 +209,7 @@ struct Parser
                 if (!consume(':'))
                     return fail("expected ':'");
                 Value v;
-                if (!parseValue(v))
+                if (!parseValue(v, depth + 1))
                     return false;
                 out.members.emplace_back(std::move(key),
                                          std::move(v));
@@ -219,7 +229,7 @@ struct Parser
                 return true;
             for (;;) {
                 Value v;
-                if (!parseValue(v))
+                if (!parseValue(v, depth + 1))
                     return false;
                 out.items.push_back(std::move(v));
                 skipWs();

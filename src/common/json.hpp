@@ -79,9 +79,10 @@ class Value
 };
 
 /**
- * Parse @p text into @p out. Returns false on malformed input and, if
- * @p error is non-null, stores a one-line message with the byte
- * offset. Trailing whitespace is allowed; trailing garbage is not.
+ * Parse @p text into @p out. Returns false on malformed input or
+ * arrays and objects nested more than 256 deep and, if @p error is
+ * non-null, stores a one-line message with the byte offset. Trailing
+ * whitespace is allowed; trailing garbage is not.
  */
 bool parse(std::string_view text, Value &out,
            std::string *error = nullptr);

@@ -32,19 +32,6 @@ refGemvTernary(const std::vector<int64_t> &x,
     return y;
 }
 
-std::vector<int64_t>
-refGemvInt(const std::vector<int64_t> &x,
-           const std::vector<std::vector<int64_t>> &Z)
-{
-    C2M_ASSERT(x.size() == Z.size(), "x length must match rows of Z");
-    C2M_ASSERT(!Z.empty(), "empty matrix");
-    std::vector<int64_t> y(Z[0].size(), 0);
-    for (size_t i = 0; i < x.size(); ++i)
-        for (size_t j = 0; j < y.size(); ++j)
-            y[j] += x[i] * Z[i][j];
-    return y;
-}
-
 std::vector<std::vector<int64_t>>
 refGemmTernary(const std::vector<std::vector<int64_t>> &X,
                const std::vector<std::vector<int8_t>> &Z)

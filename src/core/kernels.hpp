@@ -10,7 +10,9 @@
  * Vector-matrix multiplication is reinterpreted as masked matrix
  * accumulation: y = sum_i x_i * Z_i with the rows Z_i of the
  * stationary matrix stored as counting masks (Fig. 1a). Ternary
- * matrices use two mask planes (+1/-1) with dual-rail counters.
+ * matrices use two mask planes (+1/-1) with dual-rail counters. The
+ * integer x integer product over CSD bit slices (Sec. 5.2.3) is not
+ * carried: no workload multiplies by integer weights.
  */
 
 #include <cstdint>
@@ -32,11 +34,6 @@ std::vector<int64_t> refGemvBinary(
 std::vector<int64_t> refGemvTernary(
     const std::vector<int64_t> &x,
     const std::vector<std::vector<int8_t>> &Z);
-
-/** Integer Z. */
-std::vector<int64_t> refGemvInt(
-    const std::vector<int64_t> &x,
-    const std::vector<std::vector<int64_t>> &Z);
 
 /** Y = X.Z with ternary Z; X is M x K, result M x N. */
 std::vector<std::vector<int64_t>> refGemmTernary(

@@ -101,36 +101,5 @@ binaryBitsForCapacity(uint64_t capacity)
     return bits;
 }
 
-std::vector<int8_t>
-toCsd(int64_t value)
-{
-    std::vector<int8_t> csd;
-    // Standard non-adjacent-form recoding; terminates because |value|
-    // strictly decreases every two steps.
-    int64_t x = value;
-    while (x != 0) {
-        int8_t digit = 0;
-        if (x & 1) {
-            const int64_t rem = x & 3;      // x mod 4 in [0,3]
-            digit = rem == 1 ? 1 : -1;      // 2 - (x mod 4)
-            x -= digit;
-        }
-        csd.push_back(digit);
-        x >>= 1;
-    }
-    if (csd.empty())
-        csd.push_back(0);
-    return csd;
-}
-
-int64_t
-fromCsd(const std::vector<int8_t> &csd)
-{
-    int64_t value = 0;
-    for (size_t i = csd.size(); i-- > 0;)
-        value = value * 2 + csd[i];
-    return value;
-}
-
 } // namespace jc
 } // namespace c2m

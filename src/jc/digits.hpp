@@ -6,10 +6,8 @@
  * Radix decomposition and capacity math for multi-digit counters.
  *
  * The host-side routine of Count2Multiply unpacks each input value
- * into digits of the counter radix (Sec. 5.1) and, for integer-integer
- * kernels, decomposes matrix elements into canonical-signed-digit
- * (CSD) bit slices (Sec. 5.2.3). Fig. 19's storage analysis is the
- * digitsForCapacity/bitsForCapacity math below.
+ * into digits of the counter radix (Sec. 5.1). Fig. 19's storage
+ * analysis is the digitsForCapacity/bitsForCapacity math below.
  */
 
 #include <cstdint>
@@ -48,16 +46,6 @@ unsigned bitsForCapacity(unsigned radix, uint64_t capacity);
 
 /** ceil(log2(capacity)), the binary-encoding reference curve. */
 unsigned binaryBitsForCapacity(uint64_t capacity);
-
-/**
- * Canonical signed digit (CSD) decomposition of a signed value:
- * value = sum_i csd[i] * 2^i with csd[i] in {-1, 0, +1} and no two
- * adjacent non-zeros. LSB-first; result sized to cover the value.
- */
-std::vector<int8_t> toCsd(int64_t value);
-
-/** Inverse of toCsd. */
-int64_t fromCsd(const std::vector<int8_t> &csd);
 
 } // namespace jc
 } // namespace c2m

@@ -9,33 +9,19 @@ namespace virt {
 
 // ---------------------------------------------------------------- Morris
 
-MorrisCounter::MorrisCounter(double a) : a_(a)
-{
-    if (!(a > 0.0))
-        C2M_FATAL("Morris growth parameter must be > 0, got ", a);
-}
+namespace {
 
-void
-MorrisCounter::add(uint64_t delta, Rng &rng)
-{
-    for (uint64_t i = 0; i < delta && c_ < UINT8_MAX; ++i)
-        if (rng.nextDouble() < std::pow(1.0 + a_, -double(c_)))
-            ++c_;
-}
+/** Growth parameter a of every Morris cell. */
+constexpr double kMorrisA = 1.0 / 16.0;
 
-uint64_t
-MorrisCounter::estimate() const
-{
-    return static_cast<uint64_t>(
-        std::llround((std::pow(1.0 + a_, double(c_)) - 1.0) / a_));
-}
+} // namespace
 
 double
-MorrisCounter::sigma(double a, double n)
+morrisSigma(double n)
 {
     if (n <= 1.0)
         return 0.0;
-    return std::sqrt(a * n * (n - 1.0) / 2.0);
+    return std::sqrt(kMorrisA * n * (n - 1.0) / 2.0);
 }
 
 // ------------------------------------------------------------- count-min
@@ -47,10 +33,9 @@ CountMinSketch::CountMinSketch(const SketchConfig &cfg)
         C2M_FATAL("SketchConfig::width must be >= 2, got ", cfg.width);
     if (cfg.depth < 1)
         C2M_FATAL("SketchConfig::depth must be >= 1, got ", cfg.depth);
-    if (cfg.cells == SketchCells::Morris && !(cfg.morrisA > 0.0))
-        C2M_FATAL("SketchConfig::morrisA must be > 0 for Morris cells, "
-                  "got ",
-                  cfg.morrisA);
+    if (cfg.width > SIZE_MAX / cfg.depth)
+        C2M_FATAL("SketchConfig::width x depth overflows size_t: ",
+                  cfg.width, " x ", cfg.depth);
     uint64_t sm = cfg.seed ^ 0xc0de57a7ULL;
     rowSeeds_.resize(cfg.depth);
     for (auto &s : rowSeeds_)
@@ -65,9 +50,9 @@ CountMinSketch::CountMinSketch(const SketchConfig &cfg)
         morrisEst_.resize(size_t{UINT8_MAX} + 1);
         morrisIncP_.resize(size_t{UINT8_MAX} + 1);
         for (size_t c = 0; c <= UINT8_MAX; ++c) {
-            const double p = std::pow(1.0 + cfg.morrisA, double(c));
+            const double p = std::pow(1.0 + kMorrisA, double(c));
             morrisEst_[c] = static_cast<uint64_t>(
-                std::llround((p - 1.0) / cfg.morrisA));
+                std::llround((p - 1.0) / kMorrisA));
             morrisIncP_[c] = 1.0 / p;
         }
     }
@@ -128,9 +113,7 @@ CountMinSketch::pointErrorBound(uint64_t estimate) const
 {
     double bound = collisionBound();
     if (cfg_.cells == SketchCells::Morris)
-        bound += 3.0 * MorrisCounter::sigma(
-                           cfg_.morrisA,
-                           static_cast<double>(estimate) + bound);
+        bound += 3.0 * morrisSigma(static_cast<double>(estimate) + bound);
     return bound;
 }
 

@@ -17,9 +17,9 @@
  *    overestimates by more than (e/w)*N with probability at most
  *    e^-d. pointErrorBound() returns that (e/w)*N term.
  *
- *  - A Morris counter with growth base (1+a) increments its exponent
- *    c with probability (1+a)^-c and estimates
- *    n_hat = ((1+a)^c - 1)/a. The estimate is unbiased
+ *  - A Morris cell with growth base (1+a), a fixed at 1/16,
+ *    increments its exponent c with probability (1+a)^-c and
+ *    estimates n_hat = ((1+a)^c - 1)/a. The estimate is unbiased
  *    (E[n_hat] = n) with Var[n_hat] = a*n*(n-1)/2, so the 3-sigma
  *    deviation is 3*sqrt(a*n*(n-1)/2) — morrisSigma() gives the
  *    1-sigma value. Cells store one byte instead of eight.
@@ -48,38 +48,14 @@ enum class SketchCells : uint8_t
     Morris, ///< 8-bit Morris exponents: + probabilistic noise
 };
 
-/**
- * One Morris counter: 8-bit exponent c, estimate ((1+a)^c - 1)/a.
- * The growth parameter @p a trades memory headroom for variance:
- * smaller a -> lower variance, smaller maximum representable count.
- */
-class MorrisCounter
-{
-  public:
-    /** @throws std::invalid_argument unless @p a > 0. */
-    explicit MorrisCounter(double a = 1.0 / 16.0);
-
-    /** Add @p delta unit increments (each a Bernoulli trial). */
-    void add(uint64_t delta, Rng &rng);
-
-    uint64_t estimate() const;
-    uint8_t exponent() const { return c_; }
-    double a() const { return a_; }
-
-    /** 1-sigma deviation of a Morris estimate of true count @p n. */
-    static double sigma(double a, double n);
-
-  private:
-    double a_;
-    uint8_t c_ = 0;
-};
+/** 1-sigma deviation of a Morris cell's estimate of true count @p n. */
+double morrisSigma(double n);
 
 struct SketchConfig
 {
     size_t width = 1 << 14; ///< cells per row (power of two advised)
     unsigned depth = 4;     ///< independent rows (failure prob e^-d)
     SketchCells cells = SketchCells::Exact;
-    double morrisA = 1.0 / 16.0; ///< Morris growth parameter
     uint64_t seed = 0x5eed5eedULL;
 };
 
@@ -88,7 +64,7 @@ class CountMinSketch
   public:
     /**
      * @throws std::invalid_argument on a width below 2, a depth of 0,
-     *         or Morris cells with morrisA <= 0.
+     *         or a width x depth that overflows size_t.
      */
     explicit CountMinSketch(const SketchConfig &cfg = {});
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Radix decomposition, CSD recoding, and the Fig. 19 capacity math.
+ * Radix decomposition and the Fig. 19 capacity math.
  */
 
 #include <gtest/gtest.h>
@@ -82,53 +82,4 @@ TEST(Digits, BinaryBitsMonotone)
         EXPECT_GE((__uint128_t{1} << bits), cap);
         EXPECT_LT((__uint128_t{1} << (bits - 1)), cap);
     }
-}
-
-TEST(Csd, SimpleValues)
-{
-    EXPECT_EQ(jc::fromCsd(jc::toCsd(0)), 0);
-    EXPECT_EQ(jc::fromCsd(jc::toCsd(1)), 1);
-    EXPECT_EQ(jc::fromCsd(jc::toCsd(-1)), -1);
-    EXPECT_EQ(jc::fromCsd(jc::toCsd(7)), 7);
-    EXPECT_EQ(jc::fromCsd(jc::toCsd(-100)), -100);
-}
-
-TEST(Csd, SevenUsesMinimalNonzeros)
-{
-    // 7 = 8 - 1: CSD should be [-1, 0, 0, +1], two nonzeros.
-    const auto csd = jc::toCsd(7);
-    unsigned nonzeros = 0;
-    for (auto d : csd)
-        if (d != 0)
-            ++nonzeros;
-    EXPECT_EQ(nonzeros, 2u);
-}
-
-TEST(Csd, NoAdjacentNonzeros)
-{
-    Rng rng(2);
-    for (int i = 0; i < 1000; ++i) {
-        const int64_t v = rng.nextRange(-100000, 100000);
-        const auto csd = jc::toCsd(v);
-        for (size_t j = 0; j + 1 < csd.size(); ++j)
-            EXPECT_FALSE(csd[j] != 0 && csd[j + 1] != 0)
-                << "adjacent nonzeros for v=" << v;
-        EXPECT_EQ(jc::fromCsd(csd), v);
-    }
-}
-
-TEST(Csd, DigitsAreTernary)
-{
-    Rng rng(3);
-    for (int i = 0; i < 500; ++i) {
-        const int64_t v = rng.nextRange(-(1 << 20), 1 << 20);
-        for (auto d : jc::toCsd(v))
-            EXPECT_TRUE(d == -1 || d == 0 || d == 1);
-    }
-}
-
-TEST(Csd, Int8RangeFitsNineSlices)
-{
-    for (int v = -128; v <= 127; ++v)
-        EXPECT_LE(jc::toCsd(v).size(), 9u);
 }

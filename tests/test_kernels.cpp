@@ -1,14 +1,12 @@
 /**
  * @file
  * Kernel tests (Sec. 5.2): integer-binary and integer-ternary
- * GEMV/GEMM, CSD bit-sliced integer-integer products, and the
- * SIMDRAM baseline kernels on the RCA backend -- all verified
- * against plain references.
+ * GEMV/GEMM and the SIMDRAM baseline kernels on the RCA backend --
+ * all verified against plain references.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/bitslice.hpp"
 #include "core/kernels.hpp"
 #include "workloads/sparsity.hpp"
 
@@ -110,40 +108,6 @@ TEST(Kernels, GemmReusesMasksAcrossRows)
     EXPECT_EQ(Y[1], Y[2]);
     // Mask rows were added once (2K), not per output row.
     EXPECT_EQ(eng.numMasks(), 2 * K);
-}
-
-TEST(Bitslice, CsdGemvMatchesReferenceInt8)
-{
-    const size_t K = 6, N = 10;
-    std::vector<std::vector<int64_t>> Z(K,
-                                        std::vector<int64_t>(N));
-    Rng rng(11);
-    for (auto &row : Z)
-        for (auto &v : row)
-            v = rng.nextRange(-128, 127);
-    const auto x = workloads::sparseSignedVector(K, 5, 0.0, 12);
-
-    EngineConfig cfg = kernelConfig(N, 2 * csdSlices(8), 2);
-    cfg.capacityBits = 32;
-    C2MEngine eng(cfg);
-    EXPECT_EQ(gemvIntIntCsd(eng, x, Z, 8), refGemvInt(x, Z));
-}
-
-TEST(Bitslice, CsdGemvPowerOfTwoWeights)
-{
-    const std::vector<std::vector<int64_t>> Z = {{64, -32, 1, 0}};
-    const std::vector<int64_t> x = {3};
-    EngineConfig cfg = kernelConfig(4, 2 * csdSlices(8), 2);
-    cfg.capacityBits = 32;
-    C2MEngine eng(cfg);
-    EXPECT_EQ(gemvIntIntCsd(eng, x, Z, 8),
-              (std::vector<int64_t>{192, -96, 3, 0}));
-}
-
-TEST(Bitslice, SliceCount)
-{
-    EXPECT_EQ(csdSlices(8), 9u);
-    EXPECT_EQ(csdSlices(4), 5u);
 }
 
 TEST(SimdramKernels, GemvTernaryMatchesReference)

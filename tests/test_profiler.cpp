@@ -120,6 +120,14 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(json::parse("[1, 2] trailing", v, &err));
     EXPECT_FALSE(json::parse("{\"a\": truth}", v, &err));
     EXPECT_FALSE(json::parse("", v, &err));
+    // Nesting is capped at 256 levels instead of recursing until the
+    // stack runs out.
+    EXPECT_FALSE(json::parse(std::string(100000, '['), v, &err));
+    EXPECT_NE(err.find("nested deeper than 256"), std::string::npos)
+        << err;
+    EXPECT_TRUE(json::parse(std::string(256, '[') + std::string(256, ']'),
+                            v, &err))
+        << err;
 }
 
 TEST(Json, ParsesUnicodeEscapes)

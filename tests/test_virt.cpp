@@ -39,7 +39,6 @@ using c2m::virt::AddResult;
 using c2m::virt::CountMinSketch;
 using c2m::virt::KeyDirectory;
 using c2m::virt::LinearCounter;
-using c2m::virt::MorrisCounter;
 using c2m::virt::Route;
 using c2m::virt::SketchCells;
 using c2m::virt::SketchConfig;
@@ -111,17 +110,21 @@ hashKey(uint64_t v)
 
 TEST(VirtSketch, MorrisUnbiasedWithin3Sigma)
 {
-    const double a = 1.0 / 16.0;
+    // A one-key Morris sketch (one row, so the key owns its cell): the
+    // estimate is the cell's, with no collision term.
     const uint64_t n = 1000;
     const size_t trials = 300;
-    Rng rng(0x5eedULL);
-    const double sigma = MorrisCounter::sigma(a, double(n));
+    const double sigma = virt::morrisSigma(double(n));
     double sum = 0.0;
     size_t within = 0;
     for (size_t t = 0; t < trials; ++t) {
-        MorrisCounter mc(a);
-        mc.add(n, rng);
-        const double est = double(mc.estimate());
+        SketchConfig cfg;
+        cfg.width = 2;
+        cfg.depth = 1;
+        cfg.cells = SketchCells::Morris;
+        cfg.seed = 0x5eedULL + t;
+        CountMinSketch sketch(cfg);
+        const double est = double(sketch.update(7, n));
         sum += est;
         if (std::abs(est - double(n)) <= 3.0 * sigma)
             ++within;
@@ -164,7 +167,6 @@ TEST(VirtSketch, CountMinMorrisWithinAnalyticBound)
     cfg.width = 1 << 12;
     cfg.depth = 4;
     cfg.cells = SketchCells::Morris;
-    cfg.morrisA = 1.0 / 16.0;
     CountMinSketch sketch(cfg);
     Rng rng(11);
     std::map<uint64_t, uint64_t> truth;
@@ -518,17 +520,10 @@ TEST(VirtInputErrors, BadSketchConfigThrows)
         bad([](SketchConfig &s) { s.width = 1; }),
         bad([](SketchConfig &s) { s.width = 0; }),
         bad([](SketchConfig &s) { s.depth = 0; }),
+        // width x depth wraps to 0 cells.
         bad([](SketchConfig &s) {
-            s.cells = SketchCells::Morris;
-            s.morrisA = 0.0;
-        }),
-        bad([](SketchConfig &s) {
-            s.cells = SketchCells::Morris;
-            s.morrisA = -0.5;
-        }),
-        bad([](SketchConfig &s) {
-            s.cells = SketchCells::Morris;
-            s.morrisA = std::nan("");
+            s.width = size_t{1} << 62;
+            s.depth = 4;
         }),
     };
     for (size_t i = 0; i < configs.size(); ++i) {
@@ -539,12 +534,6 @@ TEST(VirtInputErrors, BadSketchConfigThrows)
                      std::invalid_argument)
             << "config " << i;
     }
-    EXPECT_THROW(MorrisCounter(0.0), std::invalid_argument);
-    EXPECT_THROW(MorrisCounter(-1.0), std::invalid_argument);
-    // Exact cells never use morrisA.
-    SketchConfig exact;
-    exact.morrisA = 0.0;
-    EXPECT_NO_THROW(CountMinSketch{exact});
 }
 
 TEST(VirtInputErrors, ServiceModeThrowsBeforeAttaching)
