@@ -144,8 +144,7 @@ runCell(bench::Harness &h, bool record, core::BackendKind backend,
     // Observer before service: it must outlive the service's stop().
     std::unique_ptr<reliability::Scrubber> scrub;
     if (scheme.scrub)
-        scrub = std::make_unique<reliability::Scrubber>(
-            eng, reliability::ScrubConfig{});
+        scrub = std::make_unique<reliability::Scrubber>(eng);
     service::IngestService svc(eng, {});
     if (scrub)
         svc.attachObserver(scrub.get());

@@ -5,18 +5,18 @@
  * @file
  * Per-command fabric cost parameters for the CIM substrates.
  *
- * The substrates (AmbitSubarray, NvmMachine) count commands; these
- * structs tell them what each command costs in modeled nanoseconds
+ * The substrates (AmbitSubarray, NvmMachine) count commands; this
+ * struct tells them what each command costs in modeled nanoseconds
  * and nanojoules so the charge happens at the exact issue point and
  * the tally can never drift from the command counts. The cim layer
  * stays free of dram/ dependencies: the values are plain doubles,
- * derived from dram::DramTimings / dram::EnergyModel by
- * core::dramCommandCosts() (core/fabriccost.hpp) for the DRAM
- * substrates and from NvmCostParams for the NVM machines.
+ * set by core::commandCosts() (core/fabriccost.hpp) from the
+ * DDR5-4400 timing and energy constants for the DRAM substrates and
+ * from representative crossbar costs for the NVM machines.
  *
  * Defaults are zero so directly constructed substrates (unit tests,
  * codegen fixtures) keep pure command counting; the core backends
- * always install real costs from EngineConfig.
+ * always install real costs.
  */
 
 namespace c2m {
@@ -33,35 +33,6 @@ struct CommandCosts
     double apNj = 0.0;
     double rowReadNj = 0.0;
     double rowWriteNj = 0.0;
-};
-
-/**
- * Representative NVM (Pinatubo/MAGIC-class) per-op costs. Crossbar
- * logic ops are slower and costlier than a DRAM AAP; full-row host
- * accesses go through the (slow) cell write path. Absolute values
- * are not the reproduction target — cross-backend *ratios* on the
- * shared fabric_ns/fabric_nj axis are.
- */
-struct NvmCostParams
-{
-    double opNs = 60.0;        ///< one crossbar logic/copy op
-    double opNj = 0.45;
-    double rowAccessNs = 120.0; ///< host-level full-row read/write
-    double rowAccessNj = 2.0;
-
-    CommandCosts commandCosts() const
-    {
-        CommandCosts c;
-        c.aapNs = opNs;
-        c.apNs = opNs;
-        c.rowReadNs = rowAccessNs;
-        c.rowWriteNs = rowAccessNs;
-        c.aapNj = opNj;
-        c.apNj = opNj;
-        c.rowReadNj = rowAccessNj;
-        c.rowWriteNj = rowAccessNj;
-        return c;
-    }
 };
 
 } // namespace cim

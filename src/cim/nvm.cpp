@@ -30,16 +30,6 @@ NvmOp::toString() const
     return "?";
 }
 
-size_t
-NvmProgram::logicOps() const
-{
-    size_t n = 0;
-    for (const auto &op : ops)
-        if (op.kind != NvmOp::Kind::Copy)
-            ++n;
-    return n;
-}
-
 NvmMachine::NvmMachine(size_t num_rows, size_t num_cols, NvmTech tech,
                        FaultModel fault, uint64_t seed)
     : numCols_(num_cols),

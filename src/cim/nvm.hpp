@@ -91,9 +91,6 @@ struct NvmProgram
     }
 
     size_t size() const { return ops.size(); }
-
-    /** Ops excluding plain copies (the latency-dominant logic ops). */
-    size_t logicOps() const;
 };
 
 class NvmMachine

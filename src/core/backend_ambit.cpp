@@ -30,8 +30,7 @@ AmbitBackend::AmbitBackend(const EngineConfig &cfg,
     caps_.tmrVoting = true;
     caps_.tensorOps = true;
 
-    fabric_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
-                                      cfg.numCounters));
+    fabric_.setCosts(commandCosts(cfg.backend, cfg.numCounters));
 }
 
 void

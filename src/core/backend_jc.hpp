@@ -201,8 +201,7 @@ class JcBackend : public CountingBackend
           fabric_(maskBase_ + cfg.maxMaskRows, cfg.numCounters,
                   fabric_args...,
                   cim::FaultModel::cimRate(cfg.faultRate), cfg.seed),
-          cache_(cfg.programCache, stats.programCacheHits,
-                 stats.programCacheMisses)
+          cache_(stats.programCacheHits, stats.programCacheMisses)
     {
         caps_.pendingFlags = true;
         caps_.rowScrub = true;

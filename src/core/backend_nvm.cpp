@@ -1,6 +1,7 @@
 #include "core/backend_nvm.hpp"
 
 #include "common/logging.hpp"
+#include "core/fabriccost.hpp"
 
 namespace c2m {
 namespace core {
@@ -24,7 +25,7 @@ NvmBackend::NvmBackend(const EngineConfig &cfg,
     : JcBackend(cfg, physical_groups, stats, techOf(cfg.backend),
                 techOf(cfg.backend))
 {
-    fabric_.setCosts(cfg.nvmCost.commandCosts());
+    fabric_.setCosts(commandCosts(cfg.backend, cfg.numCounters));
 }
 
 void

@@ -60,14 +60,12 @@ RcaBackend::RcaBackend(const EngineConfig &cfg,
       maskBase_(layouts_.back().endRow()),
       sub_(maskBase_ + cfg.maxMaskRows, cfg.numCounters,
            cim::FaultModel::cimRate(cfg.faultRate), cfg.seed),
-      cache_(cfg.programCache, stats.programCacheHits,
-             stats.programCacheMisses)
+      cache_(stats.programCacheHits, stats.programCacheMisses)
 {
     caps_.eccChecks = true;
     caps_.tmrVoting = true;
 
-    sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
-                                   cfg.numCounters));
+    sub_.setCosts(commandCosts(cfg.backend, cfg.numCounters));
 
     digitWeight_.resize(numDigits_);
     uint64_t w = 1;

@@ -17,11 +17,8 @@
 #include <cstdint>
 #include <string>
 
-#include "cim/cost.hpp"
 #include "cim/fault.hpp"
 #include "common/stats.hpp"
-#include "dram/energy.hpp"
-#include "dram/timing.hpp"
 
 namespace c2m {
 namespace core {
@@ -59,12 +56,6 @@ struct EngineConfig
     uint64_t seed = 1;
     BackendKind backend = BackendKind::Ambit;
     /**
-     * Cache generated muPrograms per (op, digit, k, mask row) and
-     * replay them, removing the fixed codegen cost from the batch hot
-     * path. Replayed programs are bit-identical to regeneration.
-     */
-    bool programCache = true;
-    /**
      * Column-parallel drain planning for batched point updates
      * (ShardedEngine/IngestService): decompose each counter's epoch
      * delta into radix digits and issue ONE masked k-ary increment
@@ -78,17 +69,6 @@ struct EngineConfig
      * path automatically.
      */
     bool drainPlanner = true;
-    /**
-     * Fabric cost parameter sets (timing + energy). The DRAM-fabric
-     * backends (Ambit, Rca) charge per-command costs derived from
-     * dramTimings/dramEnergy (core/fabriccost.hpp); the NVM backends
-     * charge nvmCost. Every backend reports the result through
-     * opStats().fabricNs/fabricNj and EngineStats::fabric.
-     */
-    dram::DramTimings dramTimings = dram::DramTimings{};
-    dram::EnergyModel dramEnergy = dram::EnergyModel{};
-    cim::NvmCostParams nvmCost = cim::NvmCostParams{};
-
     /**
      * The first field that makes this configuration unusable, as a
      * message naming it, or an empty string: numGroups >= 1, an even

@@ -200,8 +200,10 @@ void
 C2MEngine::setMask(unsigned handle, const BitVector &mask)
 {
     checkHandle(handle, numMasks_);
-    C2M_ASSERT(mask.size() == cfg_.numCounters,
-               "mask width mismatch");
+    if (mask.size() != cfg_.numCounters)
+        C2M_FATAL("mask row of ", mask.size(),
+                  " bits does not match the ", cfg_.numCounters,
+                  " counters");
     cim::AttrScope attr(backend_->opStatsRef(),
                         cim::FabricCat::MaskWrite);
     backend_->writeMask(handle, mask);
@@ -490,9 +492,12 @@ C2MEngine::setValueOffset(unsigned group, int64_t offset)
                 static_cast<uint64_t>(v) + static_cast<uint64_t>(offset)));
         codec.encode(values, image);
     };
+    // A one-off rewrite (signed-mode entry, relu): its scratch goes
+    // with it rather than keeping a group image for the engine's life.
+    std::vector<BitVector> scratch;
     for (unsigned r = 0; r < replicas(); ++r)
         rewriteRows(*backend_, backend_->layout(physIndex(group, r)),
-                    rowImage_, reencode);
+                    scratch, reencode);
     offsets_[group] = offset;
 }
 

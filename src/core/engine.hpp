@@ -168,6 +168,8 @@ class C2MEngine
      * In-place overwrite from a prebuilt packed row: no byte-vector
      * conversion, no allocation. The batch hot paths (point masks,
      * plane masks) route through this overload.
+     * @throws std::invalid_argument on an unknown @p handle or a
+     *         @p mask whose width is not numCounters.
      */
     void setMask(unsigned handle, const BitVector &mask);
 
@@ -501,7 +503,8 @@ class C2MEngine
     int64_t signedOffset_ = 0;     ///< B, the signed-mode offset
     unsigned numMasks_ = 0;
     BitVector peekMajority_; ///< absorbPeek's TMR vote of three rows
-    std::vector<BitVector> rowImage_; ///< host row rewrite scratch
+    /** rewriteCounters' row images, reused by every virt frame move. */
+    std::vector<BitVector> rowImage_;
 };
 
 /**

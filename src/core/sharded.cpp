@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "core/backend_rca.hpp"
 #include "core/costmodel.hpp"
+#include "core/fabriccost.hpp"
 #include "jc/digits.hpp"
 #include "obs/trace.hpp"
 
@@ -60,18 +61,15 @@ splitRanges(size_t total, unsigned shards)
  * ([1][k]) on this config's substrate: analytic command counts
  * (C2mCostModel for the JC backends, RcaCostModel for the
  * ripple-carry baseline — whose cost is k- and sign-independent)
- * priced at the per-command latency of the fabric (DRAM bank period,
- * or the NVM op latency).
+ * priced at the fabric's per-command latency (commandCosts' aapNs).
  */
 std::array<std::vector<double>, 2>
 planStepNs(const EngineConfig &cfg)
 {
     const unsigned digits =
         jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) + 1;
-    const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
-                     cfg.backend == BackendKind::NvmMagic;
     const double cmd_ns =
-        nvm ? cfg.nvmCost.opNs : cfg.dramTimings.bankPeriodNs();
+        commandCosts(cfg.backend, cfg.numCounters).aapNs;
     std::array<std::vector<double>, 2> ns;
     ns.fill(std::vector<double>(cfg.radix, 0.0));
     if (cfg.backend == BackendKind::Rca) {
@@ -111,8 +109,6 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
         planStepNs_ = planStepNs(cfg);
         planeLead_.assign(2 * railPlanes_, kNoLead);
     }
-    const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
-                     cfg.backend == BackendKind::NvmMagic;
 
     // Independent per-shard seeds split from the root seed.
     uint64_t seed_state = cfg.seed;
@@ -134,9 +130,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
         scratch_[s].cols = BitVector(shardWidth(s));
         scratch_[s].pointCol = std::numeric_limits<size_t>::max();
         scratch_[s].maskWriteNs =
-            nvm ? cfg.nvmCost.rowAccessNs
-                : cfg.dramTimings.rowAccessNs(static_cast<unsigned>(
-                      (shardWidth(s) + 7) / 8));
+            commandCosts(cfg.backend, shardWidth(s)).rowWriteNs;
     }
     shardBusy_ = std::make_unique<std::atomic<bool>[]>(num_shards);
 }
@@ -144,8 +138,9 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
 unsigned
 ShardedEngine::shardOf(uint64_t counter) const
 {
-    C2M_ASSERT(counter < cfg_.numCounters,
-               "counter index out of range: ", counter);
+    if (counter >= cfg_.numCounters)
+        C2M_FATAL("counter ", counter, " outside numCounters ",
+                  cfg_.numCounters);
     // Ranges differ by at most one column; start from the uniform
     // guess and walk at most one step each way.
     const size_t n = numShards();
@@ -197,7 +192,8 @@ void
 ShardedEngine::runShardTask(
     unsigned s, const std::function<void(C2MEngine &, size_t)> &fn)
 {
-    C2M_ASSERT(s < numShards(), "shard index out of range: ", s);
+    if (s >= numShards())
+        C2M_FATAL("shard ", s, " outside numShards ", numShards());
     C2M_ASSERT(!shardBusy_[s].exchange(true,
                                        std::memory_order_acquire),
                "concurrent writers on shard ", s);
@@ -925,7 +921,8 @@ statsWindow(const ShardedEngine &engine,
         const double rank_floor =
             static_cast<double>(w.total.fabric.commands() -
                                 w.total.fabric.gangedCommands) *
-            cfg.dramTimings.issueIntervalNs(engine.numShards());
+            dram::DramTimings::ddr5_4400().issueIntervalNs(
+                engine.numShards());
         w.criticalNs = std::max(w.criticalNs, rank_floor);
     }
     const double mean =
@@ -940,14 +937,6 @@ statsWindow(const ShardedEngine &engine,
         w.cacheHitRate = static_cast<double>(w.total.programCacheHits) /
                          static_cast<double>(lookups);
     return w;
-}
-
-Histogram
-countersToHistogram(ShardedEngine &engine, int64_t lo, int64_t hi,
-                    unsigned group)
-{
-    const auto counts = engine.readAllCounters(group);
-    return countersToHistogram(counts, lo, hi);
 }
 
 std::vector<int64_t>
@@ -972,18 +961,6 @@ replaySerial(const EngineConfig &cfg, std::span<const BatchOp> ops,
             eng.accumulateSigned(op.value, h, op.group);
     }
     return eng.readCounters(group);
-}
-
-Histogram
-countersToHistogram(std::span<const int64_t> counters, int64_t lo,
-                    int64_t hi)
-{
-    Histogram h(lo, hi);
-    for (size_t i = 0; i < counters.size(); ++i)
-        if (counters[i] > 0)
-            h.add(static_cast<int64_t>(i),
-                  static_cast<uint64_t>(counters[i]));
-    return h;
 }
 
 } // namespace core

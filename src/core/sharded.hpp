@@ -113,7 +113,6 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
-#include "common/stats.hpp"
 #include "core/coalesce.hpp"
 #include "core/engine.hpp"
 #include "core/threadpool.hpp"
@@ -146,7 +145,10 @@ class ShardedEngine
     size_t numCounters() const { return cfg_.numCounters; }
 
     C2MEngine &shard(unsigned s) { return *shards_[s]; }
-    /** Shard owning logical counter @p counter. */
+    /**
+     * Shard owning logical counter @p counter.
+     * @throws std::invalid_argument on a counter past numCounters.
+     */
     unsigned shardOf(uint64_t counter) const;
     /** First logical counter of shard @p s. */
     size_t shardStart(unsigned s) const { return starts_[s]; }
@@ -224,6 +226,7 @@ class ShardedEngine
      * the drainer thread) while other shards keep executing, but two
      * writers inside one shard panic. @p fn receives the shard engine
      * and the shard's first logical counter index.
+     * @throws std::invalid_argument on a shard past numShards.
      */
     void runShardTask(
         unsigned s,
@@ -491,19 +494,6 @@ struct StatsWindow
  */
 StatsWindow statsWindow(const ShardedEngine &engine,
                         std::span<const EngineStats> before = {});
-
-/**
- * Read group @p group of @p engine into a Histogram over [lo, hi]:
- * counter i contributes its value as the count of sample i. Counters
- * outside [lo, hi] land in the under/overflow buckets; zero counters
- * are skipped.
- */
-Histogram countersToHistogram(ShardedEngine &engine, int64_t lo,
-                              int64_t hi, unsigned group = 0);
-
-/** Same conversion from an already-read counter vector. */
-Histogram countersToHistogram(std::span<const int64_t> counters,
-                              int64_t lo, int64_t hi);
 
 /**
  * Canonical blocking baseline: replay @p ops in order on one

@@ -65,21 +65,13 @@ AapScheduler::finishNs() const
 }
 
 double
-AapScheduler::steadyPeriodNs(const DramTimings &t, unsigned banks)
-{
-    C2M_ASSERT(banks >= 1, "need at least one bank");
-    const double per_bank = t.bankPeriodNs() / static_cast<double>(banks);
-    return std::max({t.tRrdNs, t.tFawNs / 4.0, per_bank});
-}
-
-double
 AapScheduler::streamTimeNs(const DramTimings &t, uint64_t count,
                            unsigned banks)
 {
     if (count == 0)
         return 0.0;
-    const double period = steadyPeriodNs(t, banks);
-    return static_cast<double>(count - 1) * period + t.tAapNs();
+    return static_cast<double>(count - 1) * t.issueIntervalNs(banks) +
+           t.tAapNs();
 }
 
 } // namespace dram

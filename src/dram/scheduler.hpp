@@ -17,7 +17,8 @@
  * 1st; with 16 banks the binding constraint becomes max(tRRD, tFAW/4),
  * exactly the behaviour the paper describes. An event-accurate
  * scheduler (issueOne) and a closed-form steady-state stream model
- * (streamTimeNs) are provided; tests check they agree.
+ * (streamTimeNs, on DramTimings::issueIntervalNs) are provided; tests
+ * check they agree.
  */
 
 #include <cstdint>
@@ -49,12 +50,10 @@ class AapScheduler
 
     void reset();
 
-    /** Steady-state period per AAP for @p banks banks. */
-    static double steadyPeriodNs(const DramTimings &t, unsigned banks);
-
     /**
      * Closed-form completion time of a uniform stream of @p count
-     * AAPs round-robined over @p banks banks.
+     * AAPs round-robined over @p banks banks: one
+     * DramTimings::issueIntervalNs(banks) per AAP after the first.
      */
     static double streamTimeNs(const DramTimings &t, uint64_t count,
                                unsigned banks);

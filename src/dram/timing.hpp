@@ -42,10 +42,11 @@ struct DramTimings
     /**
      * Steady-state AAP issue interval with @p banks banks active:
      * round-robin hides the per-bank period until tRRD/tFAW become
-     * the rank-level bottleneck. Identical to the scheduler's
-     * AapScheduler::steadyPeriodNs (pinned by tests) — the engines
-     * use this to turn a shard's serial fabric time into the
-     * bank-parallel critical path.
+     * the rank-level bottleneck. AapScheduler::streamTimeNs prices
+     * its closed-form stream with it (tests check it against the
+     * event-accurate scheduler), and the engines use it to turn a
+     * shard's serial fabric time into the bank-parallel critical
+     * path.
      */
     double issueIntervalNs(unsigned banks) const
     {

@@ -27,29 +27,6 @@ fromDigits(const std::vector<unsigned> &digits, unsigned radix)
     return value;
 }
 
-uint64_t
-digitSum(uint64_t value, unsigned radix)
-{
-    uint64_t s = 0;
-    while (value != 0) {
-        s += value % radix;
-        value /= radix;
-    }
-    return s;
-}
-
-unsigned
-numNonzeroDigits(uint64_t value, unsigned radix)
-{
-    unsigned nnz = 0;
-    while (value != 0) {
-        if (value % radix != 0)
-            ++nnz;
-        value /= radix;
-    }
-    return nnz;
-}
-
 unsigned
 digitsForCapacity(unsigned radix, uint64_t capacity)
 {

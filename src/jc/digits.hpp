@@ -22,12 +22,6 @@ std::vector<unsigned> toDigits(uint64_t value, unsigned radix);
 /** Inverse of toDigits. */
 uint64_t fromDigits(const std::vector<unsigned> &digits, unsigned radix);
 
-/** Sum of digits (number of unit increments a value triggers). */
-uint64_t digitSum(uint64_t value, unsigned radix);
-
-/** Number of non-zero digits (number of k-ary increments). */
-unsigned numNonzeroDigits(uint64_t value, unsigned radix);
-
 /**
  * Smallest digit count D with radix^D >= capacity.
  * @p capacity must be >= 1.

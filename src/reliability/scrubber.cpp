@@ -32,9 +32,7 @@ Scrubber::supports(core::ShardedEngine &engine)
     return engine.shard(0).backend().caps().rowScrub;
 }
 
-Scrubber::Scrubber(core::ShardedEngine &engine,
-                   const ScrubConfig &cfg)
-    : engine_(engine), cfg_(cfg)
+Scrubber::Scrubber(core::ShardedEngine &engine) : engine_(engine)
 {
     if (!supports(engine))
         C2M_FATAL(core::backendName(engine.config().backend),
@@ -59,8 +57,6 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
             *row = BitVector(cols);
         st.sweptCommands = eng.backend().opStats().commands();
         st.lastTra = eng.backend().opStats().tra;
-        st.decayRng = Rng(engine.config().seed ^
-                          (0x9e3779b97f4a7c15ULL * (s + 1)));
     }
 }
 
@@ -100,8 +96,6 @@ Scrubber::boundary()
         std::lock_guard<std::mutex> lk(m_);
         ++aggregate_.boundaries;
     }
-    if (cfg_.storeFaultRate > 0.0)
-        injectStoreDecay();
     std::vector<unsigned> due;
     for (unsigned s = 0; s < shards_.size(); ++s)
         if (dirty(s))
@@ -114,21 +108,9 @@ bool
 Scrubber::dirty(unsigned s) const
 {
     const ShardState &st = shards_[s];
-    return !st.journal.empty() || st.decayed ||
+    return !st.journal.empty() ||
            engine_.shard(s).backend().opStats().commands() !=
                st.sweptCommands;
-}
-
-void
-Scrubber::injectStoreDecay()
-{
-    for (auto &st : shards_) {
-        for (auto &mirror : st.mirrors)
-            for (size_t r = 0; r < mirror.numRows(); ++r)
-                mirror.row(r).injectFaults(st.decayRng,
-                                           cfg_.storeFaultRate);
-        st.decayed = true;
-    }
 }
 
 void
@@ -200,7 +182,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, unsigned s)
         st.expected[op.group][op.counter - start] += op.value;
     }
     st.journal.clear();
-    st.decayed = false;
 
     const uint64_t tra_now = eng.backend().opStats().tra;
     const uint64_t tra_delta = tra_now - st.lastTra;
@@ -286,9 +267,17 @@ Scrubber::scrubAll()
 }
 
 void
+Scrubber::checkShard(unsigned s) const
+{
+    if (s >= shards_.size())
+        C2M_FATAL("shard ", s, " outside the engine's ", shards_.size(),
+                  " shards");
+}
+
+void
 Scrubber::sweepNow(unsigned s)
 {
-    C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
+    checkShard(s);
     if (dirty(s))
         runSweeps({s});
 }
@@ -297,9 +286,16 @@ void
 Scrubber::noteRewrite(unsigned s, unsigned group, size_t first,
                       std::span<const int64_t> values)
 {
-    C2M_ASSERT(s < shards_.size() && group < shards_[s].mirrors.size(),
-               "rewrite of group ", group, " outside shard ", s);
+    checkShard(s);
     ShardState &st = shards_[s];
+    if (group >= st.mirrors.size())
+        C2M_FATAL("counter group ", group, " outside numGroups ",
+                  st.mirrors.size());
+    const size_t cols = engine_.shardWidth(s);
+    if (first > cols || values.size() > cols - first)
+        C2M_FATAL("rewrite of columns [", first, ", ",
+                  first + values.size(), ") outside shard ", s, "'s ",
+                  cols);
     const auto res = st.mirrors[group].spliceValues(first, values);
     std::lock_guard<std::mutex> lk(m_);
     st.stats.mirrorBitsCorrected += res.corrected;
@@ -319,7 +315,7 @@ Scrubber::stats() const
 ScrubStats
 Scrubber::shardStats(unsigned s) const
 {
-    C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
+    checkShard(s);
     std::lock_guard<std::mutex> lk(m_);
     return shards_[s].stats;
 }

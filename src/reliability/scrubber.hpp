@@ -10,19 +10,17 @@
  * the point-update deltas applied since the shard's last sweep. At
  * an epoch boundary — hooked through service::EpochObserver, or
  * driven explicitly in standalone mode — every dirty shard is swept.
- * A shard is dirty when its journal holds an op, when its backend
- * issued a fabric command (AAP/AP) since its last sweep, or when the
- * mirror store decayed since its last sweep. CIM faults enter only
- * through fabric commands, so a clean shard has nothing a sweep could
- * find; scrubAll() is the forced full sweep for changes no command
- * made and no noteRewrite reported (a row written through the host
- * path).
+ * A shard is dirty when its journal holds an op or when its backend
+ * issued a fabric command (AAP/AP) since its last sweep. CIM faults
+ * enter only through fabric commands, so a clean shard has nothing a
+ * sweep could find; scrubAll() is the forced full sweep for changes
+ * no command made and no noteRewrite reported (a row written through
+ * the host path).
  *
  * A sweep issues no fabric command (no AAP or AP):
  *
  *   1. the mirror itself is SEC-DED decode-corrected (it models
- *      spare DRAM rows and may decay) and its counter values are
- *      recovered;
+ *      spare DRAM rows) and its counter values are recovered;
  *   2. journaled deltas are added, giving the expected values;
  *   3. the expected values are encoded into their canonical image (a
  *      pure function of the values and the group's
@@ -80,7 +78,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/sharded.hpp"
 #include "reliability/health.hpp"
@@ -89,13 +86,6 @@
 
 namespace c2m {
 namespace reliability {
-
-struct ScrubConfig
-{
-    /** Per-bit decay injected into the mirror store per boundary
-     *  (exercises the side store's own SEC-DED). */
-    double storeFaultRate = 0.0;
-};
 
 struct ScrubStats
 {
@@ -141,13 +131,10 @@ class Scrubber final : public service::EpochObserver
      * @throws std::invalid_argument on a backend without
      *         caps().rowScrub.
      */
-    explicit Scrubber(core::ShardedEngine &engine,
-                      const ScrubConfig &cfg = {});
+    explicit Scrubber(core::ShardedEngine &engine);
 
     /** True iff @p engine's substrate supports row scrubbing. */
     static bool supports(core::ShardedEngine &engine);
-
-    const ScrubConfig &config() const { return cfg_; }
 
     // ---- service::EpochObserver (drainer thread) ----
     void onShardOps(unsigned shard,
@@ -175,6 +162,7 @@ class Scrubber final : public service::EpochObserver
      * virtualization layer's pre-spill hook: it heals the shard and
      * applies the pending journal before a frame's values are read
      * out, so the spilled image cannot adopt faulty state.
+     * @throws std::invalid_argument on a shard past numShards.
      */
     void sweepNow(unsigned s);
 
@@ -185,6 +173,9 @@ class Scrubber final : public service::EpochObserver
      * no op for them: splice the values into the mirror
      * (RowMirror::spliceValues). No whole-mirror work; the shard's
      * dirty state stays as it was.
+     * @throws std::invalid_argument on a shard past numShards, a
+     *         group past numGroups or columns past the shard's width,
+     *         before the mirror changes.
      */
     void noteRewrite(unsigned s, unsigned group, size_t first,
                      std::span<const int64_t> values);
@@ -202,9 +193,7 @@ class Scrubber final : public service::EpochObserver
         /** Fabric AAP+AP count at the last sweep. */
         uint64_t sweptCommands = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
-        bool decayed = false; ///< mirror store decayed since the sweep
         ScrubStats stats;
-        Rng decayRng{1};
 
         // Sweep scratch, sized at attach.
         std::vector<std::vector<int64_t>> expected; ///< per group
@@ -217,16 +206,16 @@ class Scrubber final : public service::EpochObserver
         BitVector invalid; ///< columns with an invalid JC digit
     };
 
+    /** Throw std::invalid_argument unless @p s is a shard index. */
+    void checkShard(unsigned s) const;
     /** True iff shard @p s has changed since its last sweep. */
     bool dirty(unsigned s) const;
     /** Sweep @p due shards, on the lane pool when there are several. */
     void runSweeps(const std::vector<unsigned> &due);
     /** Sweep shard @p s (single-writer guard held by runShardTask). */
     void sweepShard(core::C2MEngine &eng, unsigned s);
-    void injectStoreDecay();
 
     core::ShardedEngine &engine_;
-    ScrubConfig cfg_;
     std::vector<ShardState> shards_;
 
     /**

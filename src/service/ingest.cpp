@@ -128,8 +128,9 @@ void
 IngestService::wait(uint64_t token)
 {
     std::unique_lock<std::mutex> lk(m_);
-    C2M_ASSERT(token <= std::max(flushTarget_, appliedEpoch_),
-               "epoch token ", token, " was never issued");
+    if (token > std::max(flushTarget_, appliedEpoch_))
+        C2M_FATAL("epoch token ", token,
+                  " was never issued by flush or forceEpoch");
     epochCv_.wait(lk, [&] { return appliedEpoch_ >= token; });
 }
 

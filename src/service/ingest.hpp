@@ -189,7 +189,11 @@ class IngestService
      * wakes the drainer regardless of minDrainOps.
      */
     uint64_t flush();
-    /** Block until epoch @p token has been applied. */
+    /**
+     * Block until epoch @p token has been applied.
+     * @throws std::invalid_argument on a token that no flush or
+     *         forceEpoch issued (it would never be applied).
+     */
     void wait(uint64_t token);
     uint64_t flushAndWait();
 

@@ -21,32 +21,12 @@ CheckedProgram::appendBlock(Block block)
     blocks.push_back(std::move(block));
 }
 
-void
-CheckedProgram::append(const CheckedProgram &other)
-{
-    for (const auto &b : other.blocks) {
-        if (b.checks.empty())
-            appendUnchecked(b.prog);
-        else
-            blocks.push_back(b);
-    }
-}
-
 size_t
 CheckedProgram::totalOps() const
 {
     size_t n = 0;
     for (const auto &b : blocks)
         n += b.prog.size();
-    return n;
-}
-
-size_t
-CheckedProgram::totalChecks() const
-{
-    size_t n = 0;
-    for (const auto &b : blocks)
-        n += b.checks.size();
     return n;
 }
 

@@ -74,10 +74,7 @@ struct CheckedProgram
     /** Append a checked block. */
     void appendBlock(Block block);
 
-    void append(const CheckedProgram &other);
-
     size_t totalOps() const;
-    size_t totalChecks() const;
     bool empty() const { return blocks.empty(); }
 };
 

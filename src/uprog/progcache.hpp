@@ -87,25 +87,19 @@ struct ProgramKeyHash
 /**
  * Cache of generated programs keyed by ProgramKey. @p hits/@p misses
  * reference the owning engine's EngineStats counters so shard merges
- * see cache effectiveness without extra plumbing. When disabled the
- * builder runs on every lookup (the pre-cache behavior), which the
- * equivalence tests use to pin replay == regeneration.
+ * see cache effectiveness without extra plumbing.
  */
 template <typename Program> class ProgramCache
 {
   public:
-    ProgramCache(bool enabled, uint64_t &hits, uint64_t &misses)
-        : enabled_(enabled), hits_(hits), misses_(misses)
+    ProgramCache(uint64_t &hits, uint64_t &misses)
+        : hits_(hits), misses_(misses)
     {
     }
 
     template <typename Build>
     const Program &get(const ProgramKey &key, Build &&build)
     {
-        if (!enabled_) {
-            scratch_ = build();
-            return scratch_;
-        }
         auto it = map_.find(key);
         if (it != map_.end()) {
             ++hits_;
@@ -115,14 +109,9 @@ template <typename Program> class ProgramCache
         return map_.emplace(key, build()).first->second;
     }
 
-    bool enabled() const { return enabled_; }
-    size_t size() const { return map_.size(); }
-
   private:
-    bool enabled_;
     uint64_t &hits_;
     uint64_t &misses_;
-    Program scratch_; ///< holds the rebuilt program when disabled
     std::unordered_map<ProgramKey, Program, ProgramKeyHash> map_;
 };
 

@@ -4,8 +4,6 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "core/sharded.hpp"
-#include "service/ingest.hpp"
 
 namespace c2m {
 namespace workloads {
@@ -92,60 +90,6 @@ DnaWorkload::repetitionHistogram() const
         for (const auto &[token, count] : readTokens(read))
             h.add(count);
     return h;
-}
-
-Histogram
-DnaWorkload::repetitionHistogram(core::ShardedEngine &engine) const
-{
-    const size_t n = engine.numCounters();
-    std::vector<core::BatchOp> ops;
-    for (const auto &read : reads_) {
-        for (const auto &[token, count] : readTokens(read)) {
-            (void)token;
-            C2M_ASSERT(count < n, "repetition count ", count,
-                       " needs more engine counters than ", n);
-            ops.push_back({count, 1, 0});
-        }
-    }
-    engine.accumulateBatch(ops);
-    return core::countersToHistogram(engine, 0, 18);
-}
-
-Histogram
-DnaWorkload::repetitionHistogram(service::IngestService &service,
-                                 unsigned num_producers) const
-{
-    const size_t n = service.engine().numCounters();
-    std::vector<core::BatchOp> ops;
-    for (const auto &read : reads_) {
-        for (const auto &[token, count] : readTokens(read)) {
-            (void)token;
-            C2M_ASSERT(count < n, "repetition count ", count,
-                       " needs more engine counters than ", n);
-            ops.push_back({count, 1, 0});
-        }
-    }
-    service::submitConcurrent(service, ops, num_producers);
-    const auto counters = service.readCounters();
-    return core::countersToHistogram(counters, 0, 18);
-}
-
-Histogram
-DnaWorkload::repetitionHistogram(core::BackendKind backend,
-                                 unsigned num_shards) const
-{
-    core::EngineConfig cfg;
-    cfg.backend = backend;
-    cfg.radix = 4;
-    cfg.capacityBits = 24;
-    // Counters index repetition counts, bounded by the read length.
-    cfg.numCounters = cfg_.readLen + 1;
-    // Public mask rows only: ShardedEngine reserves its point and
-    // plane rows ADDITIVELY on top of this, so 1 never starves
-    // planned drains.
-    cfg.maxMaskRows = 1;
-    core::ShardedEngine engine(cfg, num_shards);
-    return repetitionHistogram(engine);
 }
 
 std::vector<int64_t>

@@ -23,16 +23,8 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/config.hpp"
 
 namespace c2m {
-namespace core {
-class ShardedEngine;
-} // namespace core
-namespace service {
-class IngestService;
-} // namespace service
-
 namespace workloads {
 
 struct DnaConfig
@@ -76,36 +68,6 @@ class DnaWorkload
 
     /** Fig. 3a: token repetition histogram over all reads. */
     Histogram repetitionHistogram() const;
-
-    /**
-     * Same histogram counted in-memory through the sharded batch
-     * engine: counter i accumulates the number of (token,
-     * repetition = i) pairs, one routed point update per pair. The
-     * engine is not cleared first; pass it freshly constructed (or
-     * cleared) and sized so numCounters() exceeds the longest read's
-     * token count.
-     */
-    Histogram repetitionHistogram(core::ShardedEngine &engine) const;
-
-    /**
-     * Same histogram counted on a freshly built sharded engine over
-     * the selected counting substrate — any CountingBackend produces
-     * the same counts, so this is the one-call way to run the DNA
-     * distribution on Ambit, NVM or RCA shards.
-     */
-    Histogram repetitionHistogram(core::BackendKind backend,
-                                  unsigned num_shards = 1) const;
-
-    /**
-     * Same histogram ingested asynchronously: the (token, repetition)
-     * point updates are split across @p num_producers concurrent
-     * producer threads submitting into @p service, then read back
-     * with an epoch-consistent snapshot. Counts match the blocking
-     * overloads; the service's engine must be freshly constructed
-     * (or cleared) and sized like the direct-engine overload.
-     */
-    Histogram repetitionHistogram(service::IngestService &service,
-                                  unsigned num_producers = 1) const;
 
     /** Exact (fault-free) per-bin scores of a read. */
     std::vector<int64_t> refScores(const Read &read) const;

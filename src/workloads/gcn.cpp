@@ -1,7 +1,5 @@
 #include "workloads/gcn.hpp"
 
-#include "common/rng.hpp"
-
 namespace c2m {
 namespace workloads {
 
@@ -30,37 +28,6 @@ gcnWorkloads(const GcnConfig &cfg)
         mk(cfg.nodes, cfg.classes, cfg.hidden, 0.0),
         mk(cfg.nodes, cfg.classes, cfg.nodes, agg_sparsity),
     };
-}
-
-double
-gcnOps(const GcnConfig &cfg)
-{
-    double ops = 0.0;
-    for (const auto &w : gcnWorkloads(cfg))
-        ops += 2.0 * static_cast<double>(w.M) *
-               static_cast<double>(w.N) * static_cast<double>(w.K) *
-               (1.0 - w.sparsity);
-    return ops;
-}
-
-std::vector<std::vector<uint32_t>>
-makeSyntheticGraph(size_t nodes, double avg_degree, uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<std::vector<uint32_t>> adj(nodes);
-    const uint64_t edges = static_cast<uint64_t>(
-        avg_degree * static_cast<double>(nodes) / 2.0);
-    for (uint64_t e = 0; e < edges; ++e) {
-        const uint32_t a =
-            static_cast<uint32_t>(rng.nextBounded(nodes));
-        const uint32_t b =
-            static_cast<uint32_t>(rng.nextBounded(nodes));
-        if (a == b)
-            continue;
-        adj[a].push_back(b);
-        adj[b].push_back(a);
-    }
-    return adj;
 }
 
 } // namespace workloads

@@ -35,16 +35,6 @@ struct GcnConfig
 std::vector<core::TensorWorkload> gcnWorkloads(
     const GcnConfig &cfg = GcnConfig{});
 
-/** Total nominal ops of the network (for GOPS normalization). */
-double gcnOps(const GcnConfig &cfg = GcnConfig{});
-
-/**
- * A small synthetic graph (for functional tests): adjacency lists of
- * @p nodes nodes with roughly @p avg_degree random neighbours.
- */
-std::vector<std::vector<uint32_t>> makeSyntheticGraph(
-    size_t nodes, double avg_degree, uint64_t seed);
-
 } // namespace workloads
 } // namespace c2m
 

@@ -10,17 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "core/config.hpp"
-
 namespace c2m {
-namespace core {
-class ShardedEngine;
-} // namespace core
-namespace service {
-class IngestService;
-} // namespace service
-
 namespace workloads {
 
 /** Signed values in [-2^(bits-1), 2^(bits-1)) with given sparsity. */
@@ -44,49 +34,6 @@ std::vector<std::vector<uint8_t>> randomBinaryMatrix(size_t rows,
                                                      size_t cols,
                                                      double density,
                                                      uint64_t seed);
-
-/**
- * Occurrence histogram of @p values (the Fig. 16 operand
- * distributions), counted in-memory through the sharded batch
- * engine: counter v accumulates the number of occurrences of value
- * v, one routed point update per element. Every value must be below
- * engine.numCounters(); the engine is used as-is (not cleared).
- */
-Histogram valueHistogram(const std::vector<uint64_t> &values,
-                         core::ShardedEngine &engine);
-
-/** Same, over |v| of a signed operand vector. */
-Histogram magnitudeHistogram(const std::vector<int64_t> &values,
-                             core::ShardedEngine &engine);
-
-/**
- * valueHistogram on a freshly built sharded engine over the selected
- * counting substrate, sized to the operand range; every
- * CountingBackend produces the same counts.
- */
-Histogram valueHistogram(const std::vector<uint64_t> &values,
-                         core::BackendKind backend,
-                         unsigned num_shards = 1);
-
-/** Same, over |v| of a signed operand vector. */
-Histogram magnitudeHistogram(const std::vector<int64_t> &values,
-                             core::BackendKind backend,
-                             unsigned num_shards = 1);
-
-/**
- * valueHistogram ingested asynchronously: one point update per
- * element, split across @p num_producers concurrent producers
- * submitting into @p service, read back with an epoch-consistent
- * snapshot. Counts match the blocking overloads.
- */
-Histogram valueHistogram(const std::vector<uint64_t> &values,
-                         service::IngestService &service,
-                         unsigned num_producers = 1);
-
-/** Same, over |v| of a signed operand vector. */
-Histogram magnitudeHistogram(const std::vector<int64_t> &values,
-                             service::IngestService &service,
-                             unsigned num_producers = 1);
 
 } // namespace workloads
 } // namespace c2m

@@ -2,9 +2,9 @@
  * @file
  * Fabric-cost accounting tests: DramTimings/EnergyModel algebra
  * (incl. the tFAW/tRRD rank window vs per-bank period), cross-backend
- * cost invariants (command counts invariant under program caching
- * and under a fallback-forced planner; strictly monotone fabric
- * time; nonzero cost for nonzero op streams), cost-model-vs-simulator
+ * cost invariants (command counts invariant under a fallback-forced
+ * planner; strictly monotone fabric time; nonzero cost for nonzero
+ * op streams), cost-model-vs-simulator
  * agreement on the fabric-time axis, and no-double-count checks
  * across the shard merge and the service attribution.
  */
@@ -15,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "core/costmodel.hpp"
+#include "core/fabriccost.hpp"
 #include "core/sharded.hpp"
 #include "dram/scheduler.hpp"
 #include "jc/layout.hpp"
@@ -67,15 +68,6 @@ TEST(DramTimings, CommandAlgebra)
                      t.tRcdNs + 2.0 * t.tBurstNs + t.tRpNs);
 }
 
-TEST(DramTimings, IssueIntervalMatchesSchedulerSteadyPeriod)
-{
-    const auto t = dram::DramTimings::ddr5_4400();
-    for (unsigned banks : {1u, 2u, 4u, 8u, 16u, 64u})
-        EXPECT_DOUBLE_EQ(t.issueIntervalNs(banks),
-                         dram::AapScheduler::steadyPeriodNs(t, banks))
-            << "banks=" << banks;
-}
-
 TEST(DramTimings, FawWindowFloorsTheIssueInterval)
 {
     auto t = dram::DramTimings::ddr5_4400();
@@ -88,8 +80,6 @@ TEST(DramTimings, FawWindowFloorsTheIssueInterval)
     // A wide tFAW makes the four-activate window the binding floor.
     t.tFawNs = 40.0;
     EXPECT_DOUBLE_EQ(t.issueIntervalNs(1024), t.tFawNs / 4.0);
-    EXPECT_DOUBLE_EQ(t.issueIntervalNs(1024),
-                     dram::AapScheduler::steadyPeriodNs(t, 1024));
 }
 
 TEST(EnergyModel, PerCommandEnergies)
@@ -125,28 +115,6 @@ TEST_P(CostBackends, NonzeroOpStreamHasNonzeroCost)
     // with the rank window floor it cannot be cheaper than issuing
     // every command back to back at the steady interval.
     EXPECT_LE(w.criticalNs, st.fabric.fabricNs);
-}
-
-TEST_P(CostBackends, CommandCountsInvariantUnderProgramCache)
-{
-    auto cfg = baseConfig(GetParam());
-    const auto ops = randomOps(60, cfg.numCounters, 9);
-
-    cfg.programCache = true;
-    ShardedEngine cached(cfg, 2);
-    cached.accumulateBatch(ops);
-    cfg.programCache = false;
-    ShardedEngine fresh(cfg, 2);
-    fresh.accumulateBatch(ops);
-
-    const auto a = cached.stats().fabric;
-    const auto b = fresh.stats().fabric;
-    EXPECT_EQ(a.aap, b.aap);
-    EXPECT_EQ(a.ap, b.ap);
-    EXPECT_EQ(a.tra, b.tra);
-    EXPECT_DOUBLE_EQ(a.fabricNs, b.fabricNs);
-    EXPECT_DOUBLE_EQ(a.fabricNj, b.fabricNj);
-    EXPECT_EQ(cached.readAllCounters(), fresh.readAllCounters());
 }
 
 TEST_P(CostBackends, ForcedFallbackMatchesPlannerOffExactly)
@@ -271,8 +239,9 @@ TEST(CostModelAgreement, StreamAapCountMatchesAmbitSimulation)
     const auto cost = model.accumulateStream(values);
     const auto after = eng.backend().opStats();
     EXPECT_EQ(cost.aaps, after.commands() - before.commands());
-    const double expected_ns = static_cast<double>(cost.aaps) *
-                               cfg.dramTimings.bankPeriodNs();
+    const double expected_ns =
+        static_cast<double>(cost.aaps) *
+        core::commandCosts(cfg.backend, cfg.numCounters).aapNs;
     EXPECT_NEAR(after.fabricNs - before.fabricNs, expected_ns,
                 1e-9 * expected_ns);
 }
@@ -298,7 +267,7 @@ TEST(CostAttribution, ShardMergeCountsEveryShardOnce)
     EXPECT_GE(w.criticalNs, max_ns);
     const double rank_floor =
         static_cast<double>(merged.fabric.commands()) *
-        cfg.dramTimings.issueIntervalNs(eng.numShards());
+        dram::DramTimings::ddr5_4400().issueIntervalNs(eng.numShards());
     EXPECT_GE(w.criticalNs, rank_floor);
     EXPECT_LE(w.criticalNs, merged.fabric.fabricNs);
 }

@@ -40,15 +40,6 @@ TEST(Digits, RoundTripRandom)
     }
 }
 
-TEST(Digits, DigitSumAndNonzero)
-{
-    EXPECT_EQ(jc::digitSum(45, 10), 9u);    // 4 + 5
-    EXPECT_EQ(jc::numNonzeroDigits(45, 10), 2u);
-    EXPECT_EQ(jc::numNonzeroDigits(405, 10), 2u);
-    EXPECT_EQ(jc::digitSum(0, 10), 0u);
-    EXPECT_EQ(jc::numNonzeroDigits(0, 10), 0u);
-}
-
 TEST(Digits, DigitsForCapacity)
 {
     EXPECT_EQ(jc::digitsForCapacity(10, 100), 2u);

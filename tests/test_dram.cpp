@@ -77,8 +77,7 @@ TEST(Scheduler, SixteenBanksBoundByFaw)
     // Steady rate close to the analytic period.
     const double period = (issues.back() - issues[8]) /
                           static_cast<double>(issues.size() - 9);
-    EXPECT_NEAR(period,
-                dram::AapScheduler::steadyPeriodNs(t, 16), 0.5);
+    EXPECT_NEAR(period, t.issueIntervalNs(16), 0.5);
 }
 
 TEST(Scheduler, PerBankOccupancyRespected)

@@ -256,6 +256,18 @@ TEST(EngineMaskErrors, UnknownHandleOrGroupThrowsBeforeAnyChange)
     EXPECT_EQ(eng.readCounters(), std::vector<int64_t>(16, 2));
 }
 
+TEST(EngineMaskErrors, PackedRowOfAnotherWidthThrows)
+{
+    // A packed row is written as is, so it must be exactly
+    // numCounters wide: a short one is not zero-padded.
+    C2MEngine eng(smallConfig(4));
+    const unsigned h = eng.addMask(std::vector<uint8_t>(16, 1));
+    EXPECT_THROW(eng.setMask(h, BitVector(15)), std::invalid_argument);
+    EXPECT_THROW(eng.setMask(h, BitVector(17)), std::invalid_argument);
+    eng.accumulate(2, h);
+    EXPECT_EQ(eng.readCounters(), std::vector<int64_t>(16, 2));
+}
+
 TEST(EngineMaskErrors, AddMaskPastMaxMaskRowsThrows)
 {
     C2MEngine eng(smallConfig(4));
@@ -498,9 +510,8 @@ class SignedResolve : public ::testing::Test
     C2MEngine eng_{config()};
     const unsigned mask_ = eng_.addMask(std::vector<uint8_t>(16, 1));
     const unsigned none_ = eng_.addMask(std::vector<uint8_t>(16, 0));
-    const cim::CommandCosts costs_ = core::dramCommandCosts(
-        eng_.config().dramTimings, eng_.config().dramEnergy,
-        eng_.config().numCounters);
+    const cim::CommandCosts costs_ = core::commandCosts(
+        eng_.config().backend, eng_.config().numCounters);
 };
 
 TEST_F(SignedResolve, BorrowFromZeroStaysInDigitZero)
@@ -872,12 +883,8 @@ class PeekGatedDrain : public ::testing::TestWithParam<core::BackendKind>
     C2MEngine eng_{config()};
     const unsigned a_ = oneColumnMask(eng_, 0);
     const unsigned b_ = oneColumnMask(eng_, 1);
-    const cim::CommandCosts costs_ =
-        GetParam() == core::BackendKind::Ambit
-            ? core::dramCommandCosts(eng_.config().dramTimings,
-                                     eng_.config().dramEnergy,
-                                     eng_.config().numCounters)
-            : eng_.config().nvmCost.commandCosts();
+    const cim::CommandCosts costs_ = core::commandCosts(
+        eng_.config().backend, eng_.config().numCounters);
 };
 
 TEST_P(PeekGatedDrain, IdleDigitReadsItsRowAndIssuesNothing)

@@ -31,7 +31,6 @@ using namespace c2m;
 using namespace c2m::core;
 using c2m::reliability::HealthMonitor;
 using c2m::reliability::RowMirror;
-using c2m::reliability::ScrubConfig;
 using c2m::reliability::Scrubber;
 using c2m::reliability::ScrubObservation;
 
@@ -399,7 +398,7 @@ TEST(ReliabilityIngest, ScrubbedRunMatchesFaultFreeReplay)
     ShardedEngine eng(cfg, 4);
     // The observer must outlive the service (stop() hands it a final
     // sweep), so the scrubber is constructed first.
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
 
@@ -435,7 +434,7 @@ TEST(ReliabilityIngest, ScrubbedPlannerDrainMatchesFaultFreeReplay)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     service::IngestConfig icfg;
     icfg.minDrainOps = 256; // real coalesced buckets per epoch
     icfg.queueCapacity = ops.size();
@@ -465,7 +464,7 @@ TEST(ReliabilityIngest, PlannerOffScrubbedRunStaysExactToo)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     service::submitConcurrent(svc, ops, 2);
@@ -497,7 +496,7 @@ TEST(ReliabilityIngest, StragglersScrubbedOnStop)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     svc.submit(ops);
@@ -512,7 +511,7 @@ TEST(ReliabilityIngest, ObserverDetachesWhileIdle)
 {
     const auto cfg = faultyConfig(32, 0.0, 91);
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     svc.submit(randomOps(100, cfg.numCounters, 93, false));
@@ -536,7 +535,7 @@ TEST(ScrubberStandalone, BatchesNotedAndSweptExactly)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     const size_t chunk = 250;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
         const auto part = std::span<const BatchOp>(ops).subspan(
@@ -555,7 +554,7 @@ TEST(ScrubberStandalone, IdleBoundarySweepsNothing)
     const auto ops = randomOps(400, cfg.numCounters, 21, false);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     eng.accumulateBatch(ops);
     scrub.noteBatch(ops);
     scrub.boundary();
@@ -589,7 +588,7 @@ TEST(ScrubberStandalone, BudgetRotatesAndScrubAllRecovers)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     const size_t chunk = 200;
     size_t batches = 0;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
@@ -624,7 +623,7 @@ TEST(ScrubberStandalone, FaultyAbsorbingEpochsHealAtTheSweep)
         const auto ref = faultFreeReference(cfg, ops);
 
         ShardedEngine eng(cfg, 4);
-        Scrubber scrub(eng, {});
+        Scrubber scrub(eng);
         const size_t chunk = 256;
         size_t batches = 0;
         uint64_t quiet_windows = 0, quiet_absorbing = 0;
@@ -659,7 +658,7 @@ TEST(ScrubberStandalone, SweepOverPendingCarriesIssuesNoCommand)
     const auto cfg = faultyConfig(128, 0.0, 97);
     const auto ops = zipfOps(2048, cfg.numCounters, 101, 102);
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     applyInBatches(eng, scrub, ops, 256);
     ASSERT_GT(pendingBits(eng), 0u);
 
@@ -694,7 +693,7 @@ TEST(ScrubberStandalone, SweepLeavesTheRowsAndBoundsOfADrain)
         const auto ops = zipfOps(3072, cfg.numCounters, 107, 108);
         ShardedEngine swept(cfg, 2);
         ShardedEngine drained(cfg, 2);
-        Scrubber scrub(swept, {});
+        Scrubber scrub(swept);
         const size_t chunk = 256;
         for (size_t lo = 0; lo < ops.size(); lo += chunk) {
             const auto part = std::span<const BatchOp>(ops).subspan(
@@ -733,7 +732,7 @@ TEST(ScrubberStandalone, FlipBesideCarriedColumnsIsTheOnlyFault)
     const auto cfg = faultyConfig(128, 0.0, 109);
     const auto ops = zipfOps(2048, cfg.numCounters, 113, 114);
     ShardedEngine eng(cfg, 1);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     applyInBatches(eng, scrub, ops, 256);
 
     // Plant a pending flag in a column with no carry anywhere, in an
@@ -771,7 +770,7 @@ TEST(ScrubberStandalone, InvalidDigitDecodingToItsValueIsAFault)
     const auto ops = zipfOps(1024, cfg.numCounters, 139, 140);
     const auto ref = faultFreeReference(cfg, ops);
     ShardedEngine eng(cfg, 1);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     applyInBatches(eng, scrub, ops, 256);
 
     C2MEngine &shard = eng.shard(0);
@@ -809,7 +808,7 @@ TEST(ScrubberStandalone, FaultyUnsignedEpochsSettleCarriesWithoutRipples)
         cfg.protection = c.protection;
         const auto ops = zipfOps(4096, cfg.numCounters, 131, 132);
         ShardedEngine eng(cfg, 4);
-        Scrubber scrub(eng, {});
+        Scrubber scrub(eng);
         const size_t chunk = 256;
         for (size_t lo = 0; lo < ops.size(); lo += chunk) {
             const size_t hi = std::min(lo + chunk, ops.size());
@@ -837,29 +836,6 @@ TEST(ScrubberStandalone, FaultyUnsignedEpochsSettleCarriesWithoutRipples)
     }
 }
 
-TEST(ScrubberStandalone, MirrorStoreDecayIsSelfHealed)
-{
-    const auto cfg = faultyConfig(72, 1e-3, 41);
-    const auto ops = randomOps(1500, cfg.numCounters, 43, false);
-    const auto ref = faultFreeReference(cfg, ops);
-
-    ShardedEngine eng(cfg, 3);
-    ScrubConfig scfg;
-    scfg.storeFaultRate = 2e-4; // side store decays too
-    Scrubber scrub(eng, scfg);
-    const size_t chunk = 150;
-    for (size_t lo = 0; lo < ops.size(); lo += chunk) {
-        const auto part = std::span<const BatchOp>(ops).subspan(
-            lo, std::min(chunk, ops.size() - lo));
-        eng.accumulateBatch(part);
-        scrub.noteBatch(part);
-        scrub.boundary();
-    }
-    EXPECT_EQ(eng.readAllCounters(0), ref);
-    EXPECT_GT(scrub.stats().mirrorBitsCorrected, 0u);
-    EXPECT_EQ(scrub.stats().mirrorWordsLost, 0u);
-}
-
 TEST(ScrubberProtection, TmrReplicasAreSwept)
 {
     auto cfg = faultyConfig(48, 1e-3, 47);
@@ -868,7 +844,7 @@ TEST(ScrubberProtection, TmrReplicasAreSwept)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     eng.accumulateBatch(ops);
     scrub.noteBatch(ops);
     scrub.boundary();
@@ -886,7 +862,7 @@ TEST(ScrubberProtection, NvmFabricIsScrubbable)
 
     ShardedEngine eng(cfg, 2);
     ASSERT_TRUE(Scrubber::supports(eng));
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     const size_t chunk = 200;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
         const auto part = std::span<const BatchOp>(ops).subspan(
@@ -909,7 +885,7 @@ TEST(ScrubberProtection, EccAtHighFaultRateStaysExact)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     const size_t chunk = 150;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
         const auto part = std::span<const BatchOp>(ops).subspan(
@@ -934,7 +910,7 @@ TEST(ScrubberSigned, GroupTurningSignedBetweenSweepsHealsNothing)
     all.insert(all.end(), mixed.begin(), mixed.end());
 
     ShardedEngine eng(cfg, 2);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     eng.accumulateBatch(up);
     scrub.noteBatch(up);
     scrub.boundary();
@@ -962,7 +938,7 @@ TEST(ScrubberSigned, FlippedBitInABiasedGroupIsHealed)
     const auto ref = faultFreeReference(cfg, ops);
 
     ShardedEngine eng(cfg, 1);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     eng.accumulateBatch(ops);
     scrub.noteBatch(ops);
     scrub.boundary();
@@ -1000,7 +976,36 @@ TEST(ScrubConfigErrors, BackendWithoutRowScrubThrows)
     auto cfg = faultyConfig(64, 0.0, 67);
     cfg.backend = BackendKind::Rca;
     ShardedEngine eng(cfg, 2);
-    EXPECT_THROW(Scrubber(eng, {}), std::invalid_argument);
+    EXPECT_THROW(Scrubber{eng}, std::invalid_argument);
+}
+
+TEST(ScrubberErrors, SweepOfAShardPastNumShardsThrows)
+{
+    ShardedEngine eng(faultyConfig(64, 0.0, 67), 2);
+    Scrubber scrub(eng);
+    EXPECT_THROW(scrub.sweepNow(2), std::invalid_argument);
+    EXPECT_THROW(scrub.shardStats(2), std::invalid_argument);
+    EXPECT_EQ(scrub.stats().sweeps, 0u);
+}
+
+TEST(ScrubberErrors, RewriteOutsideTheMirrorThrowsBeforeItChanges)
+{
+    ShardedEngine eng(faultyConfig(64, 0.0, 67), 2);
+    Scrubber scrub(eng);
+    const std::vector<int64_t> values(4, 9);
+    const size_t width = eng.shardWidth(1);
+    EXPECT_THROW(scrub.noteRewrite(2, 0, 0, values),
+                 std::invalid_argument);
+    EXPECT_THROW(scrub.noteRewrite(1, 1, 0, values),
+                 std::invalid_argument);
+    EXPECT_THROW(scrub.noteRewrite(1, 0, width - 3, values),
+                 std::invalid_argument);
+    EXPECT_THROW(scrub.noteRewrite(1, 0, width + 1, {}),
+                 std::invalid_argument);
+    // The mirror still holds zeros: a sweep finds the rows exact.
+    scrub.scrubAll();
+    EXPECT_EQ(scrub.stats().rowsRepaired, 0u);
+    EXPECT_EQ(scrub.stats().carryRows, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -1014,7 +1019,7 @@ TEST(HealthMonitor, EstimatesLiveFaultRateFromScrubOutcomes)
     const auto ops = randomOps(4000, cfg.numCounters, 73, false);
 
     ShardedEngine eng(cfg, 4);
-    Scrubber scrub(eng, {});
+    Scrubber scrub(eng);
     const size_t chunk = 400;
     for (size_t lo = 0; lo < ops.size(); lo += chunk) {
         const auto part = std::span<const BatchOp>(ops).subspan(

@@ -3,8 +3,7 @@
  * Async ingest service tests: op coalescing, concurrent producers
  * vs. blocking serial replay, epoch snapshot consistency, blocking
  * backpressure accounting, the stop path, work stealing on skewed
- * streams, merged service/engine stats reporting, and the async
- * workload overloads.
+ * streams, and merged service/engine stats reporting.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +22,6 @@
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
 #include "virt/virtspace.hpp"
-#include "workloads/dna.hpp"
-#include "workloads/sparsity.hpp"
 
 using namespace c2m;
 using core::BatchOp;
@@ -307,6 +304,18 @@ TEST(IngestErrors, OutOfRangeOpThrowsOnTheCallersThread)
         EXPECT_EQ(st.submitted, 2u);
         EXPECT_EQ(st.queued, 0u);
     }
+}
+
+TEST(IngestErrors, WaitOnATokenNoFlushIssuedThrows)
+{
+    // Such a token is never applied: the wait would block forever.
+    ShardedEngine engine(baseConfig(32), 2);
+    IngestService svc(engine);
+    const uint64_t token = svc.flushAndWait();
+    EXPECT_THROW(svc.wait(token + 1), std::invalid_argument);
+    svc.submit(BatchOp{3, 4, 0});
+    svc.wait(svc.forceEpoch());
+    EXPECT_EQ(svc.readCounters()[3], 4);
 }
 
 TEST(Ingest, BlockBackpressureStallsButLosesNothing)
@@ -697,56 +706,4 @@ TEST(ZipfRngTest, SkewsTowardsSmallKeys)
     // Uniform would put ~1.6% in the first 16 keys; Zipf(1.0) puts
     // ~45% there.
     EXPECT_GT(head, draws / 4);
-}
-
-TEST(AsyncWorkloads, DnaHistogramMatchesHost)
-{
-    workloads::DnaConfig dcfg;
-    dcfg.genomeLen = 4096;
-    dcfg.binSize = 256;
-    dcfg.numReads = 8;
-    workloads::DnaWorkload dna(dcfg);
-
-    auto ecfg = baseConfig(128);
-    ecfg.capacityBits = 24;
-    ShardedEngine engine(ecfg, 4);
-    IngestService svc(engine);
-
-    const auto host = dna.repetitionHistogram();
-    const auto async = dna.repetitionHistogram(svc, 3);
-    EXPECT_EQ(async.total(), host.total());
-    for (int64_t v = 0; v <= 18; ++v)
-        EXPECT_EQ(async.binCount(v), host.binCount(v)) << "bin " << v;
-}
-
-TEST(AsyncWorkloads, SparsityHistogramsMatchHost)
-{
-    const unsigned bits = 5;
-    const auto values =
-        workloads::sparseUnsignedVector(500, bits, 0.4, 77);
-
-    auto ecfg = baseConfig(32);
-    ecfg.capacityBits = 16;
-    ShardedEngine engine(ecfg, 4);
-    IngestService svc(engine);
-    const auto h = workloads::valueHistogram(values, svc, 2);
-
-    std::vector<uint64_t> expected(32, 0);
-    for (uint64_t v : values)
-        ++expected[v];
-    EXPECT_EQ(h.total(), values.size());
-    for (int64_t v = 0; v < 32; ++v)
-        EXPECT_EQ(h.binCount(v), expected[static_cast<size_t>(v)])
-            << "value " << v;
-
-    const auto signedv =
-        workloads::sparseSignedVector(300, bits, 0.3, 78);
-    ShardedEngine engine2(ecfg, 4);
-    IngestService svc2(engine2);
-    const auto hm = workloads::magnitudeHistogram(signedv, svc2, 2);
-    std::vector<uint64_t> mexp(32, 0);
-    for (int64_t v : signedv)
-        ++mexp[static_cast<size_t>(v < 0 ? -v : v)];
-    for (int64_t v = 0; v < 32; ++v)
-        EXPECT_EQ(hm.binCount(v), mexp[static_cast<size_t>(v)]);
 }

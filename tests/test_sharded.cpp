@@ -3,9 +3,8 @@
  * Sharded batch engine tests: shard-vs-single-engine equivalence on
  * random point-update streams (unsigned, signed, ECC, TMR), sliced
  * broadcast masks, tensor-op fan-out, determinism across thread
- * counts, stats merging, the drain planner (including a seeded
- * multi-epoch differential suite for dual-rail signed plans), and
- * the batched workload histograms.
+ * counts, stats merging, and the drain planner (including a seeded
+ * multi-epoch differential suite for dual-rail signed plans).
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +15,7 @@
 
 #include "common/rng.hpp"
 #include "core/sharded.hpp"
-#include "workloads/dna.hpp"
-#include "workloads/sparsity.hpp"
+#include "dram/timing.hpp"
 
 using namespace c2m;
 using core::BatchOp;
@@ -219,6 +217,25 @@ TEST(ShardedMaskErrors, AddMaskPastMaxMaskRowsThrows)
     EXPECT_THROW(eng.addMask(std::vector<uint8_t>(64, 0)),
                  std::invalid_argument);
     EXPECT_EQ(eng.numMasks(), eng.config().maxMaskRows);
+}
+
+TEST(ShardedIndexErrors, ShardOfACounterPastNumCountersThrows)
+{
+    ShardedEngine eng(baseConfig(64), 4);
+    EXPECT_EQ(eng.shardOf(63), 3u);
+    EXPECT_THROW(eng.shardOf(64), std::invalid_argument);
+    EXPECT_THROW(eng.shardOf(~uint64_t{0}), std::invalid_argument);
+}
+
+TEST(ShardedIndexErrors, ShardTaskPastNumShardsThrows)
+{
+    ShardedEngine eng(baseConfig(64), 4);
+    bool ran = false;
+    const auto task = [&](core::C2MEngine &, size_t) { ran = true; };
+    EXPECT_THROW(eng.runShardTask(4, task), std::invalid_argument);
+    EXPECT_FALSE(ran);
+    eng.runShardTask(3, task);
+    EXPECT_TRUE(ran);
 }
 
 TEST(Sharded, UnsupportedProtectionThrowsAfterThePoolStarted)
@@ -575,7 +592,7 @@ TEST(StatsWindow, RankFloorExcludesGangedFollowers)
             slowest = std::max(slowest, ns);
         const auto &fab = w.total.fabric;
         const double interval =
-            cfg.dramTimings.issueIntervalNs(kShards);
+            dram::DramTimings::ddr5_4400().issueIntervalNs(kShards);
         const double floor =
             static_cast<double>(fab.commands() - fab.gangedCommands) *
             interval;
@@ -1557,57 +1574,3 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_r" + std::to_string(radix);
         return name;
     });
-
-TEST(ShardedWorkloads, DnaBatchedHistogramMatchesHost)
-{
-    workloads::DnaConfig dcfg;
-    dcfg.genomeLen = 4096;
-    dcfg.binSize = 256;
-    dcfg.numReads = 8;
-    workloads::DnaWorkload dna(dcfg);
-
-    auto ecfg = baseConfig(128);
-    ecfg.capacityBits = 24;
-    ecfg.maxMaskRows = 1;
-    ShardedEngine eng(ecfg, 4);
-
-    const auto host = dna.repetitionHistogram();
-    const auto batched = dna.repetitionHistogram(eng);
-    EXPECT_EQ(batched.total(), host.total());
-    EXPECT_EQ(batched.overflow(), host.overflow());
-    EXPECT_EQ(batched.underflow(), host.underflow());
-    for (int64_t v = 0; v <= 18; ++v)
-        EXPECT_EQ(batched.binCount(v), host.binCount(v))
-            << "bin " << v;
-}
-
-TEST(ShardedWorkloads, SparsityValueHistogramMatchesHost)
-{
-    const unsigned bits = 5; // values in [1, 32)
-    const auto values =
-        workloads::sparseUnsignedVector(600, bits, 0.4, 77);
-
-    auto ecfg = baseConfig(32);
-    ecfg.capacityBits = 16;
-    ecfg.maxMaskRows = 1;
-    ShardedEngine eng(ecfg, 4);
-    const auto h = workloads::valueHistogram(values, eng);
-
-    std::vector<uint64_t> expected(32, 0);
-    for (uint64_t v : values)
-        ++expected[v];
-    EXPECT_EQ(h.total(), values.size());
-    for (int64_t v = 0; v < 32; ++v)
-        EXPECT_EQ(h.binCount(v), expected[static_cast<size_t>(v)])
-            << "value " << v;
-
-    const auto signedv =
-        workloads::sparseSignedVector(400, bits, 0.3, 78);
-    ShardedEngine eng2(ecfg, 4);
-    const auto hm = workloads::magnitudeHistogram(signedv, eng2);
-    std::vector<uint64_t> mexp(32, 0);
-    for (int64_t v : signedv)
-        ++mexp[static_cast<size_t>(v < 0 ? -v : v)];
-    for (int64_t v = 0; v < 32; ++v)
-        EXPECT_EQ(hm.binCount(v), mexp[static_cast<size_t>(v)]);
-}

@@ -317,8 +317,7 @@ driveFramePressure(VirtualCounterSpace &space, Shadow &shadow)
 double
 shardRowNs(const EngineConfig &cfg)
 {
-    return core::dramCommandCosts(cfg.dramTimings, cfg.dramEnergy, 64)
-        .rowWriteNs;
+    return core::commandCosts(cfg.backend, 64).rowWriteNs;
 }
 
 } // namespace
