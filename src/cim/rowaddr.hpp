@@ -17,9 +17,17 @@
  * The B-group's 16 addresses map to sets of 1, 2 or 3 simultaneously
  * activated rows; a 3-row activation (TRA) computes MAJ3 destructively
  * (all three rows end up holding the result). We model activation sets
- * directly as RowSet so muPrograms stay readable; the canonical
- * B-address encodings used by the generated sequences (B8, B9, B11,
- * B12, B14, B15 of Fig. 6b) are provided as named constructors.
+ * directly as RowSet so muPrograms stay readable. Ambit's B-group
+ * table (Seshadri et al., MICRO'17) is
+ *
+ *   B0..B3 T0..T3       B4 DCC0           B5 ~DCC0     B6 DCC1
+ *   B7 ~DCC1            B8 {~DCC0, T0}    B9 {~DCC1, T1}
+ *   B10 {T2, T3}        B11 {T0, T3}      B12 {T0, T1, T2}
+ *   B13 {T1, T2, T3}    B14 {DCC0, T1, T2}
+ *   B15 {DCC1, T0, T3}
+ *
+ * and the multi-row addresses the generated sequences use are named
+ * constructors below.
  *
  * Commands:
  *  - AAP src, dst ("activate-activate-precharge"): resolve src on the
@@ -83,31 +91,33 @@ struct RowSet
 
     std::string toString() const;
 
-    // -- Canonical Ambit B-group addresses used by Fig. 6b sequences --
+    // -- Ambit B-group addresses used by the generated programs --
 
     /** B8: write v into T0 and v-bar into DCC0. */
     static RowSet b8() { return {RowRef::t(0), RowRef::dccNeg(0)}; }
     /** B9: write v into T1 and v-bar into DCC1. */
     static RowSet b9() { return {RowRef::t(1), RowRef::dccNeg(1)}; }
-    /** B11: TRA over T0, T1, DCC0 (footnote 2 of the paper). */
-    static RowSet b11()
-    {
-        return {RowRef::t(0), RowRef::t(1), RowRef::dcc(0)};
-    }
+    /** B10: write v into T2 and T3. */
+    static RowSet b10() { return {RowRef::t(2), RowRef::t(3)}; }
     /** B12: TRA over T0, T1, T2. */
     static RowSet b12()
     {
         return {RowRef::t(0), RowRef::t(1), RowRef::t(2)};
     }
-    /** B14: TRA over T2, DCC0, DCC1-bar (AND with inverted operand). */
+    /** B13: TRA over T1, T2, T3. */
+    static RowSet b13()
+    {
+        return {RowRef::t(1), RowRef::t(2), RowRef::t(3)};
+    }
+    /** B14: TRA over DCC0, T1, T2. */
     static RowSet b14()
     {
-        return {RowRef::t(2), RowRef::dcc(0), RowRef::dccNeg(1)};
+        return {RowRef::dcc(0), RowRef::t(1), RowRef::t(2)};
     }
-    /** B15: TRA over T0, T3, DCC1 (OR when DCC1 holds one). */
+    /** B15: TRA over DCC1, T0, T3. */
     static RowSet b15()
     {
-        return {RowRef::t(0), RowRef::t(3), RowRef::dcc(1)};
+        return {RowRef::dcc(1), RowRef::t(0), RowRef::t(3)};
     }
 };
 

@@ -5,13 +5,13 @@
  * @file
  * Analytical RTX 3090 Ti baseline (Sec. 7.1).
  *
- * Substitution for the paper's measured GPU numbers (documented in
- * DESIGN.md): a two-regime roofline. GEMV is memory-bandwidth bound
- * (the K x N weight matrix is streamed once), GEMM is tensor-core
- * bound; host-device transfer over PCIe 4.0 is modeled separately
- * and included where the paper includes it (Fig. 16). Dense GPU
- * kernels gain nothing from input sparsity, which is the behaviour
- * the sparsity sweep compares against.
+ * Substitution for the paper's measured GPU numbers (README.md,
+ * "Substitutions"): a two-regime roofline. GEMV is memory-bandwidth
+ * bound (the K x N weight matrix is streamed once), GEMM is
+ * tensor-core bound; host-device transfer over PCIe 4.0 is modeled
+ * separately and included where the paper includes it (Fig. 16).
+ * Dense GPU kernels gain nothing from input sparsity, which is the
+ * behaviour the sparsity sweep compares against.
  */
 
 #include <cstddef>

@@ -70,49 +70,12 @@ AmbitCodegen::emitAndNot(AmbitProgram &p, unsigned a, unsigned b,
     p.aap(d(b), RowRef::dccNeg(0)); // cell0 <- ~b
     p.aap(d(a), RowRef::t(2));
     p.aap(RowRef::c0(), RowRef::t(1));
-    p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)}, d(dst));
+    p.aap(RowSet::b14(), d(dst));
 }
 
 // ---------------------------------------------------------------------
 // Masked bit-row updates
 // ---------------------------------------------------------------------
-
-void
-AmbitCodegen::emitMaskedUpdatePlain(AmbitProgram &p, unsigned dst_row,
-                                    unsigned src_row,
-                                    unsigned mask_row) const
-{
-    // dst = (src AND m) OR (dst AND ~m), Fig. 6b style, 8 commands.
-    p.aap(d(mask_row), RowSet::b8());       // T0=m, cell0=~m
-    p.aap(RowRef::c0(), RowSet::b9());      // T1=0, cell1=1
-    p.aap(d(src_row), RowRef::t(2));        // T2=src
-    p.ap(RowSet::b12());                    // r1 = m AND src
-    p.aap(d(dst_row), RowRef::t(2));        // T2=dst
-    p.aap(RowSet::b14(), RowRef::t(1));     // r2 = dst AND ~m -> T1
-    p.aap(RowRef::c1(), RowRef::t(2));      // T2=1
-    p.aap(RowSet::b12(), d(dst_row));       // dst = r1 OR r2
-}
-
-void
-AmbitCodegen::emitMaskedUpdateNegated(AmbitProgram &p,
-                                      unsigned dst_row,
-                                      unsigned src_row,
-                                      unsigned mask_row) const
-{
-    // dst = (~src AND m) OR (dst AND ~m), 10 commands.
-    p.aap(d(src_row), RowRef::dccNeg(0));   // cell0=~src
-    p.aap(d(mask_row), RowRef::t(2));       // T2=m
-    p.aap(RowRef::c0(), RowSet::b9());      // T1=0, cell1=1
-    p.ap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)});
-                                            // r1 = m AND ~src
-    p.aap(RowRef::t(2), RowRef::t(0));      // T0=r1
-    p.aap(d(mask_row), RowRef::dccNeg(0));  // cell0=~m
-    p.aap(d(dst_row), RowRef::t(2));        // T2=dst
-    p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::dccNeg(1)},
-          RowRef::t(1));                    // r2 = dst AND ~m -> T1
-    p.aap(RowRef::c1(), RowRef::t(2));      // T2=1
-    p.aap(RowSet::b12(), d(dst_row));       // dst = r1 OR r2
-}
 
 void
 AmbitCodegen::emitProtectedMaskedUpdate(CheckedProgram &cp,
@@ -132,8 +95,7 @@ AmbitCodegen::emitProtectedMaskedUpdate(CheckedProgram &cp,
             p.aap(d(ir2_row), RowRef::dccNeg(0)); // cell0=~ir2
             p.aap(d(ir1r), RowRef::t(2));         // T2=ir1
             p.aap(RowRef::c0(), RowRef::t(1));    // T1=0
-            p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)},
-                  d(fr_rows[j]));                 // FR_j
+            p.aap(RowSet::b14(), d(fr_rows[j]));  // FR_j
         }
     };
 
@@ -161,13 +123,11 @@ AmbitCodegen::emitProtectedMaskedUpdate(CheckedProgram &cp,
             p.aap(d(src_row), RowRef::dccNeg(0)); // cell0=~src
             p.aap(d(mask_row), RowRef::t(2));     // T2=m
             p.aap(RowRef::c0(), RowRef::t(1));    // T1=0
-            p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)},
-                  d(t2r));                        // ir2a = m AND ~src
+            p.aap(RowSet::b14(), d(t2r));         // ir2a = m AND ~src
             p.aap(d(src_row), RowRef::dccNeg(0)); // cell0=~src again
             p.aap(d(mask_row), RowRef::t(2));     // T2=m
             p.aap(RowRef::c1(), RowRef::t(1));    // T1=1
-            p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)},
-                  d(ir1r));                       // ir1a = m OR ~src
+            p.aap(RowSet::b14(), d(ir1r));        // ir1a = m OR ~src
         }
         emit_frs(p, t2r);
         add_checks(blk, src_row, src_neg, mask_row, false);
@@ -181,13 +141,11 @@ AmbitCodegen::emitProtectedMaskedUpdate(CheckedProgram &cp,
         p.aap(d(mask_row), RowRef::dccNeg(0));   // cell0=~m
         p.aap(d(dst_row), RowRef::t(2));         // T2=dst
         p.aap(RowRef::c0(), RowRef::t(1));       // T1=0
-        p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)},
-              d(ir2r));                          // ir2b = dst AND ~m
+        p.aap(RowSet::b14(), d(ir2r));           // ir2b = dst AND ~m
         p.aap(d(mask_row), RowRef::dccNeg(0));   // cell0=~m again
         p.aap(d(dst_row), RowRef::t(2));         // T2=dst
         p.aap(RowRef::c1(), RowRef::t(1));       // T1=1
-        p.aap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)},
-              d(ir1r));                          // ir1b = dst OR ~m
+        p.aap(RowSet::b14(), d(ir1r));           // ir1b = dst OR ~m
         emit_frs(p, ir2r);
         add_checks(blk, dst_row, false, mask_row, true);
         cp.appendBlock(std::move(blk));
@@ -220,11 +178,25 @@ AmbitCodegen::emitMaskedUpdate(CheckedProgram &cp, unsigned dst_row,
                                   mask_row);
         return;
     }
+
+    // dst = MAJ(m AND s, dst, NOT m OR s): s where m is 1, dst where m
+    // is 0. Both inner TRAs read paired loads: B10 puts s into T2 and
+    // T3, B9 puts m into T1 and ~m into DCC1, and B8 puts 1 into T0
+    // and 0 into DCC0, so B14 = MAJ(0, m, s) and B15 = MAJ(~m, 1, s).
+    // 7 commands for s = src, 8 for s = ~src.
     AmbitProgram p;
-    if (src_neg)
-        emitMaskedUpdateNegated(p, dst_row, src_row, mask_row);
-    else
-        emitMaskedUpdatePlain(p, dst_row, src_row, mask_row);
+    if (src_neg) {
+        p.aap(d(src_row), RowRef::dccNeg(0)); // cell0=~src
+        p.aap(RowRef::dcc(0), RowSet::b10()); // T2=T3=~src
+    } else {
+        p.aap(d(src_row), RowSet::b10());     // T2=T3=src
+    }
+    p.aap(d(mask_row), RowSet::b9());         // T1=m, cell1=~m
+    p.aap(RowRef::c1(), RowSet::b8());        // T0=1, cell0=0
+    p.ap(RowSet::b14());                      // T1,T2 = m AND s
+    p.ap(RowSet::b15());                      // T0,T3 = ~m OR s
+    p.aap(d(dst_row), RowRef::t(2));          // T2=dst
+    p.aap(RowSet::b12(), d(dst_row));         // dst = MAJ(T0, T1, dst)
     cp.appendUnchecked(p);
 }
 
@@ -242,27 +214,23 @@ AmbitCodegen::emitWrapDetect(AmbitProgram &p, unsigned old_msb_row,
         p.aap(d(new_msb_row), RowRef::dccNeg(0)); // cell0=~new
         p.aap(d(old_msb_row), RowRef::t(2));      // T2=old
         p.aap(RowRef::c0(), RowRef::t(1));        // T1=0
-        p.ap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)});
-                                                  // w -> T2
+        p.ap(RowSet::b14());                      // w -> T2
         p.aap(d(onext_row), RowRef::t(0));        // T0=Onext
         p.aap(RowRef::c1(), RowRef::t(1));        // T1=1
         p.aap(RowSet::b12(), d(onext_row));       // Onext OR w
         return;
     }
 
-    // w = (old OR NOT new) AND mask.
-    p.aap(d(new_msb_row), RowRef::dccNeg(0));     // cell0=~new
-    p.aap(d(old_msb_row), RowRef::t(2));          // T2=old
-    p.aap(RowRef::c1(), RowRef::t(1));            // T1=1
-    p.ap(RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::t(1)});
-                                                  // w1 -> T2
-    p.aap(d(mask_row), RowRef::t(0));             // T0=m
-    p.aap(RowRef::c0(), RowRef::t(1));            // T1=0
-    p.ap(RowSet::b12());                          // w = m AND w1
-    p.aap(d(onext_row), RowRef::t(3));            // T3=Onext
-    p.aap(RowRef::c1(), RowRef::t(1));            // T1=1
-    p.aap(RowSet{RowRef::t(1), RowRef::t(2), RowRef::t(3)},
-          d(onext_row));                          // Onext OR w
+    // w = (old OR NOT new) AND mask, 9 commands.
+    p.aap(d(new_msb_row), RowSet::b9());          // cell1=~new
+    p.aap(d(old_msb_row), RowRef::t(0));          // T0=old
+    p.aap(RowRef::c1(), RowRef::t(3));            // T3=1
+    p.ap(RowSet::b15());                          // w1 -> T3
+    p.aap(RowRef::c0(), RowSet::b9());            // T1=0, cell1=1
+    p.aap(d(mask_row), RowRef::t(2));             // T2=m
+    p.ap(RowSet::b13());                          // w = m AND w1 -> T3
+    p.aap(d(onext_row), RowRef::t(0));            // T0=Onext
+    p.aap(RowSet::b15(), d(onext_row));           // Onext OR w
 }
 
 // ---------------------------------------------------------------------

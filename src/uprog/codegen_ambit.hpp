@@ -11,13 +11,15 @@
  * of Fig. 13a. Generated programs are verified bit-exactly against
  * the jc:: golden model by the test suite.
  *
- * Cost note (documented in DESIGN.md): under a strictly destructive
- * triple-row-activation model every masked bit-row update costs 8 AAPs
- * (plain source) or 10 AAPs (complemented source) versus the paper's
- * 7; constant re-initializations that the paper's listing elides are
- * required because TRA write-back clobbers the DCC constants. All
- * benches report the exact op counts these generators emit, alongside
- * the paper's 7n+7 / 13n+16 formulas.
+ * Cost note (docs/backends.md, "Per-operation costs"): under a
+ * strictly destructive triple-row-activation model, with every
+ * activation set one of Ambit's B-group addresses, an unprotected
+ * masked bit-row update costs 7 commands (plain source), the paper's
+ * per-bit cost, or 8 (complemented source, loaded through DCC0). A
+ * masked increment by k < n costs 7n+2k+7 against the paper's 7n+7:
+ * the k feedback saves and the k complemented updates. All benches
+ * report the exact op counts these generators emit, alongside the
+ * paper's 7n+7 / 13n+16 formulas.
  */
 
 #include <cstdint>
@@ -112,19 +114,13 @@ class AmbitCodegen
   private:
     /**
      * dst = (dst AND NOT m) OR ((src XOR src_neg) AND m), the masked
-     * bit-row update of Sec. 4.2, dispatched to the plain, negated, or
-     * protected emitters.
+     * bit-row update of Sec. 4.2; protected mode dispatches to the
+     * ECC emitter.
      */
     void emitMaskedUpdate(CheckedProgram &cp, unsigned dst_row,
                           unsigned src_row, bool src_neg,
                           unsigned mask_row) const;
 
-    void emitMaskedUpdatePlain(cim::AmbitProgram &p, unsigned dst_row,
-                               unsigned src_row,
-                               unsigned mask_row) const;
-    void emitMaskedUpdateNegated(cim::AmbitProgram &p,
-                                 unsigned dst_row, unsigned src_row,
-                                 unsigned mask_row) const;
     void emitProtectedMaskedUpdate(CheckedProgram &cp,
                                    unsigned dst_row, unsigned src_row,
                                    bool src_neg,

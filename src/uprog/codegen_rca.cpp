@@ -17,6 +17,16 @@ d(unsigned row)
     return RowRef::data(row);
 }
 
+/**
+ * TRA over T0, T1 and DCC0: MAJ(a, x_b, ~c_in) once DCC0 holds ~c_in.
+ * Not an address of Ambit's B-group table (its B11 is {T0, T3}).
+ */
+RowSet
+traT0T1Dcc0()
+{
+    return {RowRef::t(0), RowRef::t(1), RowRef::dcc(0)};
+}
+
 } // namespace
 
 RcaCodegen::RcaCodegen(RcaLayout layout, Options opts)
@@ -52,7 +62,7 @@ RcaCodegen::emitFullAdder(CheckedProgram &cp, unsigned bit,
         p.aap(d(a_row), RowRef::t(0));
         p.aap(addend(), RowRef::t(1));
         p.aap(d(cin), RowRef::dccNeg(0));       // cell0 = ~c_in
-        p.aap(RowSet::b11(), RowRef::t(2));     // t -> T2
+        p.aap(traT0T1Dcc0(), RowRef::t(2));     // t -> T2
         // s = MAJ(~c_out, c_in, t)
         p.aap(d(cout), RowRef::dccNeg(0));      // cell0 = ~c_out
         p.aap(d(cin), RowRef::t(1));
@@ -77,7 +87,7 @@ RcaCodegen::emitFullAdder(CheckedProgram &cp, unsigned bit,
         p.aap(d(a_row), RowRef::t(0));
         p.aap(addend(), RowRef::t(1));
         p.aap(d(cin), RowRef::dccNeg(0));
-        p.aap(RowSet::b11(), d(dst));
+        p.aap(traT0T1Dcc0(), d(dst));
     };
     auto emit_sum = [&](unsigned carry_src, unsigned t_src,
                         unsigned dst) {

@@ -5,11 +5,12 @@
  * @file
  * BERT proxy workload (Sec. 7.1, Fig. 3b, Fig. 17b, Fig. 18/19).
  *
- * Substitution (DESIGN.md): a multi-layer ternary-weight classifier
- * on synthetic int8 embeddings stands in for BERT/MNLI. It preserves
- * what Fig. 17b actually measures -- depth-amplified degradation of
- * classification accuracy when the MAC substrate is faulty -- with a
- * clean accuracy calibrated to ~84% on a 3-class (MNLI-like) task.
+ * Substitution (README.md, "Substitutions"): a multi-layer
+ * ternary-weight classifier on synthetic int8 embeddings stands in
+ * for BERT/MNLI. It preserves what Fig. 17b actually measures --
+ * depth-amplified degradation of classification accuracy when the
+ * MAC substrate is faulty -- with a clean accuracy calibrated to ~84%
+ * on a 3-class (MNLI-like) task.
  * Fig. 3b's embedding distribution and Fig. 18's attention GEMM
  * shapes are also provided here.
  */

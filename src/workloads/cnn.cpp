@@ -88,15 +88,5 @@ layerWorkload(const CnnLayer &layer, double sparsity)
     return w;
 }
 
-double
-networkOps(const std::vector<CnnLayer> &layers)
-{
-    double ops = 0.0;
-    for (const auto &l : layers)
-        ops += 2.0 * static_cast<double>(l.M) *
-               static_cast<double>(l.N) * static_cast<double>(l.K);
-    return ops;
-}
-
 } // namespace workloads
 } // namespace c2m

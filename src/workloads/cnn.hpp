@@ -33,9 +33,6 @@ std::vector<CnnLayer> vgg16Layers();
 core::TensorWorkload layerWorkload(const CnnLayer &layer,
                                    double sparsity = 0.0);
 
-/** Total MAC op count (2*M*N*K summed) of a network. */
-double networkOps(const std::vector<CnnLayer> &layers);
-
 } // namespace workloads
 } // namespace c2m
 

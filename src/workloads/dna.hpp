@@ -13,9 +13,10 @@
  * threshold are candidate mapping locations. Ground truth is the
  * read's true origin, giving the F1 scores of Fig. 4b / Fig. 17a.
  *
- * Substitution (DESIGN.md): synthetic uniform ACGT genome and reads
- * with substitution errors in place of a human genome; preserves the
- * token-repetition statistics and fault sensitivity being studied.
+ * Substitution (README.md, "Substitutions"): synthetic uniform ACGT
+ * genome and reads with substitution errors in place of a human
+ * genome; preserves the token-repetition statistics and fault
+ * sensitivity being studied.
  */
 
 #include <cstdint>

@@ -95,7 +95,9 @@ TEST(Ambit, TraWritebackThroughNegatedPortComplements)
     sub.pokeDcc(0, BitVector::fromString("11001100")); // read as-is
     sub.pokeDcc(1, BitVector::fromString("11111111")); // neg port: 0
     // MAJ(T2, DCC0, ~DCC1) = MAJ(a, b, 0) = a AND b.
-    sub.execute(AmbitOp::aap(RowSet::b14(), RowRef::t(3)));
+    sub.execute(AmbitOp::aap(
+        RowSet{RowRef::t(2), RowRef::dcc(0), RowRef::dccNeg(1)},
+        RowRef::t(3)));
     EXPECT_EQ(sub.peekT(3).toString(), "11000000");
     // Destructive: DCC1's cell now holds the complement of the result.
     EXPECT_EQ(sub.peekDcc(1).toString(), "00111111");
@@ -200,5 +202,5 @@ TEST(Ambit, OpToStringIsReadable)
     const auto op = AmbitOp::aap(RowSet::b12(), RowRef::data(5));
     EXPECT_EQ(op.toString(), "AAP {T0,T1,T2} -> {D5}");
     EXPECT_EQ(AmbitOp::ap(RowSet::b14()).toString(),
-              "AP  {T2,DCC0,~DCC1}");
+              "AP  {DCC0,T1,T2}");
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -358,17 +360,134 @@ TEST(CostFormulas, PaperConstants)
 
 TEST(CostFormulas, GeneratedCountsTrackPaperScaling)
 {
-    // Our per-bit cost is 8-10 AAPs vs the paper's 7; the ratio of
-    // generated to paper counts must stay bounded and roughly flat
-    // across radices (same asymptotics in n).
-    for (unsigned radix : {4u, 8u, 10u, 16u, 20u}) {
+    // 7 commands per plain-source bit update (the paper's per-bit
+    // cost), 8 per complemented one, one save per feedback bit, and a
+    // 7-command and-form or 9-command or-form wrap detect.
+    for (unsigned radix = 2; radix <= 20; radix += 2) {
+        const unsigned n = radix / 2;
         jc::CounterLayout layout(radix, 16, 0);
         uprog::AmbitCodegen gen(layout, {});
-        const double ours = static_cast<double>(
-            gen.karyIncrement(0, 1, 99).totalOps());
-        const double paper = static_cast<double>(
-            uprog::AmbitCodegen::paperIncrementOps(radix / 2));
-        EXPECT_GT(ours / paper, 0.9) << "radix=" << radix;
-        EXPECT_LT(ours / paper, 1.8) << "radix=" << radix;
+        for (unsigned k = 1; k < radix; ++k) {
+            const uint64_t inc = k < n    ? 7 * n + 2 * k + 7
+                                 : k == n ? 8 * n + 8
+                                          : 8 * n + 9;
+            const uint64_t dec = k < n    ? 8 * n + 7
+                                 : k == n ? 8 * n + 10
+                                          : 11 * n - 2 * k + 9;
+            EXPECT_EQ(gen.karyIncrement(0, k, 99).totalOps(), inc)
+                << "radix=" << radix << " k=" << k;
+            EXPECT_EQ(gen.karyDecrement(0, k, 99).totalOps(), dec)
+                << "radix=" << radix << " k=" << k;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Activation sets
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::string>
+sortedNames(const cim::RowSet &set)
+{
+    std::vector<std::string> out;
+    for (uint8_t i = 0; i < set.count; ++i)
+        out.push_back(set.rows[i].toString());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/**
+ * True iff @p set is one of Ambit's B-group addresses B0..B15
+ * (Seshadri et al., MICRO'17) or a single D-group or C-group row.
+ */
+bool
+isAmbitAddress(const cim::RowSet &set)
+{
+    using cim::RowRef;
+    if (set.count == 1 && (set.rows[0].kind == RowRef::Kind::Data ||
+                           set.rows[0].kind == RowRef::Kind::C0 ||
+                           set.rows[0].kind == RowRef::Kind::C1))
+        return true;
+    static const std::vector<cim::RowSet> bGroup = {
+        RowRef::t(0), RowRef::t(1), RowRef::t(2), RowRef::t(3),
+        RowRef::dcc(0), RowRef::dccNeg(0), RowRef::dcc(1),
+        RowRef::dccNeg(1),
+        {RowRef::dccNeg(0), RowRef::t(0)},
+        {RowRef::dccNeg(1), RowRef::t(1)},
+        {RowRef::t(2), RowRef::t(3)},
+        {RowRef::t(0), RowRef::t(3)},
+        {RowRef::t(0), RowRef::t(1), RowRef::t(2)},
+        {RowRef::t(1), RowRef::t(2), RowRef::t(3)},
+        {RowRef::dcc(0), RowRef::t(1), RowRef::t(2)},
+        {RowRef::dcc(1), RowRef::t(0), RowRef::t(3)},
+    };
+    const auto names = sortedNames(set);
+    for (const cim::RowSet &b : bGroup)
+        if (sortedNames(b) == names)
+            return true;
+    return false;
+}
+
+void
+expectAmbitAddresses(const cim::AmbitProgram &p, const std::string &what)
+{
+    for (const cim::AmbitOp &op : p.ops) {
+        EXPECT_TRUE(isAmbitAddress(op.src)) << what << ": "
+                                            << op.toString();
+        if (op.kind == cim::AmbitOp::Kind::AAP) {
+            EXPECT_TRUE(isAmbitAddress(op.dst)) << what << ": "
+                                                << op.toString();
+        }
+    }
+}
+
+void
+expectAmbitAddresses(const uprog::CheckedProgram &cp,
+                     const std::string &what)
+{
+    for (const uprog::Block &b : cp.blocks)
+        expectAmbitAddresses(b.prog, what);
+}
+
+} // namespace
+
+TEST(ActivationSets, EveryGeneratedSetIsAnAmbitAddress)
+{
+    // The interpreter activates whatever set a command names; real
+    // Ambit decodes only its B-group table, so a program that uses
+    // another set could not run on it.
+    cim::AmbitProgram logic;
+    uprog::AmbitCodegen::emitCopy(logic, 0, 2);
+    uprog::AmbitCodegen::emitNot(logic, 0, 3);
+    uprog::AmbitCodegen::emitOr(logic, 0, 1, 4);
+    uprog::AmbitCodegen::emitAnd(logic, 0, 1, 5);
+    uprog::AmbitCodegen::emitAndNot(logic, 0, 1, 2);
+    expectAmbitAddresses(logic, "row logic");
+
+    std::vector<uprog::CodegenOptions> modes = {{}};
+    for (unsigned fr = 1; fr <= 3; ++fr)
+        modes.push_back({true, fr});
+    for (const uprog::CodegenOptions &opts : modes) {
+        for (unsigned radix = 2; radix <= 20; radix += 2) {
+            jc::CounterLayout layout(radix, 16, 0);
+            uprog::AmbitCodegen gen(layout, opts);
+            std::string what = "radix ";
+            what += std::to_string(radix);
+            what += opts.protect ? " ecc fr " : " none fr ";
+            what += std::to_string(opts.frChecks);
+            const unsigned mask = layout.endRow();
+            for (unsigned k = 1; k < radix; ++k) {
+                const std::string kth = what + " k " + std::to_string(k);
+                expectAmbitAddresses(gen.karyIncrement(0, k, mask),
+                                     kth + " increment");
+                expectAmbitAddresses(gen.karyDecrement(0, k, mask),
+                                     kth + " decrement");
+            }
+            expectAmbitAddresses(gen.carryRipple(0), what + " carry");
+            expectAmbitAddresses(gen.borrowRipple(0), what + " borrow");
+            expectAmbitAddresses(gen.clearCounters(), what + " clear");
+        }
     }
 }
