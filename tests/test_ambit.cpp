@@ -203,4 +203,8 @@ TEST(Ambit, OpToStringIsReadable)
     EXPECT_EQ(op.toString(), "AAP {T0,T1,T2} -> {D5}");
     EXPECT_EQ(AmbitOp::ap(RowSet::b14()).toString(),
               "AP  {DCC0,T1,T2}");
+    EXPECT_EQ(AmbitOp::ap(RowSet{RowRef::t(2), RowRef::dcc(0),
+                                 RowRef::dccNeg(1)})
+                  .toString(),
+              "AP  {T2,DCC0,~DCC1}");
 }

@@ -388,16 +388,6 @@ TEST(CostFormulas, GeneratedCountsTrackPaperScaling)
 
 namespace {
 
-std::vector<std::string>
-sortedNames(const cim::RowSet &set)
-{
-    std::vector<std::string> out;
-    for (uint8_t i = 0; i < set.count; ++i)
-        out.push_back(set.rows[i].toString());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 /**
  * True iff @p set is one of Ambit's B-group addresses B0..B15
  * (Seshadri et al., MICRO'17) or a single D-group or C-group row.
@@ -423,11 +413,12 @@ isAmbitAddress(const cim::RowSet &set)
         {RowRef::dcc(0), RowRef::t(1), RowRef::t(2)},
         {RowRef::dcc(1), RowRef::t(0), RowRef::t(3)},
     };
-    const auto names = sortedNames(set);
-    for (const cim::RowSet &b : bGroup)
-        if (sortedNames(b) == names)
-            return true;
-    return false;
+    return std::any_of(bGroup.begin(), bGroup.end(),
+                       [&](const cim::RowSet &b) {
+                           return b.count == set.count &&
+                                  std::is_permutation(
+                                      b.rows, b.rows + b.count, set.rows);
+                       });
 }
 
 void
