@@ -26,8 +26,13 @@ main()
 
     std::printf("== Fig. 4a: RMSE of accumulated adds vs CIM fault "
                 "probability ==\n");
+    // One trial's RMSE swings with where its few faults land, so a
+    // cell averages enough seeded trials that a change to a program's
+    // TRA sequence moves it by its effect, not by which seeds fault.
+    const int trials = 30;
     std::printf("(radix-10 JC vs 24-bit RCA; 128 counters, 100 "
-                "inputs of 1..255)\n");
+                "inputs of 1..255; mean of %d trials)\n",
+                trials);
     {
         std::vector<std::string> head = {"fault_p"};
         for (auto s : schemes)
@@ -37,7 +42,6 @@ main()
             std::vector<std::string> row = {TextTable::sci(p, 0)};
             for (auto s : schemes) {
                 double sum = 0;
-                const int trials = 3;
                 for (int tr = 0; tr < trials; ++tr)
                     sum += accumulationRmse(s, p, 128, 100,
                                             1000 + 17 * tr);

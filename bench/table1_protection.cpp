@@ -73,13 +73,14 @@ main()
         ops.addRow(row);
     }
     std::printf("%s", ops.render().c_str());
-    std::printf("\nUnprotected, ours is 7n+9: 7 commands per bit as in "
-                "the paper, plus the save of the\n"
-                "wrapping bit and its complemented update. Protected, "
-                "each masking step stores both\n"
-                "intermediate rows and synthesizes every FR in data rows "
-                "(docs/backends.md); the\n"
-                "scaling in n and in FR checks matches the paper's "
-                "formulas.\n");
+    std::printf("\nUnprotected, ours is the paper's 7n+7: 7 commands "
+                "per bit, one more for the\n"
+                "complemented feedback update, and a 6-command wrap "
+                "detect; no bit is saved.\n"
+                "Protected, each masking step stores both intermediate "
+                "rows and synthesizes every\n"
+                "FR in data rows (docs/backends.md); the scaling in n "
+                "and in FR checks matches\n"
+                "the paper's formulas.\n");
     return 0;
 }

@@ -54,8 +54,9 @@ class C2mCostModel
 
     /**
      * AAP/AP commands of one masked k-ary decrement (measured). The
-     * decrement's state shift is an increment by radix - k, but its
-     * borrow detect differs, so the counts differ from incrementOps.
+     * decrement's state shift is an increment by radix - k; its borrow
+     * detect differs, so the protected counts differ from
+     * incrementOps (the unprotected ones agree).
      */
     uint64_t decrementOps(unsigned k) const;
 

@@ -7,8 +7,10 @@
  * subarray (Fig. 5). All bits of a counter live in the same column;
  * each digit occupies n bit-rows (LSB..MSB) plus one Onext row, and
  * the group is followed by scratch rows used by the muPrograms:
- * theta rows (k-ary feedback saves) and the protection scratch rows
- * (IR1, IR2, FR, T2cp) of Fig. 13a, plus an optional Osign row.
+ * theta rows (k-ary feedback saves of the ECC-protected Ambit steps
+ * and the NVM steps; the unprotected Ambit steps save no bit) and the
+ * protection scratch rows (IR1, IR2, FR, T2cp) of Fig. 13a, plus an
+ * optional Osign row.
  */
 
 #include <cstdint>
@@ -47,7 +49,10 @@ class CounterLayout
     /** Row of the sign flag (underflow beyond zero). */
     unsigned osignRow() const;
 
-    /** Scratch row theta_j, j in [0, bitsPerDigit). */
+    /**
+     * Scratch row theta_j, j in [0, bitsPerDigit): a feedback save of
+     * an ECC-protected Ambit or an NVM k-ary step.
+     */
     unsigned thetaRow(unsigned j) const;
 
     /** Protection scratch rows (Fig. 13a). */

@@ -15,11 +15,17 @@
  * strictly destructive triple-row-activation model, with every
  * activation set one of Ambit's B-group addresses, an unprotected
  * masked bit-row update costs 7 commands (plain source), the paper's
- * per-bit cost, or 8 (complemented source, loaded through DCC0). A
- * masked increment by k < n costs 7n+2k+7 against the paper's 7n+7:
- * the k feedback saves and the k complemented updates. All benches
- * report the exact op counts these generators emit, alongside the
- * paper's 7n+7 / 13n+16 formulas.
+ * per-bit cost, or 8 (complemented source, loaded through DCC0). An
+ * unprotected k-ary step saves no bit: it walks the cycles of the
+ * digit's rotation so each update reads the old bit the previous one
+ * left in T3, and detects the wrap from the B rows in 6 commands. A
+ * masked increment or decrement by k costs 7n+6+min(k, 2n-k) (7n+6
+ * for k = n, seven-command masked NOTs), so an increment by one is
+ * the paper's 7n+7. An ECC-protected bit update costs 14+8f+(4 or 8)
+ * commands at f FR checks per block, plus theta saves and a 7- or
+ * 9-command wrap detect per step. All benches report the exact op
+ * counts these generators emit, alongside the paper's 7n+7 / 13n+16
+ * formulas.
  */
 
 #include <cstdint>
@@ -114,30 +120,26 @@ class AmbitCodegen
   private:
     /**
      * dst = (dst AND NOT m) OR ((src XOR src_neg) AND m), the masked
-     * bit-row update of Sec. 4.2; protected mode dispatches to the
-     * ECC emitter.
+     * bit-row update of Sec. 4.2, as the XOR-embedded checked blocks
+     * of Fig. 13a.
      */
-    void emitMaskedUpdate(CheckedProgram &cp, unsigned dst_row,
-                          unsigned src_row, bool src_neg,
-                          unsigned mask_row) const;
-
     void emitProtectedMaskedUpdate(CheckedProgram &cp,
                                    unsigned dst_row, unsigned src_row,
                                    bool src_neg,
                                    unsigned mask_row) const;
 
     /**
-     * Overflow/underflow detection into Onext (Alg. 1 lines 6/13).
-     * @p auto_masked: the predicate is identically 0 for masked-out
-     * counters (no explicit AND with the mask needed).
+     * ECC-protected k-ary step: save the feedback bits into theta
+     * rows, shift with protected updates, detect the wrap from the
+     * saved old MSB.
      */
-    void emitWrapDetect(cim::AmbitProgram &p, unsigned old_msb_row,
-                        unsigned new_msb_row, unsigned onext_row,
-                        unsigned mask_row, bool or_form) const;
+    CheckedProgram protectedStep(unsigned digit, unsigned k,
+                                 unsigned mask_row,
+                                 bool decrement) const;
 
-    /** Shared body of increment/decrement (shift by eff_k). */
-    CheckedProgram shiftedUpdate(unsigned digit, unsigned eff_k,
-                                 unsigned mask_row) const;
+    /** Unprotected k-ary step: save-free cycle walk (see file note). */
+    CheckedProgram cycleStep(unsigned digit, unsigned k,
+                             unsigned mask_row, bool decrement) const;
 
     jc::CounterLayout layout_;
     CodegenOptions opts_;

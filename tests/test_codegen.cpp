@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cim/ambit.hpp"
+#include "common/rng.hpp"
 #include "jc/johnson.hpp"
 #include "jc/layout.hpp"
 #include "uprog/codegen_ambit.hpp"
@@ -72,6 +73,30 @@ struct Harness
         return sub.peekRow(layout.onextRow(digit)).get(col);
     }
 
+    /** Column of (value, mask bit, Onext-in) in fillSweep's layout. */
+    static size_t
+    sweepCol(unsigned v, bool m, bool onext_in)
+    {
+        return 4 * size_t{v} + 2 * m + onext_in;
+    }
+
+    /**
+     * Digit 0 holds every value once per (mask bit, Onext-in) pair:
+     * 4 x radix columns.
+     */
+    void
+    fillSweep()
+    {
+        for (unsigned v = 0; v < layout.radix(); ++v)
+            for (const bool m : {false, true})
+                for (const bool o : {false, true}) {
+                    const size_t c = sweepCol(v, m, o);
+                    setDigit(0, c, v);
+                    setMask(c, m);
+                    sub.rawRow(layout.onextRow(0)).set(c, o);
+                }
+    }
+
     void
     run(const uprog::CheckedProgram &prog)
     {
@@ -125,31 +150,27 @@ TEST_P(KaryIncrement, MatchesGoldenModelUnderMask)
     const unsigned k = std::get<1>(GetParam());
     const unsigned n = radix / 2;
 
-    // Columns: one per (value, masked) combination.
-    const size_t cols = 2 * radix;
-    Harness h(radix, 16, cols);
-    for (unsigned v = 0; v < radix; ++v) {
-        h.setDigit(0, 2 * v, v);
-        h.setMask(2 * v, true);
-        h.setDigit(0, 2 * v + 1, v);
-        h.setMask(2 * v + 1, false);
-    }
+    // The wrap detects read Onext, so half the columns start with it
+    // set: it must end as Onext-in OR wrap where the mask is 1 and
+    // keep Onext-in where it is 0.
+    Harness h(radix, 16, 4 * radix);
+    h.fillSweep();
 
     h.run(h.gen.karyIncrement(0, k, h.maskRow));
 
-    for (unsigned v = 0; v < radix; ++v) {
-        // Masked-in column: incremented, wrap recorded in Onext.
-        EXPECT_EQ(h.getDigit(0, 2 * v),
-                  static_cast<int>(jc::add(n, v, k)))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-        EXPECT_EQ(h.onext(0, 2 * v), jc::wraps(n, v, k))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-        // Masked-out column: untouched.
-        EXPECT_EQ(h.getDigit(0, 2 * v + 1), static_cast<int>(v))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-        EXPECT_FALSE(h.onext(0, 2 * v + 1))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-    }
+    for (unsigned v = 0; v < radix; ++v)
+        for (const bool m : {false, true})
+            for (const bool o : {false, true}) {
+                const size_t c = Harness::sweepCol(v, m, o);
+                const int want = m ? static_cast<int>(jc::add(n, v, k))
+                                   : static_cast<int>(v);
+                EXPECT_EQ(h.getDigit(0, c), want)
+                    << "radix=" << radix << " k=" << k << " v=" << v
+                    << " m=" << m << " onext=" << o;
+                EXPECT_EQ(h.onext(0, c), o || (m && jc::wraps(n, v, k)))
+                    << "radix=" << radix << " k=" << k << " v=" << v
+                    << " m=" << m << " onext=" << o;
+            }
 }
 
 TEST_P(KaryIncrement, DecrementMatchesGoldenModelUnderMask)
@@ -158,26 +179,24 @@ TEST_P(KaryIncrement, DecrementMatchesGoldenModelUnderMask)
     const unsigned k = std::get<1>(GetParam());
     const unsigned n = radix / 2;
 
-    const size_t cols = 2 * radix;
-    Harness h(radix, 16, cols);
-    for (unsigned v = 0; v < radix; ++v) {
-        h.setDigit(0, 2 * v, v);
-        h.setMask(2 * v, true);
-        h.setDigit(0, 2 * v + 1, v);
-        h.setMask(2 * v + 1, false);
-    }
+    Harness h(radix, 16, 4 * radix);
+    h.fillSweep();
 
     h.run(h.gen.karyDecrement(0, k, h.maskRow));
 
-    for (unsigned v = 0; v < radix; ++v) {
-        const unsigned want = (v + radix - k) % radix;
-        EXPECT_EQ(h.getDigit(0, 2 * v), static_cast<int>(want))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-        EXPECT_EQ(h.onext(0, 2 * v), jc::borrows(n, v, k))
-            << "radix=" << radix << " k=" << k << " v=" << v;
-        EXPECT_EQ(h.getDigit(0, 2 * v + 1), static_cast<int>(v));
-        EXPECT_FALSE(h.onext(0, 2 * v + 1));
-    }
+    for (unsigned v = 0; v < radix; ++v)
+        for (const bool m : {false, true})
+            for (const bool o : {false, true}) {
+                const size_t c = Harness::sweepCol(v, m, o);
+                const unsigned want = m ? (v + radix - k) % radix : v;
+                EXPECT_EQ(h.getDigit(0, c), static_cast<int>(want))
+                    << "radix=" << radix << " k=" << k << " v=" << v
+                    << " m=" << m << " onext=" << o;
+                EXPECT_EQ(h.onext(0, c),
+                          o || (m && jc::borrows(n, v, k)))
+                    << "radix=" << radix << " k=" << k << " v=" << v
+                    << " m=" << m << " onext=" << o;
+            }
 }
 
 TEST_P(KaryIncrement, OnextAccumulatesAcrossIncrements)
@@ -317,8 +336,8 @@ TEST_P(RadixOnly, MultiDigitAccumulationMatchesArithmetic)
 TEST_P(RadixOnly, IncrementOpCountNearlyConstantInK)
 {
     // Sec. 4.5.1 claims increment-by-k has the same latency as
-    // increment-by-one; our strict-destructive codegen adds only the
-    // k feedback saves and negated-update deltas.
+    // increment-by-one; our strict-destructive codegen adds only one
+    // command per complemented update, min(k, 2n-k) of them.
     const unsigned radix = GetParam();
     const unsigned n = radix / 2;
     jc::CounterLayout layout(radix, 16, 0);
@@ -360,24 +379,54 @@ TEST(CostFormulas, PaperConstants)
 
 TEST(CostFormulas, GeneratedCountsTrackPaperScaling)
 {
-    // 7 commands per plain-source bit update (the paper's per-bit
-    // cost), 8 per complemented one, one save per feedback bit, and a
-    // 7-command and-form or 9-command or-form wrap detect.
+    // Unprotected: 7 commands per plain-source bit update (the paper's
+    // per-bit cost), 8 per complemented one, and a 6-command wrap
+    // detect; at k = n, a 6-command wrap and 7-command masked NOTs. So
+    // 7n+6+min(k, 2n-k) either way, and a ripple is an increment by
+    // one plus the clear: 7n+8 (7n+7 at radix 2, where 1 = n).
     for (unsigned radix = 2; radix <= 20; radix += 2) {
         const unsigned n = radix / 2;
         jc::CounterLayout layout(radix, 16, 0);
         uprog::AmbitCodegen gen(layout, {});
+        const auto step = [&](unsigned k) -> uint64_t {
+            return 7 * n + 6 + (k == n ? 0 : std::min(k, 2 * n - k));
+        };
         for (unsigned k = 1; k < radix; ++k) {
-            const uint64_t inc = k < n    ? 7 * n + 2 * k + 7
-                                 : k == n ? 8 * n + 8
-                                          : 8 * n + 9;
-            const uint64_t dec = k < n    ? 8 * n + 7
-                                 : k == n ? 8 * n + 10
-                                          : 11 * n - 2 * k + 9;
-            EXPECT_EQ(gen.karyIncrement(0, k, 99).totalOps(), inc)
+            EXPECT_EQ(gen.karyIncrement(0, k, 99).totalOps(), step(k))
                 << "radix=" << radix << " k=" << k;
-            EXPECT_EQ(gen.karyDecrement(0, k, 99).totalOps(), dec)
+            EXPECT_EQ(gen.karyDecrement(0, k, 99).totalOps(), step(k))
                 << "radix=" << radix << " k=" << k;
+        }
+        EXPECT_EQ(step(1), n == 1 ? 13u : 7 * n + 7);
+        EXPECT_EQ(gen.carryRipple(0).totalOps(), step(1) + 1);
+        EXPECT_EQ(gen.borrowRipple(0).totalOps(), step(1) + 1);
+    }
+
+    // ECC: per bit, blocks A and B take 7 compute commands and 4 per
+    // FR check each, and the commit 4 (8 when duplicated at f >= 2):
+    // 14+8f+(f>=2 ? 8 : 4), i.e. 26/38/46. Per step add one theta
+    // save per feedback bit and a 7-command and-form or 9-command
+    // or-form wrap detect.
+    for (unsigned f = 1; f <= 3; ++f) {
+        const uint64_t per_bit = 14 + 8 * f + (f >= 2 ? 8 : 4);
+        EXPECT_EQ(per_bit, f == 1 ? 26u : f == 2 ? 38u : 46u);
+        for (unsigned radix = 2; radix <= 20; radix += 2) {
+            const unsigned n = radix / 2;
+            jc::CounterLayout layout(radix, 16, 0);
+            uprog::AmbitCodegen gen(layout, {true, f});
+            for (unsigned k = 1; k < radix; ++k) {
+                const auto saves = [&](unsigned eff_k) -> uint64_t {
+                    return eff_k == n ? 1 : eff_k > n ? eff_k - n : eff_k;
+                };
+                const uint64_t inc =
+                    saves(k) + n * per_bit + (k > n ? 9 : 7);
+                const uint64_t dec =
+                    saves(2 * n - k) + n * per_bit + (k >= n ? 9 : 7);
+                EXPECT_EQ(gen.karyIncrement(0, k, 99).totalOps(), inc)
+                    << "f=" << f << " radix=" << radix << " k=" << k;
+                EXPECT_EQ(gen.karyDecrement(0, k, 99).totalOps(), dec)
+                    << "f=" << f << " radix=" << radix << " k=" << k;
+            }
         }
     }
 }
@@ -479,6 +528,99 @@ TEST(ActivationSets, EveryGeneratedSetIsAnAmbitAddress)
             expectAmbitAddresses(gen.carryRipple(0), what + " carry");
             expectAmbitAddresses(gen.borrowRipple(0), what + " borrow");
             expectAmbitAddresses(gen.clearCounters(), what + " clear");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Program footprint
+// ---------------------------------------------------------------------
+
+TEST(ProgramFootprint, NoReadOfAnUnwrittenBRowAndNoWriteOutsideTheDigit)
+{
+    // Every program on a subarray shares T0..T3 and DCC0..1, so each
+    // must write a B row before it reads it (the cycle walk reads T3
+    // across updates): random B rows at entry must leave every data
+    // row as a run from zeroed B rows does. An unprotected program
+    // writes only its digit's bit rows and Onext, plus the source
+    // Onext a ripple clears: no theta or scratch row.
+    constexpr size_t kCols = 64;
+    Rng rng(53);
+    std::vector<uprog::CodegenOptions> modes = {{}};
+    for (unsigned fr = 1; fr <= 3; ++fr)
+        modes.push_back({true, fr});
+    for (const uprog::CodegenOptions &opts : modes) {
+        for (unsigned radix = 2; radix <= 20; radix += 2) {
+            const unsigned n = radix / 2;
+            const jc::CounterLayout layout(radix, 16, 0);
+            const uprog::AmbitCodegen gen(layout, opts);
+            const unsigned digit = 1;
+            const unsigned mask = layout.endRow();
+            const size_t rows = mask + 1;
+
+            struct Program
+            {
+                std::string what;
+                uprog::CheckedProgram prog;
+                unsigned digit; ///< the digit whose rows it updates
+            };
+            std::vector<Program> progs;
+            std::string mode = opts.protect ? " ecc fr " : " none fr ";
+            mode += std::to_string(opts.frChecks);
+            for (unsigned k = 1; k < radix; ++k) {
+                std::string what = "radix " + std::to_string(radix);
+                what += mode + " k " + std::to_string(k);
+                progs.push_back({what + " increment",
+                                 gen.karyIncrement(digit, k, mask), digit});
+                progs.push_back({what + " decrement",
+                                 gen.karyDecrement(digit, k, mask), digit});
+            }
+            const std::string ripple = "radix " + std::to_string(radix);
+            progs.push_back(
+                {ripple + mode + " carry", gen.carryRipple(digit),
+                 digit + 1});
+            progs.push_back(
+                {ripple + mode + " borrow", gen.borrowRipple(digit),
+                 digit + 1});
+
+            for (const Program &pr : progs) {
+                SCOPED_TRACE(pr.what);
+                cim::AmbitSubarray zeroed(rows, kCols);
+                cim::AmbitSubarray poked(rows, kCols);
+                std::vector<BitVector> before(rows, BitVector(kCols));
+                for (size_t r = 0; r < rows; ++r) {
+                    before[r].randomize(rng);
+                    zeroed.rawRow(r) = before[r];
+                    poked.rawRow(r) = before[r];
+                }
+                BitVector v(kCols);
+                for (unsigned i = 0; i < 4; ++i) {
+                    v.randomize(rng);
+                    poked.pokeT(i, v);
+                }
+                for (unsigned i = 0; i < 2; ++i) {
+                    v.randomize(rng);
+                    poked.pokeDcc(i, v);
+                }
+                for (const uprog::Block &b : pr.prog.blocks) {
+                    zeroed.run(b.prog);
+                    poked.run(b.prog);
+                }
+
+                std::vector<bool> may_write(rows, opts.protect);
+                for (unsigned i = 0; i < n; ++i)
+                    may_write[layout.bitRow(pr.digit, i)] = true;
+                may_write[layout.onextRow(pr.digit)] = true;
+                may_write[layout.onextRow(digit)] = true;
+                for (size_t r = 0; r < rows; ++r) {
+                    EXPECT_EQ(poked.peekRow(r), zeroed.peekRow(r))
+                        << "row " << r;
+                    if (!may_write[r]) {
+                        EXPECT_EQ(zeroed.peekRow(r), before[r])
+                            << "row " << r;
+                    }
+                }
+            }
         }
     }
 }

@@ -194,9 +194,10 @@ TEST(CostModel, DecrementOpsMatchGeneratedPrograms)
 {
     // The planner prices decrement planes (and negative per-op
     // replay) with decrementOps(k): it must be the size of the
-    // program the backend runs, at any digit. A decrement shifts the
-    // state like an increment by radix - k but detects the borrow
-    // differently, so it is not incrementOps(radix - k).
+    // program the backend runs, at any digit. An unprotected step by
+    // k costs 7n+6+min(k, 2n-k) commands in either direction, so here
+    // decrementOps(k) equals incrementOps(k); the ECC programs detect
+    // the borrow with another form, so there they differ.
     for (const unsigned radix : {4u, 6u, 10u, 16u}) {
         const core::C2mCostModel model(radix, 16);
         const jc::CounterLayout layout(radix, 16, 0);
@@ -212,10 +213,10 @@ TEST(CostModel, DecrementOpsMatchGeneratedPrograms)
                 << "radix " << radix << " k " << k;
         }
     }
-    EXPECT_EQ(core::C2mCostModel(4, 16).incrementOps(2), 24u);
-    EXPECT_EQ(core::C2mCostModel(4, 16).decrementOps(2), 26u);
-    EXPECT_EQ(core::C2mCostModel(16, 16).incrementOps(1), 65u);
-    EXPECT_EQ(core::C2mCostModel(16, 16).decrementOps(1), 71u);
+    EXPECT_EQ(core::C2mCostModel(4, 16).incrementOps(2), 20u);
+    EXPECT_EQ(core::C2mCostModel(4, 16).decrementOps(2), 20u);
+    EXPECT_EQ(core::C2mCostModel(16, 16).incrementOps(1), 63u);
+    EXPECT_EQ(core::C2mCostModel(16, 16).decrementOps(1), 63u);
 }
 
 TEST(CostModelAgreement, StreamAapCountMatchesAmbitSimulation)

@@ -1394,34 +1394,38 @@ TEST(EngineStepPaths, CountsMatchTheParent)
     // drain peeks, absorb peeks; then AAP, AP, TRA, faults injected,
     // row reads, row writes, ganged commands.
     //
-    // The Ambit rows' AAP, AP and ganged-command counts are those of
-    // the seven-command masked update (AAPs traded for APs, the same
-    // TRAs) and the nine-command or-form wrap detect; the wrap is the
-    // only change the ECC row sees (one AAP fewer per or-form wrap).
+    // The unprotected and TMR Ambit rows' AAP, AP, TRA and ganged
+    // counts are those of the save-free cycle-walk steps (no theta
+    // saves, 6-command wrap detects, masked NOTs at k = n). The ECC
+    // blocks A and B load their operands once for the AND and the OR
+    // and run the same TRAs in the same order as the save-and-shift
+    // ECC programs, so only the ECC row's AAP and ganged counts
+    // differ from those programs; its checks, faults and digests
+    // match.
     const std::vector<StepPathCase> cases = {
         {"ambit", BackendKind::Ambit, Protection::None, 0.0,
          {100, 482, 378, 0, 0, 0, 0, 0, 0, 648, 212, 0, 0, 0,
-          0, 0, 321, 0, 33, 0, 17214, 4446, 7205, 0, 510, 75, 0},
+          0, 0, 321, 0, 33, 0, 15098, 4300, 7059, 0, 510, 75, 0},
          {561, 39, 25, 0, 0, 0, 0, 0, 0, 16, 48, 3, 39, 39,
-          561, 0, 41, 0, 0, 0, 1356, 326, 518, 0, 145, 79, 0},
+          561, 0, 41, 0, 0, 0, 1188, 320, 512, 0, 145, 79, 0},
          {239, 33, 18, 0, 0, 0, 0, 0, 0, 13, 38, 3, 33, 0,
-          239, 0, 33, 0, 0, 0, 1113, 261, 414, 0, 137, 71, 786},
+          239, 0, 33, 0, 0, 0, 975, 255, 408, 0, 137, 71, 678},
          712920018148354016ULL, 9820645000774082639ULL},
         {"ambit_ecc", BackendKind::Ambit, Protection::Ecc, 1e-3,
          {100, 482, 450, 4417, 689, 689, 0, 0, 0, 713, 219, 0, 0, 0,
-          0, 0, 391, 0, 33, 0, 68665, 1078, 17304, 1003, 13831, 80, 0},
+          0, 0, 391, 0, 33, 0, 64248, 1078, 17304, 1003, 13831, 80, 0},
          {561, 39, 25, 277, 21, 21, 0, 0, 0, 16, 48, 3, 39, 39,
-          561, 0, 41, 0, 0, 0, 4471, 70, 1093, 28, 976, 80, 0},
+          561, 0, 41, 0, 0, 0, 4194, 70, 1093, 28, 976, 80, 0},
          {239, 33, 20, 227, 15, 15, 0, 0, 0, 14, 39, 3, 33, 0,
-          239, 0, 35, 0, 0, 0, 3701, 59, 899, 26, 820, 73, 2232},
+          239, 0, 35, 0, 0, 0, 3474, 59, 899, 26, 820, 73, 2091},
          16845428621004355222ULL, 3997259512444682966ULL},
         {"ambit_tmr", BackendKind::Ambit, Protection::Tmr, 0.0,
          {100, 482, 378, 0, 0, 0, 0, 0, 10320, 1944, 636, 0, 0, 0,
-          0, 0, 321, 0, 33, 0, 60618, 13338, 23939, 0, 822, 217, 0},
+          0, 0, 321, 0, 33, 0, 54270, 12900, 23501, 0, 822, 217, 0},
          {561, 39, 25, 0, 0, 0, 0, 0, 768, 48, 144, 3, 39, 39,
-          561, 0, 41, 0, 0, 0, 4836, 978, 1746, 0, 353, 155, 0},
+          561, 0, 41, 0, 0, 0, 4332, 960, 1728, 0, 353, 155, 0},
          {239, 33, 18, 0, 0, 0, 0, 0, 612, 39, 114, 3, 33, 0,
-          239, 0, 33, 0, 0, 0, 3951, 783, 1395, 0, 345, 143, 2754},
+          239, 0, 33, 0, 0, 0, 3537, 765, 1377, 0, 345, 143, 2430},
          712920018148354016ULL, 9820645000774082639ULL},
         {"nvm_pinatubo", BackendKind::NvmPinatubo, Protection::None, 0.0,
          {80, 276, 308, 0, 0, 0, 0, 0, 0, 438, 146, 0, 0, 0,
